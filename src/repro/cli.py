@@ -415,8 +415,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="processor counts to sweep")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the 'sweep' command "
-                             "(0 = one per CPU; results are identical to "
-                             "--jobs 1)")
+                             "(0 = one per CPU; N > 1 runs under the "
+                             "supervised executor; results are identical "
+                             "to --jobs 1)")
     parser.add_argument("--out", default=".",
                         help="output directory for the 'svg' command")
     parser.add_argument("--metrics", nargs="?", const="", default=None,
@@ -607,13 +608,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from .experiments.sweep import full_sweep, to_csv
         from .obs.runtime import format_summary, status_counts
 
-        supervise = bool(
-            args.supervised or args.checkpoint or args.resume
-            or args.timeout is not None or args.retries is not None
-            or args.harness_fault or args.obs_dir or args.progress
-        )
-        runtime = harness_faults = None
-        if supervise:
+        # Supervision knobs only; full_sweep alone decides whether the
+        # grid runs supervised.
+        runtime = None
+        if (args.supervised or args.timeout is not None
+                or args.retries is not None):
             from .experiments.runtime import RuntimePolicy
 
             policy_kw = {}
@@ -622,14 +621,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.retries is not None:
                 policy_kw["max_attempts"] = args.retries
             runtime = RuntimePolicy(**policy_kw)
-            if args.harness_fault:
-                try:
-                    harness_faults = _parse_harness_faults(args.harness_fault)
-                except ValueError as err:
-                    print(str(err), file=sys.stderr)
-                    return 2
-
-        ctx = ExperimentContext()
         sweep_kw = {}
         if args.workloads:
             sweep_kw["workloads"] = tuple(args.workloads)
@@ -638,7 +629,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         t0 = monotonic()
         try:
             records = full_sweep(
-                ctx,
+                ExperimentContext(),
                 procs=tuple(args.procs) if args.procs else (2, 4, 8, 16, 32),
                 jobs=args.jobs,
                 metrics=args.metrics is not None,
@@ -650,14 +641,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 runtime=runtime,
                 checkpoint=args.checkpoint,
                 resume=args.resume,
-                harness_faults=harness_faults,
+                harness_faults=(
+                    _parse_harness_faults(args.harness_fault)
+                    if args.harness_fault else None
+                ),
                 obs_dir=args.obs_dir,
                 progress=args.progress,
                 **sweep_kw,
             )
         except (KeyError, ValueError) as err:
-            # Bad --heuristics / --workloads names: surface the choice
-            # listing instead of a traceback.
+            # Bad grid or --harness-fault: surface the message (with
+            # the choice listing) instead of a traceback.
             print(str(err).strip('"'), file=sys.stderr)
             return 2
         elapsed = monotonic() - t0

@@ -45,8 +45,18 @@ PROCS = (2, 4, 8, 16, 32)
 
 #: Workload keys built into :meth:`ExperimentContext.problem`.
 BUILTIN_WORKLOADS = ("chol15", "chol24", "lu-goodwin", "etree15")
+#: TOT bases of :meth:`ExperimentContext.run_cell` (``reference=``).
+REFERENCES = ("self", "rcp")
 
 INF = float("inf")
+
+
+def require_known(kind: str, values, choices, error=ValueError) -> None:
+    """Raise ``error`` naming every value not in ``choices`` together
+    with the choices (the listing the CLI prints before exiting 2)."""
+    bad = [v for v in values if v not in choices]
+    if bad:
+        raise error(f"unknown {kind}(s) {bad}; choose from {list(choices)}")
 
 
 @dataclass
@@ -143,14 +153,15 @@ class ExperimentContext:
                     bcsstk15_like(scale=0.15), flop_time=flop_time,
                 )
             else:
-                known = sorted(
-                    set(BUILTIN_WORKLOADS) | set(self._registered)
-                )
                 raise KeyError(
-                    f"unknown workload {key!r}; choose one of {known} "
-                    "or register() a custom problem"
+                    f"unknown workload {key!r}; choose one of "
+                    f"{self.known_workloads()} or register() a custom problem"
                 )
         return self._problems[key]
+
+    def known_workloads(self) -> list[str]:
+        """Every workload key :meth:`problem` accepts, sorted."""
+        return sorted(set(BUILTIN_WORKLOADS) | set(self._registered))
 
     def register(self, key: str, problem) -> None:
         """Register a custom problem (must expose ``graph``,
@@ -168,7 +179,7 @@ class ExperimentContext:
         never pay to unpickle (or choke on) registrations the sweep does
         not use — and each shipped problem is pickled *here*, so an
         unpicklable one fails fast with a clear error instead of a deep
-        ``ProcessPoolExecutor`` traceback mid-sweep.
+        worker-pool traceback mid-sweep.
         """
         import pickle
 
@@ -330,8 +341,9 @@ class ExperimentContext:
 
         ``reference`` selects the TOT base for the capacity: ``"self"``
         (the schedule's own TOT, Tables 2/3) or ``"rcp"`` (the RCP
-        schedule's TOT, Tables 4-7).  With ``merge_capacity=True`` the
-        heuristic receives the capacity (DTS slice merging).  With
+        schedule's TOT, Tables 4-7); anything else raises
+        ``ValueError``.  With ``merge_capacity=True`` the heuristic
+        receives the capacity (DTS slice merging).  With
         ``collect_metrics=True`` the simulation runs instrumented
         (:mod:`repro.obs`) and the telemetry fields of
         :class:`CellMetrics` are populated; with ``collect_check=True``
@@ -358,6 +370,7 @@ class ExperimentContext:
         slack over them (``*_bound_gap``); purely static, cached per
         (workload, procs, heuristic) via :meth:`bounds_for`.
         """
+        require_known("reference", (reference,), REFERENCES)
         tot = (
             self.reference_tot(key, p)
             if reference == "rcp"
@@ -367,81 +380,72 @@ class ExperimentContext:
         cap_arg = capacity if merge_capacity else None
         prof = self.profile(key, p, heuristic, cap_arg)
         base = self.baseline_pt(key, p, engine)
-        pt_bound = mem_bound = mem_bound_gap = None
+        cell = CellMetrics(
+            executable=prof.min_mem <= capacity, capacity=capacity,
+            min_mem=prof.min_mem, tot=tot,
+        )
+        # Non-executable cells run nothing: ``res`` stays None, the
+        # simulated columns below get ``inf`` like the timing fields and
+        # the engine columns stay empty.
+        res = nviol = None
+        if cell.executable:
+            sk = (
+                key, p, heuristic, cap_arg, capacity, collect_metrics,
+                collect_check, engine,
+            )
+            if sk not in self._sims:
+                checker = None
+                if collect_check:
+                    from ..conformance import InvariantChecker
+
+                    checker = InvariantChecker(
+                        self.compiled(key, p, heuristic, cap_arg)
+                    )
+                run = Simulator(
+                    spec=self.spec,
+                    capacity=capacity,
+                    compiled=self.compiled(key, p, heuristic, cap_arg),
+                    metrics=collect_metrics,
+                    instrument=checker,
+                    engine=engine,
+                ).run()
+                self._sims[sk] = (
+                    run,
+                    len(checker.violations) if checker is not None else None,
+                )
+            res, nviol = self._sims[sk]
+            cell.pt = res.parallel_time
+            cell.pt_increase = (res.parallel_time - base) / base
+            cell.avg_maps = res.avg_maps
+        if collect_metrics:
+            summary = res.metrics["summary"] if res is not None else None
+            cell.map_overhead_frac = (
+                summary["map_overhead_frac"] if summary else INF
+            )
+            cell.max_hwm = float(summary["max_hwm"]) if summary else INF
+            cell.max_suspq = float(summary["max_suspq"]) if summary else INF
+        if collect_check:
+            cell.violations = float(nviol) if res is not None else INF
+        if collect_analysis:
+            cell.analysis_errors = self.analysis_errors(
+                key, p, heuristic, capacity, cap_arg
+            )
+        if collect_engine and res is not None:
+            cell.engine_used = res.engine
+            cell.fallback_reason = res.fallback_reason
         if collect_bounds:
             bset = self.bounds_for(key, p, heuristic, cap_arg)
-            pt_bound = bset.pt.value
-            mem_bound = bset.min_mem.value
-            mem_bound_gap = (
-                prof.min_mem / mem_bound - 1.0 if mem_bound > 0 else INF
+            cell.pt_bound = bset.pt.value
+            cell.mem_bound = bset.min_mem.value
+            cell.pt_bound_gap = (
+                res.parallel_time / cell.pt_bound - 1.0
+                if res is not None and cell.pt_bound > 0 else INF
             )
-        if prof.min_mem > capacity:
-            return CellMetrics(
-                executable=False, capacity=capacity, min_mem=prof.min_mem, tot=tot,
-                map_overhead_frac=INF if collect_metrics else None,
-                max_hwm=INF if collect_metrics else None,
-                max_suspq=INF if collect_metrics else None,
-                violations=INF if collect_check else None,
-                analysis_errors=(
-                    self.analysis_errors(key, p, heuristic, capacity, cap_arg)
-                    if collect_analysis else None
-                ),
-                pt_bound=pt_bound,
-                mem_bound=mem_bound,
-                pt_bound_gap=INF if collect_bounds else None,
-                mem_bound_gap=mem_bound_gap,
+            cell.mem_bound_gap = (
+                prof.min_mem / cell.mem_bound - 1.0
+                if cell.mem_bound > 0 else INF
             )
-        sk = (
-            key, p, heuristic, cap_arg, capacity, collect_metrics,
-            collect_check, engine,
-        )
-        if sk not in self._sims:
-            checker = None
-            if collect_check:
-                from ..conformance import InvariantChecker
-
-                checker = InvariantChecker(self.compiled(key, p, heuristic, cap_arg))
-            res = Simulator(
-                spec=self.spec,
-                capacity=capacity,
-                compiled=self.compiled(key, p, heuristic, cap_arg),
-                metrics=collect_metrics,
-                instrument=checker,
-                engine=engine,
-            ).run()
-            self._sims[sk] = (
-                res,
-                len(checker.violations) if checker is not None else None,
-            )
-        res, nviol = self._sims[sk]
-        summary = res.metrics["summary"] if collect_metrics else None
-        return CellMetrics(
-            executable=True,
-            pt=res.parallel_time,
-            pt_increase=(res.parallel_time - base) / base,
-            avg_maps=res.avg_maps,
-            capacity=capacity,
-            min_mem=prof.min_mem,
-            tot=tot,
-            map_overhead_frac=summary["map_overhead_frac"] if summary else None,
-            max_hwm=float(summary["max_hwm"]) if summary else None,
-            max_suspq=float(summary["max_suspq"]) if summary else None,
-            violations=float(nviol) if nviol is not None else None,
-            analysis_errors=(
-                self.analysis_errors(key, p, heuristic, capacity, cap_arg)
-                if collect_analysis else None
-            ),
-            engine_used=res.engine if collect_engine else None,
-            fallback_reason=res.fallback_reason if collect_engine else None,
-            pt_bound=pt_bound,
-            mem_bound=mem_bound,
-            pt_bound_gap=(
-                (res.parallel_time / pt_bound - 1.0
-                 if pt_bound and pt_bound > 0 else INF)
-                if collect_bounds else None
-            ),
-            mem_bound_gap=mem_bound_gap,
-        )
+        return cell
 
     def engine_counters(self) -> dict:
         """Aggregated engine introspection counters over every compiled

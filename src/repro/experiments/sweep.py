@@ -15,13 +15,17 @@ returned in the same deterministic order as the serial sweep — the
 simulation itself is deterministic, so ``jobs=N`` produces records (and
 CSV bytes) identical to ``jobs=1``.
 
-For long runs the grid can execute under the fault-tolerant supervisor
-(:mod:`repro.experiments.runtime`): per-group timeouts, bounded retries,
-worker-pool resurrection, structured failure records instead of an
-aborted sweep, and a checkpoint journal
+Every parallel sweep runs under the one fault-tolerant executor,
+:func:`repro.experiments.runtime.run_supervised`: per-group timeouts,
+bounded retries, worker-pool resurrection, structured failure records
+instead of an aborted sweep, and an optional checkpoint journal
 (:mod:`repro.experiments.checkpoint`) that makes interrupted sweeps
 resumable — see the ``runtime``/``checkpoint``/``resume`` parameters of
 :func:`full_sweep` and ``docs/resilience.md``.
+
+The opt-in CSV columns come in families, one per :func:`full_sweep`
+flag; :data:`OPTIONAL_COLUMNS` lists them in CSV order and is the one
+place a family's fields are spelled out.
 """
 
 from __future__ import annotations
@@ -30,11 +34,10 @@ import csv
 import io
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence, get_args, get_type_hints
 
-from .common import ExperimentContext
+from .common import REFERENCES, ExperimentContext, require_known
 
 FIELDS = (
     "workload",
@@ -50,34 +53,29 @@ FIELDS = (
     "avg_maps",
 )
 
-#: Telemetry columns appended (in this order) when the sweep ran with
-#: ``metrics=True``.  They are omitted entirely otherwise, so a plain
-#: sweep's CSV is byte-identical to pre-telemetry output.
-METRIC_FIELDS = (
-    "map_overhead_frac",
-    "max_hwm",
-    "max_suspq",
-)
-
-#: Conformance column appended when the sweep ran with ``check=True``
-#: (opt-in, like the telemetry columns — a plain sweep's CSV is
-#: unchanged).
-CHECK_FIELDS = ("violations",)
-
-#: Static-analysis column appended when the sweep ran with
-#: ``analyze=True`` (opt-in, same contract).
-ANALYZE_FIELDS = ("analysis_errors",)
-
-#: Certified-bound columns appended when the sweep ran with
-#: ``bounds=True`` (opt-in, same contract): the static lower bounds of
-#: :mod:`repro.analysis.bounds` and each cell's relative slack over
-#: them.
-BOUNDS_FIELDS = ("pt_bound", "mem_bound", "pt_bound_gap", "mem_bound_gap")
-
-#: Engine introspection columns appended when the sweep ran with
-#: ``engine_stats=True`` (opt-in, same contract): which engine actually
-#: executed each cell and why a requested-compiled cell fell back.
-ENGINE_FIELDS = ("engine_used", "fallback_reason")
+#: The opt-in column families, keyed by the :func:`full_sweep` flag that
+#: fills them, in CSV order.  A family's columns are appended only when
+#: some record carries them, so a plain sweep's CSV never changes; every
+#: place that handles the optional columns iterates this table.
+OPTIONAL_COLUMNS = {
+    #: per-cell telemetry of an instrumented run
+    "metrics": ("map_overhead_frac", "max_hwm", "max_suspq"),
+    #: invariant violations seen by the conformance checker
+    "check": ("violations",),
+    #: error-severity findings of the static analyzer
+    "analyze": ("analysis_errors",),
+    #: certified static lower bounds (:mod:`repro.analysis.bounds`) and
+    #: each cell's relative slack over them
+    "bounds": ("pt_bound", "mem_bound", "pt_bound_gap", "mem_bound_gap"),
+    #: the engine that executed each cell and why a requested-compiled
+    #: cell fell back
+    "engine_stats": ("engine_used", "fallback_reason"),
+}
+METRIC_FIELDS = OPTIONAL_COLUMNS["metrics"]
+CHECK_FIELDS = OPTIONAL_COLUMNS["check"]
+ANALYZE_FIELDS = OPTIONAL_COLUMNS["analyze"]
+BOUNDS_FIELDS = OPTIONAL_COLUMNS["bounds"]
+ENGINE_FIELDS = OPTIONAL_COLUMNS["engine_stats"]
 
 #: Failure columns appended when a *supervised* sweep recorded at least
 #: one :class:`~repro.experiments.runtime.CellFailure` (opt-in, same
@@ -127,55 +125,30 @@ class SweepRecord:
     elapsed: Optional[float] = None
 
 
+#: Every opt-in field of :data:`OPTIONAL_COLUMNS`, in CSV order.
+_OPTIONAL_FIELDS = tuple(f for fam in OPTIONAL_COLUMNS.values() for f in fam)
+
+
 def _run_group(
     ctx: ExperimentContext,
     key: str,
     p: int,
     heuristics: Sequence[str],
     fractions: Sequence[float],
-    reference: str,
-    metrics: bool = False,
-    check: bool = False,
-    analyze: bool = False,
-    engine: str = "interpreted",
-    engine_stats: bool = False,
-    bounds: bool = False,
+    cell_kw: dict,
 ) -> list[SweepRecord]:
-    """All records of one (workload, procs) group, in grid order."""
+    """All records of one (workload, procs) group, in grid order;
+    ``cell_kw`` holds the keyword arguments of every
+    :meth:`~repro.experiments.common.ExperimentContext.run_cell` call."""
     out: list[SweepRecord] = []
     for h in heuristics:
         for f in fractions:
-            cell = ctx.run_cell(
-                key, p, h, f, reference=reference, collect_metrics=metrics,
-                collect_check=check, collect_analysis=analyze, engine=engine,
-                collect_engine=engine_stats, collect_bounds=bounds,
-            )
-            out.append(
-                SweepRecord(
-                    workload=key,
-                    procs=p,
-                    heuristic=h,
-                    fraction=f,
-                    executable=cell.executable,
-                    capacity=cell.capacity,
-                    min_mem=cell.min_mem,
-                    tot=cell.tot,
-                    parallel_time=cell.pt,
-                    pt_increase=cell.pt_increase,
-                    avg_maps=cell.avg_maps,
-                    map_overhead_frac=cell.map_overhead_frac,
-                    max_hwm=cell.max_hwm,
-                    max_suspq=cell.max_suspq,
-                    violations=cell.violations,
-                    analysis_errors=cell.analysis_errors,
-                    pt_bound=cell.pt_bound,
-                    mem_bound=cell.mem_bound,
-                    pt_bound_gap=cell.pt_bound_gap,
-                    mem_bound_gap=cell.mem_bound_gap,
-                    engine_used=cell.engine_used,
-                    fallback_reason=cell.fallback_reason,
-                )
-            )
+            cell = ctx.run_cell(key, p, h, f, **cell_kw)
+            out.append(SweepRecord(
+                key, p, h, f, cell.executable, cell.capacity, cell.min_mem,
+                cell.tot, cell.pt, cell.pt_increase, cell.avg_maps,
+                **{name: getattr(cell, name) for name in _OPTIONAL_FIELDS},
+            ))
     return out
 
 
@@ -196,13 +169,8 @@ def _worker_init(spec, registered) -> None:
 
 
 def _worker_run_group(args) -> list[SweepRecord]:
-    (key, p, heuristics, fractions, reference, metrics, check, analyze,
-     engine, engine_stats, bounds) = args
     assert _WORKER_CTX is not None
-    return _run_group(
-        _WORKER_CTX, key, p, heuristics, fractions, reference, metrics, check,
-        analyze, engine, engine_stats, bounds,
-    )
+    return _run_group(_WORKER_CTX, *args)
 
 
 def _worker_engine_counters() -> dict:
@@ -268,6 +236,11 @@ def full_sweep(
 ) -> list[SweepRecord]:
     """Run the full grid; non-executable cells get ``inf`` metrics.
 
+    The grid is validated before any work starts: an unknown workload
+    raises ``KeyError``; an unknown heuristic, ``reference`` or
+    ``engine``, a processor count below 1 or a negative or non-finite
+    fraction raises ``ValueError``.
+
     ``jobs`` selects the number of worker processes (``None``/``0`` =
     one per CPU).  Parallel runs return exactly the records of the
     serial run, in the same order; the workers rebuild their own
@@ -275,22 +248,31 @@ def full_sweep(
     ``ctx.spec``, so custom problems registered on ``ctx`` must be
     picklable to sweep with ``jobs > 1``.
 
-    ``metrics=True`` runs every cell instrumented and fills the
-    telemetry fields of each record (``map_overhead_frac``, ``max_hwm``,
-    ``max_suspq``); the timing fields are unaffected because the
-    simulation is deterministic and instrumentation never changes event
-    order.
+    The opt-in flags ``metrics``, ``check``, ``analyze``, ``bounds`` and
+    ``engine_stats`` each fill one family of :data:`OPTIONAL_COLUMNS`
+    (``None`` in every record otherwise); none of them changes the
+    core fields, because the simulation is deterministic:
 
-    ``check=True`` attaches a
-    :class:`~repro.conformance.InvariantChecker` to every cell's
-    simulation and fills the ``violations`` column (0 everywhere when
-    Theorem 1 holds; non-executable cells get ``inf``).
+    * ``metrics=True`` runs every cell instrumented and fills
+      ``map_overhead_frac``, ``max_hwm`` and ``max_suspq``;
+    * ``check=True`` attaches a
+      :class:`~repro.conformance.InvariantChecker` to every simulation
+      and fills ``violations`` (0 everywhere when Theorem 1 holds);
+    * ``analyze=True`` statically analyzes every cell's plan
+      (:func:`repro.analysis.analyze_schedule`, no extra simulation)
+      and fills ``analysis_errors``; non-executable cells count their
+      ``SA101``;
+    * ``bounds=True`` fills the certified static lower bounds of
+      :mod:`repro.analysis.bounds` (``pt_bound``/``mem_bound``) and each
+      cell's relative slack over them (``value/bound - 1``), cached per
+      (workload, procs, heuristic);
+    * ``engine_stats=True`` fills ``engine_used`` and
+      ``fallback_reason``.
 
-    ``analyze=True`` statically analyzes every cell's plan
-    (:func:`repro.analysis.analyze_schedule` — no extra simulation) and
-    fills the ``analysis_errors`` column with the count of
-    error-severity findings; planner output is clean by construction,
-    and non-executable cells count their ``SA101``.
+    On non-executable cells the simulated columns (telemetry,
+    ``violations``, ``pt_bound_gap``) are ``inf`` like the timing
+    fields, the engine columns stay empty, and the static columns
+    (``analysis_errors``, the bounds) keep real values.
 
     ``engine`` selects the simulator engine for every cell (see
     :class:`~repro.machine.simulator.Simulator`).  The engines agree
@@ -299,82 +281,65 @@ def full_sweep(
     must run observed (``metrics``/``check``) fall back to the
     interpreted engine per the fallback contract.
 
-    Passing any of ``runtime`` (a
-    :class:`~repro.experiments.runtime.RuntimePolicy`), ``checkpoint``
-    (a journal directory), ``resume`` or ``harness_faults`` (a
-    :class:`~repro.experiments.runtime.HarnessFaultSpec`) runs the grid
-    under the *supervised* executor (:mod:`repro.experiments.runtime`):
-    per-group wall-clock timeouts, bounded retries with deterministic
-    backoff, worker-pool resurrection, streaming checkpoints, and
-    structured failure records (the ``status``/``error``/``attempts``/
-    ``elapsed`` columns) instead of an aborted sweep.  A fault-free
-    supervised sweep returns exactly the plain sweep's records;
-    ``resume=True`` replays groups already committed to the
-    ``checkpoint`` journal and executes only the remainder, so a resumed
-    run's CSV is byte-identical to an uninterrupted one.
-
-    ``engine_stats=True`` fills the opt-in :data:`ENGINE_FIELDS`
-    columns (which engine executed each cell and the fallback reason of
-    a requested-compiled cell that ran interpreted).
-
-    ``bounds=True`` fills the opt-in :data:`BOUNDS_FIELDS` columns with
-    the certified static lower bounds of :mod:`repro.analysis.bounds`
-    (``pt_bound``/``mem_bound``) and each cell's relative slack over
-    them (``value/bound - 1``; ``pt_bound_gap`` is ``inf`` on
-    non-executable cells).  Purely static — no extra simulation — and
-    cached per (workload, procs, heuristic), so the fraction axis
-    reuses one computation.
+    A serial (``jobs=1``) or single-group sweep runs in this process.
+    Every other sweep — ``jobs > 1``, or any of ``runtime`` (a
+    :class:`~repro.experiments.runtime.RuntimePolicy`; the default
+    ``RuntimePolicy()`` when omitted), ``checkpoint`` (a journal
+    directory), ``resume``, ``harness_faults`` (a
+    :class:`~repro.experiments.runtime.HarnessFaultSpec`), ``obs_dir``
+    or ``progress`` — runs under the supervised executor
+    (:mod:`repro.experiments.runtime`): per-group wall-clock timeouts,
+    bounded retries with deterministic backoff, worker-pool
+    resurrection, streaming checkpoints, and structured failure records
+    (the ``status``/``error``/``attempts``/``elapsed`` columns) instead
+    of an aborted sweep.  A fault-free supervised sweep returns exactly
+    the serial records; ``resume=True`` replays groups already
+    committed to the ``checkpoint`` journal and executes only the
+    remainder, so a resumed run's CSV is byte-identical to an
+    uninterrupted one.
 
     ``obs_dir`` (a directory path) makes the run *observed*: the
     supervisor and every worker append runtime-trace shards there
     (schema ``repro-runtime-trace/1``; see :mod:`repro.obs.runtime`),
     and ``progress=True`` drives a live stderr ticker from the same
-    event stream.  Either implies the supervised executor; both default
-    off, leaving the plain path untouched.
+    event stream.
     """
+    from ..machine.simulator import ENGINES
     from ..rapid.inspector import HEURISTICS
 
-    unknown = [h for h in heuristics if h not in HEURISTICS]
-    if unknown:
-        raise ValueError(
-            f"unknown heuristic(s) {unknown}; choose from {list(HEURISTICS)}"
-        )
+    require_known("workload", workloads, ctx.known_workloads(), KeyError)
+    require_known("heuristic", heuristics, HEURISTICS)
+    require_known("reference", (reference,), REFERENCES)
+    require_known("engine", (engine,), ENGINES)
+    bad = [p for p in procs if not (p == int(p) and p >= 1)]
+    if bad:
+        raise ValueError(f"processor counts must be integers >= 1, got {bad}")
+    bad = [f for f in fractions if not (math.isfinite(f) and f >= 0)]
+    if bad:
+        raise ValueError(f"memory fractions must be finite and >= 0, got {bad}")
+    if resume and checkpoint is None:
+        raise ValueError("resume=True requires a checkpoint directory")
     if not jobs or jobs < 0:
         jobs = os.cpu_count() or 1
+    cell_kw = dict(
+        reference=reference, engine=engine, collect_metrics=metrics,
+        collect_check=check, collect_analysis=analyze,
+        collect_engine=engine_stats, collect_bounds=bounds,
+    )
+    groups = [(key, p) for key in workloads for p in procs]
     supervised = (
         runtime is not None or checkpoint is not None or resume
         or harness_faults is not None or obs_dir is not None or progress
     )
-    if resume and checkpoint is None:
-        raise ValueError("resume=True requires a checkpoint directory")
-    groups = [(key, p) for key in workloads for p in procs]
     if not supervised and (jobs == 1 or len(groups) <= 1):
-        out: list[SweepRecord] = []
-        for key, p in groups:
-            out.extend(
-                _run_group(
-                    ctx, key, p, heuristics, fractions, reference, metrics,
-                    check, analyze, engine, engine_stats, bounds,
-                )
-            )
-        return out
-    tasks = [
-        (key, p, tuple(heuristics), tuple(fractions), reference, metrics,
-         check, analyze, engine, engine_stats, bounds)
-        for key, p in groups
-    ]
-    registered = ctx.shipped_problems(workloads)
-    if not supervised:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(groups)),
-            initializer=_worker_init,
-            initargs=(ctx.spec, registered),
-        ) as pool:
-            chunks = list(pool.map(_worker_run_group, tasks))
-        return [rec for chunk in chunks for rec in chunk]
+        return [
+            rec for key, p in groups
+            for rec in _run_group(ctx, key, p, heuristics, fractions, cell_kw)
+        ]
 
     from .runtime import CellFailure, run_supervised
 
+    registered = ctx.shipped_problems(workloads)
     tracer = None
     t_begin = None
     if obs_dir is not None or progress:
@@ -391,7 +356,8 @@ def full_sweep(
         tracer = sinks[0] if len(sinks) == 1 else MultiSink(sinks)
 
     journal = None
-    done: dict[tuple[str, int], list[SweepRecord]] = {}
+    # group -> records (journalled, then fresh) or a CellFailure
+    done: dict[tuple[str, int], object] = {}
     if checkpoint is not None:
         from .checkpoint import CheckpointJournal, grid_fingerprint
 
@@ -408,17 +374,15 @@ def full_sweep(
         if resume:
             done = journal.completed()
     todo = [
-        ((key, p), task)
-        for (key, p), task in zip(groups, tasks)
-        if (key, p) not in done
+        (group, (*group, tuple(heuristics), tuple(fractions), cell_kw))
+        for group in groups
+        if group not in done
     ]
 
     def on_group(key, records) -> None:
-        if journal is not None:
-            journal.record_group(key[0], key[1], records)
-            if tracer is not None:
-                tracer.emit("checkpoint_shard", group=key,
-                            records=len(records))
+        journal.record_group(key[0], key[1], records)
+        if tracer is not None:
+            tracer.emit("checkpoint_shard", group=key, records=len(records))
 
     try:
         if tracer is not None:
@@ -438,12 +402,10 @@ def full_sweep(
             tracer=tracer,
             obs_dir=obs_dir,
         )
-        fresh = {key: outcome for (key, _), outcome in zip(todo, outcomes)}
+        done.update((group, result) for (group, _), result in zip(todo, outcomes))
         out = []
-        for key, p in groups:
-            result = done.get((key, p))
-            if result is None:
-                result = fresh[(key, p)]
+        for group in groups:
+            result = done[group]
             if isinstance(result, CellFailure):
                 out.extend(_failure_records(result, heuristics, fractions))
             else:
@@ -464,43 +426,28 @@ def full_sweep(
 def to_csv(records: Iterable[SweepRecord], path: Optional[str] = None) -> str:
     """Serialise sweep records as CSV; optionally write to ``path``.
 
-    The telemetry columns of :data:`METRIC_FIELDS` appear only when some
-    record carries them (i.e. the sweep ran with ``metrics=True``), the
-    ``violations`` column only when the sweep ran with ``check=True``,
-    the :data:`BOUNDS_FIELDS` only with ``bounds=True``, the
-    :data:`ENGINE_FIELDS` only with ``engine_stats=True``, and the
-    :data:`FAILURE_FIELDS` only when a supervised sweep recorded a
-    failure; without them the output is byte-identical to a plain
-    sweep's CSV.
+    The header is :data:`FIELDS`, then each family of
+    :data:`OPTIONAL_COLUMNS` (in table order) and the
+    :data:`FAILURE_FIELDS` that some record carries.  A family no record
+    populates is omitted, so a sweep without opt-in flags or failures
+    writes exactly the plain CSV.  ``inf`` is written as ``inf`` and an
+    unpopulated cell as the empty string.
 
     Writing is crash-safe: the text goes to a same-directory temporary
     file and is atomically renamed into place, so an interrupted sweep
     never leaves a truncated CSV behind.
     """
     records = list(records)
-    with_metrics = any(r.map_overhead_frac is not None for r in records)
-    fields = FIELDS + METRIC_FIELDS if with_metrics else FIELDS
-    if any(r.violations is not None for r in records):
-        fields = fields + CHECK_FIELDS
-    if any(r.analysis_errors is not None for r in records):
-        fields = fields + ANALYZE_FIELDS
-    if any(r.pt_bound is not None for r in records):
-        fields = fields + BOUNDS_FIELDS
-    if any(r.engine_used is not None for r in records):
-        fields = fields + ENGINE_FIELDS
-    if any(r.status is not None for r in records):
-        fields = fields + FAILURE_FIELDS
+    fields = FIELDS + tuple(
+        name
+        for family in (*OPTIONAL_COLUMNS.values(), FAILURE_FIELDS)
+        if any(getattr(r, family[0]) is not None for r in records)
+        for name in family
+    )
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore")
     writer.writeheader()
-    for r in records:
-        row = asdict(r)
-        for k, v in row.items():
-            if isinstance(v, float) and math.isinf(v):
-                row[k] = "inf"
-            elif v is None:
-                row[k] = ""
-        writer.writerow(row)
+    writer.writerows(vars(r) for r in records)
     text = buf.getvalue()
     if path:
         from .checkpoint import atomic_write_text
@@ -509,51 +456,27 @@ def to_csv(records: Iterable[SweepRecord], path: Optional[str] = None) -> str:
     return text
 
 
+def _cell_parser(tp):
+    """CSV text -> value for a :class:`SweepRecord` field annotated
+    ``tp``; an ``Optional`` field maps the empty cell to ``None``."""
+    inner = [a for a in get_args(tp) if a is not type(None)]
+    base = inner[0] if inner else tp
+    parse = (lambda x: x == "True") if base is bool else base
+    if not inner:
+        return parse
+    return lambda x: None if x == "" else parse(x)
+
+
+_PARSERS = {
+    name: _cell_parser(tp) for name, tp in get_type_hints(SweepRecord).items()
+}
+
+
 def from_csv(text: str) -> list[SweepRecord]:
-    """Parse CSV produced by :func:`to_csv` (round-trip support),
-    with or without the telemetry columns."""
-    out: list[SweepRecord] = []
-    for row in csv.DictReader(io.StringIO(text)):
-        def f(x: str) -> float:
-            return float("inf") if x == "inf" else float(x)
-
-        def opt(name: str) -> Optional[float]:
-            x = row.get(name)
-            return f(x) if x not in (None, "") else None
-
-        def opt_str(name: str) -> Optional[str]:
-            x = row.get(name)
-            return x if x not in (None, "") else None
-
-        attempts = row.get("attempts")
-        out.append(
-            SweepRecord(
-                workload=row["workload"],
-                procs=int(row["procs"]),
-                heuristic=row["heuristic"],
-                fraction=float(row["fraction"]),
-                executable=row["executable"] == "True",
-                capacity=int(row["capacity"]),
-                min_mem=int(row["min_mem"]),
-                tot=int(row["tot"]),
-                parallel_time=f(row["parallel_time"]),
-                pt_increase=f(row["pt_increase"]),
-                avg_maps=f(row["avg_maps"]),
-                map_overhead_frac=opt("map_overhead_frac"),
-                max_hwm=opt("max_hwm"),
-                max_suspq=opt("max_suspq"),
-                violations=opt("violations"),
-                analysis_errors=opt("analysis_errors"),
-                pt_bound=opt("pt_bound"),
-                mem_bound=opt("mem_bound"),
-                pt_bound_gap=opt("pt_bound_gap"),
-                mem_bound_gap=opt("mem_bound_gap"),
-                engine_used=opt_str("engine_used"),
-                fallback_reason=opt_str("fallback_reason"),
-                status=opt_str("status"),
-                error=opt_str("error"),
-                attempts=int(attempts) if attempts not in (None, "") else None,
-                elapsed=opt("elapsed"),
-            )
-        )
-    return out
+    """Parse CSV produced by :func:`to_csv` (round-trip support), with
+    any subset of the optional columns; each cell is parsed with the
+    type its :class:`SweepRecord` field declares."""
+    return [
+        SweepRecord(**{k: _PARSERS[k](v) for k, v in row.items() if k in _PARSERS})
+        for row in csv.DictReader(io.StringIO(text))
+    ]

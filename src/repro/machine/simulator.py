@@ -93,8 +93,7 @@ runs through the array-compiled engine; runs with ``metrics=True``,
 ``trace=True``, an attached instrument, active fault injection, a
 caller-supplied ``plan`` object, or negative spec costs fall back to
 this interpreted engine *explicitly* (``SimResult.engine`` records
-which engine produced the result).  ``engine="auto"`` is the same
-policy spelled as a preference rather than a request.
+which engine produced the result).
 
 Telemetry
 ---------
@@ -135,6 +134,7 @@ from .spec import CRAY_T3D, MachineSpec
 
 __all__ = [
     "CompiledSchedule",
+    "ENGINES",
     "ENGINE_COUNTER_KEYS",
     "ProcessorStats",
     "ProcState",
@@ -160,6 +160,9 @@ _TASK_DONE = 0
 _DATA_ARRIVE = 1
 _ADDR_ARRIVE = 2
 _SLOT_FREE = 3
+
+#: Values of ``Simulator(engine=...)``: the reference oracle first.
+ENGINES = ("interpreted", "compiled")
 
 #: Always-present keys of :attr:`CompiledSchedule.counters` (the
 #: ``fallback:<reason>`` tallies appear on first use).  ``*_s`` keys
@@ -671,16 +674,16 @@ class Simulator:
         ``is None`` test per injection site.
 
         ``engine`` selects the execution engine: ``"interpreted"`` (the
-        reference oracle, default), ``"compiled"`` (the array-compiled
-        engine of :mod:`repro.machine.compiled`) or ``"auto"``
-        (compiled when eligible).  Observed, fault-injected or
-        caller-supplied-plan runs are not supported by the compiled
-        engine and fall back to the interpreted one explicitly;
+        reference oracle, default) or ``"compiled"`` (the array-compiled
+        engine of :mod:`repro.machine.compiled`).  Observed,
+        fault-injected or caller-supplied-plan runs are not supported by
+        the compiled engine and fall back to the interpreted one
+        explicitly;
         ``SimResult.engine`` records which engine actually ran."""
-        if engine not in ("interpreted", "compiled", "auto"):
+        if engine not in ENGINES:
             raise SimulationError(
-                f"unknown engine {engine!r}; expected 'interpreted', "
-                "'compiled' or 'auto'"
+                f"unknown engine {engine!r}; expected 'interpreted' or "
+                "'compiled'"
             )
         self.engine = engine
         if compiled is None:
@@ -769,13 +772,9 @@ class Simulator:
             return "negative-cost"
         return None
 
-    def _compiled_engine_eligible(self) -> bool:
-        """True when this run can use the array-compiled engine."""
-        return self._compiled_fallback_reason() is None
-
     def run(self) -> SimResult:
         counters = self.compiled.counters
-        if self.engine != "interpreted":
+        if self.engine == "compiled":
             reason = self._compiled_fallback_reason()
             if reason is None:
                 from .compiled import run_compiled

@@ -155,3 +155,24 @@ def test_sweep_metrics_columns(tmp_path, capsys):
     assert "map_overhead_frac" not in plain.read_text()
     header = inst.read_text().splitlines()[0]
     assert header.endswith("map_overhead_frac,max_hwm,max_suspq")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--workloads", "nope"],
+        ["--procs", "0"],
+        ["--engine-stats", "--harness-fault", "explode:lu-goodwin:4"],
+    ],
+)
+def test_sweep_bad_grid_exits_2_before_work(bad, tmp_path, capsys):
+    """A supervised --jobs 2 sweep rejects a bad grid up front (exit 2,
+    no CSV) instead of retrying it into status=error rows."""
+    out = tmp_path / "never.csv"
+    rc = main(["sweep", "--jobs", "2", "--supervised", *bad,
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    if "nope" in bad:
+        err = capsys.readouterr().err
+        assert "nope" in err and "chol15" in err and "lu-goodwin" in err

@@ -9,9 +9,11 @@ from repro.experiments.sweep import (
     ANALYZE_FIELDS,
     BOUNDS_FIELDS,
     CHECK_FIELDS,
+    ENGINE_FIELDS,
     FAILURE_FIELDS,
     FIELDS,
     METRIC_FIELDS,
+    OPTIONAL_COLUMNS,
     SweepRecord,
     from_csv,
     full_sweep,
@@ -201,6 +203,8 @@ OPTIONAL_VARIANTS = {
                     avg_maps=INF, capacity=0, min_mem=0, tot=0,
                     status="crashed", error="worker process died, twice",
                     attempts=3, elapsed=12.5),
+    "engine_stats": dict(engine_used="interpreted", fallback_reason="metrics"),
+    "engine_stats-compiled": dict(engine_used="compiled"),
 }
 
 
@@ -232,6 +236,10 @@ class TestCSVOptionalColumnRoundTrips:
             (("analyze", "bounds"),
              FIELDS + ANALYZE_FIELDS + BOUNDS_FIELDS),
             (("check", "failure"), FIELDS + CHECK_FIELDS + FAILURE_FIELDS),
+            (("engine_stats",), FIELDS + ENGINE_FIELDS),
+            (("engine_stats", "bounds", "metrics", "failure"),
+             FIELDS + METRIC_FIELDS + BOUNDS_FIELDS + ENGINE_FIELDS
+             + FAILURE_FIELDS),
         ],
     )
     def test_header_matches_populated_families(self, families, expected_fields):
@@ -258,3 +266,65 @@ class TestCSVOptionalColumnRoundTrips:
         assert isinstance(back.attempts, int)
         assert isinstance(back.elapsed, float)
         assert back.error == "worker process died, twice"
+
+    def test_every_family_has_a_variant(self):
+        # A new OPTIONAL_COLUMNS family must come with a round-trip case.
+        assert set(OPTIONAL_COLUMNS) <= set(OPTIONAL_VARIANTS)
+
+
+class TestGridValidation:
+    """A bad grid fails before any work starts, on the serial path and
+    on the supervised ``jobs=2`` path alike (no retries, no
+    ``status=error`` rows)."""
+
+    @pytest.mark.parametrize("path", ["serial", "supervised"])
+    @pytest.mark.parametrize(
+        ("bad", "error", "match"),
+        [
+            ({"workloads": ("nope",)}, KeyError, "lu-goodwin"),
+            ({"heuristics": ("bogus",)}, ValueError, "tree"),
+            ({"reference": "RCP"}, ValueError, "reference"),
+            ({"engine": "auto"}, ValueError, "engine"),
+            ({"procs": (0,)}, ValueError, "processor counts"),
+            ({"fractions": (-0.5,)}, ValueError, "fractions"),
+            ({"fractions": (float("nan"),)}, ValueError, "fractions"),
+        ],
+    )
+    def test_bad_grid_fails_fast(self, path, bad, error, match):
+        from repro.experiments.runtime import RuntimePolicy
+
+        grid = dict(workloads=("lu-goodwin",), procs=(2, 4),
+                    heuristics=("rcp",), fractions=(1.0,))
+        grid.update(bad)
+        if path == "supervised":
+            grid.update(jobs=2, runtime=RuntimePolicy())
+        ctx = ExperimentContext()
+        with pytest.raises(error, match=match):
+            full_sweep(ctx, **grid)
+        assert not ctx._sims and not ctx._schedules
+
+    def test_run_cell_rejects_unknown_reference(self):
+        with pytest.raises(ValueError, match="reference"):
+            ExperimentContext().run_cell("lu-goodwin", 4, "rcp", 1.0,
+                                         reference="RCP")
+
+
+class TestOneParallelExecutor:
+    def test_unsupervised_jobs2_runs_supervised_once(self, records,
+                                                     monkeypatch):
+        from repro.experiments import runtime
+
+        calls = []
+        real = runtime.run_supervised
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["policy"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runtime, "run_supervised", counting)
+        par = full_sweep(
+            ExperimentContext(), jobs=2, workloads=("lu-goodwin",),
+            procs=(4, 8), heuristics=("rcp", "mpo"), fractions=(1.0, 0.5),
+        )
+        assert calls == [None]  # run_supervised applies RuntimePolicy()
+        assert par == records
