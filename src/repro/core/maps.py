@@ -226,3 +226,22 @@ def unconstrained_plan(schedule: Schedule, profile: Optional[MemoryProfile] = No
     if profile is None:
         profile = analyze_memory(schedule)
     return plan_maps(schedule, capacity=max(profile.tot, 1), profile=profile)
+
+
+def maps_by_position(
+    plan: Optional[MapPlan], num_procs: int
+) -> list[dict[int, MapPoint]]:
+    """Per-processor ``position -> MapPoint`` tables both engines run.
+
+    The one MAP-placement rule of the simulator: at most one MAP per
+    (processor, position), the last point listed wins, and a position
+    at or past the end of the processor's order never executes (the
+    engines only consult positions of tasks they are about to run).
+    ``plan=None`` (baseline mode) yields no MAPs.
+    """
+    map_at: list[dict[int, MapPoint]] = [{} for _ in range(num_procs)]
+    if plan is not None:
+        for pts in plan.points:
+            for mp in pts:
+                map_at[mp.proc][mp.position] = mp
+    return map_at

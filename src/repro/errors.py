@@ -38,6 +38,21 @@ class DependenceError(GraphError):
     """
 
 
+class MachineSpecError(ReproError):
+    """A :class:`~repro.machine.spec.MachineSpec` parameter is out of range.
+
+    Negative or non-finite costs would schedule simulator events in the
+    past, and a non-positive ``flop_rate`` has no task weights, so the
+    spec rejects them at construction instead of either engine failing
+    mid-run.
+    """
+
+    def __init__(self, field: str, value, want: str):
+        self.field = field
+        self.value = value
+        super().__init__(f"MachineSpec.{field} = {value!r}: must be {want}")
+
+
 class SchedulingError(ReproError):
     """A scheduling algorithm was invoked with inconsistent inputs."""
 

@@ -90,10 +90,10 @@ Engine selection
 
 ``Simulator(..., engine="compiled")`` routes fault-free, uninstrumented
 runs through the array-compiled engine; runs with ``metrics=True``,
-``trace=True``, an attached instrument, active fault injection, a
-caller-supplied ``plan`` object, or negative spec costs fall back to
-this interpreted engine *explicitly* (``SimResult.engine`` records
-which engine produced the result).
+``trace=True``, an attached instrument, active fault injection or a
+caller-supplied ``plan`` object fall back to this interpreted engine
+*explicitly* (``SimResult.engine`` records which engine produced the
+result).
 
 Telemetry
 ---------
@@ -121,7 +121,7 @@ from typing import NamedTuple, Optional
 
 from ..core.index import MappingIndex, graph_index, mapping_index
 from ..core.liveness import MemoryProfile, analyze_memory
-from ..core.maps import MapPlan, MapPoint, plan_maps
+from ..core.maps import MapPlan, maps_by_position, plan_maps
 from ..core.placement import validate_owner_compute
 from ..core.schedule import Schedule
 from ..errors import DataConsistencyError, DeadlockError, SimulationError
@@ -141,7 +141,6 @@ __all__ = [
     "SimResult",
     "Simulator",
     "TraceEvent",
-    "compile_schedule",
     "simulate",
 ]
 
@@ -229,8 +228,7 @@ class SimResult:
     engine: str = "interpreted"
     #: Why a requested-compiled run fell back to the interpreted engine
     #: (``"metrics"``, ``"trace"``, ``"instrument"``, ``"faults"``,
-    #: ``"caller-plan"``, ``"negative-cost"``); ``None`` when no
-    #: fallback happened.
+    #: ``"caller-plan"``); ``None`` when no fallback happened.
     fallback_reason: Optional[str] = None
 
     def render_trace(self, limit: Optional[int] = 200) -> str:
@@ -338,7 +336,7 @@ class CompiledSchedule:
         #: ``(capacity, spec, memory_managed, preknown)`` — see
         #: :func:`repro.machine.compiled.get_exec_plan`.
         self._exec_plans: dict[tuple, object] = {}
-        #: lowered dense-array IR (shared by every execution plan).
+        #: lowered list-table IR (shared by every execution plan).
         self._lowered: Optional[object] = None
         #: engine introspection counters: cache hits/misses and phase
         #: timers for the MAP-plan / lowering / ExecPlan caches, run
@@ -595,15 +593,6 @@ def _message_tables(g, mi: MappingIndex, units: _UnitTables) -> _MessageTables:
     )
 
 
-def compile_schedule(
-    schedule: Schedule,
-    profile: Optional[MemoryProfile] = None,
-    validate: bool = True,
-) -> CompiledSchedule:
-    """Convenience wrapper around :class:`CompiledSchedule`."""
-    return CompiledSchedule(schedule, profile=profile, validate=validate)
-
-
 class Simulator:
     """Execute one schedule on the simulated machine.
 
@@ -724,15 +713,7 @@ class Simulator:
             self.plan = None
         # MAPs by position per processor (tiny; per-simulator because the
         # plan may be caller-provided).
-        self._map_at: list[dict[int, MapPoint]] = [dict() for _ in range(self.p)]
-        if self.plan is not None:
-            for pts in self.plan.points:
-                for mp in pts:
-                    self._map_at[mp.proc][mp.position] = mp
-
-    def _pid(self, task: str) -> str:
-        """Producer unit: commuting-group key or the task itself."""
-        return self.compiled.pid(task)
+        self._map_at = maps_by_position(self.plan, self.p)
 
     # ------------------------------------------------------------------
     # dynamic execution
@@ -743,13 +724,12 @@ class Simulator:
 
         Observation (metrics/trace/instrument) and fault injection hook
         into per-event callbacks the compiled engine deliberately does
-        not have; a caller-supplied MAP plan bypasses the memoised
-        ``plan_for`` cache the execution plans are lowered from; and
-        negative cost parameters break the causality invariant the
-        inline-completion rule relies on.  All of these fall back to
-        the interpreted oracle explicitly; the reason string is tallied
-        in :attr:`CompiledSchedule.counters` (``fallback:<reason>``)
-        and recorded on :attr:`SimResult.fallback_reason`."""
+        not have, and a caller-supplied MAP plan bypasses the memoised
+        ``plan_for`` cache the execution plans are lowered from.  All of
+        these fall back to the interpreted oracle explicitly; the reason
+        string is tallied in :attr:`CompiledSchedule.counters`
+        (``fallback:<reason>``) and recorded on
+        :attr:`SimResult.fallback_reason`."""
         if self.metrics_enabled:
             return "metrics"
         if self.trace_enabled:
@@ -762,14 +742,6 @@ class Simulator:
             self.capacity
         ):
             return "caller-plan"
-        spec = self.spec
-        costs = (
-            spec.put_latency, spec.byte_time, spec.send_overhead,
-            spec.map_overhead, spec.alloc_cost, spec.free_cost,
-            spec.package_overhead, spec.address_cost, spec.ra_cost,
-        )
-        if min(costs) < 0:
-            return "negative-cost"
         return None
 
     def run(self) -> SimResult:

@@ -10,14 +10,26 @@ microsecond range typical of the era's runtimes.
 
 All times are seconds; sizes are bytes.  The worked examples instead use
 :data:`UNIT_MACHINE` (unit task weights, unit message cost, zero
-overheads) to match the paper's Figure 2 accounting.
+overheads) to match the paper's Figure 2 accounting.  Every cost must be
+finite and non-negative, ``flop_rate`` finite and positive and
+``memory_capacity`` non-negative; a spec violating that raises
+:class:`~repro.errors.MachineSpecError` when it is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from ..core.schedule import CommModel
+from ..errors import MachineSpecError
+
+#: Time-cost fields; each must be finite and non-negative.
+COST_FIELDS = (
+    "put_latency", "byte_time", "send_overhead", "map_overhead",
+    "alloc_cost", "free_cost", "package_overhead", "address_cost",
+    "ra_cost",
+)
 
 
 @dataclass(frozen=True)
@@ -54,6 +66,20 @@ class MachineSpec:
     address_cost: float = 1e-6
     #: Cost of reading one arrived address package (the RA operation).
     ra_cost: float = 10e-6
+
+    def __post_init__(self) -> None:
+        for name in COST_FIELDS:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise MachineSpecError(name, value, "finite and >= 0")
+        if not (math.isfinite(self.flop_rate) and self.flop_rate > 0):
+            raise MachineSpecError(
+                "flop_rate", self.flop_rate, "finite and > 0"
+            )
+        if self.memory_capacity < 0:
+            raise MachineSpecError(
+                "memory_capacity", self.memory_capacity, ">= 0"
+            )
 
     def comm_model(self) -> CommModel:
         """The linear message-cost model used for schedule prediction."""

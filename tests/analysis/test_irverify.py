@@ -15,11 +15,14 @@ from repro.analysis import (
     verify_lowering,
     verify_report,
 )
-from repro.errors import SimulationError
+from repro.core import Schedule, owner_compute_assignment
+from repro.core.placement import placement_from_dict
+from repro.errors import ReproError, SimulationError
 from repro.experiments import ExperimentContext
+from repro.graph import GraphBuilder
 from repro.graph.paper_example import schedule_c
 from repro.machine.compiled import get_exec_plan, lower_schedule
-from repro.machine.simulator import CompiledSchedule
+from repro.machine.simulator import CompiledSchedule, Simulator
 from repro.machine.spec import UNIT_MACHINE
 
 
@@ -35,6 +38,39 @@ def fresh_paper():
 
 def error_codes(diags):
     return {d.rule for d in diags}
+
+
+def data_and_sync_schedule():
+    """P0 writes ``m`` twice; P1 reads the first version.  The anti
+    dependence r -> w2 adds a sync message, so every CSR table of the
+    lowering (data, sync, consumption, waiter and group rows) is
+    non-empty."""
+    b = GraphBuilder(materialize_inputs=False, dependence_mode="transform")
+    for name in ("m", "out", "fin"):
+        b.add_object(name, 4)
+    b.add_task("w1", writes=("m",), weight=0.0)
+    b.add_task("r", reads=("m",), writes=("out",), weight=1.0)
+    b.add_task("w2", writes=("m",), weight=0.0)
+    b.add_task("fin", reads=("m",), writes=("fin",), weight=1.0)
+    g = b.build()
+    pl = placement_from_dict(2, {"m": 0, "out": 1, "fin": 0})
+    return Schedule(g, pl, owner_compute_assignment(g, pl),
+                    [["w1", "w2", "fin"], ["r"]])
+
+
+def compiled_pt(cs):
+    return Simulator(
+        compiled=cs, spec=UNIT_MACHINE, engine="compiled"
+    ).run().parallel_time
+
+
+#: Every (pointer, index) table pair the SA501 pass checks, by the name
+#: its findings use.
+CSR_PAIRS = [
+    "proc_start", "od_ptr/od_mk", "od_ptr/od_ak", "od_ptr/od_dest",
+    "od_ptr/od_oid", "os_ptr/os_sk", "cons_ptr/cons_mk",
+    "wait_ptr/wait_tid", "swait_ptr/swait_tid", "grp_ptr/grp_mk",
+]
 
 
 class TestCleanVerdicts:
@@ -104,9 +140,9 @@ class TestMutationsAreRejected:
     def test_sa503_version_flag_drift(self):
         cs = fresh_paper()
         lo = lower_schedule(cs)
-        if not lo.od_ok0_l:
+        if not lo.od_ok0:
             pytest.skip("no outgoing data on this lowering")
-        lo.od_ok0_l[0] = not bool(lo.od_ok0_l[0])
+        lo.od_ok0[0] = not bool(lo.od_ok0[0])
         diags = verify_lowering(cs)
         assert "SA503" in error_codes(diags)
 
@@ -123,19 +159,40 @@ class TestMutationsAreRejected:
     def test_sa505_negative_weight(self):
         cs = fresh_paper()
         lo = lower_schedule(cs)
-        lo.weight_l[0] = -1.0
+        lo.weight[0] = -1.0
         diags = verify_lowering(cs)
         assert "SA505" in error_codes(diags)
 
     def test_mutations_never_raise(self):
-        # Even wildly corrupt arrays come back as diagnostics.
+        # Even wildly corrupt tables come back as diagnostics.
         cs = fresh_paper()
         lo = lower_schedule(cs)
-        lo.od_ptr[:] = -7
-        lo.wait_ptr[:] = 10**6
+        lo.od_ptr[:] = [-7] * len(lo.od_ptr)
+        lo.wait_ptr[:] = [10**6] * len(lo.wait_ptr)
         diags = verify_exec_plan(cs, 8, UNIT_MACHINE)
         assert diags
         assert all(d.rule.startswith("SA5") for d in diags)
+
+
+class TestVerifiedTablesRun:
+    """SA501 checks the very tables the compiled run loop indexes: a
+    corrupt row it reports can never run to the clean result."""
+
+    @pytest.mark.parametrize("pair", CSR_PAIRS)
+    def test_flagged_corruption_changes_the_run(self, pair):
+        clean = compiled_pt(CompiledSchedule(data_and_sync_schedule()))
+        cs = CompiledSchedule(data_and_sync_schedule())
+        lo = lower_schedule(cs)
+        ptr = getattr(lo, pair.split("/")[0])
+        ptr[1] = ptr[-1] + 5  # pointer row past the table
+        diags = verify_lowering(cs)
+        assert error_codes(diags) == {"SA501"}
+        assert any(d.message.startswith(pair + ":") for d in diags)
+        try:
+            pt = compiled_pt(cs)
+        except (IndexError, ReproError):
+            return
+        assert pt != clean
 
 
 class TestDebugPath:

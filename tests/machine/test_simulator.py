@@ -1,5 +1,7 @@
 """Unit and integration tests for the discrete-event simulator."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import (
@@ -11,10 +13,15 @@ from repro.core import (
     owner_compute_assignment,
     rcp_order,
 )
-from repro.errors import NonExecutableScheduleError, SimulationError
+from repro.errors import (
+    MachineSpecError,
+    NonExecutableScheduleError,
+    SimulationError,
+)
 from repro.graph.generators import chain, random_trace, reduction_tree
 from repro.graph.paper_example import paper_example_graph, schedule_b, schedule_c
 from repro.machine import CRAY_T3D, MachineSpec, UNIT_MACHINE, simulate
+from repro.machine.spec import COST_FIELDS
 
 
 def setup(g, p, order=mpo_order):
@@ -43,6 +50,17 @@ class TestSpec:
         s = CRAY_T3D.scaled_overheads(2.0)
         assert s.map_overhead == pytest.approx(2 * CRAY_T3D.map_overhead)
         assert s.put_latency == CRAY_T3D.put_latency  # network untouched
+
+    @pytest.mark.parametrize("field, value", [
+        *((f, v) for f in COST_FIELDS
+          for v in (-0.5, float("nan"), float("inf"))),
+        ("flop_rate", 0.0), ("flop_rate", -1.0),
+        ("flop_rate", float("nan")), ("flop_rate", float("inf")),
+        ("memory_capacity", -1),
+    ])
+    def test_bad_parameter_rejected_at_construction(self, field, value):
+        with pytest.raises(MachineSpecError, match=f"MachineSpec.{field}"):
+            replace(UNIT_MACHINE, **{field: value})
 
 
 class TestBasicExecution:
