@@ -347,7 +347,7 @@ def bench_bounds() -> dict:
     recorded but not gated — the analyzer itself costs only ~165 µs
     there, so the ratio plateaus; the advantage grows with graph size.
     """
-    import repro.analysis.bounds as bounds_mod
+    import repro.core.index as index_mod
     from repro.analysis import analyze_schedule, certified_bounds
     from repro.core.schedule import UNIT_COMM
     from repro.graph.paper_example import schedule_c
@@ -365,7 +365,7 @@ def bench_bounds() -> dict:
     for name, (sched, cell_comm, optima) in cells.items():
         best = {"bounds": float("inf"), "analyze": float("inf")}
         bs = None
-        bounds_mod._INDEX_CACHE.clear()  # first rep pays the cold build
+        index_mod._INDEX_CACHE.clear()  # first rep pays the cold build
         for _ in range(BOUNDS_REPEATS):
             t0 = time.perf_counter()
             bs = certified_bounds(

@@ -260,25 +260,24 @@ def _levels_forest(
     Each task has a single successor, so the max over out-edges
     degenerates to one addition along the parent chain; the edge costs
     vectorise because edge ``k`` is the unique out-edge of ``esrc[k]``.
+    The sums associate exactly as in :func:`_levels_rows` (``w + (c +
+    bl)`` and ``(tl + w) + c``), so both paths return equal floats.
     """
     n = ix.n
     cross = (proc[ix.esrc] != proc[ix.edst]) & (ix.enb >= 0.0)
     cost = np.where(cross, lat + ix.enb * bt, 0.0)
-    cnode = np.zeros(n + 1)
+    cnode = np.zeros(n)
     cnode[ix.esrc] = cost
-    wc = np.empty(n + 1)
-    wc[:n] = ix.w
-    wc[:n] += cnode[:n]
-    wc[n] = 0.0
-    wc_l = wc.tolist()
+    c_l = cnode.tolist()
+    w_l = ix.w_l
     par = ix.par
     assert par is not None
     bl = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        bl[i] = wc_l[i] + bl[par[i]]
+        bl[i] = w_l[i] + (c_l[i] + bl[par[i]])
     tl = [0.0] * (n + 1)
     for i in range(n):
-        v = tl[i] + wc_l[i]
+        v = (tl[i] + w_l[i]) + c_l[i]
         p_ = par[i]
         if v > tl[p_]:
             tl[p_] = v

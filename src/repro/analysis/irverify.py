@@ -21,15 +21,19 @@ IR *structurally*, the way ``llvm::verifyModule`` checks a module:
     an independent recomputation from the schedule's wait-for data.
 ``SA504`` **opcode-stream-valid**
     each processor's step program covers its tasks exactly once and in
-    order, SEG runs are genuinely silent (no remote inputs, no outgoing
-    messages, no consumptions), and every step's table ranges are live.
+    order (every TASK tid and SEG range continues the processor's
+    order), SEG runs are genuinely silent (no remote inputs, no
+    outgoing messages, no consumptions) and carry ``weight[first:end]``
+    in their numpy kernel vector, and MAP ranges stay inside the plan's
+    MAP tables.
 ``SA505`` **cost-table-sane**
     weights, sizes and precomputed message/package costs are finite,
     non-negative and reproduce the spec's cost expressions.
 
 Every pass reads the same list objects the run loop indexes
 (:class:`~repro.machine.compiled.LoweredSchedule` stores each table
-once), so a corruption the verifier reports is one the engine would run.
+once, and step programs hold tids into it, not copies), so a corruption
+the verifier reports is one the engine would run.
 
 The verifier must *never* crash on corrupt IR: the SA501 structural
 pass runs first and gates the deeper passes, and every pass is wrapped
@@ -328,7 +332,6 @@ def _opcode_pass(lo, ep) -> list[Diagnostic]:
     if len(ep.steps) != lo.num_procs:
         add(f"{len(ep.steps)} step programs for {lo.num_procs} processors")
         return diags
-    covered = 0
     for q in range(lo.num_procs):
         cursor = lo.proc_start[q]
         end = lo.proc_start[q + 1]
@@ -342,68 +345,41 @@ def _opcode_pass(lo, ep) -> list[Diagnostic]:
                     if add(f"MAP step {si} references free/alloc/package "
                            "ranges outside their tables", proc=q):
                         return diags
-            elif op == _SEG_OP:
-                ws, n = step[1], step[4]
-                if n != len(ws):
-                    if add(f"SEG step {si} claims {n} tasks but carries "
-                           f"{len(ws)} weights", proc=q):
-                        return diags
-                    continue
-                for k in range(n):
-                    tid = cursor + k
-                    if tid >= end:
-                        if add(f"SEG step {si} runs past P{q}'s order",
-                               proc=q):
-                            return diags
-                        break
-                    if not silent(tid):
-                        if add(f"SEG step {si} covers task "
-                               f"{lo.task_name[tid]!r} which is not silent "
-                               "(it has inputs, messages or consumptions)",
-                               proc=q, task=lo.task_name[tid],
-                               position=tid - lo.proc_start[q]):
-                            return diags
-                    if ws[k] != lo.weight[tid]:
-                        if add(f"SEG step {si} weight {ws[k]!r} disagrees "
-                               f"with task {lo.task_name[tid]!r}",
-                               proc=q, task=lo.task_name[tid]):
-                            return diags
-                cursor += n
-                covered += n
+                continue
+            if op == _SEG_OP:
+                _, first, hi, vec = step
             elif op == _TASK_OP:
-                tid = step[1]
-                if tid != cursor:
-                    if add(f"TASK step {si} executes tid {tid} but the "
-                           f"program position expects tid {cursor}", proc=q):
-                        return diags
-                    cursor = tid  # resync to keep later findings meaningful
-                if not (lo.proc_start[q] <= tid < end):
-                    if add(f"TASK step {si} tid {tid} outside P{q}'s range",
-                           proc=q):
-                        return diags
-                    continue
-                want = (
-                    _TASK_OP, tid, lo.weight[tid],
-                    lo.od_ptr[tid], lo.od_ptr[tid + 1],
-                    lo.os_ptr[tid], lo.os_ptr[tid + 1],
-                    lo.cons_ptr[tid], lo.cons_ptr[tid + 1],
-                )
-                if tuple(step) != want:
-                    if add(f"TASK step {si} ranges disagree with the "
-                           f"lowering of {lo.task_name[tid]!r}",
-                           proc=q, task=lo.task_name[tid]):
-                        return diags
-                cursor += 1
-                covered += 1
+                first, hi = step[1], step[1] + 1
             else:
                 if add(f"step {si} has unknown opcode {op!r}", proc=q):
+                    return diags
+                continue
+            if first != cursor or not first < hi <= end:
+                if add(f"step {si} executes tids [{first}, {hi}) but the "
+                       f"program position expects tid {cursor} of P{q}'s "
+                       f"order [{lo.proc_start[q]}, {end})", proc=q):
+                    return diags
+                if not lo.proc_start[q] <= first < hi <= end:
+                    continue
+            cursor = hi  # resync to keep later findings meaningful
+            if op == _TASK_OP:
+                continue
+            for tid in range(first, hi):
+                if not silent(tid):
+                    if add(f"SEG step {si} covers task "
+                           f"{lo.task_name[tid]!r} which is not silent "
+                           "(it has inputs, messages or consumptions)",
+                           proc=q, task=lo.task_name[tid],
+                           position=tid - lo.proc_start[q]):
+                        return diags
+            if vec is not None and vec[0].tolist() != lo.weight[first:hi]:
+                if add(f"SEG step {si} kernel weights disagree with "
+                       f"weight[{first}:{hi}]", proc=q):
                     return diags
         if cursor != end:
             if add(f"step program covers tids up to {cursor} but P{q}'s "
                    f"order ends at {end}", proc=q):
                 return diags
-    if covered != lo.num_tasks and not diags:
-        add(f"step programs cover {covered}/{lo.num_tasks} tasks")
     return diags[:MAX_FINDINGS]
 
 
@@ -463,10 +439,6 @@ def _cost_pass(lo, ep) -> list[Diagnostic]:
                     return diags
         for q, prog in enumerate(ep.steps):
             for si, step in enumerate(prog):
-                if step[0] == _SEG_OP and not _finite_nonneg(step[2]):
-                    if add(f"SEG step {si} weight sum {step[2]!r} is not "
-                           "finite non-negative", proc=q):
-                        return diags
                 if step[0] == _MAP_OP and not _finite_nonneg(step[1]):
                     if add(f"MAP step {si} cost {step[1]!r} is not finite "
                            "non-negative", proc=q):

@@ -35,12 +35,23 @@ the ``CompiledSchedule``) enumerates every entity as a small integer:
 
 Execution plans (:func:`get_exec_plan`) are additionally keyed by
 ``(capacity, spec, memory_managed, preknown)`` and compile each
-processor's order + MAP plan into a *step program*: ``SEG`` steps
-(maximal runs of *silent* tasks — no remote inputs, no outgoing
-messages, no MAP between), ``TASK`` steps (one message-bearing task)
-and ``MAP`` steps (frees/allocs/packages with the exact interpreted
-cost expression).  Events are 3-tuples ``(time, seq, code)`` where
-``code`` packs ``kind << 44 | arg``.
+processor's order + MAP plan into a *step program* of index tuples
+into the lowering:
+
+``(SEG, first, end, vec)``
+    a maximal run of *silent* tids ``first..end-1`` (no remote inputs,
+    no outgoing messages, no consumptions, no MAP between); ``vec`` is
+    ``None`` below :data:`_SEG_VEC_MIN` tasks, else the numpy kernel's
+    ``(weights, scratch, scratch)`` with ``weights == weight[first:end]``.
+``(TASK, tid)``
+    one message-bearing task; its weight and ``od``/``os``/``cons``
+    ranges are read from the lowering.
+``(MAP, cost, free_lo, free_hi, alloc_lo, alloc_hi, pkg_lo, pkg_hi)``
+    frees/allocs/packages with the exact interpreted cost expression,
+    as ranges into the plan's own MAP tables.
+
+Events are 3-tuples ``(time, seq, code)`` where ``code`` packs
+``kind << 44 | arg``.
 
 Exactness contract
 ------------------
@@ -67,13 +78,12 @@ make that possible:
   intervening seq-bearing pushes.  Ties (``f >= heap-min``) always go
   through the heap.
 
-A silent segment additionally uses an *unchecked* fast path when
-``(avail + S) * margin < heap-min`` with ``S`` the segment weight sum
-and ``margin = 1 + (16·n + 64)·2⁻⁵³`` — a generous forward-error bound
-for ``n`` non-negative sequential additions, so no task in the segment
-can cross the horizon; otherwise a per-task checked loop runs.  Both
-loops live in ``*_hot`` functions, which ``tools/lint_rules.py``
-(``compiled-hot-alloc``) keeps free of per-event Python allocation.
+A silent segment applies the same rule task by task: one checked
+kernel per run size (``_seg_until_hot`` over ``weight``,
+``_seg_until_vec`` over ``vec``) executes tasks until the first finish
+at or past the horizon.  ``*_hot`` functions are kept free of
+per-event Python allocation by ``tools/lint_rules.py``
+(``compiled-hot-alloc``).
 
 Static dispatch-version flags replace the interpreted engine's dynamic
 ``current_version`` dict: under the owner-compute rule every writer of
@@ -96,12 +106,12 @@ Negative or non-finite costs never reach either engine:
 
 Implementation note: every lowered table is one plain Python list,
 because scalar list indexing is several times faster than per-element
-numpy indexing under CPython.  The run loop, the execution plans and
-the IR verifier (:mod:`repro.analysis.irverify`) all read the same
-list objects, so a verified table is the table that runs.  numpy
-appears only in the vectorised silent-segment kernels
-(:func:`_make_seg`, ``_seg_*_vec``), which are bit-identical to the
-Python loops and selected by segment length.
+numpy indexing under CPython.  The run loop and the IR verifier
+(:mod:`repro.analysis.irverify`) read the same list objects, and the
+step programs hold only tids into them, so a verified table is the
+table that runs.  numpy appears only in the ``vec`` of long silent
+runs (:func:`_seg_step`, :func:`_seg_until_vec`), whose kernel is
+bit-identical to the Python loop and selected by run length.
 """
 
 from __future__ import annotations
@@ -150,7 +160,6 @@ _SLOT_BASE = 4 << _SHIFT  # arg = src * P + dst
 _INF = float("inf")
 _NEG_INF = float("-inf")
 _NO_OVERWRITE = 1 << 60  # od_ow sentinel: no later local overwrite
-_EPS = 2.0 ** -53
 
 
 class LoweredSchedule:
@@ -184,7 +193,9 @@ class LoweredSchedule:
 class ExecPlan:
     """Executable step programs for one (capacity, spec, mode) tuple.
 
-    Holds the per-processor ``SEG``/``TASK``/``MAP`` step lists, the
+    Holds the per-processor ``SEG``/``TASK``/``MAP`` step lists (step
+    boundaries as tids into the :class:`LoweredSchedule`, which alone
+    holds weights and message ranges; see module docstring), the
     lowered MAP actions (free/alloc oids, package table) and every
     spec-dependent cost precomputed with the interpreted engine's exact
     float expressions.  Cached on the owning ``CompiledSchedule`` under
@@ -412,23 +423,23 @@ def lower_schedule(cs) -> LoweredSchedule:
     return lo
 
 
-#: Segment length from which the numpy kernels beat the Python loops.
+#: Segment length from which the numpy kernel beats the Python loop.
 #: ``np.add.accumulate`` is an element-recursive left fold — the exact
-#: addition sequence of the Python kernels — so both paths are
+#: addition sequence of the Python kernel — so both paths are
 #: bit-identical and the switch is purely a speed decision.
 _SEG_VEC_MIN = 64
 
 
-def _make_seg(ws: list[float]) -> tuple:
-    n = len(ws)
-    arr = np.asarray(ws, dtype=np.float64)
-    s = float(np.sum(arr))
-    margin = 1.0 + (16.0 * n + 64.0) * _EPS
-    if n >= _SEG_VEC_MIN:
-        # Weight array plus two scratch accumulators (avail and busy
-        # chains use different bases) for the vectorised kernels.
-        return (_SEG_OP, ws, s, margin, n, arr, np.empty(n + 1), np.empty(n + 1))
-    return (_SEG_OP, ws, s, margin, n, None, None, None)
+def _seg_step(weight: list[float], first: int, end: int) -> tuple:
+    """SEG step over silent tids ``first..end-1``.  From
+    :data:`_SEG_VEC_MIN` tasks its ``vec`` holds the run's weight array
+    plus two scratch accumulators (avail and busy chains use different
+    bases) for :func:`_seg_until_vec`."""
+    n = end - first
+    if n < _SEG_VEC_MIN:
+        return (_SEG_OP, first, end, None)
+    arr = np.asarray(weight[first:end], dtype=np.float64)
+    return (_SEG_OP, first, end, (arr, np.empty(n + 1), np.empty(n + 1)))
 
 
 def get_exec_plan(
@@ -491,16 +502,14 @@ def get_exec_plan(
     map_at = maps_by_position(plan, nprocs)
     for q in range(nprocs):
         prog: list[tuple] = []
-        cur_ws: list[float] = []
-        start = lo.proc_start[q]
-        n = lo.proc_start[q + 1] - start
+        start, end = lo.proc_start[q], lo.proc_start[q + 1]
+        first = start  # first tid of the open silent run
         maps_q = map_at[q]
-        for i in range(n):
-            mp = maps_q.get(i)
+        for tid in range(start, end):
+            mp = maps_q.get(tid - start)
             if mp is not None:
-                if cur_ws:
-                    prog.append(_make_seg(cur_ws))
-                    cur_ws = []
+                if first < tid:
+                    prog.append(_seg_step(weight, first, tid))
                 cost = (
                     spec.map_overhead
                     + len(mp.frees) * spec.free_cost
@@ -530,27 +539,20 @@ def get_exec_plan(
                     _MAP_OP, cost, flo, len(mf_oid), alo, len(ma_oid),
                     plo, len(pkg_dst),
                 ))
-            tid = start + i
+                first = tid
             silent = (
                 pending0[tid] == 0
                 and od_ptr[tid] == od_ptr[tid + 1]
                 and os_ptr[tid] == os_ptr[tid + 1]
                 and cons_ptr[tid] == cons_ptr[tid + 1]
             )
-            if silent:
-                cur_ws.append(weight[tid])
-            else:
-                if cur_ws:
-                    prog.append(_make_seg(cur_ws))
-                    cur_ws = []
-                prog.append((
-                    _TASK_OP, tid, weight[tid],
-                    od_ptr[tid], od_ptr[tid + 1],
-                    os_ptr[tid], os_ptr[tid + 1],
-                    cons_ptr[tid], cons_ptr[tid + 1],
-                ))
-        if cur_ws:
-            prog.append(_make_seg(cur_ws))
+            if not silent:
+                if first < tid:
+                    prog.append(_seg_step(weight, first, tid))
+                prog.append((_TASK_OP, tid))
+                first = tid + 1
+        if first < end:
+            prog.append(_seg_step(weight, first, end))
         steps.append(prog)
 
     ep.steps = steps
@@ -568,64 +570,45 @@ def get_exec_plan(
     return ep
 
 
-def _seg_all_hot(ws, a, b):
-    """Unchecked silent-segment kernel: sequential float adds only."""
-    for w in ws:
-        a += w
-        b += w
-    return a, b
-
-
-def _seg_all_vec(step, a, b):
-    """Vectorised :func:`_seg_all_hot` (bit-identical, see _SEG_VEC_MIN)."""
-    wsarr, bufa, bufb = step[5], step[6], step[7]
-    n = step[4]
-    bufa[0] = a
-    bufa[1:] = wsarr
-    np.add.accumulate(bufa, out=bufa)
-    bufb[0] = b
-    bufb[1:] = wsarr
-    np.add.accumulate(bufb, out=bufb)
-    return float(bufa[n]), float(bufb[n])
-
-
-def _seg_until_vec(step, k, n, a, b, thr):
-    """Vectorised :func:`_seg_until_hot` (bit-identical results).
+def _seg_until_vec(vec, first, k, n, a, b, thr):
+    """Vectorised :func:`_seg_until_hot` over ``vec`` (the weights of
+    tids ``first..n-1``); bit-identical results.
 
     The finish-time prefix is nondecreasing (weights are validated
     nonnegative, and IEEE addition of a nonnegative term never rounds
     below the base), so the first crossing is a ``searchsorted``: the
     insertion point counts exactly the finishes strictly below ``thr``.
     """
-    wsarr, bufa, bufb = step[5], step[6], step[7]
+    wsarr, bufa, bufb = vec
+    off = k - first
     nk = n - k
     acca = bufa[: nk + 1]
     acca[0] = a
-    acca[1:] = wsarr[k:]
+    acca[1:] = wsarr[off:]
     np.add.accumulate(acca, out=acca)
     j = int(np.searchsorted(acca[1:], thr, side="left"))
     e = j + 1 if j < nk else nk  # the crossing task itself executes
     accb = bufb[: e + 1]
     accb[0] = b
-    accb[1:] = wsarr[k : k + e]
+    accb[1:] = wsarr[off : off + e]
     np.add.accumulate(accb, out=accb)
     lastf = float(acca[j]) if j > 0 else a
     return float(acca[e]), float(accb[e]), k + j, lastf
 
 
-def _seg_until_hot(ws, k, n, a, b, thr):
+def _seg_until_hot(weight, k, n, a, b, thr):
     """Checked silent-segment kernel.
 
-    Executes tasks ``k..n-1`` sequentially from time ``a``; stops after
+    Executes tids ``k..n-1`` sequentially from time ``a``; stops after
     executing the first task whose finish crosses ``thr`` (its
     completion must go through the event heap).  Returns the new
-    ``(avail, busy, crossing-index, last-inline-finish)``; a crossing
-    index of ``n`` means the whole segment completed inline.
+    ``(avail, busy, crossing-tid, last-inline-finish)``; a crossing
+    tid of ``n`` means the whole segment completed inline.
     """
     i = k
     lastf = a
     while i < n:
-        w = ws[i]
+        w = weight[i]
         f = a + w
         b += w
         a = f
@@ -660,6 +643,8 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
 
     # Static tables as locals (closure lookups beat attribute lookups).
     steps = ep.steps
+    proc_start, weight = lo.proc_start, lo.weight
+    od_ptr, os_ptr, cons_ptr = lo.od_ptr, lo.os_ptr, lo.cons_ptr
     od_mk, od_ak = lo.od_mk, lo.od_ak
     od_ok0, od_ow = lo.od_ok0, lo.od_ow
     os_sk, cons_mk = lo.os_sk, lo.cons_mk
@@ -682,7 +667,6 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
     # --- mutable run-local state --------------------------------------
     state = [_REC] * nprocs
     sp = [0] * nprocs  # current step index per processor
-    so = [0] * nprocs  # offset inside the current SEG step
     nt = [0] * nprocs  # completed tasks per processor (== idx[q])
     avail = [0.0] * nprocs
     busy = [0.0] * nprocs
@@ -914,16 +898,16 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                 k += 1
             map_pending[q] = 1
 
-    def finish_noisy(q: int, step: tuple, t: float) -> None:
+    def finish_noisy(q: int, tid: int, t: float) -> None:
         nt[q] += 1
         ltf[q] = t
-        i = step[7]
-        hi = step[8]
+        i = cons_ptr[tid]
+        hi = cons_ptr[tid + 1]
         while i < hi:
             need[cons_mk[i]] -= 1
             i += 1
-        i = step[3]
-        hi = step[4]
+        i = od_ptr[tid]
+        hi = od_ptr[tid + 1]
         while i < hi:
             if known[od_ak[i]]:
                 dispatch(q, i, t)
@@ -931,8 +915,8 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                 suspended[q].append(i)
                 susp_ct[q] += 1
             i += 1
-        i = step[5]
-        hi = step[6]
+        i = os_ptr[tid]
+        hi = os_ptr[tid + 1]
         while i < hi:
             t2 = charge(q, t, send_oh)
             smsg[q] += 1
@@ -974,9 +958,8 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                 sp[q] = i + 1
                 continue
             if op == _SEG_OP:
-                ws = step[1]
-                n = step[4]
-                k = so[q]
+                n = step[2]
+                k = proc_start[q] + nt[q]  # next tid of the run
                 a = avail[q]
                 if a < t:
                     a = t
@@ -984,21 +967,15 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                     thr = _NEG_INF
                 else:
                     thr = events[0][0] if events else _INF
-                if k == 0 and (a + step[2]) * step[3] < thr:
-                    if step[5] is not None:
-                        b = _seg_all_vec(step, a, busy[q])
-                    else:
-                        b = _seg_all_hot(ws, a, busy[q])
-                    avail[q] = b[0]
-                    busy[q] = b[1]
-                    nt[q] += n
-                    ltf[q] = b[0]
-                    sp[q] = i + 1
-                    continue
-                if step[5] is not None and n - k >= _SEG_VEC_MIN:
-                    a2, b2, j, lastf = _seg_until_vec(step, k, n, a, busy[q], thr)
+                vec = step[3]
+                if vec is not None and n - k >= _SEG_VEC_MIN:
+                    a2, b2, j, lastf = _seg_until_vec(
+                        vec, step[1], k, n, a, busy[q], thr
+                    )
                 else:
-                    a2, b2, j, lastf = _seg_until_hot(ws, k, n, a, busy[q], thr)
+                    a2, b2, j, lastf = _seg_until_hot(
+                        weight, k, n, a, busy[q], thr
+                    )
                 busy[q] = b2
                 avail[q] = a2
                 nc = j - k
@@ -1008,18 +985,17 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                 if j < n:
                     # Task j executed; its completion crosses the event
                     # horizon and must pop through the heap.
-                    so[q] = j
                     state[q] = _EXE
                     push(a2, _TASK_BASE | q)
                     return
                 sp[q] = i + 1
-                so[q] = 0
                 continue
             # _TASK_OP
-            if pending[step[1]] > 0:
+            tid = step[1]
+            if pending[tid] > 0:
                 state[q] = _REC
                 return
-            w = step[2]
+            w = weight[tid]
             a = avail[q]
             if a < t:
                 a = t
@@ -1036,7 +1012,7 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             # provable no-op here: no pops happened since advance
             # entry, so the inbox is still empty and any send just
             # suspended has an unknown address by definition.
-            finish_noisy(q, step, f)
+            finish_noisy(q, tid, f)
             a = avail[q]
             t = a if a >= f else f
 
@@ -1059,14 +1035,10 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             if step[0] == _SEG_OP:
                 nt[q] += 1
                 ltf[q] = t
-                k = so[q] + 1
-                if k >= step[4]:
+                if proc_start[q] + nt[q] >= step[2]:
                     sp[q] += 1
-                    so[q] = 0
-                else:
-                    so[q] = k
             else:
-                finish_noisy(q, step, t)
+                finish_noisy(q, step[1], t)
             state[q] = _REC
             a = avail[q]
             advance(q, a if a >= t else t)

@@ -318,18 +318,16 @@ class CompiledSchedule:
         self,
         schedule: Schedule,
         profile: Optional[MemoryProfile] = None,
-        validate: bool = True,
     ):
         self.schedule = schedule
         self.graph = schedule.graph
         self.num_procs = schedule.num_procs
         mi = mapping_index(self.graph, schedule.placement, schedule.assignment)
-        if validate:
-            schedule.validate()
-            # Order-independent, so checked once per mapping (a failed
-            # check raises and is not memoised).
-            mi.memo("owner-compute", lambda: validate_owner_compute(
-                self.graph, schedule.placement, schedule.assignment))
+        schedule.validate()
+        # Order-independent, so checked once per mapping (a failed check
+        # raises and is not memoised).
+        mi.memo("owner-compute", lambda: validate_owner_compute(
+            self.graph, schedule.placement, schedule.assignment))
         self.profile = profile if profile is not None else analyze_memory(schedule)
         self._plans: dict[int, MapPlan] = {}
         #: compiled-engine execution plans, keyed
@@ -632,7 +630,6 @@ class Simulator:
         memory_managed: bool = True,
         plan: Optional[MapPlan] = None,
         profile: Optional[MemoryProfile] = None,
-        validate: bool = True,
         preknown_addresses: bool = False,
         trace: bool = False,
         compiled: Optional[CompiledSchedule] = None,
@@ -678,7 +675,7 @@ class Simulator:
         if compiled is None:
             if schedule is None:
                 raise SimulationError("Simulator needs a schedule or a compiled schedule")
-            compiled = CompiledSchedule(schedule, profile=profile, validate=validate)
+            compiled = CompiledSchedule(schedule, profile=profile)
         elif schedule is not None and schedule is not compiled.schedule:
             raise SimulationError("schedule does not match compiled.schedule")
         self.compiled = compiled

@@ -116,11 +116,12 @@ class TestSoundness:
 class TestPathAgreement:
     """Pure-Python (< _NUMPY_MIN_TASKS) and numpy paths agree exactly."""
 
-    def _both(self, graph, placement, assignment, monkeypatch):
+    def _both(self, graph, placement, assignment, monkeypatch,
+              comm=UNIT_COMM):
         monkeypatch.setattr(bounds_mod, "_NUMPY_MIN_TASKS", 0)
-        via_numpy = certified_bounds(graph, placement, assignment)
+        via_numpy = certified_bounds(graph, placement, assignment, comm)
         monkeypatch.setattr(bounds_mod, "_NUMPY_MIN_TASKS", 10**9)
-        via_pure = certified_bounds(graph, placement, assignment)
+        via_pure = certified_bounds(graph, placement, assignment, comm)
         return via_numpy, via_pure
 
     def test_paper_example(self, monkeypatch):
@@ -136,6 +137,15 @@ class TestPathAgreement:
         assert a.pt.method == b.pt.method
         assert a.min_mem.value == b.min_mem.value
         assert a.min_mem.method == b.min_mem.method
+
+    @pytest.mark.parametrize("p", [2, 4, 8, 32])
+    def test_etree15_spec_comm(self, ctx, p, monkeypatch):
+        # Non-zero message costs: the forest and row recurrences must
+        # associate their sums identically, not just agree under UNIT.
+        s = ctx.schedule("etree15", p, "rcp")
+        a, b = self._both(s.graph, s.placement, s.assignment, monkeypatch,
+                          ctx.spec.comm_model())
+        assert a == b
 
     def test_deterministic(self):
         s = schedule_c()

@@ -21,7 +21,7 @@ from repro.errors import ReproError, SimulationError
 from repro.experiments import ExperimentContext
 from repro.graph import GraphBuilder
 from repro.graph.paper_example import schedule_c
-from repro.machine.compiled import get_exec_plan, lower_schedule
+from repro.machine.compiled import _SEG_OP, get_exec_plan, lower_schedule
 from repro.machine.simulator import CompiledSchedule, Simulator
 from repro.machine.spec import UNIT_MACHINE
 
@@ -156,6 +156,17 @@ class TestMutationsAreRejected:
         diags = verify_exec_plan(cs, 8, UNIT_MACHINE)
         assert "SA504" in error_codes(diags)
 
+    def test_sa504_seg_vector_drifts_from_the_weights(self, ctx):
+        # etree15 on one processor is one silent run of 576 tasks, so its
+        # SEG step carries the numpy kernel's copy of the weights.
+        cs = CompiledSchedule(ctx.schedule("etree15", 1, "rcp"))
+        ep = get_exec_plan(cs, cs.profile.tot, ctx.spec, True, False)
+        vec = next(s[3] for s in ep.steps[0] if s[0] == _SEG_OP)
+        vec[0][3] += 1.0
+        diags = verify_exec_plan(cs, cs.profile.tot, ctx.spec)
+        assert error_codes(diags) == {"SA504"}
+        assert any("kernel weights" in d.message for d in diags)
+
     def test_sa505_negative_weight(self):
         cs = fresh_paper()
         lo = lower_schedule(cs)
@@ -192,6 +203,24 @@ class TestVerifiedTablesRun:
             pt = compiled_pt(cs)
         except (IndexError, ReproError):
             return
+        assert pt != clean
+
+    def test_flagged_weight_changes_the_cached_plan_run(self):
+        # Step programs index ``lo.weight``: a weight corrupted after
+        # the exec plan is built and cached is the weight that runs.
+        cs = CompiledSchedule(data_and_sync_schedule())
+        sim = Simulator(compiled=cs, spec=UNIT_MACHINE, engine="compiled")
+        clean = sim.run().parallel_time  # builds and caches the plan
+        lo = lower_schedule(cs)
+        lo.weight[lo.task_name.index("fin")] = -1.0  # silent (SEG) task
+        lo.weight[lo.task_name.index("w1")] = -1.0  # sends m: a TASK step
+        diags = verify_exec_plan(cs, sim.capacity, UNIT_MACHINE)
+        assert "SA505" in error_codes(diags)
+        try:
+            pt = sim.run().parallel_time
+        except (AssertionError, IndexError, ReproError):
+            pt = None
+        assert cs.counters["exec_plan_misses"] == 1  # ran the cached plan
         assert pt != clean
 
 
