@@ -209,10 +209,11 @@ _RULE_TABLE = (
     Rule(
         "SA504", "opcode-stream-valid", Severity.ERROR,
         "ROADMAP item 1",
-        "a step program skips/duplicates a task or a SEG run contains "
-        "a non-silent task",
-        "SEG runs may only cover tasks with no inputs, messages or "
-        "consumptions; regenerate the exec plan",
+        "a silent run holds a non-silent task or stops early, or the "
+        "MAP positions leave a processor's order",
+        "silent runs may only cover tasks with no inputs, messages or "
+        "consumptions; MAP positions must rise strictly inside each "
+        "order; regenerate the lowering or exec plan",
     ),
     Rule(
         "SA505", "cost-table-sane", Severity.ERROR,

@@ -1,39 +1,40 @@
 """LLVM-verifier-style pass over the compiled engine's lowered IR.
 
-The array engine (ROADMAP item 1) lowers a ``CompiledSchedule`` in two
-layers — :class:`~repro.machine.compiled.LoweredSchedule` (dense CSR
-tables, spec/capacity-free) and :class:`~repro.machine.compiled
-.ExecPlan` (per-processor SEG/TASK/MAP step programs with precomputed
-costs).  Until now those layers were exercised only dynamically by the
-differential oracle; a malformed lowering that happens to simulate
-correctly on current workloads was invisible.  This module checks the
-IR *structurally*, the way ``llvm::verifyModule`` checks a module:
+The array engine, the default engine, lowers a ``CompiledSchedule`` in
+three levels (see :mod:`repro.machine.compiled`): a
+:class:`~repro.machine.compiled.MappingLowering` (message, sync and
+address keys and their CSR rows, shared by every schedule of one
+mapping), a :class:`~repro.machine.compiled.LoweredSchedule` (the
+position space of one schedule: permutation, weights, silent-run ends,
+version flags) and per cell an :class:`~repro.machine.compiled.ExecPlan`
+(the MAP tables).  The differential oracle exercises them only
+dynamically; a malformed lowering that happens to simulate correctly on
+current workloads would be invisible.  This module checks the IR
+*structurally*, the way ``llvm::verifyModule`` checks a module:
 
 ``SA501`` **csr-well-formed**
     every pointer/index array pair is a valid CSR (monotone pointers,
     indices inside their id space) and the entity counts agree.
 ``SA502`` **id-space-bijective**
-    tids/oids/mks/sks/groups invert exactly to the schedule's tasks,
-    the graph's objects and the index dicts.
+    positions/tids/oids/mks/sks/groups invert exactly to the schedule's
+    tasks, the graph's objects and the interpreted engine's message keys.
 ``SA503`` **version-table-consistent**
     the static dispatch-version flags (``od_ok0``/``od_ow``), stale
-    counters (``mk_need0``), pending counts and waiter lists agree with
-    an independent recomputation from the schedule's wait-for data.
+    counters (``mk_need0``), pending counts, waiter lists and outgoing
+    message rows agree with an independent recomputation from the
+    schedule's name-keyed wait-for data.
 ``SA504`` **opcode-stream-valid**
-    each processor's step program covers its tasks exactly once and in
-    order (every TASK tid and SEG range continues the processor's
-    order), SEG runs are genuinely silent (no remote inputs, no
-    outgoing messages, no consumptions) and carry ``weight[first:end]``
-    in their numpy kernel vector, and MAP ranges stay inside the plan's
-    MAP tables.
+    the silent-run ends cover each processor's order exactly (a run
+    never swallows a task with inputs, messages or consumptions), the
+    numpy kernel's ``warr`` equals ``weight``, and each processor's MAP
+    positions increase strictly inside its order, end in its sentinel
+    and index the plan's MAP tables in range.
 ``SA505`` **cost-table-sane**
-    weights, sizes and precomputed message/package costs are finite,
-    non-negative and reproduce the spec's cost expressions.
+    weights, sizes and precomputed message/package/MAP costs are
+    finite, non-negative and reproduce the spec's cost expressions.
 
-Every pass reads the same list objects the run loop indexes
-(:class:`~repro.machine.compiled.LoweredSchedule` stores each table
-once, and step programs hold tids into it, not copies), so a corruption
-the verifier reports is one the engine would run.
+Every pass reads the same list objects the run loop indexes, so a
+corruption the verifier reports is one the engine would run.
 
 The verifier must *never* crash on corrupt IR: the SA501 structural
 pass runs first and gates the deeper passes, and every pass is wrapped
@@ -53,12 +54,11 @@ from __future__ import annotations
 import functools
 from typing import Optional
 
+from ..core.index import graph_index
 from ..errors import NonExecutableScheduleError, SimulationError
 from ..machine.compiled import (
-    _MAP_OP,
     _NO_OVERWRITE,
-    _SEG_OP,
-    _TASK_OP,
+    _SEG_VEC_MIN,
     get_exec_plan,
     lower_schedule,
 )
@@ -143,7 +143,7 @@ def _csr_pass(lo) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     nt, nm, nsk = lo.num_tasks, lo.num_mk, lo.num_sk
     _check_csr(diags, "proc_start", lo.proc_start, [0] * nt,
-               lo.num_procs, nt + 1, "tid-range")
+               lo.num_procs, nt + 1, "position-range")
     _check_csr(diags, "od_ptr/od_mk", lo.od_ptr, lo.od_mk, nt, nm, "mk-space")
     _check_csr(diags, "od_ptr/od_ak", lo.od_ptr, lo.od_ak, nt, lo.num_ak,
                "ak-space")
@@ -161,6 +161,19 @@ def _csr_pass(lo) -> list[Diagnostic]:
                nsk, nt, "tid-space")
     _check_csr(diags, "grp_ptr/grp_mk", lo.grp_ptr, lo.grp_mk, lo.num_grp,
                nm, "mk-space")
+    for name, table, space in (
+        ("tid_at", lo.tid_at, nt), ("od_row", lo.od_row, nt),
+        ("mk_dest", lo.mk_dest, lo.num_procs),
+        ("mk_oid", lo.mk_oid, lo.num_objects),
+        ("sk_dest", lo.sk_dest, lo.num_procs),
+    ):
+        bad = [j for j, v in enumerate(table) if not 0 <= v < space]
+        if bad:
+            diags.append(Diagnostic.of(
+                "SA501",
+                f"{name}: index[{bad[0]}] = {table[bad[0]]} outside "
+                f"[0, {space}) ({len(bad)} such entries)",
+            ))
     return diags[:MAX_FINDINGS]
 
 
@@ -173,6 +186,7 @@ def _csr_pass(lo) -> list[Diagnostic]:
 def _bijection_pass(cs, lo) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     g, sched = cs.graph, cs.schedule
+    names = graph_index(g).names
 
     def add(msg: str, **kw) -> bool:
         diags.append(Diagnostic.of("SA502", msg, **kw))
@@ -183,40 +197,47 @@ def _bijection_pass(cs, lo) -> list[Diagnostic]:
     flat = [t for order in sched.orders for t in order]
     if lo.task_name != flat:
         add("task_name does not equal the flattened processor orders")
-    elif len(set(lo.task_name)) != len(lo.task_name):
-        add("task_name contains duplicate tids")
+    elif len(set(lo.tid_at)) != len(lo.tid_at):
+        add("tid_at maps two positions to one task")
+    elif any(names[i] != t for i, t in zip(lo.tid_at, lo.task_name)):
+        add("tid_at does not invert the GraphIndex task ids")
     for q in range(lo.num_procs):
         lob, hib = lo.proc_start[q], lo.proc_start[q + 1]
         if hib - lob != len(sched.orders[q]):
-            if add(f"tid range [{lob}, {hib}) disagrees with the order "
-                   f"length {len(sched.orders[q])}", proc=q):
+            if add(f"position range [{lob}, {hib}) disagrees with the "
+                   f"order length {len(sched.orders[q])}", proc=q):
                 return diags
 
     if lo.num_objects != g.num_objects:
         add(f"{lo.num_objects} lowered objects for {g.num_objects} "
             "graph objects")
-    for name, oid in g.object_index.items():
-        if not (0 <= oid < len(lo.obj_name)) or lo.obj_name[oid] != name:
-            if add(f"obj_name[{oid}] does not invert object_index[{name!r}]",
-                   obj=name):
+    for oid, name in enumerate(sorted(o.name for o in g.objects())):
+        if oid >= len(lo.obj_name) or lo.obj_name[oid] != name:
+            if add(f"obj_name[{oid}] is not the object {name!r}", obj=name):
                 return diags
 
-    for (dest, m, unit), mk in lo.mk_index.items():
-        if not (0 <= mk < lo.num_mk):
-            if add(f"mk_index[{(dest, m, unit)!r}] = {mk} out of range"):
-                return diags
-            continue
-        if (lo.mk_dest[mk] != dest
-                or lo.mk_uname[mk] != unit
-                or lo.mk_oid[mk] != g.object_index[m]):
-            if add(f"mk {mk} does not round-trip its key "
-                   f"{(dest, m, unit)!r}", obj=m, proc=dest):
-                return diags
-    for (u, dest), sk in lo.sk_index.items():
-        if not (0 <= sk < lo.num_sk) or lo.sk_dest[sk] != dest:
-            if add(f"sk {sk} does not round-trip its key {(u, dest)!r}",
-                   proc=dest):
-                return diags
+    # Message keys: one mk per interpreted (dest, object, unit) key.
+    keys = {
+        (d, lo.obj_name[o], u): mk
+        for mk, (d, o, u) in enumerate(zip(lo.mk_dest, lo.mk_oid,
+                                           lo.mk_uname))
+    }
+    if len(keys) != lo.num_mk:
+        add(f"{lo.num_mk - len(keys)} mk keys are duplicated")
+    want = {(d, m, u) for d, tbl in enumerate(cs.data_waiters)
+            for (m, u) in tbl}
+    if set(keys) != want:
+        bad = sorted(set(keys) ^ want)[:3]
+        add(f"mk keys do not round-trip the schedule's data keys "
+            f"(e.g. {bad})")
+    skeys = {(names[s], d) for s, d in zip(lo.sk_src, lo.sk_dest)}
+    if len(skeys) != lo.num_sk:
+        add(f"{lo.num_sk - len(skeys)} sk keys are duplicated")
+    want = {(u, d) for d, tbl in enumerate(cs.sync_waiters) for u in tbl}
+    if skeys != want:
+        bad = sorted(skeys ^ want)[:3]
+        add(f"sk keys do not round-trip the schedule's sync keys "
+            f"(e.g. {bad})")
 
     # group partition: every mk appears exactly once, under its group.
     seen = [0] * lo.num_mk
@@ -248,64 +269,94 @@ def _version_pass(cs, lo) -> list[Diagnostic]:
         diags.append(Diagnostic.of("SA503", msg, **kw))
         return len(diags) >= MAX_FINDINGS
 
-    tid_of = {name: i for i, name in enumerate(lo.task_name)}
-    for tid, name in enumerate(lo.task_name):
+    gi = graph_index(cs.graph)
+    names, tid = gi.names, gi.tid
+    for i, name in enumerate(names):
         want = cs.pending0.get(name, 0)
-        if lo.pending0[tid] != want:
-            if add(f"pending0[{tid}] = {lo.pending0[tid]} but the "
+        if lo.pending0[i] != want:
+            if add(f"pending0[{i}] = {lo.pending0[i]} but the "
                    f"schedule needs {want} inputs", task=name):
                 return diags
-    for (dest, m, unit), mk in lo.mk_index.items():
-        want_need = cs.need_count0[dest][(m, unit)]
+    for mk in range(lo.num_mk):
+        dest, m, unit = lo.mk_dest[mk], lo.obj_name[lo.mk_oid[mk]], \
+            lo.mk_uname[mk]
+        want_need = cs.need_count0[dest].get((m, unit))
         if lo.mk_need0[mk] != want_need:
             if add(f"mk_need0[{mk}] = {lo.mk_need0[mk]} but "
                    f"{want_need} stale copies are outstanding",
                    obj=m, proc=dest):
                 return diags
-        want_wait = sorted(tid_of[w] for w in cs.data_waiters[dest][(m, unit)])
+        want_wait = sorted(
+            tid[w] for w in cs.data_waiters[dest].get((m, unit), ()))
         got_wait = sorted(lo.wait_tid[lo.wait_ptr[mk]:lo.wait_ptr[mk + 1]])
         if want_wait != got_wait:
             if add(f"waiter list of mk {mk} disagrees with data_waiters",
                    obj=m, proc=dest):
                 return diags
-    for (u, dest), sk in lo.sk_index.items():
-        want_wait = sorted(tid_of[w] for w in cs.sync_waiters[dest][u])
+    for sk in range(lo.num_sk):
+        u, dest = names[lo.sk_src[sk]], lo.sk_dest[sk]
+        want_wait = sorted(tid[w] for w in cs.sync_waiters[dest].get(u, ()))
         got_wait = sorted(lo.swait_tid[lo.swait_ptr[sk]:lo.swait_ptr[sk + 1]])
         if want_wait != got_wait:
             if add(f"waiter list of sk {sk} disagrees with sync_waiters",
                    proc=dest):
                 return diags
 
+    # Outgoing rows, in send order, against the trigger tables.
+    for pos, name in enumerate(lo.task_name):
+        i = lo.tid_at[pos]
+        r = lo.od_row[i]
+        got = [
+            (lo.obj_name[lo.od_oid[od]], lo.od_uname[od], lo.od_dest[od],
+             lo.od_nbytes[od])
+            for od in range(lo.od_ptr[r], lo.od_ptr[r + 1])
+        ]
+        if got != list(cs.out_data.get(name, ())):
+            if add(f"data messages sent after {name!r} disagree with the "
+                   "schedule's triggers", task=name):
+                return diags
+        got = [
+            (names[lo.sk_src[lo.os_sk[j]]], lo.sk_dest[lo.os_sk[j]])
+            for j in range(lo.os_ptr[i], lo.os_ptr[i + 1])
+        ]
+        if got != list(cs.out_sync.get(name, ())):
+            if add(f"sync messages sent after {name!r} disagree with "
+                   "out_sync", task=name):
+                return diags
+
     # Independent recomputation of the static dispatch-version flags.
-    oid_of = cs.graph.object_index
     for q in range(lo.num_procs):
-        ver: dict[int, str] = {}
-        writes: dict[int, list[tuple[int, str]]] = {}
+        ver: dict[str, str] = {}
+        writes: dict[str, list[tuple[int, str]]] = {}
         lob, hib = lo.proc_start[q], lo.proc_start[q + 1]
-        for pos, tid in enumerate(range(lob, hib)):
-            name = lo.task_name[tid]
+        for pos in range(lob, hib):
+            name = lo.task_name[pos]
             for m, uu in cs.write_version[name]:
-                ver[oid_of[m]] = uu
-                writes.setdefault(oid_of[m], []).append((pos, uu))
-            for od in range(lo.od_ptr[tid], lo.od_ptr[tid + 1]):
-                ok = ver.get(lo.od_oid[od]) == lo.od_uname[od]
+                ver[m] = uu
+                writes.setdefault(m, []).append((pos, uu))
+            r = lo.od_row[lo.tid_at[pos]]
+            for od in range(lo.od_ptr[r], lo.od_ptr[r + 1]):
+                m = lo.obj_name[lo.od_oid[od]]
+                ok = ver.get(m) == lo.od_uname[od]
                 if lo.od_ok0[od] != ok:
                     if add(f"od_ok0[{od}] = {lo.od_ok0[od]} but the "
                            f"order scan proves {ok}", proc=q, task=name,
-                           obj=lo.obj_name[lo.od_oid[od]]):
+                           obj=m):
                         return diags
-        for pos, tid in enumerate(range(lob, hib)):
-            for od in range(lo.od_ptr[tid], lo.od_ptr[tid + 1]):
+        for pos in range(lob, hib):
+            r = lo.od_row[lo.tid_at[pos]]
+            for od in range(lo.od_ptr[r], lo.od_ptr[r + 1]):
                 req = lo.od_uname[od]
+                m = lo.obj_name[lo.od_oid[od]]
                 ow = _NO_OVERWRITE
-                for wpos, uu in writes.get(lo.od_oid[od], ()):
+                for wpos, uu in writes.get(m, ()):
                     if wpos > pos and uu != req:
                         ow = wpos
                         break
                 if lo.od_ow[od] != ow:
                     if add(f"od_ow[{od}] = {lo.od_ow[od]} but the first "
                            f"invalidating overwrite is at {ow}",
-                           proc=q, obj=lo.obj_name[lo.od_oid[od]]):
+                           proc=q, obj=m):
                         return diags
     return diags[:MAX_FINDINGS]
 
@@ -323,62 +374,78 @@ def _opcode_pass(lo, ep) -> list[Diagnostic]:
         diags.append(Diagnostic.of("SA504", msg, **kw))
         return len(diags) >= MAX_FINDINGS
 
-    def silent(tid: int) -> bool:
-        return (lo.pending0[tid] == 0
-                and lo.od_ptr[tid] == lo.od_ptr[tid + 1]
-                and lo.os_ptr[tid] == lo.os_ptr[tid + 1]
-                and lo.cons_ptr[tid] == lo.cons_ptr[tid + 1])
+    def noisy(i: int) -> bool:
+        r = lo.od_row[i]
+        return (lo.pending0[i] > 0
+                or lo.od_ptr[r] != lo.od_ptr[r + 1]
+                or lo.os_ptr[i] != lo.os_ptr[i + 1]
+                or lo.cons_ptr[i] != lo.cons_ptr[i + 1])
 
-    if len(ep.steps) != lo.num_procs:
-        add(f"{len(ep.steps)} step programs for {lo.num_procs} processors")
+    # Silent-run ends: run_end[pos] is the end of the silent run from
+    # pos (the next noisy position or the end of the order), -1 at a
+    # noisy task.
+    if len(lo.run_end) != lo.num_tasks:
+        add(f"run_end has {len(lo.run_end)} entries for {lo.num_tasks} "
+            "positions")
         return diags
     for q in range(lo.num_procs):
-        cursor = lo.proc_start[q]
-        end = lo.proc_start[q + 1]
-        for si, step in enumerate(ep.steps[q]):
-            op = step[0]
-            if op == _MAP_OP:
-                _, cost, flo, fhi, alo, ahi, plo, phi = step
-                if not (0 <= flo <= fhi <= len(ep.mf_oid)
-                        and 0 <= alo <= ahi <= len(ep.ma_oid)
-                        and 0 <= plo <= phi <= len(ep.pkg_dst)):
-                    if add(f"MAP step {si} references free/alloc/package "
-                           "ranges outside their tables", proc=q):
-                        return diags
-                continue
-            if op == _SEG_OP:
-                _, first, hi, vec = step
-            elif op == _TASK_OP:
-                first, hi = step[1], step[1] + 1
-            else:
-                if add(f"step {si} has unknown opcode {op!r}", proc=q):
+        start, nxt = lo.proc_start[q], lo.proc_start[q + 1]
+        for pos in range(nxt - 1, start - 1, -1):
+            want = -1 if noisy(lo.tid_at[pos]) else nxt
+            if want < 0:
+                nxt = pos
+            if lo.run_end[pos] != want:
+                kind = "noisy task" if want < 0 else "silent run"
+                if add(f"run_end[{pos}] = {lo.run_end[pos]} but the "
+                       f"{kind} at {lo.task_name[pos]!r} wants {want}",
+                       proc=q, task=lo.task_name[pos],
+                       position=pos - start):
                     return diags
-                continue
-            if first != cursor or not first < hi <= end:
-                if add(f"step {si} executes tids [{first}, {hi}) but the "
-                       f"program position expects tid {cursor} of P{q}'s "
-                       f"order [{lo.proc_start[q]}, {end})", proc=q):
+            elif want - pos > lo.max_run:
+                if add(f"silent run at {pos} is longer than max_run "
+                       f"{lo.max_run}", proc=q):
                     return diags
-                if not lo.proc_start[q] <= first < hi <= end:
-                    continue
-            cursor = hi  # resync to keep later findings meaningful
-            if op == _TASK_OP:
-                continue
-            for tid in range(first, hi):
-                if not silent(tid):
-                    if add(f"SEG step {si} covers task "
-                           f"{lo.task_name[tid]!r} which is not silent "
-                           "(it has inputs, messages or consumptions)",
-                           proc=q, task=lo.task_name[tid],
-                           position=tid - lo.proc_start[q]):
-                        return diags
-            if vec is not None and vec[0].tolist() != lo.weight[first:hi]:
-                if add(f"SEG step {si} kernel weights disagree with "
-                       f"weight[{first}:{hi}]", proc=q):
+    if (lo.warr is None) != (lo.max_run < _SEG_VEC_MIN):
+        add(f"numpy kernel weights warr missing or surplus for the "
+            f"longest silent run ({lo.max_run} tasks)")
+    elif lo.warr is not None and lo.warr.tolist() != lo.weight:
+        add("numpy kernel weights warr disagree with weight")
+    if ep is None:
+        return diags[:MAX_FINDINGS]
+
+    # MAP positions: strictly increasing inside the order, then the
+    # processor's end-of-order sentinel.
+    nmaps = len(ep.map_pos)
+    for name, ptr, table in (("mf_ptr", ep.mf_ptr, ep.mf_oid),
+                             ("ma_ptr", ep.ma_ptr, ep.ma_oid),
+                             ("mp_ptr", ep.mp_ptr, ep.pkg_dst)):
+        if (len(ptr) != nmaps + 1 or ptr[0] != 0 or ptr[-1] != len(table)
+                or any(ptr[k] > ptr[k + 1] for k in range(nmaps))):
+            if add(f"MAP ranges {name} do not index their table"):
+                return diags
+    if len(ep.map_first) != lo.num_procs or len(ep.map_cost) != nmaps:
+        add(f"{len(ep.map_first)} MAP lists for {lo.num_procs} processors")
+        return diags
+    for q in range(lo.num_procs):
+        start, end = lo.proc_start[q], lo.proc_start[q + 1]
+        k = ep.map_first[q]
+        prev = start - 1
+        while k < nmaps and ep.map_pos[k] < end:
+            if not prev < ep.map_pos[k]:
+                if add(f"MAP {k} at position {ep.map_pos[k]} does not "
+                       f"follow the previous MAP of P{q} (at {prev}) "
+                       f"inside [{start}, {end})", proc=q):
                     return diags
-        if cursor != end:
-            if add(f"step program covers tids up to {cursor} but P{q}'s "
-                   f"order ends at {end}", proc=q):
+            prev = ep.map_pos[k]
+            k += 1
+        if k >= nmaps or ep.map_pos[k] != end:
+            if add(f"P{q}'s MAP list does not end in its sentinel at {end}",
+                   proc=q):
+                return diags
+        nxt = ep.map_first[q + 1] if q + 1 < lo.num_procs else nmaps
+        if nxt != k + 1:
+            if add(f"P{q}'s MAP list ends at {k} but the next processor's "
+                   f"starts at {nxt}", proc=q):
                 return diags
     return diags[:MAX_FINDINGS]
 
@@ -400,10 +467,10 @@ def _cost_pass(lo, ep) -> list[Diagnostic]:
         diags.append(Diagnostic.of("SA505", msg, **kw))
         return len(diags) >= MAX_FINDINGS
 
-    for tid, w in enumerate(lo.weight):
+    for pos, w in enumerate(lo.weight):
         if not _finite_nonneg(w):
-            if add(f"task weight[{tid}] = {w!r} is not finite non-negative",
-                   task=lo.task_name[tid]):
+            if add(f"task weight[{pos}] = {w!r} is not finite non-negative",
+                   task=lo.task_name[pos]):
                 return diags
     for oid, sz in enumerate(lo.obj_size):
         if sz < 0:
@@ -430,19 +497,21 @@ def _cost_pass(lo, ep) -> list[Diagnostic]:
                 if add(f"od_nic[{od}] = {ep.od_nic[od]!r} does not "
                        "reproduce spec.byte_time"):
                     return diags
-        for k, cost in enumerate(ep.pkg_cost):
-            want = (spec.package_overhead
-                    + len(ep.pkg_objs[k]) * spec.address_cost)
-            if cost != want:
-                if add(f"pkg_cost[{k}] = {cost!r} != package_overhead + "
-                       f"{len(ep.pkg_objs[k])} * address_cost"):
+        # The entry before each processor's first MAP (and the last one)
+        # is an end-of-order sentinel, which never runs.
+        sentinels = {k - 1 for k in ep.map_first[1:]} | {len(ep.map_pos) - 1}
+        for k, cost in enumerate(ep.map_cost):
+            nf = ep.mf_ptr[k + 1] - ep.mf_ptr[k]
+            na = ep.ma_ptr[k + 1] - ep.ma_ptr[k]
+            want = (spec.map_overhead + nf * spec.free_cost
+                    + na * spec.alloc_cost)
+            if k in sentinels:
+                want = 0.0
+            if not _finite_nonneg(cost) or cost != want:
+                if add(f"MAP {k} cost {cost!r} is not finite non-negative "
+                       f"map_overhead + {nf} * free_cost + {na} * "
+                       "alloc_cost"):
                     return diags
-        for q, prog in enumerate(ep.steps):
-            for si, step in enumerate(prog):
-                if step[0] == _MAP_OP and not _finite_nonneg(step[1]):
-                    if add(f"MAP step {si} cost {step[1]!r} is not finite "
-                           "non-negative", proc=q):
-                        return diags
     return diags[:MAX_FINDINGS]
 
 
@@ -452,7 +521,8 @@ def _cost_pass(lo, ep) -> list[Diagnostic]:
 
 
 def verify_lowering(cs) -> list[Diagnostic]:
-    """Verify the spec-free lowering of ``cs`` (SA501-SA503, SA505).
+    """Verify the spec-free lowering of ``cs`` (SA501-SA505, without
+    the exec-plan parts of SA504/SA505).
 
     The structural SA501 pass gates the deeper passes: on a CSR that is
     not even well formed, bijectivity/version walks would chase wild
@@ -464,6 +534,7 @@ def verify_lowering(cs) -> list[Diagnostic]:
         return diags
     diags += _bijection_pass(cs, lo)
     diags += _version_pass(cs, lo)
+    diags += _opcode_pass(lo, None)
     diags += _cost_pass(lo, None)
     return diags
 
@@ -475,7 +546,7 @@ def verify_exec_plan(
     memory_managed: bool = True,
     preknown: bool = False,
 ) -> list[Diagnostic]:
-    """Verify the lowering *and* the step programs of one exec plan.
+    """Verify the lowering *and* the MAP tables of one exec plan.
 
     A capacity below MIN_MEM admits no exec plan at all; the verifier
     then degrades to the lowering-level passes — the non-executability
@@ -491,7 +562,7 @@ def verify_exec_plan(
     lo = lower_schedule(cs)
     diags += _opcode_pass(lo, ep)
     diags += _cost_pass(lo, ep)
-    # the lowering-level cost findings were already collected once
+    # the lowering-level findings were already collected once
     seen: set[tuple] = set()
     uniq = []
     for d in diags:
@@ -542,10 +613,8 @@ def debug_verify(cs, ep=None) -> None:
     if not diags:
         diags += _bijection_pass(cs, lo)
         diags += _version_pass(cs, lo)
-        diags += _cost_pass(lo, None)
-        if ep is not None:
-            diags += _opcode_pass(lo, ep)
-            diags += _cost_pass(lo, ep)
+        diags += _opcode_pass(lo, ep)
+        diags += _cost_pass(lo, ep)
     errors = [d for d in diags if d.severity >= 2]
     if errors:
         body = "; ".join(str(d) for d in errors[:5])

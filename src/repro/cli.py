@@ -478,11 +478,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="sweep: add certified-bound columns (pt_bound, "
                              "mem_bound, *_gap) to the CSV; analyze: run the "
                              "certified-bound pass (SA401-SA403)")
-    parser.add_argument("--engine", default="interpreted",
-                        choices=("interpreted", "compiled"),
-                        help="sweep: simulator engine; 'compiled' runs the "
-                             "array-compiled engine (same CSV bytes, "
-                             "faster; observed cells fall back)")
+    parser.add_argument("--engine", default="compiled",
+                        choices=("compiled", "interpreted"),
+                        help="sweep: simulator engine (default compiled, "
+                             "the array-compiled engine); 'interpreted' "
+                             "runs the reference oracle.  Both write the "
+                             "same CSV bytes; observed cells (--metrics, "
+                             "--check) always run interpreted")
     parser.add_argument("--workloads", nargs="*", default=None,
                         metavar="KEY",
                         help="sweep: workload keys of the grid "

@@ -23,12 +23,14 @@ processor's order, O(total accesses).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional, TypeVar
 
 from ..errors import NonExecutableScheduleError
 from .index import graph_index
 from .schedule import Schedule
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -37,7 +39,8 @@ class ProcessorMemoryProfile:
 
     proc: int
     perm_bytes: int
-    #: volatile object -> (first position, last position) in the order.
+    #: volatile object -> (first position, last position) in the order,
+    #: listed in first-use order (the order MAPs allocate them).
     span: dict[str, tuple[int, int]]
     #: ``mem_req[i]`` = MEM_REQ at the i-th task of the order.
     mem_req: list[int]
@@ -76,6 +79,18 @@ class MemoryProfile:
 
     schedule: Schedule
     procs: list[ProcessorMemoryProfile]
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    def memo(self, key, build: Callable[[], T]) -> T:
+        """``build()`` once per key: capacity-independent tables derived
+        from this profile (the MAP planner's, see
+        :func:`repro.core.maps.plan_maps`).  Treat results as read-only."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     @property
     def min_mem(self) -> int:

@@ -29,10 +29,14 @@ volatile space at once and notifies object addresses") whose cost the
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import accumulate
+from typing import NamedTuple, Optional
 
 from ..errors import NonExecutableScheduleError
+from .index import graph_index
 from .liveness import MemoryProfile, analyze_memory
 from .schedule import Schedule
 
@@ -145,6 +149,62 @@ class MapPlan:
         return peaks
 
 
+class _ProcTables(NamedTuple):
+    """Capacity-independent MAP-planning tables of one processor.
+
+    Positions index the processor's order.  Objects are listed twice:
+    by first use (``alloc``, in allocation order) and by last use
+    (``dead``), each with a pointer array over positions and a prefix
+    sum of sizes, so a MAP finds how far it can allocate by one
+    bisection and what it frees by one slice.
+    """
+
+    #: volatile objects in first-use order (the order MAPs allocate them)
+    alloc: list[str]
+    #: owner processor of each ``alloc`` entry (address-package target)
+    owner: list[int]
+    #: ``alloc[alloc_ptr[j]:alloc_ptr[j + 1]]`` are first used at ``j``
+    alloc_ptr: array
+    #: ``alloc_cum[j]`` = bytes of the objects first used before ``j``
+    alloc_cum: array
+    #: volatile objects bucketed by last use, ``dead_ptr`` as above
+    dead: list[str]
+    dead_ptr: array
+    #: ``dead_cum[j]`` = bytes of the objects last used before ``j``
+    dead_cum: array
+
+
+def _proc_tables(pp, size: dict[str, int], owner) -> _ProcTables:
+    n = len(pp.mem_req)
+    span = pp.span
+    alloc = list(span)  # first-use order (see ProcessorMemoryProfile.span)
+    last = {o: l for o, (_f, l) in span.items()}
+    dead = sorted(alloc, key=last.__getitem__)  # stable: ties by first use
+    a_cnt, a_sz = [0] * (n + 1), [0] * (n + 1)
+    d_cnt, d_sz = [0] * (n + 1), [0] * (n + 1)
+    for o, (f, l) in span.items():
+        sz = size[o]
+        a_cnt[f + 1] += 1
+        a_sz[f + 1] += sz
+        d_cnt[l + 1] += 1
+        d_sz[l + 1] += sz
+    # Position-indexed tables are int64 arrays: one entry per position of
+    # every processor, kept for every capacity planned.
+    return _ProcTables(
+        alloc, [owner[o] for o in alloc],
+        array("q", accumulate(a_cnt)), array("q", accumulate(a_sz)),
+        dead, array("q", accumulate(d_cnt)), array("q", accumulate(d_sz)),
+    )
+
+
+def _plan_tables(schedule: Schedule, profile: MemoryProfile) -> list[_ProcTables]:
+    size = graph_index(schedule.graph).obj_size
+    # Volatile objects have owners by definition (the liveness analysis
+    # already resolved them), so the owner map is read directly.
+    owner = schedule.placement.owner
+    return [_proc_tables(pp, size, owner) for pp in profile.procs]
+
+
 def plan_maps(
     schedule: Schedule,
     capacity: int,
@@ -156,11 +216,18 @@ def plan_maps(
     Raises :class:`~repro.errors.NonExecutableScheduleError` when the
     schedule needs more than ``capacity`` on some processor (Definition
     6; the ``inf`` entries of the paper's tables).
+
+    Only the walk below depends on the capacity.  The per-processor
+    first-use / last-use tables it reads are memoised on ``profile``, so
+    planning one schedule under many capacities builds them once.  Each
+    MAP at position ``i`` frees the objects last used since the previous
+    MAP (sorted by name) and allocates along the order while the next
+    task's first-use objects fit: every object is first used at exactly
+    one position, so that is one bisection on a prefix sum of sizes.
     """
     if profile is None:
         profile = analyze_memory(schedule)
-    g = schedule.graph
-    placement = schedule.placement
+    tables = profile.memo("map-tables", lambda: _plan_tables(schedule, profile))
     points: list[list[MapPoint]] = []
     for p, order in enumerate(schedule.orders):
         pp = profile.procs[p]
@@ -168,55 +235,37 @@ def plan_maps(
             raise NonExecutableScheduleError(p, pp.min_mem, capacity)
         budget = capacity - pp.perm_bytes  # space available for volatiles
         proc_points: list[MapPoint] = []
-        if not order:
-            points.append(proc_points)
-            continue
-        # First use of each volatile object, grouped by position.
-        first_at: dict[int, list[str]] = {}
-        for o, (f, _l) in pp.span.items():
-            first_at.setdefault(f, []).append(o)
-        size = {o: g.object(o).size for o in pp.span}
-        last = {o: pp.span[o][1] for o in pp.span}
-
-        allocated: set[str] = set()
-        used = 0
-        i = 0
+        points.append(proc_points)
         n = len(order)
+        alloc, owner, aptr, acum, dead, dptr, dcum = tables[p]
+        used = 0
+        prev = 0  # position of the previous MAP
+        i = 0
         while i < n:
-            mp = MapPoint(proc=p, position=i)
-            # 1) free volatiles dead before position i.
-            for o in sorted(allocated):
-                if last[o] < i:
-                    allocated.discard(o)
-                    used -= size[o]
-                    mp.frees.append(o)
+            # 1) free volatiles last used since the previous MAP.
+            frees = sorted(dead[dptr[prev]:dptr[i]])
+            used -= dcum[i] - dcum[prev]
             # 2) allocate forward along the chain until the next task no
-            #    longer fits.
-            j = i
-            while j < n:
-                need = [
-                    o
-                    for o in first_at.get(j, ())
-                    if o not in allocated
-                ]
-                extra = sum(size[o] for o in need)
-                if used + extra > budget:
-                    break
-                for o in need:
-                    allocated.add(o)
-                    used += size[o]
-                    mp.allocs.append(o)
-                    owner = placement[o]
-                    mp.notifications.setdefault(owner, []).append(o)
-                j += 1
-            if j == i:
+            #    longer fits: the largest j with acum[j] - acum[i] fitting.
+            j = min(bisect_right(acum, budget - used + acum[i], i) - 1, n)
+            if j <= i:
                 # Even the next task does not fit — contradicts the
                 # MIN_MEM check above; defensive.
                 raise NonExecutableScheduleError(p, pp.mem_req[i], capacity)
-            mp.covers_through = j - 1
-            proc_points.append(mp)
-            i = j
-        points.append(proc_points)
+            used += acum[j] - acum[i]
+            lo, hi = aptr[i], aptr[j]
+            notifications: dict[int, list[str]] = {}
+            for k in range(lo, hi):
+                dst = notifications.get(owner[k])
+                if dst is None:
+                    notifications[owner[k]] = [alloc[k]]
+                else:
+                    dst.append(alloc[k])
+            proc_points.append(MapPoint(
+                proc=p, position=i, frees=frees, allocs=alloc[lo:hi],
+                notifications=notifications, covers_through=j - 1,
+            ))
+            prev, i = i, j
     return MapPlan(schedule=schedule, capacity=capacity, points=points, profile=profile)
 
 

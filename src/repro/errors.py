@@ -29,6 +29,24 @@ class CycleError(GraphError):
         super().__init__(msg)
 
 
+class GraphValueError(GraphError, ValueError):
+    """A task or data object field holds a value no engine can run.
+
+    A NaN, infinite or negative :attr:`~repro.graph.tasks.Task.weight`
+    and a negative :attr:`~repro.graph.objects.DataObject.size` are
+    rejected at construction; left in, a NaN weight schedules a
+    simulator event in the past and an infinite one runs silently to an
+    infinite parallel time.  Subclasses :class:`ValueError` too, so
+    ``except ValueError`` keeps catching it.
+    """
+
+    def __init__(self, owner: str, field: str, value, want: str):
+        self.owner = owner
+        self.field = field
+        self.value = value
+        super().__init__(f"{owner}: {field} = {value!r}: must be {want}")
+
+
 class DependenceError(GraphError):
     """The transformed graph is not dependence-complete.
 

@@ -99,7 +99,12 @@ def grid_fingerprint(
 
     Two sweeps share a checkpoint iff their fingerprints match; ``jobs``
     and the runtime policy are deliberately excluded (they change how
-    the grid is executed, never what a cell's record contains).
+    the grid is executed, never what a cell's record contains).  So is
+    ``engine`` unless ``engine_stats`` is set: the engines agree exactly,
+    and only the ``engine_used`` column tells them apart.  Without
+    ``engine_stats`` the engine is hashed as ``"interpreted"``, the old
+    default, so journals written before the compiled engine became the
+    default keep their fingerprint and still resume.
     ``engine_stats`` and ``bounds`` shape records (they fill opt-in
     columns), and ``harness_faults`` (a
     :class:`~repro.experiments.runtime.HarnessFaultSpec` or ``None``)
@@ -118,7 +123,7 @@ def grid_fingerprint(
         "metrics": bool(metrics),
         "check": bool(check),
         "analyze": bool(analyze),
-        "engine": engine,
+        "engine": engine if engine_stats else "interpreted",
         "engine_stats": bool(engine_stats),
         "bounds": bool(bounds),
         "harness_faults": (

@@ -251,14 +251,14 @@ class ExperimentContext:
         """The RCP schedule's TOT — the 100% reference of section 5.1."""
         return self.profile(key, p, "rcp").tot
 
-    def baseline_pt(self, key: str, p: int, engine: str = "interpreted") -> float:
+    def baseline_pt(self, key: str, p: int, engine: str = "compiled") -> float:
         """Parallel time of the RCP schedule, 100% memory, no memory
         management (the comparison base of Tables 2/3).
 
-        Cached per engine: the engines agree exactly (the differential
-        suite asserts it), but keeping the cache keys separate means a
-        mixed-engine session never hides a disagreement."""
-        ck = (key, p, engine)
+        Cached per (workload, procs): the engines agree exactly (the
+        differential suite asserts it), so ``engine`` only picks which
+        one computes the first value."""
+        ck = (key, p)
         if ck not in self._baseline_pt:
             res = Simulator(
                 spec=self.spec,
@@ -333,7 +333,7 @@ class ExperimentContext:
         collect_metrics: bool = False,
         collect_check: bool = False,
         collect_analysis: bool = False,
-        engine: str = "interpreted",
+        engine: str = "compiled",
         collect_engine: bool = False,
         collect_bounds: bool = False,
     ) -> CellMetrics:
@@ -354,9 +354,11 @@ class ExperimentContext:
         are cached separately so mixing them never reuses the wrong run.
 
         ``engine`` selects the simulator engine (see
-        :class:`~repro.machine.simulator.Simulator`); metric/check cells
-        are observed runs and therefore fall back to the interpreted
-        engine regardless of the requested value.
+        :class:`~repro.machine.simulator.Simulator`): the array-compiled
+        engine by default, or ``"interpreted"`` for the reference
+        oracle; both give identical cells.  Metric/check cells are
+        observed runs and therefore fall back to the interpreted engine
+        regardless of the requested value.
 
         ``collect_engine=True`` records which engine actually executed
         the cell (``engine_used``) and the fallback reason of a
@@ -379,7 +381,10 @@ class ExperimentContext:
         capacity = int(math.floor(tot * fraction))
         cap_arg = capacity if merge_capacity else None
         prof = self.profile(key, p, heuristic, cap_arg)
-        base = self.baseline_pt(key, p, engine)
+        # An observed cell runs interpreted; its baseline does too, so
+        # the schedule builds one engine's tables (the value is equal).
+        observed = collect_metrics or collect_check
+        base = self.baseline_pt(key, p, "interpreted" if observed else engine)
         cell = CellMetrics(
             executable=prof.min_mem <= capacity, capacity=capacity,
             min_mem=prof.min_mem, tot=tot,

@@ -224,7 +224,7 @@ def full_sweep(
     metrics: bool = False,
     check: bool = False,
     analyze: bool = False,
-    engine: str = "interpreted",
+    engine: str = "compiled",
     engine_stats: bool = False,
     bounds: bool = False,
     runtime=None,
@@ -275,11 +275,12 @@ def full_sweep(
     (``analysis_errors``, the bounds) keep real values.
 
     ``engine`` selects the simulator engine for every cell (see
-    :class:`~repro.machine.simulator.Simulator`).  The engines agree
-    exactly on all record fields — ``engine="compiled"`` produces CSV
-    byte-identical to the interpreted sweep, only faster; cells that
-    must run observed (``metrics``/``check``) fall back to the
-    interpreted engine per the fallback contract.
+    :class:`~repro.machine.simulator.Simulator`): the array-compiled
+    engine by default, ``"interpreted"`` for the reference oracle.  The
+    engines agree exactly on all record fields — both produce
+    byte-identical CSV, the compiled engine faster; cells that must run
+    observed (``metrics``/``check``) fall back to the interpreted engine
+    per the fallback contract.
 
     A serial (``jobs=1``) or single-group sweep runs in this process.
     Every other sweep — ``jobs > 1``, or any of ``runtime`` (a

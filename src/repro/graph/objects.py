@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from ..errors import GraphValueError
+
 
 class AccessMode(Enum):
     """How a task touches a data object."""
@@ -55,7 +57,9 @@ class DataObject:
         if not self.name:
             raise ValueError("data object name must be non-empty")
         if self.size < 0:
-            raise ValueError(f"data object {self.name!r} has negative size {self.size}")
+            raise GraphValueError(
+                f"data object {self.name!r}", "size", self.size, "non-negative"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DataObject({self.name!r}, size={self.size})"

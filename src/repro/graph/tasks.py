@@ -19,8 +19,11 @@ Tasks may carry:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+from ..errors import GraphValueError
 
 
 #: Signature of a numeric kernel: ``kernel(store)`` where ``store`` maps
@@ -62,8 +65,11 @@ class Task:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("task name must be non-empty")
-        if self.weight < 0:
-            raise ValueError(f"task {self.name!r} has negative weight {self.weight}")
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise GraphValueError(
+                f"task {self.name!r}", "weight", self.weight,
+                "finite and non-negative",
+            )
         # Normalise to tuples so Task stays hashable even when callers
         # pass lists.
         if not isinstance(self.reads, tuple):

@@ -1,4 +1,4 @@
-"""Array-compiled execution engine (ROADMAP item 1).
+"""Array-compiled execution engine, the default engine of :class:`Simulator`.
 
 This module lowers a :class:`~repro.machine.simulator.CompiledSchedule`
 — tasks, MAP points, address slots and the five-state protocol of
@@ -6,49 +6,62 @@ Definitions 3–6 — into int-indexed list tables and executes them with
 a flat event queue, replacing the per-event Python objects of the
 interpreted engine with integer codes and scalar state vectors.
 
-Table layouts
--------------
+Table levels
+------------
 
-Lowering (:func:`lower_schedule`, capacity/spec-independent, memoised on
-the ``CompiledSchedule``) enumerates every entity as a small integer:
+RAPID's inspector runs once and its executor many times (PAPER.md,
+Figure 1).  The tables are split by what they depend on, so each is
+built once at its level and shared below it:
 
-``tid``
-    task id = position in the flattened processor orders;
-    ``proc_start`` (an offset list, one entry per processor plus a
-    sentinel) maps a processor to its contiguous tid range.
-``oid`` / ``uid``
-    object and producer-unit ids (``TaskGraph.object_index`` order).
+**Once per mapping** (:class:`MappingLowering`, memoised on the
+:class:`~repro.core.index.MappingIndex` of the placement and
+assignment, so RCP, MPO and DTS at one P share one copy).  Tasks are
+numbered by their :class:`~repro.core.index.GraphIndex` id (``tid``,
+program order); objects by ``oid`` (sorted names); a producer unit by
+the tid of its first task.
+
 ``mk``
     a *data message key* ``(dest, object, unit)``; carries a CSR waiter
     list (``wait_ptr``/``wait_tid``), an initial stale-copy counter
-    (``need0``) and a group id ``grp`` linking the versions of one
+    (``mk_need0``) and a group id ``grp_of`` linking the versions of one
     ``(dest, object)`` pair for the consistency checks.
 ``sk``
-    a *sync key* ``(unit-task, dest)`` with its own waiter CSR.
+    a *sync key* ``(task, dest)`` with its own waiter CSR.
 ``ak``
     an *address-knowledge key* ``(owner, object, dest)``; the sender
     side consults a flat byte vector instead of per-processor sets.
-``od`` / ``os``
-    outgoing data / sync message slots, CSR-indexed per trigger task
-    (``od_ptr`` etc.), holding the target ``mk``/``sk``/``ak`` ids and
-    per-spec precomputed network times.
+``od`` / ``os`` / ``cons``
+    outgoing data / outgoing sync / consumed message keys, CSR rows per
+    tid (``od_ptr`` etc.).  A unit's data messages sit in the row of
+    its first task.  Per-spec network times (:meth:`MappingLowering
+    .costs`) are memoised here too.
 
-Execution plans (:func:`get_exec_plan`) are additionally keyed by
-``(capacity, spec, memory_managed, preknown)`` and compile each
-processor's order + MAP plan into a *step program* of index tuples
-into the lowering:
+**Once per schedule** (:class:`LoweredSchedule`, memoised on the
+``CompiledSchedule``).  A *position* ``pos`` numbers the flattened
+processor orders; ``proc_start`` maps a processor to its contiguous
+position range and ``tid_at[pos]`` to the task.  The schedule adds
+the order-contiguous ``weight`` list (and its numpy copy ``warr`` when
+some silent run is long enough for the numpy kernel), the
+commuting-group triggers (``od_row``: the tid row whose data messages
+the task at a tid sends), the dispatch-version flags ``od_ok0`` /
+``od_ow`` and ``run_end``.  A task is *noisy* when it has remote
+inputs, outgoing messages or consumptions, else *silent*; a maximal run
+of silent tasks executes in one kernel call, and ``run_end[pos]`` is the
+end of the run starting at ``pos`` (``-1`` at a noisy task).  Unknown
+attributes of a ``LoweredSchedule`` read through to its mapping tables
+(``lo.od_ptr is lo.mapping.od_ptr``).
+The MAP planner's capacity-independent tables are memoised per
+schedule as well, on the :class:`~repro.core.liveness.MemoryProfile`.
 
-``(SEG, first, end, vec)``
-    a maximal run of *silent* tids ``first..end-1`` (no remote inputs,
-    no outgoing messages, no consumptions, no MAP between); ``vec`` is
-    ``None`` below :data:`_SEG_VEC_MIN` tasks, else the numpy kernel's
-    ``(weights, scratch, scratch)`` with ``weights == weight[first:end]``.
-``(TASK, tid)``
-    one message-bearing task; its weight and ``od``/``os``/``cons``
-    ranges are read from the lowering.
-``(MAP, cost, free_lo, free_hi, alloc_lo, alloc_hi, pkg_lo, pkg_hi)``
-    frees/allocs/packages with the exact interpreted cost expression,
-    as ranges into the plan's own MAP tables.
+**Per cell** (:class:`ExecPlan`, the last :data:`MAX_EXEC_PLANS`
+memoised per ``(capacity, spec, memory_managed, preknown)``): only the
+MAPs.  ``map_pos`` lists each
+processor's MAP positions followed by a sentinel at the end of its
+order (``map_first[q]`` is its first entry); per MAP ``map_cost`` and
+CSR ranges into its frees (``mf_oid``/``mf_grp``), allocations
+(``ma_oid``) and address packages (``pkg_*``).  An exec plan's size
+scales with the MAPs, not the tasks.  The run loop walks positions and
+cuts a silent run at ``min(run_end[pos], next MAP position)``.
 
 Events are 3-tuples ``(time, seq, code)`` where ``code`` packs
 ``kind << 44 | arg``.
@@ -78,39 +91,40 @@ make that possible:
   intervening seq-bearing pushes.  Ties (``f >= heap-min``) always go
   through the heap.
 
-A silent segment applies the same rule task by task: one checked
-kernel per run size (``_seg_until_hot`` over ``weight``,
-``_seg_until_vec`` over ``vec``) executes tasks until the first finish
-at or past the horizon.  ``*_hot`` functions are kept free of
-per-event Python allocation by ``tools/lint_rules.py``
-(``compiled-hot-alloc``).
+A silent run applies the same rule task by task: one checked kernel per
+run size (``_seg_until_hot`` over ``weight``, ``_seg_until_vec`` over
+``warr``) executes tasks until the first finish at or past the horizon.
+``*_hot`` functions are kept free of per-event Python allocation by
+``tools/lint_rules.py`` (``compiled-hot-alloc``).
 
 Static dispatch-version flags replace the interpreted engine's dynamic
 ``current_version`` dict: under the owner-compute rule every writer of
 an object runs on the dispatching processor, so an order scan computes
 each message's version validity at trigger time (``od_ok0``) plus the
 first later overwrite position (``od_ow``) that could invalidate a
-*suspended* send drained after more local tasks completed.  Lowering
-therefore requires an owner-compute assignment and non-negative task
-weights, and raises :class:`~repro.errors.SimulationError` otherwise.
+*suspended* send drained after more local tasks completed.  A
+``CompiledSchedule`` only exists for owner-compute assignments, and task
+weights are finite and non-negative by construction
+(:class:`~repro.errors.GraphValueError`).
 
-Fallback conditions
--------------------
+Fallback contract
+-----------------
 
-``Simulator.run`` routes to this engine only for fault-free,
-unobserved runs (no metrics/trace/instrument, no fault injection, no
-caller-supplied MAP plan) — everything else falls back to the
-interpreted oracle explicitly and is recorded in ``SimResult.engine``.
-Negative or non-finite costs never reach either engine:
-:class:`~repro.machine.spec.MachineSpec` rejects them.
+``Simulator.run`` runs this engine for every fault-free, unobserved run,
+including one with a caller-supplied :class:`~repro.core.maps.MapPlan`:
+that plan gets an uncached exec plan built from it.  Runs with
+``metrics``, ``trace``, an enabled instrument or active fault injection
+fall back to the interpreted oracle explicitly, and ``SimResult.engine``
+/ ``SimResult.fallback_reason`` record it.  Negative or non-finite costs
+never reach either engine: :class:`~repro.machine.spec.MachineSpec`
+rejects them.
 
-Implementation note: every lowered table is one plain Python list,
-because scalar list indexing is several times faster than per-element
-numpy indexing under CPython.  The run loop and the IR verifier
-(:mod:`repro.analysis.irverify`) read the same list objects, and the
-step programs hold only tids into them, so a verified table is the
-table that runs.  numpy appears only in the ``vec`` of long silent
-runs (:func:`_seg_step`, :func:`_seg_until_vec`), whose kernel is
+Implementation note: every table is one plain Python list, because
+scalar list indexing is several times faster than per-element numpy
+indexing under CPython.  The run loop and the IR verifier
+(:mod:`repro.analysis.irverify`) read the same list objects, so a
+verified table is the table that runs.  numpy appears only in the
+``warr`` kernel of long silent runs (:func:`_seg_until_vec`), which is
 bit-identical to the Python loop and selected by run length.
 """
 
@@ -119,12 +133,12 @@ from __future__ import annotations
 import heapq
 import os
 from time import perf_counter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
+from ..core.index import graph_index, mapping_index
 from ..core.maps import maps_by_position
-from ..core.placement import validate_owner_compute
 from ..errors import (
     DataConsistencyError,
     DeadlockError,
@@ -136,6 +150,7 @@ from .spec import MachineSpec
 __all__ = [
     "ExecPlan",
     "LoweredSchedule",
+    "MappingLowering",
     "get_exec_plan",
     "lower_schedule",
     "run_compiled",
@@ -144,9 +159,6 @@ __all__ = [
 # Processor states (ints; same meaning as simulator.ProcState).
 _REC, _EXE, _SND, _MAP, _END, _DONE = 0, 1, 2, 3, 4, 5
 _STATE_NAMES = ("REC", "EXE", "SND", "MAP", "END", "DONE")
-
-# Step opcodes.
-_SEG_OP, _TASK_OP, _MAP_OP = 0, 1, 2
 
 # Event codes: code = kind << 44 | arg (args are entity ids < 2**44).
 _SHIFT = 44
@@ -161,61 +173,335 @@ _INF = float("inf")
 _NEG_INF = float("-inf")
 _NO_OVERWRITE = 1 << 60  # od_ow sentinel: no later local overwrite
 
+#: Exec plans kept per schedule (least recently used evicted).  A sweep
+#: runs each capacity of a schedule once, so keeping every plan would
+#: only hold a second copy of each cell's MAPs next to its ``MapPlan``.
+MAX_EXEC_PLANS = 2
 
-class LoweredSchedule:
-    """List-table IR of one compiled schedule (spec/capacity-free).
+class _GraphIds(NamedTuple):
+    """Graph-only id tables (memoised on the :class:`GraphIndex`)."""
 
-    Built once per :class:`~repro.machine.simulator.CompiledSchedule`
-    by :func:`lower_schedule`.  Each table is stored once, as the list
-    the run loop indexes (see module docstring).  Name-level strings
-    are kept only per unit (``mk_uname``/``od_uname``); cold-path
-    diagnostics rebuild object names as ``obj_name[oid]`` and keep the
-    name-level index dicts (``mk_index``/``sk_index``) so deadlock
-    reports match the interpreted engine verbatim.
+    #: tid -> task name (``GraphIndex.names``)
+    names: list[str]
+    #: object name -> oid (position in the sorted object names)
+    oid_of: dict[str, int]
+    #: tid -> its producer unit (the tid of the unit's first task)
+    unit_of: list[int]
+    #: unit -> its name (commuting-group key or task name), by unit tid
+    unit_name: list[str]
+    #: multi-task commuting units: first tid -> member tids
+    groups: dict[int, list[int]]
+    #: tid -> oids it writes
+    writes: list[tuple[int, ...]]
+    #: every edge ``u -> v`` in ``successor_map`` order, as parallel
+    #: lists of tids and the sorted oids it carries (``()``: sync edge)
+    edge_u: list[int]
+    edge_v: list[int]
+    edge_objs: list[tuple[int, ...]]
+
+
+def _graph_ids(g, gi) -> _GraphIds:
+    oid_of = {n: i for i, n in enumerate(gi.object_names)}
+    tid = gi.tid
+    n = len(gi.names)
+    unit_of = list(range(n))
+    unit_name = list(gi.names)
+    first: dict[str, int] = {}
+    members: dict[int, list[int]] = {}
+    writes: list[tuple[int, ...]] = []
+    for i, t in enumerate(g.tasks()):
+        if t.commute is not None:
+            u = first.setdefault(t.commute, i)
+            unit_of[i] = u
+            unit_name[u] = t.commute
+            members.setdefault(u, []).append(i)
+        writes.append(tuple(oid_of[m] for m in t.writes))
+    groups = {u: ms for u, ms in members.items() if len(ms) > 1}
+    edge_u: list[int] = []
+    edge_v: list[int] = []
+    edge_objs: list[tuple[int, ...]] = []
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for uname, inner in g.successor_map().items():
+        u = tid[uname]
+        for vname, objs in inner.items():
+            edge_u.append(u)
+            edge_v.append(tid[vname])
+            # oids follow sorted names, so this is the interpreted
+            # engine's sorted(objs) send order
+            key = tuple(sorted(oid_of[m] for m in objs))
+            edge_objs.append(shared.setdefault(key, key))
+    return _GraphIds(gi.names, oid_of, unit_of, unit_name, groups, writes,
+                     edge_u, edge_v, edge_objs)
+
+
+class MappingLowering:
+    """Order-independent list tables of one mapping (tid space).
+
+    Built once per :class:`~repro.core.index.MappingIndex` by
+    :func:`lower_schedule`; see the module docstring for the id spaces.
     """
 
     __slots__ = (
         "num_procs", "num_tasks", "num_objects", "num_mk", "num_sk",
         "num_ak", "num_grp",
-        "proc_start", "task_name", "weight", "pending0",
+        "pending0", "noisy",
         "od_ptr", "od_mk", "od_ak", "od_dest", "od_oid", "od_nbytes",
-        "od_uname", "od_ok0", "od_ow",
+        "od_unit", "od_uname",
         "os_ptr", "os_sk", "cons_ptr", "cons_mk",
         "mk_dest", "mk_oid", "mk_need0", "mk_uname",
         "wait_ptr", "wait_tid", "grp_of", "grp_ptr", "grp_mk",
-        "sk_dest", "swait_ptr", "swait_tid",
-        "ak_index", "mk_index", "sk_index", "grp_index",
-        "obj_name", "obj_size",
-        "span_oids", "perm_bytes", "writes_by_po",
+        "sk_src", "sk_dest", "swait_ptr", "swait_tid",
+        # int-keyed: (owner * num_objects + oid) * num_procs + dest, and
+        # dest * num_objects + oid
+        "ak_index", "grp_index",
+        "obj_name", "obj_size", "ids", "_costs",
     )
+
+    def costs(self, spec: MachineSpec) -> tuple[list[float], list[float]]:
+        """Per-message ``(network time, NIC serialisation time)`` under
+        ``spec``, with the interpreted engine's exact expressions."""
+        c = self._costs.get(spec)
+        if c is None:
+            c = self._costs[spec] = (
+                [spec.message_time(nb) for nb in self.od_nbytes],
+                [nb * spec.byte_time for nb in self.od_nbytes],
+            )
+        return c
+
+
+def _csr(rows: dict[int, list[int]], n: int) -> tuple[list[int], list[int]]:
+    """CSR of ``rows`` (row -> entries; absent rows are empty) over
+    rows ``0..n-1``."""
+    ptr = [0]
+    idx: list[int] = []
+    for i in range(n):
+        r = rows.get(i)
+        if r is None:
+            ptr.append(ptr[-1])  # most rows are empty: share the int
+        else:
+            idx += r
+            ptr.append(len(idx))
+    return ptr, idx
+
+
+def _lower_mapping(g, gi, mi) -> MappingLowering:
+    """Messages, receiver requirements and waiters of every
+    cross-processor edge, from the graph's edge lists in tid space."""
+    ids = gi.memo("compiled-ids", lambda: _graph_ids(g, gi))
+    unit_of, unit_name, groups = ids.unit_of, ids.unit_name, ids.groups
+    proc, size = mi.proc, gi.obj_size
+    n = len(gi.names)
+    nobj = len(ids.oid_of)
+    mk_of: dict[int, int] = {}  # (dest * nobj + oid) * n + unit -> mk
+    mk_dest: list[int] = []
+    mk_oid: list[int] = []
+    mk_unit: list[int] = []
+    mk_need0: list[int] = []
+    waiters: list[list[int]] = []
+    waited: set[tuple[int, int]] = set()  # (mk, reader), commuting units
+    sk_of: dict[int, int] = {}  # task * P + dest -> sk
+    sk_src: list[int] = []
+    sk_dest: list[int] = []
+    swaiters: list[list[int]] = []
+    od_rows: dict[int, list[int]] = {}  # unit -> mks it sends
+    os_rows: dict[int, list[int]] = {}
+    cons_rows: dict[int, list[int]] = {}
+    pending0 = [0] * n
+    nprocs = mi.num_procs
+    lowered = 0
+    for u, v, objs in zip(ids.edge_u, ids.edge_v, ids.edge_objs):
+        pu, pv = proc[u], proc[v]
+        if pu == pv:
+            continue
+        lowered += 1
+        if objs:
+            # The payload of a commuting group is its accumulated result:
+            # one message per (object, group, destination), issued when
+            # the group's last local task finishes.
+            unit = unit_of[u]
+            shared = unit in groups  # members may share readers
+            cons = cons_rows.get(v)
+            if cons is None:
+                cons = cons_rows[v] = []
+            for o in objs:
+                key = (pv * nobj + o) * n + unit
+                mk = mk_of.get(key)
+                if mk is None:
+                    mk = mk_of[key] = len(mk_dest)
+                    mk_dest.append(pv)
+                    mk_oid.append(o)
+                    mk_unit.append(unit)
+                    mk_need0.append(0)
+                    waiters.append([])
+                    row = od_rows.get(unit)
+                    if row is None:
+                        od_rows[unit] = [mk]
+                    else:
+                        row.append(mk)
+                # A single-task unit reaches each (mk, reader) once.
+                if not shared or (mk, v) not in waited:
+                    if shared:
+                        waited.add((mk, v))
+                    waiters[mk].append(v)
+                    pending0[v] += 1
+                mk_need0[mk] += 1
+                cons.append(mk)
+        else:
+            # Synchronisation edges are member-specific (they encode a
+            # transformed anti/output dependence from one task).
+            key = u * nprocs + pv
+            sk = sk_of.get(key)
+            if sk is None:
+                sk = sk_of[key] = len(sk_dest)
+                sk_src.append(u)
+                sk_dest.append(pv)
+                swaiters.append([])
+                row = os_rows.get(u)
+                if row is None:
+                    os_rows[u] = [sk]
+                else:
+                    row.append(sk)
+            swaiters[sk].append(v)
+            pending0[v] += 1
+    # Cross-check against the GraphIndex rows: every cross-processor
+    # edge must have been lowered to a data message or a sync waiter.
+    cross = sum(
+        1 for u, row in enumerate(gi.succ) for v, _nb in row
+        if proc[v] != proc[u]
+    )
+    if cross != lowered:
+        raise SimulationError(
+            f"lowering holds {lowered} of the graph's {cross} "
+            "cross-processor edges"
+        )
+
+    ml = MappingLowering()
+    ml.ids = ids
+    ml.num_procs = nprocs
+    ml.num_tasks = n
+    ml.num_objects = nobj
+    ml.obj_name = list(gi.object_names)
+    ml.obj_size = [size[m] for m in ml.obj_name]
+    ml.pending0 = pending0
+    ml.num_mk, ml.num_sk = len(mk_dest), len(sk_dest)
+    ml.mk_dest, ml.mk_oid, ml.mk_need0 = mk_dest, mk_oid, mk_need0
+    ml.mk_uname = [unit_name[u] for u in mk_unit]
+    ml.wait_ptr, ml.wait_tid = _csr(dict(enumerate(waiters)), len(waiters))
+    ml.sk_src, ml.sk_dest = sk_src, sk_dest
+    ml.swait_ptr, ml.swait_tid = _csr(dict(enumerate(swaiters)),
+                                      len(swaiters))
+    ml.os_ptr, ml.os_sk = _csr(os_rows, n)
+    ml.cons_ptr, ml.cons_mk = _csr(cons_rows, n)
+    # Versions of one (dest, object) pair form a group.
+    grp_index: dict[int, int] = {}
+    grp_rows: list[list[int]] = []
+    grp_of: list[int] = []
+    for mk in range(len(mk_dest)):
+        gkey = mk_dest[mk] * nobj + mk_oid[mk]
+        gid = grp_index.get(gkey)
+        if gid is None:
+            gid = grp_index[gkey] = len(grp_rows)
+            grp_rows.append([])
+        grp_rows[gid].append(mk)
+        grp_of.append(gid)
+    ml.num_grp, ml.grp_of = len(grp_rows), grp_of
+    ml.grp_ptr, ml.grp_mk = _csr(dict(enumerate(grp_rows)), len(grp_rows))
+    # Outgoing data: one od slot per mk, in the row of its unit.
+    ml.od_ptr, ml.od_mk = _csr(od_rows, n)
+    ml.od_dest = [mk_dest[mk] for mk in ml.od_mk]
+    ml.od_oid = [mk_oid[mk] for mk in ml.od_mk]
+    ml.od_unit = [mk_unit[mk] for mk in ml.od_mk]
+    ml.od_uname = [unit_name[u] for u in ml.od_unit]
+    ml.od_nbytes = [ml.obj_size[o] for o in ml.od_oid]
+    ak_index: dict[int, int] = {}
+    od_ak: list[int] = []
+    for mk, o, dest in zip(ml.od_mk, ml.od_oid, ml.od_dest):
+        akey = (proc[mk_unit[mk]] * nobj + o) * nprocs + dest
+        ak = ak_index.get(akey)
+        if ak is None:
+            ak = ak_index[akey] = len(ak_index)
+        od_ak.append(ak)
+    ml.num_ak, ml.od_ak = len(ak_index), od_ak
+    ml.ak_index, ml.grp_index = ak_index, grp_index
+    odp, osp, cp = ml.od_ptr, ml.os_ptr, ml.cons_ptr
+    ml.noisy = [
+        pending0[i] > 0 or odp[i] != odp[i + 1] or osp[i] != osp[i + 1]
+        or cp[i] != cp[i + 1]
+        for i in range(n)
+    ]
+    ml._costs = {}
+    return ml
+
+
+class LoweredSchedule:
+    """Per-schedule list tables in position space (see module docstring).
+
+    Built once per :class:`~repro.machine.simulator.CompiledSchedule`
+    by :func:`lower_schedule`.  Attributes not set here — the message,
+    sync, address and group tables — read through to :attr:`mapping`,
+    the shared :class:`MappingLowering`.
+    """
+
+    __slots__ = (
+        "mapping", "num_tasks", "proc_start", "tid_at", "task_name",
+        "weight", "warr", "max_run", "run_end", "od_row", "od_ok0",
+        "od_ow", "perm_bytes",
+    )
+
+    def __getattr__(self, name):
+        if name.startswith("__") or name == "mapping":
+            raise AttributeError(name)
+        if name == "task_name":  # diagnostics only: built on first use
+            names = self.mapping.ids.names
+            self.task_name = [names[i] for i in self.tid_at]
+            return self.task_name
+        return getattr(self.mapping, name)
+
+    def version_at(self, q: int, oid: int, done: int) -> Optional[str]:
+        """Unit name of the last write of ``oid`` among the first
+        ``done`` positions of processor ``q``'s order (what the
+        interpreted engine's ``current_version`` holds then)."""
+        ids = self.mapping.ids
+        last = None
+        for pos in range(self.proc_start[q], self.proc_start[q] + done):
+            tid = self.tid_at[pos]
+            if oid in ids.writes[tid]:
+                last = ids.unit_name[ids.unit_of[tid]]
+        return last
 
 
 class ExecPlan:
-    """Executable step programs for one (capacity, spec, mode) tuple.
+    """MAP tables of one (capacity, spec, mode) tuple.
 
-    Holds the per-processor ``SEG``/``TASK``/``MAP`` step lists (step
-    boundaries as tids into the :class:`LoweredSchedule`, which alone
-    holds weights and message ranges; see module docstring), the
-    lowered MAP actions (free/alloc oids, package table) and every
-    spec-dependent cost precomputed with the interpreted engine's exact
-    float expressions.  Cached on the owning ``CompiledSchedule`` under
-    ``(capacity, spec, memory_managed, preknown)``.
+    Holds each processor's MAP positions (as positions of the
+    :class:`LoweredSchedule`, plus one end-of-order sentinel each), the
+    lowered MAP actions with their costs (the interpreted engine's exact
+    float expressions; a package's cost is computed when it is sent,
+    like there) and the mapping's per-spec message costs.  Its size
+    scales with the MAPs, not the tasks.  The last
+    :data:`MAX_EXEC_PLANS` are cached on the owning ``CompiledSchedule``
+    under ``(capacity, spec, memory_managed, preknown)``; a
+    caller-supplied MAP plan gets an uncached one.
     """
 
     __slots__ = (
         "capacity", "spec", "memory_managed", "preknown", "managed_check",
-        "steps",
-        "mf_oid", "mf_grp", "ma_oid",
-        "pkg_src", "pkg_dst", "pkg_cost", "pkg_objs",
+        "known_all",
+        "map_first", "map_pos", "map_cost",
+        "mf_ptr", "mf_oid", "mf_grp", "ma_ptr", "ma_oid", "mp_ptr",
+        "pkg_src", "pkg_dst", "pkg_objs",
         "pkg_ak_ptr", "pkg_ak",
         "od_net", "od_nic",
         "send_oh", "put_lat", "ra_cost", "nic_serialize",
-        "known_all",
     )
 
 
 def lower_schedule(cs) -> LoweredSchedule:
-    """Lower ``cs`` to the dense IR; memoised as ``cs._lowered``."""
+    """Lower ``cs`` to the position-space IR; memoised as ``cs._lowered``.
+
+    The order-independent tables come from the mapping's shared
+    :class:`MappingLowering` (built on the first schedule of a
+    mapping); everything else here is O(tasks + messages)."""
     cs.check_fresh()
     if cs._lowered is not None:
         cs.counters["lower_hits"] += 1
@@ -224,193 +510,100 @@ def lower_schedule(cs) -> LoweredSchedule:
     _t0_lower = perf_counter()
 
     g, sched = cs.graph, cs.schedule
+    gi = graph_index(g)
+    mi = mapping_index(g, sched.placement, sched.assignment)
+    ml = mi.memo("compiled-lowering", lambda: _lower_mapping(g, gi, mi))
+    ids = ml.ids
     nprocs = cs.num_procs
-    try:
-        validate_owner_compute(g, sched.placement, sched.assignment)
-    except Exception as err:
-        raise SimulationError(
-            f"compiled engine requires an owner-compute assignment: {err}"
-        ) from err
 
     lo = LoweredSchedule()
-    lo.num_procs = nprocs
-    lo.num_objects = g.num_objects
+    lo.mapping = ml
+    tid_at, proc_start = cs.tid_at, cs.proc_start
+    n = len(tid_at)
+    lo.num_tasks = n
+    lo.proc_start, lo.tid_at = proc_start, tid_at
+    gw = gi.weight
+    weight = [gw[i] for i in tid_at]
+    lo.weight = weight
 
-    # --- tasks: tid = flattened order position -----------------------
-    proc_start = [0]
-    task_name: list[str] = []
-    proc_of: list[int] = []
+    # Commuting-group triggers: a group's data messages leave with its
+    # last task in the order, so that task takes over the row of the
+    # group's first task (other members' rows are empty).
+    od_ptr = ml.od_ptr
+    od_row = None
+    noisy = ml.noisy
+    if ids.groups:
+        pos_of = [0] * n
+        for pos, i in enumerate(tid_at):
+            pos_of[i] = pos
+        for first, members in ids.groups.items():
+            trig = max(members, key=pos_of.__getitem__)
+            if trig != first and od_ptr[first] != od_ptr[first + 1]:
+                if od_row is None:
+                    od_row = list(range(n))
+                    noisy = list(noisy)
+                od_row[first], od_row[trig] = trig, first
+                for i in (first, trig):
+                    r = od_row[i]
+                    noisy[i] = (
+                        ml.pending0[i] > 0 or od_ptr[r] != od_ptr[r + 1]
+                        or ml.os_ptr[i] != ml.os_ptr[i + 1]
+                        or ml.cons_ptr[i] != ml.cons_ptr[i + 1]
+                    )
+    lo.od_row = od_row if od_row is not None else range(n)
+
+    # One pass per processor: silent-run ends (run_end[pos] = end of the
+    # run from pos, -1 at a noisy task) and the static version timeline
+    # that replaces the interpreted current_version dict.  Every later
+    # write of a sent object belongs to another unit (a unit sends with
+    # its last task), so the first later write is the first
+    # invalidating overwrite.
+    run_end = [-1] * n
+    max_run = 0
+    od_oid, od_unit = ml.od_oid, ml.od_unit
+    od_row_of = lo.od_row
+    writes, unit_of = ids.writes, ids.unit_of
+    od_ok0 = [False] * len(ml.od_mk)
+    od_ow = [_NO_OVERWRITE] * len(ml.od_mk)
     for q in range(nprocs):
-        task_name.extend(sched.orders[q])
-        proc_of.extend([q] * (len(task_name) - proc_start[q]))
-        proc_start.append(len(task_name))
-    ntasks = len(task_name)
-    tid_of = {name: i for i, name in enumerate(task_name)}
-    weight = [float(cs.weight[t]) for t in task_name]
-    if ntasks and min(weight) < 0.0:
-        raise SimulationError(
-            "compiled engine requires non-negative task weights"
-        )
-    lo.num_tasks = ntasks
-    lo.proc_start, lo.task_name, lo.weight = proc_start, task_name, weight
-    lo.pending0 = [cs.pending0.get(t, 0) for t in task_name]
-
-    # --- objects / units ---------------------------------------------
-    oid_of = g.object_index
-    obj_name = [""] * g.num_objects
-    obj_size = [0] * g.num_objects
-    for name, oid in oid_of.items():
-        obj_name[oid] = name
-        obj_size[oid] = cs.obj_size[name]
-    lo.obj_name, lo.obj_size = obj_name, obj_size
-
-    # --- message keys (mk), groups, sync keys (sk) --------------------
-    mk_index: dict[tuple, int] = {}
-    mk_dest: list[int] = []
-    mk_oid: list[int] = []
-    mk_uname: list[str] = []
-    mk_need0: list[int] = []
-    wait_ptr = [0]
-    wait_tid: list[int] = []
-    grp_index: dict[tuple, int] = {}
-    grp_members: list[list[int]] = []
-    grp_of: list[int] = []
-    for dest in range(nprocs):
-        need0 = cs.need_count0[dest]
-        for (m, unit), waiters in cs.data_waiters[dest].items():
-            mk = len(mk_dest)
-            mk_index[(dest, m, unit)] = mk
-            mk_dest.append(dest)
-            mk_oid.append(oid_of[m])
-            mk_uname.append(unit)
-            mk_need0.append(need0[(m, unit)])
-            wait_tid.extend(tid_of[w] for w in waiters)
-            wait_ptr.append(len(wait_tid))
-            gkey = (dest, m)
-            gid = grp_index.get(gkey)
-            if gid is None:
-                gid = len(grp_members)
-                grp_index[gkey] = gid
-                grp_members.append([])
-            grp_members[gid].append(mk)
-            grp_of.append(gid)
-    grp_ptr = [0]
-    grp_mk: list[int] = []
-    for members in grp_members:
-        grp_mk.extend(members)
-        grp_ptr.append(len(grp_mk))
-
-    sk_index: dict[tuple, int] = {}
-    sk_dest: list[int] = []
-    swait_ptr = [0]
-    swait_tid: list[int] = []
-    for dest in range(nprocs):
-        for u, waiters in cs.sync_waiters[dest].items():
-            sk_index[(u, dest)] = len(sk_dest)
-            sk_dest.append(dest)
-            swait_tid.extend(tid_of[w] for w in waiters)
-            swait_ptr.append(len(swait_tid))
-
-    lo.num_mk, lo.num_sk = len(mk_dest), len(sk_dest)
-    lo.num_grp = len(grp_members)
-    lo.mk_index, lo.sk_index, lo.grp_index = mk_index, sk_index, grp_index
-    lo.mk_dest, lo.mk_oid, lo.mk_uname = mk_dest, mk_oid, mk_uname
-    lo.mk_need0, lo.wait_ptr, lo.wait_tid = mk_need0, wait_ptr, wait_tid
-    lo.grp_of, lo.grp_ptr, lo.grp_mk = grp_of, grp_ptr, grp_mk
-    lo.sk_dest, lo.swait_ptr, lo.swait_tid = sk_dest, swait_ptr, swait_tid
-
-    # --- outgoing messages (od / os CSR) + address keys (ak) ----------
-    ak_index: dict[tuple, int] = {}
-    od_ptr = [0]
-    od_mk: list[int] = []
-    od_ak: list[int] = []
-    od_dest: list[int] = []
-    od_oid: list[int] = []
-    od_nbytes: list[int] = []
-    od_uname: list[str] = []
-    os_ptr = [0]
-    os_sk: list[int] = []
-    cons_ptr = [0]
-    cons_mk: list[int] = []
-    for tid, name in enumerate(task_name):
-        src = proc_of[tid]
-        for m, unit, dest, nbytes in cs.out_data.get(name, ()):
-            akey = (src, oid_of[m], dest)
-            ak = ak_index.get(akey)
-            if ak is None:
-                ak = len(ak_index)
-                ak_index[akey] = ak
-            od_mk.append(mk_index[(dest, m, unit)])
-            od_ak.append(ak)
-            od_dest.append(dest)
-            od_oid.append(oid_of[m])
-            od_nbytes.append(nbytes)
-            od_uname.append(unit)
-        od_ptr.append(len(od_mk))
-        for u, dest in cs.out_sync.get(name, ()):
-            os_sk.append(sk_index[(u, dest)])
-        os_ptr.append(len(os_sk))
-        for m, unit in cs.consumes[name]:
-            cons_mk.append(mk_index[(src, m, unit)])
-        cons_ptr.append(len(cons_mk))
-    lo.num_ak, lo.ak_index = len(ak_index), ak_index
-    lo.od_ptr, lo.od_mk, lo.od_ak, lo.od_dest = od_ptr, od_mk, od_ak, od_dest
-    lo.od_oid, lo.od_nbytes, lo.od_uname = od_oid, od_nbytes, od_uname
-    lo.os_ptr, lo.os_sk = os_ptr, os_sk
-    lo.cons_ptr, lo.cons_mk = cons_ptr, cons_mk
-
-    # --- static version timeline (replaces current_version dict) -----
-    # writes_by_po[(q, oid)] = ordered (position, unit-name) write list.
-    writes_by_po: dict[tuple, list[tuple[int, str]]] = {}
-    od_ok0 = [False] * len(od_mk)
-    od_ow = [_NO_OVERWRITE] * len(od_mk)
-    for q in range(nprocs):
-        ver: dict[int, str] = {}
-        for pos, tid in enumerate(range(proc_start[q], proc_start[q + 1])):
-            name = task_name[tid]
-            for m, uu in cs.write_version[name]:
-                oid = oid_of[m]
-                ver[oid] = uu
-                writes_by_po.setdefault((q, oid), []).append((pos, uu))
-            for od in range(od_ptr[tid], od_ptr[tid + 1]):
-                od_ok0[od] = ver.get(od_oid[od]) == od_uname[od]
-        for pos, tid in enumerate(range(proc_start[q], proc_start[q + 1])):
-            for od in range(od_ptr[tid], od_ptr[tid + 1]):
-                req = od_uname[od]
-                for wpos, uu in writes_by_po.get((q, od_oid[od]), ()):
-                    if wpos > pos and uu != req:
-                        od_ow[od] = wpos
-                        break
-    lo.od_ok0, lo.od_ow, lo.writes_by_po = od_ok0, od_ow, writes_by_po
-
-    # --- lowering cross-check (TaskGraph.successor_map) ---------------
-    # Every cross-processor edge must have been lowered to a
-    # data-message or sync waiter above.
-    smap = g.successor_map()
-    assignment = sched.assignment
-    for name in task_name:
-        pu = assignment[name]
-        for v, objs in smap.get(name, {}).items():
-            pv = assignment[v]
-            if pu == pv:
-                continue
-            if objs:
-                unit = cs.pid(name)
-                for m in objs:
-                    if (pv, m, unit) not in mk_index:
-                        raise SimulationError(
-                            f"lowering lost data edge {name}->{v} ({m!r})"
-                        )
-            elif (name, pv) not in sk_index:
-                raise SimulationError(
-                    f"lowering lost sync edge {name}->{v}"
-                )
-
-    # --- per-processor memory constants -------------------------------
-    lo.span_oids = [
-        [oid_of[m] for m in cs.profile.procs[q].span] for q in range(nprocs)
-    ]
-    lo.perm_bytes = list(cs.perm_bytes)
+        start, end = proc_start[q], proc_start[q + 1]
+        ver: dict[int, int] = {}
+        waiting: dict[int, list[int]] = {}  # oid -> ods sent, no overwrite yet
+        run = start
+        for pos in range(start, end):
+            i = tid_at[pos]
+            for o in writes[i]:
+                ver[o] = unit_of[i]
+                ods = waiting.pop(o, None)
+                if ods is not None:
+                    for od in ods:
+                        od_ow[od] = pos
+            if noisy[i]:
+                if pos > run:
+                    run_end[run:pos] = [pos] * (pos - run)
+                    if pos - run > max_run:
+                        max_run = pos - run
+                run = pos + 1
+                r = od_row_of[i]
+                for od in range(od_ptr[r], od_ptr[r + 1]):
+                    o = od_oid[od]
+                    od_ok0[od] = ver.get(o) == od_unit[od]
+                    ods = waiting.get(o)
+                    if ods is None:
+                        waiting[o] = [od]
+                    else:
+                        ods.append(od)
+        if end > run:
+            run_end[run:end] = [end] * (end - run)
+            if end - run > max_run:
+                max_run = end - run
+    lo.run_end, lo.max_run = run_end, max_run
+    lo.od_ok0, lo.od_ow = od_ok0, od_ow
+    lo.warr = (
+        np.asarray(weight, dtype=np.float64)
+        if max_run >= _SEG_VEC_MIN else None
+    )
+    lo.perm_bytes = cs.perm_bytes
 
     cs.counters["lower_s"] += perf_counter() - _t0_lower
     cs._lowered = lo
@@ -423,51 +616,16 @@ def lower_schedule(cs) -> LoweredSchedule:
     return lo
 
 
-#: Segment length from which the numpy kernel beats the Python loop.
+#: Run length from which the numpy kernel beats the Python loop.
 #: ``np.add.accumulate`` is an element-recursive left fold — the exact
 #: addition sequence of the Python kernel — so both paths are
 #: bit-identical and the switch is purely a speed decision.
 _SEG_VEC_MIN = 64
 
 
-def _seg_step(weight: list[float], first: int, end: int) -> tuple:
-    """SEG step over silent tids ``first..end-1``.  From
-    :data:`_SEG_VEC_MIN` tasks its ``vec`` holds the run's weight array
-    plus two scratch accumulators (avail and busy chains use different
-    bases) for :func:`_seg_until_vec`."""
-    n = end - first
-    if n < _SEG_VEC_MIN:
-        return (_SEG_OP, first, end, None)
-    arr = np.asarray(weight[first:end], dtype=np.float64)
-    return (_SEG_OP, first, end, (arr, np.empty(n + 1), np.empty(n + 1)))
-
-
-def get_exec_plan(
-    cs,
-    capacity: int,
-    spec: MachineSpec,
-    memory_managed: bool,
-    preknown: bool,
-) -> ExecPlan:
-    """Execution plan for one (capacity, spec, mode); memoised on ``cs``.
-
-    The key includes the full :class:`MachineSpec` (hash-by-value
-    frozen dataclass) so sweeps over different machines or scaled
-    overheads never share cost tables; :meth:`CompiledSchedule
-    .check_fresh` guards against schedule mutation behind the cache.
-    """
-    cs.check_fresh()
-    key = (capacity, spec, memory_managed, preknown)
-    ep = cs._exec_plans.get(key)
-    if ep is not None:
-        cs.counters["exec_plan_hits"] += 1
-        return ep
-    cs.counters["exec_plan_misses"] += 1
-    _t0_plan = perf_counter()
-    lo = lower_schedule(cs)
-    nprocs = lo.num_procs
-    plan = cs.plan_for(capacity) if memory_managed else None
-
+def _build_exec_plan(cs, lo, plan, capacity, spec, memory_managed,
+                     preknown) -> ExecPlan:
+    ml = lo.mapping
     ep = ExecPlan()
     ep.capacity = capacity
     ep.spec = spec
@@ -479,131 +637,162 @@ def get_exec_plan(
     ep.put_lat = spec.put_latency
     ep.ra_cost = spec.ra_cost
     ep.nic_serialize = spec.nic_serialize
-    # Exact interpreted cost expressions, per message.
-    ep.od_net = [spec.message_time(nb) for nb in lo.od_nbytes]
-    ep.od_nic = [nb * spec.byte_time for nb in lo.od_nbytes]
+    ep.od_net, ep.od_nic = ml.costs(spec)
 
+    map_first: list[int] = []
+    map_pos: list[int] = []
+    map_cost: list[float] = []
+    mf_ptr = [0]
     mf_oid: list[int] = []
     mf_grp: list[int] = []
+    ma_ptr = [0]
     ma_oid: list[int] = []
+    mp_ptr = [0]
     pkg_src: list[int] = []
     pkg_dst: list[int] = []
-    pkg_cost: list[float] = []
     pkg_objs: list[list[str]] = []
     pkg_ak_ptr = [0]
     pkg_ak: list[int] = []
-    oid_of = cs.graph.object_index
-    grp_index = lo.grp_index
-    ak_index = lo.ak_index
-
-    steps: list[list[tuple]] = []
-    od_ptr, os_ptr, cons_ptr = lo.od_ptr, lo.os_ptr, lo.cons_ptr
-    pending0, weight = lo.pending0, lo.weight
+    oid_of = ml.ids.oid_of
+    grp_index, ak_index = ml.grp_index, ml.ak_index
+    map_overhead, free_cost = spec.map_overhead, spec.free_cost
+    alloc_cost = spec.alloc_cost
+    proc_start = lo.proc_start
+    nprocs, nobj = ml.num_procs, ml.num_objects
     map_at = maps_by_position(plan, nprocs)
     for q in range(nprocs):
-        prog: list[tuple] = []
-        start, end = lo.proc_start[q], lo.proc_start[q + 1]
-        first = start  # first tid of the open silent run
-        maps_q = map_at[q]
-        for tid in range(start, end):
-            mp = maps_q.get(tid - start)
-            if mp is not None:
-                if first < tid:
-                    prog.append(_seg_step(weight, first, tid))
-                cost = (
-                    spec.map_overhead
-                    + len(mp.frees) * spec.free_cost
-                    + len(mp.allocs) * spec.alloc_cost
-                )
-                flo = len(mf_oid)
-                for m in mp.frees:
-                    mf_oid.append(oid_of[m])
-                    mf_grp.append(grp_index.get((q, m), -1))
-                alo = len(ma_oid)
-                for m in mp.allocs:
-                    ma_oid.append(oid_of[m])
-                plo = len(pkg_dst)
-                for dst, objs in sorted(mp.notifications.items()):
-                    pkg_src.append(q)
-                    pkg_dst.append(dst)
-                    pkg_cost.append(
-                        spec.package_overhead + len(objs) * spec.address_cost
-                    )
-                    pkg_objs.append(list(objs))
-                    for m in objs:
-                        ak = ak_index.get((dst, oid_of[m], q))
-                        if ak is not None:
-                            pkg_ak.append(ak)
-                    pkg_ak_ptr.append(len(pkg_ak))
-                prog.append((
-                    _MAP_OP, cost, flo, len(mf_oid), alo, len(ma_oid),
-                    plo, len(pkg_dst),
-                ))
-                first = tid
-            silent = (
-                pending0[tid] == 0
-                and od_ptr[tid] == od_ptr[tid + 1]
-                and os_ptr[tid] == os_ptr[tid + 1]
-                and cons_ptr[tid] == cons_ptr[tid + 1]
+        start, end = proc_start[q], proc_start[q + 1]
+        map_first.append(len(map_pos))
+        # Positions outside the order never execute (maps_by_position).
+        for position in sorted(p for p in map_at[q] if 0 <= p < end - start):
+            mp = map_at[q][position]
+            map_pos.append(start + position)
+            map_cost.append(
+                map_overhead
+                + len(mp.frees) * free_cost
+                + len(mp.allocs) * alloc_cost
             )
-            if not silent:
-                if first < tid:
-                    prog.append(_seg_step(weight, first, tid))
-                prog.append((_TASK_OP, tid))
-                first = tid + 1
-        if first < end:
-            prog.append(_seg_step(weight, first, end))
-        steps.append(prog)
-
-    ep.steps = steps
-    ep.mf_oid, ep.mf_grp, ep.ma_oid = mf_oid, mf_grp, ma_oid
+            for m in mp.frees:
+                oid = oid_of[m]
+                mf_oid.append(oid)
+                mf_grp.append(grp_index.get(q * nobj + oid, -1))
+            mf_ptr.append(len(mf_oid))
+            ma_oid += [oid_of[m] for m in mp.allocs]
+            ma_ptr.append(len(ma_oid))
+            for dst, objs in sorted(mp.notifications.items()):
+                pkg_src.append(q)
+                pkg_dst.append(dst)
+                pkg_objs.append(objs)
+                for m in objs:
+                    ak = ak_index.get((dst * nobj + oid_of[m]) * nprocs + q)
+                    if ak is not None:
+                        pkg_ak.append(ak)
+                pkg_ak_ptr.append(len(pkg_ak))
+            mp_ptr.append(len(pkg_dst))
+        # End-of-order sentinel: its position is never reached by a task.
+        map_pos.append(end)
+        map_cost.append(0.0)
+        mf_ptr.append(len(mf_oid))
+        ma_ptr.append(len(ma_oid))
+        mp_ptr.append(len(pkg_dst))
+    ep.map_first, ep.map_pos, ep.map_cost = map_first, map_pos, map_cost
+    ep.mf_ptr, ep.mf_oid, ep.mf_grp = mf_ptr, mf_oid, mf_grp
+    ep.ma_ptr, ep.ma_oid, ep.mp_ptr = ma_ptr, ma_oid, mp_ptr
     ep.pkg_src, ep.pkg_dst = pkg_src, pkg_dst
-    ep.pkg_cost, ep.pkg_objs = pkg_cost, pkg_objs
+    ep.pkg_objs = pkg_objs
     ep.pkg_ak_ptr, ep.pkg_ak = pkg_ak_ptr, pkg_ak
+    return ep
+
+
+def get_exec_plan(
+    cs,
+    capacity: int,
+    spec: MachineSpec,
+    memory_managed: bool,
+    preknown: bool,
+    plan=None,
+) -> ExecPlan:
+    """Execution plan for one (capacity, spec, mode); the last
+    :data:`MAX_EXEC_PLANS` are memoised on ``cs``.
+
+    The key includes the full :class:`MachineSpec` (hash-by-value
+    frozen dataclass) so sweeps over different machines or scaled
+    overheads never share cost tables; :meth:`CompiledSchedule
+    .check_fresh` guards against schedule mutation behind the cache.
+
+    ``plan`` is a caller-supplied :class:`~repro.core.maps.MapPlan`
+    (managed mode only); unless it is the memoised ``cs.plan_for``
+    plan, the exec plan is built from it and not cached (still counted
+    as a miss).
+    """
+    cs.check_fresh()
+    key = (capacity, spec, memory_managed, preknown)
+    caller = (
+        memory_managed and plan is not None
+        and plan is not cs._plans.get(capacity)
+    )
+    if not caller:
+        ep = cs._exec_plans.pop(key, None)
+        if ep is not None:
+            cs._exec_plans[key] = ep  # most recently used last
+            cs.counters["exec_plan_hits"] += 1
+            return ep
+    cs.counters["exec_plan_misses"] += 1
+    _t0_plan = perf_counter()
+    lo = lower_schedule(cs)
+    if not memory_managed:
+        plan = None
+    elif not caller:
+        plan = cs.plan_for(capacity)
+    ep = _build_exec_plan(cs, lo, plan, capacity, spec, memory_managed,
+                          preknown)
     cs.counters["exec_plan_s"] += perf_counter() - _t0_plan
-    cs._exec_plans[key] = ep
+    if not caller:
+        cs._exec_plans[key] = ep
+        if len(cs._exec_plans) > MAX_EXEC_PLANS:
+            del cs._exec_plans[next(iter(cs._exec_plans))]
     if os.environ.get("REPRO_VERIFY_IR"):
-        # Debug path: check the step programs before anything runs them.
+        # Debug path: check the MAP tables before anything runs them.
         from ..analysis.irverify import debug_verify
 
         debug_verify(cs, ep)
     return ep
 
 
-def _seg_until_vec(vec, first, k, n, a, b, thr):
-    """Vectorised :func:`_seg_until_hot` over ``vec`` (the weights of
-    tids ``first..n-1``); bit-identical results.
+def _seg_until_vec(warr, k, n, a, b, thr, bufa, bufb):
+    """Vectorised :func:`_seg_until_hot` over ``warr`` (the weights of
+    positions ``k..n-1``); bit-identical results.
 
-    The finish-time prefix is nondecreasing (weights are validated
-    nonnegative, and IEEE addition of a nonnegative term never rounds
-    below the base), so the first crossing is a ``searchsorted``: the
-    insertion point counts exactly the finishes strictly below ``thr``.
+    The finish-time prefix is nondecreasing (weights are nonnegative,
+    and IEEE addition of a nonnegative term never rounds below the
+    base), so the first crossing is a ``searchsorted``: the insertion
+    point counts exactly the finishes strictly below ``thr``.  ``bufa``
+    and ``bufb`` are run-local scratch accumulators (the avail and busy
+    chains use different bases).
     """
-    wsarr, bufa, bufb = vec
-    off = k - first
     nk = n - k
     acca = bufa[: nk + 1]
     acca[0] = a
-    acca[1:] = wsarr[off:]
+    acca[1:] = warr[k:n]
     np.add.accumulate(acca, out=acca)
     j = int(np.searchsorted(acca[1:], thr, side="left"))
     e = j + 1 if j < nk else nk  # the crossing task itself executes
     accb = bufb[: e + 1]
     accb[0] = b
-    accb[1:] = wsarr[off : off + e]
+    accb[1:] = warr[k : k + e]
     np.add.accumulate(accb, out=accb)
     lastf = float(acca[j]) if j > 0 else a
     return float(acca[e]), float(accb[e]), k + j, lastf
 
 
 def _seg_until_hot(weight, k, n, a, b, thr):
-    """Checked silent-segment kernel.
+    """Checked silent-run kernel.
 
-    Executes tids ``k..n-1`` sequentially from time ``a``; stops after
-    executing the first task whose finish crosses ``thr`` (its
+    Executes positions ``k..n-1`` sequentially from time ``a``; stops
+    after executing the first task whose finish crosses ``thr`` (its
     completion must go through the event heap).  Returns the new
-    ``(avail, busy, crossing-tid, last-inline-finish)``; a crossing
-    tid of ``n`` means the whole segment completed inline.
+    ``(avail, busy, crossing position, last-inline-finish)``; a crossing
+    position of ``n`` means the whole run completed inline.
     """
     i = k
     lastf = a
@@ -632,42 +821,50 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
     cs = sim.compiled
     spec = sim.spec
     ep = get_exec_plan(
-        cs, sim.capacity, spec, sim.memory_managed, sim.preknown_addresses
+        cs, sim.capacity, spec, sim.memory_managed, sim.preknown_addresses,
+        plan=sim.plan,
     )
     lo = cs._lowered
-    nprocs = lo.num_procs
-    nobjects = lo.num_objects
+    ml = lo.mapping
+    nprocs = ml.num_procs
+    nobjects = ml.num_objects
     capacity = sim.capacity
     preknown = ep.preknown
     managed_check = ep.managed_check
 
     # Static tables as locals (closure lookups beat attribute lookups).
-    steps = ep.steps
-    proc_start, weight = lo.proc_start, lo.weight
-    od_ptr, os_ptr, cons_ptr = lo.od_ptr, lo.os_ptr, lo.cons_ptr
-    od_mk, od_ak = lo.od_mk, lo.od_ak
-    od_ok0, od_ow = lo.od_ok0, lo.od_ow
-    os_sk, cons_mk = lo.os_sk, lo.cons_mk
-    mk_dest, mk_oid, mk_uname = lo.mk_dest, lo.mk_oid, lo.mk_uname
-    wait_ptr, wait_tid = lo.wait_ptr, lo.wait_tid
-    grp_of, grp_ptr, grp_mk = lo.grp_of, lo.grp_ptr, lo.grp_mk
-    sk_dest = lo.sk_dest
-    swait_ptr, swait_tid = lo.swait_ptr, lo.swait_tid
-    mf_oid, mf_grp, ma_oid = ep.mf_oid, ep.mf_grp, ep.ma_oid
+    proc_start, tid_at = lo.proc_start, lo.tid_at
+    weight, warr, run_end = lo.weight, lo.warr, lo.run_end
+    od_row, od_ok0, od_ow = lo.od_row, lo.od_ok0, lo.od_ow
+    od_ptr, os_ptr, cons_ptr = ml.od_ptr, ml.os_ptr, ml.cons_ptr
+    od_mk, od_ak = ml.od_mk, ml.od_ak
+    os_sk, cons_mk = ml.os_sk, ml.cons_mk
+    mk_dest, mk_oid, mk_uname = ml.mk_dest, ml.mk_oid, ml.mk_uname
+    wait_ptr, wait_tid = ml.wait_ptr, ml.wait_tid
+    grp_of, grp_ptr, grp_mk = ml.grp_of, ml.grp_ptr, ml.grp_mk
+    sk_dest = ml.sk_dest
+    swait_ptr, swait_tid = ml.swait_ptr, ml.swait_tid
+    map_pos, map_cost = ep.map_pos, ep.map_cost
+    mf_ptr, mf_oid, mf_grp = ep.mf_ptr, ep.mf_oid, ep.mf_grp
+    ma_ptr, ma_oid, mp_ptr = ep.ma_ptr, ep.ma_oid, ep.mp_ptr
     pkg_src, pkg_dst = ep.pkg_src, ep.pkg_dst
-    pkg_cost = ep.pkg_cost
+    pkg_objs = ep.pkg_objs
+    pkg_oh, addr_cost = spec.package_overhead, spec.address_cost
     pkg_ak_ptr, pkg_ak = ep.pkg_ak_ptr, ep.pkg_ak
     od_net, od_nic = ep.od_net, ep.od_nic
-    osz = lo.obj_size
-    obj_name = lo.obj_name
+    osz = ml.obj_size
+    obj_name = ml.obj_name
     send_oh, put_lat, ra_cost = ep.send_oh, ep.put_lat, ep.ra_cost
     nic_serialize = ep.nic_serialize
     heappush, heappop = heapq.heappush, heapq.heappop
+    if lo.max_run >= _SEG_VEC_MIN:
+        bufa, bufb = np.empty(lo.max_run + 1), np.empty(lo.max_run + 1)
 
     # --- mutable run-local state --------------------------------------
     state = [_REC] * nprocs
-    sp = [0] * nprocs  # current step index per processor
-    nt = [0] * nprocs  # completed tasks per processor (== idx[q])
+    cur = list(proc_start[:nprocs])  # next position per processor
+    pend = proc_start[1:]
+    mcur = list(ep.map_first)  # next MAP per processor
     avail = [0.0] * nprocs
     busy = [0.0] * nprocs
     over = [0.0] * nprocs
@@ -681,15 +878,14 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
     fin = [0.0] * nprocs
     ltf = [0.0] * nprocs  # last task finish per processor
     nic_free = [0.0] * nprocs
-    nsteps = [len(s) for s in steps]
 
-    pending = lo.pending0.copy()
-    need = lo.mk_need0.copy()
-    arrived = bytearray(lo.num_mk)
-    sync_arr = bytearray(lo.num_sk)
+    pending = ml.pending0.copy()
+    need = ml.mk_need0.copy()
+    arrived = bytearray(ml.num_mk)
+    sync_arr = bytearray(ml.num_sk)
     known = (
-        bytearray(b"\x01" * lo.num_ak) if ep.known_all
-        else bytearray(lo.num_ak)
+        bytearray(b"\x01" * ml.num_ak) if ep.known_all
+        else bytearray(ml.num_ak)
     )
     allocated = bytearray(nprocs * nobjects)
     used = [0] * nprocs
@@ -716,10 +912,11 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             used[q] = pb
             apk[q] = pb
     if not ep.memory_managed:
+        oid_of = ml.ids.oid_of
         for q in range(nprocs):
             u = used[q]
             base = q * nobjects
-            for oid in lo.span_oids[q]:
+            for oid in [oid_of[m] for m in cs.profile.procs[q].span]:
                 if allocated[base + oid]:
                     raise MemoryError_(
                         f"object {obj_name[oid]!r} is already allocated"
@@ -738,21 +935,17 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
 
     events: list[tuple] = []
     seq = 0
-    last_seq = -1
     now = 0.0
     booting = True
 
     def push(t: float, code: int) -> None:
         # Same (time, seq) contract as the interpreted post() — see the
-        # simulator module docstring; asserted for engine parity.
-        nonlocal seq, last_seq
-        assert seq > last_seq, (
-            f"event seq must be strictly monotone ({seq} <= {last_seq})"
-        )
+        # simulator module docstring; causality asserted for engine
+        # parity (seq is this function's own strictly rising counter).
+        nonlocal seq
         assert t >= now, (
             f"event scheduled in the past (t={t!r} < now={now!r})"
         )
-        last_seq = seq
         heappush(events, (t, seq, code))
         seq += 1
 
@@ -765,27 +958,16 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
         over[q] += cost
         return end
 
-    def _version_name_at(q: int, oid: int) -> Optional[str]:
-        """current_version[m] as the interpreted engine would see it at
-        a dispatch on ``q`` after ``nt[q]`` completions (cold path)."""
-        last = None
-        for pos, uname in lo.writes_by_po.get((q, oid), ()):
-            if pos < nt[q]:
-                last = uname
-            else:
-                break
-        return last
-
     def _raise_version(q: int, od: int):
-        oid = lo.od_oid[od]
+        oid = ml.od_oid[od]
         raise DataConsistencyError(
             f"P{q} sending {obj_name[oid]!r} version "
-            f"{_version_name_at(q, oid)!r} for an edge requiring version "
-            f"{lo.od_uname[od]!r}"
+            f"{lo.version_at(q, oid, cur[q] - proc_start[q])!r} for an "
+            f"edge requiring version {ml.od_uname[od]!r}"
         )
 
     def dispatch(q: int, od: int, t: float) -> None:
-        if not od_ok0[od] or nt[q] > od_ow[od]:
+        if not od_ok0[od] or cur[q] > od_ow[od]:
             _raise_version(q, od)
         t2 = charge(q, t, send_oh)
         dmsg[q] += 1
@@ -838,20 +1020,18 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                 still.append(k)
                 continue
             slot[q * nprocs + dst] = 1
-            t2 = charge(q, t, pkg_cost[k])
+            t2 = charge(q, t, pkg_oh + len(pkg_objs[k]) * addr_cost)
             psent[q] += 1
             push(t2 + put_lat, _ADDR_BASE | k)
         pending_pkgs[q] = still
         return not still
 
-    def exec_map(q: int, step: tuple, t: float) -> None:
+    def exec_map(q: int, k: int, t: float) -> None:
         nmaps[q] += 1
-        charge(q, t, step[1])
+        charge(q, t, map_cost[k])
         u = used[q]
         base = q * nobjects
-        i = step[2]
-        hi = step[3]
-        while i < hi:
+        for i in range(mf_ptr[k], mf_ptr[k + 1]):
             oid = mf_oid[i]
             if not allocated[base + oid]:
                 raise MemoryError_(
@@ -861,16 +1041,9 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             u -= osz[oid]
             gid = mf_grp[i]
             if gid >= 0:
-                j = grp_ptr[gid]
-                ghi = grp_ptr[gid + 1]
-                while j < ghi:
+                for j in range(grp_ptr[gid], grp_ptr[gid + 1]):
                     arrived[grp_mk[j]] = 0
-                    j += 1
-            i += 1
-        i = step[4]
-        hi = step[5]
-        while i < hi:
-            oid = ma_oid[i]
+        for oid in ma_oid[ma_ptr[k]:ma_ptr[k + 1]]:
             if allocated[base + oid]:
                 raise MemoryError_(
                     f"object {obj_name[oid]!r} is already allocated"
@@ -883,31 +1056,28 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                 )
             allocated[base + oid] = 1
             u += sz
-            if u > apk[q]:
-                apk[q] = u
-            i += 1
         used[q] = u
+        # Sizes are non-negative, so the allocator's running peak over
+        # this MAP's allocations is its final footprint.
+        if u > apk[q]:
+            apk[q] = u
         if apk[q] > peakmem[q]:
             peakmem[q] = apk[q]
         if not preknown:
-            pp = pending_pkgs[q]
-            k = step[6]
-            hi = step[7]
-            while k < hi:
-                pp.append(k)
-                k += 1
+            pending_pkgs[q].extend(range(mp_ptr[k], mp_ptr[k + 1]))
             map_pending[q] = 1
 
     def finish_noisy(q: int, tid: int, t: float) -> None:
-        nt[q] += 1
+        cur[q] += 1
         ltf[q] = t
         i = cons_ptr[tid]
         hi = cons_ptr[tid + 1]
         while i < hi:
             need[cons_mk[i]] -= 1
             i += 1
-        i = od_ptr[tid]
-        hi = od_ptr[tid + 1]
+        r = od_row[tid]
+        i = od_ptr[r]
+        hi = od_ptr[r + 1]
         while i < hi:
             if known[od_ak[i]]:
                 dispatch(q, i, t)
@@ -922,7 +1092,6 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             smsg[q] += 1
             push(t2 + put_lat, _SYNC_BASE | os_sk[i])
             i += 1
-        sp[q] += 1
 
     def advance(q: int, t: float) -> None:
         nonlocal finished
@@ -931,8 +1100,7 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             return
         if inbox_ct[q] or suspended[q]:
             ra(q, t)
-        steps_q = steps[q]
-        ns = nsteps[q]
+        end = pend[q]
         while True:
             if map_pending[q]:
                 a = avail[q]
@@ -940,8 +1108,8 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                     state[q] = _MAP
                     return
                 map_pending[q] = 0
-            i = sp[q]
-            if i >= ns:
+            k = cur[q]
+            if k >= end:
                 if suspended[q] or pending_pkgs[q]:
                     state[q] = _END
                     return
@@ -951,15 +1119,17 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                     fin[q] = a if a >= t else t
                     finished += 1
                 return
-            step = steps_q[i]
-            op = step[0]
-            if op == _MAP_OP:
-                exec_map(q, step, t)
-                sp[q] = i + 1
+            m = mcur[q]
+            mp = map_pos[m]
+            if mp == k:
+                exec_map(q, m, t)
+                mcur[q] = m + 1
                 continue
-            if op == _SEG_OP:
-                n = step[2]
-                k = proc_start[q] + nt[q]  # next tid of the run
+            n = run_end[k]
+            if n > k:
+                # Silent run k..n-1, cut at the next MAP.
+                if mp < n:
+                    n = mp
                 a = avail[q]
                 if a < t:
                     a = t
@@ -967,10 +1137,9 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                     thr = _NEG_INF
                 else:
                     thr = events[0][0] if events else _INF
-                vec = step[3]
-                if vec is not None and n - k >= _SEG_VEC_MIN:
+                if n - k >= _SEG_VEC_MIN:
                     a2, b2, j, lastf = _seg_until_vec(
-                        vec, step[1], k, n, a, busy[q], thr
+                        warr, k, n, a, busy[q], thr, bufa, bufb
                     )
                 else:
                     a2, b2, j, lastf = _seg_until_hot(
@@ -978,9 +1147,8 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                     )
                 busy[q] = b2
                 avail[q] = a2
-                nc = j - k
-                if nc:
-                    nt[q] += nc
+                if j > k:
+                    cur[q] = j
                     ltf[q] = lastf
                 if j < n:
                     # Task j executed; its completion crosses the event
@@ -988,14 +1156,13 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                     state[q] = _EXE
                     push(a2, _TASK_BASE | q)
                     return
-                sp[q] = i + 1
                 continue
-            # _TASK_OP
-            tid = step[1]
+            # A noisy task.
+            tid = tid_at[k]
             if pending[tid] > 0:
                 state[q] = _REC
                 return
-            w = weight[tid]
+            w = weight[k]
             a = avail[q]
             if a < t:
                 a = t
@@ -1031,14 +1198,12 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
         arg = code & _ARG_MASK
         if kind == 0:  # TASK_DONE on processor arg
             q = arg
-            step = steps[q][sp[q]]
-            if step[0] == _SEG_OP:
-                nt[q] += 1
+            k = cur[q]
+            if run_end[k] > k:
+                cur[q] = k + 1
                 ltf[q] = t
-                if proc_start[q] + nt[q] >= step[2]:
-                    sp[q] += 1
             else:
-                finish_noisy(q, step[1], t)
+                finish_noisy(q, tid_at[k], t)
             state[q] = _REC
             a = avail[q]
             advance(q, a if a >= t else t)
@@ -1073,8 +1238,16 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                 while i < hi:
                     pending[wait_tid[i]] -= 1
                     i += 1
+            # A processor left in REC waits on the noisy task at cur[dest];
+            # waking it is a no-op (the interpreted engine's advance
+            # changes nothing) unless that task became ready or RA/CQ
+            # has work.
             st = state[dest]
-            if st == _REC or st == _MAP or st == _END:
+            if st == _REC:
+                if (inbox_ct[dest] or suspended[dest]
+                        or pending[tid_at[cur[dest]]] <= 0):
+                    advance(dest, t)
+            elif st == _MAP or st == _END:
                 advance(dest, t)
         elif kind == 2:  # SYNC_ARRIVE of sync key arg
             sk = arg
@@ -1087,7 +1260,11 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                     pending[swait_tid[i]] -= 1
                     i += 1
             st = state[dest]
-            if st == _REC or st == _MAP or st == _END:
+            if st == _REC:
+                if (inbox_ct[dest] or suspended[dest]
+                        or pending[tid_at[cur[dest]]] <= 0):
+                    advance(dest, t)
+            elif st == _MAP or st == _END:
                 advance(dest, t)
         elif kind == 3:  # ADDR_ARRIVE of package arg
             k = arg
@@ -1106,13 +1283,16 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             slot[arg] = 0
             src = arg // nprocs
             st = state[src]
-            if st == _REC or st == _MAP or st == _END:
+            if st == _REC:
+                if (inbox_ct[src] or suspended[src]
+                        or pending[tid_at[cur[src]]] <= 0):
+                    advance(src, t)
+            elif st == _MAP or st == _END:
                 advance(src, t)
 
     # --- verdicts (exact interpreted parity) --------------------------
-    completed = 0
-    for q in range(nprocs):
-        completed += nt[q]
+    nt = [cur[q] - proc_start[q] for q in range(nprocs)]
+    completed = sum(nt)
     if finished != nprocs:
         _raise_deadlock(
             sim, lo, ep, state, nt, completed, arrived, sync_arr,
@@ -1166,7 +1346,8 @@ def _raise_deadlock(
     """Reconstruct the interpreted engine's DeadlockError verbatim."""
     cs = sim.compiled
     sched = cs.schedule
-    nprocs = lo.num_procs
+    ml = lo.mapping
+    nprocs = ml.num_procs
     blocked = {
         q: _STATE_NAMES[state[q]]
         for q in range(nprocs)
@@ -1177,7 +1358,14 @@ def _raise_deadlock(
     wait_for: dict[int, set[int]] = {}
     assignment = sched.assignment
     trigger = cs.trigger
-    mk_index, sk_index = lo.mk_index, lo.sk_index
+    names = graph_index(cs.graph).names
+    mk_index = {
+        (d, ml.obj_name[o], u): mk
+        for mk, (d, o, u) in enumerate(zip(ml.mk_dest, ml.mk_oid, ml.mk_uname))
+    }
+    sk_index = {
+        (names[s], d): sk for sk, (s, d) in enumerate(zip(ml.sk_src, ml.sk_dest))
+    }
     for q in range(nprocs):
         if state[q] == _DONE:
             continue
@@ -1198,8 +1386,8 @@ def _raise_deadlock(
             details[q] = f"next={task} missing={missing}"
         else:
             susp = [
-                (lo.obj_name[lo.od_oid[od]], lo.od_uname[od], lo.od_dest[od],
-                 lo.od_nbytes[od])
+                (ml.obj_name[ml.od_oid[od]], ml.od_uname[od], ml.od_dest[od],
+                 ml.od_nbytes[od])
                 for od in suspended[q]
             ]
             pkgs = [
@@ -1211,8 +1399,8 @@ def _raise_deadlock(
             if slot[q * nprocs + ep.pkg_dst[k]]:
                 waits.add(ep.pkg_dst[k])
         for od in suspended[q]:
-            if not known[lo.od_ak[od]]:
-                waits.add(lo.od_dest[od])
+            if not known[ml.od_ak[od]]:
+                waits.add(ml.od_dest[od])
         waits.discard(q)
     err.details = details
     err.wait_for = wait_for

@@ -42,17 +42,22 @@ Two execution modes:
 Performance architecture
 ------------------------
 
-The static preprocessing (trigger tasks, message fan-out, receiver
-requirement counts) depends only on the schedule, not on the memory
-capacity, so it lives in :class:`CompiledSchedule` and is computed once
-per schedule.  The experiment sweeps run one schedule under many
-capacities; compiling once and passing ``compiled=`` skips the repeated
-validation / liveness analysis / table construction.  A
-``CompiledSchedule`` also memoises MAP plans per capacity.  The message
-fan-out and receiver tables do not depend on the processor orders
-either, so every schedule of one mapping (RCP, MPO and DTS at one P)
-shares a single copy, memoised on the mapping's
-:class:`~repro.core.index.MappingIndex`.
+The static preprocessing (validation, liveness, trigger tasks, message
+fan-out, receiver requirement counts) depends only on the schedule, not
+on the memory capacity, so it lives in :class:`CompiledSchedule` and is
+computed once per schedule.  The experiment sweeps run one schedule
+under many capacities; compiling once and passing ``compiled=`` skips
+the repeated work.  A ``CompiledSchedule`` also memoises MAP plans per
+capacity.  Tables that do not depend on the processor orders either
+are shared by every schedule of one mapping (RCP, MPO and DTS at one
+P), memoised on the mapping's :class:`~repro.core.index.MappingIndex`.
+
+The tables are built for the engine that runs: the compiled engine's
+three table levels (per mapping, per schedule, per cell; see
+:mod:`repro.machine.compiled`) by its lowering, and this interpreted
+engine's name-keyed tables (``out_data``, ``needs``, ``data_waiters``
+and the rest) on the first interpreted or observed run, or the first
+read of one of them.
 
 Readiness of a task is tracked with countdown counters: every task
 starts with the number of distinct remote inputs it waits for, each
@@ -88,12 +93,14 @@ the differential oracle compares engines with ``==``, not ``allclose``.
 Engine selection
 ----------------
 
-``Simulator(..., engine="compiled")`` routes fault-free, uninstrumented
-runs through the array-compiled engine; runs with ``metrics=True``,
-``trace=True``, an attached instrument, active fault injection or a
-caller-supplied ``plan`` object fall back to this interpreted engine
-*explicitly* (``SimResult.engine`` records which engine produced the
-result).
+The array-compiled engine is the default (``engine="compiled"``): it
+runs every fault-free, unobserved run, including one with a
+caller-supplied ``plan``.  Runs with ``metrics=True``, ``trace=True``,
+an enabled instrument or active fault injection fall back to this
+interpreted engine *explicitly* (``SimResult.engine`` and
+``SimResult.fallback_reason`` record it); ``engine="interpreted"``
+selects it outright.  The interpreted engine is the differential oracle
+the compiled one is tested against, bit for bit.
 
 Telemetry
 ---------
@@ -124,7 +131,12 @@ from ..core.liveness import MemoryProfile, analyze_memory
 from ..core.maps import MapPlan, maps_by_position, plan_maps
 from ..core.placement import validate_owner_compute
 from ..core.schedule import Schedule
-from ..errors import DataConsistencyError, DeadlockError, SimulationError
+from ..errors import (
+    DataConsistencyError,
+    DeadlockError,
+    SchedulingError,
+    SimulationError,
+)
 from ..obs.instrument import Instrument, MultiInstrument
 from ..obs.instruments import MetricsSuite
 from ..obs.metrics import build_metrics
@@ -227,8 +239,8 @@ class SimResult:
     #: interpreted engine records ``"interpreted"``).
     engine: str = "interpreted"
     #: Why a requested-compiled run fell back to the interpreted engine
-    #: (``"metrics"``, ``"trace"``, ``"instrument"``, ``"faults"``,
-    #: ``"caller-plan"``); ``None`` when no fallback happened.
+    #: (``"metrics"``, ``"trace"``, ``"instrument"``, ``"faults"``);
+    #: ``None`` when no fallback happened.
     fallback_reason: Optional[str] = None
 
     def render_trace(self, limit: Optional[int] = 200) -> str:
@@ -283,11 +295,12 @@ class CompiledSchedule:
     """Capacity-independent static tables for simulating one schedule.
 
     Compiling is the expensive part of constructing a
-    :class:`Simulator`: schedule validation, the liveness analysis, the
-    producer-unit triggers, message fan-out and the receiver requirement
-    counters.  None of it depends on the memory capacity or execution
-    mode, so one compiled schedule serves every run of that schedule —
-    pass it via ``Simulator(compiled=...)``.
+    :class:`Simulator`: schedule validation (one pass that also numbers
+    the orders: ``tid_at``/``proc_start``), the liveness analysis and
+    the engine tables.  None of it depends on the memory capacity or
+    execution mode, so one compiled schedule serves every run of that
+    schedule — pass it via ``Simulator(compiled=...)``.  The interpreted
+    engine's name-keyed tables are built on first use only.
 
     MAP plans *do* depend on the capacity; :meth:`plan_for` memoises
     them per capacity so a sweep re-running one schedule under a
@@ -322,8 +335,9 @@ class CompiledSchedule:
         self.schedule = schedule
         self.graph = schedule.graph
         self.num_procs = schedule.num_procs
-        mi = mapping_index(self.graph, schedule.placement, schedule.assignment)
-        schedule.validate()
+        gi = graph_index(self.graph)
+        mi = gi.mapping(schedule.placement, schedule.assignment)
+        self._number_orders(gi, mi)
         # Order-independent, so checked once per mapping (a failed check
         # raises and is not memoised).
         mi.memo("owner-compute", lambda: validate_owner_compute(
@@ -343,21 +357,86 @@ class CompiledSchedule:
         #: the execution hot loops.
         self.counters: dict = {k: 0.0 if k.endswith("_s") else 0
                                for k in ENGINE_COUNTER_KEYS}
-        self._compile(mi)
+        self.obj_size: dict[str, int] = gi.obj_size
+        # Every volatile object a processor reads must have a producer
+        # somewhere, otherwise its owner would never send data (and the
+        # address-package handshake could block a MAP forever).  Graphs
+        # built with ``materialize_inputs=True`` satisfy this by
+        # construction.
+        g = self.graph
+        produced = gi.memo("produced", lambda: frozenset(
+            o for t in g.tasks() for o in t.writes))
+        for q in range(self.num_procs):
+            for m in self.profile.procs[q].span:
+                if m not in produced:
+                    raise SimulationError(
+                        f"volatile object {m!r} read on P{q} has no producer; "
+                        "build the graph with materialize_inputs=True"
+                    )
+        # Permanent footprint per processor (allocated for the whole run).
+        self.perm_bytes = [pp.perm_bytes for pp in self.profile.procs]
         self._fingerprint = self._schedule_fingerprint()
 
-    # -- producer units -------------------------------------------------
+    def _number_orders(self, gi, mi: MappingIndex) -> None:
+        """Structural validation of the schedule (the orders partition
+        the task set and agree with the assignment), in the same pass
+        that numbers the flattened orders: ``tid_at[pos]`` is the
+        :class:`~repro.core.index.GraphIndex` id of the task at
+        position ``pos`` and ``proc_start[q]`` the first position of
+        processor ``q`` (one sentinel at the end)."""
+        tid, proc = gi.tid, mi.proc
+        tid_at: list[int] = []
+        proc_start = [0]
+        seen = bytearray(len(gi.names))
+        for p, order in enumerate(self.schedule.orders):
+            for t in order:
+                i = tid.get(t)
+                if i is None:
+                    raise SchedulingError(
+                        f"order of P{p} contains unknown task {t!r}")
+                if seen[i]:
+                    raise SchedulingError(
+                        f"task {t!r} appears on two processors")
+                if proc[i] != p:
+                    raise SchedulingError(
+                        f"task {t!r} ordered on P{p} but assigned to "
+                        f"P{proc[i]}"
+                    )
+                seen[i] = 1
+                tid_at.append(i)
+            proc_start.append(len(tid_at))
+        if len(tid_at) != len(gi.names):
+            missing = [t for t, s in zip(gi.names, seen) if not s]
+            raise SchedulingError(f"schedule misses tasks: {missing[:5]}...")
+        self.tid_at, self.proc_start = tid_at, proc_start
 
-    def pid(self, task: str) -> str:
-        """Producer unit: commuting-group key or the task itself."""
-        return self._pid_of[task]
+    # -- interpreted-engine tables ---------------------------------------
 
-    def _compile(self, mi: MappingIndex) -> None:
+    #: The interpreted engine's name-keyed tables; built on first use
+    #: (an interpreted or observed run, a checker, a deadlock report),
+    #: never by compiled runs.
+    _NAME_TABLES = frozenset((
+        "trigger", "out_data", "out_sync", "needs", "need_count0",
+        "data_waiters", "sync_waiters", "pending0", "weight",
+        "write_version", "consumes",
+    ))
+
+    def __getattr__(self, name: str):
+        if name in CompiledSchedule._NAME_TABLES:
+            self._compile()
+            return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def _units(self) -> "_UnitTables":
+        g = self.graph
+        return graph_index(g).memo("sim-units", lambda: _unit_tables(g))
+
+    def _compile(self) -> None:
         g, sched = self.graph, self.schedule
-        gi = graph_index(g)
-        units = gi.memo("sim-units", lambda: _unit_tables(g))
+        units = self._units()
+        mi = mapping_index(g, sched.placement, sched.assignment)
         msgs = mi.memo("sim-messages", lambda: _message_tables(g, mi, units))
-        self._pid_of = units.pid_of
 
         # Trigger task of each producer unit: the unit's last task in the
         # processor order (commuting groups are co-located).  Only
@@ -396,23 +475,6 @@ class CompiledSchedule:
         #: task -> received keys it consumes (with multiplicity, matching
         #: ``need_count0``).
         self.consumes: dict[str, tuple[tuple[str, str], ...]] = msgs.consumes
-        self.obj_size: dict[str, int] = gi.obj_size
-
-        # Every volatile object a processor reads must have a producer
-        # somewhere, otherwise its owner would never send data (and the
-        # address-package handshake could block a MAP forever).  Graphs
-        # built with ``materialize_inputs=True`` satisfy this by
-        # construction.
-        for q in range(self.num_procs):
-            for m in self.profile.procs[q].span:
-                if m not in units.produced:
-                    raise SimulationError(
-                        f"volatile object {m!r} read on P{q} has no producer; "
-                        "build the graph with materialize_inputs=True"
-                    )
-
-        # Permanent footprint per processor (allocated for the whole run).
-        self.perm_bytes = [pp.perm_bytes for pp in self.profile.procs]
 
     # -- cache-staleness guard ------------------------------------------
 
@@ -479,8 +541,6 @@ class _UnitTables(NamedTuple):
     groups: dict[str, list[str]]
     weight: dict[str, float]
     write_version: dict[str, tuple[tuple[str, str], ...]]
-    #: objects some task writes
-    produced: frozenset[str]
 
 
 def _unit_tables(g) -> _UnitTables:
@@ -489,7 +549,6 @@ def _unit_tables(g) -> _UnitTables:
     members: dict[str, list[str]] = {}
     weight: dict[str, float] = {}
     write_version: dict[str, tuple[tuple[str, str], ...]] = {}
-    produced: set[str] = set()
     for t in g.tasks():
         u = t.commute if t.commute is not None else t.name
         pid_of[t.name] = u
@@ -497,11 +556,8 @@ def _unit_tables(g) -> _UnitTables:
         members.setdefault(u, []).append(t.name)
         weight[t.name] = t.weight
         write_version[t.name] = tuple((m, u) for m in t.writes)
-        produced.update(t.writes)
     groups = {u: ts for u, ts in members.items() if len(ts) > 1}
-    return _UnitTables(
-        pid_of, trigger0, groups, weight, write_version, frozenset(produced)
-    )
+    return _UnitTables(pid_of, trigger0, groups, weight, write_version)
 
 
 class _MessageTables(NamedTuple):
@@ -636,7 +692,7 @@ class Simulator:
         metrics: bool = False,
         instrument: Optional[Instrument] = None,
         faults: Optional["FaultSpec"] = None,  # noqa: F821
-        engine: str = "interpreted",
+        engine: str = "compiled",
     ):
         """See class docstring; ``preknown_addresses=True`` models a
         steady-state iteration of an iterative application (RAPID's
@@ -659,13 +715,15 @@ class Simulator:
         deterministic and repeatable.  An inactive spec costs one
         ``is None`` test per injection site.
 
-        ``engine`` selects the execution engine: ``"interpreted"`` (the
-        reference oracle, default) or ``"compiled"`` (the array-compiled
-        engine of :mod:`repro.machine.compiled`).  Observed,
-        fault-injected or caller-supplied-plan runs are not supported by
-        the compiled engine and fall back to the interpreted one
-        explicitly;
-        ``SimResult.engine`` records which engine actually ran."""
+        ``engine`` selects the execution engine: ``"compiled"`` (the
+        array-compiled engine of :mod:`repro.machine.compiled`, default)
+        or ``"interpreted"`` (the reference oracle).  The two agree
+        exactly.  Observed (``metrics``, ``trace``, an enabled
+        ``instrument``) and fault-injected runs need the interpreted
+        engine's per-event hooks and fall back to it explicitly; a
+        caller-supplied ``plan`` runs compiled through an uncached exec
+        plan.  ``SimResult.engine`` records which engine actually ran
+        and ``SimResult.fallback_reason`` why it fell back."""
         if engine not in ENGINES:
             raise SimulationError(
                 f"unknown engine {engine!r}; expected 'interpreted' or "
@@ -708,9 +766,6 @@ class Simulator:
                     f"({self.capacity} < {self.profile.tot})"
                 )
             self.plan = None
-        # MAPs by position per processor (tiny; per-simulator because the
-        # plan may be caller-provided).
-        self._map_at = maps_by_position(self.plan, self.p)
 
     # ------------------------------------------------------------------
     # dynamic execution
@@ -721,12 +776,10 @@ class Simulator:
 
         Observation (metrics/trace/instrument) and fault injection hook
         into per-event callbacks the compiled engine deliberately does
-        not have, and a caller-supplied MAP plan bypasses the memoised
-        ``plan_for`` cache the execution plans are lowered from.  All of
-        these fall back to the interpreted oracle explicitly; the reason
-        string is tallied in :attr:`CompiledSchedule.counters`
-        (``fallback:<reason>``) and recorded on
-        :attr:`SimResult.fallback_reason`."""
+        not have.  These runs fall back to the interpreted oracle
+        explicitly; the reason string is tallied in
+        :attr:`CompiledSchedule.counters` (``fallback:<reason>``) and
+        recorded on :attr:`SimResult.fallback_reason`."""
         if self.metrics_enabled:
             return "metrics"
         if self.trace_enabled:
@@ -735,10 +788,6 @@ class Simulator:
             return "instrument"
         if self.faults is not None and self.faults.active:
             return "faults"
-        if self.memory_managed and self.plan is not self.compiled._plans.get(
-            self.capacity
-        ):
-            return "caller-plan"
         return None
 
     def run(self) -> SimResult:
@@ -828,6 +877,7 @@ class Simulator:
         if self.faults is not None and self.faults.active:
             fi = self.faults.injector()
 
+        maps_at = maps_by_position(self.plan, nprocs)
         state = [REC] * nprocs
         idx = [0] * nprocs
         avail = [0.0] * nprocs  # earliest time of the next local action
@@ -999,7 +1049,7 @@ class Simulator:
             if inbox[q] or suspended[q]:
                 ra(q, t)
             order = sched.orders[q]
-            map_at = self._map_at[q]
+            map_at = maps_at[q]
             while True:
                 if map_pending[q]:
                     if not try_send_packages(q, max(avail[q], t)):

@@ -21,7 +21,7 @@ from repro.errors import ReproError, SimulationError
 from repro.experiments import ExperimentContext
 from repro.graph import GraphBuilder
 from repro.graph.paper_example import schedule_c
-from repro.machine.compiled import _SEG_OP, get_exec_plan, lower_schedule
+from repro.machine.compiled import get_exec_plan, lower_schedule
 from repro.machine.simulator import CompiledSchedule, Simulator
 from repro.machine.spec import UNIT_MACHINE
 
@@ -146,23 +146,35 @@ class TestMutationsAreRejected:
         diags = verify_lowering(cs)
         assert "SA503" in error_codes(diags)
 
-    def test_sa504_step_program_drops_a_task(self):
+    def test_sa504_silent_run_swallows_a_noisy_task(self):
         cs = fresh_paper()
-        ep = get_exec_plan(cs, 8, UNIT_MACHINE, True, False)
-        for q, steps in enumerate(ep.steps):
-            if steps:
-                ep.steps[q] = steps[:-1]
-                break
+        lo = lower_schedule(cs)
+        pos = next(
+            p for p in range(lo.num_tasks - 1)
+            if lo.run_end[p] == -1 and p + 1 not in lo.proc_start
+        )
+        lo.run_end[pos] = pos + 1  # run the noisy task as a silent one
         diags = verify_exec_plan(cs, 8, UNIT_MACHINE)
+        assert error_codes(diags) == {"SA504"}
+        assert any("noisy task" in d.message for d in diags)
+
+    def test_sa504_map_positions_out_of_order(self):
+        cs = fresh_paper()
+        ep = get_exec_plan(cs, cs.profile.min_mem, UNIT_MACHINE, True, False)
+        k = next(k for k in range(len(ep.map_pos) - 1)
+                 if ep.map_pos[k] < ep.map_pos[k + 1] - 1
+                 and k + 1 not in ep.map_first)
+        ep.map_pos[k], ep.map_pos[k + 1] = ep.map_pos[k + 1], ep.map_pos[k]
+        diags = verify_exec_plan(cs, cs.profile.min_mem, UNIT_MACHINE)
         assert "SA504" in error_codes(diags)
 
     def test_sa504_seg_vector_drifts_from_the_weights(self, ctx):
-        # etree15 on one processor is one silent run of 576 tasks, so its
-        # SEG step carries the numpy kernel's copy of the weights.
+        # etree15 on one processor is one silent run of 576 tasks, run
+        # by the numpy kernel over the schedule's copy of the weights.
         cs = CompiledSchedule(ctx.schedule("etree15", 1, "rcp"))
-        ep = get_exec_plan(cs, cs.profile.tot, ctx.spec, True, False)
-        vec = next(s[3] for s in ep.steps[0] if s[0] == _SEG_OP)
-        vec[0][3] += 1.0
+        lo = lower_schedule(cs)
+        assert lo.max_run == 576
+        lo.warr[3] += 1.0
         diags = verify_exec_plan(cs, cs.profile.tot, ctx.spec)
         assert error_codes(diags) == {"SA504"}
         assert any("kernel weights" in d.message for d in diags)
@@ -206,7 +218,7 @@ class TestVerifiedTablesRun:
         assert pt != clean
 
     def test_flagged_weight_changes_the_cached_plan_run(self):
-        # Step programs index ``lo.weight``: a weight corrupted after
+        # The run loop indexes ``lo.weight``: a weight corrupted after
         # the exec plan is built and cached is the weight that runs.
         cs = CompiledSchedule(data_and_sync_schedule())
         sim = Simulator(compiled=cs, spec=UNIT_MACHINE, engine="compiled")

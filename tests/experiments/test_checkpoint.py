@@ -65,13 +65,31 @@ class TestFingerprint:
             {"metrics": True},
             {"check": True},
             {"analyze": True},
-            {"engine": "compiled"},
+            # the engine shapes records only through engine_stats
+            {"engine": "compiled", "engine_stats": True},
             {"engine_stats": True},
         ],
     )
     def test_any_record_shaping_knob_changes_it(self, change):
         base = grid_fingerprint(CRAY_T3D, **GRID)
         assert grid_fingerprint(CRAY_T3D, **{**GRID, **change}) != base
+
+    def test_engine_is_hashed_only_with_engine_stats(self):
+        # Like ``jobs``, the engine changes no record unless the
+        # engine_stats column shows it: journals resume across engines.
+        base = grid_fingerprint(CRAY_T3D, **GRID)
+        assert grid_fingerprint(
+            CRAY_T3D, **{**GRID, "engine": "compiled"}) == base
+        stats = {**GRID, "engine_stats": True}
+        assert grid_fingerprint(CRAY_T3D, **stats) != grid_fingerprint(
+            CRAY_T3D, **{**stats, "engine": "compiled"})
+
+    def test_pre_flip_default_journal_keeps_its_fingerprint(self):
+        # The fingerprint of a default (interpreted, no engine_stats)
+        # sweep written before the compiled engine became the default.
+        assert grid_fingerprint(CRAY_T3D, **GRID) == (
+            "becb5016d562904de138c7042eba4e7f3b6b62e132138d4f540daef6b69d0e1b"
+        )
 
     def test_harness_faults_change_it(self):
         # A faulted journal can hold failure rows; replaying it into a

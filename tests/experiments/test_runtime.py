@@ -178,6 +178,16 @@ class TestInjectedError:
         assert rec == plain
 
 
+def _fp(engine="compiled", engine_stats=False):
+    from repro.experiments.checkpoint import grid_fingerprint
+
+    return grid_fingerprint(
+        ExperimentContext().spec, GRID["workloads"], GRID["procs"],
+        GRID["heuristics"], GRID["fractions"], "rcp", False, False, False,
+        engine, engine_stats=engine_stats,
+    )
+
+
 class TestCheckpointResume:
     def test_interrupted_then_resumed_is_byte_identical(self, plain, tmp_path):
         ckpt = tmp_path / "ckpt"
@@ -215,6 +225,49 @@ class TestCheckpointResume:
             **GRID,
         )
         assert again == plain
+
+    def test_interpreted_journal_resumes_under_compiled_default(
+        self, plain, tmp_path
+    ):
+        # A journal interrupted under engine="interpreted" (the default
+        # before the flip) resumes under the compiled default, and the
+        # CSV is byte-identical to an uninterrupted sweep.
+        ckpt = tmp_path / "ckpt"
+        first = full_sweep(
+            ExperimentContext(), jobs=2, runtime=RuntimePolicy(max_attempts=1),
+            harness_faults=HarnessFaultSpec(kill=(TARGET,), on_attempts=()),
+            checkpoint=str(ckpt), engine="interpreted", **GRID,
+        )
+        assert any(r.status is not None for r in first)
+        resumed = full_sweep(
+            ExperimentContext(), jobs=2, checkpoint=str(ckpt), resume=True,
+            **GRID,
+        )
+        assert to_csv(resumed) == to_csv(plain)
+        from repro.experiments.checkpoint import CheckpointJournal
+
+        assert len(CheckpointJournal(ckpt, _fp()).completed()) == 2
+
+    def test_engine_stats_journal_refuses_cross_engine_resume(self, tmp_path):
+        from repro.experiments.checkpoint import CheckpointJournal
+
+        ckpt = tmp_path / "ckpt"
+        full_sweep(
+            ExperimentContext(), jobs=2, checkpoint=str(ckpt),
+            engine="interpreted", engine_stats=True, **GRID,
+        )
+        interp = _fp(engine="interpreted", engine_stats=True)
+        assert len(CheckpointJournal(ckpt, interp).completed()) == 2
+        compiled = _fp(engine="compiled", engine_stats=True)
+        assert CheckpointJournal(ckpt, compiled).completed() == {}
+        resumed = full_sweep(
+            ExperimentContext(), jobs=2, checkpoint=str(ckpt), resume=True,
+            engine_stats=True, **GRID,
+        )
+        # The stale journal was discarded: every executable cell ran
+        # compiled.
+        assert {r.engine_used for r in resumed if r.executable} == {
+            "compiled"}
 
     def test_resume_requires_checkpoint(self):
         with pytest.raises(ValueError, match="checkpoint"):

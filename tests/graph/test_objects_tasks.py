@@ -92,3 +92,45 @@ class TestTask:
         t1 = Task("t", kernel=lambda store: None)
         t2 = Task("t", kernel=None)
         assert t1 == t2
+
+
+class TestBadValuesRaiseGraphValueError:
+    """A weight or size no engine can run fails at construction with a
+    :class:`GraphValueError` (a ``GraphError`` and a ``ValueError``)
+    naming the field and the value."""
+
+    @pytest.mark.parametrize(
+        "weight", [float("nan"), float("inf"), float("-inf"), -1.0],
+        ids=["nan", "inf", "-inf", "negative"],
+    )
+    def test_bad_task_weight(self, weight):
+        from repro.errors import GraphError, GraphValueError
+
+        with pytest.raises(GraphValueError) as ei:
+            Task("t", weight=weight)
+        err = ei.value
+        assert isinstance(err, GraphError) and isinstance(err, ValueError)
+        assert err.field == "weight" and err.value is weight
+        assert "weight" in str(err) and repr(weight) in str(err)
+        assert "'t'" in str(err)
+
+    def test_negative_object_size(self):
+        from repro.errors import GraphError, GraphValueError
+
+        with pytest.raises(GraphValueError) as ei:
+            DataObject("a", -3)
+        err = ei.value
+        assert isinstance(err, GraphError) and isinstance(err, ValueError)
+        assert err.field == "size" and err.value == -3
+        assert "size = -3" in str(err) and "'a'" in str(err)
+
+    def test_nan_weight_never_reaches_an_engine(self):
+        # Before: a NaN weight built fine and both engines died with a
+        # bare "event scheduled in the past" assertion.
+        from repro.errors import GraphValueError
+        from repro.graph import GraphBuilder
+
+        b = GraphBuilder()
+        b.add_object("x", 1)
+        with pytest.raises(GraphValueError, match="weight = nan"):
+            b.add_task("t", writes=("x",), weight=float("nan"))

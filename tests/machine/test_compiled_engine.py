@@ -12,8 +12,9 @@ fault-free runs, not numerical closeness.  The suite covers:
   timestamp and agreement proves the engines break ties identically;
 * error parity — protocol violations and deadlocks must raise the same
   exception type with the same message;
-* the fallback contract — observed / fault-injected / caller-plan runs
-  report ``engine == "interpreted"``;
+* the fallback contract — observed / fault-injected runs report
+  ``engine == "interpreted"``; a caller-supplied plan runs compiled,
+  exactly;
 * the cache-staleness guards (schedule mutation behind a memoised
   :class:`CompiledSchedule`, and per-:class:`MachineSpec` execution
   plans).
@@ -203,8 +204,9 @@ class TestErrorParity:
 
 
 class TestFallbacks:
-    """Observed, fault-injected and caller-plan runs must fall back to
-    the interpreted oracle and say so via ``SimResult.engine``."""
+    """Observed and fault-injected runs must fall back to the
+    interpreted oracle and say so via ``SimResult.engine``; a
+    caller-supplied plan stays on the compiled engine."""
 
     @pytest.fixture()
     def cs(self):
@@ -266,15 +268,24 @@ class TestFallbacks:
         ).run()
         assert res.engine == "compiled"
 
-    def test_caller_plan_falls_back(self, cs):
+    def test_caller_plan_runs_compiled_exactly(self, cs):
         from repro.core.maps import plan_maps
 
-        plan = plan_maps(cs.schedule, 9, cs.profile)  # fresh, not memoised
-        res = Simulator(
-            spec=UNIT_MACHINE, capacity=9, compiled=cs,
-            plan=plan, engine="compiled",
-        ).run()
-        assert res.engine == "interpreted"
+        # A tighter plan than the capacity needs: more MAPs than the
+        # memoised plan the cache would serve for capacity 9.
+        plan = plan_maps(cs.schedule, cs.profile.min_mem, cs.profile)
+        res = assert_exact_match(
+            lambda e: Simulator(
+                spec=UNIT_MACHINE, capacity=9, compiled=cs,
+                plan=plan, engine=e,
+            )
+        )
+        assert res is not None and res.plan is plan
+        assert res.fallback_reason is None
+        # Built from the caller's plan, never cached under the key.
+        assert cs._exec_plans == {}
+        assert cs.counters["exec_plan_misses"] == 1
+        assert plan.points != cs.plan_for(9).points
 
     def test_unknown_engine_rejected(self, cs):
         with pytest.raises(SimulationError):
