@@ -33,6 +33,8 @@ reports can be compared textually.
 from __future__ import annotations
 
 from ..core.dcg import tarjan_scc
+from ..core.index import graph_index
+from ..errors import SchedulingError
 from .diagnostics import Diagnostic
 
 __all__ = ["protocol_pass"]
@@ -59,58 +61,85 @@ def protocol_pass(ctx) -> list[Diagnostic]:
 # ---------------------------------------------------------------------
 
 def _order_cycles(ctx, diags, wait) -> None:
-    """Kahn over dependence + sequence edges; stuck tasks form cycles.
+    """Report the SA304 finding and its wait-for edges.
 
-    Runs on the graph's internal adjacency (in-degrees counted from the
-    successor map) so the hot loop touches plain dicts instead of
-    per-node graph accessors."""
-    g = ctx.schedule.graph
-    asg = ctx.schedule.assignment
-    prev_on_proc: dict[str, str] = {}
-    next_on_proc: dict[str, str] = {}
-    for order in ctx.schedule.orders:
-        for i, t in enumerate(order):
-            if i > 0:
-                prev_on_proc[t] = order[i - 1]
-                next_on_proc[order[i - 1]] = t
-    names = g.task_names
-    succ = g.successor_map()
-    pred = g.predecessor_map()
-    indeg = {n: len(pred[n]) for n in names}
-    for t, prev in prev_on_proc.items():
-        if t not in succ[prev]:
-            indeg[t] += 1
+    The finding depends only on the schedule, not on the capacity, so
+    it is computed once per schedule and memoised on the schedule's
+    memory profile, which every cell of one schedule shares."""
+    if ctx.profile.schedule is ctx.schedule:
+        found = ctx.profile.memo(
+            "order-cycles", lambda: _order_cycle_finding(ctx.schedule)
+        )
+    else:
+        found = _order_cycle_finding(ctx.schedule)
+    if found is None:
+        return
+    diag, waits = found
+    diags.append(diag)
+    for a, b, why in waits:
+        wait(a, b, why)
 
-    ready = [n for n in names if indeg[n] == 0]
+
+def _order_cycle_finding(schedule):
+    """Kahn over dependence + sequence edges, on the graph's shared
+    :class:`~repro.core.index.GraphIndex` ids as
+    :func:`repro.core.schedule.gantt` does; stuck tasks form cycles.
+
+    Returns ``None`` for an acyclic combined graph, else the SA304
+    diagnostic and its wait-for edges as ``(waiter, holder, why)``.  A
+    sequence edge that duplicates a dependence edge is counted and
+    released twice, which leaves the set of stuck tasks unchanged."""
+    g = schedule.graph
+    asg = schedule.assignment
+    gi = graph_index(g)
+    names, tid, succ = gi.names, gi.tid, gi.succ
+    n = len(names)
+    indeg = list(gi.in_degree)
+    next_on_proc = [-1] * n
+    for order in schedule.orders:
+        prev = -1
+        for t in order:
+            i = tid.get(t)
+            if i is None:
+                raise SchedulingError(f"schedule orders unknown task {t!r}")
+            if prev >= 0:
+                next_on_proc[prev] = i
+                indeg[i] += 1
+            prev = i
+
+    ready = [i for i in range(n) if indeg[i] == 0]
     done = 0
     while ready:
         u = ready.pop()
         done += 1
-        for v in succ[u]:
+        for v, _ in succ[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 ready.append(v)
-        nxt = next_on_proc.get(u)
-        if nxt is not None and nxt not in succ[u]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    if done == g.num_tasks:
-        return
+        v = next_on_proc[u]
+        if v >= 0:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+    if done == n:
+        return None
 
-    stuck = sorted(n for n in g.task_names if indeg[n] > 0)
-    cycle = _task_cycle(g, set(stuck), next_on_proc)
+    stuck = sorted(names[i] for i in range(n) if indeg[i] > 0)
+    nxt = {names[u]: names[v] for u, v in enumerate(next_on_proc) if v >= 0}
+    cycle = _task_cycle(g, set(stuck), nxt)
     shown = " -> ".join(cycle) if cycle else ", ".join(stuck[:5])
-    diags.append(Diagnostic.of(
+    diag = Diagnostic.of(
         "SA304",
         f"{len(stuck)} task(s) can never become ready; cycle: {shown}",
         task=stuck[0],
         proc=asg.get(stuck[0]),
-    ))
-    if cycle:
-        # Each adjacency t_i -> t_{i+1} means t_{i+1} waits for t_i.
-        for a, b in zip(cycle, cycle[1:]):
-            wait(asg[b], asg[a], f"task {b!r} ordered after {a!r}")
+    )
+    # Each adjacency t_i -> t_{i+1} means t_{i+1} waits for t_i.
+    waits = tuple(
+        (asg[b], asg[a], f"task {b!r} ordered after {a!r}")
+        for a, b in zip(cycle, cycle[1:])
+    )
+    return diag, waits
 
 
 def _task_cycle(g, stuck: set, next_on_proc) -> list:

@@ -154,8 +154,9 @@ class InvariantChecker(Instrument):
         self.capacity = capacity
         self.memory_managed = memory_managed
         self.violations: list[Violation] = []
-        #: per processor: resident received contents, as (obj, unit).
-        self._resident: list[set] = [set() for _ in range(nprocs)]
+        #: per processor: resident received contents, obj -> units, so a
+        #: free drops an object's contents in O(1).
+        self._resident: list[dict] = [dict() for _ in range(nprocs)]
         #: per processor: objects with allocated space.
         self._allocated: list[set] = [set() for _ in range(nprocs)]
         #: per processor: sync unit -> arrival time.
@@ -193,7 +194,7 @@ class InvariantChecker(Instrument):
         sync_at = self._sync_at[proc]
         for req in self.compiled.needs[task]:
             if req[0] == "data":
-                if (req[1], req[2]) not in resident:
+                if req[2] not in resident.get(req[1], ()):
                     self._flag(
                         t0, proc, "input-residency",
                         f"{task} entered EXE without {req[1]!r}@{req[2]!r}",
@@ -217,7 +218,7 @@ class InvariantChecker(Instrument):
                 t, proc, "landing-space",
                 f"{obj!r}@{unit!r} arrived with no allocated space",
             )
-        self._resident[proc].add((obj, unit))
+        self._resident[proc].setdefault(obj, set()).add(unit)
 
     def on_sync(self, t_send, t_arrive, proc, dest, unit) -> None:
         self._note(t_send, proc, "SYNC", f"{unit} -> P{dest}")
@@ -241,9 +242,7 @@ class InvariantChecker(Instrument):
         self._note(t, proc, "FREE", f"{obj} ({size} B, used={used})")
         self._allocated[proc].discard(obj)
         # The content dies with the space.
-        self._resident[proc] = {
-            (m, u) for m, u in self._resident[proc] if m != obj
-        }
+        self._resident[proc].pop(obj, None)
 
     def on_map(self, t, proc, position, frees, allocs) -> None:
         self._note(

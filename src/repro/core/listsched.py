@@ -61,10 +61,32 @@ class StaticPolicy:
         }
 
     def priority(self, task: str) -> tuple:
-        return self._p[task]
+        try:
+            return self._p[task]
+        except KeyError:
+            raise SchedulingError(
+                f"priority policy has no priority for task {task!r}"
+            ) from None
 
     def on_scheduled(self, task: str, proc: int) -> Iterable[str]:
         return ()
+
+
+def check_assignment(
+    graph: TaskGraph, placement: Placement, assignment: Mapping[str, int]
+) -> None:
+    """Raise :class:`~repro.errors.SchedulingError` unless every task is
+    assigned a processor in ``[0, P)``."""
+    nprocs = placement.num_procs
+    for t in graph.task_names:
+        if t not in assignment:
+            raise SchedulingError(f"task {t!r} has no processor assignment")
+        q = assignment[t]
+        if not 0 <= q < nprocs:
+            raise SchedulingError(
+                f"task {t!r} is assigned to processor {q}, outside "
+                f"[0, {nprocs})"
+            )
 
 
 def run_list_scheduler(
@@ -81,11 +103,11 @@ def run_list_scheduler(
     Runs in the dense id space of the graph's shared
     :class:`~repro.core.index.GraphIndex`; the policy still sees task
     names.  Returns a validated :class:`~repro.core.schedule.Schedule`.
+    Raises :class:`~repro.errors.SchedulingError` when a task has no
+    processor in ``[0, P)``, no static priority or no level.
     """
+    check_assignment(graph, placement, assignment)
     nprocs = placement.num_procs
-    for t in graph.task_names:
-        if t not in assignment:
-            raise SchedulingError(f"task {t!r} has no processor assignment")
 
     gi = graph_index(graph)
     names, tid, succ, pred, weight = gi.names, gi.tid, gi.succ, gi.pred, gi.weight
@@ -129,7 +151,12 @@ def run_list_scheduler(
     min_level: list[int] = [0] * nprocs
     parked: list[list[tuple[int, int, int]]] = [[] for _ in range(nprocs)]
     if levels is not None:
-        lvl = [levels[t] for t in names]
+        try:
+            lvl = [levels[t] for t in names]
+        except KeyError as err:
+            raise SchedulingError(
+                f"levels map has no level for task {err.args[0]!r}"
+            ) from None
         for i in range(n):
             rem = lvl_remaining[proc[i]]
             rem[lvl[i]] = rem.get(lvl[i], 0) + 1

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TypeVar
 
-from ..errors import NonExecutableScheduleError
+from ..errors import NonExecutableScheduleError, SchedulingError
 from .index import graph_index
 from .schedule import Schedule
 
@@ -84,8 +84,9 @@ class MemoryProfile:
 
     def memo(self, key, build: Callable[[], T]) -> T:
         """``build()`` once per key: capacity-independent tables derived
-        from this profile (the MAP planner's, see
-        :func:`repro.core.maps.plan_maps`).  Treat results as read-only."""
+        from this profile or its schedule (the MAP planner's, see
+        :func:`repro.core.maps.plan_maps`, and the protocol pass's order
+        check).  Treat results as read-only."""
         try:
             return self._memo[key]
         except KeyError:
@@ -156,7 +157,9 @@ def analyze_memory(schedule: Schedule) -> MemoryProfile:
     Single pass per processor over its task order; positions are indices
     into ``schedule.orders[p]``.  The order-independent part — PERM/VOLA
     sets, footprints and each task's volatile accesses — comes from the
-    mapping's shared :class:`~repro.core.index.MappingIndex`.
+    mapping's shared :class:`~repro.core.index.MappingIndex`.  Raises
+    :class:`~repro.errors.SchedulingError` for an order that names an
+    unknown task.
     """
     g = schedule.graph
     assignment = schedule.assignment
@@ -170,7 +173,12 @@ def analyze_memory(schedule: Schedule) -> MemoryProfile:
         first: dict[str, int] = {}
         last: dict[str, int] = {}
         for i, tname in enumerate(order):
-            acc = vola_acc[tname]
+            try:
+                acc = vola_acc[tname]
+            except KeyError:
+                raise SchedulingError(
+                    f"schedule orders unknown task {tname!r}"
+                ) from None
             if assignment[tname] != p:
                 # Order disagrees with the assignment (an invalid
                 # schedule): filter against this processor's set.

@@ -30,8 +30,7 @@ class Placement:
     owner: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.num_procs <= 0:
-            raise PlacementError(f"num_procs must be positive, got {self.num_procs}")
+        _require_procs(self.num_procs)
         bad = {o: p for o, p in self.owner.items() if not (0 <= p < self.num_procs)}
         if bad:
             raise PlacementError(f"owners out of range [0, {self.num_procs}): {bad}")
@@ -50,19 +49,30 @@ class Placement:
         return sorted(o for o, p in self.owner.items() if p == proc)
 
 
+def _require_procs(num_procs: int) -> None:
+    if num_procs <= 0:
+        raise PlacementError(f"num_procs must be positive, got {num_procs}")
+
+
 def cyclic_placement(graph: TaskGraph, num_procs: int, order: Sequence[str] | None = None) -> Placement:
     """Assign objects to processors round-robin.
 
     With ``order`` left as ``None`` objects are taken in name-sorted
     order; the paper's worked example uses ``owner(d_i) = (i-1) mod p``,
-    reproduced by passing the objects in index order.
+    reproduced by passing the objects in index order.  Raises
+    :class:`~repro.errors.PlacementError` when ``num_procs < 1``.
     """
+    _require_procs(num_procs)
     names = list(order) if order is not None else sorted(o.name for o in graph.objects())
     return Placement(num_procs, {o: i % num_procs for i, o in enumerate(names)})
 
 
 def block_placement(graph: TaskGraph, num_procs: int, order: Sequence[str] | None = None) -> Placement:
-    """Assign contiguous chunks of the object list to processors."""
+    """Assign contiguous chunks of the object list to processors.
+
+    Raises :class:`~repro.errors.PlacementError` when ``num_procs < 1``.
+    """
+    _require_procs(num_procs)
     names = list(order) if order is not None else sorted(o.name for o in graph.objects())
     n = len(names)
     if n == 0:

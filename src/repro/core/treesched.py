@@ -25,6 +25,7 @@ from typing import Mapping, Optional
 
 from ..graph.taskgraph import TaskGraph
 from .index import graph_index
+from .listsched import check_assignment
 from .liveness import analyze_memory
 from .placement import Placement
 from .schedule import CommModel, Schedule, UNIT_COMM, gantt
@@ -128,8 +129,11 @@ def tree_order(
     Evaluates the memory-guided postorder and the program-order
     traversal against the exact memory and timing models, returning the
     candidate with the smaller peak (ties: smaller makespan).  The
-    winning traversal is recorded in ``meta["tree_variant"]``.
+    winning traversal is recorded in ``meta["tree_variant"]``.  Raises
+    :class:`~repro.errors.SchedulingError` when a task has no processor
+    in ``[0, P)``.
     """
+    check_assignment(graph, placement, assignment)
     candidates = (
         ("liu-postorder", liu_postorder(graph, placement, assignment)),
         ("program-order", graph.topological_order()),

@@ -162,24 +162,67 @@ class MultiInstrument(Instrument):
 
     Disabled children are dropped at construction; a composite with no
     enabled children is itself disabled.
+
+    Hooks are bound once, at construction, so an event costs the
+    subscribers' calls and nothing else.  Nested composites are
+    flattened (their children take their place, in order), and a child
+    that keeps the base no-op for a hook is left out of that hook.  A
+    hook with no subscriber stays the inherited no-op, one with a single
+    subscriber *is* that child's bound method, and one with several
+    calls them in child order.  An instance-level hook (assigned on the
+    instance rather than defined on the class) must therefore be set
+    before the instrument is composed.
     """
 
     def __init__(self, children) -> None:
         self.children: tuple = tuple(c for c in children if c.enabled)
         self.enabled = bool(self.children)
+        self._bind()
+
+    def __getstate__(self) -> dict:
+        # Bound hooks name the children they were built from, so a copy
+        # or an unpickled composite binds its own children again.
+        return {k: v for k, v in self.__dict__.items()
+                if k != "_hooks" and k not in HOOKS}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind()
+
+    def _bind(self) -> None:
+        #: hook name -> the flattened subscribers' bound methods.
+        self._hooks: dict[str, tuple] = {
+            name: tuple(
+                f for c in self.children for f in _subscribers(c, name)
+            )
+            for name in HOOKS
+        }
+        for name, subs in self._hooks.items():
+            if getattr(type(self), name) is not getattr(Instrument, name):
+                continue  # a subclass's own hook wins
+            if len(subs) == 1:
+                setattr(self, name, subs[0])
+            elif subs:
+                setattr(self, name, _fanout(name, subs))
 
 
-def _forwarder(name):
-    def forward(self, *args):
-        for child in self.children:
-            getattr(child, name)(*args)
+def _subscribers(inst: Instrument, name: str) -> tuple:
+    """The bound methods through which ``inst`` handles hook ``name``:
+    a composite's flattened subscribers, a leaf's own method, or nothing
+    for a leaf that keeps the base no-op."""
+    own = getattr(type(inst), name) is not getattr(Instrument, name)
+    if isinstance(inst, MultiInstrument) and not own:
+        return inst._hooks[name]
+    if own or name in getattr(inst, "__dict__", ()):
+        return (getattr(inst, name),)
+    return ()
 
-    forward.__name__ = name
-    forward.__qualname__ = f"MultiInstrument.{name}"
-    forward.__doc__ = f"Forward ``{name}`` to every child instrument."
-    return forward
 
+def _fanout(name: str, subs: tuple):
+    def fanout(*args):
+        for f in subs:
+            f(*args)
 
-for _name in HOOKS:
-    setattr(MultiInstrument, _name, _forwarder(_name))
-del _name
+    fanout.__name__ = name
+    fanout.__qualname__ = f"MultiInstrument.{name}"
+    return fanout

@@ -92,11 +92,19 @@ class TestCheckerHooks:
         assert [v.invariant for v in c.violations] == ["landing-space"]
 
     def test_free_kills_residency(self, paper_compiled):
+        # T[1,2] and T[1,4] both read d1@T[1] on P1.
         c = make_checker(paper_compiled)
-        c.on_alloc(0.5, 0, "d1", 1, 1)
-        c.on_data_arrive(0.6, 0, "d1", "T[1]", 1)
-        c.on_free(0.7, 0, "d1", 1, 0)
-        assert ("d1", "T[1]") not in c._resident[0]
+        c.on_alloc(0.5, 1, "d1", 1, 1)
+        c.on_alloc(0.5, 1, "d3", 1, 2)
+        c.on_data_arrive(0.6, 1, "d1", "T[1]", 0)
+        c.on_free(0.7, 1, "d3", 1, 1)  # another object's free keeps d1
+        c.on_exe(0.8, 0.9, 1, "T[1,2]")
+        assert c.violations == []
+        c.on_free(1.0, 1, "d1", 1, 0)
+        c.on_exe(1.1, 1.2, 1, "T[1,4]")
+        (v,) = c.violations
+        assert v.invariant == "input-residency"
+        assert "'d1'@'T[1]'" in v.detail
 
     def test_capacity_flagged(self, paper_compiled):
         c = make_checker(paper_compiled)

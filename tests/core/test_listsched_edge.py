@@ -8,6 +8,7 @@ from repro.core.schedule import CommModel
 from repro.errors import SchedulingError
 from repro.graph import GraphBuilder
 from repro.graph.generators import chain, fork_join
+from repro.rapid.inspector import order_with
 
 
 def build_graph(tasks):
@@ -66,6 +67,34 @@ class TestEngineEdges:
         with pytest.raises(SchedulingError):
             run_list_scheduler(
                 g, pl, asg, StaticPolicy({"T0": 1.0, "T1": 1.0}), levels=levels
+            )
+
+    @pytest.mark.parametrize("heuristic", ["rcp", "mpo", "dts", "tree"])
+    @pytest.mark.parametrize("bad", [2, 3, -1])
+    def test_processor_outside_range(self, heuristic, bad):
+        """A task mapped outside [0, P) is named with its processor;
+        -1 must not quietly index the last processor."""
+        g = chain(3)
+        pl = cyclic_placement(g, 2)
+        asg = dict(owner_compute_assignment(g, pl), T1=bad)
+        with pytest.raises(SchedulingError, match=rf"'T1'.*processor {bad}"):
+            order_with(heuristic, g, pl, asg)
+
+    def test_static_policy_missing_task(self):
+        g = chain(2)
+        pl = cyclic_placement(g, 1)
+        asg = {t: 0 for t in g.task_names}
+        with pytest.raises(SchedulingError, match="'T1'"):
+            run_list_scheduler(g, pl, asg, StaticPolicy({"T0": 1.0}))
+
+    def test_levels_missing_task(self):
+        g = chain(2)
+        pl = cyclic_placement(g, 1)
+        asg = {t: 0 for t in g.task_names}
+        with pytest.raises(SchedulingError, match="'T1'"):
+            run_list_scheduler(
+                g, pl, asg, StaticPolicy({"T0": 1.0, "T1": 1.0}),
+                levels={"T0": 0},
             )
 
     def test_dynamic_priority_refresh(self):

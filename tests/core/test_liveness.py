@@ -10,7 +10,7 @@ from repro.core import (
     owner_compute_assignment,
 )
 from repro.core.placement import placement_from_dict
-from repro.errors import NonExecutableScheduleError
+from repro.errors import NonExecutableScheduleError, SchedulingError
 from repro.graph import GraphBuilder
 
 
@@ -34,6 +34,12 @@ def volatile_graph():
 
 
 class TestLiveness:
+    def test_unknown_task_in_order(self):
+        g, pl, asg = volatile_graph()
+        s = Schedule(g, pl, asg, [["wa", "wb", "wc"], ["ra", "nope", "rb"]])
+        with pytest.raises(SchedulingError, match="unknown task 'nope'"):
+            analyze_memory(s)
+
     def test_disjoint_lifetimes_share_space(self):
         g, pl, asg = volatile_graph()
         s = Schedule(g, pl, asg, [["wa", "wb", "wc"], ["ra", "rb", "rc"]])

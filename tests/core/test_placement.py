@@ -56,6 +56,12 @@ class TestPlacement:
         with pytest.raises(PlacementError):
             Placement(0, {})
 
+    @pytest.mark.parametrize("make", [cyclic_placement, block_placement])
+    @pytest.mark.parametrize("nprocs", [0, -1])
+    def test_placements_reject_no_processors(self, make, nprocs):
+        with pytest.raises(PlacementError, match="num_procs"):
+            make(chain(3), nprocs)
+
     def test_missing_owner(self):
         pl = Placement(2, {})
         with pytest.raises(PlacementError):

@@ -20,6 +20,7 @@ from repro.obs import (
     RESIDENCY_KEYS,
     Counters,
     Instrument,
+    MetricsSuite,
     MultiInstrument,
 )
 
@@ -164,6 +165,91 @@ def test_multi_instrument_drops_disabled_children():
     assert probe.calls == [("begin", 2), ("end", 19.0)]
     empty = MultiInstrument([NULL_INSTRUMENT])
     assert not empty.enabled
+
+
+class Recorder(Instrument):
+    """Records every hook call, in order."""
+
+    def __init__(self):
+        self.calls = []
+
+
+def _recording(name):
+    def hook(self, *args):
+        self.calls.append((name, args))
+
+    return hook
+
+
+for _name in HOOKS:
+    setattr(Recorder, _name, _recording(_name))
+del _name
+
+
+def test_nested_composites_dispatch_like_a_direct_attach(monkeypatch):
+    direct = Recorder()
+    simulate(schedule_c(), spec=UNIT_MACHINE, capacity=8, instrument=direct)
+    assert {name for name, _ in direct.calls} >= {"on_state", "on_exe"}
+
+    # Count every call that reaches the base no-op of ``on_state``.
+    no_op_calls = []
+    monkeypatch.setattr(
+        Instrument, "on_state", lambda self, *args: no_op_calls.append(self)
+    )
+
+    class Quiet(Instrument):
+        """Overrides ``on_exe`` only."""
+
+        def __init__(self):
+            self.tasks = []
+
+        def on_exe(self, t0, t1, proc, task):
+            self.tasks.append(task)
+
+    nested, quiet, suite = Recorder(), Quiet(), MetricsSuite()
+    outer = MultiInstrument([suite, MultiInstrument([nested, quiet])])
+    simulate(schedule_c(), spec=UNIT_MACHINE, capacity=8, instrument=outer)
+    assert nested.calls == direct.calls
+    assert quiet.tasks == [args[3] for name, args in direct.calls
+                           if name == "on_exe"]
+    assert suite.counters.counts["tasks"] == paper_example_graph().num_tasks
+    # Neither Quiet nor any suite child that keeps the base on_state
+    # is dispatched to.
+    assert no_op_calls == []
+
+
+def test_multi_instrument_binds_hooks_at_construction():
+    class Probe(Instrument):
+        def on_run_end(self, parallel_time):
+            pass
+
+    probe, other = Probe(), Probe()
+    single = MultiInstrument([probe])
+    # One subscriber: the hook *is* the child's bound method; no
+    # subscriber: the inherited no-op.
+    assert single.on_run_end == probe.on_run_end
+    assert type(single).on_exe is Instrument.on_exe
+    assert "on_exe" not in vars(single)
+    # An instance-level hook set before composing is a subscriber.
+    seen = []
+    other.on_exe = lambda t0, t1, proc, task: seen.append(task)
+    MultiInstrument([single, other]).on_exe(0.0, 1.0, 0, "T[1]")
+    assert seen == ["T[1]"]
+
+
+@pytest.mark.parametrize("clone", ["pickle", "deepcopy"])
+def test_cloned_composite_dispatches_to_its_own_children(clone):
+    import copy
+    import pickle
+
+    outer = MultiInstrument([MetricsSuite(), MultiInstrument([Recorder()])])
+    twin = (pickle.loads(pickle.dumps(outer)) if clone == "pickle"
+            else copy.deepcopy(outer))
+    suite, inner = twin.children
+    simulate(schedule_c(), spec=UNIT_MACHINE, capacity=8, instrument=twin)
+    assert suite.counters.counts["tasks"] == paper_example_graph().num_tasks
+    assert inner.children[0].calls
+    assert outer.children[1].children[0].calls == []
 
 
 def test_user_instrument_receives_events():
