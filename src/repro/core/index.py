@@ -24,10 +24,11 @@ mapping but not on the order, so it is computed once here and shared:
 Graph indexes live in a weak-keyed cache, the pattern of
 ``analysis/bounds.py``: an index dies with its graph, and nothing in an
 index holds the graph strongly.  Each graph index keeps the last
-:data:`MAX_MAPPINGS` mapping indexes.  Mappings are matched by value —
-the owner of every object and the processor of every task — so callers
-that rebuild an equal placement and assignment for each heuristic share
-one index.  Unfrozen graphs may still change, so they are never cached:
+:data:`MAX_MAPPINGS` mapping indexes, and :meth:`GraphIndex.forget`
+drops one early once its caller is done with it.  Mappings are matched
+by value — the owner of every object and the processor of every task —
+so callers that rebuild an equal placement and assignment for each
+heuristic share one index.  Unfrozen graphs may still change, so they are never cached:
 every call builds a fresh index.
 
 Everything handed out by an index is shared.  Treat it as read-only.
@@ -54,7 +55,10 @@ __all__ = [
 ]
 
 #: Mapping indexes kept per graph index (least recently used evicted).
-#: A sweep orders one (workload, P) mapping at a time, so a few suffice.
+#: A sweep orders one (workload, P) mapping at a time and drops it with
+#: :meth:`GraphIndex.forget` when the group finishes, so a few suffice;
+#: the bound caps what callers that never forget (tables, the CLI's
+#: ``analyze``) hold per graph.
 MAX_MAPPINGS = 4
 
 T = TypeVar("T")
@@ -111,24 +115,34 @@ class GraphIndex:
             value = self._memo[key] = build()
             return value
 
+    def _mapping_key(self, placement: Placement, assignment: Mapping[str, int]) -> tuple:
+        """Value key of a mapping: the processor count, the processor of
+        every task and the owner of every object (``-1`` if unowned)."""
+        owner = placement.owner
+        return (
+            placement.num_procs,
+            tuple([assignment[t] for t in self.names]),
+            tuple([owner.get(o, -1) for o in self.object_names]),
+        )
+
     def mapping(self, placement: Placement, assignment: Mapping[str, int]) -> "MappingIndex":
         """The :class:`MappingIndex` of (``placement``, ``assignment``),
         shared by every equal mapping (LRU of :data:`MAX_MAPPINGS`)."""
-        names = self.names
-        proc = [assignment[t] for t in names]
-        owner = placement.owner
-        key = (
-            placement.num_procs,
-            tuple(proc),
-            tuple([owner.get(o, -1) for o in self.object_names]),
-        )
+        key = self._mapping_key(placement, assignment)
         mi = self._mappings.pop(key, None)
         if mi is None:
-            mi = MappingIndex(self, placement, proc)
+            mi = MappingIndex(self, placement, list(key[1]))
         self._mappings[key] = mi  # most recently used last
         if len(self._mappings) > MAX_MAPPINGS:
             self._mappings.popitem(last=False)
         return mi
+
+    def forget(self, placement: Placement, assignment: Mapping[str, int]) -> None:
+        """Drop the :class:`MappingIndex` of an equal mapping, and with
+        it that mapping's memo (lowering tables, mapped b-levels), once
+        no caller will ask for it again.  A later :meth:`mapping` call
+        rebuilds it; graph-level memos are kept."""
+        self._mappings.pop(self._mapping_key(placement, assignment), None)
 
 
 class MappingIndex:

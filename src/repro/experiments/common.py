@@ -16,15 +16,18 @@ Conventions (section 5.1 of the paper):
   reported as ``inf``, printed ``inf`` like the paper's tables.
 
 The :class:`ExperimentContext` caches schedules, profiles and simulation
-results so a sweep over memory fractions re-uses its scheduling work.
+results per (workload, processors) group so a sweep over memory
+fractions re-uses its scheduling work, and frees a group's tables when
+the sweep is done with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
+from ..core.index import graph_index
 from ..core.liveness import MemoryProfile, analyze_memory
 from ..core.placement import Placement
 from ..core.schedule import Schedule
@@ -109,21 +112,52 @@ class CellMetrics:
         return self.pt_increase * 100.0
 
 
+@dataclass
+class _Group:
+    """Every table :class:`ExperimentContext` caches for one (workload,
+    procs) group; the dict keys omit the group's own ``(key, p)``."""
+
+    mapping: Optional[tuple[Placement, dict[str, int]]] = None
+    baseline_pt: Optional[float] = None
+    #: ``(heuristic, capacity)`` -> schedule / profile / compiled form
+    schedules: dict[tuple, Schedule] = field(default_factory=dict)
+    profiles: dict[tuple, MemoryProfile] = field(default_factory=dict)
+    compiled: dict[tuple, CompiledSchedule] = field(default_factory=dict)
+    #: ``(heuristic, cap_arg, capacity, metrics, check, engine)`` -> run
+    sims: dict[tuple, tuple[SimResult, Optional[int]]] = field(default_factory=dict)
+    #: ``(heuristic, cap_arg, capacity)`` -> analyzer error count
+    analysis: dict[tuple, float] = field(default_factory=dict)
+    #: ``(heuristic, capacity)`` -> certified bounds
+    bounds: dict[tuple, object] = field(default_factory=dict)
+
+
+def _add_counters(totals: dict, counters: dict) -> None:
+    for k, v in counters.items():
+        totals[k] = totals.get(k, 0) + v
+
+
 class ExperimentContext:
-    """Caches problems, schedules, profiles and baselines per workload."""
+    """Caches problems, and per (workload, procs) group the tables its
+    cells share.
+
+    Problems are built once and kept for the context's lifetime.  A
+    group's tables — its mapping, schedules, liveness profiles, compiled
+    schedules (with their MAP plans, lowering and exec plans), RCP
+    baseline, simulation results, analyzer counts and bounds — are
+    kept until :meth:`release` drops them.
+    :func:`~repro.experiments.sweep.full_sweep` releases each group as
+    it finishes, since no group reads another's tables; other callers
+    (the table builders, the CLI's ``analyze``) never release and keep
+    everything for the context's lifetime.
+    """
 
     def __init__(self, spec: MachineSpec = CRAY_T3D):
         self.spec = spec
         self._problems: dict[str, object] = {}
         self._registered: dict[str, object] = {}
-        self._mappings: dict[tuple, tuple[Placement, dict[str, int]]] = {}
-        self._schedules: dict[tuple, Schedule] = {}
-        self._profiles: dict[tuple, MemoryProfile] = {}
-        self._compiled: dict[tuple, CompiledSchedule] = {}
-        self._baseline_pt: dict[tuple, float] = {}
-        self._sims: dict[tuple, tuple[SimResult, Optional[int]]] = {}
-        self._analysis: dict[tuple, float] = {}
-        self._bounds: dict[tuple, object] = {}
+        self._groups: dict[tuple[str, int], _Group] = {}
+        #: engine counters of the compiled schedules of released groups
+        self._released_counters: dict = {}
 
     # -- workloads -------------------------------------------------------
 
@@ -200,24 +234,51 @@ class ExperimentContext:
             out[key] = problem
         return out
 
+    # -- groups --------------------------------------------------------------
+
+    def _group(self, key: str, p: int) -> _Group:
+        try:
+            return self._groups[key, p]
+        except KeyError:
+            group = self._groups[key, p] = _Group()
+            return group
+
+    def release(self, key: str, p: int) -> None:
+        """Drop every cached table of the (``key``, ``p``) group and
+        the graph index's :class:`~repro.core.index.MappingIndex` of its
+        mapping; the problem and graph-level memos stay.  The group's
+        engine counters are folded into :meth:`engine_counters` first.
+        A later call for the group rebuilds its tables; releasing a
+        group with nothing cached is a no-op."""
+        group = self._groups.pop((key, p), None)
+        if group is None:
+            return
+        for cs in group.compiled.values():
+            _add_counters(self._released_counters, cs.counters)
+        if group.mapping is not None:
+            graph = self.problem(key).graph
+            if graph.frozen:
+                graph_index(graph).forget(*group.mapping)
+
     # -- schedules ---------------------------------------------------------
 
     def mapping(self, key: str, p: int) -> tuple[Placement, dict[str, int]]:
         """The ``(placement, assignment)`` of a workload on ``p``
         processors, built once and shared by every heuristic (treat as
         read-only)."""
-        mk = (key, p)
-        if mk not in self._mappings:
+        group = self._group(key, p)
+        if group.mapping is None:
             prob = self.problem(key)
             placement = prob.placement(p)
-            self._mappings[mk] = (placement, prob.assignment(placement))
-        return self._mappings[mk]
+            group.mapping = (placement, prob.assignment(placement))
+        return group.mapping
 
     def schedule(self, key: str, p: int, heuristic: str, capacity: Optional[int] = None) -> Schedule:
-        ck = (key, p, heuristic, capacity)
-        if ck not in self._schedules:
+        cache = self._group(key, p).schedules
+        ck = (heuristic, capacity)
+        if ck not in cache:
             placement, assignment = self.mapping(key, p)
-            self._schedules[ck] = order_with(
+            cache[ck] = order_with(
                 heuristic,
                 self.problem(key).graph,
                 placement,
@@ -225,13 +286,14 @@ class ExperimentContext:
                 comm=self.spec.comm_model(),
                 capacity=capacity,
             )
-        return self._schedules[ck]
+        return cache[ck]
 
     def profile(self, key: str, p: int, heuristic: str, capacity: Optional[int] = None) -> MemoryProfile:
-        ck = (key, p, heuristic, capacity)
-        if ck not in self._profiles:
-            self._profiles[ck] = analyze_memory(self.schedule(key, p, heuristic, capacity))
-        return self._profiles[ck]
+        cache = self._group(key, p).profiles
+        ck = (heuristic, capacity)
+        if ck not in cache:
+            cache[ck] = analyze_memory(self.schedule(key, p, heuristic, capacity))
+        return cache[ck]
 
     def compiled(self, key: str, p: int, heuristic: str, capacity: Optional[int] = None) -> CompiledSchedule:
         """Compiled (validated, preprocessed) form of a schedule.
@@ -239,13 +301,14 @@ class ExperimentContext:
         One compiled schedule serves every capacity of a sweep, so the
         validation / liveness / static-table work is paid once per
         (workload, procs, heuristic) instead of once per cell."""
-        ck = (key, p, heuristic, capacity)
-        if ck not in self._compiled:
-            self._compiled[ck] = CompiledSchedule(
+        cache = self._group(key, p).compiled
+        ck = (heuristic, capacity)
+        if ck not in cache:
+            cache[ck] = CompiledSchedule(
                 self.schedule(key, p, heuristic, capacity),
                 profile=self.profile(key, p, heuristic, capacity),
             )
-        return self._compiled[ck]
+        return cache[ck]
 
     def reference_tot(self, key: str, p: int) -> int:
         """The RCP schedule's TOT — the 100% reference of section 5.1."""
@@ -258,16 +321,16 @@ class ExperimentContext:
         Cached per (workload, procs): the engines agree exactly (the
         differential suite asserts it), so ``engine`` only picks which
         one computes the first value."""
-        ck = (key, p)
-        if ck not in self._baseline_pt:
+        group = self._group(key, p)
+        if group.baseline_pt is None:
             res = Simulator(
                 spec=self.spec,
                 memory_managed=False,
                 compiled=self.compiled(key, p, "rcp"),
                 engine=engine,
             ).run()
-            self._baseline_pt[ck] = res.parallel_time
-        return self._baseline_pt[ck]
+            group.baseline_pt = res.parallel_time
+        return group.baseline_pt
 
     # -- measurements -------------------------------------------------------
 
@@ -277,8 +340,9 @@ class ExperimentContext:
     ) -> float:
         """Error-severity findings of the static analyzer for one cell
         (cached; O(plan), no simulation)."""
-        ak = (key, p, heuristic, cap_arg, capacity)
-        if ak not in self._analysis:
+        cache = self._group(key, p).analysis
+        ak = (heuristic, cap_arg, capacity)
+        if ak not in cache:
             from ..analysis import analyze_schedule
 
             prof = self.profile(key, p, heuristic, cap_arg)
@@ -295,8 +359,8 @@ class ExperimentContext:
                 profile=prof,
                 plan=plan,
             )
-            self._analysis[ak] = float(len(report.errors))
-        return self._analysis[ak]
+            cache[ak] = float(len(report.errors))
+        return cache[ak]
 
     def bounds_for(
         self, key: str, p: int, heuristic: str,
@@ -312,15 +376,16 @@ class ExperimentContext:
         heuristic anyway because a capacity-merged schedule (DTS) can
         coarsen the graph itself.
         """
-        bk = (key, p, heuristic, capacity)
-        if bk not in self._bounds:
+        cache = self._group(key, p).bounds
+        bk = (heuristic, capacity)
+        if bk not in cache:
             from ..analysis import schedule_bounds
 
-            self._bounds[bk] = schedule_bounds(
+            cache[bk] = schedule_bounds(
                 self.schedule(key, p, heuristic, capacity),
                 comm=self.spec.comm_model(),
             )
-        return self._bounds[bk]
+        return cache[bk]
 
     def run_cell(
         self,
@@ -394,11 +459,12 @@ class ExperimentContext:
         # the engine columns stay empty.
         res = nviol = None
         if cell.executable:
+            sims = self._group(key, p).sims
             sk = (
-                key, p, heuristic, cap_arg, capacity, collect_metrics,
-                collect_check, engine,
+                heuristic, cap_arg, capacity, collect_metrics, collect_check,
+                engine,
             )
-            if sk not in self._sims:
+            if sk not in sims:
                 checker = None
                 if collect_check:
                     from ..conformance import InvariantChecker
@@ -414,11 +480,11 @@ class ExperimentContext:
                     instrument=checker,
                     engine=engine,
                 ).run()
-                self._sims[sk] = (
+                sims[sk] = (
                     run,
                     len(checker.violations) if checker is not None else None,
                 )
-            res, nviol = self._sims[sk]
+            res, nviol = sims[sk]
             cell.pt = res.parallel_time
             cell.pt_increase = (res.parallel_time - base) / base
             cell.avg_maps = res.avg_maps
@@ -454,14 +520,15 @@ class ExperimentContext:
 
     def engine_counters(self) -> dict:
         """Aggregated engine introspection counters over every compiled
-        schedule this context holds (see
+        schedule this context built, including those of groups already
+        dropped by :meth:`release` (see
         :data:`~repro.machine.simulator.ENGINE_COUNTER_KEYS`): MAP-plan /
         lowering / ExecPlan cache hits and misses, phase timers, run
         counts per engine and ``fallback:<reason>`` tallies."""
-        totals: dict = {}
-        for cs in self._compiled.values():
-            for k, v in cs.counters.items():
-                totals[k] = totals.get(k, 0) + v
+        totals = dict(self._released_counters)
+        for group in self._groups.values():
+            for cs in group.compiled.values():
+                _add_counters(totals, cs.counters)
         return totals
 
 

@@ -10,8 +10,10 @@ Grid cells are independent, so :func:`full_sweep` can fan the grid out
 over worker processes (``jobs > 1``).  Work is grouped by
 (workload, processors): every cell of a group shares the group's
 schedules, compiled simulator tables and RCP baseline, so that shared
-work is computed once per group rather than once per cell.  Results are
-returned in the same deterministic order as the serial sweep — the
+work is computed once per group rather than once per cell, and freed
+(:meth:`~repro.experiments.common.ExperimentContext.release`) when the
+group finishes, so a sweep holds one group's tables at a time.  Results
+are returned in the same deterministic order as the serial sweep — the
 simulation itself is deterministic, so ``jobs=N`` produces records (and
 CSV bytes) identical to ``jobs=1``.
 
@@ -139,21 +141,29 @@ def _run_group(
 ) -> list[SweepRecord]:
     """All records of one (workload, procs) group, in grid order;
     ``cell_kw`` holds the keyword arguments of every
-    :meth:`~repro.experiments.common.ExperimentContext.run_cell` call."""
+    :meth:`~repro.experiments.common.ExperimentContext.run_cell` call.
+    No other group reads this group's tables, so they are released
+    when it finishes (the sweep's footprint is one group's, not the
+    grid's)."""
     out: list[SweepRecord] = []
-    for h in heuristics:
-        for f in fractions:
-            cell = ctx.run_cell(key, p, h, f, **cell_kw)
-            out.append(SweepRecord(
-                key, p, h, f, cell.executable, cell.capacity, cell.min_mem,
-                cell.tot, cell.pt, cell.pt_increase, cell.avg_maps,
-                **{name: getattr(cell, name) for name in _OPTIONAL_FIELDS},
-            ))
+    try:
+        for h in heuristics:
+            for f in fractions:
+                cell = ctx.run_cell(key, p, h, f, **cell_kw)
+                out.append(SweepRecord(
+                    key, p, h, f, cell.executable, cell.capacity, cell.min_mem,
+                    cell.tot, cell.pt, cell.pt_increase, cell.avg_maps,
+                    **{name: getattr(cell, name) for name in _OPTIONAL_FIELDS},
+                ))
+    finally:
+        ctx.release(key, p)
     return out
 
 
-#: Per-worker-process context; built once by :func:`_worker_init` so
-#: schedules and baselines are shared across the groups a worker runs.
+#: Per-worker-process context, built once by :func:`_worker_init`.  A
+#: worker runs distinct (workload, procs) groups, which share only the
+#: built problems and the graph-level index memos; the context lives on
+#: for those and for the engine counters the runtime trace reports.
 _WORKER_CTX: Optional[ExperimentContext] = None
 
 

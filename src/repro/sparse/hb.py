@@ -17,12 +17,13 @@ from __future__ import annotations
 import pathlib
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 
 def read_harwell_boeing(path: str | pathlib.Path) -> sp.csr_matrix:
     """Read an HB file; symmetric storage is expanded to a full matrix."""
+    import scipy.io
+
     path = pathlib.Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no Harwell-Boeing file at {path}")
@@ -41,6 +42,8 @@ def read_harwell_boeing(path: str | pathlib.Path) -> sp.csr_matrix:
 
 def write_harwell_boeing(path: str | pathlib.Path, a: sp.spmatrix) -> None:
     """Write a matrix in HB format (full storage)."""
+    import scipy.io
+
     scipy.io.hb_write(str(path), sp.csc_matrix(a))
 
 

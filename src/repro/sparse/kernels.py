@@ -16,7 +16,6 @@ keeps pivot search and row swaps local, as in section 5 of the paper).
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as _sla
 
 
 # ----------------------------------------------------------------------
@@ -98,13 +97,15 @@ def lu_update_panel(src: dict, dst: dict, col_start: int, col_end: int) -> None:
     permuted) row order, so the destination must be brought to the same
     order before the update.
     """
+    import scipy.linalg as sla
+
     a_src = src["A"]
     a_dst = dst["A"]
     for gc, r in src["piv"]:
         if r != gc:
             a_dst[[gc, r], :] = a_dst[[r, gc], :]
     l_kk = a_src[col_start:col_end, :]
-    u_rows = _sla.solve_triangular(
+    u_rows = sla.solve_triangular(
         l_kk, a_dst[col_start:col_end, :], lower=True, unit_diagonal=True
     )
     a_dst[col_start:col_end, :] = u_rows

@@ -19,7 +19,6 @@ import heapq
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
 def _symmetric_pattern(a: sp.spmatrix) -> sp.csr_matrix:
@@ -73,6 +72,8 @@ def minimum_degree(a: sp.spmatrix) -> np.ndarray:
 
 def rcm(a: sp.spmatrix) -> np.ndarray:
     """Reverse Cuthill-McKee ordering (SciPy)."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     s = _symmetric_pattern(a)
     return np.asarray(reverse_cuthill_mckee(s, symmetric_mode=True), dtype=np.int64)
 

@@ -12,7 +12,6 @@ the paper's LU evaluation covers factorization only).
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from ..rapid.executor import execute_serial
 from .cholesky import CholeskyProblem
@@ -43,6 +42,8 @@ def cholesky_solve(
 
 def lu_solve(prob: LUProblem, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` via the 1-D column-block LU task graph."""
+    import scipy.linalg as sla
+
     if b.shape != (prob.n,):
         raise ValueError(f"b must have shape ({prob.n},)")
     store = prob.initial_store()

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from ..core.placement import Placement, owner_compute_assignment
 from ..graph.builder import GraphBuilder
@@ -87,6 +86,8 @@ class TrisolveProblem:
 
 def _solve_kernel(diag: str, seg: str, lower: bool):
     def kernel(store: dict) -> None:
+        import scipy.linalg as sla
+
         l = store[diag]
         store[seg] = sla.solve_triangular(l, store[seg], lower=True, trans=0 if lower else 1)
 

@@ -68,6 +68,22 @@ class TestSharing:
         assert mapping_index(g, *keep[0]) is not first  # evicted
         assert mapping_index(g, *keep[-1]) is mapping_index(g, *keep[-1])
 
+    def test_forget_drops_only_that_mapping(self):
+        g, pl, asg = case()
+        other = cyclic_placement(g, 2)
+        other_asg = owner_compute_assignment(g, other)
+        gi = graph_index(g)
+        dcg = dcg_mod.shared_dcg(g)
+        kept = mapping_index(g, other, other_asg)
+        first = mapping_index(g, pl, asg)
+        # an equal mapping rebuilt by value is forgotten too
+        gi.forget(Placement(pl.num_procs, dict(pl.owner)), dict(asg))
+        assert mapping_index(g, pl, asg) is not first
+        assert mapping_index(g, other, other_asg) is kept
+        assert dcg_mod.shared_dcg(g).succ is dcg.succ  # graph memo kept
+        gi.forget(other, other_asg)
+        gi.forget(other, other_asg)  # forgetting twice is a no-op
+
     def test_unfrozen_graphs_are_never_cached(self):
         g = TaskGraph()
         g.add_object("x")

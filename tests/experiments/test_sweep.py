@@ -135,8 +135,9 @@ class TestParallelSweep:
             jobs=4,
         )
         assert len(recs) == 1
-        # The serial path populated this context's own caches.
-        assert ctx._sims
+        # The serial path ran on this context: its counters hold the
+        # group's two compiled runs (the RCP baseline and the cell).
+        assert ctx.engine_counters()["compiled_runs"] == 2
 
 
 class TestCSV:
@@ -301,7 +302,7 @@ class TestGridValidation:
         ctx = ExperimentContext()
         with pytest.raises(error, match=match):
             full_sweep(ctx, **grid)
-        assert not ctx._sims and not ctx._schedules
+        assert not ctx._groups and not ctx.engine_counters()
 
     def test_run_cell_rejects_unknown_reference(self):
         with pytest.raises(ValueError, match="reference"):
