@@ -164,6 +164,7 @@ def _csr_pass(lo) -> list[Diagnostic]:
     for name, table, space in (
         ("tid_at", lo.tid_at, nt), ("od_row", lo.od_row, nt),
         ("mk_dest", lo.mk_dest, lo.num_procs),
+        ("mk_src", lo.mk_src, lo.num_procs),
         ("mk_oid", lo.mk_oid, lo.num_objects),
         ("sk_dest", lo.sk_dest, lo.num_procs),
     ):
@@ -224,6 +225,11 @@ def _bijection_pass(cs, lo) -> list[Diagnostic]:
     }
     if len(keys) != lo.num_mk:
         add(f"{lo.num_mk - len(keys)} mk keys are duplicated")
+    bad = [mk for mk, (s, u) in enumerate(zip(lo.mk_src, lo.mk_uname))
+           if s != sched.assignment[cs.trigger[u]]]
+    if bad:
+        add(f"mk_src[{bad[0]}] = {lo.mk_src[bad[0]]} is not the processor "
+            f"of unit {lo.mk_uname[bad[0]]!r} ({len(bad)} such mks)")
     want = {(d, m, u) for d, tbl in enumerate(cs.data_waiters)
             for (m, u) in tbl}
     if set(keys) != want:

@@ -483,8 +483,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="sweep: simulator engine (default compiled, "
                              "the array-compiled engine); 'interpreted' "
                              "runs the reference oracle.  Both write the "
-                             "same CSV bytes; observed cells (--metrics, "
-                             "--check) always run interpreted")
+                             "same CSV bytes, observed cells (--metrics, "
+                             "--check) included")
     parser.add_argument("--workloads", nargs="*", default=None,
                         metavar="KEY",
                         help="sweep: workload keys of the grid "

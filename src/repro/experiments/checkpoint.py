@@ -37,6 +37,7 @@ import tempfile
 from dataclasses import asdict
 from typing import Optional, Sequence
 
+from ..machine.simulator import ENGINE_CONTRACT
 from .sweep import SweepRecord
 
 __all__ = [
@@ -104,7 +105,12 @@ def grid_fingerprint(
     and only the ``engine_used`` column tells them apart.  Without
     ``engine_stats`` the engine is hashed as ``"interpreted"``, the old
     default, so journals written before the compiled engine became the
-    default keep their fingerprint and still resume.
+    default keep their fingerprint and still resume.  With
+    ``engine_stats`` the :data:`~repro.machine.simulator.ENGINE_CONTRACT`
+    version is hashed too: it changes when the engine that executes a
+    cell does (observed cells ran interpreted before version 2), so a
+    journal's ``engine_used`` / ``fallback_reason`` rows are never
+    replayed next to fresh rows of another contract.
     ``engine_stats`` and ``bounds`` shape records (they fill opt-in
     columns), and ``harness_faults`` (a
     :class:`~repro.experiments.runtime.HarnessFaultSpec` or ``None``)
@@ -130,6 +136,8 @@ def grid_fingerprint(
             repr(harness_faults) if harness_faults is not None else None
         ),
     }
+    if engine_stats:
+        doc["engine_contract"] = ENGINE_CONTRACT
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

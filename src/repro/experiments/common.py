@@ -33,6 +33,9 @@ from ..core.placement import Placement
 from ..core.schedule import Schedule
 from ..machine.simulator import CompiledSchedule, SimResult, Simulator
 from ..machine.spec import CRAY_T3D, MachineSpec
+from ..obs.instrument import MultiInstrument
+from ..obs.instruments import MemoryTimeline, QueueDepth, StateResidency
+from ..obs.metrics import summary_columns
 from ..rapid.inspector import order_with
 from ..sparse.cholesky import build_cholesky
 from ..sparse.lu import build_lu
@@ -123,8 +126,10 @@ class _Group:
     schedules: dict[tuple, Schedule] = field(default_factory=dict)
     profiles: dict[tuple, MemoryProfile] = field(default_factory=dict)
     compiled: dict[tuple, CompiledSchedule] = field(default_factory=dict)
-    #: ``(heuristic, cap_arg, capacity, metrics, check, engine)`` -> run
-    sims: dict[tuple, tuple[SimResult, Optional[int]]] = field(default_factory=dict)
+    #: ``(heuristic, cap_arg, capacity, metrics, check, engine)`` ->
+    #: (run, violation count, :func:`~repro.obs.metrics.summary_columns`)
+    sims: dict[tuple, tuple[SimResult, Optional[int], Optional[dict]]] = (
+        field(default_factory=dict))
     #: ``(heuristic, cap_arg, capacity)`` -> analyzer error count
     analysis: dict[tuple, float] = field(default_factory=dict)
     #: ``(heuristic, capacity)`` -> certified bounds
@@ -410,7 +415,8 @@ class ExperimentContext:
         ``ValueError``.  With ``merge_capacity=True`` the heuristic
         receives the capacity (DTS slice merging).  With
         ``collect_metrics=True`` the simulation runs instrumented
-        (:mod:`repro.obs`) and the telemetry fields of
+        (:mod:`repro.obs`: only the residency, memory and queue
+        instruments the columns read) and the telemetry fields of
         :class:`CellMetrics` are populated; with ``collect_check=True``
         a :class:`~repro.conformance.InvariantChecker` rides along and
         fills the ``violations`` field; with ``collect_analysis=True``
@@ -421,14 +427,15 @@ class ExperimentContext:
         ``engine`` selects the simulator engine (see
         :class:`~repro.machine.simulator.Simulator`): the array-compiled
         engine by default, or ``"interpreted"`` for the reference
-        oracle; both give identical cells.  Metric/check cells are
-        observed runs and therefore fall back to the interpreted engine
-        regardless of the requested value.
+        oracle; both give identical cells, and observed (metric/check)
+        cells run on the requested engine too, with identical hook
+        calls.
 
         ``collect_engine=True`` records which engine actually executed
         the cell (``engine_used``) and the fallback reason of a
         requested-compiled cell that ran interpreted
-        (``fallback_reason``); it reads the cached
+        (``fallback_reason``; cells never inject faults, so it stays
+        empty); it reads the cached
         :class:`~repro.machine.simulator.SimResult` and never changes
         what runs.
 
@@ -446,10 +453,7 @@ class ExperimentContext:
         capacity = int(math.floor(tot * fraction))
         cap_arg = capacity if merge_capacity else None
         prof = self.profile(key, p, heuristic, cap_arg)
-        # An observed cell runs interpreted; its baseline does too, so
-        # the schedule builds one engine's tables (the value is equal).
-        observed = collect_metrics or collect_check
-        base = self.baseline_pt(key, p, "interpreted" if observed else engine)
+        base = self.baseline_pt(key, p, engine)
         cell = CellMetrics(
             executable=prof.min_mem <= capacity, capacity=capacity,
             min_mem=prof.min_mem, tot=tot,
@@ -457,7 +461,7 @@ class ExperimentContext:
         # Non-executable cells run nothing: ``res`` stays None, the
         # simulated columns below get ``inf`` like the timing fields and
         # the engine columns stay empty.
-        res = nviol = None
+        res = nviol = summary = None
         if cell.executable:
             sims = self._group(key, p).sims
             sk = (
@@ -465,31 +469,15 @@ class ExperimentContext:
                 engine,
             )
             if sk not in sims:
-                checker = None
-                if collect_check:
-                    from ..conformance import InvariantChecker
-
-                    checker = InvariantChecker(
-                        self.compiled(key, p, heuristic, cap_arg)
-                    )
-                run = Simulator(
-                    spec=self.spec,
-                    capacity=capacity,
-                    compiled=self.compiled(key, p, heuristic, cap_arg),
-                    metrics=collect_metrics,
-                    instrument=checker,
-                    engine=engine,
-                ).run()
-                sims[sk] = (
-                    run,
-                    len(checker.violations) if checker is not None else None,
+                sims[sk] = self._observed_run(
+                    key, p, heuristic, cap_arg, capacity, collect_metrics,
+                    collect_check, engine,
                 )
-            res, nviol = sims[sk]
+            res, nviol, summary = sims[sk]
             cell.pt = res.parallel_time
             cell.pt_increase = (res.parallel_time - base) / base
             cell.avg_maps = res.avg_maps
         if collect_metrics:
-            summary = res.metrics["summary"] if res is not None else None
             cell.map_overhead_frac = (
                 summary["map_overhead_frac"] if summary else INF
             )
@@ -517,6 +505,39 @@ class ExperimentContext:
                 if cell.mem_bound > 0 else INF
             )
         return cell
+
+    def _observed_run(
+        self, key: str, p: int, heuristic: str, cap_arg: Optional[int],
+        capacity: int, collect_metrics: bool, collect_check: bool,
+        engine: str,
+    ) -> tuple[SimResult, Optional[int], Optional[dict]]:
+        """Simulate one cell with only the instruments its columns read
+        attached; returns the run (no telemetry), its violation count
+        (``collect_check``) and its summary columns
+        (``collect_metrics``)."""
+        cs = self.compiled(key, p, heuristic, cap_arg)
+        probes = (
+            (StateResidency(), MemoryTimeline(), QueueDepth())
+            if collect_metrics else ()
+        )
+        checker = None
+        if collect_check:
+            from ..conformance import InvariantChecker
+
+            checker = InvariantChecker(cs)
+        run = Simulator(
+            spec=self.spec,
+            capacity=capacity,
+            compiled=cs,
+            instrument=MultiInstrument(
+                i for i in (*probes, checker) if i is not None),
+            engine=engine,
+        ).run()
+        return (
+            run,
+            len(checker.violations) if checker is not None else None,
+            summary_columns(*probes) if probes else None,
+        )
 
     def engine_counters(self) -> dict:
         """Aggregated engine introspection counters over every compiled

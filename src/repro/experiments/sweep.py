@@ -288,9 +288,9 @@ def full_sweep(
     :class:`~repro.machine.simulator.Simulator`): the array-compiled
     engine by default, ``"interpreted"`` for the reference oracle.  The
     engines agree exactly on all record fields — both produce
-    byte-identical CSV, the compiled engine faster; cells that must run
-    observed (``metrics``/``check``) fall back to the interpreted engine
-    per the fallback contract.
+    byte-identical CSV, the compiled engine faster, observed
+    (``metrics``/``check``) cells included: they run on the requested
+    engine with the oracle's exact instrument hook calls.
 
     A serial (``jobs=1``) or single-group sweep runs in this process.
     Every other sweep — ``jobs > 1``, or any of ``runtime`` (a

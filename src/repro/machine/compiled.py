@@ -23,8 +23,9 @@ the tid of its first task.
 ``mk``
     a *data message key* ``(dest, object, unit)``; carries a CSR waiter
     list (``wait_ptr``/``wait_tid``), an initial stale-copy counter
-    (``mk_need0``) and a group id ``grp_of`` linking the versions of one
-    ``(dest, object)`` pair for the consistency checks.
+    (``mk_need0``), its sender ``mk_src`` and a group id ``grp_of``
+    linking the versions of one ``(dest, object)`` pair for the
+    consistency checks.
 ``sk``
     a *sync key* ``(task, dest)`` with its own waiter CSR.
 ``ak``
@@ -107,15 +108,29 @@ first later overwrite position (``od_ow``) that could invalidate a
 weights are finite and non-negative by construction
 (:class:`~repro.errors.GraphValueError`).
 
+Observed runs
+-------------
+
+The engine drives the :class:`~repro.obs.instrument.Instrument` hooks
+itself, with the interpreted oracle's exact call sequence and
+arguments, behind one ``observing`` boolean hoisted out of the loop
+(one local-bool test per hook site when nothing observes).  While an
+instrument is attached, silent runs are stepped task by task through
+the noisy-task path — each task needs its ``on_exe`` and ``SND`` mark —
+so the ``*_hot`` kernels stay hook-free, and a processor left in REC is
+woken on every arrival, as in the oracle, for its ``REC`` mark.  The
+hook arguments come from per-mapping tables (``mk_src``: the sender of
+each data message) and the run's :class:`~repro.core.maps.MapPlan`.
+
 Fallback contract
 -----------------
 
-``Simulator.run`` runs this engine for every fault-free, unobserved run,
-including one with a caller-supplied :class:`~repro.core.maps.MapPlan`:
-that plan gets an uncached exec plan built from it.  Runs with
-``metrics``, ``trace``, an enabled instrument or active fault injection
-fall back to the interpreted oracle explicitly, and ``SimResult.engine``
-/ ``SimResult.fallback_reason`` record it.  Negative or non-finite costs
+``Simulator.run`` runs this engine for every fault-free run: observed
+ones (``metrics``, ``trace``, an enabled instrument) and one with a
+caller-supplied :class:`~repro.core.maps.MapPlan` (an uncached exec plan
+is built from it) included.  Only active fault injection falls back to
+the interpreted oracle, explicitly, and ``SimResult.engine`` /
+``SimResult.fallback_reason`` record it.  Negative or non-finite costs
 never reach either engine: :class:`~repro.machine.spec.MachineSpec`
 rejects them.
 
@@ -248,7 +263,7 @@ class MappingLowering:
         "od_ptr", "od_mk", "od_ak", "od_dest", "od_oid", "od_nbytes",
         "od_unit", "od_uname",
         "os_ptr", "os_sk", "cons_ptr", "cons_mk",
-        "mk_dest", "mk_oid", "mk_need0", "mk_uname",
+        "mk_dest", "mk_oid", "mk_need0", "mk_uname", "mk_src",
         "wait_ptr", "wait_tid", "grp_of", "grp_ptr", "grp_mk",
         "sk_src", "sk_dest", "swait_ptr", "swait_tid",
         # int-keyed: (owner * num_objects + oid) * num_procs + dest, and
@@ -386,6 +401,9 @@ def _lower_mapping(g, gi, mi) -> MappingLowering:
     ml.num_mk, ml.num_sk = len(mk_dest), len(sk_dest)
     ml.mk_dest, ml.mk_oid, ml.mk_need0 = mk_dest, mk_oid, mk_need0
     ml.mk_uname = [unit_name[u] for u in mk_unit]
+    # Sender of each data message (a unit's tasks are co-located): the
+    # ``src`` of ``on_data_arrive`` in observed runs.
+    ml.mk_src = [proc[u] for u in mk_unit]
     ml.wait_ptr, ml.wait_tid = _csr(dict(enumerate(waiters)), len(waiters))
     ml.sk_src, ml.sk_dest = sk_src, sk_dest
     ml.swait_ptr, ml.swait_tid = _csr(dict(enumerate(swaiters)),
@@ -812,14 +830,21 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
     """Execute ``sim`` with the array-compiled engine.
 
     Mirrors :meth:`Simulator._run_interpreted` action-for-action (see
-    the module docstring's exactness contract); returns a
+    the module docstring's exactness contract), including its
+    :class:`~repro.obs.instrument.Instrument` hook calls; returns a
     :class:`~repro.machine.simulator.SimResult` with
     ``engine="compiled"``.
     """
-    from .simulator import ProcessorStats, SimResult
+    from .simulator import ProcessorStats
 
     cs = sim.compiled
     spec = sim.spec
+    obs, suite, tlog = sim._observers()
+    #: One gate hoisted out of the loop, as in the interpreted engine:
+    #: unobserved, each hook site costs one local-bool test.
+    observing = obs is not None
+    if observing:
+        obs.on_run_begin(0.0, sim.p, sim.capacity, sim.memory_managed)
     ep = get_exec_plan(
         cs, sim.capacity, spec, sim.memory_managed, sim.preknown_addresses,
         plan=sim.plan,
@@ -840,9 +865,10 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
     od_mk, od_ak = ml.od_mk, ml.od_ak
     os_sk, cons_mk = ml.os_sk, ml.cons_mk
     mk_dest, mk_oid, mk_uname = ml.mk_dest, ml.mk_oid, ml.mk_uname
+    mk_src = ml.mk_src
     wait_ptr, wait_tid = ml.wait_ptr, ml.wait_tid
     grp_of, grp_ptr, grp_mk = ml.grp_of, ml.grp_ptr, ml.grp_mk
-    sk_dest = ml.sk_dest
+    sk_src, sk_dest = ml.sk_src, ml.sk_dest
     swait_ptr, swait_tid = ml.swait_ptr, ml.swait_tid
     map_pos, map_cost = ep.map_pos, ep.map_cost
     mf_ptr, mf_oid, mf_grp = ep.mf_ptr, ep.mf_oid, ep.mf_grp
@@ -854,11 +880,17 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
     od_net, od_nic = ep.od_net, ep.od_nic
     osz = ml.obj_size
     obj_name = ml.obj_name
+    od_oid, od_dest, od_uname = ml.od_oid, ml.od_dest, ml.od_uname
+    od_nbytes = ml.od_nbytes
+    names = ml.ids.names
     send_oh, put_lat, ra_cost = ep.send_oh, ep.put_lat, ep.ra_cost
     nic_serialize = ep.nic_serialize
     heappush, heappop = heapq.heappush, heapq.heappop
     if lo.max_run >= _SEG_VEC_MIN:
         bufa, bufb = np.empty(lo.max_run + 1), np.empty(lo.max_run + 1)
+    if observing:
+        # on_map reports the plan's MapPoint (its frees/allocs lists).
+        maps_at = maps_by_position(sim.plan, nprocs)
 
     # --- mutable run-local state --------------------------------------
     state = [_REC] * nprocs
@@ -911,6 +943,8 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                 )
             used[q] = pb
             apk[q] = pb
+            if observing:
+                obs.on_alloc(0.0, q, "<permanent>", pb, pb)
     if not ep.memory_managed:
         oid_of = ml.ids.oid_of
         for q in range(nprocs):
@@ -929,6 +963,8 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                     )
                 allocated[base + oid] = 1
                 u += sz
+                if observing:
+                    obs.on_alloc(0.0, q, obj_name[oid], sz, u)
             used[q] = u
             if u > apk[q]:
                 apk[q] = u
@@ -949,27 +985,29 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
         heappush(events, (t, seq, code))
         seq += 1
 
-    def charge(q: int, t: float, cost: float) -> float:
+    def charge(q: int, t: float, cost: float, kind: str) -> float:
         a = avail[q]
         if a < t:
             a = t
         end = a + cost
         avail[q] = end
         over[q] += cost
+        if observing:
+            obs.on_overhead(a, end, q, kind)
         return end
 
     def _raise_version(q: int, od: int):
-        oid = ml.od_oid[od]
+        oid = od_oid[od]
         raise DataConsistencyError(
             f"P{q} sending {obj_name[oid]!r} version "
             f"{lo.version_at(q, oid, cur[q] - proc_start[q])!r} for an "
-            f"edge requiring version {ml.od_uname[od]!r}"
+            f"edge requiring version {od_uname[od]!r}"
         )
 
     def dispatch(q: int, od: int, t: float) -> None:
         if not od_ok0[od] or cur[q] > od_ow[od]:
             _raise_version(q, od)
-        t2 = charge(q, t, send_oh)
+        t2 = charge(q, t, send_oh, "send")
         dmsg[q] += 1
         if nic_serialize:
             nf = nic_free[q]
@@ -978,6 +1016,9 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             arrive = start + od_net[od]
         else:
             arrive = t2 + od_net[od]
+        if observing:
+            obs.on_put(t2, arrive, q, od_dest[od], obj_name[od_oid[od]],
+                       od_uname[od], od_nbytes[od])
         push(arrive, _DATA_BASE | od_mk[od])
 
     def ra(q: int, t: float) -> None:
@@ -994,9 +1035,11 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                     known[pkg_ak[i]] = 1
                     i += 1
                 pread[q] += 1
-                charge(q, t, ra_cost)
+                charge(q, t, ra_cost, "ra")
                 a = avail[q]
                 start = a if a >= t else t
+                if observing:
+                    obs.on_package_read(start, q, src, len(pkg_objs[k]))
                 push(start + put_lat, _SLOT_BASE | (src * nprocs + q))
             inbox_ct[q] = 0
         if suspended[q]:
@@ -1011,6 +1054,10 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             for od in ready:
                 a = avail[q]
                 dispatch(q, od, a if a >= t else t)
+                if observing:
+                    a = avail[q]
+                    obs.on_put_drain(a if a >= t else t, q, od_dest[od],
+                                     obj_name[od_oid[od]], len(still))
 
     def try_send(q: int, t: float) -> bool:
         still = []
@@ -1018,17 +1065,30 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             dst = pkg_dst[k]
             if slot[q * nprocs + dst]:
                 still.append(k)
+                if observing:
+                    a = avail[q]
+                    obs.on_package_block(a if a >= t else t, q, dst,
+                                         len(pkg_objs[k]))
                 continue
             slot[q * nprocs + dst] = 1
-            t2 = charge(q, t, pkg_oh + len(pkg_objs[k]) * addr_cost)
+            t2 = charge(q, t, pkg_oh + len(pkg_objs[k]) * addr_cost,
+                        "package")
             psent[q] += 1
+            if observing:
+                obs.on_package_send(t2, q, dst, len(pkg_objs[k]))
             push(t2 + put_lat, _ADDR_BASE | k)
         pending_pkgs[q] = still
         return not still
 
     def exec_map(q: int, k: int, t: float) -> None:
         nmaps[q] += 1
-        charge(q, t, map_cost[k])
+        if observing:
+            mp = maps_at[q][map_pos[k] - proc_start[q]]
+            a = avail[q]
+            obs.on_map(a if a >= t else t, q, mp.position, mp.frees,
+                       mp.allocs)
+        charge(q, t, map_cost[k], "map")
+        t_map = avail[q]  # memory ops take effect at MAP completion
         u = used[q]
         base = q * nobjects
         for i in range(mf_ptr[k], mf_ptr[k + 1]):
@@ -1039,6 +1099,8 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                 )
             allocated[base + oid] = 0
             u -= osz[oid]
+            if observing:
+                obs.on_free(t_map, q, obj_name[oid], osz[oid], u)
             gid = mf_grp[i]
             if gid >= 0:
                 for j in range(grp_ptr[gid], grp_ptr[gid + 1]):
@@ -1056,6 +1118,8 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                 )
             allocated[base + oid] = 1
             u += sz
+            if observing:
+                obs.on_alloc(t_map, q, obj_name[oid], sz, u)
         used[q] = u
         # Sizes are non-negative, so the allocator's running peak over
         # this MAP's allocations is its final footprint.
@@ -1075,6 +1139,8 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
         while i < hi:
             need[cons_mk[i]] -= 1
             i += 1
+        if observing:
+            obs.on_state(t, q, "SND")
         r = od_row[tid]
         i = od_ptr[r]
         hi = od_ptr[r + 1]
@@ -1084,13 +1150,20 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             else:
                 suspended[q].append(i)
                 susp_ct[q] += 1
+                if observing:
+                    obs.on_put_suspend(t, q, od_dest[i], obj_name[od_oid[i]],
+                                       od_uname[i], len(suspended[q]))
             i += 1
         i = os_ptr[tid]
         hi = os_ptr[tid + 1]
         while i < hi:
-            t2 = charge(q, t, send_oh)
+            t2 = charge(q, t, send_oh, "send")
             smsg[q] += 1
-            push(t2 + put_lat, _SYNC_BASE | os_sk[i])
+            sk = os_sk[i]
+            if observing:
+                obs.on_sync(t2, t2 + put_lat, q, sk_dest[sk],
+                            names[sk_src[sk]])
+            push(t2 + put_lat, _SYNC_BASE | sk)
             i += 1
 
     def advance(q: int, t: float) -> None:
@@ -1106,18 +1179,26 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                 a = avail[q]
                 if not try_send(q, a if a >= t else t):
                     state[q] = _MAP
+                    if observing:
+                        a = avail[q]
+                        obs.on_state(a if a >= t else t, q, "MAP")
                     return
                 map_pending[q] = 0
             k = cur[q]
             if k >= end:
                 if suspended[q] or pending_pkgs[q]:
                     state[q] = _END
+                    if observing:
+                        a = avail[q]
+                        obs.on_state(a if a >= t else t, q, "END")
                     return
                 if state[q] != _DONE:
                     state[q] = _DONE
                     a = avail[q]
                     fin[q] = a if a >= t else t
                     finished += 1
+                    if observing:
+                        obs.on_proc_end(fin[q], q)
                 return
             m = mcur[q]
             mp = map_pos[m]
@@ -1126,8 +1207,9 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                 mcur[q] = m + 1
                 continue
             n = run_end[k]
-            if n > k:
-                # Silent run k..n-1, cut at the next MAP.
+            if n > k and not observing:
+                # Silent run k..n-1, cut at the next MAP (observed runs
+                # step it task by task below, through the hooks).
                 if mp < n:
                     n = mp
                 a = avail[q]
@@ -1161,6 +1243,9 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             tid = tid_at[k]
             if pending[tid] > 0:
                 state[q] = _REC
+                if observing:
+                    a = avail[q]
+                    obs.on_state(a if a >= t else t, q, "REC")
                 return
             w = weight[k]
             a = avail[q]
@@ -1169,6 +1254,8 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             busy[q] += w
             f = a + w
             avail[q] = f
+            if observing:
+                obs.on_exe(a, f, q, names[tid])
             if booting or (events and f >= events[0][0]):
                 state[q] = _EXE
                 push(f, _TASK_BASE | q)
@@ -1199,7 +1286,7 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
         if kind == 0:  # TASK_DONE on processor arg
             q = arg
             k = cur[q]
-            if run_end[k] > k:
+            if run_end[k] > k and not observing:
                 cur[q] = k + 1
                 ltf[q] = t
             else:
@@ -1238,14 +1325,18 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                 while i < hi:
                     pending[wait_tid[i]] -= 1
                     i += 1
+            if observing:
+                obs.on_data_arrive(t, dest, obj_name[mk_oid[mk]], mk_uname[mk],
+                                   mk_src[mk])
             # A processor left in REC waits on the noisy task at cur[dest];
             # waking it is a no-op (the interpreted engine's advance
             # changes nothing) unless that task became ready or RA/CQ
-            # has work.
+            # has work; an observed run wakes it anyway, for its REC
+            # mark.
             st = state[dest]
             if st == _REC:
                 if (inbox_ct[dest] or suspended[dest]
-                        or pending[tid_at[cur[dest]]] <= 0):
+                        or pending[tid_at[cur[dest]]] <= 0 or observing):
                     advance(dest, t)
             elif st == _MAP or st == _END:
                 advance(dest, t)
@@ -1262,7 +1353,7 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             st = state[dest]
             if st == _REC:
                 if (inbox_ct[dest] or suspended[dest]
-                        or pending[tid_at[cur[dest]]] <= 0):
+                        or pending[tid_at[cur[dest]]] <= 0 or observing):
                     advance(dest, t)
             elif st == _MAP or st == _END:
                 advance(dest, t)
@@ -1285,7 +1376,7 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             st = state[src]
             if st == _REC:
                 if (inbox_ct[src] or suspended[src]
-                        or pending[tid_at[cur[src]]] <= 0):
+                        or pending[tid_at[cur[src]]] <= 0 or observing):
                     advance(src, t)
             elif st == _MAP or st == _END:
                 advance(src, t)
@@ -1325,18 +1416,10 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             finish_time=fin[q],
         ))
     pt = max(fin) if fin else 0.0
-    return SimResult(
-        parallel_time=pt,
-        task_finish_time=max(ltf) if ltf else 0.0,
-        stats=stats,
-        capacity=capacity,
-        memory_managed=sim.memory_managed,
-        plan=sim.plan,
-        trace=None,
-        telemetry=None,
-        schedule_label=sim.schedule_label,
-        engine="compiled",
-    )
+    if observing:
+        obs.on_run_end(pt)
+    return sim._result(pt, max(ltf) if ltf else 0.0, stats, "compiled",
+                       suite, tlog)
 
 
 def _raise_deadlock(

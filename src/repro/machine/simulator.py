@@ -56,8 +56,9 @@ The tables are built for the engine that runs: the compiled engine's
 three table levels (per mapping, per schedule, per cell; see
 :mod:`repro.machine.compiled`) by its lowering, and this interpreted
 engine's name-keyed tables (``out_data``, ``needs``, ``data_waiters``
-and the rest) on the first interpreted or observed run, or the first
-read of one of them.
+and the rest) on the first interpreted or fault-injected run, or the
+first read of one of them (an :class:`~repro.conformance.InvariantChecker`
+reads ``needs``).
 
 Readiness of a task is tracked with countdown counters: every task
 starts with the number of distinct remote inputs it waits for, each
@@ -94,19 +95,20 @@ Engine selection
 ----------------
 
 The array-compiled engine is the default (``engine="compiled"``): it
-runs every fault-free, unobserved run, including one with a
-caller-supplied ``plan``.  Runs with ``metrics=True``, ``trace=True``,
-an enabled instrument or active fault injection fall back to this
-interpreted engine *explicitly* (``SimResult.engine`` and
+runs every fault-free run, observed ones (``metrics=True``,
+``trace=True``, an enabled instrument) and one with a caller-supplied
+``plan`` included.  Only active fault injection falls back to this
+interpreted engine, *explicitly* (``SimResult.engine`` and
 ``SimResult.fallback_reason`` record it); ``engine="interpreted"``
 selects it outright.  The interpreted engine is the differential oracle
-the compiled one is tested against, bit for bit.
+the compiled one is tested against, bit for bit, and for observed runs
+hook call for hook call.
 
 Telemetry
 ---------
 
-The run loop drives the :mod:`repro.obs` instrument layer with typed
-protocol events (state transitions, puts issued/suspended/drained,
+Both engines drive the :mod:`repro.obs` instrument layer with the same
+typed protocol events (state transitions, puts issued/suspended/drained,
 address-package traffic, MAP free/allocate decisions).  Instrumentation
 follows the null-object pattern and is gated by a single ``observing``
 boolean hoisted out of the loop: with ``trace=False``/``metrics=False``
@@ -146,6 +148,7 @@ from .spec import CRAY_T3D, MachineSpec
 
 __all__ = [
     "CompiledSchedule",
+    "ENGINE_CONTRACT",
     "ENGINES",
     "ENGINE_COUNTER_KEYS",
     "ProcessorStats",
@@ -174,6 +177,13 @@ _SLOT_FREE = 3
 
 #: Values of ``Simulator(engine=...)``: the reference oracle first.
 ENGINES = ("interpreted", "compiled")
+
+#: Version of the rule deciding which engine executes a run (what
+#: ``SimResult.engine`` / ``fallback_reason`` report).  1: observed and
+#: fault-injected runs fell back to the interpreted engine; 2: only
+#: fault-injected runs do.  Checkpoint journals that record the engine
+#: hash it (:func:`repro.experiments.checkpoint.grid_fingerprint`).
+ENGINE_CONTRACT = 2
 
 #: Always-present keys of :attr:`CompiledSchedule.counters` (the
 #: ``fallback:<reason>`` tallies appear on first use).  ``*_s`` keys
@@ -239,8 +249,8 @@ class SimResult:
     #: interpreted engine records ``"interpreted"``).
     engine: str = "interpreted"
     #: Why a requested-compiled run fell back to the interpreted engine
-    #: (``"metrics"``, ``"trace"``, ``"instrument"``, ``"faults"``);
-    #: ``None`` when no fallback happened.
+    #: (``"faults"``, the only reason); ``None`` when no fallback
+    #: happened.
     fallback_reason: Optional[str] = None
 
     def render_trace(self, limit: Optional[int] = 200) -> str:
@@ -413,8 +423,8 @@ class CompiledSchedule:
     # -- interpreted-engine tables ---------------------------------------
 
     #: The interpreted engine's name-keyed tables; built on first use
-    #: (an interpreted or observed run, a checker, a deadlock report),
-    #: never by compiled runs.
+    #: (an interpreted or fault-injected run, a checker, a deadlock
+    #: report), never by the compiled engine itself.
     _NAME_TABLES = frozenset((
         "trigger", "out_data", "out_sync", "needs", "need_count0",
         "data_waiters", "sync_waiters", "pending0", "weight",
@@ -718,12 +728,14 @@ class Simulator:
         ``engine`` selects the execution engine: ``"compiled"`` (the
         array-compiled engine of :mod:`repro.machine.compiled`, default)
         or ``"interpreted"`` (the reference oracle).  The two agree
-        exactly.  Observed (``metrics``, ``trace``, an enabled
-        ``instrument``) and fault-injected runs need the interpreted
-        engine's per-event hooks and fall back to it explicitly; a
-        caller-supplied ``plan`` runs compiled through an uncached exec
-        plan.  ``SimResult.engine`` records which engine actually ran
-        and ``SimResult.fallback_reason`` why it fell back."""
+        exactly, and observed runs (``metrics``, ``trace``, an enabled
+        ``instrument``) see the same hook calls, with the same
+        arguments, in the same order on both.  Only fault-injected runs
+        need the interpreted engine's perturbation sites and fall back
+        to it explicitly; a caller-supplied ``plan`` runs compiled
+        through an uncached exec plan.  ``SimResult.engine`` records
+        which engine actually ran and ``SimResult.fallback_reason`` why
+        it fell back."""
         if engine not in ENGINES:
             raise SimulationError(
                 f"unknown engine {engine!r}; expected 'interpreted' or "
@@ -774,18 +786,14 @@ class Simulator:
     def _compiled_fallback_reason(self) -> Optional[str]:
         """Why this run cannot use the array-compiled engine (or None).
 
-        Observation (metrics/trace/instrument) and fault injection hook
-        into per-event callbacks the compiled engine deliberately does
-        not have.  These runs fall back to the interpreted oracle
-        explicitly; the reason string is tallied in
-        :attr:`CompiledSchedule.counters` (``fallback:<reason>``) and
+        Only active fault injection: its perturbation sites (put and
+        consume delays, task slow-downs, slot overwrites) exist in the
+        interpreted engine alone.  Observed runs (metrics, trace, an
+        enabled instrument) run compiled, with the oracle's exact hook
+        calls.  A faulted run falls back to the interpreted oracle
+        explicitly; the reason is tallied in
+        :attr:`CompiledSchedule.counters` (``fallback:faults``) and
         recorded on :attr:`SimResult.fallback_reason`."""
-        if self.metrics_enabled:
-            return "metrics"
-        if self.trace_enabled:
-            return "trace"
-        if self.instrument is not None and self.instrument.enabled:
-            return "instrument"
         if self.faults is not None and self.faults.active:
             return "faults"
         return None
@@ -847,22 +855,7 @@ class Simulator:
             seq += 1
 
         # --- telemetry (run-local; null-object instruments) -----------
-        suite: Optional[MetricsSuite] = None
-        tlog: Optional[TraceLog] = None
-        insts: list[Instrument] = []
-        if self.metrics_enabled:
-            suite = MetricsSuite()
-            insts.append(suite)
-        if self.trace_enabled:
-            tlog = TraceLog()
-            insts.append(tlog)
-        if self.instrument is not None and self.instrument.enabled:
-            insts.append(self.instrument)
-        obs: Optional[Instrument] = None
-        if len(insts) == 1:
-            obs = insts[0]
-        elif insts:
-            obs = MultiInstrument(insts)
+        obs, suite, tlog = self._observers()
         #: Single gate hoisted out of the hot loop: when no instrument is
         #: attached, each call site costs one local-bool test — no event
         #: objects, no detail strings, no allocation (see the
@@ -1255,9 +1248,35 @@ class Simulator:
         pt = max((s.finish_time for s in stats), default=0.0)
         if observing:
             obs.on_run_end(pt)
+        return self._result(pt, last_task_finish, stats, "interpreted",
+                            suite, tlog)
+
+    def _observers(self) -> tuple[
+        Optional[Instrument], Optional[MetricsSuite], Optional[TraceLog]
+    ]:
+        """The run's observer, or ``None`` when nothing observes: a
+        fresh :class:`MetricsSuite` (``metrics=True``), a fresh
+        :class:`TraceLog` (``trace=True``) and the enabled caller
+        instrument, composed in that order.  Both engines drive it with
+        the same hook calls."""
+        suite = MetricsSuite() if self.metrics_enabled else None
+        tlog = TraceLog() if self.trace_enabled else None
+        insts = [i for i in (suite, tlog, self.instrument)
+                 if i is not None and i.enabled]
+        if not insts:
+            return None, suite, tlog
+        obs = insts[0] if len(insts) == 1 else MultiInstrument(insts)
+        return obs, suite, tlog
+
+    def _result(self, pt: float, task_finish: float,
+                stats: list[ProcessorStats], engine: str,
+                suite: Optional[MetricsSuite],
+                tlog: Optional[TraceLog]) -> SimResult:
+        """The :class:`SimResult` of a finished run, with the telemetry
+        of :meth:`_observers`' suite and trace log."""
         result = SimResult(
             parallel_time=pt,
-            task_finish_time=last_task_finish,
+            task_finish_time=task_finish,
             stats=stats,
             capacity=self.capacity,
             memory_managed=self.memory_managed,
@@ -1265,7 +1284,7 @@ class Simulator:
             trace=tlog.events if tlog is not None else None,
             telemetry=suite,
             schedule_label=self.schedule_label,
-            engine="interpreted",
+            engine=engine,
         )
         if suite is not None:
             result.metrics = build_metrics(result, suite)

@@ -31,7 +31,13 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .instruments import RESIDENCY_KEYS, MetricsSuite
+from .instruments import (
+    RESIDENCY_KEYS,
+    MemoryTimeline,
+    MetricsSuite,
+    QueueDepth,
+    StateResidency,
+)
 
 #: Version tag of the metrics document format.
 METRICS_SCHEMA = "repro-metrics/1"
@@ -39,6 +45,19 @@ METRICS_SCHEMA = "repro-metrics/1"
 
 def _hist(d: dict[int, int]) -> list[list[int]]:
     return [[k, d[k]] for k in sorted(d)]
+
+
+def summary_columns(residency: StateResidency, memory: MemoryTimeline,
+                    queues: QueueDepth) -> dict:
+    """The machine-wide rollups a sweep cell reports —
+    ``map_overhead_frac``, ``max_hwm`` and ``max_suspq`` — from the
+    three instruments that observe them; the head of
+    :func:`build_metrics`' ``summary``, so the two cannot drift."""
+    return {
+        "map_overhead_frac": residency.map_overhead_frac(),
+        "max_hwm": max(memory.high_waters(), default=0),
+        "max_suspq": queues.max_suspended,
+    }
 
 
 def build_metrics(result, suite: MetricsSuite) -> dict:
@@ -74,9 +93,7 @@ def build_metrics(result, suite: MetricsSuite) -> dict:
         )
     hwms = suite.memory.high_waters()
     summary = {
-        "map_overhead_frac": residency.map_overhead_frac(),
-        "max_hwm": max(hwms, default=0),
-        "max_suspq": suite.queues.max_suspended,
+        **summary_columns(residency, suite.memory, suite.queues),
         "utilization": result.utilization,
         "idle_frac": (
             sum(residency.residency(q)["idle"] for q in range(len(result.stats)))

@@ -91,6 +91,53 @@ class TestFingerprint:
             "becb5016d562904de138c7042eba4e7f3b6b62e132138d4f540daef6b69d0e1b"
         )
 
+    def test_engine_contract_is_hashed_with_engine_stats(self):
+        # Fingerprints of --engine-stats journals written while observed
+        # cells still fell back to the interpreted engine (their rows
+        # say engine_used=interpreted, fallback_reason=metrics).  Fresh
+        # rows now say compiled, so those journals must not resume.
+        old = {
+            "5147103c0c6486d8939ab9738faf9c76ea42dfe75396ea1de1257cd4e038698c":
+                dict(metrics=True, check=True),
+            "137f4d480d459237a5f219c3538b0f8eeee1e949f94e3050027ed44705093615":
+                {},
+        }
+        for fp, flags in old.items():
+            grid = {**GRID, **flags, "engine": "compiled",
+                    "engine_stats": True}
+            assert grid_fingerprint(CRAY_T3D, **grid) != fp
+            # ...while the same grid without engine_stats keeps its
+            # fingerprint (it hashes no engine at all).
+            grid["engine_stats"] = False
+            assert grid_fingerprint(CRAY_T3D, **grid) == grid_fingerprint(
+                CRAY_T3D, **{**grid, "engine": "interpreted"})
+
+    def test_pre_contract_journal_is_not_replayed(self, tmp_path):
+        """A --metrics --check --engine-stats journal written while
+        observed cells fell back is stale: the resumed CSV equals an
+        uninterrupted sweep's, with no replayed interpreted rows."""
+        from dataclasses import replace
+
+        from repro.experiments import ExperimentContext
+        from repro.experiments.sweep import full_sweep, to_csv
+
+        grid = {k: v for k, v in GRID.items() if k != "engine"}
+        grid.update(metrics=True, check=True, engine_stats=True)
+        want = full_sweep(ExperimentContext(), **grid)
+        assert {r.engine_used for r in want if r.executable} == {"compiled"}
+        # Forge the old journal: P=2 done, rows as the fallback wrote them.
+        old = CheckpointJournal(tmp_path, "5147103c0c6486d8939ab9738faf9c76"
+                                "ea42dfe75396ea1de1257cd4e038698c")
+        old.start()
+        old.record_group("lu-goodwin", 2, [
+            replace(r, engine_used="interpreted", fallback_reason="metrics")
+            if r.executable else r
+            for r in want if r.procs == 2
+        ])
+        got = full_sweep(ExperimentContext(), checkpoint=str(tmp_path),
+                         resume=True, **grid)
+        assert to_csv(got) == to_csv(want)
+
     def test_harness_faults_change_it(self):
         # A faulted journal can hold failure rows; replaying it into a
         # fault-free resume (or vice versa) would corrupt the sweep.

@@ -12,9 +12,9 @@ fault-free runs, not numerical closeness.  The suite covers:
   timestamp and agreement proves the engines break ties identically;
 * error parity — protocol violations and deadlocks must raise the same
   exception type with the same message;
-* the fallback contract — observed / fault-injected runs report
-  ``engine == "interpreted"``; a caller-supplied plan runs compiled,
-  exactly;
+* the fallback contract — only fault-injected runs report
+  ``engine == "interpreted"``; observed runs and a caller-supplied plan
+  run compiled, exactly;
 * the cache-staleness guards (schedule mutation behind a memoised
   :class:`CompiledSchedule`, and per-:class:`MachineSpec` execution
   plans).
@@ -203,10 +203,25 @@ class TestErrorParity:
         assert msgs["interpreted"] == msgs["compiled"]
 
 
+def assert_observed_run_stays_compiled(cs, **kw):
+    """An observed run (``kw``) stays on the compiled engine, records no
+    fallback and equals the oracle's run exactly; returns both results."""
+    res = assert_exact_match(
+        lambda e: Simulator(spec=UNIT_MACHINE, capacity=9, compiled=cs,
+                            engine=e, **kw)
+    )
+    assert res is not None and res.engine == "compiled"
+    assert res.fallback_reason is None
+    assert not [k for k in cs.counters if k.startswith("fallback:")]
+    oracle = Simulator(spec=UNIT_MACHINE, capacity=9, compiled=cs,
+                       engine="interpreted", **kw).run()
+    return res, oracle
+
+
 class TestFallbacks:
-    """Observed and fault-injected runs must fall back to the
-    interpreted oracle and say so via ``SimResult.engine``; a
-    caller-supplied plan stays on the compiled engine."""
+    """Only fault-injected runs fall back to the interpreted oracle and
+    say so via ``SimResult.engine``; observed runs and a caller-supplied
+    plan stay on the compiled engine."""
 
     @pytest.fixture()
     def cs(self):
@@ -214,30 +229,23 @@ class TestFallbacks:
         return CompiledSchedule(schedule_c(g))
 
     def test_metrics_falls_back(self, cs):
-        res = Simulator(
-            spec=UNIT_MACHINE, capacity=9, compiled=cs,
-            metrics=True, engine="compiled",
-        ).run()
-        assert res.engine == "interpreted"
+        """A metrics run no longer falls back: it stays compiled."""
+        res, oracle = assert_observed_run_stays_compiled(cs, metrics=True)
         assert res.metrics is not None
+        assert res.metrics == oracle.metrics
 
     def test_trace_falls_back(self, cs):
-        res = Simulator(
-            spec=UNIT_MACHINE, capacity=9, compiled=cs,
-            trace=True, engine="compiled",
-        ).run()
-        assert res.engine == "interpreted"
+        """A traced run no longer falls back: it stays compiled."""
+        res, oracle = assert_observed_run_stays_compiled(cs, trace=True)
         assert res.trace
+        assert res.trace == oracle.trace
 
     def test_enabled_instrument_falls_back(self, cs):
+        """An enabled instrument no longer forces a fallback."""
         from repro.conformance import InvariantChecker
 
         checker = InvariantChecker(cs)
-        res = Simulator(
-            spec=UNIT_MACHINE, capacity=9, compiled=cs,
-            instrument=checker, engine="compiled",
-        ).run()
-        assert res.engine == "interpreted"
+        assert_observed_run_stays_compiled(cs, instrument=checker)
         assert checker.ok
 
     def test_disabled_instrument_stays_compiled(self, cs):

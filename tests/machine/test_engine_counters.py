@@ -86,21 +86,33 @@ class TestEngineSelectionCounters:
         assert ra.parallel_time == rb.parallel_time
 
 
+def assert_observed_run_is_compiled(**kw):
+    """An observed run (``kw``) is counted as a compiled run, records no
+    fallback and equals the oracle's run."""
+    cs = make_cs()
+    res = sim(cs, engine="compiled", **kw).run()
+    assert res.engine == "compiled"
+    assert res.fallback_reason is None
+    assert not [k for k in cs.counters if k.startswith("fallback:")]
+    assert cs.counters["compiled_runs"] == 1
+    assert cs.counters["interpreted_runs"] == 0
+    oracle = sim(cs, **kw).run()
+    assert res.parallel_time == oracle.parallel_time
+    assert res.stats == oracle.stats
+    return res, oracle
+
+
 class TestFallbackReasons:
     def test_metrics_fallback_is_tallied_and_recorded(self):
-        cs = make_cs()
-        res = sim(cs, engine="compiled", metrics=True).run()
-        assert res.engine == "interpreted"
-        assert res.fallback_reason == "metrics"
-        assert cs.counters["fallback:metrics"] == 1
-        assert cs.counters["interpreted_runs"] == 1
-        assert cs.counters["compiled_runs"] == 0
+        """A metrics run no longer falls back, so no fallback is
+        tallied or recorded."""
+        res, oracle = assert_observed_run_is_compiled(metrics=True)
+        assert res.metrics == oracle.metrics
 
     def test_trace_fallback(self):
-        cs = make_cs()
-        res = sim(cs, engine="compiled", trace=True).run()
-        assert res.fallback_reason == "trace"
-        assert cs.counters["fallback:trace"] == 1
+        """Neither does a traced run."""
+        res, oracle = assert_observed_run_is_compiled(trace=True)
+        assert res.trace == oracle.trace
 
     def test_explicit_interpreted_run_is_not_a_fallback(self):
         cs = make_cs()
