@@ -30,7 +30,7 @@ from typing import Mapping
 from ..errors import SchedulingError
 from ..graph.builder import is_source_task
 from ..graph.taskgraph import TaskGraph
-from .index import graph_index, mapping_index
+from .index import MappingIndex, graph_index, mapping_index
 from .placement import Placement
 
 
@@ -264,16 +264,22 @@ def slice_volatile_space(
 ) -> list[int]:
     """``H(R, L)`` for every slice: the maximum over processors of the
     volatile space needed to execute the slice's tasks (Definition 7)."""
-    g = dcg.graph
-    vola_acc = mapping_index(g, placement, assignment).vola_acc
-    size = graph_index(g).obj_size
+    return mapping_slice_space(dcg, mapping_index(dcg.graph, placement, assignment))
+
+
+def mapping_slice_space(dcg: DCG, mi: MappingIndex) -> list[int]:
+    """:func:`slice_volatile_space` on the mapping index ``mi`` of the
+    DCG's graph, in volatile object ids."""
+    gi = graph_index(dcg.graph)
+    tid, size, rows, proc = gi.tid, gi.oid_size, mi.vola_oids, mi.proc
     out: list[int] = []
     for tasks in dcg.comp_tasks:
-        per_proc: dict[int, set[str]] = {}
+        per_proc: dict[int, set[int]] = {}
         for t in tasks:
-            per_proc.setdefault(assignment[t], set()).update(vola_acc[t])
+            i = tid[t]
+            per_proc.setdefault(proc[i], set()).update(rows[i])
         out.append(max(
-            (sum(size[o] for o in objs) for objs in per_proc.values()),
+            (sum([size[o] for o in objs]) for objs in per_proc.values()),
             default=0,
         ))
     return out

@@ -27,11 +27,11 @@ from typing import Mapping, Optional
 
 from ..errors import SchedulingError
 from ..graph.taskgraph import TaskGraph
-from .dcg import DCG, shared_dcg, slice_volatile_space
+from .dcg import DCG, mapping_slice_space, shared_dcg
 from .index import mapping_index
-from .listsched import StaticPolicy, run_list_scheduler
+from .listsched import BoundPolicy, check_assignment, run_list_scheduler
 from .placement import Placement
-from .rcp import mapped_priorities
+from .rcp import mapping_b_levels
 from .schedule import CommModel, Schedule, UNIT_COMM
 
 
@@ -101,17 +101,16 @@ def dts_order(
         dcg = shared_dcg(graph)
     if dcg.graph is not graph:
         raise SchedulingError("DCG was built from a different graph")
+    check_assignment(graph, placement, assignment)
+    mi = mapping_index(graph, placement, assignment)
     slice_of = dcg.slice_of()
-    h_values = slice_volatile_space(dcg, placement, assignment)
+    h_values = mapping_slice_space(dcg, mi)
     h = max(h_values, default=0)
 
     merged = False
     if avail_mem is not None:
         # Volatile budget: capacity minus the largest permanent footprint.
-        perm_bytes = max(
-            mapping_index(graph, placement, assignment).perm_bytes, default=0
-        )
-        budget = avail_mem - perm_bytes
+        budget = avail_mem - max(mi.perm_bytes, default=0)
         try:
             new_index = merge_slices(h_values, budget)
         except SchedulingError:
@@ -124,7 +123,8 @@ def dts_order(
             slice_of = {t: new_index[s] for t, s in slice_of.items()}
             merged = True
 
-    cp = mapped_priorities(graph, placement, assignment, comm)
+    cp = mapping_b_levels(graph, assignment, mi, comm)
+    keys = [(-cp[t],) for t in mi.names]
     info = {
         "heuristic": "DTS+merge" if merged else "DTS",
         "num_slices": len(set(slice_of.values())) if slice_of else 0,
@@ -133,13 +133,8 @@ def dts_order(
     }
     info.update(meta or {})
     return run_list_scheduler(
-        graph,
-        placement,
-        assignment,
-        StaticPolicy(cp),
-        comm=comm,
-        levels=slice_of,
-        meta=info,
+        graph, placement, assignment, BoundPolicy(mi, keys.__getitem__),
+        comm=comm, levels=slice_of, meta=info,
     )
 
 
@@ -158,8 +153,6 @@ def dts_space_bound(
     """
     if dcg is None:
         dcg = shared_dcg(graph)
-    perm_bytes = max(
-        mapping_index(graph, placement, assignment).perm_bytes, default=0
-    )
-    h = max(slice_volatile_space(dcg, placement, assignment), default=0)
-    return perm_bytes + h
+    mi = mapping_index(graph, placement, assignment)
+    h = max(mapping_slice_space(dcg, mi), default=0)
+    return max(mi.perm_bytes, default=0) + h

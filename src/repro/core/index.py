@@ -12,12 +12,13 @@ mapping but not on the order, so it is computed once here and shared:
 * :class:`GraphIndex` — one per frozen
   :class:`~repro.graph.taskgraph.TaskGraph`: dense task ids in program
   order, the topological order, successor/predecessor rows carrying
-  each edge's data byte count, task weights and access lists, plus a
-  memo for other graph-only results (the DTS data connection graph,
-  the simulator's producer-unit tables, the certified-bounds view).
+  each edge's data byte count, task weights and access lists, dense
+  object ids in sorted-name order with their sizes, plus a memo for
+  other graph-only results (the DTS data connection graph, the
+  simulator's producer-unit tables, the certified-bounds view).
 * :class:`MappingIndex` — one per (graph, placement, assignment) value:
-  the processor of every task, the volatile objects each task touches
-  and the PERM/VOLA sets of Definition 3, plus a memo for other
+  the processor of every task, the volatile object ids each task
+  touches and the PERM/VOLA sets of Definition 3, plus a memo for other
   mapping-only results (mapped b-levels, the simulator's message
   tables).
 
@@ -77,7 +78,8 @@ class GraphIndex:
 
     __slots__ = (
         "names", "tid", "topo", "succ", "pred", "in_degree", "weight",
-        "accesses", "obj_size", "object_names", "_memo", "_mappings",
+        "accesses", "obj_size", "object_names", "oid", "oid_size",
+        "_memo", "_mappings",
     )
 
     def __init__(self, graph: TaskGraph) -> None:
@@ -85,6 +87,7 @@ class GraphIndex:
         names = [t.name for t in tasks]
         tid = {n: i for i, n in enumerate(names)}
         osize = {o.name: o.size for o in graph.objects()}
+        object_names = sorted(osize)
 
         def row(inner: Mapping[str, set[str]]) -> Row:
             return tuple(
@@ -102,7 +105,11 @@ class GraphIndex:
         self.weight = [t.weight for t in tasks]
         self.accesses = [t.accesses for t in tasks]
         self.obj_size = osize
-        self.object_names = sorted(osize)
+        self.object_names = object_names
+        #: object name -> object id (its position in ``object_names``)
+        self.oid = (graph.object_index if graph.frozen
+                    else {o: i for i, o in enumerate(object_names)})
+        self.oid_size = [osize[o] for o in object_names]
         self._memo: dict = {}
         self._mappings: OrderedDict[tuple, MappingIndex] = OrderedDict()
 
@@ -153,7 +160,10 @@ class MappingIndex:
     unowned, which only the memory analyses reject).
     """
 
-    __slots__ = ("names", "num_procs", "proc", "_accesses", "_obj_size", "_owner", "_memo")
+    __slots__ = (
+        "names", "num_procs", "proc", "_accesses", "_obj_size", "_oid",
+        "_owner", "_memo",
+    )
 
     def __init__(self, gi: GraphIndex, placement: Placement, proc: list[int]) -> None:
         self.names = gi.names
@@ -161,6 +171,7 @@ class MappingIndex:
         self.proc = proc
         self._accesses = gi.accesses
         self._obj_size = gi.obj_size
+        self._oid = gi.oid
         self._owner = dict(placement.owner)
         self._memo: dict = {}
 
@@ -181,17 +192,22 @@ class MappingIndex:
             raise PlacementError(f"object {obj!r} has no owner") from None
 
     @property
-    def vola_acc(self) -> dict[str, tuple[str, ...]]:
-        """Task -> the objects it accesses that its processor does not
-        own (its volatile accesses), in access order."""
-        def build() -> dict[str, tuple[str, ...]]:
-            owner = self.owner
-            return {
-                name: tuple(o for o in acc if owner(o) != p)
-                for name, acc, p in zip(self.names, self._accesses, self.proc)
-            }
+    def vola_oids(self) -> list[tuple[int, ...]]:
+        """Task id -> the ids of the objects it accesses that its
+        processor does not own (its volatile accesses), in access
+        order."""
+        def build() -> list[tuple[int, ...]]:
+            own, oid = self._owner, self._oid
+            try:
+                return [
+                    tuple([oid[o] for o in acc if own[o] != p])
+                    for acc, p in zip(self._accesses, self.proc)
+                ]
+            except KeyError as err:
+                self.owner(err.args[0])  # raises the PlacementError
+                raise
 
-        return self.memo("vola-acc", build)
+        return self.memo("vola-oids", build)
 
     @property
     def perm(self) -> list[set[str]]:
@@ -206,15 +222,12 @@ class MappingIndex:
         return self.memo("perm-vola", self._perm_vola)[1]
 
     def _perm_vola(self) -> tuple[list[set[str]], list[set[str]]]:
-        perm: list[set[str]] = [set() for _ in range(self.num_procs)]
-        vola: list[set[str]] = [set() for _ in range(self.num_procs)]
-        vola_acc = self.vola_acc
-        for name, acc, p in zip(self.names, self._accesses, self.proc):
-            va = vola_acc[name]
-            vola[p].update(va)
-            if len(va) != len(acc):
-                perm[p].update(o for o in acc if o not in va)
-        return perm, vola
+        touched: list[set[str]] = [set() for _ in range(self.num_procs)]
+        for acc, p in zip(self._accesses, self.proc):
+            touched[p].update(acc)
+        owner = self.owner
+        perm = [{o for o in objs if owner(o) == p} for p, objs in enumerate(touched)]
+        return perm, [objs - mine for objs, mine in zip(touched, perm)]
 
     @property
     def perm_bytes(self) -> list[int]:

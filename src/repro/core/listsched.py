@@ -21,22 +21,48 @@ The engine is parameterised by a :class:`PriorityPolicy`:
   whose level is higher than its processor's minimum incomplete level is
   parked until every lower-level task of that processor is scheduled.
 
+The loop itself runs in the dense task ids of the graph's shared
+:class:`~repro.core.index.GraphIndex` and turns ids back into names
+only for :attr:`Schedule.orders`.  A policy reaches it through a
+*binding* — ``(key, scheduled)`` with ``key(id)`` the negated sort key
+and ``scheduled(id, proc)`` the ids whose key changed (``None``: never).
+:class:`StaticPolicy` binds to keys computed once and
+:class:`~repro.core.mpo.MemoryPriorityPolicy` to its id-array counters
+(each through a ``bind(gi)`` method); any other, name-keyed policy runs
+through a small adapter that translates at the boundary.  The
+heuristics pass a :class:`BoundPolicy` built on the mapping index they
+already looked up.
+
 Start times follow the macro-dataflow model: a task starts at
 ``max(processor idle time, latest data arrival)`` where cross-processor
-arrivals pay the :class:`~repro.core.schedule.CommModel` cost.
+arrivals pay the :class:`~repro.core.schedule.CommModel` cost.  Arrival
+times are pushed along each finished task's successor edges, so no
+predecessor is revisited; since the model's costs and every idle time
+are non-negative, the ``0.0`` a task's arrival time starts from never
+exceeds its start.
 """
 
 from __future__ import annotations
 
 import heapq
 import operator
-from typing import Iterable, Mapping, Optional, Protocol
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional, Protocol,
+)
 
 from ..errors import SchedulingError
 from ..graph.taskgraph import TaskGraph
 from .index import graph_index
 from .placement import Placement
 from .schedule import CommModel, Schedule, UNIT_COMM
+
+if TYPE_CHECKING:
+    from .index import GraphIndex, MappingIndex
+
+#: Negated sort key of a task id (smaller is scheduled first).
+KeyFn = Callable[[int], tuple]
+#: ``scheduled(id, proc)``: ids whose key changed once ``id`` is placed.
+ScheduledFn = Callable[[int, int], Iterable[int]]
 
 
 class PriorityPolicy(Protocol):
@@ -71,6 +97,26 @@ class StaticPolicy:
     def on_scheduled(self, task: str, proc: int) -> Iterable[str]:
         return ()
 
+    def bind(self, gi: "GraphIndex") -> tuple[KeyFn, None]:
+        """Negated keys of every task id, computed once."""
+        keys = [_neg(self.priority(t)) for t in gi.names]
+        return keys.__getitem__, None
+
+
+def _bind_names(policy: PriorityPolicy, gi: "GraphIndex") -> tuple[KeyFn, ScheduledFn]:
+    """Adapter binding of a name-keyed policy: ids become names on the
+    way in and names (unknown ones dropped) become ids on the way out."""
+    names, tid = gi.names, gi.tid
+    priority, on_scheduled = policy.priority, policy.on_scheduled
+
+    def key(i: int) -> tuple:
+        return _neg(priority(names[i]))
+
+    def scheduled(i: int, p: int) -> list[int]:
+        return [k for k in map(tid.get, on_scheduled(names[i], p)) if k is not None]
+
+    return key, scheduled
+
 
 def check_assignment(
     graph: TaskGraph, placement: Placement, assignment: Mapping[str, int]
@@ -89,11 +135,24 @@ def check_assignment(
             )
 
 
+class BoundPolicy(NamedTuple):
+    """A policy already bound to the task ids of one mapping: what RCP,
+    MPO and DTS hand :func:`run_list_scheduler` after looking up the
+    mapping's :class:`~repro.core.index.MappingIndex` ``mi`` (and
+    checking the assignment) themselves, so each ordering call does
+    both once.  ``mi`` must be the index of the call's graph, placement
+    and assignment."""
+
+    mi: "MappingIndex"
+    key: KeyFn
+    scheduled: Optional[ScheduledFn] = None
+
+
 def run_list_scheduler(
     graph: TaskGraph,
     placement: Placement,
     assignment: Mapping[str, int],
-    policy: PriorityPolicy,
+    policy: PriorityPolicy | BoundPolicy,
     comm: CommModel = UNIT_COMM,
     levels: Optional[Mapping[str, int]] = None,
     meta: Optional[dict] = None,
@@ -101,35 +160,37 @@ def run_list_scheduler(
     """Order the tasks of every processor with the given policy.
 
     Runs in the dense id space of the graph's shared
-    :class:`~repro.core.index.GraphIndex`; the policy still sees task
-    names.  Returns a validated :class:`~repro.core.schedule.Schedule`.
-    Raises :class:`~repro.errors.SchedulingError` when a task has no
-    processor in ``[0, P)``, no static priority or no level.
+    :class:`~repro.core.index.GraphIndex`; a policy without a
+    ``bind(gi)`` method sees task names through an adapter.  Returns a
+    :class:`~repro.core.schedule.Schedule` that is structurally valid by
+    construction.  Raises :class:`~repro.errors.SchedulingError` when a
+    task has no processor in ``[0, P)``, no static priority or no level.
     """
-    check_assignment(graph, placement, assignment)
-    nprocs = placement.num_procs
-
     gi = graph_index(graph)
-    names, tid, succ, pred, weight = gi.names, gi.tid, gi.succ, gi.pred, gi.weight
-    proc = gi.mapping(placement, assignment).proc
+    if isinstance(policy, BoundPolicy):
+        mi, key, scheduled = policy
+    else:
+        check_assignment(graph, placement, assignment)
+        mi = gi.mapping(placement, assignment)
+        bind = getattr(policy, "bind", None)
+        key, scheduled = bind(gi) if bind is not None else _bind_names(policy, gi)
+    nprocs = placement.num_procs
+    names, succ, weight = gi.names, gi.succ, gi.weight
+    proc = mi.proc
     lat, bt = comm.latency, comm.byte_time
     n = len(names)
     remaining = list(gi.in_degree)
-    finish = [0.0] * n
-    done = [False] * n
+    # Latest data arrival of each task, pushed by its predecessors.
+    arrival = [0.0] * n
+    done = bytearray(n)
     idle = [0.0] * nprocs
-    orders: list[list[str]] = [[] for _ in range(nprocs)]
+    orders: list[list[int]] = [[] for _ in range(nprocs)]
 
     # Per-processor ready heaps of (negated priority, push counter, task
     # id, version) with lazy invalidation.
     heaps: list[list[tuple]] = [[] for _ in range(nprocs)]
     version = [0] * n
     counter = 0
-    # A static policy's keys are negated once instead of at every push.
-    static_key = (
-        [_neg(policy.priority(t)) for t in names]
-        if type(policy) is StaticPolicy else None
-    )
 
     # Earliest-idle selection: processors with (potentially) ready tasks
     # sit in a priority queue keyed by (idle, proc).  A processor holds
@@ -163,9 +224,6 @@ def run_list_scheduler(
         for p in range(nprocs):
             min_level[p] = min(lvl_remaining[p], default=0)
 
-    def key(i: int) -> tuple:
-        return static_key[i] if static_key is not None else _neg(policy.priority(names[i]))
-
     def push(i: int) -> None:
         nonlocal counter
         p = proc[i]
@@ -186,13 +244,11 @@ def run_list_scheduler(
             heapq.heappush(heaps[p], (key(i), counter, i, version[i]))
             activate(p)
 
-    scheduled = 0
-    total = graph.num_tasks
     for i in range(n):
         if remaining[i] == 0:
             push(i)
 
-    while scheduled < total:
+    for left in range(n, 0, -1):
         # Processor with earliest idle time among those with ready tasks.
         best_p = -1
         while proc_pq:
@@ -208,23 +264,17 @@ def run_list_scheduler(
             # Only stale entries: dormant until the next push wakes it.
         if best_p < 0:
             raise SchedulingError(
-                f"list scheduler stalled with {total - scheduled} tasks left "
+                f"list scheduler stalled with {left} tasks left "
                 "(inconsistent levels or assignment)"
             )
         i = heapq.heappop(heaps[best_p])[2]
-        # Earliest start: processor idle time vs data arrivals.
+        # Earliest start: processor idle time vs latest data arrival.
         est = idle[best_p]
-        for j, nb in pred[i]:
-            arr = finish[j]
-            if proc[j] != best_p:
-                arr += lat + nb * bt if nb >= 0 else lat
-            if arr > est:
-                est = arr
-        finish[i] = idle[best_p] = est + weight[i]
-        done[i] = True
-        task = names[i]
-        orders[best_p].append(task)
-        scheduled += 1
+        if arrival[i] > est:
+            est = arrival[i]
+        finish = idle[best_p] = est + weight[i]
+        done[i] = 1
+        orders[best_p].append(i)
 
         # Slice-gate bookkeeping.
         if lvl is not None:
@@ -236,34 +286,39 @@ def run_list_scheduler(
                 min_level[best_p] = min(rem, default=min_level[best_p])
                 unpark(best_p)
 
-        # Ready-set updates.
-        for s, _ in succ[i]:
+        # Arrivals and ready-set updates.
+        for s, nb in succ[i]:
+            arr = finish
+            if proc[s] != best_p:
+                arr += lat + nb * bt if nb >= 0 else lat
+            if arr > arrival[s]:
+                arrival[s] = arr
             remaining[s] -= 1
             if remaining[s] == 0:
                 push(s)
 
         # Priority refreshes from the policy.
-        for u in policy.on_scheduled(task, best_p):
-            k = tid.get(u)
-            if k is None or done[k] or remaining[k] != 0:
-                continue
-            version[k] += 1
-            push(k)
+        if scheduled is not None:
+            for k in scheduled(i, best_p):
+                if done[k] or remaining[k] != 0:
+                    continue
+                version[k] += 1
+                push(k)
 
         # The chosen processor left the queue; requeue it (at its new
         # idle time) while it still has queued entries.
         if heaps[best_p]:
             activate(best_p)
 
-    schedule = Schedule(
+    # Every task was placed once, on its own processor: the orders are
+    # structurally valid by construction.
+    return Schedule(
         graph=graph,
         placement=placement,
         assignment=dict(assignment),
-        orders=orders,
+        orders=[[names[i] for i in order] for order in orders],
         meta=dict(meta or {}),
     )
-    schedule.validate()
-    return schedule
 
 
 def _neg(t: tuple) -> tuple:

@@ -24,11 +24,15 @@ processor's order, O(total accesses).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, TypeVar
+from itertools import accumulate
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 
 from ..errors import NonExecutableScheduleError, SchedulingError
 from .index import graph_index
 from .schedule import Schedule
+
+if TYPE_CHECKING:
+    from .index import GraphIndex, MappingIndex
 
 T = TypeVar("T")
 
@@ -44,11 +48,20 @@ class ProcessorMemoryProfile:
     span: dict[str, tuple[int, int]]
     #: ``mem_req[i]`` = MEM_REQ at the i-th task of the order.
     mem_req: list[int]
-    #: position -> volatile objects whose last access is that position
-    #: (they may be freed at any later MAP).
-    dead_after: dict[int, list[str]]
     #: total volatile bytes (no recycling).
     vola_bytes: int
+
+    @property
+    def dead_after(self) -> dict[int, list[str]]:
+        """Position -> volatile objects whose last access is that
+        position, sorted by name (they may be freed at any later MAP).
+        Derived from :attr:`span` on each read."""
+        out: dict[int, list[str]] = {}
+        for o, (_f, last) in self.span.items():
+            out.setdefault(last, []).append(o)
+        for objs in out.values():
+            objs.sort()
+        return out
 
     @property
     def min_mem(self) -> int:
@@ -156,62 +169,71 @@ def analyze_memory(schedule: Schedule) -> MemoryProfile:
 
     Single pass per processor over its task order; positions are indices
     into ``schedule.orders[p]``.  The order-independent part — PERM/VOLA
-    sets, footprints and each task's volatile accesses — comes from the
-    mapping's shared :class:`~repro.core.index.MappingIndex`.  Raises
-    :class:`~repro.errors.SchedulingError` for an order that names an
-    unknown task.
+    sets, footprints and each task's volatile object ids — comes from
+    the mapping's shared :class:`~repro.core.index.MappingIndex`.
+    Raises :class:`~repro.errors.SchedulingError` for an order that
+    names an unknown task.
     """
-    g = schedule.graph
-    assignment = schedule.assignment
-    gi = graph_index(g)
-    mi = gi.mapping(schedule.placement, assignment)
-    vola, vola_acc, size = mi.vola, mi.vola_acc, gi.obj_size
+    gi = graph_index(schedule.graph)
+    mi = gi.mapping(schedule.placement, schedule.assignment)
+    tid, onames = gi.tid, gi.object_names
     procs: list[ProcessorMemoryProfile] = []
     for p, order in enumerate(schedule.orders):
-        perm_bytes = mi.perm_bytes[p]
-        vola_set = vola[p]
-        first: dict[str, int] = {}
-        last: dict[str, int] = {}
-        for i, tname in enumerate(order):
-            try:
-                acc = vola_acc[tname]
-            except KeyError:
-                raise SchedulingError(
-                    f"schedule orders unknown task {tname!r}"
-                ) from None
-            if assignment[tname] != p:
-                # Order disagrees with the assignment (an invalid
-                # schedule): filter against this processor's set.
-                acc = [o for o in g.task(tname).accesses if o in vola_set]
-            for o in acc:
-                if o not in first:
-                    first[o] = i
-                last[o] = i
-        span = {o: (f, last[o]) for o, f in first.items()}
-        # Sweep: alive volatile bytes per position.
-        alloc_at: dict[int, int] = {}
-        free_after: dict[int, list[str]] = {}
-        for o, (f, l) in span.items():
-            alloc_at[f] = alloc_at.get(f, 0) + size[o]
-            free_after.setdefault(l, []).append(o)
-        freed = {i: sum(size[o] for o in objs) for i, objs in free_after.items()}
-        mem_req: list[int] = []
-        alive = 0
-        for i in range(len(order)):
-            alive += alloc_at.get(i, 0)
-            mem_req.append(perm_bytes + alive)
-            alive -= freed.get(i, 0)
+        ids = []
+        for t in order:
+            i = tid.get(t)
+            if i is None:
+                raise SchedulingError(f"schedule orders unknown task {t!r}")
+            ids.append(i)
+        first, last, mem_req = proc_liveness(gi, mi, p, ids)
         procs.append(
             ProcessorMemoryProfile(
                 proc=p,
-                perm_bytes=perm_bytes,
-                span=span,
+                perm_bytes=mi.perm_bytes[p],
+                span={onames[o]: (f, last[o]) for o, f in first.items()},
                 mem_req=mem_req,
-                dead_after={i: sorted(objs) for i, objs in free_after.items()},
                 vola_bytes=mi.vola_bytes[p],
             )
         )
     return MemoryProfile(schedule, procs)
+
+
+def proc_liveness(
+    gi: "GraphIndex", mi: "MappingIndex", p: int, ids: Sequence[int]
+) -> tuple[dict[int, int], dict[int, int], list[int]]:
+    """Liveness of processor ``p`` running the task ids ``ids`` in
+    order (:func:`analyze_memory`'s core): ``(first, last, mem_req)``,
+    with the first and last position of every volatile object id
+    (``first`` in first-use order) and MEM_REQ at each position.
+
+    MEM_REQ is the prefix sum of a difference array: an object's size
+    enters at its first position and leaves after its last.
+    """
+    rows, proc = mi.vola_oids, mi.proc
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for pos, i in enumerate(ids):
+        row = rows[i]
+        if proc[i] != p:
+            # Order disagrees with the assignment (an invalid
+            # schedule): filter against this processor's set.
+            vola, oid = mi.vola[p], gi.oid
+            row = [oid[o] for o in gi.accesses[i] if o in vola]
+        for o in row:
+            if o not in first:
+                first[o] = pos
+            last[o] = pos
+    n = len(ids)
+    diff = [0] * (n + 1)
+    diff[0] = mi.perm_bytes[p]
+    oid_size = gi.oid_size
+    for o, f in first.items():
+        size = oid_size[o]
+        diff[f] += size
+        diff[last[o] + 1] -= size
+    mem_req = list(accumulate(diff))
+    mem_req.pop()
+    return first, last, mem_req
 
 
 def min_mem(schedule: Schedule) -> int:

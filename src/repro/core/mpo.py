@@ -26,18 +26,30 @@ is ``O(total accesses)`` on top of the heap operations.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from ..graph.taskgraph import TaskGraph
 from .index import graph_index
-from .listsched import run_list_scheduler
+from .listsched import (
+    BoundPolicy, KeyFn, ScheduledFn, check_assignment, run_list_scheduler,
+)
 from .placement import Placement
-from .rcp import mapped_priorities
+from .rcp import mapping_b_levels
 from .schedule import CommModel, Schedule, UNIT_COMM
+
+if TYPE_CHECKING:
+    from .index import GraphIndex, MappingIndex
 
 
 class MemoryPriorityPolicy:
-    """Dynamic (memory ratio, critical path) priority for MPO."""
+    """Dynamic (memory ratio, critical path) priority for MPO.
+
+    The counters live in task-id arrays: ``need[i]`` (the task's object
+    count), ``have[i]`` (objects whose space is available) and the
+    watchers of each (processor, volatile object id) pair.  The name
+    methods are thin wrappers; the list scheduler runs the id methods
+    through :meth:`bind`.
+    """
 
     def __init__(
         self,
@@ -46,45 +58,77 @@ class MemoryPriorityPolicy:
         assignment: Mapping[str, int],
         cp: Mapping[str, float],
     ):
-        self._cp = cp
         gi = graph_index(graph)
-        mi = gi.mapping(placement, assignment)
-        # The volatile (non-owned) accesses of each task; permanent
+        self._setup(gi, gi.mapping(placement, assignment), cp)
+
+    @classmethod
+    def of_mapping(
+        cls, gi: "GraphIndex", mi: "MappingIndex", cp: Mapping[str, float]
+    ) -> "MemoryPriorityPolicy":
+        """The policy of an already looked-up mapping index ``mi``."""
+        self = cls.__new__(cls)
+        self._setup(gi, mi, cp)
+        return self
+
+    def _setup(self, gi: "GraphIndex", mi: "MappingIndex", cp: Mapping[str, float]) -> None:
+        self._names, self._tid = gi.names, gi.tid
+        self._cp = cp
+        # Negated critical path, the second component of the heap key.
+        self._ncp = [-cp[t] for t in gi.names]
+        # The volatile (non-owned) object ids of each task; permanent
         # objects count as always available.
-        self._vola_acc = mi.vola_acc
+        rows = self._rows = mi.vola_oids
         # Per-task denominator and (mutable) numerator of the memory ratio.
-        self._need: dict[str, int] = {}
-        self._have: dict[str, int] = {}
-        # (proc, volatile object) -> tasks of that processor accessing it.
-        self._watchers: dict[tuple[int, str], list[str]] = {}
-        # Volatile objects already allocated, per processor.
-        self._allocated: list[set[str]] = [set() for _ in range(placement.num_procs)]
-        watchers = self._watchers
-        for name, acc, p in zip(gi.names, gi.accesses, mi.proc):
-            vola = self._vola_acc[name]
-            for o in vola:
-                watchers.setdefault((p, o), []).append(name)
-            self._need[name] = max(len(acc), 1)
-            self._have[name] = len(acc) - len(vola)
+        self._need = [max(len(acc), 1) for acc in gi.accesses]
+        self._have = [len(acc) - len(row) for acc, row in zip(gi.accesses, rows)]
+        # proc * #objects + volatile object id -> task ids of that
+        # processor accessing it; the allocated pairs, same keys.
+        nobj = self._nobj = len(gi.object_names)
+        watchers: dict[int, list[int]] = {}
+        for i, (row, p) in enumerate(zip(rows, mi.proc)):
+            base = p * nobj
+            for o in row:
+                watchers.setdefault(base + o, []).append(i)
+        self._watchers = watchers
+        self._allocated: set[int] = set()
 
     def priority(self, task: str) -> tuple:
-        return (self._have[task] / self._need[task], self._cp[task])
+        i = self._tid[task]
+        return (self._have[i] / self._need[i], self._cp[task])
 
     def memory_priority(self, task: str) -> float:
         """The paper's memory-priority ratio for one task."""
-        return self._have[task] / self._need[task]
+        i = self._tid[task]
+        return self._have[i] / self._need[i]
 
     def on_scheduled(self, task: str, proc: int) -> Iterable[str]:
-        changed: list[str] = []
-        alloc = self._allocated[proc]
-        for o in self._vola_acc[task]:
-            if o not in alloc:
-                alloc.add(o)
-                for u in self._watchers.get((proc, o), ()):
-                    if u != task:
-                        self._have[u] += 1
+        names = self._names
+        return [names[u] for u in self._scheduled(self._tid[task], proc)]
+
+    def _scheduled(self, i: int, proc: int) -> list[int]:
+        """Allocate task ``i``'s volatile objects on ``proc``; the ids
+        whose ratio rose (line (5) of Figure 4)."""
+        changed: list[int] = []
+        alloc, watchers, have = self._allocated, self._watchers, self._have
+        base = proc * self._nobj
+        for o in self._rows[i]:
+            k = base + o
+            if k not in alloc:
+                alloc.add(k)
+                for u in watchers.get(k, ()):
+                    if u != i:
+                        have[u] += 1
                         changed.append(u)
         return changed
+
+    def bind(self, gi: "GraphIndex") -> tuple[KeyFn, ScheduledFn]:
+        """The list scheduler's id binding: ``(key, scheduled)``."""
+        have, need, ncp = self._have, self._need, self._ncp
+
+        def key(i: int) -> tuple:
+            return (-(have[i] / need[i]), ncp[i])
+
+        return key, self._scheduled
 
 
 def mpo_order(
@@ -95,15 +139,14 @@ def mpo_order(
     meta: Optional[dict] = None,
 ) -> Schedule:
     """Order tasks on each processor with the MPO heuristic (Figure 4)."""
-    cp = mapped_priorities(graph, placement, assignment, comm)
-    policy = MemoryPriorityPolicy(graph, placement, assignment, cp)
+    check_assignment(graph, placement, assignment)
+    gi = graph_index(graph)
+    mi = gi.mapping(placement, assignment)
+    cp = mapping_b_levels(graph, assignment, mi, comm)
+    key, scheduled = MemoryPriorityPolicy.of_mapping(gi, mi, cp).bind(gi)
     info = {"heuristic": "MPO"}
     info.update(meta or {})
     return run_list_scheduler(
-        graph,
-        placement,
-        assignment,
-        policy,
-        comm=comm,
-        meta=info,
+        graph, placement, assignment, BoundPolicy(mi, key, scheduled),
+        comm=comm, meta=info,
     )

@@ -17,8 +17,8 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from ..graph.taskgraph import TaskGraph
-from .index import graph_index, mapping_index
-from .listsched import StaticPolicy, run_list_scheduler
+from .index import MappingIndex, graph_index, mapping_index
+from .listsched import BoundPolicy, check_assignment, run_list_scheduler
 from .placement import Placement
 from .schedule import CommModel, Schedule, UNIT_COMM
 
@@ -65,7 +65,18 @@ def mapped_priorities(
     """:func:`rcp_priorities` memoised on the mapping's
     :class:`~repro.core.index.MappingIndex`, so RCP, MPO and DTS under
     one mapping compute the b-levels once.  Read-only: shared."""
-    mi = mapping_index(graph, placement, assignment)
+    return mapping_b_levels(
+        graph, assignment, mapping_index(graph, placement, assignment), comm)
+
+
+def mapping_b_levels(
+    graph: TaskGraph,
+    assignment: Mapping[str, int],
+    mi: MappingIndex,
+    comm: CommModel,
+) -> dict[str, float]:
+    """:func:`mapped_priorities` on an already looked-up mapping index
+    ``mi`` of (``graph``, ``assignment``)."""
     return mi.memo(("b-levels", comm), lambda: rcp_priorities(graph, assignment, comm))
 
 
@@ -77,14 +88,13 @@ def rcp_order(
     meta: Optional[dict] = None,
 ) -> Schedule:
     """Order tasks on each processor by ready-critical-path priority."""
-    prio = mapped_priorities(graph, placement, assignment, comm)
+    check_assignment(graph, placement, assignment)
+    mi = mapping_index(graph, placement, assignment)
+    prio = mapping_b_levels(graph, assignment, mi, comm)
+    keys = [(-prio[t],) for t in mi.names]
     info = {"heuristic": "RCP"}
     info.update(meta or {})
     return run_list_scheduler(
-        graph,
-        placement,
-        assignment,
-        StaticPolicy(prio),
-        comm=comm,
-        meta=info,
+        graph, placement, assignment, BoundPolicy(mi, keys.__getitem__),
+        comm=comm, meta=info,
     )

@@ -16,14 +16,18 @@ acyclic; :func:`gantt` detects invalid interleavings.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..errors import SchedulingError
 from ..graph.taskgraph import TaskGraph
 from .index import graph_index
 from .placement import Placement
+
+if TYPE_CHECKING:
+    from .index import GraphIndex
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,16 @@ class CommModel:
 
     latency: float = 1.0
     byte_time: float = 0.0
+
+    def __post_init__(self) -> None:
+        # Non-negative finite costs keep every data arrival at or after
+        # its producer's finish (the list scheduler relies on it).
+        for name in ("latency", "byte_time"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise SchedulingError(
+                    f"CommModel.{name} = {value!r}: must be finite and >= 0"
+                )
 
     def cost(self, nbytes: int) -> float:
         return self.latency + nbytes * self.byte_time
@@ -95,22 +109,46 @@ class Schedule:
         """Structural validation: orders partition the task set and agree
         with the assignment.  (Precedence validity is checked by
         :func:`gantt`.)"""
-        seen: set[str] = set()
-        for p, order in enumerate(self.orders):
-            for t in order:
-                if not self.graph.has_task(t):
-                    raise SchedulingError(f"order of P{p} contains unknown task {t!r}")
-                if t in seen:
-                    raise SchedulingError(f"task {t!r} appears on two processors")
-                if self.assignment.get(t) != p:
-                    raise SchedulingError(
-                        f"task {t!r} ordered on P{p} but assigned to "
-                        f"P{self.assignment.get(t)}"
-                    )
-                seen.add(t)
-        if len(seen) != self.graph.num_tasks:
-            missing = [t for t in self.graph.task_names if t not in seen]
-            raise SchedulingError(f"schedule misses tasks: {missing[:5]}...")
+        gi = graph_index(self.graph)
+        get = self.assignment.get
+        number_orders(gi, [get(t) for t in gi.names], self.orders)
+
+
+def number_orders(
+    gi: "GraphIndex", proc: Sequence, orders: Sequence[Sequence[str]]
+) -> tuple[list[int], list[int]]:
+    """Check that ``orders`` partition the tasks of ``gi`` and put every
+    task on its processor ``proc[id]``, numbering them on the way.
+
+    Returns ``(tid_at, proc_start)``: ``tid_at[pos]`` is the
+    :class:`~repro.core.index.GraphIndex` id of the task at position
+    ``pos`` of the flattened orders and ``proc_start[q]`` the first
+    position of processor ``q`` (one sentinel at the end).  Raises
+    :class:`~repro.errors.SchedulingError` for an unknown, duplicated,
+    misplaced or missing task.
+    """
+    tid = gi.tid
+    tid_at: list[int] = []
+    proc_start = [0]
+    seen = bytearray(len(gi.names))
+    for p, order in enumerate(orders):
+        for t in order:
+            i = tid.get(t)
+            if i is None:
+                raise SchedulingError(f"order of P{p} contains unknown task {t!r}")
+            if seen[i]:
+                raise SchedulingError(f"task {t!r} appears on two processors")
+            if proc[i] != p:
+                raise SchedulingError(
+                    f"task {t!r} ordered on P{p} but assigned to P{proc[i]}"
+                )
+            seen[i] = 1
+            tid_at.append(i)
+        proc_start.append(len(tid_at))
+    if len(tid_at) != len(gi.names):
+        missing = [t for t, s in zip(gi.names, seen) if not s]
+        raise SchedulingError(f"schedule misses tasks: {missing[:5]}...")
+    return tid_at, proc_start
 
 
 @dataclass
@@ -172,67 +210,83 @@ def gantt(schedule: Schedule, comm: CommModel = UNIT_COMM) -> GanttChart:
     orders are inconsistent with the dependence DAG (the combined graph
     has a cycle).
     """
-    g = schedule.graph
-    gi = graph_index(g)
-    names, tid, succ, pred, weight = gi.names, gi.tid, gi.succ, gi.pred, gi.weight
-    smap = g.successor_map()
-    assignment = schedule.assignment
-    lat, bt = comm.latency, comm.byte_time
-    n = len(names)
-    # Combined-graph Kahn evaluation: dependence edges + sequence edges.
-    # A sequence edge that duplicates a dependence edge counts once.
-    indeg = list(gi.in_degree)
-    prev_on_proc = [-1] * n
-    next_on_proc = [-1] * n
+    gi = graph_index(schedule.graph)
+    tid, names = gi.tid, gi.names
+    ids: list[list[int]] = []
     for order in schedule.orders:
-        prev = -1
+        row = []
         for t in order:
             i = tid.get(t)
             if i is None:
                 raise SchedulingError(f"schedule orders unknown task {t!r}")
+            row.append(i)
+        ids.append(row)
+    assignment = schedule.assignment
+    start, fin = gantt_times(gi, [assignment[t] for t in names], ids, comm)
+    return GanttChart(schedule, dict(zip(names, start)), dict(zip(names, fin)))
+
+
+def gantt_times(
+    gi: "GraphIndex", proc: Sequence[int], orders: Sequence[Sequence[int]],
+    comm: CommModel,
+) -> tuple[list[float], list[float]]:
+    """Start and finish time of every task id under the macro-dataflow
+    model, for per-processor orders of task ids (:func:`gantt`'s core).
+
+    A Kahn walk of the combined graph: dependence edges plus one
+    sequence edge per consecutive pair of an order.  A sequence edge
+    that duplicates a dependence edge is counted and released twice,
+    which readies its task at the same point; times depend only on the
+    finished predecessors, never on the walk order.
+    """
+    names, succ, pred, weight = gi.names, gi.succ, gi.pred, gi.weight
+    lat, bt = comm.latency, comm.byte_time
+    n = len(names)
+    indeg = list(gi.in_degree)
+    prev_on_proc = [-1] * n
+    next_on_proc = [-1] * n
+    for order in orders:
+        prev = -1
+        for i in order:
             if prev >= 0:
                 prev_on_proc[i] = prev
                 next_on_proc[prev] = i
-                if t not in smap[names[prev]]:
-                    indeg[i] += 1
+                indeg[i] += 1
             prev = i
 
-    start: dict[str, float] = {}
-    finish: dict[str, float] = {}
+    start = [0.0] * n
     fin = [0.0] * n
+    timed = 0
     ready: deque[int] = deque(i for i in range(n) if indeg[i] == 0)
     while ready:
         u = ready.popleft()
-        name = names[u]
-        pu = assignment[name]
+        pu = proc[u]
         prev = prev_on_proc[u]
         s = fin[prev] if prev >= 0 else 0.0
         for j, nb in pred[u]:
             arr = fin[j]
-            if assignment[names[j]] != pu:
+            if proc[j] != pu:
                 arr += lat + nb * bt if nb >= 0 else lat
             if arr > s:
                 s = arr
-        start[name] = s
-        fin[u] = finish[name] = s + weight[u]
-        # Release combined-graph successors.
+        start[u] = s
+        fin[u] = s + weight[u]
+        timed += 1
         for v, _ in succ[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 ready.append(v)
-        # Release the next task on this processor (sequence edge), unless
-        # it was already counted as a DAG successor above.
         nxt = next_on_proc[u]
-        if nxt >= 0 and names[nxt] not in smap[name]:
+        if nxt >= 0:
             indeg[nxt] -= 1
             if indeg[nxt] == 0:
                 ready.append(nxt)
-    if len(finish) != g.num_tasks:
-        stuck = [t for t in g.task_names if t not in finish]
+    if timed != n:
+        stuck = [t for t, d in zip(names, indeg) if d]
         raise SchedulingError(
             f"schedule order conflicts with dependencies; stuck tasks: {stuck[:5]}"
         )
-    return GanttChart(schedule, start, finish)
+    return start, fin
 
 
 def serial_schedule(graph: TaskGraph, order: Sequence[str] | None = None) -> Schedule:

@@ -21,14 +21,17 @@ smaller peak first, then smaller makespan — is returned.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from ..graph.taskgraph import TaskGraph
 from .index import graph_index
 from .listsched import check_assignment
-from .liveness import analyze_memory
+from .liveness import proc_liveness
 from .placement import Placement
-from .schedule import CommModel, Schedule, UNIT_COMM, gantt
+from .schedule import CommModel, Schedule, UNIT_COMM, gantt_times
+
+if TYPE_CHECKING:
+    from .index import GraphIndex, MappingIndex
 
 
 def liu_postorder(
@@ -45,34 +48,42 @@ def liu_postorder(
     siblings is held.  The returned list is a topological order.
     """
     gi = graph_index(graph)
-    names, pred, size = gi.names, gi.pred, gi.obj_size
-    vola_acc = gi.mapping(placement, assignment).vola_acc
-    n = len(names)
+    names = gi.names
+    return [names[i] for i in _liu_ids(graph, gi, gi.mapping(placement, assignment))]
+
+
+def _liu_ids(graph: TaskGraph, gi: "GraphIndex", mi: "MappingIndex") -> list[int]:
+    """:func:`liu_postorder` in task ids, on the mapping index ``mi``."""
+    pred, oid, size, rows = gi.pred, gi.oid, gi.oid_size, mi.vola_oids
+    n = len(gi.names)
+    # Output bytes of each task; a task's ``net`` is read only as a
+    # child of a later task in topological order.
     net = [0] * n
     peak = [0] * n
-    kids: list[list[int]] = [[] for _ in range(n)]
-
-    def key(c: int) -> tuple[int, int]:
-        return (net[c] - peak[c], c)
-
+    acc_b = [0] * n
+    for i, t in enumerate(graph.tasks()):  # program order: task ids
+        row = rows[i]
+        if row:
+            acc_b[i] = sum([size[o] for o in row])
+            if t.writes:
+                writes = {oid[m] for m in t.writes}
+                net[i] = sum([size[o] for o in row if o in writes])
+    kids: list[list[int]] = [[]] * n  # every entry replaced below
     for i in gi.topo:
-        name = names[i]
-        vola = vola_acc[name]
-        writes = graph.task(name).writes
-        out_b = sum(size[o] for o in vola if o in writes)
-        acc_b = sum(size[o] for o in vola)
-        children = sorted((j for j, _ in pred[i]), key=key)
+        children = [
+            c for _, c in sorted([(net[j] - peak[j], j) for j, _ in pred[i]])
+        ]
         kids[i] = children
         run = 0
-        pk = acc_b + sum(net[c] for c in children)
+        pk = acc_b[i] + sum([net[c] for c in children])
         for c in children:
             pk = max(pk, run + peak[c])
             run += net[c]
-        net[i] = out_b
         peak[i] = pk
 
-    roots = sorted((i for i in range(n) if not gi.succ[i]), key=key)
-    order: list[str] = []
+    roots = [i for _, i in sorted(
+        (net[i] - peak[i], i) for i in range(n) if not gi.succ[i])]
+    order: list[int] = []
     seen = [False] * n
     for root in roots:
         if seen[root]:
@@ -91,30 +102,8 @@ def liu_postorder(
                 stack.append((child, 0))
             else:
                 stack.pop()
-                order.append(names[node])
+                order.append(node)
     return order
-
-
-def _project(
-    graph: TaskGraph,
-    placement: Placement,
-    assignment: Mapping[str, int],
-    order: list[str],
-    meta: dict,
-) -> Schedule:
-    """Per-processor projection of a global topological order."""
-    orders: list[list[str]] = [[] for _ in range(placement.num_procs)]
-    for t in order:
-        orders[assignment[t]].append(t)
-    sched = Schedule(
-        graph=graph,
-        placement=placement,
-        assignment=dict(assignment),
-        orders=orders,
-        meta=meta,
-    )
-    sched.validate()
-    return sched
 
 
 def tree_order(
@@ -132,19 +121,44 @@ def tree_order(
     winning traversal is recorded in ``meta["tree_variant"]``.  Raises
     :class:`~repro.errors.SchedulingError` when a task has no processor
     in ``[0, P)``.
+
+    Both candidates are projected and scored in task ids (the cores of
+    :func:`~repro.core.liveness.analyze_memory` and
+    :func:`~repro.core.schedule.gantt`); only the winner becomes a
+    :class:`~repro.core.schedule.Schedule`.
     """
     check_assignment(graph, placement, assignment)
-    candidates = (
-        ("liu-postorder", liu_postorder(graph, placement, assignment)),
-        ("program-order", graph.topological_order()),
-    )
-    best: Optional[tuple[tuple, str, Schedule]] = None
-    for variant, order in candidates:
-        m = dict(meta or {})
-        m.update({"heuristic": "TREE", "tree_variant": variant})
-        sched = _project(graph, placement, assignment, order, m)
-        key = (analyze_memory(sched).min_mem, gantt(sched, comm).makespan)
+    gi = graph_index(graph)
+    mi = gi.mapping(placement, assignment)
+    proc, nprocs = mi.proc, placement.num_procs
+    best: Optional[tuple[tuple, str, list[list[int]]]] = None
+    for variant, order in (
+        ("liu-postorder", _liu_ids(graph, gi, mi)),
+        ("program-order", gi.topo),
+    ):
+        # Per-processor projection of the global topological order.
+        ids: list[list[int]] = [[] for _ in range(nprocs)]
+        for i in order:
+            ids[proc[i]].append(i)
+        min_mem = max((
+            max(proc_liveness(gi, mi, p, ids[p])[2], default=mi.perm_bytes[p])
+            for p in range(nprocs)
+        ), default=0)
+        makespan = max(gantt_times(gi, proc, ids, comm)[1], default=0.0)
+        key = (min_mem, makespan)
         if best is None or key < best[0]:
-            best = (key, variant, sched)
+            best = (key, variant, ids)
     assert best is not None
-    return best[2]
+    _key, variant, ids = best
+    m = dict(meta or {})
+    m.update({"heuristic": "TREE", "tree_variant": variant})
+    names = gi.names
+    # Projections of a topological order of every task: valid by
+    # construction.
+    return Schedule(
+        graph=graph,
+        placement=placement,
+        assignment=dict(assignment),
+        orders=[[names[i] for i in order] for order in ids],
+        meta=m,
+    )

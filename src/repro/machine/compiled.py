@@ -152,7 +152,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ..core.index import graph_index, mapping_index
+from ..core.index import graph_index
 from ..core.maps import maps_by_position
 from ..errors import (
     DataConsistencyError,
@@ -527,9 +527,9 @@ def lower_schedule(cs) -> LoweredSchedule:
     cs.counters["lower_misses"] += 1
     _t0_lower = perf_counter()
 
-    g, sched = cs.graph, cs.schedule
+    g = cs.graph
     gi = graph_index(g)
-    mi = mapping_index(g, sched.placement, sched.assignment)
+    mi = cs._mi
     ml = mi.memo("compiled-lowering", lambda: _lower_mapping(g, gi, mi))
     ids = ml.ids
     nprocs = cs.num_procs

@@ -128,15 +128,14 @@ from enum import Enum
 from time import perf_counter
 from typing import NamedTuple, Optional
 
-from ..core.index import MappingIndex, graph_index, mapping_index
+from ..core.index import MappingIndex, graph_index
 from ..core.liveness import MemoryProfile, analyze_memory
 from ..core.maps import MapPlan, maps_by_position, plan_maps
 from ..core.placement import validate_owner_compute
-from ..core.schedule import Schedule
+from ..core.schedule import Schedule, number_orders
 from ..errors import (
     DataConsistencyError,
     DeadlockError,
-    SchedulingError,
     SimulationError,
 )
 from ..obs.instrument import Instrument, MultiInstrument
@@ -346,8 +345,14 @@ class CompiledSchedule:
         self.graph = schedule.graph
         self.num_procs = schedule.num_procs
         gi = graph_index(self.graph)
-        mi = gi.mapping(schedule.placement, schedule.assignment)
-        self._number_orders(gi, mi)
+        # The mapping's index, looked up once for validation, lowering
+        # and the interpreted tables (``check_fresh`` guards mutation).
+        mi = self._mi = gi.mapping(schedule.placement, schedule.assignment)
+        # Schedule.validate's structural check, numbering the flattened
+        # orders on the way: ``tid_at[pos]`` is the GraphIndex id of the
+        # task at position ``pos``, ``proc_start[q]`` the first position
+        # of processor ``q`` (one sentinel at the end).
+        self.tid_at, self.proc_start = number_orders(gi, mi.proc, schedule.orders)
         # Order-independent, so checked once per mapping (a failed check
         # raises and is not memoised).
         mi.memo("owner-compute", lambda: validate_owner_compute(
@@ -387,39 +392,6 @@ class CompiledSchedule:
         self.perm_bytes = [pp.perm_bytes for pp in self.profile.procs]
         self._fingerprint = self._schedule_fingerprint()
 
-    def _number_orders(self, gi, mi: MappingIndex) -> None:
-        """Structural validation of the schedule (the orders partition
-        the task set and agree with the assignment), in the same pass
-        that numbers the flattened orders: ``tid_at[pos]`` is the
-        :class:`~repro.core.index.GraphIndex` id of the task at
-        position ``pos`` and ``proc_start[q]`` the first position of
-        processor ``q`` (one sentinel at the end)."""
-        tid, proc = gi.tid, mi.proc
-        tid_at: list[int] = []
-        proc_start = [0]
-        seen = bytearray(len(gi.names))
-        for p, order in enumerate(self.schedule.orders):
-            for t in order:
-                i = tid.get(t)
-                if i is None:
-                    raise SchedulingError(
-                        f"order of P{p} contains unknown task {t!r}")
-                if seen[i]:
-                    raise SchedulingError(
-                        f"task {t!r} appears on two processors")
-                if proc[i] != p:
-                    raise SchedulingError(
-                        f"task {t!r} ordered on P{p} but assigned to "
-                        f"P{proc[i]}"
-                    )
-                seen[i] = 1
-                tid_at.append(i)
-            proc_start.append(len(tid_at))
-        if len(tid_at) != len(gi.names):
-            missing = [t for t, s in zip(gi.names, seen) if not s]
-            raise SchedulingError(f"schedule misses tasks: {missing[:5]}...")
-        self.tid_at, self.proc_start = tid_at, proc_start
-
     # -- interpreted-engine tables ---------------------------------------
 
     #: The interpreted engine's name-keyed tables; built on first use
@@ -445,7 +417,7 @@ class CompiledSchedule:
     def _compile(self) -> None:
         g, sched = self.graph, self.schedule
         units = self._units()
-        mi = mapping_index(g, sched.placement, sched.assignment)
+        mi = self._mi
         msgs = mi.memo("sim-messages", lambda: _message_tables(g, mi, units))
 
         # Trigger task of each producer unit: the unit's last task in the

@@ -106,7 +106,7 @@ class TestSharing:
         mi = mapping_index(g, partial, asg)  # assignment-only use is fine
         assert len(mi.proc) == g.num_tasks
         with pytest.raises(PlacementError, match="has no owner"):
-            mi.vola_acc
+            mi.vola_oids
 
 
 class TestAmortisation:

@@ -13,6 +13,7 @@ from repro.core import (
 from repro.core.placement import placement_from_dict
 from repro.errors import SchedulingError
 from repro.graph.generators import chain, fork_join
+from repro.machine.simulator import CompiledSchedule
 
 
 def two_proc_chain():
@@ -31,6 +32,15 @@ class TestCommModel:
     def test_unit_default(self):
         cm = CommModel()
         assert cm.cost(100) == 1.0
+
+    @pytest.mark.parametrize("field", ["latency", "byte_time"])
+    @pytest.mark.parametrize("value", [-1.0, -1e-9, float("nan"), float("inf"), float("-inf")])
+    def test_rejects_negative_or_non_finite_costs(self, field, value):
+        with pytest.raises(SchedulingError, match=rf"CommModel\.{field} = "):
+            CommModel(**{field: value})
+
+    def test_zero_costs_are_accepted(self):
+        assert CommModel(latency=0.0, byte_time=0.0).cost(10) == 0.0
 
 
 class TestScheduleValidation:
@@ -61,6 +71,23 @@ class TestScheduleValidation:
         g, pl, asg = two_proc_chain()
         with pytest.raises(SchedulingError):
             Schedule(g, pl, asg, [["T0", "T2", "T1"]])
+
+    @pytest.mark.parametrize("orders, message", [
+        ([["T0", "T2", "X"], ["T1"]], "order of P0 contains unknown task 'X'"),
+        ([["T0", "T2"], ["T1", "T2"]], "task 'T2' appears on two processors"),
+        ([["T0", "T1", "T2"], []], "task 'T1' ordered on P0 but assigned to P1"),
+        ([["T0"], ["T1"]], "schedule misses tasks: ['T2']..."),
+    ], ids=["unknown", "duplicate", "wrong-processor", "missing"])
+    def test_validate_and_compile_raise_the_same_error(self, orders, message):
+        """``Schedule.validate`` and ``CompiledSchedule`` share one
+        structural check, so they reject a bad order the same way."""
+        g, pl, asg = two_proc_chain()
+        s = Schedule(g, pl, asg, orders)
+        with pytest.raises(SchedulingError) as validated:
+            s.validate()
+        with pytest.raises(SchedulingError) as compiled:
+            CompiledSchedule(s)
+        assert str(validated.value) == str(compiled.value) == message
 
     def test_position(self):
         g, pl, asg = two_proc_chain()

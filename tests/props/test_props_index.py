@@ -4,7 +4,9 @@ The list scheduler, the mapped b-levels, the liveness analysis, the
 Gantt evaluation, the tree postorder and ``CompiledSchedule``'s message
 tables all run on :mod:`repro.core.index`.  Each is checked here, with
 exact equality, against a direct name-keyed implementation of the same
-definition (the pre-index code), on random DAGs and placements.
+definition (the pre-index code), on random DAGs and placements.  The
+list scheduler's name adapter (a policy without ``bind``) is checked the
+same way.
 """
 
 import heapq
@@ -18,8 +20,8 @@ from repro.core.listsched import StaticPolicy, run_list_scheduler
 from repro.core.mpo import mpo_order
 from repro.core.placement import Placement, perm_vola_sets
 from repro.core.rcp import rcp_order, rcp_priorities
-from repro.core.schedule import CommModel, gantt
-from repro.core.treesched import tree_order
+from repro.core.schedule import CommModel, Schedule, gantt
+from repro.core.treesched import liu_postorder, tree_order
 from repro.graph import generators as gen
 from repro.graph.analysis import b_levels, mapped_edge_cost, size_edge_cost
 from repro.machine.simulator import CompiledSchedule
@@ -171,6 +173,79 @@ def ref_gantt(sched, comm):
     return finish
 
 
+def ref_liu_postorder(g, placement, assignment):
+    _perm, vola = ref_perm_vola(g, placement, assignment)
+    net, peak, kids = {}, {}, {}
+
+    def key(t):
+        return (net[t] - peak[t], g.task_names.index(t))
+
+    for t in g.topological_order():
+        task = g.task(t)
+        va = [o for o in task.accesses if o in vola[assignment[t]]]
+        children = sorted(g.predecessors(t), key=key)
+        kids[t] = children
+        run, pk = 0, sum(g.object(o).size for o in va) + sum(net[c] for c in children)
+        for c in children:
+            pk = max(pk, run + peak[c])
+            run += net[c]
+        net[t] = sum(g.object(o).size for o in va if o in task.writes)
+        peak[t] = pk
+    order, seen = [], set()
+
+    def visit(t):  # recursive postorder over predecessors
+        seen.add(t)
+        for c in kids[t]:
+            if c not in seen:
+                visit(c)
+        order.append(t)
+
+    for root in sorted((t for t in g.task_names if not list(g.successors(t))), key=key):
+        if root not in seen:
+            visit(root)
+    return order
+
+
+def ref_min_mem(sched):
+    g = sched.graph
+    perm, _vola = ref_perm_vola(g, sched.placement, sched.assignment)
+    peaks = []
+    for p, spans in enumerate(ref_memory(sched)):
+        base = sum(g.object(o).size for o in perm[p])
+        peaks.append(max((
+            base + sum(g.object(o).size for o, (f, l) in spans.items() if f <= i <= l)
+            for i in range(len(sched.orders[p]))), default=base))
+    return max(peaks, default=0)
+
+
+def ref_tree_orders(g, placement, assignment, comm):
+    best = None
+    for variant, order in (("liu-postorder", ref_liu_postorder(g, placement, assignment)),
+                           ("program-order", g.topological_order())):
+        orders = [[t for t in order if assignment[t] == p]
+                  for p in range(placement.num_procs)]
+        sched = Schedule(g, placement, dict(assignment), orders)
+        key = (ref_min_mem(sched), max(ref_gantt(sched, comm).values(), default=0.0))
+        if best is None or key < best[0]:
+            best = (key, variant, orders)
+    return best[1], best[2]
+
+
+class NamesOnly:
+    """A name-keyed view of a policy (no ``bind``), so the list
+    scheduler runs it through its name adapter; ``on_scheduled`` also
+    reports a task the graph does not have, which the adapter drops."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def priority(self, task):
+        return self.inner.priority(task)
+
+    def on_scheduled(self, task, proc):
+        return list(self.inner.on_scheduled(task, proc)) + ["no-such-task"]
+
+
 def ref_needs(sched):
     g, asg = sched.graph, sched.assignment
     needs = {t: [] for t in g.task_names}
@@ -223,6 +298,39 @@ def test_mpo_matches_reference_scheduler(case):
     want = ref_list_scheduler(
         g, pl, asg, MemoryPriorityPolicy(g, pl, asg, cp), comm)
     assert mpo_order(g, pl, asg, comm).orders == want
+
+
+@given(cases)
+def test_name_keyed_policy_through_the_adapter_matches_reference(case):
+    from repro.core.mpo import MemoryPriorityPolicy
+
+    family, seed, procs, comm = case
+    g, pl, asg = build(family, seed, procs)
+    cp = rcp_priorities(g, asg, comm)
+    levels: dict[str, int] = {}  # non-decreasing along every edge
+    for i, t in enumerate(g.topological_order()):
+        levels[t] = max([i % 2] + [levels[u] for u in g.predecessors(t)])
+    for lv in (None, levels):
+        got = run_list_scheduler(
+            g, pl, asg, NamesOnly(MemoryPriorityPolicy(g, pl, asg, cp)),
+            comm=comm, levels=lv)
+        want = ref_list_scheduler(
+            g, pl, asg, MemoryPriorityPolicy(g, pl, asg, cp), comm, levels=lv)
+        assert got.orders == want
+    # The id binding and the adapter drive the same MPO run.
+    assert mpo_order(g, pl, asg, comm).orders == run_list_scheduler(
+        g, pl, asg, NamesOnly(MemoryPriorityPolicy(g, pl, asg, cp)), comm=comm).orders
+
+
+@given(cases)
+def test_tree_order_and_liu_postorder_match_reference(case):
+    family, seed, procs, comm = case
+    g, pl, asg = build(family, seed, procs)
+    assert liu_postorder(g, pl, asg) == ref_liu_postorder(g, pl, asg)
+    variant, orders = ref_tree_orders(g, pl, asg, comm)
+    got = tree_order(g, pl, asg, comm)
+    assert got.orders == orders
+    assert got.meta["tree_variant"] == variant
 
 
 @given(cases)
