@@ -521,8 +521,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="sweep: live stderr ticker (done/running/"
                              "retrying/failed groups; implies --supervised)")
     parser.add_argument("--engine-stats", action="store_true",
-                        help="sweep: add opt-in engine columns (engine_used, "
-                             "fallback_reason) to the CSV")
+                        help="sweep: add the opt-in engine column "
+                             "(engine_used) to the CSV")
     args = parser.parse_args(argv)
 
     if args.experiment == "obs":

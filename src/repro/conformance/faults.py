@@ -32,9 +32,12 @@ simulator: it positions the capacity between ``MIN_MEM`` (0.0) and
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional
+
+from ..errors import FaultSpecError
 
 __all__ = ["FAULT_KINDS", "FaultInjector", "FaultSpec", "fault_preset"]
 
@@ -47,6 +50,8 @@ class FaultSpec:
     knobs are all identity reports ``active == False`` and the simulator
     skips injection entirely (the disabled path stays at engine speed —
     the conformance section of the engine benchmark records the ratio).
+    Every factor and jitter must be finite and non-negative
+    (:class:`~repro.errors.FaultSpecError` otherwise).
     """
 
     #: Seed of the run-local RNG behind the jitter knobs.
@@ -71,6 +76,16 @@ class FaultSpec:
     #: Harness-level capacity tightening: 0.0 = ``MIN_MEM``, 1.0 =
     #: ``TOT`` (``None`` leaves the caller's capacity untouched).
     capacity_fraction: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        for name in ("put_latency_factor", "put_jitter",
+                     "package_consume_factor", "package_consume_jitter",
+                     "slowdown"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise FaultSpecError(
+                    name, f"FaultSpec.{name} = {v!r}: must be finite "
+                    "and >= 0")
 
     @property
     def active(self) -> bool:
@@ -170,4 +185,5 @@ def fault_preset(kind: str, seed: int = 0) -> FaultSpec:
             package_consume_factor=25.0,
             package_consume_jitter=8.0,
         )
-    raise ValueError(f"unknown fault kind {kind!r}; known: {FAULT_KINDS}")
+    raise FaultSpecError(
+        "kind", f"unknown fault kind {kind!r}; known: {FAULT_KINDS}")

@@ -71,6 +71,23 @@ class MachineSpecError(ReproError):
         super().__init__(f"MachineSpec.{field} = {value!r}: must be {want}")
 
 
+class FaultSpecError(ReproError, ValueError):
+    """A fault-injection knob holds a value no run can use.
+
+    A negative or NaN factor or jitter of a
+    :class:`~repro.conformance.faults.FaultSpec` would schedule a
+    simulator event in the past, and an infinite one runs silently to an
+    infinite parallel time, so the spec rejects them at construction;
+    :func:`~repro.conformance.faults.fault_preset` raises it for an
+    unknown fault kind.  Subclasses :class:`ValueError` too, so
+    ``except ValueError`` keeps catching it.
+    """
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(message)
+
+
 class SchedulingError(ReproError):
     """A scheduling algorithm was invoked with inconsistent inputs."""
 

@@ -34,7 +34,7 @@ import os
 import pathlib
 import re
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Optional, Sequence
 
 from ..machine.simulator import ENGINE_CONTRACT
@@ -108,8 +108,9 @@ def grid_fingerprint(
     default keep their fingerprint and still resume.  With
     ``engine_stats`` the :data:`~repro.machine.simulator.ENGINE_CONTRACT`
     version is hashed too: it changes when the engine that executes a
-    cell does (observed cells ran interpreted before version 2), so a
-    journal's ``engine_used`` / ``fallback_reason`` rows are never
+    cell, or the engine columns, do (observed cells ran interpreted
+    before version 2; rows carried a second, fallback-reason engine
+    column before version 3), so a journal's engine rows are never
     replayed next to fresh rows of another contract.
     ``engine_stats`` and ``bounds`` shape records (they fill opt-in
     columns), and ``harness_faults`` (a
@@ -153,8 +154,11 @@ def record_to_json(rec: SweepRecord) -> dict:
 
 
 def record_from_json(row: dict) -> SweepRecord:
-    """Inverse of :func:`record_to_json`."""
-    out = dict(row)
+    """Inverse of :func:`record_to_json`.  An empty field the record no
+    longer has (a journal of a default sweep keeps its fingerprint
+    across a retired opt-in column) is skipped; a filled one raises."""
+    known = {f.name for f in fields(SweepRecord)}
+    out = {k: v for k, v in row.items() if k in known or v is not None}
     for k, v in out.items():
         if v == "inf":
             out[k] = float("inf")

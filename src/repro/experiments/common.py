@@ -95,11 +95,9 @@ class CellMetrics:
     #: finding) — the analyzer needs no simulation.
     analysis_errors: Optional[float] = None
     #: Engine introspection (``collect_engine=True``): which engine
-    #: actually executed the cell and, for a requested-compiled cell
-    #: that ran interpreted, the fallback reason.  Non-executable cells
-    #: stay ``None`` — nothing ran.
+    #: executed the cell.  Non-executable cells stay ``None`` — nothing
+    #: ran.
     engine_used: Optional[str] = None
-    fallback_reason: Optional[str] = None
     #: Certified static lower bounds (``collect_bounds=True``; see
     #: :mod:`repro.analysis.bounds`).  Static like ``analysis_errors``:
     #: even a non-executable cell gets real bound values — only the
@@ -431,11 +429,8 @@ class ExperimentContext:
         cells run on the requested engine too, with identical hook
         calls.
 
-        ``collect_engine=True`` records which engine actually executed
-        the cell (``engine_used``) and the fallback reason of a
-        requested-compiled cell that ran interpreted
-        (``fallback_reason``; cells never inject faults, so it stays
-        empty); it reads the cached
+        ``collect_engine=True`` records which engine executed the cell
+        (``engine_used``); it reads the cached
         :class:`~repro.machine.simulator.SimResult` and never changes
         what runs.
 
@@ -491,7 +486,6 @@ class ExperimentContext:
             )
         if collect_engine and res is not None:
             cell.engine_used = res.engine
-            cell.fallback_reason = res.fallback_reason
         if collect_bounds:
             bset = self.bounds_for(key, p, heuristic, cap_arg)
             cell.pt_bound = bset.pt.value
@@ -544,8 +538,8 @@ class ExperimentContext:
         schedule this context built, including those of groups already
         dropped by :meth:`release` (see
         :data:`~repro.machine.simulator.ENGINE_COUNTER_KEYS`): MAP-plan /
-        lowering / ExecPlan cache hits and misses, phase timers, run
-        counts per engine and ``fallback:<reason>`` tallies."""
+        lowering / ExecPlan cache hits and misses, phase timers and run
+        counts per engine."""
         totals = dict(self._released_counters)
         for group in self._groups.values():
             for cs in group.compiled.values():

@@ -69,9 +69,8 @@ OPTIONAL_COLUMNS = {
     #: certified static lower bounds (:mod:`repro.analysis.bounds`) and
     #: each cell's relative slack over them
     "bounds": ("pt_bound", "mem_bound", "pt_bound_gap", "mem_bound_gap"),
-    #: the engine that executed each cell and why a requested-compiled
-    #: cell fell back
-    "engine_stats": ("engine_used", "fallback_reason"),
+    #: the engine that executed each cell
+    "engine_stats": ("engine_used",),
 }
 METRIC_FIELDS = OPTIONAL_COLUMNS["metrics"]
 CHECK_FIELDS = OPTIONAL_COLUMNS["check"]
@@ -114,10 +113,8 @@ class SweepRecord:
     pt_bound_gap: Optional[float] = None
     mem_bound_gap: Optional[float] = None
     #: populated only by ``full_sweep(..., engine_stats=True)``:
-    #: the engine that executed the cell and the fallback reason of a
-    #: requested-compiled cell that ran interpreted (empty otherwise)
+    #: the engine that executed the cell
     engine_used: Optional[str] = None
-    fallback_reason: Optional[str] = None
     #: failure columns, populated only on cells of a group that a
     #: supervised sweep recorded as failed (``"timeout"``/``"crashed"``/
     #: ``"error"``; see :mod:`repro.experiments.runtime`)
@@ -276,8 +273,7 @@ def full_sweep(
       :mod:`repro.analysis.bounds` (``pt_bound``/``mem_bound``) and each
       cell's relative slack over them (``value/bound - 1``), cached per
       (workload, procs, heuristic);
-    * ``engine_stats=True`` fills ``engine_used`` and
-      ``fallback_reason``.
+    * ``engine_stats=True`` fills ``engine_used``.
 
     On non-executable cells the simulated columns (telemetry,
     ``violations``, ``pt_bound_gap``) are ``inf`` like the timing

@@ -70,10 +70,10 @@ Events are 3-tuples ``(time, seq, code)`` where ``code`` packs
 Exactness contract
 ------------------
 
-The interpreted :meth:`Simulator._run_interpreted` is the differential
-oracle; this engine must agree with it *bit-for-bit* (finish times,
-stats, peaks, violation verdicts compared with ``==``).  Three rules
-make that possible:
+The interpreted :func:`repro.machine.reference.run_interpreted` is the
+differential oracle; this engine must agree with it *bit-for-bit*
+(finish times, stats, peaks, violation verdicts compared with ``==``).
+Three rules make that possible:
 
 * **Identical float expressions.**  Every time value is produced by the
   same sequential float64 operation sequence as the interpreted engine
@@ -122,17 +122,18 @@ woken on every arrival, as in the oracle, for its ``REC`` mark.  The
 hook arguments come from per-mapping tables (``mk_src``: the sender of
 each data message) and the run's :class:`~repro.core.maps.MapPlan`.
 
-Fallback contract
------------------
+Engine selection
+----------------
 
-``Simulator.run`` runs this engine for every fault-free run: observed
-ones (``metrics``, ``trace``, an enabled instrument) and one with a
-caller-supplied :class:`~repro.core.maps.MapPlan` (an uncached exec plan
-is built from it) included.  Only active fault injection falls back to
-the interpreted oracle, explicitly, and ``SimResult.engine`` /
-``SimResult.fallback_reason`` record it.  Negative or non-finite costs
-never reach either engine: :class:`~repro.machine.spec.MachineSpec`
-rejects them.
+``Simulator.run`` runs this engine unless ``engine="interpreted"``
+asks for the oracle; observed, fault-injected and caller-``plan`` runs
+included (the last through an uncached exec plan).  An active
+:class:`~repro.conformance.faults.FaultSpec` perturbs the oracle's four
+sites behind one run-local ``fi`` hoisted like ``observing``: put delay
+(arrival), consume delay (slot free in RA), slot overwrite (package
+send) and slowdown (a run-local scaled copy of ``weight``/``warr``).
+:class:`~repro.machine.spec.MachineSpec` and ``FaultSpec`` reject
+negative or non-finite costs and knobs before either engine runs.
 
 Implementation note: every table is one plain Python list, because
 scalar list indexing is several times faster than per-element numpy
@@ -829,9 +830,10 @@ def _seg_until_hot(weight, k, n, a, b, thr):
 def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
     """Execute ``sim`` with the array-compiled engine.
 
-    Mirrors :meth:`Simulator._run_interpreted` action-for-action (see
-    the module docstring's exactness contract), including its
-    :class:`~repro.obs.instrument.Instrument` hook calls; returns a
+    Mirrors :func:`~repro.machine.reference.run_interpreted`
+    action-for-action (see the module docstring's exactness contract),
+    including its :class:`~repro.obs.instrument.Instrument` hook calls
+    and fault-injection sites; returns a
     :class:`~repro.machine.simulator.SimResult` with
     ``engine="compiled"``.
     """
@@ -845,6 +847,10 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
     observing = obs is not None
     if observing:
         obs.on_run_begin(0.0, sim.p, sim.capacity, sim.memory_managed)
+    #: Run-local fault injector, hoisted the same way (``None``: each
+    #: perturbation site costs one local-is-None test).
+    fi = sim.faults.injector() if sim.faults and sim.faults.active else None
+    overwrite = fi is not None and fi.overwrite_slots
     ep = get_exec_plan(
         cs, sim.capacity, spec, sim.memory_managed, sim.preknown_addresses,
         plan=sim.plan,
@@ -886,6 +892,10 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
     send_oh, put_lat, ra_cost = ep.send_oh, ep.put_lat, ep.ra_cost
     nic_serialize = ep.nic_serialize
     heappush, heappop = heapq.heappush, heapq.heappop
+    if fi is not None:  # the oracle's ``w * fi.exe_factor(q)`` per task
+        weight = [weight[k] * fi.exe_factor(q) for q in range(nprocs)
+                  for k in range(proc_start[q], proc_start[q + 1])]
+        warr = None if warr is None else np.asarray(weight, dtype=np.float64)
     if lo.max_run >= _SEG_VEC_MIN:
         bufa, bufb = np.empty(lo.max_run + 1), np.empty(lo.max_run + 1)
     if observing:
@@ -1016,6 +1026,8 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             arrive = start + od_net[od]
         else:
             arrive = t2 + od_net[od]
+        if fi is not None:
+            arrive += fi.put_delay(q, od_dest[od], od_net[od])
         if observing:
             obs.on_put(t2, arrive, q, od_dest[od], obj_name[od_oid[od]],
                        od_uname[od], od_nbytes[od])
@@ -1040,7 +1052,10 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                 start = a if a >= t else t
                 if observing:
                     obs.on_package_read(start, q, src, len(pkg_objs[k]))
-                push(start + put_lat, _SLOT_BASE | (src * nprocs + q))
+                free_at = start + put_lat
+                if fi is not None:
+                    free_at += fi.consume_delay(q, src, put_lat)
+                push(free_at, _SLOT_BASE | (src * nprocs + q))
             inbox_ct[q] = 0
         if suspended[q]:
             still = []
@@ -1063,7 +1078,7 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
         still = []
         for k in pending_pkgs[q]:
             dst = pkg_dst[k]
-            if slot[q * nprocs + dst]:
+            if slot[q * nprocs + dst] and not overwrite:
                 still.append(k)
                 if observing:
                     a = avail[q]

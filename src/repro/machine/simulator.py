@@ -1,8 +1,8 @@
 """Discrete-event execution of schedules under active memory management.
 
-This module is the Cray-T3D stand-in: it executes a static schedule on
-``p`` simulated processors connected by an RMA network, following the
-five-state protocol of section 3.3 (Figure 3(b)):
+This module is the Cray-T3D stand-in: a :class:`Simulator` executes a
+static schedule on ``p`` simulated processors connected by an RMA
+network, following the five-state protocol of section 3.3 (Figure 3(b)):
 
 * **REC** — the processor blocks until every input object of its next
   task is locally available;
@@ -54,11 +54,11 @@ P), memoised on the mapping's :class:`~repro.core.index.MappingIndex`.
 
 The tables are built for the engine that runs: the compiled engine's
 three table levels (per mapping, per schedule, per cell; see
-:mod:`repro.machine.compiled`) by its lowering, and this interpreted
+:mod:`repro.machine.compiled`) by its lowering, and the interpreted
 engine's name-keyed tables (``out_data``, ``needs``, ``data_waiters``
-and the rest) on the first interpreted or fault-injected run, or the
-first read of one of them (an :class:`~repro.conformance.InvariantChecker`
-reads ``needs``).
+and the rest) on the first interpreted run, or the first read of one
+of them (an :class:`~repro.conformance.InvariantChecker` reads
+``needs``).
 
 Readiness of a task is tracked with countdown counters: every task
 starts with the number of distinct remote inputs it waits for, each
@@ -74,16 +74,16 @@ run (:class:`~repro.errors.DeadlockError`, …) leaves no residue behind.
 Event ordering and time arithmetic
 ----------------------------------
 
-The event queue is a heap of ``(time, seq, kind, payload)`` tuples where
-``seq`` is a strictly monotone push counter.  Same-timestamp events are
-therefore processed in *push order* (deterministic FIFO tie-breaking);
-:func:`post` asserts both invariants at push time — ``seq``
-monotonicity, and causality (``time >= now``, the timestamp of the
-event currently being processed), which together guarantee the heap
-never pops an event "in the past" and that tie order is exactly
-creation order.  All event times are plain Python ``float64`` values
-produced by *sequential* additions (``start + cost``); there is no
-re-association, no compensated summation and no numpy accumulation
+The interpreted engine's event queue is a heap of ``(time, seq, kind,
+payload)`` tuples where ``seq`` is a strictly monotone push counter.
+Same-timestamp events are therefore processed in *push order*
+(deterministic FIFO tie-breaking); its ``post`` asserts both invariants
+at push time — ``seq`` monotonicity, and causality (``time >= now``, the
+timestamp of the event currently being processed), which together
+guarantee the heap never pops an event "in the past" and that tie order
+is exactly creation order.  All event times are plain Python ``float64``
+values produced by *sequential* additions (``start + cost``); there is
+no re-association, no compensated summation and no numpy accumulation
 anywhere in the loop, so a given schedule produces bit-identical times
 on every run.  The array-compiled engine (:mod:`repro.machine.compiled`)
 reproduces the same float expressions in the same order and only
@@ -94,15 +94,14 @@ the differential oracle compares engines with ``==``, not ``allclose``.
 Engine selection
 ----------------
 
-The array-compiled engine is the default (``engine="compiled"``): it
-runs every fault-free run, observed ones (``metrics=True``,
-``trace=True``, an enabled instrument) and one with a caller-supplied
-``plan`` included.  Only active fault injection falls back to this
-interpreted engine, *explicitly* (``SimResult.engine`` and
-``SimResult.fallback_reason`` record it); ``engine="interpreted"``
-selects it outright.  The interpreted engine is the differential oracle
-the compiled one is tested against, bit for bit, and for observed runs
-hook call for hook call.
+The array-compiled engine (``engine="compiled"``, the default) runs
+every run: observed ones (``metrics=True``, ``trace=True``, an enabled
+instrument), fault-injected ones and one with a caller-supplied
+``plan`` included.  ``engine="interpreted"`` selects the interpreted
+engine of :mod:`repro.machine.reference`, imported only then: the
+differential oracle the compiled one is tested against, bit for bit,
+and for observed runs hook call for hook call.  ``SimResult.engine``
+records which engine ran.
 
 Telemetry
 ---------
@@ -122,7 +121,6 @@ is now a :class:`~repro.obs.tracelog.TraceLog` instrument.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
 from time import perf_counter
@@ -130,19 +128,14 @@ from typing import NamedTuple, Optional
 
 from ..core.index import MappingIndex, graph_index
 from ..core.liveness import MemoryProfile, analyze_memory
-from ..core.maps import MapPlan, maps_by_position, plan_maps
+from ..core.maps import MapPlan, plan_maps
 from ..core.placement import validate_owner_compute
 from ..core.schedule import Schedule, number_orders
-from ..errors import (
-    DataConsistencyError,
-    DeadlockError,
-    SimulationError,
-)
+from ..errors import SimulationError
 from ..obs.instrument import Instrument, MultiInstrument
 from ..obs.instruments import MetricsSuite
 from ..obs.metrics import build_metrics
 from ..obs.tracelog import TraceEvent, TraceLog
-from .memory import ObjectAllocator
 from .spec import CRAY_T3D, MachineSpec
 
 __all__ = [
@@ -168,24 +161,19 @@ class ProcState(Enum):
     DONE = "DONE"
 
 
-# Event kinds (ordered tuples on a heap).
-_TASK_DONE = 0
-_DATA_ARRIVE = 1
-_ADDR_ARRIVE = 2
-_SLOT_FREE = 3
-
 #: Values of ``Simulator(engine=...)``: the reference oracle first.
 ENGINES = ("interpreted", "compiled")
 
 #: Version of the rule deciding which engine executes a run (what
-#: ``SimResult.engine`` / ``fallback_reason`` report).  1: observed and
-#: fault-injected runs fell back to the interpreted engine; 2: only
-#: fault-injected runs do.  Checkpoint journals that record the engine
-#: hash it (:func:`repro.experiments.checkpoint.grid_fingerprint`).
-ENGINE_CONTRACT = 2
+#: ``SimResult.engine`` reports) and of the engine record's shape.
+#: 1: observed and fault-injected runs fell back to the interpreted
+#: engine; 2: only fault-injected runs did; 3: the requested engine
+#: runs every run, and records carry no fallback reason.  Checkpoint
+#: journals that record the engine hash it
+#: (:func:`repro.experiments.checkpoint.grid_fingerprint`).
+ENGINE_CONTRACT = 3
 
-#: Always-present keys of :attr:`CompiledSchedule.counters` (the
-#: ``fallback:<reason>`` tallies appear on first use).  ``*_s`` keys
+#: The keys of :attr:`CompiledSchedule.counters`.  ``*_s`` keys
 #: are :func:`time.perf_counter` phase timers in seconds; the
 #: ``exec_plan_s`` miss timer *includes* any first-call lowering /
 #: MAP-planning it triggers (subtract ``lower_s`` / ``plan_s`` for the
@@ -244,13 +232,8 @@ class SimResult:
     #: ``heuristic:pP:Nt`` label of the executed schedule.
     schedule_label: str = ""
     #: Which engine produced this result: ``"interpreted"`` or
-    #: ``"compiled"`` (a requested-compiled run that fell back to the
-    #: interpreted engine records ``"interpreted"``).
+    #: ``"compiled"`` (always the requested one).
     engine: str = "interpreted"
-    #: Why a requested-compiled run fell back to the interpreted engine
-    #: (``"faults"``, the only reason); ``None`` when no fallback
-    #: happened.
-    fallback_reason: Optional[str] = None
 
     def render_trace(self, limit: Optional[int] = 200) -> str:
         """Human-readable event log (requires ``trace=True``).
@@ -366,8 +349,8 @@ class CompiledSchedule:
         #: lowered list-table IR (shared by every execution plan).
         self._lowered: Optional[object] = None
         #: engine introspection counters: cache hits/misses and phase
-        #: timers for the MAP-plan / lowering / ExecPlan caches, run
-        #: counts per engine and ``fallback:<reason>`` tallies.  Updated
+        #: timers for the MAP-plan / lowering / ExecPlan caches and run
+        #: counts per engine.  Updated
         #: only at cache-lookup boundaries and run entry — never inside
         #: the execution hot loops.
         self.counters: dict = {k: 0.0 if k.endswith("_s") else 0
@@ -395,8 +378,8 @@ class CompiledSchedule:
     # -- interpreted-engine tables ---------------------------------------
 
     #: The interpreted engine's name-keyed tables; built on first use
-    #: (an interpreted or fault-injected run, a checker, a deadlock
-    #: report), never by the compiled engine itself.
+    #: (an interpreted run, a checker, a deadlock report), never by the
+    #: compiled engine itself.
     _NAME_TABLES = frozenset((
         "trigger", "out_data", "out_sync", "needs", "need_count0",
         "data_waiters", "sync_waiters", "pending0", "weight",
@@ -691,23 +674,21 @@ class Simulator:
         Both compose with ``trace=True``.
 
         ``faults`` accepts a
-        :class:`~repro.conformance.faults.FaultSpec` (duck-typed:
-        anything with ``active`` and ``injector()``); each run draws a
+        :class:`~repro.conformance.faults.FaultSpec`; each run draws a
         fresh run-local injector, so faulted executions stay
         deterministic and repeatable.  An inactive spec costs one
-        ``is None`` test per injection site.
+        ``is None`` test per injection site; ``slow_procs`` outside
+        ``[0, p)`` raise :class:`~repro.errors.SimulationError`.
 
         ``engine`` selects the execution engine: ``"compiled"`` (the
         array-compiled engine of :mod:`repro.machine.compiled`, default)
-        or ``"interpreted"`` (the reference oracle).  The two agree
-        exactly, and observed runs (``metrics``, ``trace``, an enabled
-        ``instrument``) see the same hook calls, with the same
-        arguments, in the same order on both.  Only fault-injected runs
-        need the interpreted engine's perturbation sites and fall back
-        to it explicitly; a caller-supplied ``plan`` runs compiled
-        through an uncached exec plan.  ``SimResult.engine`` records
-        which engine actually ran and ``SimResult.fallback_reason`` why
-        it fell back."""
+        or ``"interpreted"`` (the reference oracle of
+        :mod:`repro.machine.reference`).  The two agree exactly, faulted
+        runs included, and observed runs (``metrics``, ``trace``, an
+        enabled ``instrument``) see the same hook calls, with the same
+        arguments, in the same order on both.  A caller-supplied
+        ``plan`` runs compiled through an uncached exec plan.
+        ``SimResult.engine`` records which engine ran."""
         if engine not in ENGINES:
             raise SimulationError(
                 f"unknown engine {engine!r}; expected 'interpreted' or "
@@ -731,6 +712,12 @@ class Simulator:
         self.metrics_enabled = metrics
         self.instrument = instrument
         self.faults = faults
+        slow = getattr(faults, "slow_procs", None)
+        if slow is not None and any(not 0 <= q < self.p for q in slow):
+            raise SimulationError(
+                f"FaultSpec.slow_procs = {slow!r}: every processor must "
+                f"be in [0, {self.p})"
+            )
         self.schedule_label = (
             f"{self.schedule.meta.get('heuristic', '?')}"
             f":p{self.p}:{self.g.num_tasks}t"
@@ -755,473 +742,20 @@ class Simulator:
     # dynamic execution
     # ------------------------------------------------------------------
 
-    def _compiled_fallback_reason(self) -> Optional[str]:
-        """Why this run cannot use the array-compiled engine (or None).
-
-        Only active fault injection: its perturbation sites (put and
-        consume delays, task slow-downs, slot overwrites) exist in the
-        interpreted engine alone.  Observed runs (metrics, trace, an
-        enabled instrument) run compiled, with the oracle's exact hook
-        calls.  A faulted run falls back to the interpreted oracle
-        explicitly; the reason is tallied in
-        :attr:`CompiledSchedule.counters` (``fallback:faults``) and
-        recorded on :attr:`SimResult.fallback_reason`."""
-        if self.faults is not None and self.faults.active:
-            return "faults"
-        return None
-
     def run(self) -> SimResult:
         counters = self.compiled.counters
-        if self.engine == "compiled":
-            reason = self._compiled_fallback_reason()
-            if reason is None:
-                from .compiled import run_compiled
+        if self.engine == "interpreted":
+            from .reference import run_interpreted
 
-                counters["compiled_runs"] += 1
-                t0 = perf_counter()
-                res = run_compiled(self)
-                counters["exec_s"] += perf_counter() - t0
-                return res
-            key = "fallback:" + reason
-            counters[key] = counters.get(key, 0) + 1
             counters["interpreted_runs"] += 1
-            res = self._run_interpreted()
-            res.fallback_reason = reason
-            return res
-        counters["interpreted_runs"] += 1
-        return self._run_interpreted()
+            return run_interpreted(self)
+        from .compiled import run_compiled
 
-    def _run_interpreted(self) -> SimResult:
-        sched, spec = self.schedule, self.spec
-        cs = self.compiled
-        nprocs = self.p
-        # Hot-loop locals (closure lookups beat attribute lookups).
-        out_data, out_sync = cs.out_data, cs.out_sync
-        weight, write_version, consumes = cs.weight, cs.write_version, cs.consumes
-        REC, EXE, SND = ProcState.REC, ProcState.EXE, ProcState.SND
-        MAP, END, DONE = ProcState.MAP, ProcState.END, ProcState.DONE
-        wake_states = (REC, MAP, END)
-
-        # --- mutable state (all run-local) ---------------------------
-        seq = 0
-        last_seq = -1
-        now = 0.0  # timestamp of the event currently being processed
-        events: list[tuple] = []  # (time, seq, kind, payload)
-
-        def post(t: float, kind: int, payload: tuple) -> None:
-            # Tie-breaking contract (see module docstring): same-time
-            # events pop in push order because ``seq`` increases
-            # strictly at every push; causality (t >= now) guarantees
-            # nothing is ever scheduled before the event being handled,
-            # so heap order == processing order deterministically.  The
-            # compiled engine reproduces exactly this (time, seq) order.
-            nonlocal seq, last_seq
-            assert seq > last_seq, (
-                f"event seq must be strictly monotone ({seq} <= {last_seq})"
-            )
-            assert t >= now, (
-                f"event scheduled in the past (t={t!r} < now={now!r})"
-            )
-            last_seq = seq
-            heapq.heappush(events, (t, seq, kind, payload))
-            seq += 1
-
-        # --- telemetry (run-local; null-object instruments) -----------
-        obs, suite, tlog = self._observers()
-        #: Single gate hoisted out of the hot loop: when no instrument is
-        #: attached, each call site costs one local-bool test — no event
-        #: objects, no detail strings, no allocation (see the
-        #: instrumentation section of ``bench_sweep_engine.py``).
-        observing = obs is not None
-        if observing:
-            obs.on_run_begin(0.0, nprocs, self.capacity, self.memory_managed)
-
-        #: Run-local fault injector; ``None`` (the common case) keeps
-        #: every injection site at a single local-is-None test.
-        fi = None
-        if self.faults is not None and self.faults.active:
-            fi = self.faults.injector()
-
-        maps_at = maps_by_position(self.plan, nprocs)
-        state = [REC] * nprocs
-        idx = [0] * nprocs
-        avail = [0.0] * nprocs  # earliest time of the next local action
-        done: set[str] = set()
-        stats = [ProcessorStats() for _ in range(nprocs)]
-        alloc = [ObjectAllocator(self.capacity) for _ in range(nprocs)]
-        obj_size = cs.obj_size
-        for q in range(nprocs):
-            if cs.perm_bytes[q]:
-                alloc[q].alloc("<permanent>", cs.perm_bytes[q])
-                if observing:
-                    obs.on_alloc(0.0, q, "<permanent>", cs.perm_bytes[q],
-                                 alloc[q].used)
-        if not self.memory_managed:
-            # Baseline: all volatile space allocated up-front.
-            for q in range(nprocs):
-                for m in self.profile.procs[q].span:
-                    alloc[q].alloc(m, obj_size[m])
-                    if observing:
-                        obs.on_alloc(0.0, q, m, obj_size[m], alloc[q].used)
-
-        #: received volatile contents: per processor, object -> versions.
-        received_data: list[dict[str, set[str]]] = [dict() for _ in range(nprocs)]
-        received_sync: list[set[str]] = [set() for _ in range(nprocs)]
-        #: countdown of unmet remote inputs per task (0 = ready).
-        pending_inputs = dict(cs.pending0)
-        data_waiters = cs.data_waiters
-        sync_waiters = cs.sync_waiters
-        current_version: dict[str, Optional[str]] = dict.fromkeys(obj_size)
-        # Sender-side address knowledge: (obj, dest) pairs.
-        addr_known: list[set[tuple[str, int]]] = [set() for _ in range(nprocs)]
-        if not self.memory_managed or self.preknown_addresses:
-            for q in range(nprocs):
-                for m in self.profile.procs[q].span:
-                    owner = sched.placement[m]
-                    addr_known[owner].add((m, q))
-        suspended: list[list[tuple[str, str, int, int]]] = [[] for _ in range(nprocs)]
-        # Address-package slots: slot_busy[src][dst] from src's viewpoint;
-        # inbox[dst][src] holds an unread package's object list.
-        slot_busy: list[list[bool]] = [[False] * nprocs for _ in range(nprocs)]
-        inbox: list[dict[int, list[str]]] = [dict() for _ in range(nprocs)]
-        # Packages a blocked MAP still has to send: (dst, objs).
-        pending_pkgs: list[list[tuple[int, list[str]]]] = [[] for _ in range(nprocs)]
-        map_pending: list[bool] = [False] * nprocs
-        # Position of the last MAP executed per processor (positions are
-        # strictly increasing, so this marks a MAP done without mutating
-        # the shared plan).
-        map_done = [-1] * nprocs
-        need_count = [dict(d) for d in cs.need_count0]
-        finished_procs = 0
-        last_task_finish = 0.0
-
-        # --- helpers ---------------------------------------------------
-        def charge(q: int, t: float, cost: float, kind: str) -> float:
-            start = max(avail[q], t)
-            end = start + cost
-            avail[q] = end
-            stats[q].overhead_time += cost
-            if observing:
-                obs.on_overhead(start, end, q, kind)
-            return end
-
-        nic_free = [0.0] * nprocs  # injection-link availability (optional)
-
-        def dispatch_data(q: int, m: str, unit: str, dest: int, nbytes: int, t: float) -> None:
-            if current_version[m] != unit:
-                raise DataConsistencyError(
-                    f"P{q} sending {m!r} version {current_version[m]!r} for an "
-                    f"edge requiring version {unit!r}"
-                )
-            t2 = charge(q, t, spec.send_overhead, "send")
-            stats[q].data_msgs_sent += 1
-            net = spec.message_time(nbytes)
-            if spec.nic_serialize:
-                start = max(nic_free[q], t2)
-                nic_free[q] = start + nbytes * spec.byte_time
-                arrive = start + net
-            else:
-                arrive = t2 + net
-            if fi is not None:
-                arrive += fi.put_delay(q, dest, net)
-            if observing:
-                obs.on_put(t2, arrive, q, dest, m, unit, nbytes)
-            post(arrive, _DATA_ARRIVE, (dest, m, unit, q))
-
-        def ra(q: int, t: float) -> None:
-            """Read arrived address packages, then check the suspended
-            queue (the RA + CQ pair of Figure 3(b))."""
-            if inbox[q]:
-                for src, objs in sorted(inbox[q].items()):
-                    for m in objs:
-                        addr_known[q].add((m, src))
-                    stats[q].packages_read += 1
-                    charge(q, t, spec.ra_cost, "ra")
-                    if observing:
-                        obs.on_package_read(max(avail[q], t), q, src, len(objs))
-                    # Consuming frees the sender's slot after one latency.
-                    free_at = max(avail[q], t) + spec.put_latency
-                    if fi is not None:
-                        free_at += fi.consume_delay(q, src, spec.put_latency)
-                    post(free_at, _SLOT_FREE, (src, q))
-                inbox[q].clear()
-            if suspended[q]:
-                still: list[tuple[str, str, int, int]] = []
-                ready: list[tuple[str, str, int, int]] = []
-                for item in suspended[q]:
-                    if (item[0], item[2]) in addr_known[q]:
-                        ready.append(item)
-                    else:
-                        still.append(item)
-                suspended[q] = still
-                for m, unit, dest, nbytes in ready:
-                    dispatch_data(q, m, unit, dest, nbytes, max(avail[q], t))
-                    if observing:
-                        obs.on_put_drain(max(avail[q], t), q, dest, m, len(still))
-
-        def try_send_packages(q: int, t: float) -> bool:
-            """Send pending address packages; True when none remain."""
-            still: list[tuple[int, list[str]]] = []
-            for dst, objs in pending_pkgs[q]:
-                if slot_busy[q][dst] and (fi is None or not fi.overwrite_slots):
-                    still.append((dst, objs))
-                    if observing:
-                        obs.on_package_block(max(avail[q], t), q, dst, len(objs))
-                    continue
-                slot_busy[q][dst] = True
-                cost = spec.package_overhead + len(objs) * spec.address_cost
-                t2 = charge(q, t, cost, "package")
-                stats[q].packages_sent += 1
-                if observing:
-                    obs.on_package_send(t2, q, dst, len(objs))
-                post(t2 + spec.put_latency, _ADDR_ARRIVE, (dst, q, list(objs)))
-            pending_pkgs[q] = still
-            return not still
-
-        def do_map(q: int, mp: MapPoint, t: float) -> None:
-            stats[q].num_maps += 1
-            if observing:
-                obs.on_map(max(avail[q], t), q, mp.position, mp.frees, mp.allocs)
-            cost = (
-                spec.map_overhead
-                + len(mp.frees) * spec.free_cost
-                + len(mp.allocs) * spec.alloc_cost
-            )
-            charge(q, t, cost, "map")
-            t_map = avail[q]  # memory ops take effect at MAP completion
-            for m in mp.frees:
-                alloc[q].free(m)
-                # The content dies with the space; later arrivals of the
-                # same object would be protocol violations.
-                received_data[q].pop(m, None)
-                if observing:
-                    obs.on_free(t_map, q, m, obj_size[m], alloc[q].used)
-            for m in mp.allocs:
-                alloc[q].alloc(m, obj_size[m])
-                if observing:
-                    obs.on_alloc(t_map, q, m, obj_size[m], alloc[q].used)
-            stats[q].peak_memory = max(stats[q].peak_memory, alloc[q].peak)
-            if not self.preknown_addresses:
-                pending_pkgs[q].extend(
-                    (dst, list(objs)) for dst, objs in sorted(mp.notifications.items())
-                )
-                map_pending[q] = True
-
-        def advance(q: int, t: float) -> None:
-            nonlocal finished_procs
-            if state[q] is EXE or state[q] is DONE:
-                return
-            if inbox[q] or suspended[q]:
-                ra(q, t)
-            order = sched.orders[q]
-            map_at = maps_at[q]
-            while True:
-                if map_pending[q]:
-                    if not try_send_packages(q, max(avail[q], t)):
-                        state[q] = MAP
-                        if observing:
-                            obs.on_state(max(avail[q], t), q, "MAP")
-                        return
-                    map_pending[q] = False
-                if idx[q] >= len(order):
-                    if suspended[q] or pending_pkgs[q]:
-                        state[q] = END
-                        if observing:
-                            obs.on_state(max(avail[q], t), q, "END")
-                        return
-                    if state[q] is not DONE:
-                        state[q] = DONE
-                        stats[q].finish_time = max(avail[q], t)
-                        finished_procs += 1
-                        if observing:
-                            obs.on_proc_end(stats[q].finish_time, q)
-                    return
-                mp = map_at.get(idx[q])
-                if mp is not None and map_done[q] < idx[q]:
-                    map_done[q] = idx[q]
-                    do_map(q, mp, t)
-                    continue
-                task = order[idx[q]]
-                if pending_inputs.get(task, 0):
-                    state[q] = REC
-                    if observing:
-                        obs.on_state(max(avail[q], t), q, "REC")
-                    return
-                # EXE
-                state[q] = EXE
-                w = weight[task]
-                if fi is not None:
-                    w *= fi.exe_factor(q)
-                start = max(avail[q], t)
-                stats[q].busy_time += w
-                avail[q] = start + w
-                if observing:
-                    obs.on_exe(start, start + w, q, task)
-                post(start + w, _TASK_DONE, (q, task))
-                return
-
-        def complete(q: int, task: str, t: float) -> None:
-            nonlocal last_task_finish
-            done.add(task)
-            if t > last_task_finish:
-                last_task_finish = t
-            idx[q] += 1
-            stats[q].num_tasks += 1
-            for m, unit in write_version[task]:
-                current_version[m] = unit
-            # Account consumed keys (stale-copy bookkeeping).
-            nc = need_count[q]
-            for key in consumes[task]:
-                nc[key] -= 1
-            # SND: issue messages triggered by this task.
-            state[q] = SND
-            if observing:
-                obs.on_state(t, q, "SND")
-            for m, unit, dest, nbytes in out_data.get(task, ()):
-                if (m, dest) in addr_known[q]:
-                    dispatch_data(q, m, unit, dest, nbytes, t)
-                else:
-                    suspended[q].append((m, unit, dest, nbytes))
-                    stats[q].suspended_sends += 1
-                    if observing:
-                        obs.on_put_suspend(t, q, dest, m, unit, len(suspended[q]))
-            for unit, dest in out_sync.get(task, ()):
-                t2 = charge(q, t, spec.send_overhead, "send")
-                stats[q].sync_msgs_sent += 1
-                if observing:
-                    obs.on_sync(t2, t2 + spec.put_latency, q, dest, unit)
-                post(t2 + spec.put_latency, _DATA_ARRIVE, (dest, None, unit, q))
-            state[q] = REC
-            advance(q, max(avail[q], t))
-
-        # --- bootstrap ---------------------------------------------------
-        for q in range(nprocs):
-            advance(q, 0.0)
-
-        # --- event loop --------------------------------------------------
-        while events:
-            t, _s, kind, payload = heapq.heappop(events)
-            now = t
-            if kind == _TASK_DONE:
-                q, task = payload
-                complete(q, task, t)
-            elif kind == _DATA_ARRIVE:
-                dest, m, unit, _src = payload
-                if m is None:
-                    if unit not in received_sync[dest]:
-                        received_sync[dest].add(unit)
-                        for w_task in sync_waiters[dest].get(unit, ()):
-                            pending_inputs[w_task] -= 1
-                else:
-                    if (
-                        self.memory_managed
-                        and not self.preknown_addresses
-                        and not alloc[dest].is_allocated(m)
-                    ):
-                        # In steady-state iterative mode the address slot
-                        # persists across MAPs, so early arrival is legal
-                        # there; in the first-iteration protocol it is a
-                        # violation (data must land in allocated space).
-                        raise SimulationError(
-                            f"data for {m!r} arrived at P{dest} with no "
-                            "allocated space (protocol violation)"
-                        )
-                    # Stale-copy check: overwrite of an older version must
-                    # not be needed by any pending local reader.
-                    versions = received_data[dest].setdefault(m, set())
-                    for old in [u for u in versions if u != unit]:
-                        if need_count[dest].get((m, old), 0) > 0:
-                            raise DataConsistencyError(
-                                f"P{dest} received {m!r}/{unit!r} while "
-                                f"version {old!r} is still needed"
-                            )
-                        versions.discard(old)
-                    if unit not in versions:
-                        versions.add(unit)
-                        for w_task in data_waiters[dest].get((m, unit), ()):
-                            pending_inputs[w_task] -= 1
-                    if observing:
-                        obs.on_data_arrive(t, dest, m, unit, _src)
-                if state[dest] in wake_states:
-                    advance(dest, t)
-            elif kind == _ADDR_ARRIVE:
-                dst, src, objs = payload
-                inbox[dst][src] = objs
-                if state[dst] in wake_states:
-                    advance(dst, t)
-                elif state[dst] is DONE:
-                    # A finished processor still reads packages so the
-                    # sender's slot is released (defensive; should be
-                    # unreachable when the graph has producers for every
-                    # volatile object).
-                    ra(dst, t)
-            elif kind == _SLOT_FREE:
-                src, dst = payload
-                slot_busy[src][dst] = False
-                if state[src] in wake_states:
-                    advance(src, t)
-
-        if finished_procs != nprocs:
-            blocked = {
-                q: state[q].value for q in range(nprocs) if state[q] is not DONE
-            }
-            err = DeadlockError(blocked, len(done), self.g.num_tasks)
-            # Attach a per-processor diagnosis (next task + unmet needs)
-            # plus the wait-for edges the conformance layer turns into a
-            # cycle witness: blocked proc -> procs it waits on.
-            details: dict[int, str] = {}
-            wait_for: dict[int, set[int]] = {}
-            assignment = sched.assignment
-            trigger = cs.trigger
-            for q in range(nprocs):
-                if state[q] is ProcState.DONE:
-                    continue
-                waits = wait_for.setdefault(q, set())
-                order = sched.orders[q]
-                if idx[q] < len(order):
-                    task = order[idx[q]]
-                    missing = []
-                    for req in cs.needs[task]:
-                        if req[0] == "data" and req[2] not in received_data[q].get(req[1], ()):
-                            missing.append(f"data {req[1]}@{req[2]}")
-                            waits.add(assignment[trigger[req[2]]])
-                        elif req[0] == "sync" and req[1] not in received_sync[q]:
-                            missing.append(f"sync {req[1]}")
-                            waits.add(assignment[req[1]])
-                    details[q] = f"next={task} missing={missing}"
-                else:
-                    details[q] = (
-                        f"END suspended={suspended[q]} pending_pkgs={pending_pkgs[q]}"
-                    )
-                # A blocked MAP waits on the destination whose slot is
-                # busy; a suspended put waits on its destination's MAP
-                # (the address package travels dest -> sender).
-                for dst, _objs in pending_pkgs[q]:
-                    if slot_busy[q][dst]:
-                        waits.add(dst)
-                for m, _unit, dest, _nbytes in suspended[q]:
-                    if (m, dest) not in addr_known[q]:
-                        waits.add(dest)
-                waits.discard(q)
-            err.details = details
-            err.wait_for = wait_for
-            raise err
-        if len(done) != self.g.num_tasks:
-            raise SimulationError(
-                f"only {len(done)}/{self.g.num_tasks} tasks executed"
-            )
-        for q in range(nprocs):
-            stats[q].peak_memory = max(stats[q].peak_memory, alloc[q].peak)
-            if stats[q].peak_memory > self.capacity:
-                raise SimulationError(
-                    f"P{q} peak memory {stats[q].peak_memory} exceeds "
-                    f"capacity {self.capacity}"
-                )
-        pt = max((s.finish_time for s in stats), default=0.0)
-        if observing:
-            obs.on_run_end(pt)
-        return self._result(pt, last_task_finish, stats, "interpreted",
-                            suite, tlog)
+        counters["compiled_runs"] += 1
+        t0 = perf_counter()
+        res = run_compiled(self)
+        counters["exec_s"] += perf_counter() - t0
+        return res
 
     def _observers(self) -> tuple[
         Optional[Instrument], Optional[MetricsSuite], Optional[TraceLog]

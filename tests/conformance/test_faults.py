@@ -1,11 +1,14 @@
-"""Fault-injection layer: determinism, identity fast path, effect on
-makespan, and the deliberate slot-overwrite detection."""
+"""Fault-injection layer: knob validation, determinism, identity fast
+path, effect on makespan, and the deliberate slot-overwrite detection."""
+
+import math
 
 import pytest
 
 from repro.conformance import FAULT_KINDS, FaultSpec, fault_preset, run_check
 from repro.conformance.check import overwrite_demo, overwrite_scenario
 from repro.core.rcp import rcp_order
+from repro.errors import FaultSpecError, ReproError, SimulationError
 from repro.graph.paper_example import (
     paper_assignment,
     paper_example_graph,
@@ -40,6 +43,40 @@ class TestFaultSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             fault_preset("gamma-rays")
+        with pytest.raises(FaultSpecError):
+            fault_preset("gamma-rays")
+
+    @pytest.mark.parametrize("field,value", [
+        ("put_latency_factor", -3.0),
+        ("put_jitter", -5.0),
+        ("package_consume_factor", math.nan),
+        ("package_consume_jitter", -0.5),
+        ("slowdown", -1.0),
+        ("slowdown", math.inf),
+        ("put_jitter", math.inf),
+    ])
+    def test_bad_knob_rejected(self, field, value):
+        """A knob that would schedule an event in the past, or run to
+        an infinite PT, is a ReproError naming the field."""
+        with pytest.raises(FaultSpecError, match=f"FaultSpec.{field}") as ei:
+            FaultSpec(**{field: value})
+        assert isinstance(ei.value, ReproError)
+        assert isinstance(ei.value, ValueError)
+        assert ei.value.field == field
+
+    @pytest.mark.parametrize("field", [
+        "put_latency_factor", "put_jitter", "package_consume_factor",
+        "package_consume_jitter", "slowdown",
+    ])
+    def test_zero_knob_accepted(self, field):
+        assert getattr(FaultSpec(**{field: 0.0}), field) == 0.0
+
+    @pytest.mark.parametrize("slow_procs", [(3,), (-1,), (0, 7)])
+    def test_slow_procs_outside_the_machine_rejected(
+            self, paper_schedule, slow_procs):
+        spec = FaultSpec(slowdown=2.0, slow_procs=slow_procs)
+        with pytest.raises(SimulationError, match="slow_procs"):
+            Simulator(paper_schedule, spec=UNIT_MACHINE, faults=spec)
 
     def test_injector_scopes_rng_per_run(self):
         spec = fault_preset("jitter", seed=5)

@@ -113,9 +113,10 @@ class TestFingerprint:
                 CRAY_T3D, **{**grid, "engine": "interpreted"})
 
     def test_pre_contract_journal_is_not_replayed(self, tmp_path):
-        """A --metrics --check --engine-stats journal written while
-        observed cells fell back is stale: the resumed CSV equals an
-        uninterrupted sweep's, with no replayed interpreted rows."""
+        """A --metrics --check --engine-stats journal of engine
+        contract 2 (rows with a second engine column) is stale: the
+        resumed CSV equals an uninterrupted sweep's, with no replayed
+        rows."""
         from dataclasses import replace
 
         from repro.experiments import ExperimentContext
@@ -125,13 +126,15 @@ class TestFingerprint:
         grid.update(metrics=True, check=True, engine_stats=True)
         want = full_sweep(ExperimentContext(), **grid)
         assert {r.engine_used for r in want if r.executable} == {"compiled"}
-        # Forge the old journal: P=2 done, rows as the fallback wrote them.
-        old = CheckpointJournal(tmp_path, "5147103c0c6486d8939ab9738faf9c76"
-                                "ea42dfe75396ea1de1257cd4e038698c")
+        # Forge the contract-2 journal of this grid: P=2 done, its rows
+        # marked so that a replay would show in the CSV.
+        fp2 = ("2ff4c395f4954917bdf8906bb3726c28"
+               "a78227b2a0f6a5bf7a230905ee28a0c1")
+        assert grid_fingerprint(CRAY_T3D, engine="compiled", **grid) != fp2
+        old = CheckpointJournal(tmp_path, fp2)
         old.start()
         old.record_group("lu-goodwin", 2, [
-            replace(r, engine_used="interpreted", fallback_reason="metrics")
-            if r.executable else r
+            replace(r, engine_used="interpreted") if r.executable else r
             for r in want if r.procs == 2
         ])
         got = full_sweep(ExperimentContext(), checkpoint=str(tmp_path),
@@ -182,6 +185,14 @@ class TestRecordJson:
             attempts=3, elapsed=4.25,
         )
         assert record_from_json(record_to_json(r)) == r
+
+    def test_retired_empty_field_is_skipped(self):
+        # A default sweep's journal keeps its fingerprint when an opt-in
+        # column is retired; its rows still hold the column, empty.
+        row = {**record_to_json(rec()), "retired_column": None}
+        assert record_from_json(row) == rec()
+        with pytest.raises(TypeError):
+            record_from_json({**row, "retired_column": "metrics"})
 
     def test_json_is_line_safe(self):
         # One record per JSONL line: the serialised form must not

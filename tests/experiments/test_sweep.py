@@ -204,7 +204,7 @@ OPTIONAL_VARIANTS = {
                     avg_maps=INF, capacity=0, min_mem=0, tot=0,
                     status="crashed", error="worker process died, twice",
                     attempts=3, elapsed=12.5),
-    "engine_stats": dict(engine_used="interpreted", fallback_reason="metrics"),
+    "engine_stats": dict(engine_used="interpreted"),
     "engine_stats-compiled": dict(engine_used="compiled"),
 }
 

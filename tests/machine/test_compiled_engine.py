@@ -3,8 +3,8 @@ interpreted oracle.
 
 Every comparison here is *exact* — ``==`` on floats, never
 ``approx``/``allclose`` — because the compiled engine's contract
-(:mod:`repro.machine.compiled`) is bit-identical time arithmetic on
-fault-free runs, not numerical closeness.  The suite covers:
+(:mod:`repro.machine.compiled`) is bit-identical time arithmetic, not
+numerical closeness.  The suite covers:
 
 * the sweep-grid workloads under all three execution modes (managed,
   preknown addresses, unmanaged baseline) and both cost models;
@@ -12,9 +12,8 @@ fault-free runs, not numerical closeness.  The suite covers:
   timestamp and agreement proves the engines break ties identically;
 * error parity — protocol violations and deadlocks must raise the same
   exception type with the same message;
-* the fallback contract — only fault-injected runs report
-  ``engine == "interpreted"``; observed runs and a caller-supplied plan
-  run compiled, exactly;
+* engine selection — observed runs, fault-injected runs and a
+  caller-supplied plan all run compiled, exactly;
 * the cache-staleness guards (schedule mutation behind a memoised
   :class:`CompiledSchedule`, and per-:class:`MachineSpec` execution
   plans).
@@ -25,7 +24,7 @@ import math
 
 import pytest
 
-from repro.core import analyze_memory, dts_order, mpo_order, rcp_order
+from repro.core import dts_order, mpo_order, rcp_order
 from repro.errors import DeadlockError, SimulationError
 from repro.graph.paper_example import paper_example_graph, schedule_b, schedule_c
 from repro.machine import CRAY_T3D, MEIKO_CS2, UNIT_MACHINE, Simulator
@@ -204,14 +203,14 @@ class TestErrorParity:
 
 
 def assert_observed_run_stays_compiled(cs, **kw):
-    """An observed run (``kw``) stays on the compiled engine, records no
-    fallback and equals the oracle's run exactly; returns both results."""
+    """An observed or faulted run (``kw``) stays on the compiled engine,
+    tallies no fallback and equals the oracle's run exactly; returns both
+    results."""
     res = assert_exact_match(
         lambda e: Simulator(spec=UNIT_MACHINE, capacity=9, compiled=cs,
                             engine=e, **kw)
     )
     assert res is not None and res.engine == "compiled"
-    assert res.fallback_reason is None
     assert not [k for k in cs.counters if k.startswith("fallback:")]
     oracle = Simulator(spec=UNIT_MACHINE, capacity=9, compiled=cs,
                        engine="interpreted", **kw).run()
@@ -219,9 +218,9 @@ def assert_observed_run_stays_compiled(cs, **kw):
 
 
 class TestFallbacks:
-    """Only fault-injected runs fall back to the interpreted oracle and
-    say so via ``SimResult.engine``; observed runs and a caller-supplied
-    plan stay on the compiled engine."""
+    """Nothing falls back to the interpreted oracle: observed runs,
+    fault-injected runs and a caller-supplied plan stay on the compiled
+    engine, and ``SimResult.engine`` says so."""
 
     @pytest.fixture()
     def cs(self):
@@ -258,14 +257,13 @@ class TestFallbacks:
         assert res.engine == "compiled"
 
     def test_active_faults_fall_back(self, cs):
+        """A faulted run stays compiled, counts as a compiled run and
+        equals the oracle's."""
         from repro.conformance import FaultSpec
 
-        res = Simulator(
-            spec=UNIT_MACHINE, capacity=9, compiled=cs,
-            faults=FaultSpec(put_latency_factor=2.0),
-            engine="compiled",
-        ).run()
-        assert res.engine == "interpreted"
+        assert_observed_run_stays_compiled(
+            cs, faults=FaultSpec(put_latency_factor=2.0))
+        assert cs.counters["compiled_runs"] == 1
 
     def test_inactive_faults_stay_compiled(self, cs):
         from repro.conformance import FaultSpec
@@ -289,7 +287,6 @@ class TestFallbacks:
             )
         )
         assert res is not None and res.plan is plan
-        assert res.fallback_reason is None
         # Built from the caller's plan, never cached under the key.
         assert cs._exec_plans == {}
         assert cs.counters["exec_plan_misses"] == 1

@@ -40,13 +40,11 @@ def test_default_csv_equals_interpreted_under_the_verifier(monkeypatch):
     monkeypatch.setattr(compiled_mod, "get_exec_plan", counting)
     ctx = ExperimentContext()
     default = full_sweep(ctx, engine_stats=True, **GRID)
-    plain = [replace(r, engine_used=None, fallback_reason=None)
-             for r in default]
+    plain = [replace(r, engine_used=None) for r in default]
     assert to_csv(plain) == to_csv(interpreted)
     executable = [r for r in default if r.executable]
     assert executable
     assert {r.engine_used for r in executable} == {"compiled"}
-    assert {r.fallback_reason for r in executable} == {None}
     # every executable cell and every baseline ran a verified plan
     assert len(verified) == len(executable) + len(GRID["procs"])
     counters = ctx.engine_counters()

@@ -1,5 +1,5 @@
 """Engine introspection counters (:attr:`CompiledSchedule.counters`)
-and the recorded fallback reason (:attr:`SimResult.fallback_reason`).
+and the recorded engine (:attr:`SimResult.engine`).
 
 The counters are pure bookkeeping: they must never change what a run
 computes, only describe the lowering/plan caches and engine selection
@@ -7,6 +7,7 @@ so the runtime trace and the ``--engine-stats`` sweep columns can
 report them.
 """
 
+from repro.conformance import fault_preset
 from repro.graph.paper_example import paper_example_graph, schedule_b
 from repro.machine import UNIT_MACHINE, Simulator
 from repro.machine.simulator import ENGINE_COUNTER_KEYS, CompiledSchedule
@@ -74,7 +75,6 @@ class TestEngineSelectionCounters:
         cs = make_cs()
         res = sim(cs).run()
         assert res.engine == "interpreted"
-        assert res.fallback_reason is None
         assert cs.counters["interpreted_runs"] == 1
         assert cs.counters["compiled_runs"] == 0
 
@@ -87,12 +87,11 @@ class TestEngineSelectionCounters:
 
 
 def assert_observed_run_is_compiled(**kw):
-    """An observed run (``kw``) is counted as a compiled run, records no
-    fallback and equals the oracle's run."""
+    """An observed or faulted run (``kw``) is counted as a compiled run,
+    tallies no fallback and equals the oracle's run."""
     cs = make_cs()
     res = sim(cs, engine="compiled", **kw).run()
     assert res.engine == "compiled"
-    assert res.fallback_reason is None
     assert not [k for k in cs.counters if k.startswith("fallback:")]
     assert cs.counters["compiled_runs"] == 1
     assert cs.counters["interpreted_runs"] == 0
@@ -104,18 +103,26 @@ def assert_observed_run_is_compiled(**kw):
 
 class TestFallbackReasons:
     def test_metrics_fallback_is_tallied_and_recorded(self):
-        """A metrics run no longer falls back, so no fallback is
-        tallied or recorded."""
+        """A metrics run, faulted or not, runs compiled and tallies no
+        fallback."""
         res, oracle = assert_observed_run_is_compiled(metrics=True)
+        assert res.metrics == oracle.metrics
+        res, oracle = assert_observed_run_is_compiled(
+            metrics=True, faults=fault_preset("consume", seed=3))
         assert res.metrics == oracle.metrics
 
     def test_trace_fallback(self):
-        """Neither does a traced run."""
+        """So does a traced run, faulted or not."""
         res, oracle = assert_observed_run_is_compiled(trace=True)
+        assert res.trace == oracle.trace
+        res, oracle = assert_observed_run_is_compiled(
+            trace=True, faults=fault_preset("delay"))
         assert res.trace == oracle.trace
 
     def test_explicit_interpreted_run_is_not_a_fallback(self):
         cs = make_cs()
-        res = sim(cs, metrics=True).run()
-        assert res.fallback_reason is None
-        assert "fallback:metrics" not in cs.counters
+        res = sim(cs, metrics=True, faults=fault_preset("slow")).run()
+        assert res.engine == "interpreted"
+        assert cs.counters["interpreted_runs"] == 1
+        assert cs.counters["compiled_runs"] == 0
+        assert not [k for k in cs.counters if k.startswith("fallback:")]

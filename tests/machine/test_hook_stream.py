@@ -15,7 +15,10 @@ prefix.  The cases:
   share a timestamp;
 * a seeded property over ``layered_random`` DAGs × every heuristic ×
   capacities {MIN_MEM, TOT};
-* the error cases of the engine differential suite, observed.
+* the error cases of the engine differential suite, observed;
+* every active fault preset at two seeds, on the paper example, the
+  sweep workloads and the layered property, and the overwrite demo's
+  deadlock.
 """
 
 import dataclasses
@@ -24,6 +27,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.conformance import FAULT_KINDS, fault_preset
+from repro.conformance.check import overwrite_scenario
 from repro.core import cyclic_placement, owner_compute_assignment
 from repro.errors import ReproError, SchedulingError
 from repro.graph import generators as gen
@@ -84,7 +89,7 @@ def assert_same_stream(make_sim):
         assert ra == rb
         return rb, cb
     assert ra.engine == "interpreted"
-    assert rb.engine == "compiled" and rb.fallback_reason is None
+    assert rb.engine == "compiled"
     assert ra.parallel_time == rb.parallel_time
     assert ra.task_finish_time == rb.task_finish_time
     for sa, sb in zip(ra.stats, rb.stats):
@@ -250,7 +255,6 @@ class TestObservedCells:
                 continue
             ran += 1
             assert cell.engine_used == "compiled"
-            assert cell.fallback_reason is None
             assert cells["interpreted"] == dataclasses.replace(
                 cell, engine_used="interpreted")
             assert cell.violations == 0
@@ -262,3 +266,78 @@ class TestObservedCells:
             assert cell.max_hwm == full["max_hwm"]
             assert cell.max_suspq == full["max_suspq"]
         assert ran
+
+
+#: The presets that perturb the run itself (``tighten`` only picks the
+#: capacity, which the cases below sweep anyway).
+ACTIVE_FAULTS = [k for k in FAULT_KINDS if fault_preset(k).active]
+
+
+@pytest.fixture(scope="module")
+def sweep_ctx():
+    from repro.experiments import ExperimentContext
+
+    return ExperimentContext()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", ACTIVE_FAULTS)
+class TestFaultPresets:
+    """A fault-injected run stays on the compiled engine, and its hook
+    stream, result or error equals the oracle's."""
+
+    def test_paper_example(self, kind, seed):
+        faults = fault_preset(kind, seed)
+        for sched_f in (schedule_b, schedule_c):
+            cs = CompiledSchedule(sched_f(paper_example_graph()))
+            for cap, kw in modes(cs.profile):
+                assert_same_stream(
+                    lambda e, r, cap=cap, kw=kw: Simulator(
+                        spec=UNIT_MACHINE, capacity=cap, compiled=cs,
+                        engine=e, instrument=r, faults=faults, **kw))
+
+    @pytest.mark.parametrize("key,procs", [("lu-goodwin", 4), ("chol15", 2)])
+    def test_sweep_workloads(self, kind, seed, key, procs, sweep_ctx):
+        """Managed at MIN_MEM (the most MAPs) and preknown at TOT."""
+        faults = fault_preset(kind, seed)
+        for h in ("rcp", "mpo", "dts"):
+            cs = sweep_ctx.compiled(key, procs, h)
+            for cap, kw in ((cs.profile.min_mem, {}),
+                            (cs.profile.tot, dict(preknown_addresses=True))):
+                assert_same_stream(
+                    lambda e, r, cap=cap, kw=kw: Simulator(
+                        spec=CRAY_T3D, capacity=cap, compiled=cs, engine=e,
+                        instrument=r, faults=faults, **kw))
+
+    def test_layered(self, kind, seed):
+        faults = fault_preset(kind, seed)
+        for gseed in range(4):
+            g = gen.layered_random(4, 4, seed=gseed)
+            pl = cyclic_placement(g, 3)
+            asg = owner_compute_assignment(g, pl)
+            for h in ("rcp", "mpo", "dts"):
+                cs = CompiledSchedule(order_with(h, g, pl, asg))
+                for cap in sorted({cs.profile.min_mem, cs.profile.tot}):
+                    assert_same_stream(
+                        lambda e, r, cap=cap: Simulator(
+                            spec=MEIKO_CS2, capacity=cap, compiled=cs,
+                            engine=e, instrument=r, faults=faults))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_overwrite_demo_deadlock(seed):
+    """The overwrite demo (:func:`repro.conformance.check.overwrite_demo`)
+    loses an address package; both engines raise the same deadlock
+    after the same hook prefix."""
+    from repro.conformance import FaultSpec
+
+    sched, plan, cap = overwrite_scenario()
+    cs = CompiledSchedule(sched)
+    outcome, calls = assert_same_stream(
+        lambda e, r: Simulator(
+            spec=UNIT_MACHINE, compiled=cs, capacity=cap, plan=plan,
+            engine=e, instrument=r,
+            faults=FaultSpec(seed=seed, overwrite_slots=True)))
+    assert outcome[0] == "DeadlockError"
+    assert "blocked processors: P0:REC, P1:END" in outcome[1]
+    assert calls[-1][0] != "on_run_end"

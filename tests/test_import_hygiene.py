@@ -1,11 +1,13 @@
-"""Importing the CLI or the sweep must not load SciPy's numeric modules.
+"""Importing the CLI or the sweep must not load SciPy's numeric modules,
+nor the interpreted reference engine.
 
 A sweep builds its problems without numeric kernels and orders them
 with minimum degree, so ``scipy.linalg`` (the kernels and solvers),
 ``scipy.io`` (Harwell-Boeing files) and ``scipy.sparse.csgraph`` (RCM)
-are imported inside the functions that use them.  Each check runs in a
-fresh interpreter, because the test process has long since imported
-them.
+are imported inside the functions that use them; the default engine is
+the compiled one, so ``repro.machine.reference`` is imported only by an
+``engine="interpreted"`` run.  Each check runs in a fresh interpreter,
+because the test process has long since imported them.
 """
 
 import os
@@ -16,7 +18,8 @@ import sys
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-LAZY = ("scipy.linalg", "scipy.io", "scipy.sparse.csgraph")
+LAZY = ("scipy.linalg", "scipy.io", "scipy.sparse.csgraph",
+        "repro.machine.reference")
 
 
 def loaded_after(statement: str) -> list[str]:
