@@ -15,22 +15,24 @@ mapping but not on the order, so it is computed once here and shared:
   each edge's data byte count, task weights and access lists, dense
   object ids in sorted-name order with their sizes, plus a memo for
   other graph-only results (the DTS data connection graph, the
-  simulator's producer-unit tables, the certified-bounds view).
+  simulator's producer-unit tables, the forest parent vector of the
+  certified bounds).
 * :class:`MappingIndex` — one per (graph, placement, assignment) value:
   the processor of every task, the volatile object ids each task
   touches and the PERM/VOLA sets of Definition 3, plus a memo for other
-  mapping-only results (mapped b-levels, the simulator's message
-  tables).
+  mapping-only results (the mapped b-levels per communication model,
+  which RCP, MPO, DTS, the exact solver and the certified bounds all
+  read; the simulator's message tables).
 
-Graph indexes live in a weak-keyed cache, the pattern of
-``analysis/bounds.py``: an index dies with its graph, and nothing in an
-index holds the graph strongly.  Each graph index keeps the last
-:data:`MAX_MAPPINGS` mapping indexes, and :meth:`GraphIndex.forget`
-drops one early once its caller is done with it.  Mappings are matched
-by value — the owner of every object and the processor of every task —
-so callers that rebuild an equal placement and assignment for each
-heuristic share one index.  Unfrozen graphs may still change, so they are never cached:
-every call builds a fresh index.
+Graph indexes live in a weak-keyed cache: an index dies with its graph,
+and nothing in an index holds the graph strongly.  Each graph index
+keeps the last :data:`MAX_MAPPINGS` mapping indexes, and
+:meth:`GraphIndex.forget` drops one early once its caller is done with
+it.  Mappings are matched by value — the owner of every object and the
+processor of every task — so callers that rebuild an equal placement
+and assignment for each heuristic share one index.  Unfrozen graphs may
+still change, so they are never cached: every call builds a fresh
+index.
 
 Everything handed out by an index is shared.  Treat it as read-only.
 """

@@ -63,8 +63,9 @@ def mapped_priorities(
     comm: CommModel = UNIT_COMM,
 ) -> dict[str, float]:
     """:func:`rcp_priorities` memoised on the mapping's
-    :class:`~repro.core.index.MappingIndex`, so RCP, MPO and DTS under
-    one mapping compute the b-levels once.  Read-only: shared."""
+    :class:`~repro.core.index.MappingIndex`, so RCP, MPO, DTS, the exact
+    solver and the certified bounds under one mapping compute the
+    b-levels once.  Read-only: shared."""
     return mapping_b_levels(
         graph, assignment, mapping_index(graph, placement, assignment), comm)
 

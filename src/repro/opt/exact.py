@@ -55,7 +55,7 @@ from ..core.dts import dts_order
 from ..core.liveness import analyze_memory
 from ..core.mpo import mpo_order
 from ..core.placement import Placement, perm_vola_sets
-from ..core.rcp import rcp_order, rcp_priorities
+from ..core.rcp import mapped_priorities, rcp_order
 from ..core.schedule import CommModel, Schedule, UNIT_COMM, gantt
 from ..core.treesched import tree_order
 from ..errors import SchedulingError
@@ -172,7 +172,7 @@ class _Search:
         self.succs = [
             [index[s] for s in graph.successors(t)] for t in names
         ]
-        bl = rcp_priorities(graph, assignment, comm)
+        bl = mapped_priorities(graph, placement, assignment, comm)
         self.blevel = [bl[t] for t in names]
 
         perm_sets, _vola = perm_vola_sets(graph, placement, assignment)

@@ -2,17 +2,21 @@
 
 The acceptance anchors: on the paper example and `etree15` the static
 PT/MIN_MEM bounds equal the branch-and-bound solver's proved optima
-(gap 0), the pure-Python and numpy query paths agree exactly, and the
-SA4xx pass emits the advisory on clean schedules and hard errors only
-on corrupt reported numbers.
+(gap 0), every ``BoundSet`` equals its pin, the time bounds equal the
+generic graph levels exactly, a bad mapping raises a named error, and
+the SA4xx pass emits the advisory on clean schedules and hard errors
+only on corrupt reported numbers.
 """
 
+import json
+import pathlib
 import types
 
 import pytest
 
 import repro.analysis.bounds as bounds_mod
 from repro.analysis import (
+    Bound,
     analyze_schedule,
     bounds_pass,
     certified_bounds,
@@ -21,8 +25,16 @@ from repro.analysis import (
     time_bounds,
 )
 from repro.core.liveness import analyze_memory
+from repro.core.placement import Placement
 from repro.core.schedule import CommModel, UNIT_COMM, gantt
+from repro.errors import PlacementError, SchedulingError
 from repro.experiments import ExperimentContext
+from repro.graph.analysis import (
+    b_levels,
+    mapped_edge_cost,
+    size_edge_cost,
+    t_levels,
+)
 from repro.graph.paper_example import (
     paper_assignment,
     paper_example_graph,
@@ -113,37 +125,164 @@ class TestSoundness:
         assert heavy.min_mem.value == unit.min_mem.value  # comm-free
 
 
+#: Every ``BoundSet`` field of the pinned inputs, as the bounds computed
+#: them when the pin was taken (regenerate with ``PYTHONPATH=src python
+#: tests/analysis/test_bounds.py``; a diff is a change of a certified
+#: value, method, certificate or tie-break).
+PIN_PATH = pathlib.Path(__file__).with_name("data") / "bounds_pin.json"
+PIN_WORKLOADS = ("chol15", "lu-goodwin", "etree15")
+PIN_PROCS = (2, 8, 32)
+
+
+def _bound_row(b):
+    return [b.metric, b.value, b.method, b.certificate]
+
+
+def _boundset_rows(bs):
+    return {
+        "pt": _bound_row(bs.pt),
+        "min_mem": _bound_row(bs.min_mem),
+        "candidates": [_bound_row(b) for b in bs.candidates],
+    }
+
+
+def _forest_example():
+    """Two equal chains ``X1 -> X2 -> X3`` (X in A, B) joined at a root
+    on P1.  X1 and X3 both touch a P1-owned object on P0, so X2 is
+    forced to hold it: two tied forced-span candidates pin that
+    bound's tie-break."""
+    from repro.graph.taskgraph import TaskGraph
+    from repro.graph.tasks import Task
+
+    g = TaskGraph()
+    for name, size in (("x", 4), ("v", 4), ("ya", 1), ("za", 1),
+                       ("yb", 1), ("zb", 1), ("wa", 2), ("wb", 3)):
+        g.add_object(name, size)
+    for c, far in (("a", "x"), ("b", "v")):
+        g.add_task(Task(f"{c.upper()}1", (far,), (f"y{c}",), 2.0))
+        g.add_task(Task(f"{c.upper()}2", (f"y{c}",), (f"z{c}",), 1.0))
+        g.add_task(Task(f"{c.upper()}3", (far, f"z{c}"), (f"w{c}",), 3.0))
+        g.add_edge(f"{c.upper()}1", f"{c.upper()}2", f"y{c}")
+        g.add_edge(f"{c.upper()}2", f"{c.upper()}3", f"z{c}")
+    g.add_task(Task("R", ("wa", "wb"), (), 1.0))
+    g.add_edge("A3", "R", "wa")
+    g.add_edge("B3", "R", "wb")
+    owner = {o: 0 for o in ("ya", "za", "yb", "zb", "wa")}
+    owner.update(x=1, v=1, wb=1)
+    assignment = {t: 0 for t in ("A1", "A2", "A3", "B1", "B2", "B3")}
+    assignment["R"] = 1
+    return g.freeze(), Placement(2, owner), assignment
+
+
+def _pinned_inputs():
+    """``(label, graph, placement, assignment, comm)`` of every pinned
+    input: the paper example and a small forest under unit costs, then
+    each shipped workload at each P under the spec comm model."""
+    s = schedule_c()
+    yield "paper", s.graph, s.placement, s.assignment, UNIT_COMM
+    yield ("forest", *_forest_example(), CommModel(latency=0.5))
+    context = ExperimentContext()
+    comm = context.spec.comm_model()
+    for key in PIN_WORKLOADS:
+        for p in PIN_PROCS:
+            placement, assignment = context.mapping(key, p)
+            yield (f"{key}/P{p}", context.problem(key).graph, placement,
+                   assignment, comm)
+            context.release(key, p)
+
+
+def _current_pin():
+    return {
+        label: _boundset_rows(certified_bounds(g, pl, asg, comm))
+        for label, g, pl, asg, comm in _pinned_inputs()
+    }
+
+
+class TestBoundSetPin:
+    """``BoundSet`` equality, certificates included, against the pin."""
+
+    @pytest.fixture(scope="class")
+    def current(self):
+        return _current_pin()
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return json.loads(PIN_PATH.read_text())
+
+    def test_pinned_inputs_are_covered(self, current, pinned):
+        assert list(current) == list(pinned)
+
+    @pytest.mark.parametrize("label", ["paper", "forest"] + [
+        f"{key}/P{p}" for key in PIN_WORKLOADS for p in PIN_PROCS])
+    def test_boundset_matches_the_pin(self, current, pinned, label):
+        assert current[label] == pinned[label]
+
+    def test_pin_keeps_the_proved_optima(self, pinned):
+        assert pinned["paper"]["pt"][1] == 16.0
+        assert pinned["paper"]["min_mem"][1] == 7.0
+        assert pinned["etree15/P2"]["min_mem"][1] == 8224.0
+
+    def test_forest_pins_tied_forced_spans(self):
+        g, pl, asg = _forest_example()
+        forced = [b for b in memory_bounds(g, pl, asg)
+                  if b.method == "forced-span"]
+        assert len(forced) == 1 and forced[0].value == 10.0
+
+
 class TestPathAgreement:
-    """Pure-Python (< _NUMPY_MIN_TASKS) and numpy paths agree exactly."""
+    """The critical-path and processor-window bounds equal the generic
+    levels of :mod:`repro.graph.analysis` under ``mapped_edge_cost(
+    size_edge_cost)``, float for float."""
 
-    def _both(self, graph, placement, assignment, monkeypatch,
-              comm=UNIT_COMM):
-        monkeypatch.setattr(bounds_mod, "_NUMPY_MIN_TASKS", 0)
-        via_numpy = certified_bounds(graph, placement, assignment, comm)
-        monkeypatch.setattr(bounds_mod, "_NUMPY_MIN_TASKS", 10**9)
-        via_pure = certified_bounds(graph, placement, assignment, comm)
-        return via_numpy, via_pure
+    def _both(self, graph, placement, assignment, comm=UNIT_COMM):
+        bs = certified_bounds(graph, placement, assignment, comm)
+        got = {b.method: b for b in bs.candidates
+               if b.method in ("critical-path", "processor-window")}
+        cost = mapped_edge_cost(assignment, size_edge_cost(
+            graph, comm.latency, comm.byte_time))
+        bl, tl = b_levels(graph, cost), t_levels(graph, cost)
+        topo = graph.topological_order()
+        top = max(topo, key=bl.__getitem__)  # first maximum
+        want = {"critical-path": Bound(
+            "pt", bl[top], "critical-path",
+            f"longest mapped path starts at task {top!r}")}
+        nprocs = placement.num_procs
+        work = [0.0] * nprocs
+        for t in topo:  # summed in topological order
+            work[assignment[t]] += graph.task(t).weight
+        best = None
+        for p in range(nprocs):
+            on_p = [t for t in topo if assignment[t] == p]
+            if not on_p:
+                continue
+            head = min(tl[t] for t in on_p)
+            tail = min(bl[t] - graph.task(t).weight for t in on_p)
+            win = head + work[p] + tail
+            if best is None or win > best.value:
+                best = Bound(
+                    "pt", win, "processor-window",
+                    f"P{p}: min top {head:g} + work {work[p]:g} + "
+                    f"min tail {tail:g}")
+        want["processor-window"] = best
+        return got, want
 
-    def test_paper_example(self, monkeypatch):
+    def test_paper_example(self):
         s = schedule_c()
-        a, b = self._both(s.graph, s.placement, s.assignment, monkeypatch)
+        a, b = self._both(s.graph, s.placement, s.assignment)
         assert a == b
 
     @pytest.mark.parametrize("p", [2, 4])
-    def test_etree15(self, ctx, p, monkeypatch):
+    def test_etree15(self, ctx, p):
         s = ctx.schedule("etree15", p, "rcp")
-        a, b = self._both(s.graph, s.placement, s.assignment, monkeypatch)
-        assert a.pt.value == b.pt.value
-        assert a.pt.method == b.pt.method
-        assert a.min_mem.value == b.min_mem.value
-        assert a.min_mem.method == b.min_mem.method
+        a, b = self._both(s.graph, s.placement, s.assignment)
+        assert a == b
 
     @pytest.mark.parametrize("p", [2, 4, 8, 32])
-    def test_etree15_spec_comm(self, ctx, p, monkeypatch):
-        # Non-zero message costs: the forest and row recurrences must
-        # associate their sums identically, not just agree under UNIT.
+    def test_etree15_spec_comm(self, ctx, p):
+        # Non-zero message costs: the sums must associate exactly as
+        # the generic levels do, not just agree under UNIT.
         s = ctx.schedule("etree15", p, "rcp")
-        a, b = self._both(s.graph, s.placement, s.assignment, monkeypatch,
+        a, b = self._both(s.graph, s.placement, s.assignment,
                           ctx.spec.comm_model())
         assert a == b
 
@@ -169,12 +308,51 @@ class TestPublicWrappers:
 
     def test_empty_graph(self):
         from repro.graph.builder import GraphBuilder
-        from repro.core.placement import Placement
 
         g = GraphBuilder().build()
         bs = certified_bounds(g, Placement(1, {}), {})
         assert bs.pt.value == 0.0
         assert bs.min_mem.value == 0.0
+
+
+def _unassigned(asg, owner):
+    asg.pop("T[1]")
+
+
+def _off_machine(asg, owner):
+    asg["T[1]"] = 7
+
+
+def _negative(asg, owner):
+    asg["T[1]"] = -1
+
+
+def _unowned(asg, owner):
+    del owner["d1"]
+
+
+class TestBadMappings:
+    """A mapping the bounds cannot read fails with a named error, never
+    a bare ``KeyError``/``IndexError`` or a silently wrong bound."""
+
+    @pytest.mark.parametrize("corrupt,error,match", [
+        (_unassigned, SchedulingError, "no processor assignment"),
+        (_off_machine, SchedulingError, r"processor 7, outside \[0, 2\)"),
+        (_negative, SchedulingError, r"processor -1, outside \[0, 2\)"),
+        (_unowned, PlacementError, "'d1' has no owner"),
+    ], ids=["unassigned", "off-machine", "negative", "unowned"])
+    def test_entry_points_raise_named_errors(self, corrupt, error, match):
+        s = schedule_c()
+        asg, owner = dict(s.assignment), dict(s.placement.owner)
+        corrupt(asg, owner)
+        pl = Placement(s.placement.num_procs, owner)
+        with pytest.raises(error, match=match):
+            certified_bounds(s.graph, pl, asg)
+        with pytest.raises(error, match=match):
+            memory_bounds(s.graph, pl, asg)
+        if error is SchedulingError:
+            with pytest.raises(error, match=match):
+                time_bounds(s.graph, asg, pl.num_procs)
 
 
 class TestSA4xxPass:
@@ -227,3 +405,7 @@ class TestSA4xxPass:
         )
         codes = {d.rule for d in bounds_pass(ctx)}
         assert codes == {"SA401"}
+
+
+if __name__ == "__main__":
+    PIN_PATH.write_text(json.dumps(_current_pin(), indent=1) + "\n")

@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from repro.analysis import certified_bounds
 from repro.core import cyclic_placement, owner_compute_assignment
 from repro.core import dcg as dcg_mod
 from repro.core import rcp as rcp_mod
@@ -120,6 +121,9 @@ class TestAmortisation:
         rcp_order(g, pl, asg)
         mpo_order(g, pl, asg)
         dts_order(g, pl, asg)
+        assert len(calls) == 1
+        # The certified bounds read the same table.
+        certified_bounds(g, pl, asg)
         assert len(calls) == 1
 
     def test_dts_builds_the_dcg_once_per_graph(self, monkeypatch):
