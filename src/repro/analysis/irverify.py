@@ -22,7 +22,7 @@ current workloads would be invisible.  This module checks the IR
     the static dispatch-version flags (``od_ok0``/``od_ow``), stale
     counters (``mk_need0``), pending counts, waiter lists and outgoing
     message rows agree with an independent recomputation from the
-    schedule's name-keyed wait-for data.
+    reference's name tables (:func:`~repro.machine.reference.name_tables`).
 ``SA504`` **opcode-stream-valid**
     the silent-run ends cover each processor's order exactly (a run
     never swallows a task with inputs, messages or consumptions), the
@@ -185,7 +185,10 @@ def _csr_pass(lo) -> list[Diagnostic]:
 
 @_guard("SA502")
 def _bijection_pass(cs, lo) -> list[Diagnostic]:
+    from ..machine.reference import name_tables
+
     diags: list[Diagnostic] = []
+    nt = name_tables(cs)
     g, sched = cs.graph, cs.schedule
     names = graph_index(g).names
 
@@ -226,11 +229,11 @@ def _bijection_pass(cs, lo) -> list[Diagnostic]:
     if len(keys) != lo.num_mk:
         add(f"{lo.num_mk - len(keys)} mk keys are duplicated")
     bad = [mk for mk, (s, u) in enumerate(zip(lo.mk_src, lo.mk_uname))
-           if s != sched.assignment[cs.trigger[u]]]
+           if s != sched.assignment[nt.trigger[u]]]
     if bad:
         add(f"mk_src[{bad[0]}] = {lo.mk_src[bad[0]]} is not the processor "
             f"of unit {lo.mk_uname[bad[0]]!r} ({len(bad)} such mks)")
-    want = {(d, m, u) for d, tbl in enumerate(cs.data_waiters)
+    want = {(d, m, u) for d, tbl in enumerate(nt.data_waiters)
             for (m, u) in tbl}
     if set(keys) != want:
         bad = sorted(set(keys) ^ want)[:3]
@@ -239,7 +242,7 @@ def _bijection_pass(cs, lo) -> list[Diagnostic]:
     skeys = {(names[s], d) for s, d in zip(lo.sk_src, lo.sk_dest)}
     if len(skeys) != lo.num_sk:
         add(f"{lo.num_sk - len(skeys)} sk keys are duplicated")
-    want = {(u, d) for d, tbl in enumerate(cs.sync_waiters) for u in tbl}
+    want = {(u, d) for d, tbl in enumerate(nt.sync_waiters) for u in tbl}
     if skeys != want:
         bad = sorted(skeys ^ want)[:3]
         add(f"sk keys do not round-trip the schedule's sync keys "
@@ -269,7 +272,10 @@ def _bijection_pass(cs, lo) -> list[Diagnostic]:
 
 @_guard("SA503")
 def _version_pass(cs, lo) -> list[Diagnostic]:
+    from ..machine.reference import name_tables
+
     diags: list[Diagnostic] = []
+    nt = name_tables(cs)
 
     def add(msg: str, **kw) -> bool:
         diags.append(Diagnostic.of("SA503", msg, **kw))
@@ -278,7 +284,7 @@ def _version_pass(cs, lo) -> list[Diagnostic]:
     gi = graph_index(cs.graph)
     names, tid = gi.names, gi.tid
     for i, name in enumerate(names):
-        want = cs.pending0.get(name, 0)
+        want = nt.pending0.get(name, 0)
         if lo.pending0[i] != want:
             if add(f"pending0[{i}] = {lo.pending0[i]} but the "
                    f"schedule needs {want} inputs", task=name):
@@ -286,14 +292,14 @@ def _version_pass(cs, lo) -> list[Diagnostic]:
     for mk in range(lo.num_mk):
         dest, m, unit = lo.mk_dest[mk], lo.obj_name[lo.mk_oid[mk]], \
             lo.mk_uname[mk]
-        want_need = cs.need_count0[dest].get((m, unit))
+        want_need = nt.need_count0[dest].get((m, unit))
         if lo.mk_need0[mk] != want_need:
             if add(f"mk_need0[{mk}] = {lo.mk_need0[mk]} but "
                    f"{want_need} stale copies are outstanding",
                    obj=m, proc=dest):
                 return diags
         want_wait = sorted(
-            tid[w] for w in cs.data_waiters[dest].get((m, unit), ()))
+            tid[w] for w in nt.data_waiters[dest].get((m, unit), ()))
         got_wait = sorted(lo.wait_tid[lo.wait_ptr[mk]:lo.wait_ptr[mk + 1]])
         if want_wait != got_wait:
             if add(f"waiter list of mk {mk} disagrees with data_waiters",
@@ -301,7 +307,7 @@ def _version_pass(cs, lo) -> list[Diagnostic]:
                 return diags
     for sk in range(lo.num_sk):
         u, dest = names[lo.sk_src[sk]], lo.sk_dest[sk]
-        want_wait = sorted(tid[w] for w in cs.sync_waiters[dest].get(u, ()))
+        want_wait = sorted(tid[w] for w in nt.sync_waiters[dest].get(u, ()))
         got_wait = sorted(lo.swait_tid[lo.swait_ptr[sk]:lo.swait_ptr[sk + 1]])
         if want_wait != got_wait:
             if add(f"waiter list of sk {sk} disagrees with sync_waiters",
@@ -317,7 +323,7 @@ def _version_pass(cs, lo) -> list[Diagnostic]:
              lo.od_nbytes[od])
             for od in range(lo.od_ptr[r], lo.od_ptr[r + 1])
         ]
-        if got != list(cs.out_data.get(name, ())):
+        if got != list(nt.out_data.get(name, ())):
             if add(f"data messages sent after {name!r} disagree with the "
                    "schedule's triggers", task=name):
                 return diags
@@ -325,7 +331,7 @@ def _version_pass(cs, lo) -> list[Diagnostic]:
             (names[lo.sk_src[lo.os_sk[j]]], lo.sk_dest[lo.os_sk[j]])
             for j in range(lo.os_ptr[i], lo.os_ptr[i + 1])
         ]
-        if got != list(cs.out_sync.get(name, ())):
+        if got != list(nt.out_sync.get(name, ())):
             if add(f"sync messages sent after {name!r} disagree with "
                    "out_sync", task=name):
                 return diags
@@ -337,7 +343,7 @@ def _version_pass(cs, lo) -> list[Diagnostic]:
         lob, hib = lo.proc_start[q], lo.proc_start[q + 1]
         for pos in range(lob, hib):
             name = lo.task_name[pos]
-            for m, uu in cs.write_version[name]:
+            for m, uu in nt.write_version[name]:
                 ver[m] = uu
                 writes.setdefault(m, []).append((pos, uu))
             r = lo.od_row[lo.tid_at[pos]]

@@ -47,6 +47,7 @@ from .experiments import (
     table6,
     table7,
 )
+from .experiments.common import require_grid
 
 EXPERIMENTS = (
     "table1", "table2", "table3", "table4", "table5", "table6", "table7",
@@ -520,9 +521,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--progress", action="store_true",
                         help="sweep: live stderr ticker (done/running/"
                              "retrying/failed groups; implies --supervised)")
-    parser.add_argument("--engine-stats", action="store_true",
-                        help="sweep: add the opt-in engine column "
-                             "(engine_used) to the CSV")
     args = parser.parse_args(argv)
 
     if args.experiment == "obs":
@@ -546,12 +544,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                "analyze", "validate", "obs merge")
         ))
         return 0
-    if args.experiment == "trace":
-        return _run_trace(args)
+    if args.experiment in ("trace", "analyze"):
+        # --procs/--fraction pick the cell: the sweep's grid check.
+        try:
+            require_grid(args.procs or (), (args.fraction,))
+        except ValueError as err:
+            print(err, file=sys.stderr)
+            return 2
+        if args.experiment == "trace":
+            return _run_trace(args)
+        return _run_analyze(args)
     if args.experiment == "check":
         return _run_check_cmd(args)
-    if args.experiment == "analyze":
-        return _run_analyze(args)
     if args.experiment == "example":
         print(_paper_example_walkthrough())
         return 0
@@ -638,7 +642,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 check=args.check,
                 analyze=args.analyze,
                 engine=args.engine,
-                engine_stats=args.engine_stats,
                 bounds=args.bounds,
                 runtime=runtime,
                 checkpoint=args.checkpoint,

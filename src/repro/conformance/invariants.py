@@ -118,7 +118,9 @@ class InvariantChecker(Instrument):
     ----------
     compiled:
         The :class:`~repro.machine.simulator.CompiledSchedule` being
-        executed (supplies per-task requirement lists).
+        executed; its per-task requirement lists come from the
+        reference's :func:`~repro.machine.reference.name_tables`, not
+        from the compiled engine's lowering the checker judges.
     strict:
         Raise :class:`~repro.errors.InvariantViolationError` at the
         first violation instead of collecting.
@@ -141,7 +143,10 @@ class InvariantChecker(Instrument):
         allow_early_arrival: bool = False,
         window: int = 256,
     ):
+        from ..machine.reference import name_tables
+
         self.compiled = compiled
+        self._needs = name_tables(compiled).needs
         self.strict = strict
         self.allow_early_arrival = allow_early_arrival
         self._window_size = window
@@ -192,7 +197,7 @@ class InvariantChecker(Instrument):
         self._note(t0, proc, "EXE", task)
         resident = self._resident[proc]
         sync_at = self._sync_at[proc]
-        for req in self.compiled.needs[task]:
+        for req in self._needs[task]:
             if req[0] == "data":
                 if req[2] not in resident.get(req[1], ()):
                     self._flag(

@@ -42,18 +42,23 @@ class DataflowRecorder(Instrument):
     Write-write dependences order the EXE events of any two writers of
     one object, so applying the writes in EXE order reproduces the
     simulator's final ``current_version`` map without touching its
-    internals.
+    internals.  The writes come from the reference's
+    :func:`~repro.machine.reference.name_tables`, not from the compiled
+    engine's lowering.
     """
 
     def __init__(self, compiled: CompiledSchedule):
+        from ..machine.reference import name_tables
+
         self.compiled = compiled
+        self._write_version = name_tables(compiled).write_version
         self.final: dict[str, str] = {}
 
     def on_run_begin(self, t, nprocs, capacity, memory_managed) -> None:
         self.final = {}
 
     def on_exe(self, t0, t1, proc, task) -> None:
-        for obj, unit in self.compiled.write_version[task]:
+        for obj, unit in self._write_version[task]:
             self.final[obj] = unit
 
 

@@ -37,7 +37,6 @@ import tempfile
 from dataclasses import asdict, fields
 from typing import Optional, Sequence
 
-from ..machine.simulator import ENGINE_CONTRACT
 from .sweep import SweepRecord
 
 __all__ = [
@@ -92,7 +91,6 @@ def grid_fingerprint(
     check: bool,
     analyze: bool,
     engine: str,
-    engine_stats: bool = False,
     bounds: bool = False,
     harness_faults=None,
 ) -> str:
@@ -101,19 +99,9 @@ def grid_fingerprint(
     Two sweeps share a checkpoint iff their fingerprints match; ``jobs``
     and the runtime policy are deliberately excluded (they change how
     the grid is executed, never what a cell's record contains).  So is
-    ``engine`` unless ``engine_stats`` is set: the engines agree exactly,
-    and only the ``engine_used`` column tells them apart.  Without
-    ``engine_stats`` the engine is hashed as ``"interpreted"``, the old
-    default, so journals written before the compiled engine became the
-    default keep their fingerprint and still resume.  With
-    ``engine_stats`` the :data:`~repro.machine.simulator.ENGINE_CONTRACT`
-    version is hashed too: it changes when the engine that executes a
-    cell, or the engine columns, do (observed cells ran interpreted
-    before version 2; rows carried a second, fallback-reason engine
-    column before version 3), so a journal's engine rows are never
-    replayed next to fresh rows of another contract.
-    ``engine_stats`` and ``bounds`` shape records (they fill opt-in
-    columns), and ``harness_faults`` (a
+    ``engine``: the engines agree exactly, so a journal resumes across
+    engines.  ``bounds`` shapes records (it fills opt-in columns), and
+    ``harness_faults`` (a
     :class:`~repro.experiments.runtime.HarnessFaultSpec` or ``None``)
     shapes them too — an injected fault can turn a group into failure
     rows, which must never be replayed into a fault-free run (nor a
@@ -130,15 +118,16 @@ def grid_fingerprint(
         "metrics": bool(metrics),
         "check": bool(check),
         "analyze": bool(analyze),
-        "engine": engine if engine_stats else "interpreted",
-        "engine_stats": bool(engine_stats),
+        # Constants that pin the hashes of existing journals: the
+        # engine was hashed as "interpreted", the default before the
+        # compiled engine, and a retired engine column was off.
+        "engine": "interpreted",
+        "engine_stats": False,
         "bounds": bool(bounds),
         "harness_faults": (
             repr(harness_faults) if harness_faults is not None else None
         ),
     }
-    if engine_stats:
-        doc["engine_contract"] = ENGINE_CONTRACT
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -65,6 +65,18 @@ def require_known(kind: str, values, choices, error=ValueError) -> None:
         raise error(f"unknown {kind}(s) {bad}; choose from {list(choices)}")
 
 
+def require_grid(procs, fractions) -> None:
+    """Raise ``ValueError`` naming every processor count that is not an
+    integer >= 1 and every memory fraction that is not finite and >= 0
+    (the message the CLI prints before exiting 2)."""
+    bad = [p for p in procs if not (p == int(p) and p >= 1)]
+    if bad:
+        raise ValueError(f"processor counts must be integers >= 1, got {bad}")
+    bad = [f for f in fractions if not (math.isfinite(f) and f >= 0)]
+    if bad:
+        raise ValueError(f"memory fractions must be finite and >= 0, got {bad}")
+
+
 @dataclass
 class CellMetrics:
     """One (configuration, capacity) measurement.
@@ -94,10 +106,6 @@ class CellMetrics:
     #: fields, non-executable cells get a real count (at least the SA101
     #: finding) — the analyzer needs no simulation.
     analysis_errors: Optional[float] = None
-    #: Engine introspection (``collect_engine=True``): which engine
-    #: executed the cell.  Non-executable cells stay ``None`` — nothing
-    #: ran.
-    engine_used: Optional[str] = None
     #: Certified static lower bounds (``collect_bounds=True``; see
     #: :mod:`repro.analysis.bounds`).  Static like ``analysis_errors``:
     #: even a non-executable cell gets real bound values — only the
@@ -402,7 +410,6 @@ class ExperimentContext:
         collect_check: bool = False,
         collect_analysis: bool = False,
         engine: str = "compiled",
-        collect_engine: bool = False,
         collect_bounds: bool = False,
     ) -> CellMetrics:
         """Measure one table cell.
@@ -429,11 +436,6 @@ class ExperimentContext:
         cells run on the requested engine too, with identical hook
         calls.
 
-        ``collect_engine=True`` records which engine executed the cell
-        (``engine_used``); it reads the cached
-        :class:`~repro.machine.simulator.SimResult` and never changes
-        what runs.
-
         ``collect_bounds=True`` fills the certified static lower
         bounds (``pt_bound``/``mem_bound``) and the cell's relative
         slack over them (``*_bound_gap``); purely static, cached per
@@ -453,9 +455,8 @@ class ExperimentContext:
             executable=prof.min_mem <= capacity, capacity=capacity,
             min_mem=prof.min_mem, tot=tot,
         )
-        # Non-executable cells run nothing: ``res`` stays None, the
-        # simulated columns below get ``inf`` like the timing fields and
-        # the engine columns stay empty.
+        # Non-executable cells run nothing: ``res`` stays None and the
+        # simulated columns below get ``inf`` like the timing fields.
         res = nviol = summary = None
         if cell.executable:
             sims = self._group(key, p).sims
@@ -484,8 +485,6 @@ class ExperimentContext:
             cell.analysis_errors = self.analysis_errors(
                 key, p, heuristic, capacity, cap_arg
             )
-        if collect_engine and res is not None:
-            cell.engine_used = res.engine
         if collect_bounds:
             bset = self.bounds_for(key, p, heuristic, cap_arg)
             cell.pt_bound = bset.pt.value

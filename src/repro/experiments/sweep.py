@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, get_args, get_type_hints
 
-from .common import REFERENCES, ExperimentContext, require_known
+from .common import REFERENCES, ExperimentContext, require_grid, require_known
 
 FIELDS = (
     "workload",
@@ -69,14 +68,11 @@ OPTIONAL_COLUMNS = {
     #: certified static lower bounds (:mod:`repro.analysis.bounds`) and
     #: each cell's relative slack over them
     "bounds": ("pt_bound", "mem_bound", "pt_bound_gap", "mem_bound_gap"),
-    #: the engine that executed each cell
-    "engine_stats": ("engine_used",),
 }
 METRIC_FIELDS = OPTIONAL_COLUMNS["metrics"]
 CHECK_FIELDS = OPTIONAL_COLUMNS["check"]
 ANALYZE_FIELDS = OPTIONAL_COLUMNS["analyze"]
 BOUNDS_FIELDS = OPTIONAL_COLUMNS["bounds"]
-ENGINE_FIELDS = OPTIONAL_COLUMNS["engine_stats"]
 
 #: Failure columns appended when a *supervised* sweep recorded at least
 #: one :class:`~repro.experiments.runtime.CellFailure` (opt-in, same
@@ -112,9 +108,6 @@ class SweepRecord:
     mem_bound: Optional[float] = None
     pt_bound_gap: Optional[float] = None
     mem_bound_gap: Optional[float] = None
-    #: populated only by ``full_sweep(..., engine_stats=True)``:
-    #: the engine that executed the cell
-    engine_used: Optional[str] = None
     #: failure columns, populated only on cells of a group that a
     #: supervised sweep recorded as failed (``"timeout"``/``"crashed"``/
     #: ``"error"``; see :mod:`repro.experiments.runtime`)
@@ -232,7 +225,6 @@ def full_sweep(
     check: bool = False,
     analyze: bool = False,
     engine: str = "compiled",
-    engine_stats: bool = False,
     bounds: bool = False,
     runtime=None,
     checkpoint: Optional[str] = None,
@@ -255,8 +247,8 @@ def full_sweep(
     ``ctx.spec``, so custom problems registered on ``ctx`` must be
     picklable to sweep with ``jobs > 1``.
 
-    The opt-in flags ``metrics``, ``check``, ``analyze``, ``bounds`` and
-    ``engine_stats`` each fill one family of :data:`OPTIONAL_COLUMNS`
+    The opt-in flags ``metrics``, ``check``, ``analyze`` and ``bounds``
+    each fill one family of :data:`OPTIONAL_COLUMNS`
     (``None`` in every record otherwise); none of them changes the
     core fields, because the simulation is deterministic:
 
@@ -272,13 +264,12 @@ def full_sweep(
     * ``bounds=True`` fills the certified static lower bounds of
       :mod:`repro.analysis.bounds` (``pt_bound``/``mem_bound``) and each
       cell's relative slack over them (``value/bound - 1``), cached per
-      (workload, procs, heuristic);
-    * ``engine_stats=True`` fills ``engine_used``.
+      (workload, procs, heuristic).
 
     On non-executable cells the simulated columns (telemetry,
     ``violations``, ``pt_bound_gap``) are ``inf`` like the timing
-    fields, the engine columns stay empty, and the static columns
-    (``analysis_errors``, the bounds) keep real values.
+    fields, and the static columns (``analysis_errors``, the bounds)
+    keep real values.
 
     ``engine`` selects the simulator engine for every cell (see
     :class:`~repro.machine.simulator.Simulator`): the array-compiled
@@ -318,12 +309,7 @@ def full_sweep(
     require_known("heuristic", heuristics, HEURISTICS)
     require_known("reference", (reference,), REFERENCES)
     require_known("engine", (engine,), ENGINES)
-    bad = [p for p in procs if not (p == int(p) and p >= 1)]
-    if bad:
-        raise ValueError(f"processor counts must be integers >= 1, got {bad}")
-    bad = [f for f in fractions if not (math.isfinite(f) and f >= 0)]
-    if bad:
-        raise ValueError(f"memory fractions must be finite and >= 0, got {bad}")
+    require_grid(procs, fractions)
     if resume and checkpoint is None:
         raise ValueError("resume=True requires a checkpoint directory")
     if not jobs or jobs < 0:
@@ -331,7 +317,7 @@ def full_sweep(
     cell_kw = dict(
         reference=reference, engine=engine, collect_metrics=metrics,
         collect_check=check, collect_analysis=analyze,
-        collect_engine=engine_stats, collect_bounds=bounds,
+        collect_bounds=bounds,
     )
     groups = [(key, p) for key in workloads for p in procs]
     supervised = (
@@ -372,8 +358,7 @@ def full_sweep(
             checkpoint,
             grid_fingerprint(
                 ctx.spec, workloads, procs, heuristics, fractions, reference,
-                metrics, check, analyze, engine,
-                engine_stats=engine_stats, bounds=bounds,
+                metrics, check, analyze, engine, bounds=bounds,
                 harness_faults=harness_faults,
             ),
         )

@@ -1442,7 +1442,10 @@ def _raise_deadlock(
     suspended, pending_pkgs, slot, known,
 ):
     """Reconstruct the interpreted engine's DeadlockError verbatim."""
+    from .reference import name_tables
+
     cs = sim.compiled
+    tables = name_tables(cs)
     sched = cs.schedule
     ml = lo.mapping
     nprocs = ml.num_procs
@@ -1455,7 +1458,7 @@ def _raise_deadlock(
     details: dict[int, str] = {}
     wait_for: dict[int, set[int]] = {}
     assignment = sched.assignment
-    trigger = cs.trigger
+    trigger = tables.trigger
     names = graph_index(cs.graph).names
     mk_index = {
         (d, ml.obj_name[o], u): mk
@@ -1472,7 +1475,7 @@ def _raise_deadlock(
         if nt[q] < len(order):
             task = order[nt[q]]
             missing = []
-            for req in cs.needs[task]:
+            for req in tables.needs[task]:
                 if req[0] == "data":
                     mk = mk_index[(q, req[1], req[2])]
                     if not arrived[mk]:

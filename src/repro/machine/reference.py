@@ -2,24 +2,28 @@
 
 :func:`run_interpreted` executes the five-state protocol as the
 :mod:`repro.machine.simulator` docstring states it, over the name-keyed
-tables of ``CompiledSchedule`` with one tuple per event.  Only
-``Simulator(engine="interpreted")`` (``--engine interpreted``) runs it
-and imports this module; the differential tests hold the compiled
-engine of :mod:`repro.machine.compiled` to it bit for bit, hook call
-for hook call and error for error, faulted runs included.
+tables of :func:`name_tables` with one tuple per event.  Only
+``Simulator(engine="interpreted")`` (``--engine interpreted``) runs it;
+the differential tests hold the compiled engine of
+:mod:`repro.machine.compiled` to it bit for bit, hook call for hook call
+and error for error, faulted runs included.  The name tables never
+read the compiled engine's lowering, so its oracles read them too (the
+invariant checker, the dataflow recorder, irverify's SA502/SA503 and
+the deadlock report), importing this module on first need.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Optional
+from typing import NamedTuple, Optional
 
+from ..core.index import MappingIndex, graph_index
 from ..core.maps import MapPoint, maps_by_position
 from ..errors import DataConsistencyError, DeadlockError, SimulationError
 from .memory import ObjectAllocator
-from .simulator import ProcessorStats, ProcState, SimResult
+from .simulator import CompiledSchedule, ProcessorStats, ProcState, SimResult
 
-__all__ = ["run_interpreted"]
+__all__ = ["NameTables", "name_tables", "run_interpreted"]
 
 # Event kinds (ordered tuples on a heap).
 _TASK_DONE = 0
@@ -28,16 +32,170 @@ _ADDR_ARRIVE = 2
 _SLOT_FREE = 3
 
 
+class NameTables(NamedTuple):
+    """The name-keyed tables of one schedule (see :func:`name_tables`).
+
+    The ``"sim-messages"`` memo of a mapping holds its order-independent
+    part: ``out_data`` keyed by producer unit, and no ``trigger``."""
+
+    #: producer unit -> trigger task, its last task in the processor order
+    trigger: dict[str, str]
+    #: trigger task -> data messages ``(obj, unit, dest, nbytes)``
+    out_data: dict[str, list[tuple[str, str, int, int]]]
+    #: task -> sync messages ``(unit, dest)``
+    out_sync: dict[str, list[tuple[str, int]]]
+    #: task -> ``("data", obj, unit)`` / ``("sync", unit)`` requirements
+    needs: dict[str, list[tuple]]
+    #: per processor: unexecuted tasks still needing each received key
+    #: (the stale-copy consistency check)
+    need_count0: list[dict[tuple, int]]
+    #: per processor: tasks waiting on each received data / sync key
+    data_waiters: list[dict[tuple[str, str], list[str]]]
+    sync_waiters: list[dict[str, list[str]]]
+    #: task -> distinct remote inputs it waits for
+    pending0: dict[str, int]
+    weight: dict[str, float]
+    #: task -> ``(object, producer unit)`` version updates
+    write_version: dict[str, tuple[tuple[str, str], ...]]
+    #: task -> received keys it consumes (with multiplicity)
+    consumes: dict[str, tuple[tuple[str, str], ...]]
+
+
+def name_tables(cs: CompiledSchedule) -> NameTables:
+    """The name-keyed tables of ``cs``, built on first use.  Only the
+    trigger tasks depend on the processor orders; the rest is memoised
+    per graph (``"sim-units"``) and per mapping (``"sim-messages"``), so
+    every schedule of one mapping shares it."""
+    if cs._name_tables is None:
+        g, mi = cs.graph, cs._mi
+        units = graph_index(g).memo("sim-units", lambda: _unit_tables(g))
+        msgs = mi.memo("sim-messages", lambda: _message_tables(g, mi, units))
+        # Commuting groups (co-located) trigger on their last task in
+        # the order; other units on their only task.
+        trigger = dict(units.trigger0)
+        if units.groups:
+            pos = cs.schedule.position()
+            for u, members in units.groups.items():
+                trigger[u] = max(members, key=pos.__getitem__)
+        cs._name_tables = msgs._replace(trigger=trigger, out_data={
+            trigger[u]: m for u, m in msgs.out_data.items()})
+    return cs._name_tables
+
+
+class _UnitTables(NamedTuple):
+    """Graph-only name tables (see :func:`_unit_tables`)."""
+
+    #: task -> producer unit (commuting-group key or the task itself)
+    pid_of: dict[str, str]
+    #: unit -> its first task in program order (the trigger of a
+    #: single-task unit)
+    trigger0: dict[str, str]
+    #: commuting unit with several tasks -> its tasks in program order
+    groups: dict[str, list[str]]
+    weight: dict[str, float]
+    write_version: dict[str, tuple[tuple[str, str], ...]]
+
+
+def _unit_tables(g) -> _UnitTables:
+    pid_of: dict[str, str] = {}
+    trigger0: dict[str, str] = {}
+    members: dict[str, list[str]] = {}
+    weight: dict[str, float] = {}
+    write_version: dict[str, tuple[tuple[str, str], ...]] = {}
+    for t in g.tasks():
+        u = t.commute if t.commute is not None else t.name
+        pid_of[t.name] = u
+        trigger0.setdefault(u, t.name)
+        members.setdefault(u, []).append(t.name)
+        weight[t.name] = t.weight
+        write_version[t.name] = tuple((m, u) for m in t.writes)
+    groups = {u: ts for u, ts in members.items() if len(ts) > 1}
+    return _UnitTables(pid_of, trigger0, groups, weight, write_version)
+
+
+def _message_tables(g, mi: MappingIndex, units: _UnitTables) -> NameTables:
+    """Messages, receiver requirements and readiness waiters of every
+    cross-processor edge.  None of it depends on the processor orders,
+    so every schedule of one mapping shares one copy."""
+    pid_of = units.pid_of
+    proc_of = dict(zip(mi.names, mi.proc))
+    size = graph_index(g).obj_size
+    out_data: dict[str, list[tuple[str, str, int, int]]] = {}
+    out_sync: dict[str, list[tuple[str, int]]] = {}
+    seen_data: set[tuple[str, str, int]] = set()
+    seen_sync: set[tuple[str, int]] = set()
+    needs: dict[str, list[tuple]] = {t: [] for t in mi.names}
+    need_count: list[dict[tuple, int]] = [dict() for _ in range(mi.num_procs)]
+    data_waiters: list[dict[tuple[str, str], list[str]]] = [
+        dict() for _ in range(mi.num_procs)
+    ]
+    sync_waiters: list[dict[str, list[str]]] = [
+        dict() for _ in range(mi.num_procs)
+    ]
+    pending: dict[str, int] = {}
+
+    for u, inner in g.successor_map().items():
+        pu = proc_of[u]
+        for v, objs in inner.items():
+            pv = proc_of[v]
+            if pu == pv:
+                continue
+            unit = pid_of[u]
+            if objs:
+                # The payload of a commuting group is its accumulated
+                # result: one message per (object, group, destination),
+                # issued when the group's last local task finishes.  The
+                # true graph gives readers edges from *every* member, so
+                # waiting for the group adds no false synchronisation.
+                for m in sorted(objs):
+                    key = (m, unit, pv)
+                    if key not in seen_data:
+                        seen_data.add(key)
+                        out_data.setdefault(unit, []).append(
+                            (m, unit, pv, size[m])
+                        )
+                    needs[v].append(("data", m, unit))
+                    cnt = need_count[pv]
+                    cnt[(m, unit)] = cnt.get((m, unit), 0) + 1
+                    waiters = data_waiters[pv].setdefault((m, unit), [])
+                    if v not in waiters:
+                        waiters.append(v)
+                        pending[v] = pending.get(v, 0) + 1
+            else:
+                # Synchronisation edges are member-specific (they encode
+                # a transformed anti/output dependence from one task);
+                # firing them at group completion instead would create
+                # circular waits the true graph does not have.
+                key = (u, pv)
+                if key not in seen_sync:
+                    seen_sync.add(key)
+                    out_sync.setdefault(u, []).append((u, pv))
+                needs[v].append(("sync", u))
+                waiters = sync_waiters[pv].setdefault(u, [])
+                if v not in waiters:
+                    waiters.append(v)
+                    pending[v] = pending.get(v, 0) + 1
+    consumes = {
+        t: tuple((req[1], req[2]) for req in reqs if req[0] == "data")
+        for t, reqs in needs.items()
+    }
+    return NameTables(
+        {}, out_data, out_sync, needs, need_count, data_waiters,
+        sync_waiters, pending, units.weight, units.write_version, consumes,
+    )
+
+
 def run_interpreted(sim) -> SimResult:
     """Execute ``sim`` with the interpreted engine; returns a
     :class:`~repro.machine.simulator.SimResult` with
     ``engine="interpreted"``.  All state is local to the call."""
     sched, spec = sim.schedule, sim.spec
     cs = sim.compiled
+    nt = name_tables(cs)
     nprocs = sim.p
     # Hot-loop locals (closure lookups beat attribute lookups).
-    out_data, out_sync = cs.out_data, cs.out_sync
-    weight, write_version, consumes = cs.weight, cs.write_version, cs.consumes
+    out_data, out_sync = nt.out_data, nt.out_sync
+    weight, write_version, consumes = nt.weight, nt.write_version, nt.consumes
     REC, EXE, SND = ProcState.REC, ProcState.EXE, ProcState.SND
     MAP, END, DONE = ProcState.MAP, ProcState.END, ProcState.DONE
     wake_states = (REC, MAP, END)
@@ -87,7 +245,7 @@ def run_interpreted(sim) -> SimResult:
     done: set[str] = set()
     stats = [ProcessorStats() for _ in range(nprocs)]
     alloc = [ObjectAllocator(sim.capacity) for _ in range(nprocs)]
-    obj_size = cs.obj_size
+    obj_size = graph_index(sim.g).obj_size
     for q in range(nprocs):
         if cs.perm_bytes[q]:
             alloc[q].alloc("<permanent>", cs.perm_bytes[q])
@@ -106,9 +264,9 @@ def run_interpreted(sim) -> SimResult:
     received_data: list[dict[str, set[str]]] = [dict() for _ in range(nprocs)]
     received_sync: list[set[str]] = [set() for _ in range(nprocs)]
     #: countdown of unmet remote inputs per task (0 = ready).
-    pending_inputs = dict(cs.pending0)
-    data_waiters = cs.data_waiters
-    sync_waiters = cs.sync_waiters
+    pending_inputs = dict(nt.pending0)
+    data_waiters = nt.data_waiters
+    sync_waiters = nt.sync_waiters
     current_version: dict[str, Optional[str]] = dict.fromkeys(obj_size)
     # Sender-side address knowledge: (obj, dest) pairs.
     addr_known: list[set[tuple[str, int]]] = [set() for _ in range(nprocs)]
@@ -129,7 +287,7 @@ def run_interpreted(sim) -> SimResult:
     # strictly increasing, so this marks a MAP done without mutating
     # the shared plan).
     map_done = [-1] * nprocs
-    need_count = [dict(d) for d in cs.need_count0]
+    need_count = [dict(d) for d in nt.need_count0]
     finished_procs = 0
     last_task_finish = 0.0
 
@@ -410,7 +568,7 @@ def run_interpreted(sim) -> SimResult:
         details: dict[int, str] = {}
         wait_for: dict[int, set[int]] = {}
         assignment = sched.assignment
-        trigger = cs.trigger
+        trigger = nt.trigger
         for q in range(nprocs):
             if state[q] is ProcState.DONE:
                 continue
@@ -419,7 +577,7 @@ def run_interpreted(sim) -> SimResult:
             if idx[q] < len(order):
                 task = order[idx[q]]
                 missing = []
-                for req in cs.needs[task]:
+                for req in nt.needs[task]:
                     if req[0] == "data" and req[2] not in received_data[q].get(req[1], ()):
                         missing.append(f"data {req[1]}@{req[2]}")
                         waits.add(assignment[trigger[req[2]]])

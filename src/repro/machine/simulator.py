@@ -42,23 +42,17 @@ Two execution modes:
 Performance architecture
 ------------------------
 
-The static preprocessing (validation, liveness, trigger tasks, message
-fan-out, receiver requirement counts) depends only on the schedule, not
-on the memory capacity, so it lives in :class:`CompiledSchedule` and is
-computed once per schedule.  The experiment sweeps run one schedule
-under many capacities; compiling once and passing ``compiled=`` skips
-the repeated work.  A ``CompiledSchedule`` also memoises MAP plans per
-capacity.  Tables that do not depend on the processor orders either
-are shared by every schedule of one mapping (RCP, MPO and DTS at one
-P), memoised on the mapping's :class:`~repro.core.index.MappingIndex`.
-
-The tables are built for the engine that runs: the compiled engine's
-three table levels (per mapping, per schedule, per cell; see
-:mod:`repro.machine.compiled`) by its lowering, and the interpreted
-engine's name-keyed tables (``out_data``, ``needs``, ``data_waiters``
-and the rest) on the first interpreted run, or the first read of one
-of them (an :class:`~repro.conformance.InvariantChecker` reads
-``needs``).
+The static preprocessing (validation, liveness and the compiled
+engine's tables) depends only on the schedule, not on the memory
+capacity, so it lives in :class:`CompiledSchedule` and is computed once
+per schedule.  The experiment sweeps run one schedule under many
+capacities; compiling once and passing ``compiled=`` skips the repeated
+work.  A ``CompiledSchedule`` also memoises MAP plans per capacity.
+Tables that do not depend on the processor orders either are shared by
+every schedule of one mapping (RCP, MPO and DTS at one P), memoised on
+the mapping's :class:`~repro.core.index.MappingIndex`.  The name-keyed
+tables of the interpreted engine are the reference's own
+(:func:`repro.machine.reference.name_tables`).
 
 Readiness of a task is tracked with countdown counters: every task
 starts with the number of distinct remote inputs it waits for, each
@@ -124,9 +118,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from time import perf_counter
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from ..core.index import MappingIndex, graph_index
+from ..core.index import graph_index
 from ..core.liveness import MemoryProfile, analyze_memory
 from ..core.maps import MapPlan, plan_maps
 from ..core.placement import validate_owner_compute
@@ -140,7 +134,6 @@ from .spec import CRAY_T3D, MachineSpec
 
 __all__ = [
     "CompiledSchedule",
-    "ENGINE_CONTRACT",
     "ENGINES",
     "ENGINE_COUNTER_KEYS",
     "ProcessorStats",
@@ -163,15 +156,6 @@ class ProcState(Enum):
 
 #: Values of ``Simulator(engine=...)``: the reference oracle first.
 ENGINES = ("interpreted", "compiled")
-
-#: Version of the rule deciding which engine executes a run (what
-#: ``SimResult.engine`` reports) and of the engine record's shape.
-#: 1: observed and fault-injected runs fell back to the interpreted
-#: engine; 2: only fault-injected runs did; 3: the requested engine
-#: runs every run, and records carry no fallback reason.  Checkpoint
-#: journals that record the engine hash it
-#: (:func:`repro.experiments.checkpoint.grid_fingerprint`).
-ENGINE_CONTRACT = 3
 
 #: The keys of :attr:`CompiledSchedule.counters`.  ``*_s`` keys
 #: are :func:`time.perf_counter` phase timers in seconds; the
@@ -291,8 +275,7 @@ class CompiledSchedule:
     the orders: ``tid_at``/``proc_start``), the liveness analysis and
     the engine tables.  None of it depends on the memory capacity or
     execution mode, so one compiled schedule serves every run of that
-    schedule — pass it via ``Simulator(compiled=...)``.  The interpreted
-    engine's name-keyed tables are built on first use only.
+    schedule — pass it via ``Simulator(compiled=...)``.
 
     MAP plans *do* depend on the capacity; :meth:`plan_for` memoises
     them per capacity so a sweep re-running one schedule under a
@@ -305,7 +288,7 @@ class CompiledSchedule:
     * the MAP-plan cache (:meth:`plan_for`) is keyed by capacity only,
       which is sound *because* everything else a plan depends on — the
       schedule orders, the graph shape and the processor count — is
-      frozen into this object at ``_compile`` time.  A structural
+      frozen into this object when it is built.  A structural
       fingerprint is captured then, and :meth:`check_fresh` (called on
       every ``plan_for`` / compiled-engine lookup) raises
       :class:`~repro.errors.SimulationError` if the underlying
@@ -329,7 +312,7 @@ class CompiledSchedule:
         self.num_procs = schedule.num_procs
         gi = graph_index(self.graph)
         # The mapping's index, looked up once for validation, lowering
-        # and the interpreted tables (``check_fresh`` guards mutation).
+        # and the name tables (``check_fresh`` guards mutation).
         mi = self._mi = gi.mapping(schedule.placement, schedule.assignment)
         # Schedule.validate's structural check, numbering the flattened
         # orders on the way: ``tid_at[pos]`` is the GraphIndex id of the
@@ -348,6 +331,8 @@ class CompiledSchedule:
         self._exec_plans: dict[tuple, object] = {}
         #: lowered list-table IR (shared by every execution plan).
         self._lowered: Optional[object] = None
+        #: memo of :func:`repro.machine.reference.name_tables`.
+        self._name_tables: Optional[object] = None
         #: engine introspection counters: cache hits/misses and phase
         #: timers for the MAP-plan / lowering / ExecPlan caches and run
         #: counts per engine.  Updated
@@ -355,7 +340,6 @@ class CompiledSchedule:
         #: the execution hot loops.
         self.counters: dict = {k: 0.0 if k.endswith("_s") else 0
                                for k in ENGINE_COUNTER_KEYS}
-        self.obj_size: dict[str, int] = gi.obj_size
         # Every volatile object a processor reads must have a producer
         # somewhere, otherwise its owner would never send data (and the
         # address-package handshake could block a MAP forever).  Graphs
@@ -374,72 +358,6 @@ class CompiledSchedule:
         # Permanent footprint per processor (allocated for the whole run).
         self.perm_bytes = [pp.perm_bytes for pp in self.profile.procs]
         self._fingerprint = self._schedule_fingerprint()
-
-    # -- interpreted-engine tables ---------------------------------------
-
-    #: The interpreted engine's name-keyed tables; built on first use
-    #: (an interpreted run, a checker, a deadlock report), never by the
-    #: compiled engine itself.
-    _NAME_TABLES = frozenset((
-        "trigger", "out_data", "out_sync", "needs", "need_count0",
-        "data_waiters", "sync_waiters", "pending0", "weight",
-        "write_version", "consumes",
-    ))
-
-    def __getattr__(self, name: str):
-        if name in CompiledSchedule._NAME_TABLES:
-            self._compile()
-            return self.__dict__[name]
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def _units(self) -> "_UnitTables":
-        g = self.graph
-        return graph_index(g).memo("sim-units", lambda: _unit_tables(g))
-
-    def _compile(self) -> None:
-        g, sched = self.graph, self.schedule
-        units = self._units()
-        mi = self._mi
-        msgs = mi.memo("sim-messages", lambda: _message_tables(g, mi, units))
-
-        # Trigger task of each producer unit: the unit's last task in the
-        # processor order (commuting groups are co-located).  Only
-        # commuting groups depend on the order; other units trigger on
-        # their only task.
-        trigger = dict(units.trigger0)
-        if units.groups:
-            pos = sched.position()
-            for u, members in units.groups.items():
-                trigger[u] = max(members, key=pos.__getitem__)
-        self.trigger = trigger
-
-        # Outgoing messages per trigger task.
-        #   data: (obj, unit, dest, nbytes)   sync: (unit, dest)
-        self.out_data = {trigger[u]: m for u, m in msgs.out_data.items()}
-        self.out_sync = msgs.out_sync
-        # Receiver-side requirements per task:
-        #   list of ("data", obj, unit) / ("sync", unit)
-        self.needs = msgs.needs
-        # How many unexecuted tasks of each processor still need a given
-        # received key (for the stale-copy consistency check).
-        self.need_count0 = msgs.need_count0
-        # Tasks waiting on each received key, per destination processor
-        # (drives the readiness countdown counters).
-        self.data_waiters = msgs.data_waiters
-        self.sync_waiters = msgs.sync_waiters
-        # Distinct remote inputs each task waits for.
-        self.pending0 = msgs.pending0
-
-        # Per-task execution constants for the hot loop.
-        self.weight: dict[str, float] = units.weight
-        #: task -> tuple of (object, producer unit) version updates.
-        self.write_version: dict[str, tuple[tuple[str, str], ...]] = (
-            units.write_version
-        )
-        #: task -> received keys it consumes (with multiplicity, matching
-        #: ``need_count0``).
-        self.consumes: dict[str, tuple[tuple[str, str], ...]] = msgs.consumes
 
     # -- cache-staleness guard ------------------------------------------
 
@@ -492,124 +410,6 @@ class CompiledSchedule:
         else:
             self.counters["plan_hits"] += 1
         return plan
-
-
-class _UnitTables(NamedTuple):
-    """Graph-only simulator tables (see :func:`_unit_tables`)."""
-
-    #: task -> producer unit (commuting-group key or the task itself)
-    pid_of: dict[str, str]
-    #: unit -> its first task in program order (the trigger of a
-    #: single-task unit)
-    trigger0: dict[str, str]
-    #: commuting unit with several tasks -> its tasks in program order
-    groups: dict[str, list[str]]
-    weight: dict[str, float]
-    write_version: dict[str, tuple[tuple[str, str], ...]]
-
-
-def _unit_tables(g) -> _UnitTables:
-    pid_of: dict[str, str] = {}
-    trigger0: dict[str, str] = {}
-    members: dict[str, list[str]] = {}
-    weight: dict[str, float] = {}
-    write_version: dict[str, tuple[tuple[str, str], ...]] = {}
-    for t in g.tasks():
-        u = t.commute if t.commute is not None else t.name
-        pid_of[t.name] = u
-        trigger0.setdefault(u, t.name)
-        members.setdefault(u, []).append(t.name)
-        weight[t.name] = t.weight
-        write_version[t.name] = tuple((m, u) for m in t.writes)
-    groups = {u: ts for u, ts in members.items() if len(ts) > 1}
-    return _UnitTables(pid_of, trigger0, groups, weight, write_version)
-
-
-class _MessageTables(NamedTuple):
-    """Order-independent message tables of one mapping (see
-    :func:`_message_tables`); fields as on :class:`CompiledSchedule`,
-    except that ``out_data`` is keyed by producer unit."""
-
-    out_data: dict[str, list[tuple[str, str, int, int]]]
-    out_sync: dict[str, list[tuple[str, int]]]
-    needs: dict[str, list[tuple]]
-    need_count0: list[dict[tuple, int]]
-    data_waiters: list[dict[tuple[str, str], list[str]]]
-    sync_waiters: list[dict[str, list[str]]]
-    pending0: dict[str, int]
-    consumes: dict[str, tuple[tuple[str, str], ...]]
-
-
-def _message_tables(g, mi: MappingIndex, units: _UnitTables) -> _MessageTables:
-    """Messages, receiver requirements and readiness waiters of every
-    cross-processor edge.  None of it depends on the processor orders,
-    so every schedule of one mapping shares one copy."""
-    pid_of = units.pid_of
-    proc_of = dict(zip(mi.names, mi.proc))
-    size = graph_index(g).obj_size
-    out_data: dict[str, list[tuple[str, str, int, int]]] = {}
-    out_sync: dict[str, list[tuple[str, int]]] = {}
-    seen_data: set[tuple[str, str, int]] = set()
-    seen_sync: set[tuple[str, int]] = set()
-    needs: dict[str, list[tuple]] = {t: [] for t in mi.names}
-    need_count: list[dict[tuple, int]] = [dict() for _ in range(mi.num_procs)]
-    data_waiters: list[dict[tuple[str, str], list[str]]] = [
-        dict() for _ in range(mi.num_procs)
-    ]
-    sync_waiters: list[dict[str, list[str]]] = [
-        dict() for _ in range(mi.num_procs)
-    ]
-    pending: dict[str, int] = {}
-
-    for u, inner in g.successor_map().items():
-        pu = proc_of[u]
-        for v, objs in inner.items():
-            pv = proc_of[v]
-            if pu == pv:
-                continue
-            unit = pid_of[u]
-            if objs:
-                # The payload of a commuting group is its accumulated
-                # result: one message per (object, group, destination),
-                # issued when the group's last local task finishes.  The
-                # true graph gives readers edges from *every* member, so
-                # waiting for the group adds no false synchronisation.
-                for m in sorted(objs):
-                    key = (m, unit, pv)
-                    if key not in seen_data:
-                        seen_data.add(key)
-                        out_data.setdefault(unit, []).append(
-                            (m, unit, pv, size[m])
-                        )
-                    needs[v].append(("data", m, unit))
-                    cnt = need_count[pv]
-                    cnt[(m, unit)] = cnt.get((m, unit), 0) + 1
-                    waiters = data_waiters[pv].setdefault((m, unit), [])
-                    if v not in waiters:
-                        waiters.append(v)
-                        pending[v] = pending.get(v, 0) + 1
-            else:
-                # Synchronisation edges are member-specific (they encode
-                # a transformed anti/output dependence from one task);
-                # firing them at group completion instead would create
-                # circular waits the true graph does not have.
-                key = (u, pv)
-                if key not in seen_sync:
-                    seen_sync.add(key)
-                    out_sync.setdefault(u, []).append((u, pv))
-                needs[v].append(("sync", u))
-                waiters = sync_waiters[pv].setdefault(u, [])
-                if v not in waiters:
-                    waiters.append(v)
-                    pending[v] = pending.get(v, 0) + 1
-    consumes = {
-        t: tuple((req[1], req[2]) for req in reqs if req[0] == "data")
-        for t, reqs in needs.items()
-    }
-    return _MessageTables(
-        out_data, out_sync, needs, need_count, data_waiters, sync_waiters,
-        pending, consumes,
-    )
 
 
 class Simulator:

@@ -22,6 +22,7 @@ from repro.graph.paper_example import (
     paper_example_graph,
     paper_placement,
 )
+from repro.machine.reference import name_tables
 from repro.machine.simulator import CompiledSchedule
 
 
@@ -68,7 +69,7 @@ class TestCheckerHooks:
         c = make_checker(paper_compiled)
         # T[1,3] reads d1 from P1's unit T[1]; nothing arrived yet.
         task = next(
-            t for t, reqs in paper_compiled.needs.items()
+            t for t, reqs in name_tables(paper_compiled).needs.items()
             if any(r[0] == "data" for r in reqs)
         )
         c.on_exe(1.0, 2.0, 0, task)
@@ -77,10 +78,10 @@ class TestCheckerHooks:
     def test_residency_satisfied_after_arrival(self, paper_compiled):
         c = make_checker(paper_compiled)
         task = next(
-            t for t, reqs in paper_compiled.needs.items()
+            t for t, reqs in name_tables(paper_compiled).needs.items()
             if reqs and all(r[0] == "data" for r in reqs)
         )
-        for _kind, obj, unit in paper_compiled.needs[task]:
+        for _kind, obj, unit in name_tables(paper_compiled).needs[task]:
             c.on_alloc(0.5, 0, obj, 1, 1)
             c.on_data_arrive(0.6, 0, obj, unit, 1)
         c.on_exe(1.0, 2.0, 0, task)

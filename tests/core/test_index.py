@@ -19,6 +19,7 @@ from repro.experiments.common import ExperimentContext
 from repro.graph import generators as gen
 from repro.graph.taskgraph import TaskGraph
 from repro.graph.tasks import Task
+from repro.machine.reference import name_tables
 from repro.machine.simulator import CompiledSchedule
 
 
@@ -139,8 +140,8 @@ class TestAmortisation:
 
     def test_compiled_schedules_of_one_mapping_share_tables(self):
         g, pl, asg = case(seed=7)
-        a = CompiledSchedule(rcp_order(g, pl, asg))
-        b = CompiledSchedule(mpo_order(g, pl, asg))
+        a = name_tables(CompiledSchedule(rcp_order(g, pl, asg)))
+        b = name_tables(CompiledSchedule(mpo_order(g, pl, asg)))
         assert a.needs is b.needs and a.data_waiters is b.data_waiters
 
     def test_context_builds_each_mapping_once(self):

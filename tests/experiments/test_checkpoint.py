@@ -65,24 +65,21 @@ class TestFingerprint:
             {"metrics": True},
             {"check": True},
             {"analyze": True},
-            # the engine shapes records only through engine_stats
-            {"engine": "compiled", "engine_stats": True},
-            {"engine_stats": True},
+            {"bounds": True},
+            # the grid order is the record order
+            {"workloads": ("lu-goodwin", "chol15")},
         ],
     )
     def test_any_record_shaping_knob_changes_it(self, change):
         base = grid_fingerprint(CRAY_T3D, **GRID)
         assert grid_fingerprint(CRAY_T3D, **{**GRID, **change}) != base
 
-    def test_engine_is_hashed_only_with_engine_stats(self):
-        # Like ``jobs``, the engine changes no record unless the
-        # engine_stats column shows it: journals resume across engines.
+    def test_engine_is_not_hashed(self):
+        # Like ``jobs``, the engine changes no record: journals resume
+        # across engines.
         base = grid_fingerprint(CRAY_T3D, **GRID)
         assert grid_fingerprint(
             CRAY_T3D, **{**GRID, "engine": "compiled"}) == base
-        stats = {**GRID, "engine_stats": True}
-        assert grid_fingerprint(CRAY_T3D, **stats) != grid_fingerprint(
-            CRAY_T3D, **{**stats, "engine": "compiled"})
 
     def test_pre_flip_default_journal_keeps_its_fingerprint(self):
         # The fingerprint of a default (interpreted, no engine_stats)
@@ -90,27 +87,6 @@ class TestFingerprint:
         assert grid_fingerprint(CRAY_T3D, **GRID) == (
             "becb5016d562904de138c7042eba4e7f3b6b62e132138d4f540daef6b69d0e1b"
         )
-
-    def test_engine_contract_is_hashed_with_engine_stats(self):
-        # Fingerprints of --engine-stats journals written while observed
-        # cells still fell back to the interpreted engine (their rows
-        # say engine_used=interpreted, fallback_reason=metrics).  Fresh
-        # rows now say compiled, so those journals must not resume.
-        old = {
-            "5147103c0c6486d8939ab9738faf9c76ea42dfe75396ea1de1257cd4e038698c":
-                dict(metrics=True, check=True),
-            "137f4d480d459237a5f219c3538b0f8eeee1e949f94e3050027ed44705093615":
-                {},
-        }
-        for fp, flags in old.items():
-            grid = {**GRID, **flags, "engine": "compiled",
-                    "engine_stats": True}
-            assert grid_fingerprint(CRAY_T3D, **grid) != fp
-            # ...while the same grid without engine_stats keeps its
-            # fingerprint (it hashes no engine at all).
-            grid["engine_stats"] = False
-            assert grid_fingerprint(CRAY_T3D, **grid) == grid_fingerprint(
-                CRAY_T3D, **{**grid, "engine": "interpreted"})
 
     def test_pre_contract_journal_is_not_replayed(self, tmp_path):
         """A --metrics --check --engine-stats journal of engine
@@ -123,18 +99,18 @@ class TestFingerprint:
         from repro.experiments.sweep import full_sweep, to_csv
 
         grid = {k: v for k, v in GRID.items() if k != "engine"}
-        grid.update(metrics=True, check=True, engine_stats=True)
+        grid.update(metrics=True, check=True)
         want = full_sweep(ExperimentContext(), **grid)
-        assert {r.engine_used for r in want if r.executable} == {"compiled"}
         # Forge the contract-2 journal of this grid: P=2 done, its rows
         # marked so that a replay would show in the CSV.
         fp2 = ("2ff4c395f4954917bdf8906bb3726c28"
                "a78227b2a0f6a5bf7a230905ee28a0c1")
-        assert grid_fingerprint(CRAY_T3D, engine="compiled", **grid) != fp2
+        for engine in ("compiled", "interpreted"):
+            assert grid_fingerprint(CRAY_T3D, engine=engine, **grid) != fp2
         old = CheckpointJournal(tmp_path, fp2)
         old.start()
         old.record_group("lu-goodwin", 2, [
-            replace(r, engine_used="interpreted") if r.executable else r
+            replace(r, avg_maps=-1.0) if r.executable else r
             for r in want if r.procs == 2
         ])
         got = full_sweep(ExperimentContext(), checkpoint=str(tmp_path),

@@ -128,20 +128,28 @@ def test_obs_requires_action_and_dir(capsys):
     capsys.readouterr()
 
 
-def test_sweep_engine_stats_columns(tmp_path, capsys):
-    """`sweep --engine-stats` adds the engine columns; off by default."""
-    plain = tmp_path / "plain.csv"
-    stats = tmp_path / "stats.csv"
-    assert main(["sweep", "--procs", "4", "--out", str(plain)]) == 0
-    assert main([
-        "sweep", "--procs", "4", "--engine", "compiled",
-        "--engine-stats", "--out", str(stats),
-    ]) == 0
-    capsys.readouterr()
-    assert "engine_used" not in plain.read_text()
-    header = stats.read_text().splitlines()[0]
-    assert header.endswith(",engine_used")
-    assert ",compiled\n" in stats.read_text()
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["trace", "--workload", "lu-goodwin", "--procs", "0"],
+         "processor counts must be integers >= 1, got [0]"),
+        (["analyze", "--workload", "paper", "--procs", "0"],
+         "processor counts must be integers >= 1, got [0]"),
+        (["trace", "--workload", "lu-goodwin", "--fraction", "nan"],
+         "memory fractions must be finite and >= 0, got [nan]"),
+        (["trace", "--workload", "lu-goodwin", "--fraction", "-1"],
+         "memory fractions must be finite and >= 0, got [-1.0]"),
+    ],
+    ids=["trace-procs", "analyze-paper-procs", "trace-nan", "trace-negative"],
+)
+def test_trace_and_analyze_reject_a_bad_cell(argv, message, capsys):
+    """`trace`/`analyze` check --procs/--fraction like `sweep` does:
+    exit 2 with the sweep's message, not a bare traceback or a negative
+    capacity."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_sweep_metrics_columns(tmp_path, capsys):
@@ -162,7 +170,7 @@ def test_sweep_metrics_columns(tmp_path, capsys):
     [
         ["--workloads", "nope"],
         ["--procs", "0"],
-        ["--engine-stats", "--harness-fault", "explode:lu-goodwin:4"],
+        ["--harness-fault", "explode:lu-goodwin:4"],
     ],
 )
 def test_sweep_bad_grid_exits_2_before_work(bad, tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Integration tests: the observed sweep (``obs_dir=``/``progress=``),
-the opt-in engine-stats columns, and the no-cost-when-off contract."""
+"""Integration tests: the observed sweep (``obs_dir=``/``progress=``)
+and the no-cost-when-off contract."""
 
 import json
 
@@ -7,12 +7,7 @@ import pytest
 
 from repro.experiments import ExperimentContext
 from repro.experiments.runtime import HarnessFaultSpec, RuntimePolicy
-from repro.experiments.sweep import (
-    ENGINE_FIELDS,
-    full_sweep,
-    from_csv,
-    to_csv,
-)
+from repro.experiments.sweep import full_sweep, to_csv
 from repro.obs.runtime import SHARD_GLOB
 from repro.obs.sweep_trace import load_runtime_shards, merge_obs_dir
 
@@ -29,49 +24,6 @@ def shard_kinds(directory):
     for block in load_runtime_shards(directory):
         kinds.update(e["kind"] for e in block["events"])
     return kinds
-
-
-class TestEngineStatsColumns:
-    def test_columns_are_opt_in(self):
-        plain = full_sweep(ExperimentContext(), **GRID)
-        assert all(r.engine_used is None for r in plain)
-        header = to_csv(plain).splitlines()[0]
-        for field in ENGINE_FIELDS:
-            assert field not in header
-
-    def test_stats_fill_engine_used(self):
-        records = full_sweep(
-            ExperimentContext(), engine="compiled", engine_stats=True, **GRID
-        )
-        for r in records:
-            if r.executable:
-                assert r.engine_used == "compiled"
-            else:
-                assert r.engine_used is None
-        header = to_csv(records).splitlines()[0]
-        for field in ENGINE_FIELDS:
-            assert field in header
-
-    def test_csv_roundtrip(self):
-        records = full_sweep(
-            ExperimentContext(), engine="compiled", engine_stats=True, **GRID
-        )
-        assert from_csv(to_csv(records)) == records
-
-    def test_stats_do_not_change_core_fields(self):
-        plain = full_sweep(ExperimentContext(), **GRID)
-        stats = full_sweep(ExperimentContext(), engine_stats=True, **GRID)
-        core = [(r.workload, r.procs, r.heuristic, r.fraction,
-                 r.parallel_time, r.avg_maps) for r in plain]
-        assert core == [(r.workload, r.procs, r.heuristic, r.fraction,
-                         r.parallel_time, r.avg_maps) for r in stats]
-
-    def test_parallel_matches_serial(self):
-        serial = full_sweep(ExperimentContext(), engine_stats=True, **GRID)
-        par = full_sweep(
-            ExperimentContext(), engine_stats=True, jobs=2, **GRID
-        )
-        assert par == serial
 
 
 class TestObservedSweep:

@@ -178,13 +178,13 @@ class TestInjectedError:
         assert rec == plain
 
 
-def _fp(engine="compiled", engine_stats=False):
+def _fp(engine="compiled"):
     from repro.experiments.checkpoint import grid_fingerprint
 
     return grid_fingerprint(
         ExperimentContext().spec, GRID["workloads"], GRID["procs"],
         GRID["heuristics"], GRID["fractions"], "rcp", False, False, False,
-        engine, engine_stats=engine_stats,
+        engine,
     )
 
 
@@ -247,27 +247,6 @@ class TestCheckpointResume:
         from repro.experiments.checkpoint import CheckpointJournal
 
         assert len(CheckpointJournal(ckpt, _fp()).completed()) == 2
-
-    def test_engine_stats_journal_refuses_cross_engine_resume(self, tmp_path):
-        from repro.experiments.checkpoint import CheckpointJournal
-
-        ckpt = tmp_path / "ckpt"
-        full_sweep(
-            ExperimentContext(), jobs=2, checkpoint=str(ckpt),
-            engine="interpreted", engine_stats=True, **GRID,
-        )
-        interp = _fp(engine="interpreted", engine_stats=True)
-        assert len(CheckpointJournal(ckpt, interp).completed()) == 2
-        compiled = _fp(engine="compiled", engine_stats=True)
-        assert CheckpointJournal(ckpt, compiled).completed() == {}
-        resumed = full_sweep(
-            ExperimentContext(), jobs=2, checkpoint=str(ckpt), resume=True,
-            engine_stats=True, **GRID,
-        )
-        # The stale journal was discarded: every executable cell ran
-        # compiled.
-        assert {r.engine_used for r in resumed if r.executable} == {
-            "compiled"}
 
     def test_resume_requires_checkpoint(self):
         with pytest.raises(ValueError, match="checkpoint"):

@@ -9,7 +9,6 @@ from repro.experiments.sweep import (
     ANALYZE_FIELDS,
     BOUNDS_FIELDS,
     CHECK_FIELDS,
-    ENGINE_FIELDS,
     FAILURE_FIELDS,
     FIELDS,
     METRIC_FIELDS,
@@ -204,8 +203,6 @@ OPTIONAL_VARIANTS = {
                     avg_maps=INF, capacity=0, min_mem=0, tot=0,
                     status="crashed", error="worker process died, twice",
                     attempts=3, elapsed=12.5),
-    "engine_stats": dict(engine_used="interpreted"),
-    "engine_stats-compiled": dict(engine_used="compiled"),
 }
 
 
@@ -237,10 +234,8 @@ class TestCSVOptionalColumnRoundTrips:
             (("analyze", "bounds"),
              FIELDS + ANALYZE_FIELDS + BOUNDS_FIELDS),
             (("check", "failure"), FIELDS + CHECK_FIELDS + FAILURE_FIELDS),
-            (("engine_stats",), FIELDS + ENGINE_FIELDS),
-            (("engine_stats", "bounds", "metrics", "failure"),
-             FIELDS + METRIC_FIELDS + BOUNDS_FIELDS + ENGINE_FIELDS
-             + FAILURE_FIELDS),
+            (("bounds", "metrics", "failure"),
+             FIELDS + METRIC_FIELDS + BOUNDS_FIELDS + FAILURE_FIELDS),
         ],
     )
     def test_header_matches_populated_families(self, families, expected_fields):

@@ -8,8 +8,6 @@
   the plan, not the tasks of the schedule.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.experiments import ExperimentContext
@@ -39,12 +37,10 @@ def test_default_csv_equals_interpreted_under_the_verifier(monkeypatch):
     monkeypatch.setenv("REPRO_VERIFY_IR", "1")  # raises on any finding
     monkeypatch.setattr(compiled_mod, "get_exec_plan", counting)
     ctx = ExperimentContext()
-    default = full_sweep(ctx, engine_stats=True, **GRID)
-    plain = [replace(r, engine_used=None) for r in default]
-    assert to_csv(plain) == to_csv(interpreted)
+    default = full_sweep(ctx, **GRID)
+    assert to_csv(default) == to_csv(interpreted)
     executable = [r for r in default if r.executable]
     assert executable
-    assert {r.engine_used for r in executable} == {"compiled"}
     # every executable cell and every baseline ran a verified plan
     assert len(verified) == len(executable) + len(GRID["procs"])
     counters = ctx.engine_counters()

@@ -3,8 +3,7 @@ and the recorded engine (:attr:`SimResult.engine`).
 
 The counters are pure bookkeeping: they must never change what a run
 computes, only describe the lowering/plan caches and engine selection
-so the runtime trace and the ``--engine-stats`` sweep columns can
-report them.
+so the runtime trace can report them.
 """
 
 from repro.conformance import fault_preset

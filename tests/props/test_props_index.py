@@ -24,6 +24,7 @@ from repro.core.schedule import CommModel, Schedule, gantt
 from repro.core.treesched import liu_postorder, tree_order
 from repro.graph import generators as gen
 from repro.graph.analysis import b_levels, mapped_edge_cost, size_edge_cost
+from repro.machine.reference import name_tables
 from repro.machine.simulator import CompiledSchedule
 
 cases = st.tuples(
@@ -343,9 +344,9 @@ def test_liveness_gantt_and_tables_match_reference(case):
         prof = analyze_memory(sched)
         assert [pp.span for pp in prof.procs] == ref_memory(sched)
         assert gantt(sched, comm).finish == ref_gantt(sched, comm)
-        cs = CompiledSchedule(sched, profile=prof)
-        assert cs.needs == ref_needs(sched)
-        assert sum(cs.pending0.values()) == sum(
+        nt = name_tables(CompiledSchedule(sched, profile=prof))
+        assert nt.needs == ref_needs(sched)
+        assert sum(nt.pending0.values()) == sum(
             len({r for r in reqs}) for reqs in ref_needs(sched).values())
 
 

@@ -6,6 +6,8 @@ end); these properties drive it across random graphs, heuristics and
 capacities and assert it always completes.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,8 +21,12 @@ from repro.core import (
     rcp_order,
 )
 from repro.graph import generators as gen
+from repro.graph.objects import DataObject
+from repro.graph.taskgraph import TaskGraph
+from repro.graph.tasks import Task
 from repro.machine import UNIT_MACHINE, simulate
-from repro.machine.spec import MachineSpec
+from repro.machine.simulator import ENGINES
+from repro.machine.spec import COST_FIELDS, CRAY_T3D, MEIKO_CS2, MachineSpec
 
 params = st.tuples(
     st.integers(10, 45),
@@ -116,3 +122,46 @@ def test_commuting_reduction_consistent(leaves, seed, p):
         prof = analyze_memory(s)
         res = simulate(s, spec=UNIT_MACHINE, capacity=prof.min_mem, profile=prof)
         assert res.parallel_time > 0
+
+
+def doubled_weights(g):
+    """Copy of ``g`` with every task weight doubled (same names, sizes,
+    program order and edges)."""
+    h = TaskGraph()
+    for o in g.objects():
+        h.add_object(DataObject(o.name, o.size))
+    for t in g.tasks():
+        h.add_task(Task(t.name, t.reads, t.writes, 2 * t.weight, t.commute))
+    for u, v, objs in g.edges():
+        if objs:
+            for ob in objs:
+                h.add_edge(u, v, ob)
+        else:
+            h.add_edge(u, v)
+    return h.freeze()
+
+
+@given(st.integers(0, 10_000), st.integers(2, 4), st.sampled_from(ORDERINGS),
+       st.sampled_from((CRAY_T3D, MEIKO_CS2)))
+def test_doubling_every_cost_doubles_pt_exactly(seed, p, order_fn, spec):
+    """Metamorphic: doubling every task weight, every machine cost and
+    the inspector's comm model keeps every heuristic's orders and
+    doubles PT exactly (times are sums and maxima of costs, and scaling
+    by 2 is exact in binary floating point), on both engines, at
+    MIN_MEM and at TOT."""
+    g = gen.layered_random(4, 5, seed=seed)
+    g2 = doubled_weights(g)
+    spec2 = replace(spec, **{f: 2 * getattr(spec, f) for f in COST_FIELDS})
+    schedules = []
+    for graph, sp in ((g, spec), (g2, spec2)):
+        pl = cyclic_placement(graph, p)
+        asg = owner_compute_assignment(graph, pl)
+        schedules.append(order_fn(graph, pl, asg, sp.comm_model()))
+    s, s2 = schedules
+    assert s2.orders == s.orders
+    prof = analyze_memory(s)
+    for cap in (prof.min_mem, prof.tot):
+        for engine in ENGINES:
+            r = simulate(s, spec=spec, capacity=cap, engine=engine)
+            r2 = simulate(s2, spec=spec2, capacity=cap, engine=engine)
+            assert r2.parallel_time == 2 * r.parallel_time
