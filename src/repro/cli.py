@@ -47,7 +47,7 @@ from .experiments import (
     table6,
     table7,
 )
-from .experiments.common import require_grid
+from .experiments.common import require_grid, require_known
 
 EXPERIMENTS = (
     "table1", "table2", "table3", "table4", "table5", "table6", "table7",
@@ -158,6 +158,26 @@ def _parse_harness_faults(specs):
         error=tuple(groups["error"]),
         on_attempts=(1,) if on_attempts is None else on_attempts,
     )
+
+
+def _require_cell(args) -> None:
+    """Raise ``ValueError`` naming a bad ``--procs``, ``--fraction`` or
+    ``--workload`` of ``trace``, ``analyze`` or ``check`` (the message
+    :func:`main` prints before exiting 2)."""
+    if args.experiment == "check":
+        # check's fraction is a position between MIN_MEM and TOT.
+        require_grid(args.procs or (), ())
+        if not 0.0 <= args.fraction <= 1.0:
+            raise ValueError(
+                "check --fraction is a position between MIN_MEM (0) and "
+                f"TOT (1), got {args.fraction}"
+            )
+        return
+    # --procs/--fraction pick the cell: the sweep's grid check.
+    require_grid(args.procs or (), (args.fraction,))
+    if args.workload != "paper":
+        require_known("workload", (args.workload,),
+                      ["paper", *ExperimentContext().known_workloads()])
 
 
 def _resolve_workload(args):
@@ -544,18 +564,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                "analyze", "validate", "obs merge")
         ))
         return 0
-    if args.experiment in ("trace", "analyze"):
-        # --procs/--fraction pick the cell: the sweep's grid check.
+    if args.experiment in ("trace", "analyze", "check"):
         try:
-            require_grid(args.procs or (), (args.fraction,))
+            _require_cell(args)
         except ValueError as err:
             print(err, file=sys.stderr)
             return 2
-        if args.experiment == "trace":
-            return _run_trace(args)
-        return _run_analyze(args)
-    if args.experiment == "check":
-        return _run_check_cmd(args)
+        run = {"trace": _run_trace, "analyze": _run_analyze,
+               "check": _run_check_cmd}[args.experiment]
+        return run(args)
     if args.experiment == "example":
         print(_paper_example_walkthrough())
         return 0

@@ -49,7 +49,7 @@ class FaultSpec:
     All sim-level knobs default to the identity; a spec whose sim-level
     knobs are all identity reports ``active == False`` and the simulator
     skips injection entirely (the disabled path stays at engine speed —
-    the conformance section of the engine benchmark records the ratio).
+    ``benchmarks/bench_cost_budgets.py`` holds the ratio).
     Every factor and jitter must be finite and non-negative
     (:class:`~repro.errors.FaultSpecError` otherwise).
     """

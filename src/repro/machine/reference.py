@@ -228,8 +228,8 @@ def run_interpreted(sim) -> SimResult:
     obs, suite, tlog = sim._observers()
     #: Single gate hoisted out of the hot loop: when no instrument is
     #: attached, each call site costs one local-bool test — no event
-    #: objects, no detail strings, no allocation (see the
-    #: instrumentation section of ``bench_sweep_engine.py``).
+    #: objects, no detail strings, no allocation (priced by
+    #: ``benchmarks/bench_cost_budgets.py``).
     observing = obs is not None
     if observing:
         obs.on_run_begin(0.0, nprocs, sim.capacity, sim.memory_managed)

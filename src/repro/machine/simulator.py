@@ -106,8 +106,8 @@ address-package traffic, MAP free/allocate decisions).  Instrumentation
 follows the null-object pattern and is gated by a single ``observing``
 boolean hoisted out of the loop: with ``trace=False``/``metrics=False``
 and no instrument attached, the per-event cost is one local-bool test
-and **no allocation** — the disabled engine speed is recorded by
-``benchmarks/bench_sweep_engine.py``.  ``metrics=True`` attaches the
+and **no allocation** — ``benchmarks/bench_cost_budgets.py`` holds the
+disabled path to the plain run's speed.  ``metrics=True`` attaches the
 standard :class:`~repro.obs.instruments.MetricsSuite` and fills
 :attr:`SimResult.metrics` / :attr:`SimResult.telemetry`; ``trace=True``
 is now a :class:`~repro.obs.tracelog.TraceLog` instrument.

@@ -18,8 +18,8 @@ Design rules
   ``observing`` boolean out of its hot loop (computed once per run from
   :attr:`Instrument.enabled`); with no instrument attached the per-event
   cost is one local-bool test and **no allocation** — ``trace=False`` /
-  ``metrics=False`` runs stay at the uninstrumented engine's speed (the
-  engine benchmark records this).
+  ``metrics=False`` runs stay at the uninstrumented engine's speed
+  (``benchmarks/bench_cost_budgets.py`` holds this).
 * **Run-local state.**  :meth:`on_run_begin` must (re)initialise all
   per-run state so one instrument instance can observe many runs.
 

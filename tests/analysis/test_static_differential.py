@@ -50,6 +50,28 @@ def test_overwrite_demo_static_matches_dynamic():
     assert {d.rule for d in static.errors} == {"SA301", "SA302"}
 
 
+def test_cost_budget_cells_are_clean():
+    """The cells ``benchmarks/bench_cost_budgets.py`` prices the analyzer
+    on analyze clean; on lu-goodwin (P=32, rcp, half of TOT) a checked
+    run of the same memoised plan agrees."""
+    from repro.conformance import InvariantChecker
+    from repro.experiments import ExperimentContext
+    from repro.graph.paper_example import schedule_c
+
+    ctx = ExperimentContext()
+    for sched in (schedule_c(), ctx.schedule("etree15", 2, "rcp")):
+        assert analyze_schedule(sched, fraction=1.0).ok
+    cs = ctx.compiled("lu-goodwin", 32, "rcp")
+    cap = cs.profile.tot // 2
+    report = analyze_schedule(cs.schedule, capacity=cap, profile=cs.profile,
+                              plan=cs.plan_for(cap))
+    checker = InvariantChecker(cs)
+    Simulator(spec=ctx.spec, capacity=cap, compiled=cs,
+              instrument=checker).run()
+    assert report.ok, report.render()
+    assert checker.ok
+
+
 @pytest.mark.parametrize("fault", ["slow", "delay", "jitter", "consume"])
 def test_timing_faults_keep_static_verdict(fault):
     """Timing faults do not touch the plan: the static twin of a faulted

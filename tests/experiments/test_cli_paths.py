@@ -139,12 +139,28 @@ def test_obs_requires_action_and_dir(capsys):
          "memory fractions must be finite and >= 0, got [nan]"),
         (["trace", "--workload", "lu-goodwin", "--fraction", "-1"],
          "memory fractions must be finite and >= 0, got [-1.0]"),
+        (["trace", "--workload", "nope"],
+         "unknown workload(s) ['nope']; choose from ['paper', 'chol15', "
+         "'chol24', 'etree15', 'lu-goodwin']"),
+        (["analyze", "--workload", "nope"], "unknown workload(s) ['nope']"),
+        (["check", "--graphs", "1", "--procs", "0"],
+         "processor counts must be integers >= 1, got [0]"),
+        (["check", "--graphs", "1", "--fraction", "nan"],
+         "between MIN_MEM (0) and TOT (1), got nan"),
+        (["check", "--graphs", "1", "--fraction", "1.5"],
+         "between MIN_MEM (0) and TOT (1), got 1.5"),
+        (["check", "--graphs", "1", "--fraction", "-0.5"],
+         "between MIN_MEM (0) and TOT (1), got -0.5"),
     ],
-    ids=["trace-procs", "analyze-paper-procs", "trace-nan", "trace-negative"],
+    ids=["trace-procs", "analyze-paper-procs", "trace-nan", "trace-negative",
+         "trace-workload", "analyze-workload", "check-procs", "check-nan",
+         "check-above-tot", "check-below-min-mem"],
 )
 def test_trace_and_analyze_reject_a_bad_cell(argv, message, capsys):
-    """`trace`/`analyze` check --procs/--fraction like `sweep` does:
-    exit 2 with the sweep's message, not a bare traceback or a negative
+    """`trace`/`analyze` check --procs/--fraction like `sweep` does, and
+    --workload against the known workloads; `check` checks --procs and
+    its --fraction, a position in [0, 1] between MIN_MEM and TOT.  Each
+    exits 2 with a named message, not a bare traceback or a negative
     capacity."""
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -88,14 +88,16 @@ def test_matrix_cell_matches_baseline(jobs, engine, flags, baseline_csv):
 
 def test_compiled_engine_cli_csv_identical(tmp_path, capsys):
     """The CLI surface of the same guarantee: ``sweep --engine
-    compiled`` writes the same bytes as the interpreted sweep."""
+    compiled`` writes the same bytes as the interpreted sweep, over every
+    default heuristic and fraction at P 2 and 4."""
     from repro.cli import main
 
     outs = {}
     for engine in ("interpreted", "compiled"):
         out = tmp_path / f"{engine}.csv"
         assert main(
-            ["sweep", "--procs", "4", "--engine", engine, "--out", str(out)]
+            ["sweep", "--procs", "2", "4", "--engine", engine,
+             "--out", str(out)]
         ) == 0
         outs[engine] = out.read_bytes()
     capsys.readouterr()

@@ -28,7 +28,7 @@ from repro.core import dts_order, mpo_order, rcp_order
 from repro.errors import DeadlockError, SimulationError
 from repro.graph.paper_example import paper_example_graph, schedule_b, schedule_c
 from repro.machine import CRAY_T3D, MEIKO_CS2, UNIT_MACHINE, Simulator
-from repro.machine.simulator import CompiledSchedule, ProcessorStats
+from repro.machine.simulator import ENGINES, CompiledSchedule, ProcessorStats
 
 STAT_FIELDS = [f.name for f in dataclasses.fields(ProcessorStats)]
 
@@ -119,9 +119,14 @@ class TestSeededGrids:
 
 
 class TestSweepWorkloads:
-    """The benchmark workloads the sweep grid actually runs."""
+    """The benchmark workloads the sweep grid actually runs, and the
+    cells ``benchmarks/bench_cost_budgets.py`` times: serial chol15
+    (every task silent) and the P=32 observer cells."""
 
-    @pytest.mark.parametrize("key,procs", [("lu-goodwin", 4), ("lu-goodwin", 8)])
+    @pytest.mark.parametrize("key,procs", [
+        ("lu-goodwin", 4), ("lu-goodwin", 8), ("lu-goodwin", 32),
+        ("chol15", 1), ("chol15", 32),
+    ])
     @pytest.mark.parametrize("fraction", [1.0, 0.5])
     def test_exact(self, key, procs, fraction):
         from repro.experiments import ExperimentContext
@@ -137,8 +142,8 @@ class TestSweepWorkloads:
         )
 
     def test_serial_schedule_exact(self):
-        """The p=1 gate cell of the engine benchmark: every task is
-        silent, the compiled run collapses to segment kernels."""
+        """A serial schedule: every task is silent, the compiled run
+        collapses to segment kernels."""
         from repro.experiments import ExperimentContext
 
         ctx = ExperimentContext()
@@ -248,13 +253,26 @@ class TestFallbacks:
         assert checker.ok
 
     def test_disabled_instrument_stays_compiled(self, cs):
-        from repro.obs import NULL_INSTRUMENT
+        """A disabled instrument is never called, on either engine."""
+        from repro.obs import Instrument
 
-        res = Simulator(
-            spec=UNIT_MACHINE, capacity=9, compiled=cs,
-            instrument=NULL_INSTRUMENT, engine="compiled",
-        ).run()
-        assert res.engine == "compiled"
+        calls = []
+
+        class Recorder(Instrument):
+            enabled = False
+
+            def __getattribute__(self, name):
+                if name.startswith("on_"):
+                    calls.append(name)
+                return super().__getattribute__(name)
+
+        for engine in ENGINES:
+            res = Simulator(
+                spec=UNIT_MACHINE, capacity=9, compiled=cs,
+                instrument=Recorder(), engine=engine,
+            ).run()
+            assert res.engine == engine
+        assert calls == []
 
     def test_active_faults_fall_back(self, cs):
         """A faulted run stays compiled, counts as a compiled run and
@@ -266,13 +284,20 @@ class TestFallbacks:
         assert cs.counters["compiled_runs"] == 1
 
     def test_inactive_faults_stay_compiled(self, cs):
+        """An inactive FaultSpec never draws an injector, on either
+        engine."""
         from repro.conformance import FaultSpec
 
-        res = Simulator(
-            spec=UNIT_MACHINE, capacity=9, compiled=cs,
-            faults=FaultSpec(), engine="compiled",
-        ).run()
-        assert res.engine == "compiled"
+        class Tripwire(FaultSpec):
+            def injector(self):
+                raise AssertionError("inactive FaultSpec drew an injector")
+
+        for engine in ENGINES:
+            res = Simulator(
+                spec=UNIT_MACHINE, capacity=9, compiled=cs,
+                faults=Tripwire(), engine=engine,
+            ).run()
+            assert res.engine == engine
 
     def test_caller_plan_runs_compiled_exactly(self, cs):
         from repro.core.maps import plan_maps
