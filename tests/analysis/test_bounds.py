@@ -98,6 +98,27 @@ class TestEtreeOptima:
         assert a is b
 
 
+def test_bounds_prove_the_optima_where_the_analyzer_is_clean(ctx):
+    """Both proved-optimum cells under the comm model each runs with.
+
+    The paper example uses unit communication, ``etree15`` the
+    context's own model; on each the full static analyzer passes and
+    the certified bounds equal the branch-and-bound optima.
+    """
+    cells = [
+        (schedule_c(), UNIT_COMM, {"pt": 16.0, "min_mem": 7.0}),
+        (ctx.schedule("etree15", 2, "rcp"), ctx.spec.comm_model(),
+         {"min_mem": 8224.0}),
+    ]
+    for sched, comm, optima in cells:
+        assert analyze_schedule(sched, fraction=1.0).ok
+        bs = certified_bounds(
+            sched.graph, sched.placement, sched.assignment, comm
+        )
+        got = {m: (bs.pt if m == "pt" else bs.min_mem).value for m in optima}
+        assert got == pytest.approx(optima)
+
+
 class TestSoundness:
     """A certified bound is never beaten by any real schedule."""
 
