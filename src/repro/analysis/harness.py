@@ -52,7 +52,8 @@ def analyze_batch(
     knob): timing faults do not change the schedule or plan, so the
     static verdict is the same with or without them.
     """
-    from ..conformance.check import _ORDERINGS, batch_cases
+    from ..conformance.check import batch_cases
+    from ..rapid.inspector import order_with
 
     frac = fraction
     if faults is not None and faults.capacity_fraction is not None:
@@ -63,7 +64,7 @@ def analyze_batch(
         include_paper=include_paper,
     ):
         for h in heuristics:
-            sched = _ORDERINGS[h](g, pl, asg)
+            sched = order_with(h, g, pl, asg)
             reports.append(
                 analyze_schedule(sched, fraction=frac, label=f"{name}/{h}")
             )

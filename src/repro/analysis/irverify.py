@@ -17,7 +17,8 @@ current workloads would be invisible.  This module checks the IR
     indices inside their id space) and the entity counts agree.
 ``SA502`` **id-space-bijective**
     positions/tids/oids/mks/sks/groups invert exactly to the schedule's
-    tasks, the graph's objects and the interpreted engine's message keys.
+    tasks, the graph's objects and the interpreted engine's message keys
+    (the tasks through ``tid_at``, the table the run walks).
 ``SA503`` **version-table-consistent**
     the static dispatch-version flags (``od_ok0``/``od_ow``), stale
     counters (``mk_need0``), pending counts, waiter lists and outgoing
@@ -25,16 +26,19 @@ current workloads would be invisible.  This module checks the IR
     reference's name tables (:func:`~repro.machine.reference.name_tables`).
 ``SA504`` **opcode-stream-valid**
     the silent-run ends cover each processor's order exactly (a run
-    never swallows a task with inputs, messages or consumptions), the
-    numpy kernel's ``warr`` equals ``weight``, and each processor's MAP
-    positions increase strictly inside its order, end in its sentinel
-    and index the plan's MAP tables in range.
+    never swallows a task with inputs, messages or consumptions), and
+    each processor's MAP positions increase strictly inside its order,
+    end in its sentinel and index the plan's MAP tables in range.
 ``SA505`` **cost-table-sane**
-    weights, sizes and precomputed message/package/MAP costs are
-    finite, non-negative and reproduce the spec's cost expressions.
+    weights, sizes and precomputed message/MAP costs are finite,
+    non-negative and reproduce the cost expressions of the spec the
+    caller names.
 
-Every pass reads the same list objects the run loop indexes, so a
-corruption the verifier reports is one the engine would run.
+Every pass reads the same list objects the run loop indexes, each from
+the level that owns it (``lo`` per schedule, ``lo.mapping`` per
+mapping, the :class:`~repro.core.index.GraphIndex` for names and
+sizes), so a corruption the verifier reports is one the engine would
+run.
 
 The verifier must *never* crash on corrupt IR: the SA501 structural
 pass runs first and gates the deeper passes, and every pass is wrapped
@@ -54,14 +58,8 @@ from __future__ import annotations
 import functools
 from typing import Optional
 
-from ..core.index import graph_index
 from ..errors import NonExecutableScheduleError, SimulationError
-from ..machine.compiled import (
-    _NO_OVERWRITE,
-    _SEG_VEC_MIN,
-    get_exec_plan,
-    lower_schedule,
-)
+from ..machine.compiled import _NO_OVERWRITE, get_exec_plan, lower_schedule
 from .diagnostics import Diagnostic
 
 __all__ = [
@@ -141,32 +139,34 @@ def _check_csr(diags, name, ptr, idx, rows, space, space_name) -> None:
 @_guard("SA501")
 def _csr_pass(lo) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    nt, nm, nsk = lo.num_tasks, lo.num_mk, lo.num_sk
+    ml = lo.mapping
+    nt, nm, nsk = lo.num_tasks, ml.num_mk, ml.num_sk
+    nprocs = ml.num_procs
     _check_csr(diags, "proc_start", lo.proc_start, [0] * nt,
-               lo.num_procs, nt + 1, "position-range")
-    _check_csr(diags, "od_ptr/od_mk", lo.od_ptr, lo.od_mk, nt, nm, "mk-space")
-    _check_csr(diags, "od_ptr/od_ak", lo.od_ptr, lo.od_ak, nt, lo.num_ak,
+               nprocs, nt + 1, "position-range")
+    _check_csr(diags, "od_ptr/od_mk", ml.od_ptr, ml.od_mk, nt, nm, "mk-space")
+    _check_csr(diags, "od_ptr/od_ak", ml.od_ptr, ml.od_ak, nt, ml.num_ak,
                "ak-space")
-    _check_csr(diags, "od_ptr/od_dest", lo.od_ptr, lo.od_dest, nt,
-               lo.num_procs, "proc-space")
-    _check_csr(diags, "od_ptr/od_oid", lo.od_ptr, lo.od_oid, nt,
-               lo.num_objects, "object-space")
-    _check_csr(diags, "os_ptr/os_sk", lo.os_ptr, lo.os_sk, nt, nsk,
+    _check_csr(diags, "od_ptr/od_dest", ml.od_ptr, ml.od_dest, nt,
+               nprocs, "proc-space")
+    _check_csr(diags, "od_ptr/od_oid", ml.od_ptr, ml.od_oid, nt,
+               ml.num_objects, "object-space")
+    _check_csr(diags, "os_ptr/os_sk", ml.os_ptr, ml.os_sk, nt, nsk,
                "sk-space")
-    _check_csr(diags, "cons_ptr/cons_mk", lo.cons_ptr, lo.cons_mk, nt, nm,
+    _check_csr(diags, "cons_ptr/cons_mk", ml.cons_ptr, ml.cons_mk, nt, nm,
                "mk-space")
-    _check_csr(diags, "wait_ptr/wait_tid", lo.wait_ptr, lo.wait_tid, nm, nt,
+    _check_csr(diags, "wait_ptr/wait_tid", ml.wait_ptr, ml.wait_tid, nm, nt,
                "tid-space")
-    _check_csr(diags, "swait_ptr/swait_tid", lo.swait_ptr, lo.swait_tid,
+    _check_csr(diags, "swait_ptr/swait_tid", ml.swait_ptr, ml.swait_tid,
                nsk, nt, "tid-space")
-    _check_csr(diags, "grp_ptr/grp_mk", lo.grp_ptr, lo.grp_mk, lo.num_grp,
+    _check_csr(diags, "grp_ptr/grp_mk", ml.grp_ptr, ml.grp_mk, ml.num_grp,
                nm, "mk-space")
     for name, table, space in (
         ("tid_at", lo.tid_at, nt), ("od_row", lo.od_row, nt),
-        ("mk_dest", lo.mk_dest, lo.num_procs),
-        ("mk_src", lo.mk_src, lo.num_procs),
-        ("mk_oid", lo.mk_oid, lo.num_objects),
-        ("sk_dest", lo.sk_dest, lo.num_procs),
+        ("mk_dest", ml.mk_dest, nprocs),
+        ("mk_src", ml.mk_src, nprocs),
+        ("mk_oid", ml.mk_oid, ml.num_objects),
+        ("sk_dest", ml.sk_dest, nprocs),
     ):
         bad = [j for j, v in enumerate(table) if not 0 <= v < space]
         if bad:
@@ -190,7 +190,8 @@ def _bijection_pass(cs, lo) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     nt = name_tables(cs)
     g, sched = cs.graph, cs.schedule
-    names = graph_index(g).names
+    ml = lo.mapping
+    names, obj_name = ml.gi.names, ml.gi.object_names
 
     def add(msg: str, **kw) -> bool:
         diags.append(Diagnostic.of("SA502", msg, **kw))
@@ -199,49 +200,47 @@ def _bijection_pass(cs, lo) -> list[Diagnostic]:
     if lo.num_tasks != g.num_tasks:
         add(f"{lo.num_tasks} lowered tasks for {g.num_tasks} graph tasks")
     flat = [t for order in sched.orders for t in order]
-    if lo.task_name != flat:
-        add("task_name does not equal the flattened processor orders")
-    elif len(set(lo.tid_at)) != len(lo.tid_at):
-        add("tid_at maps two positions to one task")
-    elif any(names[i] != t for i, t in zip(lo.tid_at, lo.task_name)):
-        add("tid_at does not invert the GraphIndex task ids")
-    for q in range(lo.num_procs):
+    if [names[i] for i in lo.tid_at] != flat:
+        add("tid_at does not map the positions to the flattened processor "
+            "orders")
+    for q in range(ml.num_procs):
         lob, hib = lo.proc_start[q], lo.proc_start[q + 1]
         if hib - lob != len(sched.orders[q]):
             if add(f"position range [{lob}, {hib}) disagrees with the "
                    f"order length {len(sched.orders[q])}", proc=q):
                 return diags
 
-    if lo.num_objects != g.num_objects:
-        add(f"{lo.num_objects} lowered objects for {g.num_objects} "
+    if ml.num_objects != g.num_objects:
+        add(f"{ml.num_objects} lowered objects for {g.num_objects} "
             "graph objects")
     for oid, name in enumerate(sorted(o.name for o in g.objects())):
-        if oid >= len(lo.obj_name) or lo.obj_name[oid] != name:
-            if add(f"obj_name[{oid}] is not the object {name!r}", obj=name):
+        if oid >= len(obj_name) or obj_name[oid] != name:
+            if add(f"object_names[{oid}] is not the object {name!r}",
+                   obj=name):
                 return diags
 
     # Message keys: one mk per interpreted (dest, object, unit) key.
     keys = {
-        (d, lo.obj_name[o], u): mk
-        for mk, (d, o, u) in enumerate(zip(lo.mk_dest, lo.mk_oid,
-                                           lo.mk_uname))
+        (d, obj_name[o], u): mk
+        for mk, (d, o, u) in enumerate(zip(ml.mk_dest, ml.mk_oid,
+                                           ml.mk_uname))
     }
-    if len(keys) != lo.num_mk:
-        add(f"{lo.num_mk - len(keys)} mk keys are duplicated")
-    bad = [mk for mk, (s, u) in enumerate(zip(lo.mk_src, lo.mk_uname))
+    if len(keys) != ml.num_mk:
+        add(f"{ml.num_mk - len(keys)} mk keys are duplicated")
+    bad = [mk for mk, (s, u) in enumerate(zip(ml.mk_src, ml.mk_uname))
            if s != sched.assignment[nt.trigger[u]]]
     if bad:
-        add(f"mk_src[{bad[0]}] = {lo.mk_src[bad[0]]} is not the processor "
-            f"of unit {lo.mk_uname[bad[0]]!r} ({len(bad)} such mks)")
+        add(f"mk_src[{bad[0]}] = {ml.mk_src[bad[0]]} is not the processor "
+            f"of unit {ml.mk_uname[bad[0]]!r} ({len(bad)} such mks)")
     want = {(d, m, u) for d, tbl in enumerate(nt.data_waiters)
             for (m, u) in tbl}
     if set(keys) != want:
         bad = sorted(set(keys) ^ want)[:3]
         add(f"mk keys do not round-trip the schedule's data keys "
             f"(e.g. {bad})")
-    skeys = {(names[s], d) for s, d in zip(lo.sk_src, lo.sk_dest)}
-    if len(skeys) != lo.num_sk:
-        add(f"{lo.num_sk - len(skeys)} sk keys are duplicated")
+    skeys = {(names[s], d) for s, d in zip(ml.sk_src, ml.sk_dest)}
+    if len(skeys) != ml.num_sk:
+        add(f"{ml.num_sk - len(skeys)} sk keys are duplicated")
     want = {(u, d) for d, tbl in enumerate(nt.sync_waiters) for u in tbl}
     if skeys != want:
         bad = sorted(skeys ^ want)[:3]
@@ -249,14 +248,14 @@ def _bijection_pass(cs, lo) -> list[Diagnostic]:
             f"(e.g. {bad})")
 
     # group partition: every mk appears exactly once, under its group.
-    seen = [0] * lo.num_mk
-    for gid in range(lo.num_grp):
-        for j in range(lo.grp_ptr[gid], lo.grp_ptr[gid + 1]):
-            mk = lo.grp_mk[j]
+    seen = [0] * ml.num_mk
+    for gid in range(ml.num_grp):
+        for j in range(ml.grp_ptr[gid], ml.grp_ptr[gid + 1]):
+            mk = ml.grp_mk[j]
             seen[mk] += 1
-            if lo.grp_of[mk] != gid:
+            if ml.grp_of[mk] != gid:
                 if add(f"mk {mk} listed under group {gid} but grp_of says "
-                       f"{lo.grp_of[mk]}"):
+                       f"{ml.grp_of[mk]}"):
                     return diags
     bad = [mk for mk, n in enumerate(seen) if n != 1]
     if bad:
@@ -281,55 +280,56 @@ def _version_pass(cs, lo) -> list[Diagnostic]:
         diags.append(Diagnostic.of("SA503", msg, **kw))
         return len(diags) >= MAX_FINDINGS
 
-    gi = graph_index(cs.graph)
-    names, tid = gi.names, gi.tid
+    ml = lo.mapping
+    gi = ml.gi
+    names, tid, obj_name = gi.names, gi.tid, gi.object_names
     for i, name in enumerate(names):
         want = nt.pending0.get(name, 0)
-        if lo.pending0[i] != want:
-            if add(f"pending0[{i}] = {lo.pending0[i]} but the "
+        if ml.pending0[i] != want:
+            if add(f"pending0[{i}] = {ml.pending0[i]} but the "
                    f"schedule needs {want} inputs", task=name):
                 return diags
-    for mk in range(lo.num_mk):
-        dest, m, unit = lo.mk_dest[mk], lo.obj_name[lo.mk_oid[mk]], \
-            lo.mk_uname[mk]
+    for mk in range(ml.num_mk):
+        dest, m, unit = ml.mk_dest[mk], obj_name[ml.mk_oid[mk]], \
+            ml.mk_uname[mk]
         want_need = nt.need_count0[dest].get((m, unit))
-        if lo.mk_need0[mk] != want_need:
-            if add(f"mk_need0[{mk}] = {lo.mk_need0[mk]} but "
+        if ml.mk_need0[mk] != want_need:
+            if add(f"mk_need0[{mk}] = {ml.mk_need0[mk]} but "
                    f"{want_need} stale copies are outstanding",
                    obj=m, proc=dest):
                 return diags
         want_wait = sorted(
             tid[w] for w in nt.data_waiters[dest].get((m, unit), ()))
-        got_wait = sorted(lo.wait_tid[lo.wait_ptr[mk]:lo.wait_ptr[mk + 1]])
+        got_wait = sorted(ml.wait_tid[ml.wait_ptr[mk]:ml.wait_ptr[mk + 1]])
         if want_wait != got_wait:
             if add(f"waiter list of mk {mk} disagrees with data_waiters",
                    obj=m, proc=dest):
                 return diags
-    for sk in range(lo.num_sk):
-        u, dest = names[lo.sk_src[sk]], lo.sk_dest[sk]
+    for sk in range(ml.num_sk):
+        u, dest = names[ml.sk_src[sk]], ml.sk_dest[sk]
         want_wait = sorted(tid[w] for w in nt.sync_waiters[dest].get(u, ()))
-        got_wait = sorted(lo.swait_tid[lo.swait_ptr[sk]:lo.swait_ptr[sk + 1]])
+        got_wait = sorted(ml.swait_tid[ml.swait_ptr[sk]:ml.swait_ptr[sk + 1]])
         if want_wait != got_wait:
             if add(f"waiter list of sk {sk} disagrees with sync_waiters",
                    proc=dest):
                 return diags
 
     # Outgoing rows, in send order, against the trigger tables.
-    for pos, name in enumerate(lo.task_name):
-        i = lo.tid_at[pos]
+    for i in lo.tid_at:
+        name = names[i]
         r = lo.od_row[i]
         got = [
-            (lo.obj_name[lo.od_oid[od]], lo.od_uname[od], lo.od_dest[od],
-             lo.od_nbytes[od])
-            for od in range(lo.od_ptr[r], lo.od_ptr[r + 1])
+            (obj_name[ml.od_oid[od]], ml.od_uname[od], ml.od_dest[od],
+             ml.od_nbytes[od])
+            for od in range(ml.od_ptr[r], ml.od_ptr[r + 1])
         ]
         if got != list(nt.out_data.get(name, ())):
             if add(f"data messages sent after {name!r} disagree with the "
                    "schedule's triggers", task=name):
                 return diags
         got = [
-            (names[lo.sk_src[lo.os_sk[j]]], lo.sk_dest[lo.os_sk[j]])
-            for j in range(lo.os_ptr[i], lo.os_ptr[i + 1])
+            (names[ml.sk_src[ml.os_sk[j]]], ml.sk_dest[ml.os_sk[j]])
+            for j in range(ml.os_ptr[i], ml.os_ptr[i + 1])
         ]
         if got != list(nt.out_sync.get(name, ())):
             if add(f"sync messages sent after {name!r} disagree with "
@@ -337,19 +337,19 @@ def _version_pass(cs, lo) -> list[Diagnostic]:
                 return diags
 
     # Independent recomputation of the static dispatch-version flags.
-    for q in range(lo.num_procs):
+    for q in range(ml.num_procs):
         ver: dict[str, str] = {}
         writes: dict[str, list[tuple[int, str]]] = {}
         lob, hib = lo.proc_start[q], lo.proc_start[q + 1]
         for pos in range(lob, hib):
-            name = lo.task_name[pos]
+            name = names[lo.tid_at[pos]]
             for m, uu in nt.write_version[name]:
                 ver[m] = uu
                 writes.setdefault(m, []).append((pos, uu))
             r = lo.od_row[lo.tid_at[pos]]
-            for od in range(lo.od_ptr[r], lo.od_ptr[r + 1]):
-                m = lo.obj_name[lo.od_oid[od]]
-                ok = ver.get(m) == lo.od_uname[od]
+            for od in range(ml.od_ptr[r], ml.od_ptr[r + 1]):
+                m = obj_name[ml.od_oid[od]]
+                ok = ver.get(m) == ml.od_uname[od]
                 if lo.od_ok0[od] != ok:
                     if add(f"od_ok0[{od}] = {lo.od_ok0[od]} but the "
                            f"order scan proves {ok}", proc=q, task=name,
@@ -357,9 +357,9 @@ def _version_pass(cs, lo) -> list[Diagnostic]:
                         return diags
         for pos in range(lob, hib):
             r = lo.od_row[lo.tid_at[pos]]
-            for od in range(lo.od_ptr[r], lo.od_ptr[r + 1]):
-                req = lo.od_uname[od]
-                m = lo.obj_name[lo.od_oid[od]]
+            for od in range(ml.od_ptr[r], ml.od_ptr[r + 1]):
+                req = ml.od_uname[od]
+                m = obj_name[ml.od_oid[od]]
                 ow = _NO_OVERWRITE
                 for wpos, uu in writes.get(m, ()):
                     if wpos > pos and uu != req:
@@ -386,12 +386,16 @@ def _opcode_pass(lo, ep) -> list[Diagnostic]:
         diags.append(Diagnostic.of("SA504", msg, **kw))
         return len(diags) >= MAX_FINDINGS
 
+    ml = lo.mapping
+    names = ml.gi.names
+    nprocs = ml.num_procs
+
     def noisy(i: int) -> bool:
         r = lo.od_row[i]
-        return (lo.pending0[i] > 0
-                or lo.od_ptr[r] != lo.od_ptr[r + 1]
-                or lo.os_ptr[i] != lo.os_ptr[i + 1]
-                or lo.cons_ptr[i] != lo.cons_ptr[i + 1])
+        return (ml.pending0[i] > 0
+                or ml.od_ptr[r] != ml.od_ptr[r + 1]
+                or ml.os_ptr[i] != ml.os_ptr[i + 1]
+                or ml.cons_ptr[i] != ml.cons_ptr[i + 1])
 
     # Silent-run ends: run_end[pos] is the end of the silent run from
     # pos (the next noisy position or the end of the order), -1 at a
@@ -400,7 +404,7 @@ def _opcode_pass(lo, ep) -> list[Diagnostic]:
         add(f"run_end has {len(lo.run_end)} entries for {lo.num_tasks} "
             "positions")
         return diags
-    for q in range(lo.num_procs):
+    for q in range(nprocs):
         start, nxt = lo.proc_start[q], lo.proc_start[q + 1]
         for pos in range(nxt - 1, start - 1, -1):
             want = -1 if noisy(lo.tid_at[pos]) else nxt
@@ -408,20 +412,11 @@ def _opcode_pass(lo, ep) -> list[Diagnostic]:
                 nxt = pos
             if lo.run_end[pos] != want:
                 kind = "noisy task" if want < 0 else "silent run"
+                name = names[lo.tid_at[pos]]
                 if add(f"run_end[{pos}] = {lo.run_end[pos]} but the "
-                       f"{kind} at {lo.task_name[pos]!r} wants {want}",
-                       proc=q, task=lo.task_name[pos],
-                       position=pos - start):
+                       f"{kind} at {name!r} wants {want}",
+                       proc=q, task=name, position=pos - start):
                     return diags
-            elif want - pos > lo.max_run:
-                if add(f"silent run at {pos} is longer than max_run "
-                       f"{lo.max_run}", proc=q):
-                    return diags
-    if (lo.warr is None) != (lo.max_run < _SEG_VEC_MIN):
-        add(f"numpy kernel weights warr missing or surplus for the "
-            f"longest silent run ({lo.max_run} tasks)")
-    elif lo.warr is not None and lo.warr.tolist() != lo.weight:
-        add("numpy kernel weights warr disagree with weight")
     if ep is None:
         return diags[:MAX_FINDINGS]
 
@@ -435,10 +430,10 @@ def _opcode_pass(lo, ep) -> list[Diagnostic]:
                 or any(ptr[k] > ptr[k + 1] for k in range(nmaps))):
             if add(f"MAP ranges {name} do not index their table"):
                 return diags
-    if len(ep.map_first) != lo.num_procs or len(ep.map_cost) != nmaps:
-        add(f"{len(ep.map_first)} MAP lists for {lo.num_procs} processors")
+    if len(ep.map_first) != nprocs or len(ep.map_cost) != nmaps:
+        add(f"{len(ep.map_first)} MAP lists for {nprocs} processors")
         return diags
-    for q in range(lo.num_procs):
+    for q in range(nprocs):
         start, end = lo.proc_start[q], lo.proc_start[q + 1]
         k = ep.map_first[q]
         prev = start - 1
@@ -454,7 +449,7 @@ def _opcode_pass(lo, ep) -> list[Diagnostic]:
             if add(f"P{q}'s MAP list does not end in its sentinel at {end}",
                    proc=q):
                 return diags
-        nxt = ep.map_first[q + 1] if q + 1 < lo.num_procs else nmaps
+        nxt = ep.map_first[q + 1] if q + 1 < nprocs else nmaps
         if nxt != k + 1:
             if add(f"P{q}'s MAP list ends at {k} but the next processor's "
                    f"starts at {nxt}", proc=q):
@@ -472,8 +467,12 @@ def _finite_nonneg(x) -> bool:
 
 
 @_guard("SA505")
-def _cost_pass(lo, ep) -> list[Diagnostic]:
+def _cost_pass(lo, ep, spec) -> list[Diagnostic]:
+    """``ep`` and ``spec`` (both or neither): also check the mapping's
+    message costs under ``spec`` and the exec plan's MAP costs."""
     diags: list[Diagnostic] = []
+    ml = lo.mapping
+    gi = ml.gi
 
     def add(msg: str, **kw) -> bool:
         diags.append(Diagnostic.of("SA505", msg, **kw))
@@ -482,31 +481,31 @@ def _cost_pass(lo, ep) -> list[Diagnostic]:
     for pos, w in enumerate(lo.weight):
         if not _finite_nonneg(w):
             if add(f"task weight[{pos}] = {w!r} is not finite non-negative",
-                   task=lo.task_name[pos]):
+                   task=gi.names[lo.tid_at[pos]]):
                 return diags
-    for oid, sz in enumerate(lo.obj_size):
+    for oid, sz in enumerate(gi.oid_size):
         if sz < 0:
-            if add(f"obj_size[{oid}] = {sz} is negative",
-                   obj=lo.obj_name[oid]):
+            if add(f"oid_size[{oid}] = {sz} is negative",
+                   obj=gi.object_names[oid]):
                 return diags
     for q, pb in enumerate(lo.perm_bytes):
         if pb < 0:
             if add(f"perm_bytes[P{q}] = {pb} is negative", proc=q):
                 return diags
-    for od, nb in enumerate(lo.od_nbytes):
+    for od, nb in enumerate(ml.od_nbytes):
         if nb < 0:
             if add(f"od_nbytes[{od}] = {nb} is negative"):
                 return diags
 
     if ep is not None:
-        spec = ep.spec
-        for od, nb in enumerate(lo.od_nbytes):
-            if ep.od_net[od] != spec.message_time(nb):
-                if add(f"od_net[{od}] = {ep.od_net[od]!r} does not "
+        od_net, od_nic = ml.costs(spec)
+        for od, nb in enumerate(ml.od_nbytes):
+            if od_net[od] != spec.message_time(nb):
+                if add(f"od_net[{od}] = {od_net[od]!r} does not "
                        "reproduce spec.message_time"):
                     return diags
-            if ep.od_nic[od] != nb * spec.byte_time:
-                if add(f"od_nic[{od}] = {ep.od_nic[od]!r} does not "
+            if od_nic[od] != nb * spec.byte_time:
+                if add(f"od_nic[{od}] = {od_nic[od]!r} does not "
                        "reproduce spec.byte_time"):
                     return diags
         # The entry before each processor's first MAP (and the last one)
@@ -547,7 +546,7 @@ def verify_lowering(cs) -> list[Diagnostic]:
     diags += _bijection_pass(cs, lo)
     diags += _version_pass(cs, lo)
     diags += _opcode_pass(lo, None)
-    diags += _cost_pass(lo, None)
+    diags += _cost_pass(lo, None, None)
     return diags
 
 
@@ -573,7 +572,7 @@ def verify_exec_plan(
         return diags
     lo = lower_schedule(cs)
     diags += _opcode_pass(lo, ep)
-    diags += _cost_pass(lo, ep)
+    diags += _cost_pass(lo, ep, spec)
     # the lowering-level findings were already collected once
     seen: set[tuple] = set()
     uniq = []
@@ -612,13 +611,14 @@ def verify_report(
     return report
 
 
-def debug_verify(cs, ep=None) -> None:
+def debug_verify(cs, ep=None, spec=None) -> None:
     """Raise :class:`~repro.errors.SimulationError` on any IR error.
 
     Hooked into :func:`repro.machine.compiled.lower_schedule` /
     :func:`~repro.machine.compiled.get_exec_plan` when the
     ``REPRO_VERIFY_IR`` environment variable is set (the engine's debug
-    path); ``ep`` skips re-deriving the plan the caller just built.
+    path); ``ep`` skips re-deriving the plan the caller just built for
+    ``spec``.
     """
     lo = lower_schedule(cs)
     diags = _csr_pass(lo)
@@ -626,7 +626,7 @@ def debug_verify(cs, ep=None) -> None:
         diags += _bijection_pass(cs, lo)
         diags += _version_pass(cs, lo)
         diags += _opcode_pass(lo, ep)
-        diags += _cost_pass(lo, ep)
+        diags += _cost_pass(lo, ep, spec)
     errors = [d for d in diags if d.severity >= 2]
     if errors:
         body = "; ".join(str(d) for d in errors[:5])

@@ -164,13 +164,15 @@ def _require_cell(args) -> None:
     """Raise ``ValueError`` naming a bad ``--procs``, ``--fraction`` or
     ``--workload`` of ``trace``, ``analyze`` or ``check`` (the message
     :func:`main` prints before exiting 2)."""
-    if args.experiment == "check":
-        # check's fraction is a position between MIN_MEM and TOT.
+    if args.experiment == "check" or (
+            args.experiment == "analyze" and args.workload == "paper"):
+        # The check/analyze batch's fraction is a position between
+        # MIN_MEM and TOT.
         require_grid(args.procs or (), ())
         if not 0.0 <= args.fraction <= 1.0:
             raise ValueError(
-                "check --fraction is a position between MIN_MEM (0) and "
-                f"TOT (1), got {args.fraction}"
+                f"{args.experiment} --fraction is a position between "
+                f"MIN_MEM (0) and TOT (1), got {args.fraction}"
             )
         return
     # --procs/--fraction pick the cell: the sweep's grid check.

@@ -16,9 +16,6 @@ from typing import Optional, Sequence
 from ..core import cyclic_placement, owner_compute_assignment
 from ..core.liveness import analyze_memory
 from ..core.maps import MapPlan, MapPoint
-from ..core.rcp import rcp_order
-from ..core.mpo import mpo_order
-from ..core.dts import dts_order
 from ..errors import DeadlockError, ReproError
 from ..graph import generators
 from ..machine.simulator import CompiledSchedule, Simulator
@@ -34,9 +31,6 @@ __all__ = [
     "overwrite_demo",
     "run_check",
 ]
-
-_ORDERINGS = {"rcp": rcp_order, "mpo": mpo_order, "dts": dts_order}
-
 
 @dataclass
 class CheckReport:
@@ -274,13 +268,15 @@ def check_batch(
     Every graph is scheduled with each heuristic; seeds are
     ``seed .. seed + graphs - 1`` so a batch is fully reproducible.
     """
+    from ..rapid.inspector import order_with
+
     reports: list[CheckReport] = []
     for name, g, pl, asg in batch_cases(
         seed, graphs=graphs, procs=procs, tasks=tasks, objects=objects,
         include_paper=include_paper,
     ):
         for h in heuristics:
-            sched = _ORDERINGS[h](g, pl, asg)
+            sched = order_with(h, g, pl, asg)
             reports.append(
                 run_check(
                     sched,

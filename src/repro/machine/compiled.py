@@ -18,7 +18,9 @@ built once at its level and shared below it:
 assignment, so RCP, MPO and DTS at one P share one copy).  Tasks are
 numbered by their :class:`~repro.core.index.GraphIndex` id (``tid``,
 program order); objects by ``oid`` (sorted names); a producer unit by
-the tid of its first task.
+the tid of its first task.  Task names, object names and object sizes
+stay on that index (``ml.gi``: ``names``, ``object_names``,
+``oid_size``); the lowering copies none of them.
 
 ``mk``
     a *data message key* ``(dest, object, unit)``; carries a CSR waiter
@@ -41,28 +43,31 @@ the tid of its first task.
 ``CompiledSchedule``).  A *position* ``pos`` numbers the flattened
 processor orders; ``proc_start`` maps a processor to its contiguous
 position range and ``tid_at[pos]`` to the task.  The schedule adds
-the order-contiguous ``weight`` list (and its numpy copy ``warr`` when
-some silent run is long enough for the numpy kernel), the
-commuting-group triggers (``od_row``: the tid row whose data messages
-the task at a tid sends), the dispatch-version flags ``od_ok0`` /
-``od_ow`` and ``run_end``.  A task is *noisy* when it has remote
-inputs, outgoing messages or consumptions, else *silent*; a maximal run
-of silent tasks executes in one kernel call, and ``run_end[pos]`` is the
-end of the run starting at ``pos`` (``-1`` at a noisy task).  Unknown
-attributes of a ``LoweredSchedule`` read through to its mapping tables
-(``lo.od_ptr is lo.mapping.od_ptr``).
+the order-contiguous ``weight`` list, the commuting-group triggers
+(``od_row``: the tid row whose data messages the task at a tid sends),
+the dispatch-version flags ``od_ok0`` / ``od_ow`` and ``run_end``.  A
+task is *noisy* when it has remote inputs, outgoing messages or
+consumptions, else *silent*; a maximal run of silent tasks executes in
+one kernel call, and ``run_end[pos]`` is the end of the run starting
+at ``pos`` (``-1`` at a noisy task).  A ``LoweredSchedule`` holds no
+mapping table: readers name ``lo.mapping`` (``lo.mapping.od_ptr``),
+and a diagnostic that needs the task at a position reads
+``gi.names[lo.tid_at[pos]]``.
 The MAP planner's capacity-independent tables are memoised per
 schedule as well, on the :class:`~repro.core.liveness.MemoryProfile`.
 
 **Per cell** (:class:`ExecPlan`, the last :data:`MAX_EXEC_PLANS`
 memoised per ``(capacity, spec, memory_managed, preknown)``): only the
-MAPs.  ``map_pos`` lists each
-processor's MAP positions followed by a sentinel at the end of its
-order (``map_first[q]`` is its first entry); per MAP ``map_cost`` and
-CSR ranges into its frees (``mf_oid``/``mf_grp``), allocations
-(``ma_oid``) and address packages (``pkg_*``).  An exec plan's size
-scales with the MAPs, not the tasks.  The run loop walks positions and
-cuts a silent run at ``min(run_end[pos], next MAP position)``.
+MAPs.  The run's other inputs — capacity, memory mode, the spec's costs
+and the mapping's per-spec message costs — are read from the
+simulator, the spec and :meth:`MappingLowering.costs`.  ``map_pos``
+lists each processor's MAP positions followed by a sentinel at the end
+of its order (``map_first[q]`` is its first entry); per MAP
+``map_cost`` and CSR ranges into its frees (``mf_oid``/``mf_grp``),
+allocations (``ma_oid``) and address packages (``pkg_*``).  An exec
+plan's size scales with the MAPs, not the tasks.  The run loop walks
+positions and cuts a silent run at ``min(run_end[pos], next MAP
+position)``.
 
 Events are 3-tuples ``(time, seq, code)`` where ``code`` packs
 ``kind << 44 | arg``.
@@ -78,7 +83,7 @@ Three rules make that possible:
 * **Identical float expressions.**  Every time value is produced by the
   same sequential float64 operation sequence as the interpreted engine
   (``start + cost``, ``max(avail, t)``, per-spec cost formulas copied
-  verbatim); there is no numpy accumulation in the run loop.
+  verbatim); there is no vectorised accumulation in the run loop.
 * **Push-only bootstrap.**  The interpreted bootstrap advances every
   processor before the first pop, so each processor's *first* task
   completion must enter the heap (never complete inline) to keep the
@@ -92,11 +97,11 @@ Three rules make that possible:
   intervening seq-bearing pushes.  Ties (``f >= heap-min``) always go
   through the heap.
 
-A silent run applies the same rule task by task: one checked kernel per
-run size (``_seg_until_hot`` over ``weight``, ``_seg_until_vec`` over
-``warr``) executes tasks until the first finish at or past the horizon.
-``*_hot`` functions are kept free of per-event Python allocation by
-``tools/lint_rules.py`` (``compiled-hot-alloc``).
+A silent run applies the same rule task by task: one checked kernel,
+``_seg_until_hot`` over ``weight``, executes tasks until the first
+finish at or past the horizon.  ``*_hot`` functions are kept free of
+per-event Python allocation by ``tools/lint_rules.py``
+(``compiled-hot-alloc``).
 
 Static dispatch-version flags replace the interpreted engine's dynamic
 ``current_version`` dict: under the owner-compute rule every writer of
@@ -131,17 +136,16 @@ included (the last through an uncached exec plan).  An active
 :class:`~repro.conformance.faults.FaultSpec` perturbs the oracle's four
 sites behind one run-local ``fi`` hoisted like ``observing``: put delay
 (arrival), consume delay (slot free in RA), slot overwrite (package
-send) and slowdown (a run-local scaled copy of ``weight``/``warr``).
+send) and slowdown (a run-local scaled copy of ``weight``).
 :class:`~repro.machine.spec.MachineSpec` and ``FaultSpec`` reject
 negative or non-finite costs and knobs before either engine runs.
 
 Implementation note: every table is one plain Python list, because
-scalar list indexing is several times faster than per-element numpy
-indexing under CPython.  The run loop and the IR verifier
-(:mod:`repro.analysis.irverify`) read the same list objects, so a
-verified table is the table that runs.  numpy appears only in the
-``warr`` kernel of long silent runs (:func:`_seg_until_vec`), which is
-bit-identical to the Python loop and selected by run length.
+scalar list indexing is several times faster than per-element array
+indexing under CPython, and no array library is imported.  The run
+loop and the IR verifier (:mod:`repro.analysis.irverify`) read the same
+list objects, each from the level that owns it, so a verified table is
+the table that runs.
 """
 
 from __future__ import annotations
@@ -150,8 +154,6 @@ import heapq
 import os
 from time import perf_counter
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from ..core.index import graph_index
 from ..core.maps import maps_by_position
@@ -197,10 +199,6 @@ MAX_EXEC_PLANS = 2
 class _GraphIds(NamedTuple):
     """Graph-only id tables (memoised on the :class:`GraphIndex`)."""
 
-    #: tid -> task name (``GraphIndex.names``)
-    names: list[str]
-    #: object name -> oid (position in the sorted object names)
-    oid_of: dict[str, int]
     #: tid -> its producer unit (the tid of the unit's first task)
     unit_of: list[int]
     #: unit -> its name (commuting-group key or task name), by unit tid
@@ -217,7 +215,7 @@ class _GraphIds(NamedTuple):
 
 
 def _graph_ids(g, gi) -> _GraphIds:
-    oid_of = {n: i for i, n in enumerate(gi.object_names)}
+    oid_of = gi.oid
     tid = gi.tid
     n = len(gi.names)
     unit_of = list(range(n))
@@ -246,8 +244,8 @@ def _graph_ids(g, gi) -> _GraphIds:
             # engine's sorted(objs) send order
             key = tuple(sorted(oid_of[m] for m in objs))
             edge_objs.append(shared.setdefault(key, key))
-    return _GraphIds(gi.names, oid_of, unit_of, unit_name, groups, writes,
-                     edge_u, edge_v, edge_objs)
+    return _GraphIds(unit_of, unit_name, groups, writes, edge_u, edge_v,
+                     edge_objs)
 
 
 class MappingLowering:
@@ -270,7 +268,8 @@ class MappingLowering:
         # int-keyed: (owner * num_objects + oid) * num_procs + dest, and
         # dest * num_objects + oid
         "ak_index", "grp_index",
-        "obj_name", "obj_size", "ids", "_costs",
+        # the GraphIndex the ids number (task and object names, sizes)
+        "gi", "ids", "_costs",
     )
 
     def costs(self, spec: MachineSpec) -> tuple[list[float], list[float]]:
@@ -305,9 +304,9 @@ def _lower_mapping(g, gi, mi) -> MappingLowering:
     cross-processor edge, from the graph's edge lists in tid space."""
     ids = gi.memo("compiled-ids", lambda: _graph_ids(g, gi))
     unit_of, unit_name, groups = ids.unit_of, ids.unit_name, ids.groups
-    proc, size = mi.proc, gi.obj_size
+    proc = mi.proc
     n = len(gi.names)
-    nobj = len(ids.oid_of)
+    nobj = len(gi.object_names)
     mk_of: dict[int, int] = {}  # (dest * nobj + oid) * n + unit -> mk
     mk_dest: list[int] = []
     mk_oid: list[int] = []
@@ -392,12 +391,10 @@ def _lower_mapping(g, gi, mi) -> MappingLowering:
         )
 
     ml = MappingLowering()
-    ml.ids = ids
+    ml.gi, ml.ids = gi, ids
     ml.num_procs = nprocs
     ml.num_tasks = n
     ml.num_objects = nobj
-    ml.obj_name = list(gi.object_names)
-    ml.obj_size = [size[m] for m in ml.obj_name]
     ml.pending0 = pending0
     ml.num_mk, ml.num_sk = len(mk_dest), len(sk_dest)
     ml.mk_dest, ml.mk_oid, ml.mk_need0 = mk_dest, mk_oid, mk_need0
@@ -431,7 +428,8 @@ def _lower_mapping(g, gi, mi) -> MappingLowering:
     ml.od_oid = [mk_oid[mk] for mk in ml.od_mk]
     ml.od_unit = [mk_unit[mk] for mk in ml.od_mk]
     ml.od_uname = [unit_name[u] for u in ml.od_unit]
-    ml.od_nbytes = [ml.obj_size[o] for o in ml.od_oid]
+    osz = gi.oid_size
+    ml.od_nbytes = [osz[o] for o in ml.od_oid]
     ak_index: dict[int, int] = {}
     od_ak: list[int] = []
     for mk, o, dest in zip(ml.od_mk, ml.od_oid, ml.od_dest):
@@ -456,25 +454,15 @@ class LoweredSchedule:
     """Per-schedule list tables in position space (see module docstring).
 
     Built once per :class:`~repro.machine.simulator.CompiledSchedule`
-    by :func:`lower_schedule`.  Attributes not set here — the message,
-    sync, address and group tables — read through to :attr:`mapping`,
-    the shared :class:`MappingLowering`.
+    by :func:`lower_schedule`.  The message, sync, address and group
+    tables are the shared :class:`MappingLowering`'s, read from
+    :attr:`mapping`.
     """
 
     __slots__ = (
-        "mapping", "num_tasks", "proc_start", "tid_at", "task_name",
-        "weight", "warr", "max_run", "run_end", "od_row", "od_ok0",
-        "od_ow", "perm_bytes",
+        "mapping", "num_tasks", "proc_start", "tid_at", "weight",
+        "run_end", "od_row", "od_ok0", "od_ow", "perm_bytes",
     )
-
-    def __getattr__(self, name):
-        if name.startswith("__") or name == "mapping":
-            raise AttributeError(name)
-        if name == "task_name":  # diagnostics only: built on first use
-            names = self.mapping.ids.names
-            self.task_name = [names[i] for i in self.tid_at]
-            return self.task_name
-        return getattr(self.mapping, name)
 
     def version_at(self, q: int, oid: int, done: int) -> Optional[str]:
         """Unit name of the last write of ``oid`` among the first
@@ -493,25 +481,21 @@ class ExecPlan:
     """MAP tables of one (capacity, spec, mode) tuple.
 
     Holds each processor's MAP positions (as positions of the
-    :class:`LoweredSchedule`, plus one end-of-order sentinel each), the
-    lowered MAP actions with their costs (the interpreted engine's exact
-    float expressions; a package's cost is computed when it is sent,
-    like there) and the mapping's per-spec message costs.  Its size
-    scales with the MAPs, not the tasks.  The last
+    :class:`LoweredSchedule`, plus one end-of-order sentinel each) and
+    the lowered MAP actions with their costs (the interpreted engine's
+    exact float expressions; a package's cost is computed when it is
+    sent, like there), nothing else.  Its size scales with the MAPs,
+    not the tasks.  The last
     :data:`MAX_EXEC_PLANS` are cached on the owning ``CompiledSchedule``
     under ``(capacity, spec, memory_managed, preknown)``; a
     caller-supplied MAP plan gets an uncached one.
     """
 
     __slots__ = (
-        "capacity", "spec", "memory_managed", "preknown", "managed_check",
-        "known_all",
         "map_first", "map_pos", "map_cost",
         "mf_ptr", "mf_oid", "mf_grp", "ma_ptr", "ma_oid", "mp_ptr",
         "pkg_src", "pkg_dst", "pkg_objs",
         "pkg_ak_ptr", "pkg_ak",
-        "od_net", "od_nic",
-        "send_oh", "put_lat", "ra_cost", "nic_serialize",
     )
 
 
@@ -578,7 +562,6 @@ def lower_schedule(cs) -> LoweredSchedule:
     # its last task), so the first later write is the first
     # invalidating overwrite.
     run_end = [-1] * n
-    max_run = 0
     od_oid, od_unit = ml.od_oid, ml.od_unit
     od_row_of = lo.od_row
     writes, unit_of = ids.writes, ids.unit_of
@@ -600,8 +583,6 @@ def lower_schedule(cs) -> LoweredSchedule:
             if noisy[i]:
                 if pos > run:
                     run_end[run:pos] = [pos] * (pos - run)
-                    if pos - run > max_run:
-                        max_run = pos - run
                 run = pos + 1
                 r = od_row_of[i]
                 for od in range(od_ptr[r], od_ptr[r + 1]):
@@ -614,14 +595,8 @@ def lower_schedule(cs) -> LoweredSchedule:
                         ods.append(od)
         if end > run:
             run_end[run:end] = [end] * (end - run)
-            if end - run > max_run:
-                max_run = end - run
-    lo.run_end, lo.max_run = run_end, max_run
+    lo.run_end = run_end
     lo.od_ok0, lo.od_ow = od_ok0, od_ow
-    lo.warr = (
-        np.asarray(weight, dtype=np.float64)
-        if max_run >= _SEG_VEC_MIN else None
-    )
     lo.perm_bytes = cs.perm_bytes
 
     cs.counters["lower_s"] += perf_counter() - _t0_lower
@@ -635,29 +610,9 @@ def lower_schedule(cs) -> LoweredSchedule:
     return lo
 
 
-#: Run length from which the numpy kernel beats the Python loop.
-#: ``np.add.accumulate`` is an element-recursive left fold — the exact
-#: addition sequence of the Python kernel — so both paths are
-#: bit-identical and the switch is purely a speed decision.
-_SEG_VEC_MIN = 64
-
-
-def _build_exec_plan(cs, lo, plan, capacity, spec, memory_managed,
-                     preknown) -> ExecPlan:
+def _build_exec_plan(lo, plan, spec) -> ExecPlan:
     ml = lo.mapping
     ep = ExecPlan()
-    ep.capacity = capacity
-    ep.spec = spec
-    ep.memory_managed = memory_managed
-    ep.preknown = preknown
-    ep.managed_check = memory_managed and not preknown
-    ep.known_all = not memory_managed or preknown
-    ep.send_oh = spec.send_overhead
-    ep.put_lat = spec.put_latency
-    ep.ra_cost = spec.ra_cost
-    ep.nic_serialize = spec.nic_serialize
-    ep.od_net, ep.od_nic = ml.costs(spec)
-
     map_first: list[int] = []
     map_pos: list[int] = []
     map_cost: list[float] = []
@@ -672,7 +627,7 @@ def _build_exec_plan(cs, lo, plan, capacity, spec, memory_managed,
     pkg_objs: list[list[str]] = []
     pkg_ak_ptr = [0]
     pkg_ak: list[int] = []
-    oid_of = ml.ids.oid_of
+    oid_of = ml.gi.oid
     grp_index, ak_index = ml.grp_index, ml.ak_index
     map_overhead, free_cost = spec.map_overhead, spec.free_cost
     alloc_cost = spec.alloc_cost
@@ -763,8 +718,7 @@ def get_exec_plan(
         plan = None
     elif not caller:
         plan = cs.plan_for(capacity)
-    ep = _build_exec_plan(cs, lo, plan, capacity, spec, memory_managed,
-                          preknown)
+    ep = _build_exec_plan(lo, plan, spec)
     cs.counters["exec_plan_s"] += perf_counter() - _t0_plan
     if not caller:
         cs._exec_plans[key] = ep
@@ -774,34 +728,8 @@ def get_exec_plan(
         # Debug path: check the MAP tables before anything runs them.
         from ..analysis.irverify import debug_verify
 
-        debug_verify(cs, ep)
+        debug_verify(cs, ep, spec)
     return ep
-
-
-def _seg_until_vec(warr, k, n, a, b, thr, bufa, bufb):
-    """Vectorised :func:`_seg_until_hot` over ``warr`` (the weights of
-    positions ``k..n-1``); bit-identical results.
-
-    The finish-time prefix is nondecreasing (weights are nonnegative,
-    and IEEE addition of a nonnegative term never rounds below the
-    base), so the first crossing is a ``searchsorted``: the insertion
-    point counts exactly the finishes strictly below ``thr``.  ``bufa``
-    and ``bufb`` are run-local scratch accumulators (the avail and busy
-    chains use different bases).
-    """
-    nk = n - k
-    acca = bufa[: nk + 1]
-    acca[0] = a
-    acca[1:] = warr[k:n]
-    np.add.accumulate(acca, out=acca)
-    j = int(np.searchsorted(acca[1:], thr, side="left"))
-    e = j + 1 if j < nk else nk  # the crossing task itself executes
-    accb = bufb[: e + 1]
-    accb[0] = b
-    accb[1:] = warr[k : k + e]
-    np.add.accumulate(accb, out=accb)
-    lastf = float(acca[j]) if j > 0 else a
-    return float(acca[e]), float(accb[e]), k + j, lastf
 
 
 def _seg_until_hot(weight, k, n, a, b, thr):
@@ -851,21 +779,21 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
     #: perturbation site costs one local-is-None test).
     fi = sim.faults.injector() if sim.faults and sim.faults.active else None
     overwrite = fi is not None and fi.overwrite_slots
-    ep = get_exec_plan(
-        cs, sim.capacity, spec, sim.memory_managed, sim.preknown_addresses,
-        plan=sim.plan,
-    )
+    capacity = sim.capacity
+    memory_managed = sim.memory_managed
+    preknown = sim.preknown_addresses
+    managed_check = memory_managed and not preknown
+    ep = get_exec_plan(cs, capacity, spec, memory_managed, preknown,
+                       plan=sim.plan)
     lo = cs._lowered
     ml = lo.mapping
+    gi = ml.gi
     nprocs = ml.num_procs
     nobjects = ml.num_objects
-    capacity = sim.capacity
-    preknown = ep.preknown
-    managed_check = ep.managed_check
 
     # Static tables as locals (closure lookups beat attribute lookups).
     proc_start, tid_at = lo.proc_start, lo.tid_at
-    weight, warr, run_end = lo.weight, lo.warr, lo.run_end
+    weight, run_end = lo.weight, lo.run_end
     od_row, od_ok0, od_ow = lo.od_row, lo.od_ok0, lo.od_ow
     od_ptr, os_ptr, cons_ptr = ml.od_ptr, ml.os_ptr, ml.cons_ptr
     od_mk, od_ak = ml.od_mk, ml.od_ak
@@ -883,21 +811,19 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
     pkg_objs = ep.pkg_objs
     pkg_oh, addr_cost = spec.package_overhead, spec.address_cost
     pkg_ak_ptr, pkg_ak = ep.pkg_ak_ptr, ep.pkg_ak
-    od_net, od_nic = ep.od_net, ep.od_nic
-    osz = ml.obj_size
-    obj_name = ml.obj_name
+    od_net, od_nic = ml.costs(spec)
+    osz = gi.oid_size
+    obj_name = gi.object_names
     od_oid, od_dest, od_uname = ml.od_oid, ml.od_dest, ml.od_uname
     od_nbytes = ml.od_nbytes
-    names = ml.ids.names
-    send_oh, put_lat, ra_cost = ep.send_oh, ep.put_lat, ep.ra_cost
-    nic_serialize = ep.nic_serialize
+    names = gi.names
+    send_oh, put_lat, ra_cost = (spec.send_overhead, spec.put_latency,
+                                 spec.ra_cost)
+    nic_serialize = spec.nic_serialize
     heappush, heappop = heapq.heappush, heapq.heappop
     if fi is not None:  # the oracle's ``w * fi.exe_factor(q)`` per task
         weight = [weight[k] * fi.exe_factor(q) for q in range(nprocs)
                   for k in range(proc_start[q], proc_start[q + 1])]
-        warr = None if warr is None else np.asarray(weight, dtype=np.float64)
-    if lo.max_run >= _SEG_VEC_MIN:
-        bufa, bufb = np.empty(lo.max_run + 1), np.empty(lo.max_run + 1)
     if observing:
         # on_map reports the plan's MapPoint (its frees/allocs lists).
         maps_at = maps_by_position(sim.plan, nprocs)
@@ -926,8 +852,8 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
     arrived = bytearray(ml.num_mk)
     sync_arr = bytearray(ml.num_sk)
     known = (
-        bytearray(b"\x01" * ml.num_ak) if ep.known_all
-        else bytearray(ml.num_ak)
+        bytearray(ml.num_ak) if managed_check
+        else bytearray(b"\x01" * ml.num_ak)
     )
     allocated = bytearray(nprocs * nobjects)
     used = [0] * nprocs
@@ -955,8 +881,8 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             apk[q] = pb
             if observing:
                 obs.on_alloc(0.0, q, "<permanent>", pb, pb)
-    if not ep.memory_managed:
-        oid_of = ml.ids.oid_of
+    if not memory_managed:
+        oid_of = gi.oid
         for q in range(nprocs):
             u = used[q]
             base = q * nobjects
@@ -1234,14 +1160,9 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                     thr = _NEG_INF
                 else:
                     thr = events[0][0] if events else _INF
-                if n - k >= _SEG_VEC_MIN:
-                    a2, b2, j, lastf = _seg_until_vec(
-                        warr, k, n, a, busy[q], thr, bufa, bufb
-                    )
-                else:
-                    a2, b2, j, lastf = _seg_until_hot(
-                        weight, k, n, a, busy[q], thr
-                    )
+                a2, b2, j, lastf = _seg_until_hot(
+                    weight, k, n, a, busy[q], thr
+                )
                 busy[q] = b2
                 avail[q] = a2
                 if j > k:
@@ -1459,9 +1380,9 @@ def _raise_deadlock(
     wait_for: dict[int, set[int]] = {}
     assignment = sched.assignment
     trigger = tables.trigger
-    names = graph_index(cs.graph).names
+    names, obj_name = ml.gi.names, ml.gi.object_names
     mk_index = {
-        (d, ml.obj_name[o], u): mk
+        (d, obj_name[o], u): mk
         for mk, (d, o, u) in enumerate(zip(ml.mk_dest, ml.mk_oid, ml.mk_uname))
     }
     sk_index = {
@@ -1487,7 +1408,7 @@ def _raise_deadlock(
             details[q] = f"next={task} missing={missing}"
         else:
             susp = [
-                (ml.obj_name[ml.od_oid[od]], ml.od_uname[od], ml.od_dest[od],
+                (obj_name[ml.od_oid[od]], ml.od_uname[od], ml.od_dest[od],
                  ml.od_nbytes[od])
                 for od in suspended[q]
             ]

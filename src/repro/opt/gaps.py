@@ -24,15 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from ..core.dts import dts_order
-from ..core.dynamic import etf_schedule
 from ..core.liveness import analyze_memory
-from ..core.mpo import mpo_order
 from ..core.placement import Placement
-from ..core.rcp import rcp_order
 from ..core.schedule import CommModel, Schedule, UNIT_COMM, gantt
 from ..analysis.bounds import certified_bounds
-from ..core.treesched import tree_order
 from ..graph.taskgraph import TaskGraph
 from .exact import DEFAULT_NODE_BUDGET, ExactResult, solve
 
@@ -115,20 +110,16 @@ def _heuristic_schedule(
     assignment: Mapping[str, int],
     comm: CommModel,
 ) -> tuple[Schedule, bool]:
-    if name == "etf":
-        return etf_schedule(graph, placement.num_procs, comm), True
-    fns = {
-        "rcp": rcp_order,
-        "mpo": mpo_order,
-        "dts": dts_order,
-        "tree": tree_order,
-    }
-    if name not in fns:
+    # Imported here: repro.rapid.inspector imports repro.opt.exact.
+    from ..rapid.inspector import order_with
+
+    if name not in GAP_HEURISTICS:
         raise ValueError(
             f"unknown scorecard heuristic {name!r}; "
             f"use one of {GAP_HEURISTICS}"
         )
-    return fns[name](graph, placement, assignment, comm), False
+    # ETF derives its own placement and assignment.
+    return order_with(name, graph, placement, assignment, comm), name == "etf"
 
 
 def optimality_gaps(

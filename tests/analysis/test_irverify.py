@@ -58,6 +58,13 @@ def data_and_sync_schedule():
                     [["w1", "w2", "fin"], ["r"]])
 
 
+def swap_first_positions(lo):
+    """Swap the tasks at positions 0 and 1 (both on P0 of the worked
+    example): every table stays in range, but ``tid_at`` no longer
+    spells the schedule's orders."""
+    lo.tid_at[0], lo.tid_at[1] = lo.tid_at[1], lo.tid_at[0]
+
+
 def compiled_pt(cs):
     return Simulator(
         compiled=cs, spec=UNIT_MACHINE, engine="compiled"
@@ -107,8 +114,8 @@ class TestMutationsAreRejected:
 
     def test_sa501_non_monotone_csr(self):
         cs = fresh_paper()
-        lo = lower_schedule(cs)
-        lo.od_ptr[1] = lo.od_ptr[-1] + 5  # pointer row past the table
+        ml = lower_schedule(cs).mapping
+        ml.od_ptr[1] = ml.od_ptr[-1] + 5  # pointer row past the table
         diags = verify_lowering(cs)
         assert error_codes(diags) == {"SA501"}
         assert any("od_ptr" in d.message for d in diags)
@@ -116,7 +123,7 @@ class TestMutationsAreRejected:
     def test_sa501_out_of_space_index(self):
         cs = fresh_paper()
         lo = lower_schedule(cs)
-        lo.wait_tid[0] = lo.num_tasks + 99
+        lo.mapping.wait_tid[0] = lo.num_tasks + 99
         diags = verify_lowering(cs)
         assert error_codes(diags) == {"SA501"}
 
@@ -125,17 +132,17 @@ class TestMutationsAreRejected:
         # bijection/version walks — only SA501 is reported.
         cs = fresh_paper()
         lo = lower_schedule(cs)
-        lo.od_ptr[1] = lo.od_ptr[-1] + 5
-        lo.task_name[0] = "impostor"  # would be SA502 if reached
+        lo.mapping.od_ptr[1] = lo.mapping.od_ptr[-1] + 5
+        swap_first_positions(lo)  # would be SA502 if reached
         diags = verify_exec_plan(cs, 8, UNIT_MACHINE)
         assert error_codes(diags) == {"SA501"}
 
     def test_sa502_broken_task_bijection(self):
         cs = fresh_paper()
-        lo = lower_schedule(cs)
-        lo.task_name[0] = "impostor"
+        swap_first_positions(lower_schedule(cs))
         diags = verify_lowering(cs)
         assert "SA502" in error_codes(diags)
+        assert any("tid_at" in d.message for d in diags)
 
     def test_sa503_version_flag_drift(self):
         cs = fresh_paper()
@@ -168,17 +175,6 @@ class TestMutationsAreRejected:
         diags = verify_exec_plan(cs, cs.profile.min_mem, UNIT_MACHINE)
         assert "SA504" in error_codes(diags)
 
-    def test_sa504_seg_vector_drifts_from_the_weights(self, ctx):
-        # etree15 on one processor is one silent run of 576 tasks, run
-        # by the numpy kernel over the schedule's copy of the weights.
-        cs = CompiledSchedule(ctx.schedule("etree15", 1, "rcp"))
-        lo = lower_schedule(cs)
-        assert lo.max_run == 576
-        lo.warr[3] += 1.0
-        diags = verify_exec_plan(cs, cs.profile.tot, ctx.spec)
-        assert error_codes(diags) == {"SA504"}
-        assert any("kernel weights" in d.message for d in diags)
-
     def test_sa505_negative_weight(self):
         cs = fresh_paper()
         lo = lower_schedule(cs)
@@ -189,9 +185,9 @@ class TestMutationsAreRejected:
     def test_mutations_never_raise(self):
         # Even wildly corrupt tables come back as diagnostics.
         cs = fresh_paper()
-        lo = lower_schedule(cs)
-        lo.od_ptr[:] = [-7] * len(lo.od_ptr)
-        lo.wait_ptr[:] = [10**6] * len(lo.wait_ptr)
+        ml = lower_schedule(cs).mapping
+        ml.od_ptr[:] = [-7] * len(ml.od_ptr)
+        ml.wait_ptr[:] = [10**6] * len(ml.wait_ptr)
         diags = verify_exec_plan(cs, 8, UNIT_MACHINE)
         assert diags
         assert all(d.rule.startswith("SA5") for d in diags)
@@ -206,7 +202,8 @@ class TestVerifiedTablesRun:
         clean = compiled_pt(CompiledSchedule(data_and_sync_schedule()))
         cs = CompiledSchedule(data_and_sync_schedule())
         lo = lower_schedule(cs)
-        ptr = getattr(lo, pair.split("/")[0])
+        ptr = getattr(lo if pair == "proc_start" else lo.mapping,
+                      pair.split("/")[0])
         ptr[1] = ptr[-1] + 5  # pointer row past the table
         diags = verify_lowering(cs)
         assert error_codes(diags) == {"SA501"}
@@ -224,8 +221,9 @@ class TestVerifiedTablesRun:
         sim = Simulator(compiled=cs, spec=UNIT_MACHINE, engine="compiled")
         clean = sim.run().parallel_time  # builds and caches the plan
         lo = lower_schedule(cs)
-        lo.weight[lo.task_name.index("fin")] = -1.0  # silent (SEG) task
-        lo.weight[lo.task_name.index("w1")] = -1.0  # sends m: a TASK step
+        tid = lo.mapping.gi.tid
+        lo.weight[lo.tid_at.index(tid["fin"])] = -1.0  # silent task
+        lo.weight[lo.tid_at.index(tid["w1"])] = -1.0  # sends m: noisy
         diags = verify_exec_plan(cs, sim.capacity, UNIT_MACHINE)
         assert "SA505" in error_codes(diags)
         try:
@@ -242,8 +240,8 @@ class TestDebugPath:
 
     def test_debug_verify_raises_on_corruption(self):
         cs = fresh_paper()
-        lo = lower_schedule(cs)
-        lo.od_ptr[1] = lo.od_ptr[-1] + 5
+        ml = lower_schedule(cs).mapping
+        ml.od_ptr[1] = ml.od_ptr[-1] + 5
         with pytest.raises(SimulationError, match="SA501"):
             debug_verify(cs)
 

@@ -151,17 +151,21 @@ def test_obs_requires_action_and_dir(capsys):
          "between MIN_MEM (0) and TOT (1), got 1.5"),
         (["check", "--graphs", "1", "--fraction", "-0.5"],
          "between MIN_MEM (0) and TOT (1), got -0.5"),
+        (["analyze", "--graphs", "1", "--fraction", "5"],
+         "analyze --fraction is a position between MIN_MEM (0) and TOT (1), "
+         "got 5.0"),
     ],
     ids=["trace-procs", "analyze-paper-procs", "trace-nan", "trace-negative",
          "trace-workload", "analyze-workload", "check-procs", "check-nan",
-         "check-above-tot", "check-below-min-mem"],
+         "check-above-tot", "check-below-min-mem", "analyze-paper-above-tot"],
 )
 def test_trace_and_analyze_reject_a_bad_cell(argv, message, capsys):
     """`trace`/`analyze` check --procs/--fraction like `sweep` does, and
-    --workload against the known workloads; `check` checks --procs and
-    its --fraction, a position in [0, 1] between MIN_MEM and TOT.  Each
-    exits 2 with a named message, not a bare traceback or a negative
-    capacity."""
+    --workload against the known workloads; `check` and the paper batch
+    of `analyze` check --procs and their --fraction, a position in
+    [0, 1] between MIN_MEM and TOT.  Each exits 2 with a named message,
+    not a bare traceback, a negative capacity or a silently clamped
+    position."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err

@@ -118,22 +118,32 @@ class TestSeededGrids:
             )
 
 
+def _sweep_cell(key, procs, heuristic="rcp"):
+    """One grid cell; the RCP cells keep their ``key-procs`` ids."""
+    tail = "" if heuristic == "rcp" else f"-{heuristic}"
+    return pytest.param(key, procs, heuristic, id=f"{key}-{procs}{tail}")
+
+
 class TestSweepWorkloads:
     """The benchmark workloads the sweep grid actually runs, and the
     cells ``benchmarks/bench_cost_budgets.py`` times: serial chol15
-    (every task silent) and the P=32 observer cells."""
+    (every task silent) and the P=32 observer cells.  chol15 P=2 under
+    DTS and chol24 P=2 under the tree heuristic hold the longest silent
+    runs of the multi-processor grid cells (400 and 424 tasks)."""
 
-    @pytest.mark.parametrize("key,procs", [
-        ("lu-goodwin", 4), ("lu-goodwin", 8), ("lu-goodwin", 32),
-        ("chol15", 1), ("chol15", 32),
+    @pytest.mark.parametrize("key,procs,heuristic", [
+        _sweep_cell("lu-goodwin", 4), _sweep_cell("lu-goodwin", 8),
+        _sweep_cell("lu-goodwin", 32), _sweep_cell("chol15", 1),
+        _sweep_cell("chol15", 32), _sweep_cell("chol15", 2, "dts"),
+        _sweep_cell("chol24", 2, "tree"),
     ])
     @pytest.mark.parametrize("fraction", [1.0, 0.5])
-    def test_exact(self, key, procs, fraction):
+    def test_exact(self, key, procs, heuristic, fraction):
         from repro.experiments import ExperimentContext
 
         ctx = ExperimentContext()
-        cs = ctx.compiled(key, procs, "rcp")
-        prof = ctx.profile(key, procs, "rcp")
+        cs = ctx.compiled(key, procs, heuristic)
+        prof = ctx.profile(key, procs, heuristic)
         cap = int(math.floor(prof.tot * fraction))
         if prof.min_mem > cap:
             pytest.skip("cell not executable")

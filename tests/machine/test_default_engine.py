@@ -75,10 +75,7 @@ def test_exec_plan_size_follows_the_maps(fraction):
     pkgs = plan.total_packages
     notified = sum(len(objs) for pts in plan.points for mp in pts
                    for objs in mp.notifications.values())
-    owned = {
-        f: len(getattr(ep, f)) for f in ExecPlan.__slots__
-        if isinstance(getattr(ep, f), list) and f not in ("od_net", "od_nic")
-    }
+    owned = {f: len(getattr(ep, f)) for f in ExecPlan.__slots__}
     want = {
         "map_first": nprocs,
         "map_pos": maps + nprocs, "map_cost": maps + nprocs,
@@ -89,11 +86,10 @@ def test_exec_plan_size_follows_the_maps(fraction):
         "pkg_src": pkgs, "pkg_dst": pkgs, "pkg_objs": pkgs,
         "pkg_ak_ptr": pkgs + 1,
     }
+    # Every slot is a MAP table: the run reads its other inputs from
+    # the simulator, the spec and the mapping's per-spec costs.
     assert {f: n for f, n in owned.items() if f != "pkg_ak"} == want
     assert owned["pkg_ak"] <= notified
-    # The per-message costs are the mapping's, shared by every plan.
-    lo = lower_schedule(cs)
-    assert ep.od_net is lo.mapping.costs(ctx.spec)[0]
     # None of it grows with the tasks: far fewer entries than tasks.
     assert sum(owned.values()) < cs.graph.num_tasks
     res = Simulator(compiled=cs, spec=ctx.spec, capacity=cap).run()
