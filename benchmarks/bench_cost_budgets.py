@@ -54,14 +54,16 @@ BOUNDS_REPEATS = 50
 BOUNDS_MIN_RATIO = 1.5
 
 #: Supervised and traced sweeps against the plain pool on a three-group
-#: slice of the default grid, pool start-up included on both sides.
+#: slice of the default grid, pool start-up included on both sides.  A
+#: multiple of three rounds puts each of the three sweeps in each
+#: position of the interleaving equally often.
 RUNTIME_GRID = dict(
     workloads=("lu-goodwin",),
     procs=(2, 4, 8),
     heuristics=("rcp", "mpo"),
     fractions=(1.0, 0.5),
 )
-RUNTIME_REPEATS = 5
+RUNTIME_REPEATS = 9
 RUNTIME_MAX_RATIO = 1.25
 
 OPS = {"<": operator.lt, ">": operator.gt, ">=": operator.ge}

@@ -555,7 +555,6 @@ def verify_exec_plan(
     capacity: int,
     spec,
     memory_managed: bool = True,
-    preknown: bool = False,
 ) -> list[Diagnostic]:
     """Verify the lowering *and* the MAP tables of one exec plan.
 
@@ -567,7 +566,7 @@ def verify_exec_plan(
     if any(d.rule == "SA501" for d in diags):
         return diags
     try:
-        ep = get_exec_plan(cs, capacity, spec, memory_managed, preknown)
+        ep = get_exec_plan(cs, capacity, spec, memory_managed)
     except NonExecutableScheduleError:
         return diags
     lo = lower_schedule(cs)
@@ -589,7 +588,6 @@ def verify_report(
     capacity: Optional[int] = None,
     spec=None,
     memory_managed: bool = True,
-    preknown: bool = False,
     label: str = "",
 ):
     """Run the verifier and wrap the findings as an ``AnalysisReport``
@@ -597,7 +595,7 @@ def verify_report(
     from .engine import AnalysisReport
 
     if capacity is not None and spec is not None:
-        diags = verify_exec_plan(cs, capacity, spec, memory_managed, preknown)
+        diags = verify_exec_plan(cs, capacity, spec, memory_managed)
         cap = capacity
     else:
         diags = verify_lowering(cs)

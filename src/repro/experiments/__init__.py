@@ -10,7 +10,6 @@ Typical use::
 """
 
 from .common import (
-    CellMetrics,
     ExperimentContext,
     FRACTIONS,
     FRACTIONS_CMP,
@@ -38,7 +37,6 @@ from .tables import (
 
 __all__ = [
     "CellFailure",
-    "CellMetrics",
     "CheckpointJournal",
     "ExperimentContext",
     "HarnessFaultSpec",

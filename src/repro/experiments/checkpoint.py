@@ -11,11 +11,12 @@ losslessly (floats survive the JSON round trip bit-for-bit), a resumed
 sweep's CSV is byte-identical to an uninterrupted run's.
 
 The manifest is *content-keyed*: it stores a fingerprint of the grid
-and every record-shaping option (workloads, procs, heuristics,
-fractions, reference, metrics/check/analyze columns, engine, machine
-spec).  A checkpoint written under a different grid is stale — resume
-ignores it and starts fresh — so shards can never leak records into a
-sweep they do not belong to.
+and every record-shaping option (machine spec, workloads, procs,
+heuristics, fractions, reference, one flag per opt-in column family and
+the harness faults; the engine is hashed as a constant, since the
+engines agree exactly).  A checkpoint written under a different grid is
+stale — resume ignores it and starts fresh — so shards can never leak
+records into a sweep they do not belong to.
 
 Crash safety: shard files and the manifest are written to a
 same-directory temporary file and :func:`os.replace`-d into place
@@ -37,7 +38,7 @@ import tempfile
 from dataclasses import asdict, fields
 from typing import Optional, Sequence
 
-from .sweep import SweepRecord
+from .common import SweepRecord
 
 __all__ = [
     "CheckpointJournal",

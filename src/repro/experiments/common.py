@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from ..core.index import graph_index
 from ..core.liveness import MemoryProfile, analyze_memory
@@ -77,48 +77,146 @@ def require_grid(procs, fractions) -> None:
         raise ValueError(f"memory fractions must be finite and >= 0, got {bad}")
 
 
-@dataclass
-class CellMetrics:
-    """One (configuration, capacity) measurement.
+@dataclass(frozen=True)
+class SweepRecord:
+    """One (configuration, capacity) cell: what
+    :meth:`ExperimentContext.run_cell` returns and
+    :func:`~repro.experiments.sweep.to_csv` writes, one CSV row.
 
-    The telemetry fields (``map_overhead_frac``, ``max_hwm``,
-    ``max_suspq``) are ``None`` unless the cell was measured with
-    ``collect_metrics=True``; non-executable cells get ``inf`` like the
-    timing fields.
+    Non-executable cells (``MIN_MEM`` above the capacity) get ``inf``
+    timing fields.  The opt-in fields stay ``None`` unless their family
+    of :data:`OPTIONAL_COLUMNS` was asked for.
     """
 
+    workload: str
+    procs: int
+    heuristic: str
+    fraction: float
     executable: bool
-    pt: float = INF
-    pt_increase: float = INF
-    avg_maps: float = INF
-    capacity: int = 0
-    min_mem: int = 0
-    tot: int = 0
+    capacity: int
+    min_mem: int
+    tot: int
+    parallel_time: float
+    pt_increase: float
+    avg_maps: float
+    #: the families of :data:`OPTIONAL_COLUMNS`, in table order
     map_overhead_frac: Optional[float] = None
     max_hwm: Optional[float] = None
     max_suspq: Optional[float] = None
-    #: Invariant violations observed by the conformance checker; ``None``
-    #: unless measured with ``collect_check=True`` (``inf`` when
-    #: non-executable, matching the timing fields).
     violations: Optional[float] = None
-    #: Error-severity findings of the static analyzer; ``None`` unless
-    #: measured with ``collect_analysis=True``.  Unlike the dynamic
-    #: fields, non-executable cells get a real count (at least the SA101
-    #: finding) — the analyzer needs no simulation.
     analysis_errors: Optional[float] = None
-    #: Certified static lower bounds (``collect_bounds=True``; see
-    #: :mod:`repro.analysis.bounds`).  Static like ``analysis_errors``:
-    #: even a non-executable cell gets real bound values — only the
-    #: ``pt_bound_gap`` becomes ``inf`` there (no PT to compare).
     pt_bound: Optional[float] = None
     mem_bound: Optional[float] = None
-    #: Relative slack of the cell over its bound, ``value/bound - 1``.
     pt_bound_gap: Optional[float] = None
     mem_bound_gap: Optional[float] = None
+    #: failure columns, populated only on cells of a group that a
+    #: supervised sweep recorded as failed (``"timeout"``/``"crashed"``/
+    #: ``"error"``; see :mod:`repro.experiments.runtime`)
+    status: Optional[str] = None
+    error: Optional[str] = None
+    attempts: Optional[int] = None
+    elapsed: Optional[float] = None
 
     @property
     def pt_increase_pct(self) -> float:
         return self.pt_increase * 100.0
+
+
+class _Cell(NamedTuple):
+    """What a family's ``collect`` reads about one cell; ``run`` is
+    ``None`` on a non-executable cell."""
+
+    ctx: ExperimentContext
+    key: str
+    p: int
+    heuristic: str
+    cap_arg: Optional[int]
+    capacity: int
+    profile: MemoryProfile
+    run: Optional[SimResult] = None
+
+
+class ColumnFamily(NamedTuple):
+    """One opt-in column family of :data:`OPTIONAL_COLUMNS`.
+
+    ``instruments(cs)`` builds the instruments the family attaches to
+    the cell's run (``None``: static, nothing attached).
+    ``collect(cell, probes)`` returns the values of ``fields`` in order;
+    ``probes`` are the family's instruments after the run, or ``None``
+    when nothing ran for the family (a static family, or a
+    non-executable cell).
+    """
+
+    fields: tuple[str, ...]
+    instruments: Optional[Callable[[CompiledSchedule], tuple]]
+    collect: Callable[[_Cell, Optional[tuple]], tuple]
+
+    def fill(self, cell: _Cell, probes: Optional[tuple] = None) -> dict:
+        """The family's fields of ``cell``, by name."""
+        return dict(zip(self.fields, self.collect(cell, probes)))
+
+
+def _metric_probes(cs: CompiledSchedule) -> tuple:
+    return StateResidency(), MemoryTimeline(), QueueDepth()
+
+
+def _telemetry(cell: _Cell, probes: Optional[tuple]) -> tuple:
+    if probes is None:
+        return INF, INF, INF
+    summary = summary_columns(*probes)
+    return (summary["map_overhead_frac"], float(summary["max_hwm"]),
+            float(summary["max_suspq"]))
+
+
+def _checker(cs: CompiledSchedule) -> tuple:
+    from ..conformance import InvariantChecker
+
+    return (InvariantChecker(cs),)
+
+
+def _violation_count(cell: _Cell, probes: Optional[tuple]) -> tuple:
+    return (float(len(probes[0].violations)) if probes is not None else INF,)
+
+
+def _analyzer_errors(cell: _Cell, probes: Optional[tuple]) -> tuple:
+    return (cell.ctx.analysis_errors(
+        cell.key, cell.p, cell.heuristic, cell.capacity, cell.cap_arg),)
+
+
+def _certified_bounds(cell: _Cell, probes: Optional[tuple]) -> tuple:
+    # Static: only the PT gap needs a run.
+    bset = cell.ctx.bounds_for(cell.key, cell.p, cell.heuristic, cell.cap_arg)
+    pt, mem = bset.pt.value, bset.min_mem.value
+    return (
+        pt, mem,
+        cell.run.parallel_time / pt - 1.0
+        if cell.run is not None and pt > 0 else INF,
+        cell.profile.min_mem / mem - 1.0 if mem > 0 else INF,
+    )
+
+
+#: The opt-in column families, keyed by the ``full_sweep`` flag (and
+#: ``run_cell`` ``columns`` name) that fills them, in CSV order.  A
+#: family's columns are written only when some record carries them, so
+#: a plain sweep's CSV never changes; every place that handles the
+#: optional columns iterates this table.
+OPTIONAL_COLUMNS = {
+    #: per-cell telemetry of an instrumented run (:mod:`repro.obs`)
+    "metrics": ColumnFamily(
+        ("map_overhead_frac", "max_hwm", "max_suspq"), _metric_probes,
+        _telemetry),
+    #: invariant violations seen by the conformance checker (0
+    #: everywhere when Theorem 1 holds)
+    "check": ColumnFamily(("violations",), _checker, _violation_count),
+    #: error-severity findings of the static analyzer, no extra
+    #: simulation; a non-executable cell counts its SA101
+    "analyze": ColumnFamily(("analysis_errors",), None, _analyzer_errors),
+    #: certified static lower bounds (:mod:`repro.analysis.bounds`) and
+    #: the cell's relative slack over them, ``value/bound - 1``
+    "bounds": ColumnFamily(
+        ("pt_bound", "mem_bound", "pt_bound_gap", "mem_bound_gap"), None,
+        _certified_bounds),
+}
 
 
 @dataclass
@@ -132,10 +230,9 @@ class _Group:
     schedules: dict[tuple, Schedule] = field(default_factory=dict)
     profiles: dict[tuple, MemoryProfile] = field(default_factory=dict)
     compiled: dict[tuple, CompiledSchedule] = field(default_factory=dict)
-    #: ``(heuristic, cap_arg, capacity, metrics, check, engine)`` ->
-    #: (run, violation count, :func:`~repro.obs.metrics.summary_columns`)
-    sims: dict[tuple, tuple[SimResult, Optional[int], Optional[dict]]] = (
-        field(default_factory=dict))
+    #: ``(heuristic, cap_arg, capacity, observed families, engine)`` ->
+    #: (run, the observed families' fields)
+    sims: dict[tuple, tuple[SimResult, dict]] = field(default_factory=dict)
     #: ``(heuristic, cap_arg, capacity)`` -> analyzer error count
     analysis: dict[tuple, float] = field(default_factory=dict)
     #: ``(heuristic, capacity)`` -> certified bounds
@@ -406,42 +503,36 @@ class ExperimentContext:
         fraction: float,
         reference: str = "self",
         merge_capacity: bool = False,
-        collect_metrics: bool = False,
-        collect_check: bool = False,
-        collect_analysis: bool = False,
         engine: str = "compiled",
-        collect_bounds: bool = False,
-    ) -> CellMetrics:
+        columns=(),
+    ) -> SweepRecord:
         """Measure one table cell.
 
         ``reference`` selects the TOT base for the capacity: ``"self"``
         (the schedule's own TOT, Tables 2/3) or ``"rcp"`` (the RCP
         schedule's TOT, Tables 4-7); anything else raises
         ``ValueError``.  With ``merge_capacity=True`` the heuristic
-        receives the capacity (DTS slice merging).  With
-        ``collect_metrics=True`` the simulation runs instrumented
-        (:mod:`repro.obs`: only the residency, memory and queue
-        instruments the columns read) and the telemetry fields of
-        :class:`CellMetrics` are populated; with ``collect_check=True``
-        a :class:`~repro.conformance.InvariantChecker` rides along and
-        fills the ``violations`` field; with ``collect_analysis=True``
-        the static analyzer judges the cell's plan (no extra simulation)
-        and fills ``analysis_errors``.  Results of the different modes
-        are cached separately so mixing them never reuses the wrong run.
+        receives the capacity (DTS slice merging).
+
+        ``columns`` names the :data:`OPTIONAL_COLUMNS` families to fill
+        (an unknown one raises ``ValueError``); the others stay
+        ``None``.  The cell's run carries only the instruments those
+        families attach (:mod:`repro.obs` probes for ``metrics``, an
+        :class:`~repro.conformance.InvariantChecker` for ``check``), and
+        runs with different instruments are cached separately, so
+        mixing families never reuses the wrong run.  On a
+        non-executable cell the simulated columns are ``inf`` like the
+        timing fields, and the static ones (``analyze``, ``bounds``
+        except ``pt_bound_gap``) keep real values.
 
         ``engine`` selects the simulator engine (see
         :class:`~repro.machine.simulator.Simulator`): the array-compiled
         engine by default, or ``"interpreted"`` for the reference
-        oracle; both give identical cells, and observed (metric/check)
-        cells run on the requested engine too, with identical hook
-        calls.
-
-        ``collect_bounds=True`` fills the certified static lower
-        bounds (``pt_bound``/``mem_bound``) and the cell's relative
-        slack over them (``*_bound_gap``); purely static, cached per
-        (workload, procs, heuristic) via :meth:`bounds_for`.
+        oracle; both give identical records, observed cells included,
+        with identical hook calls.
         """
         require_known("reference", (reference,), REFERENCES)
+        require_known("column family", columns, OPTIONAL_COLUMNS)
         tot = (
             self.reference_tot(key, p)
             if reference == "rcp"
@@ -451,86 +542,53 @@ class ExperimentContext:
         cap_arg = capacity if merge_capacity else None
         prof = self.profile(key, p, heuristic, cap_arg)
         base = self.baseline_pt(key, p, engine)
-        cell = CellMetrics(
-            executable=prof.min_mem <= capacity, capacity=capacity,
-            min_mem=prof.min_mem, tot=tot,
-        )
-        # Non-executable cells run nothing: ``res`` stays None and the
-        # simulated columns below get ``inf`` like the timing fields.
-        res = nviol = summary = None
-        if cell.executable:
+        cell = _Cell(self, key, p, heuristic, cap_arg, capacity, prof)
+        families = [name for name in OPTIONAL_COLUMNS if name in columns]
+        observed = tuple(
+            name for name in families if OPTIONAL_COLUMNS[name].instruments)
+        values: dict = {}
+        pt = pt_increase = avg_maps = INF
+        executable = prof.min_mem <= capacity
+        if executable:
             sims = self._group(key, p).sims
-            sk = (
-                heuristic, cap_arg, capacity, collect_metrics, collect_check,
-                engine,
-            )
+            sk = (heuristic, cap_arg, capacity, observed, engine)
             if sk not in sims:
-                sims[sk] = self._observed_run(
-                    key, p, heuristic, cap_arg, capacity, collect_metrics,
-                    collect_check, engine,
-                )
-            res, nviol, summary = sims[sk]
-            cell.pt = res.parallel_time
-            cell.pt_increase = (res.parallel_time - base) / base
-            cell.avg_maps = res.avg_maps
-        if collect_metrics:
-            cell.map_overhead_frac = (
-                summary["map_overhead_frac"] if summary else INF
-            )
-            cell.max_hwm = float(summary["max_hwm"]) if summary else INF
-            cell.max_suspq = float(summary["max_suspq"]) if summary else INF
-        if collect_check:
-            cell.violations = float(nviol) if res is not None else INF
-        if collect_analysis:
-            cell.analysis_errors = self.analysis_errors(
-                key, p, heuristic, capacity, cap_arg
-            )
-        if collect_bounds:
-            bset = self.bounds_for(key, p, heuristic, cap_arg)
-            cell.pt_bound = bset.pt.value
-            cell.mem_bound = bset.min_mem.value
-            cell.pt_bound_gap = (
-                res.parallel_time / cell.pt_bound - 1.0
-                if res is not None and cell.pt_bound > 0 else INF
-            )
-            cell.mem_bound_gap = (
-                prof.min_mem / cell.mem_bound - 1.0
-                if cell.mem_bound > 0 else INF
-            )
-        return cell
+                sims[sk] = self._observed_run(cell, observed, engine)
+            run, observed_values = sims[sk]
+            values.update(observed_values)
+            cell = cell._replace(run=run)
+            pt, avg_maps = run.parallel_time, run.avg_maps
+            pt_increase = (pt - base) / base
+        for name in families:
+            if not (executable and name in observed):
+                values.update(OPTIONAL_COLUMNS[name].fill(cell))
+        return SweepRecord(
+            key, p, heuristic, fraction, executable, capacity, prof.min_mem,
+            tot, pt, pt_increase, avg_maps, **values,
+        )
 
     def _observed_run(
-        self, key: str, p: int, heuristic: str, cap_arg: Optional[int],
-        capacity: int, collect_metrics: bool, collect_check: bool,
-        engine: str,
-    ) -> tuple[SimResult, Optional[int], Optional[dict]]:
-        """Simulate one cell with only the instruments its columns read
-        attached; returns the run (no telemetry), its violation count
-        (``collect_check``) and its summary columns
-        (``collect_metrics``)."""
-        cs = self.compiled(key, p, heuristic, cap_arg)
-        probes = (
-            (StateResidency(), MemoryTimeline(), QueueDepth())
-            if collect_metrics else ()
-        )
-        checker = None
-        if collect_check:
-            from ..conformance import InvariantChecker
-
-            checker = InvariantChecker(cs)
+        self, cell: _Cell, observed: tuple[str, ...], engine: str,
+    ) -> tuple[SimResult, dict]:
+        """Simulate one cell with the instruments of the ``observed``
+        families attached; returns the run (no telemetry) and those
+        families' fields."""
+        cs = self.compiled(cell.key, cell.p, cell.heuristic, cell.cap_arg)
+        probes = {
+            name: OPTIONAL_COLUMNS[name].instruments(cs) for name in observed}
         run = Simulator(
             spec=self.spec,
-            capacity=capacity,
+            capacity=cell.capacity,
             compiled=cs,
             instrument=MultiInstrument(
-                i for i in (*probes, checker) if i is not None),
+                i for family in probes.values() for i in family),
             engine=engine,
         ).run()
-        return (
-            run,
-            len(checker.violations) if checker is not None else None,
-            summary_columns(*probes) if probes else None,
-        )
+        cell = cell._replace(run=run)
+        values: dict = {}
+        for name, family in probes.items():
+            values.update(OPTIONAL_COLUMNS[name].fill(cell, family))
+        return run, values
 
     def engine_counters(self) -> dict:
         """Aggregated engine introspection counters over every compiled
@@ -546,13 +604,13 @@ class ExperimentContext:
         return totals
 
 
-def compare_pt(a: CellMetrics, b: CellMetrics) -> float | str:
+def compare_pt(a: SweepRecord, b: SweepRecord) -> float | str:
     """The paper's 'A vs. B' entry: ``PT_B / PT_A - 1``.
 
     ``"*"`` when B is executable but A is not; ``"-"`` when neither is.
     """
     if a.executable and b.executable:
-        return b.pt / a.pt - 1.0
+        return b.parallel_time / a.parallel_time - 1.0
     if b.executable:
         return "*"
     if a.executable:

@@ -25,9 +25,12 @@ instead of an aborted sweep, and an optional checkpoint journal
 resumable — see the ``runtime``/``checkpoint``/``resume`` parameters of
 :func:`full_sweep` and ``docs/resilience.md``.
 
-The opt-in CSV columns come in families, one per :func:`full_sweep`
-flag; :data:`OPTIONAL_COLUMNS` lists them in CSV order and is the one
-place a family's fields are spelled out.
+Each cell is one :class:`~repro.experiments.common.SweepRecord`, the
+record :meth:`~repro.experiments.common.ExperimentContext.run_cell`
+returns.  The opt-in CSV columns come in families, one per
+:func:`full_sweep` flag; :data:`~repro.experiments.common.OPTIONAL_COLUMNS`
+lists them in CSV order and is the one place a family's fields,
+instruments and collection are spelled out.
 """
 
 from __future__ import annotations
@@ -35,10 +38,16 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, get_args, get_type_hints
 
-from .common import REFERENCES, ExperimentContext, require_grid, require_known
+from .common import (
+    OPTIONAL_COLUMNS,
+    REFERENCES,
+    ExperimentContext,
+    SweepRecord,
+    require_grid,
+    require_known,
+)
 
 FIELDS = (
     "workload",
@@ -54,71 +63,11 @@ FIELDS = (
     "avg_maps",
 )
 
-#: The opt-in column families, keyed by the :func:`full_sweep` flag that
-#: fills them, in CSV order.  A family's columns are appended only when
-#: some record carries them, so a plain sweep's CSV never changes; every
-#: place that handles the optional columns iterates this table.
-OPTIONAL_COLUMNS = {
-    #: per-cell telemetry of an instrumented run
-    "metrics": ("map_overhead_frac", "max_hwm", "max_suspq"),
-    #: invariant violations seen by the conformance checker
-    "check": ("violations",),
-    #: error-severity findings of the static analyzer
-    "analyze": ("analysis_errors",),
-    #: certified static lower bounds (:mod:`repro.analysis.bounds`) and
-    #: each cell's relative slack over them
-    "bounds": ("pt_bound", "mem_bound", "pt_bound_gap", "mem_bound_gap"),
-}
-METRIC_FIELDS = OPTIONAL_COLUMNS["metrics"]
-CHECK_FIELDS = OPTIONAL_COLUMNS["check"]
-ANALYZE_FIELDS = OPTIONAL_COLUMNS["analyze"]
-BOUNDS_FIELDS = OPTIONAL_COLUMNS["bounds"]
-
 #: Failure columns appended when a *supervised* sweep recorded at least
 #: one :class:`~repro.experiments.runtime.CellFailure` (opt-in, same
 #: contract — a fault-free supervised sweep's CSV is byte-identical to
 #: a plain one's).
 FAILURE_FIELDS = ("status", "error", "attempts", "elapsed")
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    workload: str
-    procs: int
-    heuristic: str
-    fraction: float
-    executable: bool
-    capacity: int
-    min_mem: int
-    tot: int
-    parallel_time: float
-    pt_increase: float
-    avg_maps: float
-    #: populated only by ``full_sweep(..., metrics=True)``
-    map_overhead_frac: Optional[float] = None
-    max_hwm: Optional[float] = None
-    max_suspq: Optional[float] = None
-    #: populated only by ``full_sweep(..., check=True)``
-    violations: Optional[float] = None
-    #: populated only by ``full_sweep(..., analyze=True)``
-    analysis_errors: Optional[float] = None
-    #: populated only by ``full_sweep(..., bounds=True)``: certified
-    #: static lower bounds and the cell's relative slack over them
-    pt_bound: Optional[float] = None
-    mem_bound: Optional[float] = None
-    pt_bound_gap: Optional[float] = None
-    mem_bound_gap: Optional[float] = None
-    #: failure columns, populated only on cells of a group that a
-    #: supervised sweep recorded as failed (``"timeout"``/``"crashed"``/
-    #: ``"error"``; see :mod:`repro.experiments.runtime`)
-    status: Optional[str] = None
-    error: Optional[str] = None
-    attempts: Optional[int] = None
-    elapsed: Optional[float] = None
-
-
-#: Every opt-in field of :data:`OPTIONAL_COLUMNS`, in CSV order.
-_OPTIONAL_FIELDS = tuple(f for fam in OPTIONAL_COLUMNS.values() for f in fam)
 
 
 def _run_group(
@@ -135,19 +84,13 @@ def _run_group(
     No other group reads this group's tables, so they are released
     when it finishes (the sweep's footprint is one group's, not the
     grid's)."""
-    out: list[SweepRecord] = []
     try:
-        for h in heuristics:
-            for f in fractions:
-                cell = ctx.run_cell(key, p, h, f, **cell_kw)
-                out.append(SweepRecord(
-                    key, p, h, f, cell.executable, cell.capacity, cell.min_mem,
-                    cell.tot, cell.pt, cell.pt_increase, cell.avg_maps,
-                    **{name: getattr(cell, name) for name in _OPTIONAL_FIELDS},
-                ))
+        return [
+            ctx.run_cell(key, p, h, f, **cell_kw)
+            for h in heuristics for f in fractions
+        ]
     finally:
         ctx.release(key, p)
-    return out
 
 
 #: Per-worker-process context, built once by :func:`_worker_init`.  A
@@ -221,24 +164,21 @@ def full_sweep(
     fractions: Sequence[float] = (1.0, 0.75, 0.5, 0.4, 0.25),
     reference: str = "rcp",
     jobs: Optional[int] = 1,
-    metrics: bool = False,
-    check: bool = False,
-    analyze: bool = False,
     engine: str = "compiled",
-    bounds: bool = False,
     runtime=None,
     checkpoint: Optional[str] = None,
     resume: bool = False,
     harness_faults=None,
     obs_dir: Optional[str] = None,
     progress: bool = False,
+    **columns: bool,
 ) -> list[SweepRecord]:
     """Run the full grid; non-executable cells get ``inf`` metrics.
 
     The grid is validated before any work starts: an unknown workload
-    raises ``KeyError``; an unknown heuristic, ``reference`` or
-    ``engine``, a processor count below 1 or a negative or non-finite
-    fraction raises ``ValueError``.
+    raises ``KeyError``; an unknown heuristic, ``reference``,
+    ``engine`` or column flag, a processor count below 1 or a negative
+    or non-finite fraction raises ``ValueError``.
 
     ``jobs`` selects the number of worker processes (``None``/``0`` =
     one per CPU).  Parallel runs return exactly the records of the
@@ -247,29 +187,14 @@ def full_sweep(
     ``ctx.spec``, so custom problems registered on ``ctx`` must be
     picklable to sweep with ``jobs > 1``.
 
-    The opt-in flags ``metrics``, ``check``, ``analyze`` and ``bounds``
-    each fill one family of :data:`OPTIONAL_COLUMNS`
-    (``None`` in every record otherwise); none of them changes the
-    core fields, because the simulation is deterministic:
-
-    * ``metrics=True`` runs every cell instrumented and fills
-      ``map_overhead_frac``, ``max_hwm`` and ``max_suspq``;
-    * ``check=True`` attaches a
-      :class:`~repro.conformance.InvariantChecker` to every simulation
-      and fills ``violations`` (0 everywhere when Theorem 1 holds);
-    * ``analyze=True`` statically analyzes every cell's plan
-      (:func:`repro.analysis.analyze_schedule`, no extra simulation)
-      and fills ``analysis_errors``; non-executable cells count their
-      ``SA101``;
-    * ``bounds=True`` fills the certified static lower bounds of
-      :mod:`repro.analysis.bounds` (``pt_bound``/``mem_bound``) and each
-      cell's relative slack over them (``value/bound - 1``), cached per
-      (workload, procs, heuristic).
-
-    On non-executable cells the simulated columns (telemetry,
-    ``violations``, ``pt_bound_gap``) are ``inf`` like the timing
-    fields, and the static columns (``analysis_errors``, the bounds)
-    keep real values.
+    The keyword flags ``metrics``, ``check``, ``analyze`` and
+    ``bounds`` (``**columns``) each fill one family of
+    :data:`~repro.experiments.common.OPTIONAL_COLUMNS` (``None`` in
+    every record otherwise).  None of them changes the core fields,
+    because the simulation is deterministic.  On non-executable cells
+    the simulated columns (telemetry, ``violations``, ``pt_bound_gap``)
+    are ``inf`` like the timing fields, and the static columns
+    (``analysis_errors``, the bounds) keep real values.
 
     ``engine`` selects the simulator engine for every cell (see
     :class:`~repro.machine.simulator.Simulator`): the array-compiled
@@ -309,16 +234,14 @@ def full_sweep(
     require_known("heuristic", heuristics, HEURISTICS)
     require_known("reference", (reference,), REFERENCES)
     require_known("engine", (engine,), ENGINES)
+    require_known("column family", columns, OPTIONAL_COLUMNS)
     require_grid(procs, fractions)
     if resume and checkpoint is None:
         raise ValueError("resume=True requires a checkpoint directory")
     if not jobs or jobs < 0:
         jobs = os.cpu_count() or 1
-    cell_kw = dict(
-        reference=reference, engine=engine, collect_metrics=metrics,
-        collect_check=check, collect_analysis=analyze,
-        collect_bounds=bounds,
-    )
+    on = tuple(name for name in OPTIONAL_COLUMNS if columns.get(name))
+    cell_kw = dict(reference=reference, engine=engine, columns=on)
     groups = [(key, p) for key in workloads for p in procs]
     supervised = (
         runtime is not None or checkpoint is not None or resume
@@ -358,8 +281,8 @@ def full_sweep(
             checkpoint,
             grid_fingerprint(
                 ctx.spec, workloads, procs, heuristics, fractions, reference,
-                metrics, check, analyze, engine, bounds=bounds,
-                harness_faults=harness_faults,
+                engine=engine, harness_faults=harness_faults,
+                **{name: name in on for name in OPTIONAL_COLUMNS},
             ),
         )
         journal.start(resume=resume)
@@ -419,10 +342,10 @@ def to_csv(records: Iterable[SweepRecord], path: Optional[str] = None) -> str:
     """Serialise sweep records as CSV; optionally write to ``path``.
 
     The header is :data:`FIELDS`, then each family of
-    :data:`OPTIONAL_COLUMNS` (in table order) and the
-    :data:`FAILURE_FIELDS` that some record carries.  A family no record
-    populates is omitted, so a sweep without opt-in flags or failures
-    writes exactly the plain CSV.  ``inf`` is written as ``inf`` and an
+    :data:`~repro.experiments.common.OPTIONAL_COLUMNS` (in table order)
+    and the :data:`FAILURE_FIELDS` that some record carries.  A family
+    no record populates is omitted, so a sweep without opt-in flags or
+    failures writes exactly the plain CSV.  ``inf`` is written as ``inf`` and an
     unpopulated cell as the empty string.
 
     Writing is crash-safe: the text goes to a same-directory temporary
@@ -432,7 +355,8 @@ def to_csv(records: Iterable[SweepRecord], path: Optional[str] = None) -> str:
     records = list(records)
     fields = FIELDS + tuple(
         name
-        for family in (*OPTIONAL_COLUMNS.values(), FAILURE_FIELDS)
+        for family in (
+            *(fam.fields for fam in OPTIONAL_COLUMNS.values()), FAILURE_FIELDS)
         if any(getattr(r, family[0]) is not None for r in records)
         for name in family
     )

@@ -68,7 +68,7 @@ class OverheadTable:
     title: str
     procs: tuple[int, ...]
     fractions: tuple[float, ...]
-    #: cells[(p, fraction)] -> averaged CellMetrics-like tuple
+    #: (p, fraction) -> PT increase / #MAPs averaged over the workloads
     pt_increase: dict[tuple[int, float], float]
     maps: dict[tuple[int, float], float]
 

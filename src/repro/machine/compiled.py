@@ -57,7 +57,7 @@ The MAP planner's capacity-independent tables are memoised per
 schedule as well, on the :class:`~repro.core.liveness.MemoryProfile`.
 
 **Per cell** (:class:`ExecPlan`, the last :data:`MAX_EXEC_PLANS`
-memoised per ``(capacity, spec, memory_managed, preknown)``): only the
+memoised per ``(capacity, spec, memory_managed)``): only the
 MAPs.  The run's other inputs — capacity, memory mode, the spec's costs
 and the mapping's per-spec message costs — are read from the
 simulator, the spec and :meth:`MappingLowering.costs`.  ``map_pos``
@@ -487,8 +487,8 @@ class ExecPlan:
     sent, like there), nothing else.  Its size scales with the MAPs,
     not the tasks.  The last
     :data:`MAX_EXEC_PLANS` are cached on the owning ``CompiledSchedule``
-    under ``(capacity, spec, memory_managed, preknown)``; a
-    caller-supplied MAP plan gets an uncached one.
+    under ``(capacity, spec, memory_managed)``; a caller-supplied MAP
+    plan gets an uncached one.
     """
 
     __slots__ = (
@@ -683,7 +683,6 @@ def get_exec_plan(
     capacity: int,
     spec: MachineSpec,
     memory_managed: bool,
-    preknown: bool,
     plan=None,
 ) -> ExecPlan:
     """Execution plan for one (capacity, spec, mode); the last
@@ -700,7 +699,9 @@ def get_exec_plan(
     as a miss).
     """
     cs.check_fresh()
-    key = (capacity, spec, memory_managed, preknown)
+    # ``preknown_addresses`` only changes what the run does at a MAP,
+    # not the MAP tables, so it is no part of the key.
+    key = (capacity, spec, memory_managed)
     caller = (
         memory_managed and plan is not None
         and plan is not cs._plans.get(capacity)
@@ -783,8 +784,7 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
     memory_managed = sim.memory_managed
     preknown = sim.preknown_addresses
     managed_check = memory_managed and not preknown
-    ep = get_exec_plan(cs, capacity, spec, memory_managed, preknown,
-                       plan=sim.plan)
+    ep = get_exec_plan(cs, capacity, spec, memory_managed, plan=sim.plan)
     lo = cs._lowered
     ml = lo.mapping
     gi = ml.gi

@@ -297,7 +297,7 @@ class CompiledSchedule:
     * compiled-engine execution plans additionally depend on the
       :class:`~repro.machine.spec.MachineSpec` (cost parameters) and the
       execution mode, so they are cached under the full key
-      ``(capacity, spec, memory_managed, preknown)`` — ``MachineSpec``
+      ``(capacity, spec, memory_managed)`` — ``MachineSpec``
       is a frozen dataclass and hashes by value, so two sweeps over
       different machines never share an execution plan.
     """
@@ -326,7 +326,7 @@ class CompiledSchedule:
         self.profile = profile if profile is not None else analyze_memory(schedule)
         self._plans: dict[int, MapPlan] = {}
         #: compiled-engine execution plans, keyed
-        #: ``(capacity, spec, memory_managed, preknown)`` — see
+        #: ``(capacity, spec, memory_managed)`` — see
         #: :func:`repro.machine.compiled.get_exec_plan`.
         self._exec_plans: dict[tuple, object] = {}
         #: lowered list-table IR (shared by every execution plan).

@@ -167,7 +167,7 @@ class TestMutationsAreRejected:
 
     def test_sa504_map_positions_out_of_order(self):
         cs = fresh_paper()
-        ep = get_exec_plan(cs, cs.profile.min_mem, UNIT_MACHINE, True, False)
+        ep = get_exec_plan(cs, cs.profile.min_mem, UNIT_MACHINE, True)
         k = next(k for k in range(len(ep.map_pos) - 1)
                  if ep.map_pos[k] < ep.map_pos[k + 1] - 1
                  and k + 1 not in ep.map_first)
@@ -249,4 +249,4 @@ class TestDebugPath:
         monkeypatch.setenv("REPRO_VERIFY_IR", "1")
         cs = fresh_paper()
         lower_schedule(cs)  # would raise via debug_verify on a bad IR
-        get_exec_plan(cs, 8, UNIT_MACHINE, True, False)
+        get_exec_plan(cs, 8, UNIT_MACHINE, True)

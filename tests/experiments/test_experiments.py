@@ -20,7 +20,7 @@ from repro.experiments import (
     table6,
     table7,
 )
-from repro.experiments.common import CellMetrics
+from repro.experiments.common import SweepRecord
 from repro.experiments.report import fmt_maps, fmt_pct, fmt_ratio, render_table
 
 
@@ -56,12 +56,16 @@ class TestCommon:
         # at p=2 almost everything is permanent; 40% of TOT is below
         # MIN_MEM for this workload (the paper's table 2 shows inf too)
         if not c.executable:
-            assert math.isinf(c.pt)
+            assert math.isinf(c.parallel_time)
 
     def test_compare_pt_markers(self):
-        ok = CellMetrics(executable=True, pt=2.0)
-        ok2 = CellMetrics(executable=True, pt=3.0)
-        bad = CellMetrics(executable=False)
+        def cell(executable, pt=math.inf):
+            return SweepRecord("chol15", 2, "rcp", 1.0, executable, 0, 0, 0,
+                               pt, math.inf, math.inf)
+
+        ok = cell(True, pt=2.0)
+        ok2 = cell(True, pt=3.0)
+        bad = cell(False)
         assert compare_pt(ok, ok2) == pytest.approx(0.5)
         assert compare_pt(bad, ok) == "*"
         assert compare_pt(ok, bad) == "!"

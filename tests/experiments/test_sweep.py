@@ -6,18 +6,19 @@ import pytest
 
 from repro.experiments import ExperimentContext
 from repro.experiments.sweep import (
-    ANALYZE_FIELDS,
-    BOUNDS_FIELDS,
-    CHECK_FIELDS,
     FAILURE_FIELDS,
     FIELDS,
-    METRIC_FIELDS,
     OPTIONAL_COLUMNS,
     SweepRecord,
     from_csv,
     full_sweep,
     to_csv,
 )
+
+
+def cols(*families):
+    """The :data:`OPTIONAL_COLUMNS` fields of ``families``, in order."""
+    return tuple(f for fam in families for f in OPTIONAL_COLUMNS[fam].fields)
 
 
 @pytest.fixture(scope="module")
@@ -93,8 +94,33 @@ class TestBoundsColumns:
 
     def test_round_trip_and_header(self, bounded):
         text = to_csv(bounded)
-        assert text.splitlines()[0] == ",".join(FIELDS + BOUNDS_FIELDS)
+        assert text.splitlines()[0] == ",".join(FIELDS + cols("bounds"))
         assert from_csv(text) == bounded
+
+
+class TestOneCellRecord:
+    """A sweep's records are the records ``run_cell`` returns."""
+
+    def test_every_family_matches_run_cell(self):
+        grid = dict(workloads=("chol15",), procs=(2, 4),
+                    heuristics=("rcp", "mpo"), fractions=(1.0, 0.25))
+        swept = full_sweep(ExperimentContext(), metrics=True, check=True,
+                           analyze=True, bounds=True, **grid)
+        ctx = ExperimentContext()
+        cells = [
+            ctx.run_cell(k, p, h, f, reference="rcp",
+                         columns=tuple(OPTIONAL_COLUMNS))
+            for k in grid["workloads"] for p in grid["procs"]
+            for h in grid["heuristics"] for f in grid["fractions"]
+        ]
+        assert swept == cells
+        static = cols("analyze") + ("pt_bound", "mem_bound", "mem_bound_gap")
+        simulated = cols("metrics", "check") + ("pt_bound_gap",)
+        blocked = [r for r in swept if not r.executable]
+        assert blocked and any(r.executable for r in swept)
+        for r in blocked:
+            assert all(math.isfinite(getattr(r, f)) for f in static)
+            assert all(math.isinf(getattr(r, f)) for f in simulated)
 
 
 class TestParallelSweep:
@@ -222,20 +248,20 @@ class TestCSVOptionalColumnRoundTrips:
     @pytest.mark.parametrize(
         ("families", "expected_fields"),
         [
-            (("metrics",), FIELDS + METRIC_FIELDS),
-            (("check",), FIELDS + CHECK_FIELDS),
-            (("analyze",), FIELDS + ANALYZE_FIELDS),
-            (("bounds",), FIELDS + BOUNDS_FIELDS),
+            (("metrics",), FIELDS + cols("metrics")),
+            (("check",), FIELDS + cols("check")),
+            (("analyze",), FIELDS + cols("analyze")),
+            (("bounds",), FIELDS + cols("bounds")),
             (("failure",), FIELDS + FAILURE_FIELDS),
-            (("metrics", "check"), FIELDS + METRIC_FIELDS + CHECK_FIELDS),
+            (("metrics", "check"), FIELDS + cols("metrics", "check")),
             (("metrics", "check", "analyze", "failure"),
-             FIELDS + METRIC_FIELDS + CHECK_FIELDS + ANALYZE_FIELDS
+             FIELDS + cols("metrics", "check", "analyze")
              + FAILURE_FIELDS),
             (("analyze", "bounds"),
-             FIELDS + ANALYZE_FIELDS + BOUNDS_FIELDS),
-            (("check", "failure"), FIELDS + CHECK_FIELDS + FAILURE_FIELDS),
+             FIELDS + cols("analyze", "bounds")),
+            (("check", "failure"), FIELDS + cols("check") + FAILURE_FIELDS),
             (("bounds", "metrics", "failure"),
-             FIELDS + METRIC_FIELDS + BOUNDS_FIELDS + FAILURE_FIELDS),
+             FIELDS + cols("metrics", "bounds") + FAILURE_FIELDS),
         ],
     )
     def test_header_matches_populated_families(self, families, expected_fields):
@@ -284,6 +310,9 @@ class TestGridValidation:
             ({"procs": (0,)}, ValueError, "processor counts"),
             ({"fractions": (-0.5,)}, ValueError, "fractions"),
             ({"fractions": (float("nan"),)}, ValueError, "fractions"),
+            ({"bogus": True}, ValueError,
+             r"column family.*\['bogus'\].*'metrics', 'check', 'analyze', "
+             r"'bounds'"),
         ],
     )
     def test_bad_grid_fails_fast(self, path, bad, error, match):
@@ -298,6 +327,11 @@ class TestGridValidation:
         with pytest.raises(error, match=match):
             full_sweep(ctx, **grid)
         assert not ctx._groups and not ctx.engine_counters()
+
+    def test_run_cell_rejects_unknown_column_family(self):
+        with pytest.raises(ValueError, match="column family"):
+            ExperimentContext().run_cell("lu-goodwin", 4, "rcp", 1.0,
+                                         columns=("bogus",))
 
     def test_run_cell_rejects_unknown_reference(self):
         with pytest.raises(ValueError, match="reference"):

@@ -14,7 +14,7 @@ import pytest
 from repro.experiments import ExperimentContext
 from repro.experiments.sweep import (
     FIELDS,
-    METRIC_FIELDS,
+    OPTIONAL_COLUMNS,
     from_csv,
     full_sweep,
     to_csv,
@@ -42,7 +42,7 @@ class TestPlainCsvUnchanged:
     def test_header_has_no_metric_columns(self, plain):
         header = to_csv(plain).splitlines()[0]
         assert header == ",".join(FIELDS)
-        for col in METRIC_FIELDS:
+        for col in OPTIONAL_COLUMNS["metrics"].fields:
             assert col not in header
 
     def test_records_carry_no_metrics(self, plain):
@@ -76,7 +76,7 @@ class TestMetricsColumns:
 
     def test_header_gains_metric_columns(self, instrumented):
         header = to_csv(instrumented).splitlines()[0]
-        assert header == ",".join(FIELDS + METRIC_FIELDS)
+        assert header == ",".join(FIELDS + OPTIONAL_COLUMNS["metrics"].fields)
 
     def test_executable_cells_have_finite_metrics(self, instrumented):
         for r in instrumented:
@@ -103,8 +103,8 @@ class TestMetricsColumns:
         ctx = ExperimentContext()
         a = ctx.run_cell("lu-goodwin", 4, "rcp", 1.0, reference="rcp")
         b = ctx.run_cell(
-            "lu-goodwin", 4, "rcp", 1.0, reference="rcp", collect_metrics=True
+            "lu-goodwin", 4, "rcp", 1.0, reference="rcp", columns=("metrics",)
         )
         assert a.map_overhead_frac is None
         assert b.map_overhead_frac is not None
-        assert a.pt == b.pt
+        assert a.parallel_time == b.parallel_time

@@ -5,7 +5,8 @@
   and exec plan the default path builds.
 * RCP, MPO and DTS at one P share one mapping-level lowering.
 * An exec plan holds only its MAP tables: its size follows the MAPs of
-  the plan, not the tasks of the schedule.
+  the plan, not the tasks of the schedule, and runs that differ only in
+  ``preknown_addresses`` share it.
 """
 
 import pytest
@@ -69,7 +70,7 @@ def test_exec_plan_size_follows_the_maps(fraction):
     cs = ctx.compiled("chol15", 4, "mpo")
     cap = int(cs.profile.tot * fraction)
     plan = cs.plan_for(cap)
-    ep = get_exec_plan(cs, cap, ctx.spec, True, False)
+    ep = get_exec_plan(cs, cap, ctx.spec, True)
     nprocs = cs.num_procs
     maps = sum(len(pts) for pts in plan.points)
     pkgs = plan.total_packages
@@ -95,3 +96,20 @@ def test_exec_plan_size_follows_the_maps(fraction):
     res = Simulator(compiled=cs, spec=ctx.spec, capacity=cap).run()
     assert res.engine == "compiled"
     assert sum(s.num_maps for s in res.stats) == maps
+
+
+def test_preknown_addresses_share_the_exec_plan():
+    ctx = ExperimentContext()
+    cs = ctx.compiled("chol15", 4, "mpo")
+    cap = cs.profile.tot
+    runs = {
+        preknown: Simulator(compiled=cs, spec=ctx.spec, capacity=cap,
+                            preknown_addresses=preknown).run()
+        for preknown in (False, True)
+    }
+    assert cs.counters["exec_plan_misses"] == 1
+    assert cs.counters["exec_plan_hits"] == 1
+    # The shared plan runs the oracle's preknown-address protocol.
+    oracle = Simulator(compiled=cs, spec=ctx.spec, capacity=cap,
+                       preknown_addresses=True, engine="interpreted").run()
+    assert runs[True].parallel_time == oracle.parallel_time

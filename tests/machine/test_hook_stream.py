@@ -246,8 +246,7 @@ class TestObservedCells:
         for h in ("rcp", "mpo", "dts"):
             cells = {
                 e: ctx.run_cell("lu-goodwin", 4, h, fraction,
-                                collect_metrics=True, collect_check=True,
-                                engine=e)
+                                columns=("metrics", "check"), engine=e)
                 for e in ENGINES
             }
             cell = cells["compiled"]

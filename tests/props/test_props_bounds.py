@@ -15,6 +15,8 @@ positives would poison the compiled engine's debug path).
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from relabel import relabel
+
 from repro.analysis import certified_bounds, verify_exec_plan
 from repro.core import (
     UNIT_COMM,
@@ -30,9 +32,6 @@ from repro.core import (
     tree_order,
 )
 from repro.graph import generators as gen
-from repro.graph.objects import DataObject
-from repro.graph.taskgraph import TaskGraph
-from repro.graph.tasks import Task
 from repro.machine.simulator import CompiledSchedule
 from repro.machine.spec import UNIT_MACHINE
 from repro.opt.exact import solve
@@ -73,28 +72,6 @@ def make_tree(ps):
     g = gen.reduction_tree(leaves)
     pl = cyclic_placement(g, p)
     return g, pl, owner_compute_assignment(g, pl)
-
-
-def relabel(g, tmap, omap):
-    """Copy ``g`` with renamed tasks/objects (same program order)."""
-    h = TaskGraph()
-    for o in g.objects():
-        h.add_object(DataObject(omap[o.name], o.size))
-    for t in g.tasks():
-        h.add_task(Task(
-            tmap[t.name],
-            tuple(omap[r] for r in t.reads),
-            tuple(omap[w] for w in t.writes),
-            t.weight,
-            t.commute,
-        ))
-    for u, v, objs in g.edges():
-        if objs:
-            for ob in objs:
-                h.add_edge(tmap[u], tmap[v], omap[ob])
-        else:
-            h.add_edge(tmap[u], tmap[v])
-    return h.freeze()
 
 
 def optimum(g, pl, asg, objective):

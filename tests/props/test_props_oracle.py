@@ -21,6 +21,8 @@ The memory objective is integral and compared exactly.
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from relabel import relabel
+
 from repro.core import (
     UNIT_COMM,
     Placement,
@@ -36,9 +38,6 @@ from repro.core import (
 )
 from repro.errors import SchedulingError
 from repro.graph import generators as gen
-from repro.graph.objects import DataObject
-from repro.graph.taskgraph import TaskGraph
-from repro.graph.tasks import Task
 from repro.opt.exact import (
     BEST_FOUND,
     PROVED_OPTIMAL,
@@ -77,28 +76,6 @@ def value_of(schedule, objective):
     if objective == "time":
         return gantt(schedule, UNIT_COMM).makespan
     return float(analyze_memory(schedule).min_mem)
-
-
-def relabel(g, tmap, omap):
-    """Copy ``g`` with renamed tasks/objects (same program order)."""
-    h = TaskGraph()
-    for o in g.objects():
-        h.add_object(DataObject(omap[o.name], o.size))
-    for t in g.tasks():
-        h.add_task(Task(
-            tmap[t.name],
-            tuple(omap[r] for r in t.reads),
-            tuple(omap[w] for w in t.writes),
-            t.weight,
-            t.commute,
-        ))
-    for u, v, objs in g.edges():
-        if objs:
-            for ob in objs:
-                h.add_edge(tmap[u], tmap[v], omap[ob])
-        else:
-            h.add_edge(tmap[u], tmap[v])
-    return h.freeze()
 
 
 # ----------------------------------------------------------------------
