@@ -128,6 +128,12 @@ def test_obs_requires_action_and_dir(capsys):
     capsys.readouterr()
 
 
+def test_obs_merge_names_a_missing_dir(tmp_path, capsys):
+    missing = tmp_path / "nowhere"
+    assert main(["obs", "merge", "--obs-dir", str(missing)]) == 2
+    assert f"--obs-dir {missing}: no such directory" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
@@ -154,10 +160,28 @@ def test_obs_requires_action_and_dir(capsys):
         (["analyze", "--graphs", "1", "--fraction", "5"],
          "analyze --fraction is a position between MIN_MEM (0) and TOT (1), "
          "got 5.0"),
+        (["check", "--graphs", "-1"], "argument --graphs: must be >= 0"),
+        (["analyze", "--graphs", "-1"], "argument --graphs: must be >= 0"),
+        (["gaps", "--node-budget", "-5"],
+         "argument --node-budget: must be >= 1"),
+        (["trace", "--fraction", "0.1"],
+         "--workload paper (the worked example at capacity 8) does not read "
+         "--fraction"),
+        (["trace", "--procs", "8", "--heuristic", "rcp"],
+         "does not read --procs, --heuristic"),
+        (["analyze", "--seed", "7", "--bounds"],
+         "the paper batch (--workload paper) does not read --bounds"),
+        (["analyze", "--workload", "etree15", "--fault", "overwrite",
+          "--seed", "99", "--graphs", "0"],
+         "--workload etree15 does not read --seed, --graphs, --fault"),
+        (["analyze", "--out", "."], "--out . is a directory"),
     ],
     ids=["trace-procs", "analyze-paper-procs", "trace-nan", "trace-negative",
          "trace-workload", "analyze-workload", "check-procs", "check-nan",
-         "check-above-tot", "check-below-min-mem", "analyze-paper-above-tot"],
+         "check-above-tot", "check-below-min-mem", "analyze-paper-above-tot",
+         "check-graphs", "analyze-graphs", "gaps-node-budget",
+         "trace-paper-fraction", "trace-paper-procs", "analyze-batch-bounds",
+         "analyze-workload-batch-flags", "analyze-out-dir"],
 )
 def test_trace_and_analyze_reject_a_bad_cell(argv, message, capsys):
     """`trace`/`analyze` check --procs/--fraction like `sweep` does, and
@@ -165,7 +189,9 @@ def test_trace_and_analyze_reject_a_bad_cell(argv, message, capsys):
     of `analyze` check --procs and their --fraction, a position in
     [0, 1] between MIN_MEM and TOT.  Each exits 2 with a named message,
     not a bare traceback, a negative capacity or a silently clamped
-    position."""
+    position; so do a count below its range and a flag that the mode
+    does not read (the worked example's run, the paper batch or one
+    workload cell)."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err
@@ -191,11 +217,15 @@ def test_sweep_metrics_columns(tmp_path, capsys):
         ["--workloads", "nope"],
         ["--procs", "0"],
         ["--harness-fault", "explode:lu-goodwin:4"],
+        ["--timeout", "-1"],
+        ["--retries", "0"],
+        ["--jobs", "-1"],
     ],
 )
 def test_sweep_bad_grid_exits_2_before_work(bad, tmp_path, capsys):
-    """A supervised --jobs 2 sweep rejects a bad grid up front (exit 2,
-    no CSV) instead of retrying it into status=error rows."""
+    """A supervised --jobs 2 sweep rejects a bad grid or supervision
+    knob up front (exit 2, no CSV) instead of retrying it into
+    status=error rows or running with a deadline already past."""
     out = tmp_path / "never.csv"
     rc = main(["sweep", "--jobs", "2", "--supervised", *bad,
                "--out", str(out)])
