@@ -267,7 +267,14 @@ def _run_obs_merge(args) -> int:
 
     if not pathlib.Path(args.obs_dir).is_dir():
         args.parser.error(f"--obs-dir {args.obs_dir}: no such directory")
-    path = write_sweep_trace(args.obs_dir, args.trace_out)
+    try:
+        _files(args, "trace_out")
+    except ValueError as err:
+        args.parser.error(str(err))
+    try:
+        path = write_sweep_trace(args.obs_dir, args.trace_out)
+    except ValueError as err:  # no runtime-trace shards
+        args.parser.error(f"--obs-dir {err}")
     print(f"wrote {path} (open at ui.perfetto.dev)")
     return 0
 
@@ -308,7 +315,23 @@ def _resolve_batch(args) -> None:
         )
 
 
+def _files(args, *names: str) -> None:
+    """Reject (``ValueError``, an exit 2 through the command's parser)
+    each output path of ``names`` that is a directory, naming it."""
+    for name in names:
+        path = getattr(args, name)
+        if path is not None and pathlib.Path(path).is_dir():
+            raise ValueError(
+                f"--{name.replace('_', '-')} {path} is a directory, not a file")
+
+
+def _resolve_check(args) -> None:
+    _files(args, "trace_out")
+    _resolve_batch(args)
+
+
 def _resolve_trace(args) -> None:
+    _files(args, "metrics", "trace_out", "report")
     if args.workload == "paper":
         _refuse(args, _PAPER_RUN, "procs", "heuristic", "fraction")
     else:
@@ -316,8 +339,7 @@ def _resolve_trace(args) -> None:
 
 
 def _resolve_analyze(args) -> None:
-    if args.out is not None and pathlib.Path(args.out).is_dir():
-        raise ValueError(f"--out {args.out} is a directory, not a report file")
+    _files(args, "out")
     if args.workload == "paper":
         _refuse(args, _PAPER_BATCH, "heuristic", "bounds")
         _resolve_batch(args)
@@ -629,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add = command("check", _run_check, "conformance batch: the invariant "
                   "checker and the differential oracle on the worked "
-                  "example and seeded random DAGs", resolve=_resolve_batch)
+                  "example and seeded random DAGs", resolve=_resolve_check)
     batch(add)
     add("--procs", type=int, metavar="P", help="processor count (default 3)")
     add("--fraction", type=float, help="capacity as a position between "

@@ -25,13 +25,19 @@ isolated in the DCG and yield no slice — matching Figure 5, where only
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from itertools import chain
+from typing import Iterable, Mapping, TypeVar
+
+import numpy as np
 
 from ..errors import SchedulingError
 from ..graph.builder import is_source_task
 from ..graph.taskgraph import TaskGraph
+from ..graph.tasks import Task
 from .index import MappingIndex, graph_index, mapping_index
 from .placement import Placement
+
+T = TypeVar("T")
 
 
 def task_association(graph: TaskGraph, task: str) -> tuple[str, ...]:
@@ -44,20 +50,17 @@ def task_association(graph: TaskGraph, task: str) -> tuple[str, ...]:
     the acyclicity that Corollary 2 proves.  They land in the first
     slice instead.
     """
-    if is_source_task(task):
+    return _association(graph.task(task))
+
+
+def _association(t: Task) -> tuple[str, ...]:
+    if is_source_task(t.name):
         return ()
-    t = graph.task(task)
-    ro = t.read_only
-    if ro:
-        return ro
-    # No read-only objects: associate with the written object(s); this
-    # covers ``T[j]`` pure producers and read-modify-write tasks whose
-    # only input is the object they update.
-    if t.writes:
-        return t.writes
-    if t.reads:  # read-only task reading objects it also ... cannot happen
-        return t.reads
-    return ()
+    # Read-only objects, else the written object(s): the latter covers
+    # ``T[j]`` pure producers and read-modify-write tasks whose only
+    # input is the object they update.
+    w = t.writes
+    return tuple([o for o in t.reads if o not in w]) or w
 
 
 @dataclass
@@ -91,46 +94,68 @@ class DCG:
         return all(len(objs) == 1 for objs in self.comp_objects)
 
 
-def build_dcg(graph: TaskGraph) -> DCG:
-    """Construct the DCG of a task graph and slice it by SCCs."""
-    assoc: dict[str, tuple[str, ...]] = {}
-    nodes: set[str] = set()
-    succ: dict[str, set[str]] = {}
+def _links(a_ptr, a_len, a_oid, src, dst, nobj: int):
+    """Link keys ``x * nobj + y`` for every ``x`` associated with
+    ``src[k]`` and ``y != x`` with ``dst[k]``, in ``k`` order, then
+    ``x``-major association order (the order of ``for x in assoc[src]:
+    for y in assoc[dst]``)."""
+    count = a_len[src] * a_len[dst]
+    j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    width = np.repeat(a_len[dst], count)
+    x = a_oid[np.repeat(a_ptr[src], count) + j // width]
+    y = a_oid[np.repeat(a_ptr[dst], count) + j % width]
+    return (x * nobj + y)[x != y]
 
-    def link(a: str, b: str) -> None:
-        if a != b:
-            succ.setdefault(a, set()).add(b)
 
-    for t in graph.tasks():
-        a = task_association(graph, t.name)
-        assoc[t.name] = a
-        nodes.update(a)
-        # Rule 2: multiple associated nodes become strongly connected.
-        for x in a:
-            for y in a:
-                link(x, y)
+def _association_csr(graph: TaskGraph, gi):
+    """Every task's associated object ids as a CSR: ``(a_ptr, a_len,
+    a_oid)``."""
+    assoc = [_association(t) for t in graph.tasks()]
+    n = len(assoc)
+    a_len = np.fromiter(map(len, assoc), np.int64, n)
+    a_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(a_len, out=a_ptr[1:])
+    a_oid = np.fromiter(map(gi.oid.__getitem__, chain.from_iterable(assoc)),
+                        np.int64, int(a_ptr[-1]))
+    return a_ptr, a_len, a_oid
+
+
+def _adjacency(gi, a_ptr, a_len, a_oid):
+    """The DCG's nodes in order — each where it first links out, then
+    the others sorted, so the DCG and every downstream slice order are
+    independent of the process hash seed (DTS schedules must be
+    reproducible) — and its deduplicated link keys ``x * nobj + y``,
+    sorted."""
+    nobj = len(gi.object_names)
+    # Rule 2: multiple associated nodes become strongly connected.
     # Rule 3: temporal order of data accessing along task dependences.
-    for u, v, _objs in graph.edges():
-        for x in assoc[u]:
-            for y in assoc[v]:
-                link(x, y)
-    # Sorted so the DCG (and every downstream slice order) is independent
-    # of the process hash seed — DTS schedules must be reproducible.
-    for n in sorted(nodes):
-        succ.setdefault(n, set())
+    every = np.arange(len(a_len))
+    keys = np.concatenate((
+        _links(a_ptr, a_len, a_oid, every, every, nobj),
+        _links(a_ptr, a_len, a_oid, gi.edge_u, gi.edge_v, nobj),
+    ))
+    x = keys // nobj
+    _, first = np.unique(x, return_index=True)
+    linked = x[np.sort(first)]
+    return np.concatenate((linked, np.setdiff1d(a_oid, linked))), np.unique(keys)
 
-    comp = tarjan_scc(succ)
-    # Condensation + topological order of components.
-    ncomp = max(comp.values(), default=-1) + 1
+
+def _component_order(comp_of, ncomp: int, nodes, src, dst) -> list[int]:
+    """Topological order of the SCC condensation.  Its edges enter each
+    component's successor set in node order, then ascending object id
+    (the set's iteration order depends on insertion order)."""
+    pos = np.zeros(len(comp_of), dtype=np.int64)
+    pos[nodes] = np.arange(len(nodes))
+    walk = np.lexsort((dst, pos[src]))
+    ca, cb = comp_of[src[walk]], comp_of[dst[walk]]
+    between = ca != cb
+    ca, cb = ca[between], cb[between]
+    _, first = np.unique(ca * ncomp + cb, return_index=True)
+    first.sort()
     cond_succ: list[set[int]] = [set() for _ in range(ncomp)]
-    indeg = [0] * ncomp
-    for a, outs in succ.items():
-        ca = comp[a]
-        for b in outs:
-            cb = comp[b]
-            if ca != cb and cb not in cond_succ[ca]:
-                cond_succ[ca].add(cb)
-                indeg[cb] += 1
+    for a, b in zip(ca[first].tolist(), cb[first].tolist()):
+        cond_succ[a].add(b)
+    indeg = np.bincount(cb[first], minlength=ncomp).tolist()
     order: list[int] = []
     stack = [c for c in range(ncomp) if indeg[c] == 0]
     while stack:
@@ -142,48 +167,87 @@ def build_dcg(graph: TaskGraph) -> DCG:
                 stack.append(d)
     if len(order) != ncomp:
         raise SchedulingError("DCG condensation is not acyclic (SCC bug)")
+    return order
 
-    # Group tasks per component; drop empty components, renumber densely
-    # in topological order.
-    tasks_by_comp: dict[int, list[str]] = {}
-    for t in graph.task_names:
-        a = assoc[t]
-        if not a:
-            continue
-        cids = {comp[x] for x in a}
-        if len(cids) != 1:
-            raise SchedulingError(
-                f"task {t!r} associated with several components {sorted(cids)}"
-            )
-        tasks_by_comp.setdefault(cids.pop(), []).append(t)
 
+def _components(graph: TaskGraph, gi):
+    """The DCG in ids: ``(succ, comp, order, tasks_by_comp, loose)`` —
+    the out-links of each node in node order, Tarjan's component of each
+    node, the components in topological order, each component's task
+    ids and the tasks associated with no node."""
+    nobj = len(gi.object_names)
+    a_ptr, a_len, a_oid = _association_csr(graph, gi)
+    nodes, links = _adjacency(gi, a_ptr, a_len, a_oid)
+    src, dst = links // nobj, links % nobj
+    bounds = np.searchsorted(src, np.arange(nobj + 1)).tolist()
+    dst_l = np.arange(nobj, dtype=object)[dst].tolist()  # one int per oid
+    succ = {o: dst_l[bounds[o]:bounds[o + 1]] for o in nodes.tolist()}
+
+    comp = tarjan_scc(succ)
+    comp_of = np.full(max(nobj, 1), -1, dtype=np.int64)
+    comp_of[list(comp)] = list(comp.values())
+    order = _component_order(comp_of, len(comp) and max(comp.values()) + 1,
+                             nodes, src, dst)
+
+    # Group tasks per component (all of a task's nodes must share one).
+    a_comp = comp_of[a_oid]
+    tied = a_len > 0
+    t_comp = a_comp[a_ptr[:-1][tied]]
+    split = np.flatnonzero(a_comp != np.repeat(t_comp, a_len[tied]))
+    if len(split):
+        t = int(np.searchsorted(a_ptr, split[0], side="right")) - 1
+        raise SchedulingError(
+            f"task {gi.names[t]!r} associated with several components "
+            f"{sorted(set(a_comp[a_ptr[t]:a_ptr[t + 1]].tolist()))}"
+        )
+    tasks_by_comp: dict[int, list[int]] = {}
+    for t, c in zip(np.flatnonzero(tied).tolist(), t_comp.tolist()):
+        tasks_by_comp.setdefault(c, []).append(t)
+    return succ, comp, order, tasks_by_comp, np.flatnonzero(~tied).tolist()
+
+
+def build_dcg(graph: TaskGraph) -> DCG:
+    """Construct the DCG of a task graph and slice it by SCCs.
+
+    Works in the graph index's task and object ids: the links of rules
+    2 and 3 are deduplicated int pairs, and Tarjan runs on object ids.
+    Object ids follow sorted names, so every walk in ascending ids is a
+    walk in sorted names; the returned :class:`DCG` is keyed by name."""
+    gi = graph_index(graph)
+    names, obj_name = gi.names, gi.object_names
+    succ, comp, order, tasks_by_comp, loose = _components(graph, gi)
+
+    # Drop empty components, renumber densely in topological order.
     comp_objects: list[list[str]] = []
     comp_tasks: list[list[str]] = []
     remap: dict[int, int] = {}
-    objs_by_comp: dict[int, list[str]] = {}
+    objs_by_comp: dict[int, list[int]] = {}
     for o, c in comp.items():
         objs_by_comp.setdefault(c, []).append(o)
     for c in order:
         if c in tasks_by_comp:
             remap[c] = len(comp_tasks)
-            comp_objects.append(sorted(objs_by_comp.get(c, [])))
-            comp_tasks.append(tasks_by_comp[c])
+            comp_objects.append(
+                [obj_name[o] for o in sorted(objs_by_comp.get(c, []))])
+            comp_tasks.append([names[t] for t in tasks_by_comp[c]])
 
-    component = {o: remap[c] for o, c in comp.items() if c in remap}
     dcg = DCG(
         graph=graph,
-        succ=succ,
-        component=component,
+        succ={obj_name[a]: {obj_name[b] for b in outs}
+              for a, outs in succ.items()},
+        component={obj_name[o]: remap[c] for o, c in comp.items()
+                   if c in remap},
         comp_objects=comp_objects,
         comp_tasks=comp_tasks,
     )
     # Tasks with no association (no reads, no writes) default to slice 0;
     # such tasks have no data footprint so any slice is safe.
-    if any(not assoc[t] for t in graph.task_names) and not comp_tasks:
+    loose_names = [names[t] for t in loose]
+    if loose_names and not comp_tasks:
         dcg.comp_objects.append([])
-        dcg.comp_tasks.append([t for t in graph.task_names if not assoc[t]])
-    elif any(not assoc[t] for t in graph.task_names):
-        dcg.comp_tasks[0] = [t for t in graph.task_names if not assoc[t]] + dcg.comp_tasks[0]
+        dcg.comp_tasks.append(loose_names)
+    elif loose_names:
+        dcg.comp_tasks[0] = loose_names + dcg.comp_tasks[0]
     return dcg
 
 
@@ -201,7 +265,7 @@ def shared_dcg(graph: TaskGraph) -> DCG:
     return DCG(graph, *graph_index(graph).memo("dcg", build))
 
 
-def tarjan_scc(succ: Mapping[str, set[str]]) -> dict[str, int]:
+def tarjan_scc(succ: Mapping[T, Iterable[T]]) -> dict[T, int]:
     """Iterative Tarjan SCC; returns node -> component id (ids are in
     *reverse* topological order of discovery, remapped by the caller).
 
@@ -209,17 +273,17 @@ def tarjan_scc(succ: Mapping[str, set[str]]) -> dict[str, int]:
     it, and the static protocol analyzer runs it over processor
     wait-for graphs to extract deadlock cycles (Theorem 1).  Nodes only
     need to be sortable (strings or ints)."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    comp: dict[str, int] = {}
+    index: dict[T, int] = {}
+    low: dict[T, int] = {}
+    on_stack: set[T] = set()
+    stack: list[T] = []
+    comp: dict[T, int] = {}
     counter = 0
     ncomp = 0
     for root in succ:
         if root in index:
             continue
-        work: list[tuple[str, list[str]]] = [(root, sorted(succ[root]))]
+        work: list[tuple[T, list[T]]] = [(root, sorted(succ[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -234,13 +298,14 @@ def tarjan_scc(succ: Mapping[str, set[str]]) -> dict[str, int]:
                     stack.append(child)
                     on_stack.add(child)
                     work.append((child, sorted(succ[child])))
-                elif child in on_stack:
-                    low[node] = min(low[node], index[child])
+                elif child in on_stack and index[child] < low[node]:
+                    low[node] = index[child]
             else:
                 work.pop()
                 if work:
                     parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
                 if low[node] == index[node]:
                     while True:
                         w = stack.pop()

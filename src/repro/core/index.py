@@ -11,12 +11,13 @@ mapping but not on the order, so it is computed once here and shared:
 
 * :class:`GraphIndex` — one per frozen
   :class:`~repro.graph.taskgraph.TaskGraph`: dense task ids in program
-  order, the topological order, successor/predecessor rows carrying
-  each edge's data byte count, task weights and access lists, dense
-  object ids in sorted-name order with their sizes, plus a memo for
-  other graph-only results (the DTS data connection graph, the
-  simulator's producer-unit tables, the forest parent vector of the
-  certified bounds).
+  order, the topological order, one flat edge table (every edge's
+  endpoints, a CSR of the object ids it carries and its byte count)
+  with the successor/predecessor rows derived from it, task weights
+  and access lists, dense object ids in sorted-name order with their
+  sizes, plus a memo for other graph-only results (the DTS data
+  connection graph, the simulator's producer-unit tables, the forest
+  parent vector of the certified bounds).
 * :class:`MappingIndex` — one per (graph, placement, assignment) value:
   the processor of every task, the volatile object ids each task
   touches and the PERM/VOLA sets of Definition 3, plus a memo for other
@@ -30,7 +31,9 @@ keeps the last :data:`MAX_MAPPINGS` mapping indexes, and
 :meth:`GraphIndex.forget` drops one early once its caller is done with
 it.  Mappings are matched by value — the owner of every object and the
 processor of every task — so callers that rebuild an equal placement
-and assignment for each heuristic share one index.  Unfrozen graphs may
+and assignment for each heuristic share one index; a repeated lookup of
+an unchanged mapping reuses the last value key after two dict
+comparisons instead of rebuilding it.  Unfrozen graphs may
 still change, so they are never cached: every call builds a fresh
 index.
 
@@ -41,7 +44,10 @@ from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, Mapping, TypeVar
+
+import numpy as np
 
 from ..errors import PlacementError
 from ..graph.taskgraph import TaskGraph
@@ -76,44 +82,57 @@ class GraphIndex:
     """Mapping-independent shape of one task graph in dense id space.
 
     Task ids follow program order (``graph.task_names`` once frozen).
+
+    The edge table holds every edge ``edge_u[e] -> edge_v[e]`` in
+    ``successor_map`` order (by source id, then insertion order) as
+    read-only int64 arrays: ``edge_oid[edge_ptr[e]:edge_ptr[e + 1]]``
+    are the sorted object ids it carries (empty for a synchronisation
+    edge).  One pass over the successor map builds it, and the
+    ``succ``/``pred`` rows and ``in_degree`` are slices of it, so each
+    edge's bytes are summed once.  The simulator's lowering and
+    the DCG read the table in bulk.
     """
 
     __slots__ = (
         "names", "tid", "topo", "succ", "pred", "in_degree", "weight",
         "accesses", "obj_size", "object_names", "oid", "oid_size",
-        "_memo", "_mappings",
+        "edge_u", "edge_v", "edge_ptr", "edge_oid",
+        "_memo", "_mappings", "_last_key",
     )
 
     def __init__(self, graph: TaskGraph) -> None:
         tasks = list(graph.tasks())
         names = [t.name for t in tasks]
-        tid = {n: i for i, n in enumerate(names)}
+        tid = {name: i for i, name in enumerate(names)}
         osize = {o.name: o.size for o in graph.objects()}
         object_names = sorted(osize)
+        oid = (graph.object_index if graph.frozen
+               else {o: i for i, o in enumerate(object_names)})
+        oid_size = [osize[o] for o in object_names]
 
-        def row(inner: Mapping[str, set[str]]) -> Row:
-            return tuple(
-                (tid[v], sum(osize[o] for o in objs) if objs else -1)
-                for v, objs in inner.items()
-            )
+        edge_u, edge_v, edge_ptr, edge_oid, edge_nbytes = _edge_table(
+            graph, names, tid, oid, oid_size)
+        succ, pred, in_degree = _rows(graph, names, tid, edge_u, edge_v,
+                                      edge_nbytes)
 
-        smap, pmap = graph.successor_map(), graph.predecessor_map()
         self.names = names
         self.tid = tid
-        self.topo = [tid[n] for n in graph.topological_order()]
-        self.succ: tuple[Row, ...] = tuple(row(smap[n]) for n in names)
-        self.pred: tuple[Row, ...] = tuple(row(pmap[n]) for n in names)
-        self.in_degree = [len(r) for r in self.pred]
+        self.topo = [tid[t] for t in graph.topological_order()]
+        self.succ: tuple[Row, ...] = succ
+        self.pred: tuple[Row, ...] = pred
+        self.in_degree = in_degree
         self.weight = [t.weight for t in tasks]
         self.accesses = [t.accesses for t in tasks]
         self.obj_size = osize
         self.object_names = object_names
         #: object name -> object id (its position in ``object_names``)
-        self.oid = (graph.object_index if graph.frozen
-                    else {o: i for i, o in enumerate(object_names)})
-        self.oid_size = [osize[o] for o in object_names]
+        self.oid = oid
+        self.oid_size = oid_size
+        self.edge_u, self.edge_v = edge_u, edge_v
+        self.edge_ptr, self.edge_oid = edge_ptr, edge_oid
         self._memo: dict = {}
         self._mappings: OrderedDict[tuple, MappingIndex] = OrderedDict()
+        self._last_key: tuple = (None, None, None, None)
 
     def memo(self, key, build: Callable[[], T]) -> T:
         """``build()`` once per key.  The result must not reference the
@@ -126,13 +145,24 @@ class GraphIndex:
 
     def _mapping_key(self, placement: Placement, assignment: Mapping[str, int]) -> tuple:
         """Value key of a mapping: the processor count, the processor of
-        every task and the owner of every object (``-1`` if unowned)."""
+        every task and the owner of every object (``-1`` if unowned).
+
+        The key of the last lookup is kept with snapshots of its
+        assignment and owner map; an equal mapping — the same objects
+        unchanged, or equal copies — reuses it, and a mutated one
+        builds a fresh key."""
         owner = placement.owner
-        return (
+        procs, last_asg, last_owner, key = self._last_key
+        if (procs == placement.num_procs and last_asg == assignment
+                and last_owner == owner):
+            return key
+        key = (
             placement.num_procs,
             tuple([assignment[t] for t in self.names]),
             tuple([owner.get(o, -1) for o in self.object_names]),
         )
+        self._last_key = (placement.num_procs, dict(assignment), dict(owner), key)
+        return key
 
     def mapping(self, placement: Placement, assignment: Mapping[str, int]) -> "MappingIndex":
         """The :class:`MappingIndex` of (``placement``, ``assignment``),
@@ -154,6 +184,74 @@ class GraphIndex:
         self._mappings.pop(self._mapping_key(placement, assignment), None)
 
 
+def _edge_table(graph: TaskGraph, names, tid, oid, oid_size):
+    """Every edge of ``graph`` in ``successor_map`` order, in one pass:
+    ``(edge_u, edge_v, edge_ptr, edge_oid, edge_nbytes)`` as read-only
+    int64 arrays (see :class:`GraphIndex`); ``edge_nbytes[e]`` is the
+    total size of edge ``e``'s objects, ``-1`` for a synchronisation
+    edge."""
+    n = len(names)
+    smap = graph.successor_map()
+    inner = [smap[name] for name in names]
+    objsets = list(chain.from_iterable(d.values() for d in inner))
+    ne = len(objsets)
+    edge_u = np.repeat(np.arange(n, dtype=np.int64),
+                       np.fromiter(map(len, inner), np.int64, n))
+    edge_v = np.fromiter(map(tid.__getitem__, chain.from_iterable(inner)),
+                         np.int64, ne)
+    count = np.fromiter(map(len, objsets), np.int64, ne)
+    edge_ptr = np.zeros(ne + 1, dtype=np.int64)
+    np.cumsum(count, out=edge_ptr[1:])
+    edge_oid = np.fromiter(
+        map(oid.__getitem__, chain.from_iterable(objsets)), np.int64,
+        int(edge_ptr[-1]))
+    if (count > 1).any():
+        # An edge's objects come in set order, which the hash seed
+        # salts; oids follow sorted names, so sorting each edge's oids
+        # gives the interpreted engine's sorted(objs) send order.
+        edge_oid = edge_oid[np.lexsort(
+            (edge_oid, np.repeat(np.arange(ne), count)))]
+    # Sizes plus a trailing 0 at index nobj: the per-edge sums read one
+    # slot past the last edge's objects.  Exact Python ints when a sum
+    # could pass int64.
+    size = np.array([*oid_size, 0],
+                    dtype=object if sum(oid_size) >= 2 ** 63 else None)
+    summed = np.add.reduceat(size[np.append(edge_oid, len(oid_size))],
+                             edge_ptr[:-1])
+    edge_nbytes = np.where(count > 0, summed, -1)
+    table = (edge_u, edge_v, edge_ptr, edge_oid, edge_nbytes)
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _rows(graph: TaskGraph, names, tid, edge_u, edge_v, edge_nbytes):
+    """``(succ, pred, in_degree)`` sliced from the edge table; the
+    predecessor rows keep the graph's own order (each entry of the
+    predecessor map finds its edge by the key ``u * n + v``)."""
+    n = len(names)
+    pmap = graph.predecessor_map()
+    pin = [pmap[name] for name in names]
+    in_degree = np.fromiter(map(len, pin), np.int64, n)
+    pred_u = np.fromiter(map(tid.__getitem__, chain.from_iterable(pin)),
+                         np.int64, len(edge_v))
+    key = edge_u * n + edge_v
+    by_key = np.argsort(key)
+    pred_e = by_key[np.searchsorted(
+        key[by_key], pred_u * n + np.repeat(np.arange(n), in_degree))]
+    # Rows hold one int object per task id and per edge byte count
+    # (object arrays index without making new ints).
+    ids = np.fromiter(tid.values(), object, n)
+    nbytes = edge_nbytes.astype(object)
+    out_pairs = zip(ids[edge_v].tolist(), nbytes.tolist())
+    in_pairs = zip(ids[pred_u].tolist(), nbytes[pred_e].tolist())
+    in_deg = in_degree.tolist()
+    return (tuple([tuple(islice(out_pairs, d))
+                   for d in np.bincount(edge_u, minlength=n).tolist()]),
+            tuple([tuple(islice(in_pairs, d)) for d in in_deg]),
+            in_deg)
+
+
 class MappingIndex:
     """Order-independent tables of one graph under one mapping.
 
@@ -163,8 +261,8 @@ class MappingIndex:
     """
 
     __slots__ = (
-        "names", "num_procs", "proc", "_accesses", "_obj_size", "_oid",
-        "_owner", "_memo",
+        "names", "num_procs", "proc", "_accesses", "_oid", "_oid_size",
+        "_object_names", "_owner", "_memo",
     )
 
     def __init__(self, gi: GraphIndex, placement: Placement, proc: list[int]) -> None:
@@ -172,8 +270,9 @@ class MappingIndex:
         self.num_procs = placement.num_procs
         self.proc = proc
         self._accesses = gi.accesses
-        self._obj_size = gi.obj_size
         self._oid = gi.oid
+        self._oid_size = gi.oid_size
+        self._object_names = gi.object_names
         self._owner = dict(placement.owner)
         self._memo: dict = {}
 
@@ -215,35 +314,48 @@ class MappingIndex:
     def perm(self) -> list[set[str]]:
         """``PERM(P)`` of Definition 3: objects each processor owns and
         accesses."""
-        return self.memo("perm-vola", self._perm_vola)[0]
+        return self.memo("perm", lambda: self._names(self._perm_vola_oids()[0]))
 
     @property
     def vola(self) -> list[set[str]]:
         """``VOLA(P)`` of Definition 3: objects each processor accesses
         but does not own."""
-        return self.memo("perm-vola", self._perm_vola)[1]
+        return self.memo("vola", lambda: self._names(self._perm_vola_oids()[1]))
 
-    def _perm_vola(self) -> tuple[list[set[str]], list[set[str]]]:
-        touched: list[set[str]] = [set() for _ in range(self.num_procs)]
-        for acc, p in zip(self._accesses, self.proc):
-            touched[p].update(acc)
-        owner = self.owner
-        perm = [{o for o in objs if owner(o) == p} for p, objs in enumerate(touched)]
-        return perm, [objs - mine for objs, mine in zip(touched, perm)]
+    def _perm_vola_oids(self) -> tuple[list[set[int]], list[set[int]]]:
+        """``PERM(P)`` and ``VOLA(P)`` as object-id sets: a processor's
+        volatile ids are its tasks' :attr:`vola_oids` rows, and every
+        other id its tasks access is permanent."""
+        def build() -> tuple[list[set[int]], list[set[int]]]:
+            nprocs = self.num_procs
+            touched: list[set[str]] = [set() for _ in range(nprocs)]
+            vola: list[set[int]] = [set() for _ in range(nprocs)]
+            for acc, p, row in zip(self._accesses, self.proc, self.vola_oids):
+                touched[p].update(acc)
+                vola[p].update(row)
+            oid = self._oid
+            perm = [{oid[o] for o in objs} - v for objs, v in zip(touched, vola)]
+            return perm, vola
+
+        return self.memo("perm-vola-oids", build)
+
+    def _names(self, sets: list[set[int]]) -> list[set[str]]:
+        names = self._object_names
+        return [{names[o] for o in s} for s in sets]
 
     @property
     def perm_bytes(self) -> list[int]:
         """Permanent footprint of every processor."""
-        return self.memo("perm-bytes", lambda: self._bytes(self.perm))
+        return self.memo("perm-bytes", lambda: self._bytes(self._perm_vola_oids()[0]))
 
     @property
     def vola_bytes(self) -> list[int]:
         """Volatile footprint (no recycling) of every processor."""
-        return self.memo("vola-bytes", lambda: self._bytes(self.vola))
+        return self.memo("vola-bytes", lambda: self._bytes(self._perm_vola_oids()[1]))
 
-    def _bytes(self, sets: list[set[str]]) -> list[int]:
-        size = self._obj_size
-        return [sum(size[o] for o in s) for s in sets]
+    def _bytes(self, sets: list[set[int]]) -> list[int]:
+        size = self._oid_size
+        return [sum([size[o] for o in s]) for s in sets]
 
 
 #: frozen graph -> its index.  Weak keys: the index dies with the graph.

@@ -18,6 +18,7 @@ All return the SVG text and optionally write it to a file.
 from __future__ import annotations
 
 import html
+import zlib
 from typing import Optional
 
 from .liveness import MemoryProfile
@@ -37,7 +38,9 @@ def _family(task: str) -> str:
 
 
 def _color(key: str) -> str:
-    return _PALETTE[hash(key) % len(_PALETTE)]
+    # crc32, not hash(): str hashes are salted per process, and the same
+    # schedule must draw the same colours on every run.
+    return _PALETTE[zlib.crc32(key.encode()) % len(_PALETTE)]
 
 
 def _document(body: list[str], width: int, height: int) -> str:

@@ -20,7 +20,15 @@ numbered by their :class:`~repro.core.index.GraphIndex` id (``tid``,
 program order); objects by ``oid`` (sorted names); a producer unit by
 the tid of its first task.  Task names, object names and object sizes
 stay on that index (``ml.gi``: ``names``, ``object_names``,
-``oid_size``); the lowering copies none of them.
+``oid_size``); the lowering copies none of them.  The lowering reads
+the index's edge table (``edge_u``/``edge_v``, the ``edge_ptr``/
+``edge_oid`` CSR of each edge's sorted oids) in bulk: it expands the
+edges by their objects, masks the cross-processor entries and numbers
+every key by first appearance in that order (``np.unique``, then the
+uniques ranked by first index), so the numbering is the one a pass over
+the edges would give.  Each CSR below is a stable ``argsort`` of its
+row ids with ``bincount`` prefix sums, and every table is handed on as
+a plain list.
 
 ``mk``
     a *data message key* ``(dest, object, unit)``; carries a CSR waiter
@@ -142,18 +150,22 @@ negative or non-finite costs and knobs before either engine runs.
 
 Implementation note: every table is one plain Python list, because
 scalar list indexing is several times faster than per-element array
-indexing under CPython, and no array library is imported.  The run
-loop and the IR verifier (:mod:`repro.analysis.irverify`) read the same
-list objects, each from the level that owns it, so a verified table is
-the table that runs.
+indexing under CPython; numpy builds the per-mapping tables and is
+never touched by the run loop.  The run loop and the IR verifier
+(:mod:`repro.analysis.irverify`) read the same list objects, each from
+the level that owns it, so a verified table is the table that runs.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
+from itertools import chain
+from operator import itemgetter
 from time import perf_counter
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 from ..core.index import graph_index
 from ..core.maps import maps_by_position
@@ -197,7 +209,8 @@ _NO_OVERWRITE = 1 << 60  # od_ow sentinel: no later local overwrite
 MAX_EXEC_PLANS = 2
 
 class _GraphIds(NamedTuple):
-    """Graph-only id tables (memoised on the :class:`GraphIndex`)."""
+    """Graph-only id tables (memoised on the :class:`GraphIndex`).  The
+    edges are the index's own edge table (``gi.edge_u`` etc.)."""
 
     #: tid -> its producer unit (the tid of the unit's first task)
     unit_of: list[int]
@@ -207,18 +220,11 @@ class _GraphIds(NamedTuple):
     groups: dict[int, list[int]]
     #: tid -> oids it writes
     writes: list[tuple[int, ...]]
-    #: every edge ``u -> v`` in ``successor_map`` order, as parallel
-    #: lists of tids and the sorted oids it carries (``()``: sync edge)
-    edge_u: list[int]
-    edge_v: list[int]
-    edge_objs: list[tuple[int, ...]]
 
 
 def _graph_ids(g, gi) -> _GraphIds:
     oid_of = gi.oid
-    tid = gi.tid
-    n = len(gi.names)
-    unit_of = list(range(n))
+    unit_of = list(range(len(gi.names)))
     unit_name = list(gi.names)
     first: dict[str, int] = {}
     members: dict[int, list[int]] = {}
@@ -231,21 +237,7 @@ def _graph_ids(g, gi) -> _GraphIds:
             members.setdefault(u, []).append(i)
         writes.append(tuple(oid_of[m] for m in t.writes))
     groups = {u: ms for u, ms in members.items() if len(ms) > 1}
-    edge_u: list[int] = []
-    edge_v: list[int] = []
-    edge_objs: list[tuple[int, ...]] = []
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for uname, inner in g.successor_map().items():
-        u = tid[uname]
-        for vname, objs in inner.items():
-            edge_u.append(u)
-            edge_v.append(tid[vname])
-            # oids follow sorted names, so this is the interpreted
-            # engine's sorted(objs) send order
-            key = tuple(sorted(oid_of[m] for m in objs))
-            edge_objs.append(shared.setdefault(key, key))
-    return _GraphIds(unit_of, unit_name, groups, writes, edge_u, edge_v,
-                     edge_objs)
+    return _GraphIds(unit_of, unit_name, groups, writes)
 
 
 class MappingLowering:
@@ -284,168 +276,145 @@ class MappingLowering:
         return c
 
 
-def _csr(rows: dict[int, list[int]], n: int) -> tuple[list[int], list[int]]:
-    """CSR of ``rows`` (row -> entries; absent rows are empty) over
-    rows ``0..n-1``."""
-    ptr = [0]
-    idx: list[int] = []
-    for i in range(n):
-        r = rows.get(i)
-        if r is None:
-            ptr.append(ptr[-1])  # most rows are empty: share the int
-        else:
-            idx += r
-            ptr.append(len(idx))
-    return ptr, idx
+def _first_seen(keys):
+    """Number ``keys`` by first appearance: ``(ids, first)``, where
+    ``ids[j]`` is the number of ``keys[j]`` and ``first[k]`` the
+    position of the first entry numbered ``k``."""
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    return rank[inv], first[by_first]
+
+
+def _rows(row_of, nrows: int):
+    """CSR over rows ``0..nrows-1`` of the entries ``0..len-1``, entry
+    ``j`` in row ``row_of[j]``, each row in entry order: ``(ptr,
+    entries)`` arrays."""
+    ptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_of, minlength=nrows), out=ptr[1:])
+    return ptr, np.argsort(row_of, kind="stable")
 
 
 def _lower_mapping(g, gi, mi) -> MappingLowering:
     """Messages, receiver requirements and waiters of every
-    cross-processor edge, from the graph's edge lists in tid space."""
+    cross-processor edge, numbered in bulk over the index's edge table.
+
+    Every key is numbered by first appearance in edge order (each data
+    edge's objects in sorted-oid order), which is the order the
+    interpreted engine meets them in."""
     ids = gi.memo("compiled-ids", lambda: _graph_ids(g, gi))
-    unit_of, unit_name, groups = ids.unit_of, ids.unit_name, ids.groups
-    proc = mi.proc
+    nprocs = mi.num_procs
     n = len(gi.names)
     nobj = len(gi.object_names)
-    mk_of: dict[int, int] = {}  # (dest * nobj + oid) * n + unit -> mk
-    mk_dest: list[int] = []
-    mk_oid: list[int] = []
-    mk_unit: list[int] = []
-    mk_need0: list[int] = []
-    waiters: list[list[int]] = []
-    waited: set[tuple[int, int]] = set()  # (mk, reader), commuting units
-    sk_of: dict[int, int] = {}  # task * P + dest -> sk
-    sk_src: list[int] = []
-    sk_dest: list[int] = []
-    swaiters: list[list[int]] = []
-    od_rows: dict[int, list[int]] = {}  # unit -> mks it sends
-    os_rows: dict[int, list[int]] = {}
-    cons_rows: dict[int, list[int]] = {}
-    pending0 = [0] * n
-    nprocs = mi.num_procs
-    lowered = 0
-    for u, v, objs in zip(ids.edge_u, ids.edge_v, ids.edge_objs):
-        pu, pv = proc[u], proc[v]
-        if pu == pv:
-            continue
-        lowered += 1
-        if objs:
-            # The payload of a commuting group is its accumulated result:
-            # one message per (object, group, destination), issued when
-            # the group's last local task finishes.
-            unit = unit_of[u]
-            shared = unit in groups  # members may share readers
-            cons = cons_rows.get(v)
-            if cons is None:
-                cons = cons_rows[v] = []
-            for o in objs:
-                key = (pv * nobj + o) * n + unit
-                mk = mk_of.get(key)
-                if mk is None:
-                    mk = mk_of[key] = len(mk_dest)
-                    mk_dest.append(pv)
-                    mk_oid.append(o)
-                    mk_unit.append(unit)
-                    mk_need0.append(0)
-                    waiters.append([])
-                    row = od_rows.get(unit)
-                    if row is None:
-                        od_rows[unit] = [mk]
-                    else:
-                        row.append(mk)
-                # A single-task unit reaches each (mk, reader) once.
-                if not shared or (mk, v) not in waited:
-                    if shared:
-                        waited.add((mk, v))
-                    waiters[mk].append(v)
-                    pending0[v] += 1
-                mk_need0[mk] += 1
-                cons.append(mk)
-        else:
-            # Synchronisation edges are member-specific (they encode a
-            # transformed anti/output dependence from one task).
-            key = u * nprocs + pv
-            sk = sk_of.get(key)
-            if sk is None:
-                sk = sk_of[key] = len(sk_dest)
-                sk_src.append(u)
-                sk_dest.append(pv)
-                swaiters.append([])
-                row = os_rows.get(u)
-                if row is None:
-                    os_rows[u] = [sk]
-                else:
-                    row.append(sk)
-            swaiters[sk].append(v)
-            pending0[v] += 1
-    # Cross-check against the GraphIndex rows: every cross-processor
-    # edge must have been lowered to a data message or a sync waiter.
-    cross = sum(
-        1 for u, row in enumerate(gi.succ) for v, _nb in row
-        if proc[v] != proc[u]
-    )
-    if cross != lowered:
+    # Packed int64 keys: (dest * nobj + oid) * n + unit, and below
+    # (owner * nobj + oid) * nprocs + dest and mk * n + reader.
+    if nprocs * nobj * max(n, nprocs) >= 2 ** 63:
+        raise SimulationError("graph too large for int64 message keys")
+    proc = np.array(mi.proc, dtype=np.int64)
+    unit_of = np.array(ids.unit_of, dtype=np.int64)
+    eu, ev, ptr = gi.edge_u, gi.edge_v, gi.edge_ptr
+    count = np.diff(ptr)
+    cross = proc[eu] != proc[ev]
+    data = cross & (count > 0)
+    sync = cross & (count == 0)
+    # Data entries: one per (cross-processor data edge, object).  The
+    # payload of a commuting group is its accumulated result: one
+    # message per (object, group, destination), issued when the
+    # group's last local task finishes.
+    ent = np.repeat(data, count)
+    ent_u = np.repeat(eu, count)[ent]
+    ent_v = np.repeat(ev, count)[ent]
+    ent_o = gi.edge_oid[ent]
+    ent_dest = proc[ent_v]
+    ent_unit = unit_of[ent_u]
+    ent_mk, first = _first_seen((ent_dest * nobj + ent_o) * n + ent_unit)
+    num_mk = len(first)
+    if num_mk * n >= 2 ** 63:
+        raise SimulationError("graph too large for int64 waiter keys")
+    mk_dest, mk_oid, mk_unit = ent_dest[first], ent_o[first], ent_unit[first]
+    # Members of a commuting unit may share readers: each (mk, reader)
+    # waits once (a single-task unit reaches each pair once anyway).
+    waits = np.sort(np.unique(ent_mk * n + ent_v, return_index=True)[1])
+    wait_v = ent_v[waits]
+    # Synchronisation edges are member-specific (they encode a
+    # transformed anti/output dependence from one task).
+    sync_u, sync_v = eu[sync], ev[sync]
+    sync_dest = proc[sync_v]
+    sync_sk, sfirst = _first_seen(sync_u * nprocs + sync_dest)
+    sk_src, sk_dest = sync_u[sfirst], sync_dest[sfirst]
+    # Cross-check against the GraphIndex predecessor rows, which come
+    # from the predecessor map, not from the edge table: every
+    # cross-processor edge must have been lowered to a data message or
+    # a sync waiter.
+    lowered = int(np.count_nonzero(data)) + len(sync_sk)
+    degree = gi.in_degree
+    pred_u = np.fromiter(map(itemgetter(0), chain.from_iterable(gi.pred)),
+                         np.int64, sum(degree))
+    pred_v = np.repeat(np.arange(n), degree)
+    cross_rows = int(np.count_nonzero(proc[pred_u] != proc[pred_v]))
+    if cross_rows != lowered:
         raise SimulationError(
-            f"lowering holds {lowered} of the graph's {cross} "
+            f"lowering holds {lowered} of the graph's {cross_rows} "
             "cross-processor edges"
         )
 
+    # The engine reads plain lists.  They take their ints from one pool,
+    # so equal ids and counts share one object across the tables.
+    pool = np.arange(max(n, nobj, nprocs, len(ent_mk) + len(sync_v)) + 1,
+                     dtype=object)
+
+    def plain(a) -> list:
+        return pool[a].tolist()
+
+    unit_name = ids.unit_name
     ml = MappingLowering()
     ml.gi, ml.ids = gi, ids
     ml.num_procs = nprocs
     ml.num_tasks = n
     ml.num_objects = nobj
-    ml.pending0 = pending0
-    ml.num_mk, ml.num_sk = len(mk_dest), len(sk_dest)
-    ml.mk_dest, ml.mk_oid, ml.mk_need0 = mk_dest, mk_oid, mk_need0
-    ml.mk_uname = [unit_name[u] for u in mk_unit]
+    pending0 = (np.bincount(wait_v, minlength=n)
+                + np.bincount(sync_v, minlength=n))
+    ml.pending0 = plain(pending0)
+    ml.num_mk, ml.num_sk = num_mk, len(sfirst)
+    ml.mk_dest, ml.mk_oid = plain(mk_dest), plain(mk_oid)
+    ml.mk_need0 = plain(np.bincount(ent_mk, minlength=num_mk))
+    ml.mk_uname = [unit_name[u] for u in mk_unit.tolist()]
     # Sender of each data message (a unit's tasks are co-located): the
     # ``src`` of ``on_data_arrive`` in observed runs.
-    ml.mk_src = [proc[u] for u in mk_unit]
-    ml.wait_ptr, ml.wait_tid = _csr(dict(enumerate(waiters)), len(waiters))
-    ml.sk_src, ml.sk_dest = sk_src, sk_dest
-    ml.swait_ptr, ml.swait_tid = _csr(dict(enumerate(swaiters)),
-                                      len(swaiters))
-    ml.os_ptr, ml.os_sk = _csr(os_rows, n)
-    ml.cons_ptr, ml.cons_mk = _csr(cons_rows, n)
+    ml.mk_src = plain(proc[mk_unit])
+    wait_mk = ent_mk[waits]
+    ptr, order = _rows(wait_mk, num_mk)
+    ml.wait_ptr, ml.wait_tid = plain(ptr), plain(wait_v[order])
+    ml.sk_src, ml.sk_dest = plain(sk_src), plain(sk_dest)
+    ptr, order = _rows(sync_sk, len(sfirst))
+    ml.swait_ptr, ml.swait_tid = plain(ptr), plain(sync_v[order])
+    # A sync key sends with its source task, a message with its unit.
+    os_ptr, os_sk = _rows(sk_src, n)
+    ml.os_ptr, ml.os_sk = plain(os_ptr), plain(os_sk)
+    cons_ptr, order = _rows(ent_v, n)
+    ml.cons_ptr, ml.cons_mk = plain(cons_ptr), plain(ent_mk[order])
     # Versions of one (dest, object) pair form a group.
-    grp_index: dict[int, int] = {}
-    grp_rows: list[list[int]] = []
-    grp_of: list[int] = []
-    for mk in range(len(mk_dest)):
-        gkey = mk_dest[mk] * nobj + mk_oid[mk]
-        gid = grp_index.get(gkey)
-        if gid is None:
-            gid = grp_index[gkey] = len(grp_rows)
-            grp_rows.append([])
-        grp_rows[gid].append(mk)
-        grp_of.append(gid)
-    ml.num_grp, ml.grp_of = len(grp_rows), grp_of
-    ml.grp_ptr, ml.grp_mk = _csr(dict(enumerate(grp_rows)), len(grp_rows))
+    grp_key = mk_dest * nobj + mk_oid
+    grp_of, gfirst = _first_seen(grp_key)
+    ml.num_grp, ml.grp_of = len(gfirst), plain(grp_of)
+    ptr, grp_mk = _rows(grp_of, len(gfirst))
+    ml.grp_ptr, ml.grp_mk = plain(ptr), plain(grp_mk)
+    ml.grp_index = dict(zip(grp_key[gfirst].tolist(), pool.tolist()))
     # Outgoing data: one od slot per mk, in the row of its unit.
-    ml.od_ptr, ml.od_mk = _csr(od_rows, n)
-    ml.od_dest = [mk_dest[mk] for mk in ml.od_mk]
-    ml.od_oid = [mk_oid[mk] for mk in ml.od_mk]
-    ml.od_unit = [mk_unit[mk] for mk in ml.od_mk]
+    od_ptr, od_mk = _rows(mk_unit, n)
+    ml.od_ptr, ml.od_mk = plain(od_ptr), plain(od_mk)
+    od_dest, od_oid, od_unit = mk_dest[od_mk], mk_oid[od_mk], mk_unit[od_mk]
+    ml.od_dest, ml.od_oid, ml.od_unit = plain(od_dest), plain(od_oid), plain(od_unit)
     ml.od_uname = [unit_name[u] for u in ml.od_unit]
     osz = gi.oid_size
     ml.od_nbytes = [osz[o] for o in ml.od_oid]
-    ak_index: dict[int, int] = {}
-    od_ak: list[int] = []
-    for mk, o, dest in zip(ml.od_mk, ml.od_oid, ml.od_dest):
-        akey = (proc[mk_unit[mk]] * nobj + o) * nprocs + dest
-        ak = ak_index.get(akey)
-        if ak is None:
-            ak = ak_index[akey] = len(ak_index)
-        od_ak.append(ak)
-    ml.num_ak, ml.od_ak = len(ak_index), od_ak
-    ml.ak_index, ml.grp_index = ak_index, grp_index
-    odp, osp, cp = ml.od_ptr, ml.os_ptr, ml.cons_ptr
-    ml.noisy = [
-        pending0[i] > 0 or odp[i] != odp[i + 1] or osp[i] != osp[i + 1]
-        or cp[i] != cp[i + 1]
-        for i in range(n)
-    ]
+    ak_key = (proc[od_unit] * nobj + od_oid) * nprocs + od_dest
+    od_ak, afirst = _first_seen(ak_key)
+    ml.num_ak, ml.od_ak = len(afirst), plain(od_ak)
+    ml.ak_index = dict(zip(ak_key[afirst].tolist(), pool.tolist()))
+    ml.noisy = ((pending0 > 0) | (np.diff(od_ptr) > 0) | (np.diff(os_ptr) > 0)
+                | (np.diff(cons_ptr) > 0)).tolist()
     ml._costs = {}
     return ml
 

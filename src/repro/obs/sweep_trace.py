@@ -252,7 +252,11 @@ def merge_obs_dir(directory) -> dict:
     traces (``*.trace.json``, as written by ``repro trace``) dropped in
     the same directory.
     """
-    docs = [runtime_chrome_doc(load_runtime_shards(directory))]
+    return _merge(load_runtime_shards(directory), directory)
+
+
+def _merge(blocks: list[dict], directory) -> dict:
+    docs = [runtime_chrome_doc(blocks)]
     for path in sorted(pathlib.Path(directory).glob("*.trace.json")):
         try:
             with open(path) as fh:
@@ -263,9 +267,15 @@ def merge_obs_dir(directory) -> dict:
 
 
 def write_sweep_trace(directory, path: Optional[str] = None) -> str:
-    """Merge ``directory`` and write the trace; returns the output path."""
+    """Merge ``directory`` and write the trace; returns the output path.
+
+    Raises ``ValueError`` naming ``directory``, and writes nothing, when
+    it holds no runtime-trace shard."""
+    blocks = load_runtime_shards(directory)
+    if not blocks:
+        raise ValueError(f"{directory}: no runtime-trace shards")
     out = str(path) if path else str(pathlib.Path(directory) / "sweep_trace.json")
-    doc = merge_obs_dir(directory)
+    doc = _merge(blocks, directory)
     with open(out, "w") as fh:
         json.dump(doc, fh)
         fh.write("\n")

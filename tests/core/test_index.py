@@ -58,6 +58,38 @@ class TestSharing:
         assert fresh is not mi
         assert fresh.proc[-1] == asg[t]
 
+    def test_repeated_lookup_reuses_the_key_until_a_mutation(self):
+        """A repeated lookup of an unchanged mapping does not read the
+        assignment task by task; mutating the assignment or the owner
+        map after a lookup gives a fresh index, never a stale one."""
+        class Counting(dict):
+            reads = 0
+
+            def __getitem__(self, key):
+                Counting.reads += 1
+                return super().__getitem__(key)
+
+        g, pl, asg = case()
+        asg = Counting(asg)
+        first = mapping_index(g, pl, asg)
+        Counting.reads = 0
+        assert mapping_index(g, pl, asg) is first
+        assert mapping_index(g, Placement(pl.num_procs, dict(pl.owner)),
+                             dict(asg)) is first
+        assert Counting.reads == 0
+        t = g.task_names[0]
+        asg[t] = (asg[t] + 1) % 3
+        moved = mapping_index(g, pl, asg)
+        assert moved is not first and moved.proc[0] == asg[t]
+        owner = dict(pl.owner)
+        o = g.object_names[0]
+        pl.owner[o] = (owner[o] + 1) % 3  # a mutated owner map, too
+        try:
+            rehomed = mapping_index(g, pl, asg)
+            assert rehomed is not moved and rehomed.owner(o) == pl.owner[o]
+        finally:
+            pl.owner[o] = owner[o]
+
     def test_lru_keeps_the_last_mappings(self):
         g = gen.random_trace(40, 8, seed=3)
         keep = []

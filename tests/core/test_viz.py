@@ -1,5 +1,9 @@
 """Tests for the SVG renderers (well-formedness and content)."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 from repro.core import analyze_memory, gantt, mpo_order
@@ -78,3 +82,20 @@ class TestMemorySVG:
         out = tmp_path / "mem.svg"
         memory_svg(analyze_memory(s), path=str(out))
         ET.parse(out)
+
+
+def test_gantt_colours_do_not_depend_on_the_hash_seed(tmp_path):
+    """Two ``repro svg`` runs under different ``PYTHONHASHSEED`` write
+    byte-identical Gantt charts (the palette index is a stable hash)."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    outs = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        subprocess.run([sys.executable, "-m", "repro", "svg", "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        outs.append(out)
+    charts = sorted(p.name for p in outs[0].glob("*_gantt.svg"))
+    assert charts
+    for name in charts:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -134,6 +134,45 @@ def test_obs_merge_names_a_missing_dir(tmp_path, capsys):
     assert f"--obs-dir {missing}: no such directory" in capsys.readouterr().err
 
 
+def test_obs_merge_names_a_dir_without_shards(tmp_path, capsys):
+    """An existing directory with no runtime shards is not merged into
+    an empty trace: exit 2 naming it, and nothing is written."""
+    assert main(["obs", "merge", "--obs-dir", str(tmp_path)]) == 2
+    assert (f"--obs-dir {tmp_path}: no runtime-trace shards"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["trace", "--metrics"], ["trace", "--trace-out"], ["trace", "--report"],
+     ["check", "--graphs", "1", "--trace-out"],
+     ["analyze", "--graphs", "1", "--out"]],
+    ids=["trace-metrics", "trace-trace-out", "trace-report", "check-trace-out",
+         "analyze-out"],
+)
+def test_an_export_path_that_is_a_directory_exits_2(argv, tmp_path, capsys):
+    """Each export flag names the directory it was given instead of
+    ending in a bare ``IsADirectoryError``, and nothing runs."""
+    assert main([*argv, str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"{argv[-1]} {tmp_path} is a directory" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_obs_merge_trace_out_directory_exits_2(tmp_path, capsys):
+    obs = tmp_path / "obs"
+    assert main([
+        "sweep", "--procs", "2", "--workloads", "lu-goodwin",
+        "--out", str(tmp_path / "s.csv"), "--obs-dir", str(obs),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["obs", "merge", "--obs-dir", str(obs),
+                 "--trace-out", str(tmp_path)]) == 2
+    assert f"--trace-out {tmp_path} is a directory" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     ("argv", "message"),
     [

@@ -4,6 +4,8 @@ to Perfetto conversion (:mod:`repro.obs.sweep_trace`)."""
 
 import json
 
+import pytest
+
 from repro.obs import merge_chrome_traces
 from repro.obs.sweep_trace import (
     load_runtime_shards,
@@ -231,3 +233,13 @@ class TestMergeObsDir:
         back = json.loads(open(out).read())
         assert back["otherData"]["schema"] == "repro-sweep-trace/1"
         assert any(e["name"] == "sweep_end" for e in back["traceEvents"])
+
+    def test_write_sweep_trace_refuses_a_dir_without_shards(self, tmp_path):
+        """Cell traces alone are no sweep: the error names the directory
+        and nothing is written."""
+        (tmp_path / "cell.trace.json").write_text(json.dumps(
+            doc([ev("task A", pid=0, ts=1.0)], schema="repro-trace/1")
+        ))
+        with pytest.raises(ValueError, match="no runtime-trace shards"):
+            write_sweep_trace(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["cell.trace.json"]
