@@ -369,7 +369,10 @@ def certified_bounds(
 
     The mapping index is looked up once and shared by the time and
     memory sides — this combined entry point is the one the sweep, the
-    gap scorecard and the benchmark pay for.  Raises
+    gap scorecard and the benchmark pay for.  The result depends only
+    on the mapping and ``comm``, so it is memoised on the mapping index
+    under ``("bounds", comm)``: every ordering of one mapping gets the
+    same (frozen) :class:`BoundSet`.  Raises
     :class:`~repro.errors.SchedulingError` for a task without a
     processor in ``[0, P)`` and :class:`~repro.errors.PlacementError`
     for an accessed object without an owner.
@@ -377,6 +380,20 @@ def certified_bounds(
     check_assignment(graph, placement, assignment)
     gi = graph_index(graph)
     mi = gi.mapping(placement, assignment)
+    return mi.memo(("bounds", comm),
+                   lambda: _bound_set(graph, placement, assignment, comm, gi, mi))
+
+
+def _bound_set(
+    graph: TaskGraph,
+    placement: Placement,
+    assignment: Mapping[str, int],
+    comm: CommModel,
+    gi: GraphIndex,
+    mi: MappingIndex,
+) -> BoundSet:
+    """:func:`certified_bounds`, computed (not memoised) on the graph's
+    index ``gi`` and the mapping's index ``mi``."""
     bl = _ids(gi, rcp.mapping_b_levels(graph, assignment, mi, comm))
     t_cands = _time_candidates(gi, mi.proc, bl, placement.num_procs, comm)
     m_cands = _memory_candidates(gi, mi)

@@ -95,7 +95,7 @@ class GraphIndex:
 
     __slots__ = (
         "names", "tid", "topo", "succ", "pred", "in_degree", "weight",
-        "accesses", "obj_size", "object_names", "oid", "oid_size",
+        "accesses", "write_oids", "obj_size", "object_names", "oid", "oid_size",
         "edge_u", "edge_v", "edge_ptr", "edge_oid",
         "_memo", "_mappings", "_last_key",
     )
@@ -123,6 +123,8 @@ class GraphIndex:
         self.in_degree = in_degree
         self.weight = [t.weight for t in tasks]
         self.accesses = [t.accesses for t in tasks]
+        #: task id -> the ids of the objects it writes, in write order
+        self.write_oids = [tuple(map(oid.__getitem__, t.writes)) for t in tasks]
         self.obj_size = osize
         self.object_names = object_names
         #: object name -> object id (its position in ``object_names``)

@@ -33,6 +33,21 @@ through a small adapter that translates at the boundary.  The
 heuristics pass a :class:`BoundPolicy` built on the mapping index they
 already looked up.
 
+The ready heaps hold one of two entry shapes:
+
+* a *static* binding (``scheduled is None``: RCP, DTS,
+  :class:`StaticPolicy`) pushes each task exactly once, so its entries
+  never go stale: ``(key, counter, id)``, with the key's one component
+  in place of the key when every key has one (keys of mixed lengths
+  stay nested, since flattening them would change the tuple order);
+* a *dynamic* binding (MPO, the name adapter) re-pushes a task whose
+  key changed, so its entries are versioned and flat,
+  ``key + (counter, id, version)``, and a popped head whose version is
+  old is dropped.  Every key of a dynamic binding must have the same
+  length (the adapter wraps each name key in a 1-tuple).
+
+``counter`` counts pushes: equal keys leave the earlier push first.
+
 Start times follow the macro-dataflow model: a task starts at
 ``max(processor idle time, latest data arrival)`` where cross-processor
 arrivals pay the :class:`~repro.core.schedule.CommModel` cost.  Arrival
@@ -47,7 +62,8 @@ from __future__ import annotations
 import heapq
 import operator
 from typing import (
-    TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional, Protocol,
+    TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, NoReturn, Optional,
+    Protocol,
 )
 
 from ..errors import SchedulingError
@@ -110,7 +126,8 @@ def _bind_names(policy: PriorityPolicy, gi: "GraphIndex") -> tuple[KeyFn, Schedu
     priority, on_scheduled = policy.priority, policy.on_scheduled
 
     def key(i: int) -> tuple:
-        return _neg(priority(names[i]))
+        # Wrapped: the name keys may differ in length.
+        return (_neg(priority(names[i])),)
 
     def scheduled(i: int, p: int) -> list[int]:
         return [k for k in map(tid.get, on_scheduled(names[i], p)) if k is not None]
@@ -144,6 +161,8 @@ class BoundPolicy(NamedTuple):
     and assignment."""
 
     mi: "MappingIndex"
+    #: negated sort key of a task id; with ``scheduled``, every key has
+    #: one length (see the module docstring)
     key: KeyFn
     scheduled: Optional[ScheduledFn] = None
 
@@ -179,17 +198,25 @@ def run_list_scheduler(
     proc = mi.proc
     lat, bt = comm.latency, comm.byte_time
     n = len(names)
+    heappush, heappop, heappushpop = heapq.heappush, heapq.heappop, heapq.heappushpop
+    static = scheduled is None
+    if static:
+        # Each task is pushed once: its entry heads with its key, or
+        # with the key's one component when every key has one.
+        keys = list(map(key, range(n)))
+        if set(map(len, keys)) == {1}:
+            keys = [k for (k,) in keys]
+    else:
+        # The entries of a task's stale pushes carry an old version.
+        version = [0] * n
+    # Unscheduled predecessors of each task (dynamic bindings: -1 once
+    # it is scheduled).
     remaining = list(gi.in_degree)
     # Latest data arrival of each task, pushed by its predecessors.
     arrival = [0.0] * n
-    done = bytearray(n)
     idle = [0.0] * nprocs
     orders: list[list[int]] = [[] for _ in range(nprocs)]
-
-    # Per-processor ready heaps of (negated priority, push counter, task
-    # id, version) with lazy invalidation.
     heaps: list[list[tuple]] = [[] for _ in range(nprocs)]
-    version = [0] * n
     counter = 0
 
     # Earliest-idle selection: processors with (potentially) ready tasks
@@ -197,20 +224,19 @@ def run_list_scheduler(
     # at most one entry; its idle time only changes while it is *out* of
     # the queue (it is popped before being scheduled on), so entries are
     # never stale.  Popping yields the minimum idle with the smallest
-    # processor id on ties — the same choice as a linear scan.
+    # processor id on ties — the same choice as a linear scan.  The
+    # processor just scheduled on stays marked queued and goes back in
+    # by the next selection's push-pop (``requeue``), one heap operation
+    # instead of two.
     proc_pq: list[tuple[float, int]] = []
     in_pq = [False] * nprocs
+    requeue: Optional[tuple[float, int]] = None
 
-    def activate(p: int) -> None:
-        if not in_pq[p]:
-            in_pq[p] = True
-            heapq.heappush(proc_pq, (idle[p], p))
-
-    # DTS slice gate state.
+    # DTS slice gate: a ready task above its processor's minimum
+    # remaining level is parked.  So every task is scheduled at that
+    # minimum, which only rises: it steps along the processor's sorted
+    # distinct levels as each level's last task is scheduled.
     lvl: Optional[list[int]] = None
-    lvl_remaining: list[dict[int, int]] = [dict() for _ in range(nprocs)]
-    min_level: list[int] = [0] * nprocs
-    parked: list[list[tuple[int, int, int]]] = [[] for _ in range(nprocs)]
     if levels is not None:
         try:
             lvl = [levels[t] for t in names]
@@ -218,97 +244,131 @@ def run_list_scheduler(
             raise SchedulingError(
                 f"levels map has no level for task {err.args[0]!r}"
             ) from None
-        for i in range(n):
-            rem = lvl_remaining[proc[i]]
-            rem[lvl[i]] = rem.get(lvl[i], 0) + 1
-        for p in range(nprocs):
-            min_level[p] = min(lvl_remaining[p], default=0)
+        per_level: list[dict[int, int]] = [{} for _ in range(nprocs)]
+        for l, p in zip(lvl, proc):
+            c = per_level[p]
+            c[l] = c.get(l, 0) + 1
+        steps = [sorted(c) for c in per_level]
+        # Tasks left at each of those levels, and the current one.
+        left_at = [[c[l] for l in lv] for c, lv in zip(per_level, steps)]
+        step = [0] * nprocs
+        min_level = [lv[0] if lv else 0 for lv in steps]
+        parked: list[list[tuple[int, int, int]]] = [[] for _ in range(nprocs)]
 
-    def push(i: int) -> None:
-        nonlocal counter
-        p = proc[i]
-        if lvl is not None and lvl[i] > min_level[p]:
-            heapq.heappush(parked[p], (lvl[i], counter, i))
-            counter += 1
-            return
-        counter += 1
-        heapq.heappush(heaps[p], (key(i), counter, i, version[i]))
-        activate(p)
-
-    def unpark(p: int) -> None:
-        """Move parked tasks whose level became current into the heap."""
-        nonlocal counter
-        while parked[p] and parked[p][0][0] <= min_level[p]:
-            _, _, i = heapq.heappop(parked[p])
-            counter += 1
-            heapq.heappush(heaps[p], (key(i), counter, i, version[i]))
-            activate(p)
-
+    # The roots are ready from the start (a first push: version 0).
     for i in range(n):
         if remaining[i] == 0:
-            push(i)
+            p = proc[i]
+            if lvl is not None and lvl[i] > min_level[p]:
+                heappush(parked[p], (lvl[i], counter, i))
+            else:
+                heappush(heaps[p], (keys[i], counter, i) if static
+                         else key(i) + (counter, i, 0))
+                if not in_pq[p]:
+                    in_pq[p] = True
+                    heappush(proc_pq, (idle[p], p))
+            counter += 1
 
     for left in range(n, 0, -1):
-        # Processor with earliest idle time among those with ready tasks.
-        best_p = -1
-        while proc_pq:
-            _, p = heapq.heappop(proc_pq)
-            in_pq[p] = False
-            h = heaps[p]
-            # Drop stale heads so emptiness is accurate.
-            while h and (h[0][3] != version[h[0][2]] or done[h[0][2]]):
-                heapq.heappop(h)
-            if h:
-                best_p = p
-                break
-            # Only stale entries: dormant until the next push wakes it.
-        if best_p < 0:
-            raise SchedulingError(
-                f"list scheduler stalled with {left} tasks left "
-                "(inconsistent levels or assignment)"
-            )
-        i = heapq.heappop(heaps[best_p])[2]
+        # Processor with earliest idle time among those with ready
+        # tasks, and its best ready task.
+        if static:
+            # Static entries are never stale: a queued processor has one.
+            if requeue is not None:
+                best_p = heappushpop(proc_pq, requeue)[1]
+            elif proc_pq:
+                best_p = heappop(proc_pq)[1]
+            else:
+                _stalled(left)
+            i = heappop(heaps[best_p])[2]
+        else:
+            while True:
+                if requeue is not None:
+                    best_p = heappushpop(proc_pq, requeue)[1]
+                    requeue = None
+                elif proc_pq:
+                    best_p = heappop(proc_pq)[1]
+                else:
+                    _stalled(left)
+                h = heaps[best_p]
+                # Drop stale heads so emptiness is accurate.
+                while h and h[0][-1] != version[h[0][-2]]:
+                    heappop(h)
+                if h:
+                    break
+                # Only stale entries: dormant until the next push wakes it.
+                in_pq[best_p] = False
+            i = heappop(h)[-2]
+            remaining[i] = -1
         # Earliest start: processor idle time vs latest data arrival.
         est = idle[best_p]
         if arrival[i] > est:
             est = arrival[i]
         finish = idle[best_p] = est + weight[i]
-        done[i] = 1
         orders[best_p].append(i)
 
         # Slice-gate bookkeeping.
         if lvl is not None:
-            rem = lvl_remaining[best_p]
-            l = lvl[i]
-            rem[l] -= 1
-            if rem[l] == 0:
-                del rem[l]
-                min_level[best_p] = min(rem, default=min_level[best_p])
-                unpark(best_p)
+            todo, k = left_at[best_p], step[best_p]
+            todo[k] -= 1
+            if not todo[k]:
+                k = step[best_p] = k + 1
+                if k < len(todo):
+                    # Unpark the tasks whose level became current (the
+                    # processor is already marked queued).
+                    min_level[best_p] = m = steps[best_p][k]
+                    pk, h = parked[best_p], heaps[best_p]
+                    while pk and pk[0][0] <= m:
+                        j = heappop(pk)[2]
+                        heappush(h, (keys[j], counter, j) if static
+                                 else key(j) + (counter, j, version[j]))
+                        counter += 1
 
         # Arrivals and ready-set updates.
         for s, nb in succ[i]:
             arr = finish
-            if proc[s] != best_p:
+            q = proc[s]
+            if q != best_p:
                 arr += lat + nb * bt if nb >= 0 else lat
             if arr > arrival[s]:
                 arrival[s] = arr
-            remaining[s] -= 1
-            if remaining[s] == 0:
-                push(s)
+            r = remaining[s] = remaining[s] - 1
+            if r:
+                continue
+            if lvl is not None and lvl[s] > min_level[q]:
+                heappush(parked[q], (lvl[s], counter, s))
+            else:
+                # A task's first push carries version 0.
+                heappush(heaps[q], (keys[s], counter, s) if static
+                         else key(s) + (counter, s, 0))
+                if not in_pq[q]:
+                    in_pq[q] = True
+                    heappush(proc_pq, (idle[q], q))
+            counter += 1
 
-        # Priority refreshes from the policy.
-        if scheduled is not None:
+        # Priority refreshes from the policy: a ready, unparked task
+        # gets a new entry (a parked one is keyed when it is unparked).
+        if not static:
             for k in scheduled(i, best_p):
-                if done[k] or remaining[k] != 0:
+                if remaining[k]:  # not ready, or already scheduled
                     continue
-                version[k] += 1
-                push(k)
+                q = proc[k]
+                if lvl is not None and lvl[k] > min_level[q]:
+                    continue
+                version[k] = v = version[k] + 1
+                heappush(heaps[q], key(k) + (counter, k, v))
+                counter += 1
+                if not in_pq[q]:
+                    in_pq[q] = True
+                    heappush(proc_pq, (idle[q], q))
 
-        # The chosen processor left the queue; requeue it (at its new
-        # idle time) while it still has queued entries.
+        # Requeue the chosen processor (at its new idle time) while it
+        # still has queued entries.
         if heaps[best_p]:
-            activate(best_p)
+            requeue = (idle[best_p], best_p)
+        else:
+            requeue = None
+            in_pq[best_p] = False
 
     # Every task was placed once, on its own processor: the orders are
     # structurally valid by construction.
@@ -318,6 +378,13 @@ def run_list_scheduler(
         assignment=dict(assignment),
         orders=[[names[i] for i in order] for order in orders],
         meta=dict(meta or {}),
+    )
+
+
+def _stalled(left: int) -> NoReturn:
+    raise SchedulingError(
+        f"list scheduler stalled with {left} tasks left "
+        "(inconsistent levels or assignment)"
     )
 
 

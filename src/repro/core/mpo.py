@@ -26,6 +26,8 @@ is ``O(total accesses)`` on top of the heap operations.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from operator import neg, sub
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from ..graph.taskgraph import TaskGraph
@@ -74,23 +76,22 @@ class MemoryPriorityPolicy:
         self._names, self._tid = gi.names, gi.tid
         self._cp = cp
         # Negated critical path, the second component of the heap key.
-        self._ncp = [-cp[t] for t in gi.names]
+        self._ncp = list(map(neg, map(cp.__getitem__, gi.names)))
         # The volatile (non-owned) object ids of each task; permanent
         # objects count as always available.
         rows = self._rows = mi.vola_oids
         # Per-task denominator and (mutable) numerator of the memory ratio.
-        self._need = [max(len(acc), 1) for acc in gi.accesses]
-        self._have = [len(acc) - len(row) for acc, row in zip(gi.accesses, rows)]
+        self._need = [len(acc) or 1 for acc in gi.accesses]
+        self._have = list(map(sub, map(len, gi.accesses), map(len, rows)))
         # proc * #objects + volatile object id -> task ids of that
-        # processor accessing it; the allocated pairs, same keys.
+        # processor accessing it, until the pair is allocated.
         nobj = self._nobj = len(gi.object_names)
-        watchers: dict[int, list[int]] = {}
+        watchers: defaultdict[int, list[int]] = defaultdict(list)
         for i, (row, p) in enumerate(zip(rows, mi.proc)):
             base = p * nobj
             for o in row:
-                watchers.setdefault(base + o, []).append(i)
+                watchers[base + o].append(i)
         self._watchers = watchers
-        self._allocated: set[int] = set()
 
     def priority(self, task: str) -> tuple:
         i = self._tid[task]
@@ -109,16 +110,14 @@ class MemoryPriorityPolicy:
         """Allocate task ``i``'s volatile objects on ``proc``; the ids
         whose ratio rose (line (5) of Figure 4)."""
         changed: list[int] = []
-        alloc, watchers, have = self._allocated, self._watchers, self._have
+        watchers, have = self._watchers, self._have
         base = proc * self._nobj
         for o in self._rows[i]:
-            k = base + o
-            if k not in alloc:
-                alloc.add(k)
-                for u in watchers.get(k, ()):
-                    if u != i:
-                        have[u] += 1
-                        changed.append(u)
+            # An allocated pair has no watchers left.
+            for u in watchers.pop(base + o, ()):
+                if u != i:
+                    have[u] += 1
+                    changed.append(u)
         return changed
 
     def bind(self, gi: "GraphIndex") -> tuple[KeyFn, ScheduledFn]:

@@ -16,7 +16,8 @@ per-processor projection is always a valid schedule.  Two candidate
 traversals are evaluated against the exact memory model
 (:func:`~repro.core.liveness.analyze_memory`) and the macro-dataflow
 timing model (:func:`~repro.core.schedule.gantt`), and the better one —
-smaller peak first, then smaller makespan — is returned.
+smaller peak first, then smaller makespan — is returned.  The peaks are
+scored first: the timing model runs only when they tie.
 """
 
 from __future__ import annotations
@@ -49,60 +50,60 @@ def liu_postorder(
     """
     gi = graph_index(graph)
     names = gi.names
-    return [names[i] for i in _liu_ids(graph, gi, gi.mapping(placement, assignment))]
+    return [names[i] for i in _liu_ids(gi, gi.mapping(placement, assignment))]
 
 
-def _liu_ids(graph: TaskGraph, gi: "GraphIndex", mi: "MappingIndex") -> list[int]:
+def _liu_ids(gi: "GraphIndex", mi: "MappingIndex") -> list[int]:
     """:func:`liu_postorder` in task ids, on the mapping index ``mi``."""
-    pred, oid, size, rows = gi.pred, gi.oid, gi.oid_size, mi.vola_oids
-    n = len(gi.names)
-    # Output bytes of each task; a task's ``net`` is read only as a
-    # child of a later task in topological order.
-    net = [0] * n
+    pred, size, rows = gi.pred, gi.oid_size, mi.vola_oids
+    n = len(rows)
+    # Volatile bytes each task accesses, and those it writes (its
+    # ``net``, read only as a child of a later task in topological
+    # order).
+    acc_b = [sum([size[o] for o in row]) if row else 0 for row in rows]
+    net = [sum([size[o] for o in w if o in row]) if row else 0
+           for w, row in zip(gi.write_oids, rows)]
     peak = [0] * n
-    acc_b = [0] * n
-    for i, t in enumerate(graph.tasks()):  # program order: task ids
-        row = rows[i]
-        if row:
-            acc_b[i] = sum([size[o] for o in row])
-            if t.writes:
-                writes = {oid[m] for m in t.writes}
-                net[i] = sum([size[o] for o in row if o in writes])
+    # Children (and roots) go in increasing ``net - peak``, ties by id:
+    # ``rank`` packs both into one int per finished task, so one sort
+    # keyed by it orders a task's predecessor ids.
+    rank = [0] * n
+    by_rank = rank.__getitem__
     kids: list[list[int]] = [[]] * n  # every entry replaced below
     for i in gi.topo:
-        children = [
-            c for _, c in sorted([(net[j] - peak[j], j) for j, _ in pred[i]])
-        ]
-        kids[i] = children
-        run = 0
-        pk = acc_b[i] + sum([net[c] for c in children])
+        kids[i] = children = sorted([j for j, _ in pred[i]], key=by_rank)
+        run = pk = 0
         for c in children:
-            pk = max(pk, run + peak[c])
+            if run + peak[c] > pk:
+                pk = run + peak[c]
             run += net[c]
+        # Every candidate is non-negative, so ``pk`` may start at 0.
+        if acc_b[i] + run > pk:
+            pk = acc_b[i] + run
         peak[i] = pk
+        rank[i] = (net[i] - pk) * n + i
 
-    roots = [i for _, i in sorted(
-        (net[i] - peak[i], i) for i in range(n) if not gi.succ[i])]
+    succ = gi.succ
+    roots = [i for i in range(n) if not succ[i]]
+    roots.sort(key=by_rank)
     order: list[int] = []
     seen = [False] * n
     for root in roots:
         if seen[root]:
             continue
-        stack: list[tuple[int, int]] = [(root, 0)]
         seen[root] = True
-        while stack:
-            node, i = stack[-1]
-            cs = kids[node]
-            while i < len(cs) and seen[cs[i]]:
-                i += 1
-            if i < len(cs):
-                stack[-1] = (node, i + 1)
-                child = cs[i]
-                seen[child] = True
-                stack.append((child, 0))
+        # Iterative postorder: one child iterator per open node.
+        nodes, its = [root], [iter(kids[root])]
+        while its:
+            for c in its[-1]:
+                if not seen[c]:
+                    seen[c] = True
+                    nodes.append(c)
+                    its.append(iter(kids[c]))
+                    break
             else:
-                stack.pop()
-                order.append(node)
+                its.pop()
+                order.append(nodes.pop())
     return order
 
 
@@ -117,8 +118,9 @@ def tree_order(
 
     Evaluates the memory-guided postorder and the program-order
     traversal against the exact memory and timing models, returning the
-    candidate with the smaller peak (ties: smaller makespan).  The
-    winning traversal is recorded in ``meta["tree_variant"]``.  Raises
+    candidate with the smaller peak (ties: smaller makespan; the
+    makespans are computed only on such a tie).  The winning traversal
+    is recorded in ``meta["tree_variant"]``.  Raises
     :class:`~repro.errors.SchedulingError` when a task has no processor
     in ``[0, P)``.
 
@@ -131,25 +133,32 @@ def tree_order(
     gi = graph_index(graph)
     mi = gi.mapping(placement, assignment)
     proc, nprocs = mi.proc, placement.num_procs
-    best: Optional[tuple[tuple, str, list[list[int]]]] = None
-    for variant, order in (
-        ("liu-postorder", _liu_ids(graph, gi, mi)),
-        ("program-order", gi.topo),
-    ):
-        # Per-processor projection of the global topological order.
+
+    def project(order: list[int]) -> list[list[int]]:
+        """Per-processor projection of a global topological order."""
         ids: list[list[int]] = [[] for _ in range(nprocs)]
         for i in order:
             ids[proc[i]].append(i)
-        min_mem = max((
+        return ids
+
+    def min_mem(ids: list[list[int]]) -> int:
+        return max((
             max(proc_liveness(gi, mi, p, ids[p])[2], default=mi.perm_bytes[p])
             for p in range(nprocs)
         ), default=0)
-        makespan = max(gantt_times(gi, proc, ids, comm)[1], default=0.0)
-        key = (min_mem, makespan)
-        if best is None or key < best[0]:
-            best = (key, variant, ids)
-    assert best is not None
-    _key, variant, ids = best
+
+    def makespan(ids: list[list[int]]) -> float:
+        return max(gantt_times(gi, proc, ids, comm)[1], default=0.0)
+
+    liu, prog = project(_liu_ids(gi, mi)), project(gi.topo)
+    liu_mem, prog_mem = min_mem(liu), min_mem(prog)
+    # Smaller MIN_MEM first; the makespans are computed only to break a
+    # MIN_MEM tie, and a full tie keeps the postorder.
+    if prog_mem < liu_mem or (
+            prog_mem == liu_mem and makespan(prog) < makespan(liu)):
+        variant, ids = "program-order", prog
+    else:
+        variant, ids = "liu-postorder", liu
     m = dict(meta or {})
     m.update({"heuristic": "TREE", "tree_variant": variant})
     names = gi.names

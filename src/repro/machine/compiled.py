@@ -210,7 +210,8 @@ MAX_EXEC_PLANS = 2
 
 class _GraphIds(NamedTuple):
     """Graph-only id tables (memoised on the :class:`GraphIndex`).  The
-    edges are the index's own edge table (``gi.edge_u`` etc.)."""
+    edges are the index's own edge table (``gi.edge_u`` etc.) and each
+    task's written objects its ``write_oids``."""
 
     #: tid -> its producer unit (the tid of the unit's first task)
     unit_of: list[int]
@@ -218,26 +219,21 @@ class _GraphIds(NamedTuple):
     unit_name: list[str]
     #: multi-task commuting units: first tid -> member tids
     groups: dict[int, list[int]]
-    #: tid -> oids it writes
-    writes: list[tuple[int, ...]]
 
 
 def _graph_ids(g, gi) -> _GraphIds:
-    oid_of = gi.oid
     unit_of = list(range(len(gi.names)))
     unit_name = list(gi.names)
     first: dict[str, int] = {}
     members: dict[int, list[int]] = {}
-    writes: list[tuple[int, ...]] = []
     for i, t in enumerate(g.tasks()):
         if t.commute is not None:
             u = first.setdefault(t.commute, i)
             unit_of[i] = u
             unit_name[u] = t.commute
             members.setdefault(u, []).append(i)
-        writes.append(tuple(oid_of[m] for m in t.writes))
     groups = {u: ms for u, ms in members.items() if len(ms) > 1}
-    return _GraphIds(unit_of, unit_name, groups, writes)
+    return _GraphIds(unit_of, unit_name, groups)
 
 
 class MappingLowering:
@@ -437,11 +433,11 @@ class LoweredSchedule:
         """Unit name of the last write of ``oid`` among the first
         ``done`` positions of processor ``q``'s order (what the
         interpreted engine's ``current_version`` holds then)."""
-        ids = self.mapping.ids
+        ids, writes = self.mapping.ids, self.mapping.gi.write_oids
         last = None
         for pos in range(self.proc_start[q], self.proc_start[q] + done):
             tid = self.tid_at[pos]
-            if oid in ids.writes[tid]:
+            if oid in writes[tid]:
                 last = ids.unit_name[ids.unit_of[tid]]
         return last
 
@@ -533,7 +529,7 @@ def lower_schedule(cs) -> LoweredSchedule:
     run_end = [-1] * n
     od_oid, od_unit = ml.od_oid, ml.od_unit
     od_row_of = lo.od_row
-    writes, unit_of = ids.writes, ids.unit_of
+    writes, unit_of = ml.gi.write_oids, ids.unit_of
     od_ok0 = [False] * len(ml.od_mk)
     od_ow = [_NO_OVERWRITE] * len(ml.od_mk)
     for q in range(nprocs):

@@ -432,7 +432,10 @@ class Simulator:
         Toggle the active memory management protocol (see module doc).
     plan / profile:
         Optional precomputed MAP plan and memory profile (re-used by the
-        experiment sweeps).
+        experiment sweeps).  The plan must be one made for this very
+        schedule (``plan.schedule is compiled.schedule``), else
+        :class:`~repro.errors.SimulationError`; a plan of the same
+        schedule under another capacity is accepted.
     compiled:
         Optional :class:`CompiledSchedule`; skips validation, liveness
         analysis and static preprocessing entirely.  One compiled
@@ -501,6 +504,8 @@ class Simulator:
             compiled = CompiledSchedule(schedule, profile=profile)
         elif schedule is not None and schedule is not compiled.schedule:
             raise SimulationError("schedule does not match compiled.schedule")
+        if plan is not None and plan.schedule is not compiled.schedule:
+            raise SimulationError("plan does not match compiled.schedule")
         self.compiled = compiled
         self.schedule = compiled.schedule
         self.spec = spec

@@ -97,6 +97,17 @@ class TestEtreeOptima:
         b = ctx.bounds_for("etree15", 2, "rcp")
         assert a is b
 
+    def test_bounds_computed_once_per_mapping(self, ctx):
+        """The bounds ignore the orders: every heuristic's schedule of
+        one mapping gets the one memoised ``BoundSet``, per comm model."""
+        comm = ctx.spec.comm_model()
+        for c in (UNIT_COMM, comm):
+            got = [schedule_bounds(ctx.schedule("etree15", 4, h), c)
+                   for h in ("rcp", "mpo", "dts")]
+            assert got[0] is got[1] is got[2]
+        s = ctx.schedule("etree15", 4, "rcp")
+        assert schedule_bounds(s, comm) is not schedule_bounds(s, UNIT_COMM)
+
 
 def test_bounds_prove_the_optima_where_the_analyzer_is_clean(ctx):
     """Both proved-optimum cells under the comm model each runs with.

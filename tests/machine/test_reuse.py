@@ -16,7 +16,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core import analyze_memory, cyclic_placement, mpo_order, owner_compute_assignment
+from repro.core import (
+    analyze_memory, cyclic_placement, mpo_order, owner_compute_assignment, rcp_order,
+)
 from repro.core.maps import plan_maps
 from repro.errors import ReproError, SimulationError
 from repro.graph.generators import random_trace
@@ -45,6 +47,27 @@ class TestPlanReuse:
         assert [s.num_maps for s in reused.stats] == [
             s.num_maps for s in fresh.stats
         ]
+
+    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
+    def test_plan_of_another_schedule_is_rejected(self, engine):
+        """A MAP plan made for one schedule must not drive another: it
+        could deadlock mid-run or, worse, return a parallel time."""
+        g = random_trace(60, 10, seed=11)
+        pl = cyclic_placement(g, 3)
+        asg = owner_compute_assignment(g, pl)
+        other = mpo_order(g, pl, asg)
+        cs = CompiledSchedule(rcp_order(g, pl, asg))
+        for cap in (analyze_memory(other).min_mem, analyze_memory(other).tot):
+            plan = plan_maps(other, cap)
+            with pytest.raises(SimulationError, match="plan does not match"):
+                Simulator(compiled=cs, spec=UNIT_MACHINE, capacity=cap,
+                          plan=plan, engine=engine)
+        # A plan of the compiled schedule itself runs, on either engine.
+        cap = cs.profile.tot
+        res = Simulator(compiled=cs, spec=UNIT_MACHINE, capacity=cap,
+                        plan=plan_maps(cs.schedule, cap), engine=engine).run()
+        assert res.parallel_time == Simulator(
+            compiled=cs, spec=UNIT_MACHINE, capacity=cap).run().parallel_time
 
     def test_failure_is_repeatable(self):
         """A failing configuration fails the same way every run — no

@@ -5,8 +5,9 @@ from repro.graph.taskgraph import TaskGraph
 from repro.graph.tasks import Task
 
 
-def relabel(g, tmap, omap):
-    """Copy ``g`` with renamed tasks/objects (same program order)."""
+def relabel(g, tmap, omap, weight=None):
+    """Copy ``g`` with renamed tasks/objects (same program order) and,
+    given ``weight(task)``, new task weights."""
     h = TaskGraph()
     for o in g.objects():
         h.add_object(DataObject(omap[o.name], o.size))
@@ -15,7 +16,7 @@ def relabel(g, tmap, omap):
             tmap[t.name],
             tuple(omap[r] for r in t.reads),
             tuple(omap[w] for w in t.writes),
-            t.weight,
+            t.weight if weight is None else weight(t),
             t.commute,
         ))
     for u, v, objs in g.edges():

@@ -11,6 +11,7 @@ same way.
 
 import heapq
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import cyclic_placement, owner_compute_assignment
@@ -26,6 +27,8 @@ from repro.graph import generators as gen
 from repro.graph.analysis import b_levels, mapped_edge_cost, size_edge_cost
 from repro.machine.reference import name_tables
 from repro.machine.simulator import CompiledSchedule
+
+from relabel import relabel
 
 cases = st.tuples(
     st.sampled_from(["trace", "layered"]),
@@ -47,7 +50,13 @@ def build(family, seed, procs):
 # -- reference implementations (name-keyed, straight from the definitions) --
 
 
-def ref_list_scheduler(g, placement, assignment, policy, comm, levels=None):
+def ref_list_scheduler(g, placement, assignment, policy, comm, levels=None,
+                       stats=None):
+    """``stats`` (a dict) counts ``parked`` pushes and the priority
+    refreshes of parked tasks (``refresh_parked``)."""
+    stats = {} if stats is None else stats
+    stats.setdefault("parked", 0)
+    stats.setdefault("refresh_parked", 0)
     nprocs = placement.num_procs
     remaining = {t: g.in_degree(t) for t in g.task_names}
     finish, idle = {}, [0.0] * nprocs
@@ -70,6 +79,7 @@ def ref_list_scheduler(g, placement, assignment, policy, comm, levels=None):
         if levels is not None and levels[t] > min_level[p]:
             heapq.heappush(parked[p], (levels[t], counter, t))
             counter += 1
+            stats["parked"] += 1
             return
         counter += 1
         key = tuple(-x for x in policy.priority(t))
@@ -115,6 +125,8 @@ def ref_list_scheduler(g, placement, assignment, policy, comm, levels=None):
                 push(s)
         for u in policy.on_scheduled(task, best_p):
             if u not in finish and remaining.get(u, 1) == 0:
+                if levels is not None and levels[u] > min_level[assignment[u]]:
+                    stats["refresh_parked"] += 1
                 version[u] += 1
                 push(u)
     return orders
@@ -219,14 +231,22 @@ def ref_min_mem(sched):
     return max(peaks, default=0)
 
 
-def ref_tree_orders(g, placement, assignment, comm):
-    best = None
+def ref_tree_candidates(g, placement, assignment, comm):
+    """``(variant, (MIN_MEM, makespan), orders)`` of both candidates."""
+    out = []
     for variant, order in (("liu-postorder", ref_liu_postorder(g, placement, assignment)),
                            ("program-order", g.topological_order())):
         orders = [[t for t in order if assignment[t] == p]
                   for p in range(placement.num_procs)]
         sched = Schedule(g, placement, dict(assignment), orders)
         key = (ref_min_mem(sched), max(ref_gantt(sched, comm).values(), default=0.0))
+        out.append((variant, key, orders))
+    return out
+
+
+def ref_tree_orders(g, placement, assignment, comm):
+    best = None
+    for variant, key, orders in ref_tree_candidates(g, placement, assignment, comm):
         if best is None or key < best[0]:
             best = (key, variant, orders)
     return best[1], best[2]
@@ -261,6 +281,15 @@ def ref_needs(sched):
     return needs
 
 
+def many_slices(g):
+    """Levels non-decreasing along every edge, with a new slice every
+    three tasks of a topological order (negative and sparse values)."""
+    levels: dict[str, int] = {}
+    for i, t in enumerate(g.topological_order()):
+        levels[t] = max([3 * (i // 3) - 7] + [levels[u] for u in g.predecessors(t)])
+    return levels
+
+
 # -- properties ---------------------------------------------------------------
 
 
@@ -277,16 +306,24 @@ def test_list_scheduler_matches_reference(case):
     family, seed, procs, comm = case
     g, pl, asg = build(family, seed, procs)
     prio = rcp_priorities(g, asg, comm)
-    got = run_list_scheduler(g, pl, asg, StaticPolicy(prio), comm=comm)
-    assert got.orders == ref_list_scheduler(g, pl, asg, StaticPolicy(prio), comm)
+    names = g.task_names
     levels: dict[str, int] = {}  # non-decreasing along every edge
     for i, t in enumerate(g.topological_order()):
         levels[t] = max([i % 3] + [levels[u] for u in g.predecessors(t)])
-    # Uniform priorities leave every choice to the push-order tie-break.
-    for pr in (prio, dict.fromkeys(prio, 1.0)):
-        got = run_list_scheduler(g, pl, asg, StaticPolicy(pr), comm=comm, levels=levels)
-        assert got.orders == ref_list_scheduler(
-            g, pl, asg, StaticPolicy(pr), comm, levels=levels)
+    shapes = (
+        prio,
+        # Mixed key lengths stay nested: a 1-tuple sorts before the
+        # 2-tuples sharing its component.
+        {t: (1.0,) if i % 3 == 0 else (1.0, float(i % 4)) for i, t in enumerate(names)},
+        {t: (round(prio[t]), float(i % 5)) for i, t in enumerate(names)},
+        # Uniform priorities leave every choice to the push-order tie-break.
+        dict.fromkeys(names, 1.0),
+    )
+    for pr in shapes:
+        for lv in (None, levels, many_slices(g)):
+            got = run_list_scheduler(g, pl, asg, StaticPolicy(pr), comm=comm, levels=lv)
+            assert got.orders == ref_list_scheduler(
+                g, pl, asg, StaticPolicy(pr), comm, levels=lv)
 
 
 @given(cases)
@@ -311,13 +348,13 @@ def test_name_keyed_policy_through_the_adapter_matches_reference(case):
     levels: dict[str, int] = {}  # non-decreasing along every edge
     for i, t in enumerate(g.topological_order()):
         levels[t] = max([i % 2] + [levels[u] for u in g.predecessors(t)])
-    for lv in (None, levels):
-        got = run_list_scheduler(
-            g, pl, asg, NamesOnly(MemoryPriorityPolicy(g, pl, asg, cp)),
-            comm=comm, levels=lv)
+    for lv in (None, levels, many_slices(g)):
         want = ref_list_scheduler(
             g, pl, asg, MemoryPriorityPolicy(g, pl, asg, cp), comm, levels=lv)
-        assert got.orders == want
+        for policy in (NamesOnly(MemoryPriorityPolicy(g, pl, asg, cp)),
+                       MemoryPriorityPolicy(g, pl, asg, cp)):
+            got = run_list_scheduler(g, pl, asg, policy, comm=comm, levels=lv)
+            assert got.orders == want
     # The id binding and the adapter drive the same MPO run.
     assert mpo_order(g, pl, asg, comm).orders == run_list_scheduler(
         g, pl, asg, NamesOnly(MemoryPriorityPolicy(g, pl, asg, cp)), comm=comm).orders
@@ -332,6 +369,68 @@ def test_tree_order_and_liu_postorder_match_reference(case):
     got = tree_order(g, pl, asg, comm)
     assert got.orders == orders
     assert got.meta["tree_variant"] == variant
+
+
+def test_many_slices_park_tasks_and_refresh_parked_ones():
+    """Pinned cases that reach the slice gate's parked paths — tasks
+    park, and MPO refreshes the priority of a parked task — match the
+    reference under the id binding and the name adapter."""
+    from repro.core.mpo import MemoryPriorityPolicy
+
+    comm = CommModel(1.0, 0.0)
+    stats: dict = {}
+    for seed in range(20):
+        for family in ("trace", "layered"):
+            g, pl, asg = build(family, seed, 2)
+            cp = rcp_priorities(g, asg, comm)
+            levels = many_slices(g)
+            want = ref_list_scheduler(g, pl, asg, MemoryPriorityPolicy(g, pl, asg, cp),
+                                      comm, levels=levels, stats=stats)
+            for policy in (MemoryPriorityPolicy(g, pl, asg, cp),
+                           NamesOnly(MemoryPriorityPolicy(g, pl, asg, cp))):
+                got = run_list_scheduler(g, pl, asg, policy, comm=comm, levels=levels)
+                assert got.orders == want
+    assert stats["parked"] > 0 and stats["refresh_parked"] > 0, stats
+
+
+def integral(g):
+    """``g`` with whole-number weights, so every makespan sums exactly."""
+    same = {t: t for t in g.task_names}
+    return relabel(g, same, {o.name: o.name for o in g.objects()},
+                   weight=lambda t: float(round(2 * t.weight)))
+
+
+@given(cases)
+def test_tree_full_tie_keeps_the_postorder(case):
+    """On one processor every object is permanent and, with whole
+    weights, both makespans are the sum of the weights: the candidates
+    tie on both keys and the postorder wins."""
+    family, seed, _procs, comm = case
+    g, pl, asg = build(family, seed, 1)
+    g = integral(g)
+    (_, key0, liu), (_, key1, _prog) = ref_tree_candidates(g, pl, asg, comm)
+    assert key0 == key1
+    got = tree_order(g, pl, asg, comm)
+    assert got.meta["tree_variant"] == "liu-postorder"
+    assert got.orders == liu
+
+
+@pytest.mark.parametrize("family,seed,procs,winner", [
+    ("trace", 0, 2, "program-order"),
+    ("trace", 1, 2, "liu-postorder"),
+    ("trace", 2, 5, "liu-postorder"),
+    ("layered", 0, 4, "program-order"),
+])
+def test_tree_min_mem_tie_is_decided_by_the_makespan(family, seed, procs, winner):
+    comm = CommModel(1.0, 0.0)
+    g, pl, asg = build(family, seed, procs)
+    cands = ref_tree_candidates(g, pl, asg, comm)
+    (_, (mem0, ms0), _), (_, (mem1, ms1), _) = cands
+    assert mem0 == mem1 and ms0 != ms1  # the case still pins a MIN_MEM tie
+    variant, orders = ref_tree_orders(g, pl, asg, comm)
+    assert variant == winner
+    got = tree_order(g, pl, asg, comm)
+    assert (got.meta["tree_variant"], got.orders) == (variant, orders)
 
 
 @given(cases)
