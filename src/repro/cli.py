@@ -42,6 +42,7 @@ from .experiments.tables import (
     SCORECARD_PROCS,
     SCORECARD_WORKLOADS,
 )
+from .fileio import atomic_write_text
 from .opt.gaps import GAP_HEURISTICS
 
 EXPERIMENTS = ("table1", "table2", "table3", "table4", "table5", "table6",
@@ -503,7 +504,7 @@ def _run_analyze(args) -> int:
     if args.out is not None:
         target = pathlib.Path(args.out)
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(doc + "\n")
+        atomic_write_text(target, doc + "\n")
         print(f"wrote {target}")
     else:
         print(doc)

@@ -3,11 +3,11 @@
 This package turns Theorem 1 from a claim into a test surface.  It
 provides a deterministic fault-injection layer for the simulator
 (:mod:`~repro.conformance.faults`), an online invariant checker built on
-the Instrument hooks (:mod:`~repro.conformance.invariants`), a
-differential oracle comparing the simulator's modeled dataflow against
-the untimed executors (:mod:`~repro.conformance.oracle`), a failing-
-window trace exporter (:mod:`~repro.conformance.vtrace`) and the
-``repro check`` harness (:mod:`~repro.conformance.check`).
+the Instrument hooks with a Chrome-trace export of its failing window
+(:mod:`~repro.conformance.invariants`), a differential oracle
+comparing the simulator's modeled dataflow against the untimed
+executors (:mod:`~repro.conformance.oracle`) and the ``repro check``
+harness (:mod:`~repro.conformance.check`).
 
 See ``docs/conformance.md`` for the invariant catalogue and fault-knob
 reference.
@@ -21,9 +21,10 @@ from .invariants import (
     Violation,
     deadlock_witness,
     find_cycle,
+    violation_trace,
+    write_violation_trace,
 )
 from .oracle import DataflowRecorder, OracleReport, differential_check, replay_versions
-from .vtrace import violation_trace, write_violation_trace
 
 __all__ = [
     "FAULT_KINDS",

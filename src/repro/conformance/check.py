@@ -76,18 +76,6 @@ class CheckReport:
         return f"{self.label}: FAIL ({', '.join(parts)}; capacity={self.capacity})"
 
 
-def _pick_capacity(profile, fraction: Optional[float]) -> int:
-    """Capacity between MIN_MEM (0.0) and TOT (1.0); ``None`` = TOT.
-
-    Canonical implementation lives in :mod:`repro.analysis.engine` so
-    the static analyzer and the checked runs resolve identical
-    capacities for a given fraction (imported lazily: conformance must
-    stay importable before the analysis package)."""
-    from ..analysis.engine import pick_capacity
-
-    return pick_capacity(profile, fraction)
-
-
 def run_check(
     schedule,
     *,
@@ -110,10 +98,14 @@ def run_check(
     if compiled is None:
         compiled = CompiledSchedule(schedule)
     if capacity is None:
+        # Lazy: conformance must stay importable before the analysis
+        # package, whose pick_capacity the static analyzer shares.
+        from ..analysis.engine import pick_capacity
+
         frac = fraction
         if faults is not None and faults.capacity_fraction is not None:
             frac = faults.capacity_fraction
-        capacity = _pick_capacity(compiled.profile, frac)
+        capacity = pick_capacity(compiled.profile, frac)
     checker = InvariantChecker(compiled)
     report = CheckReport(
         label=label or compiled.schedule.meta.get("heuristic", "schedule"),

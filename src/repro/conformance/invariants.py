@@ -29,7 +29,7 @@ Violations are collected on :attr:`InvariantChecker.violations` (or
 raised immediately with ``strict=True``).  The checker also keeps a
 bounded window of recent protocol events so a violation can be exported
 as a Perfetto-loadable trace of the failing neighbourhood
-(:mod:`repro.conformance.vtrace`).
+(:func:`violation_trace`).
 
 Deadlocks surface as :class:`~repro.errors.DeadlockError` from the
 simulator itself; :func:`deadlock_witness` turns the error's structured
@@ -44,6 +44,15 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from ..errors import DeadlockError, InvariantViolationError
+from ..obs.chrome_trace import (
+    CONFORMANCE_TRACE_SCHEMA,
+    US,
+    instant,
+    process_name,
+    thread_names,
+    trace_document,
+    write_trace,
+)
 from ..obs.instrument import Instrument
 
 __all__ = [
@@ -52,6 +61,8 @@ __all__ = [
     "Violation",
     "deadlock_witness",
     "find_cycle",
+    "violation_trace",
+    "write_violation_trace",
 ]
 
 #: Invariant catalogue: name -> (paper anchor, one-line statement).
@@ -324,6 +335,47 @@ class InvariantChecker(Instrument):
         self.window.append((t, proc, "VIOLATION", str(v)))
         if self.strict:
             raise InvariantViolationError(v)
+
+
+# ---------------------------------------------------------------------
+# the failing window as a Chrome trace
+# ---------------------------------------------------------------------
+
+
+def violation_trace(checker, label: str = "conformance window") -> dict:
+    """Trace-event document of a checker's recent-event window.
+
+    When an invariant fails mid-run there may be no result to feed
+    :func:`~repro.obs.chrome_trace.chrome_trace` (strict mode raises out
+    of ``run()``, a deadlock aborts it), so the window is exported on
+    its own: per-processor tracks where ordinary protocol events become
+    thread-scoped instants and violations process-scoped instants
+    (rendered prominently by Perfetto) carrying the full violation text
+    in ``args``.
+    """
+    events = [
+        process_name(0, f"repro conformance ({label})"),
+        *thread_names(checker.nprocs),
+    ]
+    for t, proc, kind, detail in checker.window:
+        bad = kind == "VIOLATION"
+        events.append(instant(
+            kind, "violation" if bad else "protocol", 0, proc, t * US,
+            {"detail": detail}, scope="p" if bad else "t",
+        ))
+    return trace_document(
+        events,
+        CONFORMANCE_TRACE_SCHEMA,
+        violations=len(checker.violations),
+        window_events=len(checker.window),
+    )
+
+
+def write_violation_trace(
+    checker, path: Optional[str] = None, label: str = "conformance window"
+) -> str:
+    """Serialise :func:`violation_trace`; optionally write to ``path``."""
+    return write_trace(violation_trace(checker, label=label), path)
 
 
 # ---------------------------------------------------------------------

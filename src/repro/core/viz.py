@@ -12,7 +12,7 @@ Produces standalone SVG documents (no matplotlib) for:
   blocks (horizontal 100%-stacked bars, step-function time series) used
   by the telemetry report of :mod:`repro.obs.report`.
 
-All return the SVG text and optionally write it to a file.
+All return the SVG text and optionally write it (crash-safely) to a file.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import html
 import zlib
 from typing import Optional
 
+from ..fileio import atomic_write_text
 from .liveness import MemoryProfile
 from .schedule import GanttChart
 
@@ -110,8 +111,7 @@ def gantt_svg(
         body.append(f'<text x="{x:.0f}" y="{axis_y}">{tx:g}</text>')
     doc = _document(body, width, height)
     if path:
-        with open(path, "w") as fh:
-            fh.write(doc)
+        atomic_write_text(path, doc)
     return doc
 
 
@@ -168,8 +168,7 @@ def stacked_bars_svg(
         lx += 14 + 8 * len(c) + 18
     doc = _document(body, width, height)
     if path:
-        with open(path, "w") as fh:
-            fh.write(doc)
+        atomic_write_text(path, doc)
     return doc
 
 
@@ -237,8 +236,7 @@ def step_curves_svg(
             )
     doc = _document(body, width, height)
     if path:
-        with open(path, "w") as fh:
-            fh.write(doc)
+        atomic_write_text(path, doc)
     return doc
 
 
@@ -299,6 +297,5 @@ def memory_svg(
             )
     doc = _document(body, width, height)
     if path:
-        with open(path, "w") as fh:
-            fh.write(doc)
+        atomic_write_text(path, doc)
     return doc

@@ -20,10 +20,10 @@ records into a sweep they do not belong to.
 
 Crash safety: shard files and the manifest are written to a
 same-directory temporary file and :func:`os.replace`-d into place
-(see :func:`atomic_write_text`, which the sweep CSV writer shares), and
-a group enters the manifest only after its shard is fully on disk.  An
-interruption at any point leaves either the previous manifest or the
-new one — never a torn journal.
+(:func:`repro.fileio.atomic_write_text`, the writer every export
+shares), and a group enters the manifest only after its shard is fully
+on disk.  An interruption at any point leaves either the previous
+manifest or the new one — never a torn journal.
 """
 
 from __future__ import annotations
@@ -34,15 +34,14 @@ import math
 import os
 import pathlib
 import re
-import tempfile
 from dataclasses import asdict, fields
 from typing import Optional, Sequence
 
+from ..fileio import atomic_write_text
 from .common import SweepRecord
 
 __all__ = [
     "CheckpointJournal",
-    "atomic_write_text",
     "grid_fingerprint",
     "record_from_json",
     "record_to_json",
@@ -53,32 +52,6 @@ __all__ = [
 SCHEMA = "repro-checkpoint/1"
 
 MANIFEST_NAME = "MANIFEST.json"
-
-
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write ``text`` to ``path`` crash-safely.
-
-    The content goes to a temporary file in the *same* directory (so the
-    final rename never crosses filesystems) and is fsync-ed before an
-    atomic :func:`os.replace` into place: readers see either the old
-    file or the complete new one, never a truncated write.
-    """
-    path = pathlib.Path(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def grid_fingerprint(

@@ -40,6 +40,7 @@ import io
 import os
 from typing import Iterable, Optional, Sequence, get_args, get_type_hints
 
+from ..fileio import atomic_write_text
 from .common import (
     OPTIONAL_COLUMNS,
     REFERENCES,
@@ -366,8 +367,6 @@ def to_csv(records: Iterable[SweepRecord], path: Optional[str] = None) -> str:
     writer.writerows(vars(r) for r in records)
     text = buf.getvalue()
     if path:
-        from .checkpoint import atomic_write_text
-
         atomic_write_text(path, text)
     return text
 

@@ -5,7 +5,9 @@ A zero-overhead-when-disabled instrument layer
 with typed protocol events, built-in instruments (state residency,
 memory timelines, queue depths, counters, activity timeline), and
 exporters: a versioned metrics JSON document, a Chrome ``trace_event``
-file for Perfetto, and a standalone HTML report.
+file for Perfetto, and a standalone HTML report.  Every Trace Event
+document is built by :mod:`repro.obs.chrome_trace`, and every file is
+written crash-safely by :func:`repro.fileio.atomic_write_text`.
 
 Quick use::
 

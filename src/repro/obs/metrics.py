@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
+from ..fileio import atomic_write_text
 from .instruments import (
     RESIDENCY_KEYS,
     MemoryTimeline,
@@ -127,8 +128,7 @@ def to_json(metrics: dict, path: Optional[str] = None) -> str:
     """Serialise a metrics document; optionally write it to ``path``."""
     text = json.dumps(metrics, indent=2, sort_keys=False) + "\n"
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        atomic_write_text(path, text)
     return text
 
 

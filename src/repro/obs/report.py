@@ -14,6 +14,7 @@ import html
 from typing import Optional
 
 from ..core.viz import stacked_bars_svg, step_curves_svg
+from ..fileio import atomic_write_text
 from .instruments import RESIDENCY_KEYS
 from .metrics import build_metrics
 
@@ -134,6 +135,5 @@ def html_report(result, path: Optional[str] = None) -> str:
 </body></html>
 """
     if path:
-        with open(path, "w") as fh:
-            fh.write(doc)
+        atomic_write_text(path, doc)
     return doc

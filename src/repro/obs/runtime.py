@@ -44,7 +44,6 @@ import time
 from typing import Optional, Sequence, TextIO
 
 __all__ = [
-    "SCHEMA",
     "RUNTIME_TRACE_SCHEMA",
     "SHARD_GLOB",
     "MultiSink",
@@ -55,10 +54,7 @@ __all__ = [
 ]
 
 #: Runtime-trace schema identifier, written into every shard header.
-SCHEMA = "repro-runtime-trace/1"
-
-#: Package-level alias (``repro.obs.RUNTIME_TRACE_SCHEMA``).
-RUNTIME_TRACE_SCHEMA = SCHEMA
+RUNTIME_TRACE_SCHEMA = "repro-runtime-trace/1"
 
 #: Glob matching the shard files of one observability directory.
 SHARD_GLOB = "runtime-*.jsonl"
@@ -89,7 +85,7 @@ class RuntimeTracer:
         self._fh: Optional[TextIO] = open(self.path, "a")
         header = {
             "kind": "header",
-            "schema": SCHEMA,
+            "schema": RUNTIME_TRACE_SCHEMA,
             "role": role,
             "pid": self.pid,
             "wall0": time.time(),

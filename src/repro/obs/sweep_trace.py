@@ -2,7 +2,8 @@
 
 Loads every ``runtime-*.jsonl`` shard an observed sweep wrote into its
 ``--obs-dir`` (see :mod:`repro.obs.runtime`), converts the event stream
-into Chrome ``trace_event`` form — one **track per os pid** (supervisor
+into Chrome ``trace_event`` form with the event builders of
+:mod:`repro.obs.chrome_trace` — one **track per os pid** (supervisor
 and each worker), attempt spans as complete (``ph: "X"``) events, the
 supervisor's dispatch/retry/timeout/quarantine/failure decisions as
 instant events, and **flow events linking the successive dispatches of
@@ -24,7 +25,17 @@ import json
 import pathlib
 from typing import Optional
 
-from .chrome_trace import merge_chrome_traces
+from .chrome_trace import (
+    SWEEP_TRACE_SCHEMA,
+    US,
+    flow,
+    instant,
+    merge_chrome_traces,
+    process_name,
+    span,
+    trace_document,
+    write_trace,
+)
 from .runtime import SHARD_GLOB
 
 __all__ = [
@@ -34,25 +45,11 @@ __all__ = [
     "write_sweep_trace",
 ]
 
-#: Trace seconds -> microseconds.
-_US = 1e6
-
 #: Supervisor decision events rendered as instants on the owning track.
 _INSTANT_KINDS = (
-    "sweep_begin",
-    "dispatch",
-    "retry",
-    "requeue",
-    "timeout",
-    "pool_kill",
-    "pool_broken",
-    "crash_quarantine",
-    "cell_failure",
-    "group_done",
-    "checkpoint_shard",
-    "resume_hit",
-    "engine_counters",
-    "sweep_end",
+    "sweep_begin", "dispatch", "retry", "requeue", "timeout", "pool_kill",
+    "pool_broken", "crash_quarantine", "cell_failure", "group_done",
+    "checkpoint_shard", "resume_hit", "engine_counters", "sweep_end",
 )
 
 
@@ -98,27 +95,11 @@ def _group_label(rec: dict) -> Optional[str]:
 
 def runtime_chrome_doc(shards: list[dict]) -> dict:
     """Convert anchored shard blocks into one Chrome trace document."""
-    events: list[dict] = []
-    body: list[dict] = []
-    if shards:
-        t0_wall = min(s["wall0"] for s in shards)
-    else:
-        t0_wall = 0.0
-
-    named: set[int] = set()
+    t0_wall = min((s["wall0"] for s in shards), default=0.0)
+    roles: dict[int, str] = {}
     for shard in shards:
-        pid = shard["pid"]
-        if pid not in named:
-            named.add(pid)
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"name": f"{shard['role']} {pid}"},
-                }
-            )
+        roles.setdefault(shard["pid"], shard["role"])
+    events = [process_name(pid, f"{role} {pid}") for pid, role in roles.items()]
 
     # (workload, procs, attempt) -> pending attempt_start (ts µs, pid)
     open_attempts: dict[tuple, tuple[float, int]] = {}
@@ -130,119 +111,52 @@ def runtime_chrome_doc(shards: list[dict]) -> dict:
         base = shard["wall0"] - t0_wall
         for rec in shard["events"]:
             kind = rec.get("kind")
-            ts = (base + float(rec.get("t", 0.0))) * _US
+            ts = (base + float(rec.get("t", 0.0))) * US
             label = _group_label(rec)
             gkey = (rec.get("workload"), rec.get("procs"))
             akey = gkey + (rec.get("attempt"),)
-            args = {
-                k: v
-                for k, v in rec.items()
-                if k not in ("kind", "pid", "t")
-            }
+            args = {k: v for k, v in rec.items() if k not in ("kind", "pid", "t")}
             if kind == "attempt_start":
                 open_attempts[akey] = (ts, pid)
-                continue
-            if kind == "attempt_finish":
-                pending = open_attempts.pop(akey, None)
-                if pending is None:
-                    start = ts - float(rec.get("dur", 0.0)) * _US
-                else:
-                    start = pending[0]
-                body.append(
-                    {
-                        "name": f"{label} attempt {rec.get('attempt', '?')}",
-                        "cat": "attempt",
-                        "ph": "X",
-                        "pid": pid,
-                        "tid": 0,
-                        "ts": start,
-                        "dur": max(ts - start, 0.0),
-                        "args": args,
-                    }
-                )
-                continue
-            if kind in _INSTANT_KINDS:
-                name = f"{kind} {label}" if label else kind
-                body.append(
-                    {
-                        "name": name,
-                        "cat": "engine" if kind == "engine_counters" else "runtime",
-                        "ph": "i",
-                        "s": "p",
-                        "pid": pid,
-                        "tid": 0,
-                        "ts": ts,
-                        "args": args,
-                    }
-                )
+            elif kind == "attempt_finish":
+                # a lost start is rebuilt from the finish's duration
+                start = open_attempts.pop(
+                    akey, (ts - float(rec.get("dur", 0.0)) * US, pid))[0]
+                events.append(span(
+                    f"{label} attempt {rec.get('attempt', '?')}", "attempt",
+                    pid, 0, start, max(ts - start, 0.0), args,
+                ))
+            elif kind in _INSTANT_KINDS:
+                events.append(instant(
+                    f"{kind} {label}" if label else kind,
+                    "engine" if kind == "engine_counters" else "runtime",
+                    pid, 0, ts, args, scope="p",
+                ))
                 if kind == "dispatch" and label is not None:
                     dispatches.setdefault(gkey, []).append(ts)
 
     # Attempts that started but never finished: the SIGKILLed workers.
-    for akey, (ts, apid) in open_attempts.items():
-        label = f"{akey[0]}@{akey[1]}"
-        body.append(
-            {
-                "name": f"{label} attempt {akey[2]} (no finish)",
-                "cat": "attempt",
-                "ph": "i",
-                "s": "p",
-                "pid": apid,
-                "tid": 0,
-                "ts": ts,
-                "args": {"workload": akey[0], "procs": akey[1], "attempt": akey[2]},
-            }
-        )
+    for (workload, procs, attempt), (ts, pid) in open_attempts.items():
+        events.append(instant(
+            f"{workload}@{procs} attempt {attempt} (no finish)", "attempt",
+            pid, 0, ts,
+            {"workload": workload, "procs": procs, "attempt": attempt},
+            scope="p",
+        ))
 
     # Flow arrows chaining the successive dispatches of retried groups.
+    sup = next((s["pid"] for s in shards if s["role"] == "supervisor"),
+               shards[0]["pid"] if shards else 0)
     flow_id = 0
     for gkey, stamps in sorted(dispatches.items(), key=lambda kv: str(kv[0])):
         stamps.sort()
         for prev, nxt in zip(stamps, stamps[1:]):
             flow_id += 1
-            name = f"retry {gkey[0]}@{gkey[1]}"
-            body.append(
-                {
-                    "name": name,
-                    "cat": "retry",
-                    "ph": "s",
-                    "id": flow_id,
-                    "pid": _supervisor_pid(shards),
-                    "tid": 0,
-                    "ts": prev,
-                }
-            )
-            body.append(
-                {
-                    "name": name,
-                    "cat": "retry",
-                    "ph": "f",
-                    "bp": "e",
-                    "id": flow_id,
-                    "pid": _supervisor_pid(shards),
-                    "tid": 0,
-                    "ts": nxt,
-                }
-            )
+            events += flow(f"retry {gkey[0]}@{gkey[1]}", "retry", flow_id,
+                           (sup, 0, prev), (sup, 0, nxt))
 
-    body.sort(key=lambda e: e["ts"])
-    events.extend(body)
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "schema": "repro-sweep-trace/1",
-            "shards": len(shards),
-            "t0_wall": t0_wall,
-        },
-    }
-
-
-def _supervisor_pid(shards: list[dict]) -> int:
-    for shard in shards:
-        if shard["role"] == "supervisor":
-            return shard["pid"]
-    return shards[0]["pid"] if shards else 0
+    return trace_document(events, SWEEP_TRACE_SCHEMA, shards=len(shards),
+                          t0_wall=t0_wall)
 
 
 def merge_obs_dir(directory) -> dict:
@@ -275,8 +189,5 @@ def write_sweep_trace(directory, path: Optional[str] = None) -> str:
     if not blocks:
         raise ValueError(f"{directory}: no runtime-trace shards")
     out = str(path) if path else str(pathlib.Path(directory) / "sweep_trace.json")
-    doc = _merge(blocks, directory)
-    with open(out, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_trace(_merge(blocks, directory), out)
     return out

@@ -8,12 +8,12 @@ import pytest
 
 from repro.experiments.checkpoint import (
     CheckpointJournal,
-    atomic_write_text,
     grid_fingerprint,
     record_from_json,
     record_to_json,
 )
 from repro.experiments.sweep import SweepRecord
+from repro.fileio import atomic_write_text
 from repro.machine.spec import CRAY_T3D, UNIT_MACHINE
 
 INF = float("inf")
@@ -46,6 +46,39 @@ class TestAtomicWrite:
     def test_no_temp_files_left_behind(self, tmp_path):
         atomic_write_text(tmp_path / "out.csv", "data\n")
         assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.parametrize("writer", ["to_csv", "chrome_trace", "gantt_svg"])
+    def test_files_get_the_mode_open_gives(self, tmp_path, writer):
+        """A written artifact is as readable as a plain ``open(path,
+        "w")`` makes it, not owner-only like a ``mkstemp`` file."""
+        from repro.core import gantt
+        from repro.core.viz import gantt_svg
+        from repro.experiments.sweep import to_csv
+        from repro.graph.paper_example import schedule_c
+        from repro.machine import simulate
+        from repro.obs import write_chrome_trace
+
+        write = {
+            "to_csv": lambda p: to_csv([rec()], p),
+            "chrome_trace": lambda p: write_chrome_trace(
+                simulate(schedule_c(), capacity=8, metrics=True), p),
+            "gantt_svg": lambda p: gantt_svg(gantt(schedule_c()), p),
+        }[writer]
+        old = os.umask(0o022)
+        try:
+            with open(tmp_path / "plain", "w"):
+                pass
+            write(str(tmp_path / "artifact"))
+            (tmp_path / "kept").write_text("")
+            os.chmod(tmp_path / "kept", 0o640)
+            write(str(tmp_path / "kept"))
+        finally:
+            os.umask(old)
+        mode = (tmp_path / "plain").stat().st_mode & 0o777
+        assert mode == 0o644
+        assert (tmp_path / "artifact").stat().st_mode & 0o777 == mode
+        # replacing a file keeps its mode, as writing it in place would
+        assert (tmp_path / "kept").stat().st_mode & 0o777 == 0o640
 
 
 class TestFingerprint:

@@ -5,8 +5,12 @@ to Perfetto conversion (:mod:`repro.obs.sweep_trace`)."""
 import json
 
 import pytest
+import reference_traces
+from tracecheck import flow_pairs
 
-from repro.obs import merge_chrome_traces
+from repro.graph.paper_example import schedule_b, schedule_c
+from repro.machine import CRAY_T3D, simulate
+from repro.obs import chrome_trace, merge_chrome_traces
 from repro.obs.sweep_trace import (
     load_runtime_shards,
     merge_obs_dir,
@@ -73,6 +77,30 @@ class TestMergeChromeTraces:
         assert back["displayTimeUnit"] == "ms"
         assert back["otherData"]["schema"] == "repro-sweep-trace/1"
         assert all("ph" in e and "pid" in e for e in back["traceEvents"])
+
+
+    def test_flow_ids_are_renumbered_per_document(self):
+        # Both per-cell traces number their puts from 0: without
+        # renumbering, 5 of the 10 put-flow keys of the merge would be
+        # claimed by two starts and two ends.
+        docs = [
+            chrome_trace(simulate(s(), spec=CRAY_T3D, capacity=10,
+                                  metrics=True))
+            for s in (schedule_b, schedule_c)
+        ]
+        merged = merge_chrome_traces(docs)
+        pairs = flow_pairs(merged)
+        assert len(pairs) == sum(len(flow_pairs(d)) for d in docs) == 10
+        for key, flow in pairs.items():
+            assert [e["ph"] for e in flow] == ["s", "f"], key
+            assert flow[1]["ts"] >= flow[0]["ts"], key
+        # ...and the flow ids are all the merge changes.
+        reference = reference_traces.merge_chrome_traces(docs)
+        strip = [{k: v for k, v in e.items() if k != "id"}
+                 for e in merged["traceEvents"]]
+        assert strip == [{k: v for k, v in e.items() if k != "id"}
+                         for e in reference["traceEvents"]]
+        assert merged["otherData"] == reference["otherData"]
 
 
 def shard(role, pid, wall0, events):

@@ -7,7 +7,7 @@ import os
 from types import SimpleNamespace
 
 from repro.obs.runtime import (
-    SCHEMA,
+    RUNTIME_TRACE_SCHEMA,
     MultiSink,
     RuntimeTracer,
     SweepProgress,
@@ -29,7 +29,7 @@ class TestRuntimeTracer:
         records = read_shard(tr.path)
         header, dispatch, end = records
         assert header["kind"] == "header"
-        assert header["schema"] == SCHEMA
+        assert header["schema"] == RUNTIME_TRACE_SCHEMA
         assert header["role"] == "supervisor"
         assert header["pid"] == os.getpid()
         assert header["wall0"] > 0
