@@ -43,7 +43,7 @@ from .depmem import (
 )
 from .dynamic import etf_schedule
 from .listsched import StaticPolicy, run_list_scheduler
-from .treesched import liu_postorder, tree_order
+from .treesched import tree_order
 from .viz import gantt_svg, memory_svg
 
 __all__ = [
@@ -79,7 +79,6 @@ __all__ = [
     "gantt",
     "gantt_svg",
     "graph_index",
-    "liu_postorder",
     "lpt_map_clusters",
     "mapped_priorities",
     "mapping_index",

@@ -2,12 +2,13 @@
 
 :mod:`repro.opt.exact` holds the small-instance branch-and-bound solver
 (proved optima / certified bounds on makespan and MIN_MEM);
-:func:`~repro.core.treesched.tree_order` — the tree-specialised
-postorder heuristic the solver benchmarks — lives in :mod:`repro.core`
+:func:`~repro.core.treesched.tree_order` — the ``tree`` heuristic
+(the per-processor projection of program order) that the solver
+benchmarks and seeds its incumbent with — lives in :mod:`repro.core`
 next to RCP/MPO/DTS and is re-exported here for convenience.
 """
 
-from ..core.treesched import liu_postorder, tree_order
+from ..core.treesched import tree_order
 from .exact import (
     BEST_FOUND,
     DEFAULT_NODE_BUDGET,
@@ -29,7 +30,6 @@ __all__ = [
     "PROVED_OPTIMAL",
     "WorkloadGaps",
     "exact_order",
-    "liu_postorder",
     "optimality_gaps",
     "solve",
     "solve_over_placements",

@@ -6,10 +6,10 @@ elimination tree (:mod:`repro.sparse.etree`).  This module builds that
 forest as a first-class workload: one task per column ``j`` (weight
 ``nnz(col j)**2`` flops — the dense-column update cost), one object per
 column vector (``nnz(col j)`` stored entries), task ``C{j}`` reading its
-etree children's columns and writing its own.  It is the instance
-family the tree-specialised heuristic
-(:func:`~repro.core.treesched.tree_order`) is built for, and the
-optimality-gap scorecard measures the generic heuristics on it.
+etree children's columns and writing its own.  The ``tree`` heuristic
+(:func:`~repro.core.treesched.tree_order`, program order on each
+processor) and the generic heuristics are measured on it, by
+``repro validate`` and the optimality-gap scorecard.
 
 The matrix is minimum-degree ordered by default: the natural ordering
 of the ``bcsstk``-style band matrices degenerates the etree into a path

@@ -6,7 +6,6 @@ from repro.core import (
     analyze_memory,
     cyclic_placement,
     gantt,
-    liu_postorder,
     mpo_order,
     owner_compute_assignment,
     tree_order,
@@ -36,17 +35,6 @@ def tree_case(build, procs):
     return g, pl, owner_compute_assignment(g, pl)
 
 
-class TestLiuPostorder:
-    @pytest.mark.parametrize("name,build", TINY_TREES)
-    def test_is_a_topological_permutation(self, name, build):
-        g, pl, asg = tree_case(build, 2)
-        order = liu_postorder(g, pl, asg)
-        assert sorted(order) == sorted(t.name for t in g.tasks())
-        pos = {t: i for i, t in enumerate(order)}
-        for u, v, _objs in g.edges():
-            assert pos[u] < pos[v]
-
-
 class TestTreeOrder:
     def test_valid_on_the_paper_example(self):
         g = paper_example_graph()
@@ -54,7 +42,6 @@ class TestTreeOrder:
         s = tree_order(g, pl, paper_assignment(g, pl))
         s.validate()
         assert s.meta["heuristic"] == "TREE"
-        assert s.meta["tree_variant"] in ("liu-postorder", "program-order")
 
     @pytest.mark.parametrize("seed", range(5))
     def test_valid_on_general_dags(self, seed):

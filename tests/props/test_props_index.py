@@ -1,17 +1,17 @@
 """Differential properties of the shared inspector index.
 
 The list scheduler, the mapped b-levels, the liveness analysis, the
-Gantt evaluation, the tree postorder and ``CompiledSchedule``'s message
-tables all run on :mod:`repro.core.index`.  Each is checked here, with
-exact equality, against a direct name-keyed implementation of the same
-definition (the pre-index code), on random DAGs and placements.  The
-list scheduler's name adapter (a policy without ``bind``) is checked the
-same way.
+Gantt evaluation and ``CompiledSchedule``'s message tables all run on
+:mod:`repro.core.index`.  Each is checked here, with exact equality,
+against a direct name-keyed implementation of the same definition (the
+pre-index code), on random DAGs and placements.  The list scheduler's
+name adapter (a policy without ``bind``) is checked the same way, and
+the ``tree`` ordering against its definition, the per-processor
+projection of program order.
 """
 
 import heapq
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import cyclic_placement, owner_compute_assignment
@@ -21,14 +21,12 @@ from repro.core.listsched import StaticPolicy, run_list_scheduler
 from repro.core.mpo import mpo_order
 from repro.core.placement import Placement, perm_vola_sets
 from repro.core.rcp import rcp_order, rcp_priorities
-from repro.core.schedule import CommModel, Schedule, gantt
-from repro.core.treesched import liu_postorder, tree_order
+from repro.core.schedule import CommModel, gantt
+from repro.core.treesched import tree_order
 from repro.graph import generators as gen
 from repro.graph.analysis import b_levels, mapped_edge_cost, size_edge_cost
 from repro.machine.reference import name_tables
 from repro.machine.simulator import CompiledSchedule
-
-from relabel import relabel
 
 cases = st.tuples(
     st.sampled_from(["trace", "layered"]),
@@ -186,72 +184,6 @@ def ref_gantt(sched, comm):
     return finish
 
 
-def ref_liu_postorder(g, placement, assignment):
-    _perm, vola = ref_perm_vola(g, placement, assignment)
-    net, peak, kids = {}, {}, {}
-
-    def key(t):
-        return (net[t] - peak[t], g.task_names.index(t))
-
-    for t in g.topological_order():
-        task = g.task(t)
-        va = [o for o in task.accesses if o in vola[assignment[t]]]
-        children = sorted(g.predecessors(t), key=key)
-        kids[t] = children
-        run, pk = 0, sum(g.object(o).size for o in va) + sum(net[c] for c in children)
-        for c in children:
-            pk = max(pk, run + peak[c])
-            run += net[c]
-        net[t] = sum(g.object(o).size for o in va if o in task.writes)
-        peak[t] = pk
-    order, seen = [], set()
-
-    def visit(t):  # recursive postorder over predecessors
-        seen.add(t)
-        for c in kids[t]:
-            if c not in seen:
-                visit(c)
-        order.append(t)
-
-    for root in sorted((t for t in g.task_names if not list(g.successors(t))), key=key):
-        if root not in seen:
-            visit(root)
-    return order
-
-
-def ref_min_mem(sched):
-    g = sched.graph
-    perm, _vola = ref_perm_vola(g, sched.placement, sched.assignment)
-    peaks = []
-    for p, spans in enumerate(ref_memory(sched)):
-        base = sum(g.object(o).size for o in perm[p])
-        peaks.append(max((
-            base + sum(g.object(o).size for o, (f, l) in spans.items() if f <= i <= l)
-            for i in range(len(sched.orders[p]))), default=base))
-    return max(peaks, default=0)
-
-
-def ref_tree_candidates(g, placement, assignment, comm):
-    """``(variant, (MIN_MEM, makespan), orders)`` of both candidates."""
-    out = []
-    for variant, order in (("liu-postorder", ref_liu_postorder(g, placement, assignment)),
-                           ("program-order", g.topological_order())):
-        orders = [[t for t in order if assignment[t] == p]
-                  for p in range(placement.num_procs)]
-        sched = Schedule(g, placement, dict(assignment), orders)
-        key = (ref_min_mem(sched), max(ref_gantt(sched, comm).values(), default=0.0))
-        out.append((variant, key, orders))
-    return out
-
-
-def ref_tree_orders(g, placement, assignment, comm):
-    best = None
-    for variant, key, orders in ref_tree_candidates(g, placement, assignment, comm):
-        if best is None or key < best[0]:
-            best = (key, variant, orders)
-    return best[1], best[2]
-
-
 class NamesOnly:
     """A name-keyed view of a policy (no ``bind``), so the list
     scheduler runs it through its name adapter; ``on_scheduled`` also
@@ -361,14 +293,11 @@ def test_name_keyed_policy_through_the_adapter_matches_reference(case):
 
 
 @given(cases)
-def test_tree_order_and_liu_postorder_match_reference(case):
+def test_tree_order_is_the_projection_of_program_order(case):
     family, seed, procs, comm = case
     g, pl, asg = build(family, seed, procs)
-    assert liu_postorder(g, pl, asg) == ref_liu_postorder(g, pl, asg)
-    variant, orders = ref_tree_orders(g, pl, asg, comm)
-    got = tree_order(g, pl, asg, comm)
-    assert got.orders == orders
-    assert got.meta["tree_variant"] == variant
+    assert tree_order(g, pl, asg, comm).orders == [
+        [t for t in g.topological_order() if asg[t] == p] for p in range(procs)]
 
 
 def test_many_slices_park_tasks_and_refresh_parked_ones():
@@ -391,46 +320,6 @@ def test_many_slices_park_tasks_and_refresh_parked_ones():
                 got = run_list_scheduler(g, pl, asg, policy, comm=comm, levels=levels)
                 assert got.orders == want
     assert stats["parked"] > 0 and stats["refresh_parked"] > 0, stats
-
-
-def integral(g):
-    """``g`` with whole-number weights, so every makespan sums exactly."""
-    same = {t: t for t in g.task_names}
-    return relabel(g, same, {o.name: o.name for o in g.objects()},
-                   weight=lambda t: float(round(2 * t.weight)))
-
-
-@given(cases)
-def test_tree_full_tie_keeps_the_postorder(case):
-    """On one processor every object is permanent and, with whole
-    weights, both makespans are the sum of the weights: the candidates
-    tie on both keys and the postorder wins."""
-    family, seed, _procs, comm = case
-    g, pl, asg = build(family, seed, 1)
-    g = integral(g)
-    (_, key0, liu), (_, key1, _prog) = ref_tree_candidates(g, pl, asg, comm)
-    assert key0 == key1
-    got = tree_order(g, pl, asg, comm)
-    assert got.meta["tree_variant"] == "liu-postorder"
-    assert got.orders == liu
-
-
-@pytest.mark.parametrize("family,seed,procs,winner", [
-    ("trace", 0, 2, "program-order"),
-    ("trace", 1, 2, "liu-postorder"),
-    ("trace", 2, 5, "liu-postorder"),
-    ("layered", 0, 4, "program-order"),
-])
-def test_tree_min_mem_tie_is_decided_by_the_makespan(family, seed, procs, winner):
-    comm = CommModel(1.0, 0.0)
-    g, pl, asg = build(family, seed, procs)
-    cands = ref_tree_candidates(g, pl, asg, comm)
-    (_, (mem0, ms0), _), (_, (mem1, ms1), _) = cands
-    assert mem0 == mem1 and ms0 != ms1  # the case still pins a MIN_MEM tie
-    variant, orders = ref_tree_orders(g, pl, asg, comm)
-    assert variant == winner
-    got = tree_order(g, pl, asg, comm)
-    assert (got.meta["tree_variant"], got.orders) == (variant, orders)
 
 
 @given(cases)

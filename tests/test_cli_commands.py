@@ -6,9 +6,14 @@ a new documented invocation is covered without editing them.
 - Every command's ``--help`` renders (argparse formats help lazily, so
   a bad help string fails only at ``--help`` time).
 - Every ``python -m repro ...`` line in a fenced code block of the
-  README, EXPERIMENTS.md and ``docs/*.md`` parses.
+  README, EXPERIMENTS.md and ``docs/*.md`` parses.  Each case is named
+  by its file and its invocation text, not its line number, so editing
+  a doc renames no case; the text enters as its command and a short
+  digest, so a report that cuts long test names still tells the cases
+  apart.
 """
 
+import hashlib
 import pathlib
 import re
 import shlex
@@ -79,6 +84,19 @@ def documented_invocations() -> list:
     return found
 
 
+def invocation_ids(invocations: list) -> list:
+    """``<doc>:<command>-<digest>`` per invocation, the digest being the
+    first 7 hex digits of the SHA-1 of the space-joined argv; a repeat
+    within one doc gets ``#2``, ``#3``, ... in document order."""
+    ids, seen = [], {}
+    for where, argv in invocations:
+        digest = hashlib.sha1(" ".join(argv).encode()).hexdigest()[:7]
+        key = f"{where.rsplit(':', 1)[0]}:{argv[0]}-{digest}"
+        seen[key] = seen.get(key, 0) + 1
+        ids.append(key if seen[key] == 1 else f"{key}#{seen[key]}")
+    return ids
+
+
 INVOCATIONS = documented_invocations()
 
 
@@ -86,8 +104,23 @@ def test_the_docs_hold_invocations():
     assert len(INVOCATIONS) >= 30
 
 
+def test_an_invocation_id_names_its_doc_and_text_and_numbers_a_repeat():
+    gaps = "gaps-" + hashlib.sha1(b"gaps").hexdigest()[:7]
+    sweep = "sweep-" + hashlib.sha1(b"sweep --jobs 2").hexdigest()[:7]
+    assert invocation_ids([("a.md:3", ["gaps"]), ("a.md:9", ["gaps"]),
+                           ("b.md:2", ["gaps"]), ("a.md:12", ["sweep", "--jobs", "2"])]
+                          ) == [f"a.md:{gaps}", f"a.md:{gaps}#2", f"b.md:{gaps}",
+                                f"a.md:{sweep}"]
+
+
+def test_the_documented_invocation_ids_are_short_and_distinct():
+    ids = invocation_ids(INVOCATIONS)
+    assert len(set(ids)) == len(ids)
+    assert max(map(len, ids)) <= 40
+
+
 @pytest.mark.parametrize(("where", "argv"), INVOCATIONS,
-                         ids=[w for w, _ in INVOCATIONS])
+                         ids=invocation_ids(INVOCATIONS))
 def test_documented_invocation_parses(where, argv, capsys):
     try:
         parse_args(argv)
