@@ -4,7 +4,8 @@ properties from the plan IR, before any simulation.
 The conformance layer (:mod:`repro.conformance`) observes one dynamic
 execution; this package proves the same catalogue *statically* on the
 ``Schedule``/``MapPlan`` IR in O(plan) time: memory executability
-(``SA1xx``), free/alloc liveness (``SA2xx``), and the one-slot
+(``SA1xx``) and free/alloc liveness (``SA2xx``) from one replay of the
+MAP chains (:mod:`repro.analysis.memory`), and the one-slot
 address-package protocol with Theorem 1's wait-for argument
 (``SA3xx``).  Entry points::
 

@@ -2,9 +2,9 @@
 
 :func:`analyze_schedule` resolves capacity and plan (mirroring the
 conformance harness so static and dynamic verdicts are about the *same*
-configuration), runs the three passes in order — memory (Defs 5-6),
-liveness sanitizer (Defs 3-4), protocol (Def 4 / Theorem 1) — and
-returns an :class:`AnalysisReport`.  Cost is O(plan): no simulator, no
+configuration), runs the two passes in order — memory and MAP-chain
+liveness (Defs 3-6), protocol (Def 4 / Theorem 1) — and returns an
+:class:`AnalysisReport`.  Cost is O(plan): no simulator, no
 event loop; ``benchmarks/bench_cost_budgets.py`` holds it at least 5x
 cheaper than a checked simulation.
 """
@@ -23,7 +23,6 @@ from .bounds import bounds_pass
 from .diagnostics import Diagnostic, Severity
 from .memory import memory_pass
 from .protocol import protocol_pass
-from .sanitizer import sanitizer_pass
 
 __all__ = [
     "AnalysisContext",
@@ -114,7 +113,7 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
-_PASSES = (memory_pass, sanitizer_pass, protocol_pass)
+_PASSES = (memory_pass, protocol_pass)
 
 
 def analyze_schedule(

@@ -25,14 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
+from typing import Callable, Optional, TypeVar
 
 from ..errors import NonExecutableScheduleError, SchedulingError
 from .index import graph_index
 from .schedule import Schedule
-
-if TYPE_CHECKING:
-    from .index import GraphIndex, MappingIndex
 
 T = TypeVar("T")
 
@@ -171,21 +168,41 @@ def analyze_memory(schedule: Schedule) -> MemoryProfile:
     into ``schedule.orders[p]``.  The order-independent part — PERM/VOLA
     sets, footprints and each task's volatile object ids — comes from
     the mapping's shared :class:`~repro.core.index.MappingIndex`.
-    Raises :class:`~repro.errors.SchedulingError` for an order that
-    names an unknown task.
+    MEM_REQ is the prefix sum of a difference array: an object's size
+    enters at its first position and leaves after its last.  Raises
+    :class:`~repro.errors.SchedulingError` for an order that names an
+    unknown task.
     """
     gi = graph_index(schedule.graph)
     mi = gi.mapping(schedule.placement, schedule.assignment)
-    tid, onames = gi.tid, gi.object_names
+    tid, onames, oid_size = gi.tid, gi.object_names, gi.oid_size
+    rows, proc = mi.vola_oids, mi.proc
     procs: list[ProcessorMemoryProfile] = []
     for p, order in enumerate(schedule.orders):
-        ids = []
-        for t in order:
+        first: dict[int, int] = {}  # in first-use order
+        last: dict[int, int] = {}
+        for pos, t in enumerate(order):
             i = tid.get(t)
             if i is None:
                 raise SchedulingError(f"schedule orders unknown task {t!r}")
-            ids.append(i)
-        first, last, mem_req = proc_liveness(gi, mi, p, ids)
+            row = rows[i]
+            if proc[i] != p:
+                # Order disagrees with the assignment (an invalid
+                # schedule): filter against this processor's set.
+                vola, oid = mi.vola[p], gi.oid
+                row = [oid[o] for o in gi.accesses[i] if o in vola]
+            for o in row:
+                if o not in first:
+                    first[o] = pos
+                last[o] = pos
+        diff = [0] * (len(order) + 1)
+        diff[0] = mi.perm_bytes[p]
+        for o, f in first.items():
+            size = oid_size[o]
+            diff[f] += size
+            diff[last[o] + 1] -= size
+        mem_req = list(accumulate(diff))
+        mem_req.pop()
         procs.append(
             ProcessorMemoryProfile(
                 proc=p,
@@ -196,44 +213,6 @@ def analyze_memory(schedule: Schedule) -> MemoryProfile:
             )
         )
     return MemoryProfile(schedule, procs)
-
-
-def proc_liveness(
-    gi: "GraphIndex", mi: "MappingIndex", p: int, ids: Sequence[int]
-) -> tuple[dict[int, int], dict[int, int], list[int]]:
-    """Liveness of processor ``p`` running the task ids ``ids`` in
-    order (:func:`analyze_memory`'s core): ``(first, last, mem_req)``,
-    with the first and last position of every volatile object id
-    (``first`` in first-use order) and MEM_REQ at each position.
-
-    MEM_REQ is the prefix sum of a difference array: an object's size
-    enters at its first position and leaves after its last.
-    """
-    rows, proc = mi.vola_oids, mi.proc
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for pos, i in enumerate(ids):
-        row = rows[i]
-        if proc[i] != p:
-            # Order disagrees with the assignment (an invalid
-            # schedule): filter against this processor's set.
-            vola, oid = mi.vola[p], gi.oid
-            row = [oid[o] for o in gi.accesses[i] if o in vola]
-        for o in row:
-            if o not in first:
-                first[o] = pos
-            last[o] = pos
-    n = len(ids)
-    diff = [0] * (n + 1)
-    diff[0] = mi.perm_bytes[p]
-    oid_size = gi.oid_size
-    for o, f in first.items():
-        size = oid_size[o]
-        diff[f] += size
-        diff[last[o] + 1] -= size
-    mem_req = list(accumulate(diff))
-    mem_req.pop()
-    return first, last, mem_req
 
 
 def min_mem(schedule: Schedule) -> int:

@@ -98,28 +98,6 @@ class MapPlan:
     def map_positions(self, proc: int) -> list[int]:
         return [m.position for m in self.points[proc]]
 
-    def allocation_points(self, proc: int) -> dict[str, int]:
-        """Object -> index (into ``points[proc]``) of the MAP that first
-        allocates it.  Static-analysis metadata; O(plan)."""
-        where: dict[str, int] = {}
-        for k, mp in enumerate(self.points[proc]):
-            for o in mp.allocs:
-                where.setdefault(o, k)
-        return where
-
-    def packages(self, proc: int) -> list[tuple[int, int, tuple[str, ...]]]:
-        """Address packages sent by ``proc``'s MAPs, in plan order:
-        ``(map_index, owner_proc, objects)`` triples.  Each package
-        occupies the owner's one-slot unbuffered channel from this
-        processor until the owner performs its RA (section 3.3)."""
-        out: list[tuple[int, int, tuple[str, ...]]] = []
-        for k, mp in enumerate(self.points[proc]):
-            for owner in sorted(mp.notifications):
-                objs = tuple(mp.notifications[owner])
-                if objs:
-                    out.append((k, owner, objs))
-        return out
-
     def predicted_peaks(self) -> list[int]:
         """Statically predicted per-processor peak memory of *executing*
         this plan: permanent bytes plus the high-water of replaying each

@@ -205,55 +205,37 @@ def gantt(schedule: Schedule, comm: CommModel = UNIT_COMM) -> GanttChart:
     """Compute predicted start/finish times under the macro-dataflow
     model.
 
-    Runs on the graph's shared :class:`~repro.core.index.GraphIndex`.
-    Raises :class:`~repro.errors.SchedulingError` when the per-processor
+    A Kahn walk of the combined graph on the graph's shared
+    :class:`~repro.core.index.GraphIndex`: dependence edges plus one
+    sequence edge per consecutive pair of an order.  A sequence edge
+    that duplicates a dependence edge is counted and released twice,
+    which readies its task at the same point; times depend only on the
+    finished predecessors, never on the walk order.  Raises
+    :class:`~repro.errors.SchedulingError` when the per-processor
     orders are inconsistent with the dependence DAG (the combined graph
     has a cycle).
     """
     gi = graph_index(schedule.graph)
-    tid, names = gi.tid, gi.names
-    ids: list[list[int]] = []
-    for order in schedule.orders:
-        row = []
-        for t in order:
-            i = tid.get(t)
-            if i is None:
-                raise SchedulingError(f"schedule orders unknown task {t!r}")
-            row.append(i)
-        ids.append(row)
-    assignment = schedule.assignment
-    start, fin = gantt_times(gi, [assignment[t] for t in names], ids, comm)
-    return GanttChart(schedule, dict(zip(names, start)), dict(zip(names, fin)))
-
-
-def gantt_times(
-    gi: "GraphIndex", proc: Sequence[int], orders: Sequence[Sequence[int]],
-    comm: CommModel,
-) -> tuple[list[float], list[float]]:
-    """Start and finish time of every task id under the macro-dataflow
-    model, for per-processor orders of task ids (:func:`gantt`'s core).
-
-    A Kahn walk of the combined graph: dependence edges plus one
-    sequence edge per consecutive pair of an order.  A sequence edge
-    that duplicates a dependence edge is counted and released twice,
-    which readies its task at the same point; times depend only on the
-    finished predecessors, never on the walk order.
-    """
-    names, succ, pred, weight = gi.names, gi.succ, gi.pred, gi.weight
+    tid, names, succ, pred, weight = gi.tid, gi.names, gi.succ, gi.pred, gi.weight
     lat, bt = comm.latency, comm.byte_time
     n = len(names)
     indeg = list(gi.in_degree)
     prev_on_proc = [-1] * n
     next_on_proc = [-1] * n
-    for order in orders:
+    for order in schedule.orders:
         prev = -1
-        for i in order:
+        for t in order:
+            i = tid.get(t)
+            if i is None:
+                raise SchedulingError(f"schedule orders unknown task {t!r}")
             if prev >= 0:
                 prev_on_proc[i] = prev
                 next_on_proc[prev] = i
                 indeg[i] += 1
             prev = i
 
+    assignment = schedule.assignment
+    proc = [assignment[t] for t in names]
     start = [0.0] * n
     fin = [0.0] * n
     timed = 0
@@ -286,7 +268,7 @@ def gantt_times(
         raise SchedulingError(
             f"schedule order conflicts with dependencies; stuck tasks: {stuck[:5]}"
         )
-    return start, fin
+    return GanttChart(schedule, dict(zip(names, start)), dict(zip(names, fin)))
 
 
 def serial_schedule(graph: TaskGraph, order: Sequence[str] | None = None) -> Schedule:

@@ -1,35 +1,85 @@
-"""Liveness sanitizer pass: the MAP plan's free/alloc chains against the
-volatile life spans (Definitions 3-4).
+"""Frozen reference analyzer passes: ``memory_pass``, ``sanitizer_pass``
+and the sanitizer's two tiers ``_replay_proc`` and ``_walk_proc``, as
+they stood when the memory pass (``SA1xx``) and the liveness sanitizer
+(``SA2xx``) each replayed a processor's MAP chain in their own loop,
+before :mod:`repro.analysis.memory` folded them into one replay.
 
-Two-tier check per processor.  The fast tier replays only the MAP
-points, collecting per-object *residency intervals* (task-position
-ranges during which the object is allocated), and verifies every
-volatile live span is covered — O(plan + volatile objects), independent
-of how many accesses each task makes, and exact for clean processors
-because accesses can only happen inside the span.  Only when a span has
-a residency gap does the slow tier walk the interleaving of MAPs and
-tasks (a MAP at position ``i`` acts immediately before task ``i``),
-tracking the allocated set exactly like the machine's
-:class:`~repro.machine.memory.ObjectAllocator` would, to anchor each
-finding at the first real access that misses its object:
-
-``SA201`` use-after-free, ``SA202`` double-free / free of a
-never-allocated object, ``SA203`` leaked volatile (dead but surviving a
-later MAP), ``SA204`` dead allocation (never accessed on the
-processor), ``SA205`` use without allocation, ``SA206`` double
-allocation.
-
-Plans from :func:`repro.core.maps.plan_maps` are clean by construction
-(the property tests assert it); the sanitizer exists for hand-built and
-mutated plans, and as the static shadow of the dynamic
-``input-residency`` / ``landing-space`` invariants.
+Kept verbatim apart from this docstring and the imports (the two
+modules sit side by side in one file).  Do not "fix" or speed this copy
+up: it is the oracle the live pass must equal, message text included.
+The two intended differences: the live pass reports ``SA203``/``SA204``
+in first-allocation order on every processor (the walking tier here
+sorts them by name), and it replays a MAP list that is out of position
+order by position for ``SA102`` too (``memory_pass`` here walks the
+list).
 """
 
 from __future__ import annotations
 
-from .diagnostics import Diagnostic
+from repro.analysis.diagnostics import Diagnostic
+from repro.core.depmem import distributed_dependence_memory
 
-__all__ = ["sanitizer_pass"]
+
+def memory_pass(ctx) -> list[Diagnostic]:
+    diags: list[Diagnostic] = []
+    profile = ctx.profile
+    capacity = ctx.capacity
+    g = ctx.schedule.graph
+
+    for pp in profile.procs:
+        if pp.min_mem > capacity:
+            peak = max(range(len(pp.mem_req)), key=pp.mem_req.__getitem__)
+            diags.append(Diagnostic.of(
+                "SA101",
+                f"MIN_MEM {pp.min_mem} exceeds capacity {capacity} "
+                f"(peak MEM_REQ at position {peak})",
+                proc=pp.proc,
+                position=peak,
+                task=ctx.schedule.orders[pp.proc][peak],
+            ))
+
+    if ctx.plan is not None:
+        size = g.object_size
+        for p, pts in enumerate(ctx.plan.points):
+            pp = profile.procs[p]
+            used = pp.perm_bytes
+            allocated: set[str] = set()
+            for k, mp in enumerate(pts):
+                for o in mp.frees:
+                    if o in allocated:
+                        allocated.discard(o)
+                        used -= size[o]
+                for o in mp.allocs:
+                    if o in allocated:
+                        continue  # double-alloc; the sanitizer flags it
+                    allocated.add(o)
+                    used += size[o]
+                    if used > capacity:
+                        diags.append(Diagnostic.of(
+                            "SA102",
+                            f"MAP {k} brings usage to {used} > capacity "
+                            f"{capacity} when allocating {o!r}",
+                            proc=p,
+                            position=mp.position,
+                            obj=o,
+                        ))
+
+    # Headroom advisory: the capacity was pinned to the MIN_MEM floor
+    # even though recycling left slack to give (TOT > MIN_MEM) — zero
+    # headroom for the runtime's own dependence records.
+    if (profile.procs and capacity == profile.min_mem
+            and profile.tot > profile.min_mem):
+        dep = distributed_dependence_memory(ctx.schedule)
+        q = max(range(len(dep.per_proc)), key=dep.per_proc.__getitem__)
+        share = dep.per_proc[q] / (dep.per_proc[q] + max(capacity, 1))
+        diags.append(Diagnostic.of(
+            "SA103",
+            f"capacity equals MIN_MEM {capacity}; distributed dependence "
+            f"records would add {dep.per_proc[q]} B on P{q} "
+            f"({share:.0%} of the total, cf. the paper's 18-50%)",
+            proc=q,
+        ))
+    return diags
 
 
 def sanitizer_pass(ctx) -> list[Diagnostic]:

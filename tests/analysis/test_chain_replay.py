@@ -1,0 +1,290 @@
+"""The memory pass's one MAP-chain replay against the frozen two-pass
+reference (:mod:`reference_passes`).
+
+The live :func:`repro.analysis.memory.memory_pass` emits ``SA1xx`` and
+``SA2xx`` from one per-processor replay; the reference ran the memory
+pass and the two-tier liveness sanitizer separately.  Their full
+diagnostic lists must be equal on every hand plan of
+:mod:`test_rules` and on seeded mutations of planner output, apart from
+the two intended differences, which are normalised here and pinned by
+the last two tests:
+
+* ``SA203``/``SA204`` come in first-allocation order on every
+  processor (the reference's walking tier sorted them by name);
+* a MAP list out of position order is replayed by position for
+  ``SA102`` too (the reference's memory pass walked the list).
+"""
+
+import copy
+import inspect
+import random
+from contextlib import ExitStack, suppress
+from dataclasses import replace
+from itertools import groupby
+from unittest import mock
+
+import pytest
+
+import reference_passes as ref
+import test_rules
+from repro.analysis import analyze_plan, engine
+from repro.analysis.memory import memory_pass
+from repro.core import cyclic_placement, owner_compute_assignment
+from repro.core.liveness import analyze_memory
+from repro.core.maps import MapPlan, MapPoint, maps_by_position, plan_maps
+from repro.core.placement import Placement
+from repro.core.schedule import Schedule
+from repro.graph import generators
+from repro.graph.builder import GraphBuilder
+from repro.rapid.inspector import order_with
+
+# -- the reference, normalised ----------------------------------------
+
+
+def rows(diags):
+    return [(d.rule, d.message, d.proc, d.position, d.task, d.obj)
+            for d in diags]
+
+
+def execution_order(pts, n):
+    """MAP list indices in the order the MAPs run."""
+    return sorted(range(len(pts)), key=lambda k: min(pts[k].position, n))
+
+
+def first_allocation_rank(ctx, p):
+    """Object -> rank of the moment it first becomes resident on P``p``:
+    a MAP allocation (MAPs in execution order, before the task at their
+    position) or, for a volatile that no MAP has allocated yet, its
+    first access."""
+    order = ctx.schedule.orders[p]
+    pts = ctx.plan.points[p]
+    span = ctx.profile.procs[p].span
+    when = {}
+    for r, k in enumerate(execution_order(pts, len(order))):
+        for j, o in enumerate(pts[k].allocs):
+            when.setdefault(o, (min(pts[k].position, len(order)), 0, r, j))
+    for i, t in enumerate(order):
+        for j, o in enumerate(ctx.schedule.graph.task(t).accesses):
+            if o in span:
+                when[o] = min(when.get(o, (i, 1, j, 0)), (i, 1, j, 0))
+    ranked = sorted(when, key=when.__getitem__)
+    return {o: r for r, o in enumerate(ranked)}
+
+
+def expected(ctx):
+    """The reference passes' list, with the two intended differences
+    applied."""
+    plan = ctx.plan
+    mem_ctx = ctx
+    where = None  # per processor: execution rank -> list index
+    if plan is not None:
+        where = [execution_order(pts, len(order))
+                 for pts, order in zip(plan.points, ctx.schedule.orders)]
+        if any(w != sorted(w) for w in where):
+            sorted_plan = replace_points(
+                plan, [[pts[k] for k in w]
+                       for pts, w in zip(plan.points, where)])
+            mem_ctx = replace(ctx, plan=sorted_plan)
+    mem = []
+    for d in ref.memory_pass(mem_ctx):
+        if d.rule == "SA102" and mem_ctx is not ctx:
+            k, rest = d.message[len("MAP "):].split(" ", 1)
+            d = replace(d, message=f"MAP {where[d.proc][int(k)]} {rest}")
+        mem.append(d)
+
+    san = []
+    for dead, run in groupby(ref.sanitizer_pass(ctx),
+                             key=lambda d: d.rule in ("SA203", "SA204")):
+        run = list(run)
+        if dead:  # each processor's last block, possibly several in a row
+            ranks = {p: first_allocation_rank(ctx, p)
+                     for p in {d.proc for d in run}}
+            run.sort(key=lambda d: (d.proc, ranks[d.proc][d.obj]))
+        san.extend(run)
+    return mem + san
+
+
+def replace_points(plan, points):
+    return MapPlan(schedule=plan.schedule, capacity=plan.capacity,
+                   points=points, profile=plan.profile)
+
+
+def assert_same(ctx):
+    assert rows(memory_pass(ctx)) == rows(expected(ctx))
+
+
+# -- input 1: the hand plans of test_rules ----------------------------
+
+
+def context_of(analyze, *args, **kwargs):
+    """The :class:`AnalysisContext` ``analyze`` hands its passes."""
+    seen = []
+    capture = (lambda ctx: seen.append(ctx) or [],)
+    with mock.patch.object(engine, "_PASSES", capture):
+        analyze(*args, **kwargs)
+    return seen[0]
+
+
+@pytest.fixture(scope="module")
+def hand_contexts():
+    """Every analysis call of :mod:`test_rules`, recorded while its
+    tests run, replayed into the context its passes read."""
+    calls = []
+
+    def recording(fn):
+        def call(*args, **kwargs):
+            calls.append((fn, args, kwargs))
+            return fn(*args, **kwargs)
+        return call
+
+    names = ("analyze_plan", "analyze_schedule", "analyze_overwrite_demo")
+    with ExitStack() as stack:
+        for name in names:
+            stack.enter_context(mock.patch.object(
+                test_rules, name, recording(getattr(test_rules, name))))
+        sched = test_rules.crafted_schedule()
+        for name, fn in vars(test_rules).items():
+            if name.startswith("test_") and callable(fn):
+                params = inspect.signature(fn).parameters
+                # Only the calls are wanted here; test_rules judges its
+                # own assertions.
+                with suppress(AssertionError):
+                    fn(*([sched] if params else []))
+    return [context_of(fn, *args, **kwargs) for fn, args, kwargs in calls]
+
+
+def test_hand_plans_match_the_reference(hand_contexts):
+    seen = set()
+    for ctx in hand_contexts:
+        assert_same(ctx)
+        seen.update(d.rule for d in memory_pass(ctx))
+    assert seen == {"SA101", "SA102", "SA103", "SA201", "SA202", "SA203",
+                    "SA204", "SA205", "SA206"}
+
+
+# -- input 2: seeded mutations of planner output ----------------------
+
+
+def drop_free(pts, rng):
+    mp = rng.choice([m for m in pts if m.frees])
+    mp.frees.pop(rng.randrange(len(mp.frees)))
+
+
+def drop_alloc(pts, rng):
+    mp = rng.choice([m for m in pts if m.allocs])
+    mp.allocs.pop(rng.randrange(len(mp.allocs)))
+
+
+def repeat_alloc(pts, rng):
+    k = rng.choice([k for k, m in enumerate(pts) if m.allocs])
+    o = rng.choice(pts[k].allocs)
+    pts[rng.randrange(k, len(pts))].allocs.append(o)
+
+
+def move_map(pts, rng):
+    mp = rng.choice(pts)
+    mp.position = max(0, mp.position + rng.choice((-2, -1, 1, 2)))
+
+
+def swap_frees(pts, rng):
+    a, b = rng.sample(pts, 2)
+    a.frees, b.frees = b.frees, a.frees
+
+
+MUTATIONS = (drop_free, drop_alloc, repeat_alloc, move_map, swap_frees)
+
+
+def base_plans(seed):
+    for g in (generators.random_trace(30, 6, seed=seed),
+              generators.layered_random(4, 5, seed=seed)):
+        pl = cyclic_placement(g, 3)
+        asg = owner_compute_assignment(g, pl)
+        for h in ("rcp", "mpo", "dts"):
+            sched = order_with(h, g, pl, asg)
+            profile = analyze_memory(sched)
+            for cap in (profile.min_mem,
+                        (profile.min_mem + profile.tot) // 2,
+                        max(profile.tot, 1)):
+                yield plan_maps(sched, cap, profile)
+
+
+def mutants(plan, rng):
+    """One copy of ``plan`` per mutation kind, each with the mutation
+    applied to one processor that admits it."""
+    for mutate in MUTATIONS:
+        points = copy.deepcopy(plan.points)
+        procs = list(range(len(points)))
+        rng.shuffle(procs)
+        for p in procs:
+            try:
+                mutate(points[p], rng)
+            except (IndexError, ValueError):
+                continue  # nothing to mutate on this processor
+            yield replace_points(plan, points)
+            break
+
+
+def test_mutated_plans_match_the_reference():
+    checked = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        for plan in base_plans(seed):
+            for mutant in mutants(plan, rng):
+                ctx = engine.AnalysisContext(
+                    schedule=mutant.schedule, capacity=mutant.capacity,
+                    profile=mutant.profile, plan=mutant)
+                assert_same(ctx)
+                checked += 1
+    assert checked >= 2000
+
+
+# -- the two intended differences -------------------------------------
+
+
+def test_sa102_follows_map_positions():
+    # The list names the position-1 MAP first.  By position, d1 (pos 0)
+    # brings P0 to 3 and d2 (pos 1) to 5 > 4: the overflow is d2's, at
+    # list index 0, the MAP the machine runs second.
+    sched = test_rules.crafted_schedule()
+    plan = test_rules.hand_plan(sched, 4, [
+        MapPoint(proc=0, position=1, allocs=["d2"],
+                 notifications={1: ["d2"]}),
+        MapPoint(proc=0, position=0, allocs=["d1"],
+                 notifications={1: ["d1"]}),
+    ])
+    [d] = [d for d in analyze_plan(plan).diagnostics if d.rule == "SA102"]
+    assert (d.position, d.obj) == (1, "d2")
+    assert d.message.startswith("MAP 0 brings usage to 5 ")
+    assert maps_by_position(plan, 2)[0][d.position].allocs == ["d2"]
+
+
+def dead_allocation_plan(p0_allocs):
+    """P0 reads ``v`` (produced on P1) and never touches ``z``/``b``."""
+    b = GraphBuilder()
+    for o in ("v", "z", "b", "out"):
+        b.add_object(o, 1)
+    b.add_task("w", writes=["v"])
+    b.add_task("r", reads=["v"], writes=["out"])
+    g = b.build()
+    sched = Schedule(
+        graph=g,
+        placement=Placement(2, {"v": 1, "z": 1, "b": 1, "out": 0}),
+        assignment={"w": 1, "r": 0},
+        orders=[["r"], ["w"]],
+    )
+    return MapPlan(
+        schedule=sched, capacity=10,
+        points=[[MapPoint(proc=0, position=0, allocs=p0_allocs,
+                          notifications={1: ["v"]})],
+                [MapPoint(proc=1, position=0)]],
+        profile=analyze_memory(sched),
+    )
+
+
+def test_sa203_sa204_order_does_not_depend_on_the_tier():
+    covered = analyze_plan(dead_allocation_plan(["v", "z", "b"]))
+    gap = analyze_plan(dead_allocation_plan(["z", "b"]))  # v never allocated
+    assert "SA205" in {d.rule for d in gap.errors}  # the walking tier ran
+    for report in (covered, gap):
+        dead = [d.obj for d in report.diagnostics if d.rule == "SA204"]
+        assert dead == ["z", "b"]
