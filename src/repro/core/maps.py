@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
-from ..errors import NonExecutableScheduleError
+from ..errors import NonExecutableScheduleError, SimulationError
 from .index import graph_index
 from .liveness import MemoryProfile, analyze_memory
 from .schedule import Schedule
@@ -261,14 +261,25 @@ def maps_by_position(
     """Per-processor ``position -> MapPoint`` tables both engines run.
 
     The one MAP-placement rule of the simulator: at most one MAP per
-    (processor, position), the last point listed wins, and a position
-    at or past the end of the processor's order never executes (the
-    engines only consult positions of tasks they are about to run).
-    ``plan=None`` (baseline mode) yields no MAPs.
+    (processor, position), each before a task of the processor's order
+    in ``plan.schedule``.  A plan that breaks it raises
+    :class:`~repro.errors.SimulationError` naming the processor and the
+    position.  ``plan=None`` (baseline mode) yields no MAPs.
     """
     map_at: list[dict[int, MapPoint]] = [{} for _ in range(num_procs)]
     if plan is not None:
+        orders = plan.schedule.orders
         for pts in plan.points:
             for mp in pts:
-                map_at[mp.proc][mp.position] = mp
+                q, pos = mp.proc, mp.position
+                if not 0 <= pos < len(orders[q]):
+                    raise SimulationError(
+                        f"P{q} has a MAP at position {pos}, outside its "
+                        f"order of {len(orders[q])} tasks"
+                    )
+                if pos in map_at[q]:
+                    raise SimulationError(
+                        f"P{q} has two MAPs at position {pos}"
+                    )
+                map_at[q][pos] = mp
     return map_at

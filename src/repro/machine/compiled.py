@@ -78,7 +78,13 @@ positions and cuts a silent run at ``min(run_end[pos], next MAP
 position)``.
 
 Events are 3-tuples ``(time, seq, code)`` where ``code`` packs
-``kind << 44 | arg``.
+``kind << 44 | arg``.  The run is one flat event loop.  An event wakes
+at most one processor (``TASK_DONE`` its own, ``DATA``/``SYNC`` the
+destination, ``ADDR`` the package's destination, ``SLOT_FREE`` the
+sender), so the loop body applies the event and then runs one inline
+advance block for that processor.  Only the rarer steps are calls:
+reading address packages (``ra``), a send (``dispatch``, ``try_send``),
+a MAP (``exec_map``) and a silent run (``_seg_until_hot``).
 
 Exactness contract
 ------------------
@@ -94,16 +100,20 @@ Three rules make that possible:
   verbatim); there is no vectorised accumulation in the run loop.
 * **Push-only bootstrap.**  The interpreted bootstrap advances every
   processor before the first pop, so each processor's *first* task
-  completion must enter the heap (never complete inline) to keep the
-  relative ``(time, seq)`` order of later same-timestamp events
-  identical.
-* **Strict inline rule.**  After the first pop, a task finishing at
-  ``f`` completes inline (no heap round-trip) iff ``f`` is *strictly*
-  below the earliest queued event; causality (all pushes happen at or
-  after the current event time, asserted at push) guarantees the
-  interpreted engine would pop exactly that completion next, with no
-  intervening seq-bearing pushes.  Ties (``f >= heap-min``) always go
-  through the heap.
+  completion must enter the heap to keep the relative ``(time, seq)``
+  order of later same-timestamp events identical.  Here the bootstrap
+  is ``P + 1`` events queued at time 0 with seqs ``0..P``, ahead of
+  every push, that run the same advance block; while a processor boots
+  the queue head is the next of them, at time 0, so no completion is
+  strictly earlier and every one is pushed.  The last only closes the
+  bootstrap.
+* **Strict inline rule.**  A task finishing at ``f`` *strictly* below
+  the earliest queued event is the next event, without a heap
+  round-trip: causality (all pushes happen at or after the current
+  event time, asserted at push) guarantees the interpreted engine
+  would pop exactly that completion next, with no intervening
+  seq-bearing pushes.  Ties (``f >= heap-min``) always go through the
+  heap.
 
 A silent run applies the same rule task by task: one checked kernel,
 ``_seg_until_hot`` over ``weight``, executes tasks until the first
@@ -160,7 +170,7 @@ from __future__ import annotations
 
 import heapq
 import os
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
 from time import perf_counter
 from typing import NamedTuple, Optional
@@ -198,9 +208,9 @@ _DATA_BASE = 1 << _SHIFT  # arg = mk
 _SYNC_BASE = 2 << _SHIFT  # arg = sk
 _ADDR_BASE = 3 << _SHIFT  # arg = pkg
 _SLOT_BASE = 4 << _SHIFT  # arg = src * P + dst
+_BOOT_BASE = 5 << _SHIFT  # arg = processor (P: the bootstrap is over)
 
 _INF = float("inf")
-_NEG_INF = float("-inf")
 _NO_OVERWRITE = 1 << 60  # od_ow sentinel: no later local overwrite
 
 #: Exec plans kept per schedule (least recently used evicted).  A sweep
@@ -602,8 +612,7 @@ def _build_exec_plan(lo, plan, spec) -> ExecPlan:
     for q in range(nprocs):
         start, end = proc_start[q], proc_start[q + 1]
         map_first.append(len(map_pos))
-        # Positions outside the order never execute (maps_by_position).
-        for position in sorted(p for p in map_at[q] if 0 <= p < end - start):
+        for position in sorted(map_at[q]):
             mp = map_at[q][position]
             map_pos.append(start + position)
             map_cost.append(
@@ -696,6 +705,10 @@ def get_exec_plan(
 
         debug_verify(cs, ep, spec)
     return ep
+
+
+def _past(t: float, now: float) -> str:
+    return f"event scheduled in the past (t={t!r} < now={now!r})"
 
 
 def _seg_until_hot(weight, k, n, a, b, thr):
@@ -870,21 +883,10 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             if u > apk[q]:
                 apk[q] = u
 
-    events: list[tuple] = []
-    seq = 0
+    # Every push asserts causality (t >= now, the time of the event in
+    # hand), as the interpreted post() does; seqs rise strictly.
     now = 0.0
-    booting = True
-
-    def push(t: float, code: int) -> None:
-        # Same (time, seq) contract as the interpreted post() — see the
-        # simulator module docstring; causality asserted for engine
-        # parity (seq is this function's own strictly rising counter).
-        nonlocal seq
-        assert t >= now, (
-            f"event scheduled in the past (t={t!r} < now={now!r})"
-        )
-        heappush(events, (t, seq, code))
-        seq += 1
+    next_seq = count(nprocs + 1).__next__
 
     def charge(q: int, t: float, cost: float, kind: str) -> float:
         a = avail[q]
@@ -922,7 +924,8 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
         if observing:
             obs.on_put(t2, arrive, q, od_dest[od], obj_name[od_oid[od]],
                        od_uname[od], od_nbytes[od])
-        push(arrive, _DATA_BASE | od_mk[od])
+        assert arrive >= now, _past(arrive, now)
+        heappush(events, (arrive, next_seq(), _DATA_BASE | od_mk[od]))
 
     def ra(q: int, t: float) -> None:
         if inbox_ct[q]:
@@ -946,7 +949,9 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                 free_at = start + put_lat
                 if fi is not None:
                     free_at += fi.consume_delay(q, src, put_lat)
-                push(free_at, _SLOT_BASE | (src * nprocs + q))
+                assert free_at >= now, _past(free_at, now)
+                heappush(events, (free_at, next_seq(),
+                                  _SLOT_BASE | (src * nprocs + q)))
             inbox_ct[q] = 0
         if suspended[q]:
             still = []
@@ -982,7 +987,8 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             psent[q] += 1
             if observing:
                 obs.on_package_send(t2, q, dst, len(pkg_objs[k]))
-            push(t2 + put_lat, _ADDR_BASE | k)
+            assert t2 + put_lat >= now, _past(t2 + put_lat, now)
+            heappush(events, (t2 + put_lat, next_seq(), _ADDR_BASE | k))
         pending_pkgs[q] = still
         return not still
 
@@ -1037,46 +1043,145 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             pending_pkgs[q].extend(range(mp_ptr[k], mp_ptr[k + 1]))
             map_pending[q] = 1
 
-    def finish_noisy(q: int, tid: int, t: float) -> None:
-        cur[q] += 1
-        ltf[q] = t
-        i = cons_ptr[tid]
-        hi = cons_ptr[tid + 1]
-        while i < hi:
-            need[cons_mk[i]] -= 1
-            i += 1
-        if observing:
-            obs.on_state(t, q, "SND")
-        r = od_row[tid]
-        i = od_ptr[r]
-        hi = od_ptr[r + 1]
-        while i < hi:
-            if known[od_ak[i]]:
-                dispatch(q, i, t)
-            else:
-                suspended[q].append(i)
-                susp_ct[q] += 1
+    # --- event loop (flat: see the module docstring) -------------------
+    # Each event wakes at most one processor q at time t, and the advance
+    # block at the bottom of the loop runs it.  The bootstrap is P + 1
+    # queued events at time 0 with seqs 0..P, ahead of every push; the
+    # last only closes it.
+    events = [(0.0, q, _BOOT_BASE | q) for q in range(nprocs + 1)]
+    nxt = -1  # an inline completion: the next event, at time t
+    while True:
+        if nxt < 0:
+            if not events:
+                break
+            t, _, code = heappop(events)
+        else:
+            code = nxt
+            nxt = -1
+        now = t
+        kind = code >> _SHIFT
+        if kind == 0:  # TASK_DONE on processor q (= code)
+            q = code
+            k = cur[q]
+            cur[q] = k + 1
+            ltf[q] = t
+            if run_end[k] < 0 or observing:
+                # The one completion site of a noisy task (of every task
+                # when observed): consume, then send and sync.
+                tid = tid_at[k]
+                i = cons_ptr[tid]
+                hi = cons_ptr[tid + 1]
+                while i < hi:
+                    need[cons_mk[i]] -= 1
+                    i += 1
                 if observing:
-                    obs.on_put_suspend(t, q, od_dest[i], obj_name[od_oid[i]],
-                                       od_uname[i], len(suspended[q]))
-            i += 1
-        i = os_ptr[tid]
-        hi = os_ptr[tid + 1]
-        while i < hi:
-            t2 = charge(q, t, send_oh, "send")
-            smsg[q] += 1
-            sk = os_sk[i]
-            if observing:
-                obs.on_sync(t2, t2 + put_lat, q, sk_dest[sk],
-                            names[sk_src[sk]])
-            push(t2 + put_lat, _SYNC_BASE | sk)
-            i += 1
+                    obs.on_state(t, q, "SND")
+                r = od_row[tid]
+                i = od_ptr[r]
+                hi = od_ptr[r + 1]
+                while i < hi:
+                    if known[od_ak[i]]:
+                        dispatch(q, i, t)
+                    else:
+                        suspended[q].append(i)
+                        susp_ct[q] += 1
+                        if observing:
+                            obs.on_put_suspend(
+                                t, q, od_dest[i], obj_name[od_oid[i]],
+                                od_uname[i], len(suspended[q]))
+                    i += 1
+                i = os_ptr[tid]
+                hi = os_ptr[tid + 1]
+                while i < hi:
+                    t2 = charge(q, t, send_oh, "send")
+                    smsg[q] += 1
+                    sk = os_sk[i]
+                    if observing:
+                        obs.on_sync(t2, t2 + put_lat, q, sk_dest[sk],
+                                    names[sk_src[sk]])
+                    assert t2 + put_lat >= now, _past(t2 + put_lat, now)
+                    heappush(events, (t2 + put_lat, next_seq(),
+                                      _SYNC_BASE | sk))
+                    i += 1
+            state[q] = _REC
+            a = avail[q]
+            if a > t:
+                t = a
+        elif kind == 5:  # BOOT of processor q (q == P closes the bootstrap)
+            q = code & _ARG_MASK
+            if q == nprocs:
+                continue
+        else:
+            arg = code & _ARG_MASK
+            if kind == 1:  # DATA_ARRIVE of message key arg
+                mk = arg
+                q = mk_dest[mk]
+                if managed_check and not allocated[q * nobjects + mk_oid[mk]]:
+                    raise SimulationError(
+                        f"data for {obj_name[mk_oid[mk]]!r} arrived at P{q} "
+                        "with no allocated space (protocol violation)"
+                    )
+                gid = grp_of[mk]
+                glo = grp_ptr[gid]
+                ghi = grp_ptr[gid + 1]
+                if ghi - glo > 1:
+                    i = glo
+                    while i < ghi:
+                        mk2 = grp_mk[i]
+                        if mk2 != mk and arrived[mk2]:
+                            if need[mk2] > 0:
+                                raise DataConsistencyError(
+                                    f"P{q} received {obj_name[mk_oid[mk]]!r}/"
+                                    f"{mk_uname[mk]!r} while version "
+                                    f"{mk_uname[mk2]!r} is still needed"
+                                )
+                            arrived[mk2] = 0
+                        i += 1
+                if not arrived[mk]:
+                    arrived[mk] = 1
+                    i = wait_ptr[mk]
+                    hi = wait_ptr[mk + 1]
+                    while i < hi:
+                        pending[wait_tid[i]] -= 1
+                        i += 1
+                if observing:
+                    obs.on_data_arrive(t, q, obj_name[mk_oid[mk]],
+                                       mk_uname[mk], mk_src[mk])
+            elif kind == 2:  # SYNC_ARRIVE of sync key arg
+                q = sk_dest[arg]
+                if not sync_arr[arg]:
+                    sync_arr[arg] = 1
+                    i = swait_ptr[arg]
+                    hi = swait_ptr[arg + 1]
+                    while i < hi:
+                        pending[swait_tid[i]] -= 1
+                        i += 1
+            elif kind == 3:  # ADDR_ARRIVE of package arg
+                q = pkg_dst[arg]
+                row = inbox_row[q]
+                if row[pkg_src[arg]] < 0:
+                    inbox_ct[q] += 1
+                row[pkg_src[arg]] = arg
+                if state[q] == _DONE:
+                    ra(q, t)  # a finished processor still frees the slot
+                    continue
+            else:  # SLOT_FREE: arg = src * P + dst
+                slot[arg] = 0
+                q = arg // nprocs
+            # Wake q unless nothing can change.  A processor left in REC
+            # waits on the noisy task at cur[q]: waking it is a no-op (as
+            # in the interpreted engine) unless that task became ready or
+            # RA/CQ has work; an observed run wakes it anyway, for its
+            # REC mark.
+            st = state[q]
+            if st == _REC:
+                if not (inbox_ct[q] or suspended[q] or observing
+                        or pending[tid_at[cur[q]]] <= 0):
+                    continue
+            elif st == _EXE or st == _DONE:
+                continue
 
-    def advance(q: int, t: float) -> None:
-        nonlocal finished
-        st = state[q]
-        if st == _EXE or st == _DONE:
-            return
+        # --- advance processor q from time t --------------------------
         if inbox_ct[q] or suspended[q]:
             ra(q, t)
         end = pend[q]
@@ -1088,24 +1193,24 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                     if observing:
                         a = avail[q]
                         obs.on_state(a if a >= t else t, q, "MAP")
-                    return
+                    break
                 map_pending[q] = 0
             k = cur[q]
             if k >= end:
+                a = avail[q]
+                if a < t:
+                    a = t
                 if suspended[q] or pending_pkgs[q]:
                     state[q] = _END
                     if observing:
-                        a = avail[q]
-                        obs.on_state(a if a >= t else t, q, "END")
-                    return
-                if state[q] != _DONE:
+                        obs.on_state(a, q, "END")
+                else:
                     state[q] = _DONE
-                    a = avail[q]
-                    fin[q] = a if a >= t else t
+                    fin[q] = a
                     finished += 1
                     if observing:
-                        obs.on_proc_end(fin[q], q)
-                return
+                        obs.on_proc_end(a, q)
+                break
             m = mcur[q]
             mp = map_pos[m]
             if mp == k:
@@ -1121,12 +1226,8 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                 a = avail[q]
                 if a < t:
                     a = t
-                if booting:
-                    thr = _NEG_INF
-                else:
-                    thr = events[0][0] if events else _INF
                 a2, b2, j, lastf = _seg_until_hot(
-                    weight, k, n, a, busy[q], thr
+                    weight, k, n, a, busy[q], events[0][0] if events else _INF
                 )
                 busy[q] = b2
                 avail[q] = a2
@@ -1134,11 +1235,12 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                     cur[q] = j
                     ltf[q] = lastf
                 if j < n:
-                    # Task j executed; its completion crosses the event
-                    # horizon and must pop through the heap.
+                    # Task j executed; its completion crosses the queue
+                    # head and must pop through the heap.
                     state[q] = _EXE
-                    push(a2, _TASK_BASE | q)
-                    return
+                    assert a2 >= now, _past(a2, now)
+                    heappush(events, (a2, next_seq(), _TASK_BASE | q))
+                    break
                 continue
             # A noisy task.
             tid = tid_at[k]
@@ -1147,7 +1249,7 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                 if observing:
                     a = avail[q]
                     obs.on_state(a if a >= t else t, q, "REC")
-                return
+                break
             w = weight[k]
             a = avail[q]
             if a < t:
@@ -1157,130 +1259,17 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             avail[q] = f
             if observing:
                 obs.on_exe(a, f, q, names[tid])
-            if booting or (events and f >= events[0][0]):
-                state[q] = _EXE
-                push(f, _TASK_BASE | q)
-                return
-            # Inline completion: f is strictly before every queued
-            # event, so the interpreted engine would pop exactly this
-            # completion next.  The interpreted re-entry ra() is a
-            # provable no-op here: no pops happened since advance
-            # entry, so the inbox is still empty and any send just
-            # suspended has an unknown address by definition.
-            finish_noisy(q, tid, f)
-            a = avail[q]
-            t = a if a >= f else f
-
-    # --- bootstrap (push-only: see module docstring) -------------------
-    for q in range(nprocs):
-        advance(q, 0.0)
-    booting = False
-
-    # --- event loop ---------------------------------------------------
-    while events:
-        ev = heappop(events)
-        t = ev[0]
-        now = t
-        code = ev[2]
-        kind = code >> _SHIFT
-        arg = code & _ARG_MASK
-        if kind == 0:  # TASK_DONE on processor arg
-            q = arg
-            k = cur[q]
-            if run_end[k] > k and not observing:
-                cur[q] = k + 1
-                ltf[q] = t
+            state[q] = _EXE
+            if events and f >= events[0][0]:
+                assert f >= now, _past(f, now)
+                heappush(events, (f, next_seq(), _TASK_BASE | q))
             else:
-                finish_noisy(q, tid_at[k], t)
-            state[q] = _REC
-            a = avail[q]
-            advance(q, a if a >= t else t)
-        elif kind == 1:  # DATA_ARRIVE of message key arg
-            mk = arg
-            dest = mk_dest[mk]
-            if managed_check and not allocated[dest * nobjects + mk_oid[mk]]:
-                raise SimulationError(
-                    f"data for {obj_name[mk_oid[mk]]!r} arrived at P{dest} "
-                    "with no allocated space (protocol violation)"
-                )
-            gid = grp_of[mk]
-            glo = grp_ptr[gid]
-            ghi = grp_ptr[gid + 1]
-            if ghi - glo > 1:
-                i = glo
-                while i < ghi:
-                    mk2 = grp_mk[i]
-                    if mk2 != mk and arrived[mk2]:
-                        if need[mk2] > 0:
-                            raise DataConsistencyError(
-                                f"P{dest} received {obj_name[mk_oid[mk]]!r}/"
-                                f"{mk_uname[mk]!r} while version "
-                                f"{mk_uname[mk2]!r} is still needed"
-                            )
-                        arrived[mk2] = 0
-                    i += 1
-            if not arrived[mk]:
-                arrived[mk] = 1
-                i = wait_ptr[mk]
-                hi = wait_ptr[mk + 1]
-                while i < hi:
-                    pending[wait_tid[i]] -= 1
-                    i += 1
-            if observing:
-                obs.on_data_arrive(t, dest, obj_name[mk_oid[mk]], mk_uname[mk],
-                                   mk_src[mk])
-            # A processor left in REC waits on the noisy task at cur[dest];
-            # waking it is a no-op (the interpreted engine's advance
-            # changes nothing) unless that task became ready or RA/CQ
-            # has work; an observed run wakes it anyway, for its REC
-            # mark.
-            st = state[dest]
-            if st == _REC:
-                if (inbox_ct[dest] or suspended[dest]
-                        or pending[tid_at[cur[dest]]] <= 0 or observing):
-                    advance(dest, t)
-            elif st == _MAP or st == _END:
-                advance(dest, t)
-        elif kind == 2:  # SYNC_ARRIVE of sync key arg
-            sk = arg
-            dest = sk_dest[sk]
-            if not sync_arr[sk]:
-                sync_arr[sk] = 1
-                i = swait_ptr[sk]
-                hi = swait_ptr[sk + 1]
-                while i < hi:
-                    pending[swait_tid[i]] -= 1
-                    i += 1
-            st = state[dest]
-            if st == _REC:
-                if (inbox_ct[dest] or suspended[dest]
-                        or pending[tid_at[cur[dest]]] <= 0 or observing):
-                    advance(dest, t)
-            elif st == _MAP or st == _END:
-                advance(dest, t)
-        elif kind == 3:  # ADDR_ARRIVE of package arg
-            k = arg
-            dst = pkg_dst[k]
-            src = pkg_src[k]
-            row = inbox_row[dst]
-            if row[src] < 0:
-                inbox_ct[dst] += 1
-            row[src] = k
-            st = state[dst]
-            if st == _REC or st == _MAP or st == _END:
-                advance(dst, t)
-            elif st == _DONE:
-                ra(dst, t)
-        else:  # SLOT_FREE: arg = src * P + dst
-            slot[arg] = 0
-            src = arg // nprocs
-            st = state[src]
-            if st == _REC:
-                if (inbox_ct[src] or suspended[src]
-                        or pending[tid_at[cur[src]]] <= 0 or observing):
-                    advance(src, t)
-            elif st == _MAP or st == _END:
-                advance(src, t)
+                # Strictly before the queue head: the interpreted engine
+                # would pop exactly this completion next, so it is the
+                # next event, with no heap round-trip.
+                nxt = _TASK_BASE | q
+                t = f
+            break
 
     # --- verdicts (exact interpreted parity) --------------------------
     nt = [cur[q] - proc_start[q] for q in range(nprocs)]

@@ -81,8 +81,9 @@ no re-association, no compensated summation and no numpy accumulation
 anywhere in the loop, so a given schedule produces bit-identical times
 on every run.  The array-compiled engine (:mod:`repro.machine.compiled`)
 reproduces the same float expressions in the same order and only
-completes a task inline when its finish time is *strictly* before the
-earliest queued event, which preserves this (time, seq) order exactly —
+takes a task completion as its next event without a heap round-trip
+when its finish time is *strictly* before the earliest queued event,
+which preserves this (time, seq) order exactly —
 the differential oracle compares engines with ``==``, not ``allclose``.
 
 Engine selection

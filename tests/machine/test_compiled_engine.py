@@ -25,7 +25,11 @@ import math
 import pytest
 
 from repro.core import dts_order, mpo_order, rcp_order
-from repro.errors import DeadlockError, SimulationError
+from repro.errors import (
+    DeadlockError,
+    NonExecutableScheduleError,
+    SimulationError,
+)
 from repro.graph.paper_example import paper_example_graph, schedule_b, schedule_c
 from repro.machine import CRAY_T3D, MEIKO_CS2, UNIT_MACHINE, Simulator
 from repro.machine.simulator import ENGINES, CompiledSchedule, ProcessorStats
@@ -146,7 +150,15 @@ class TestSweepWorkloads:
         prof = ctx.profile(key, procs, heuristic)
         cap = int(math.floor(prof.tot * fraction))
         if prof.min_mem > cap:
-            pytest.skip("cell not executable")
+            # Not executable: both engines refuse it with one message.
+            msgs = set()
+            for e in ENGINES:
+                with pytest.raises(NonExecutableScheduleError) as ei:
+                    Simulator(spec=ctx.spec, capacity=cap, compiled=cs,
+                              engine=e).run()
+                msgs.add(str(ei.value))
+            assert len(msgs) == 1
+            return
         assert_exact_match(
             lambda e: Simulator(spec=ctx.spec, capacity=cap, compiled=cs, engine=e)
         )
@@ -215,6 +227,38 @@ class TestErrorParity:
                 ).run()
             msgs[engine] = str(ei.value)
         assert msgs["interpreted"] == msgs["compiled"]
+
+
+    @staticmethod
+    def _refused(cs, plan, match):
+        """Both engines refuse ``plan`` before running, naming the
+        processor and the position."""
+        for engine in ENGINES:
+            with pytest.raises(SimulationError, match=match):
+                Simulator(spec=UNIT_MACHINE, capacity=9, compiled=cs,
+                          plan=plan, engine=engine).run()
+
+    def test_two_maps_at_one_position(self):
+        """A second MAP at a position is refused, not dropped."""
+        from repro.core.maps import MapPoint, plan_maps
+
+        cs = CompiledSchedule(schedule_c(paper_example_graph()))
+        plan = plan_maps(cs.schedule, 9, cs.profile)
+        pos = plan.points[1][-1].position
+        plan.points[1].append(MapPoint(proc=1, position=pos))
+        self._refused(cs, plan, f"^P1 has two MAPs at position {pos}$")
+
+    def test_map_past_the_order(self):
+        """A MAP at or past the end of its order is refused, not
+        skipped."""
+        from repro.core.maps import MapPoint, plan_maps
+
+        cs = CompiledSchedule(schedule_c(paper_example_graph()))
+        plan = plan_maps(cs.schedule, 9, cs.profile)
+        n = len(cs.schedule.orders[0])
+        plan.points[0].append(MapPoint(proc=0, position=n))
+        self._refused(cs, plan, f"^P0 has a MAP at position {n}, outside "
+                                f"its order of {n} tasks$")
 
 
 def assert_observed_run_stays_compiled(cs, **kw):
