@@ -7,7 +7,7 @@ the paper's correctness story they prove:
 * ``SA1xx`` — memory: MEM_REQ/MIN_MEM executability (Definitions 5-6)
   and capacity accounting of the MAP plan;
 * ``SA2xx`` — liveness: the free/alloc chains of the MAP plan against
-  the volatile life spans (Definitions 3-4);
+  the volatile life spans, and the MAPs' placement (Definitions 3-4);
 * ``SA3xx`` — protocol: the one-slot address-package channel and the
   wait-for structure behind Theorem 1's deadlock-freedom argument.
 
@@ -125,6 +125,14 @@ _RULE_TABLE = (
         "a MAP allocates an object that is already allocated",
         "allocate each volatile object once per life span; re-allocation "
         "is only legal after a free",
+    ),
+    Rule(
+        "SA207", "misplaced-map", Severity.ERROR,
+        "Definition 4",
+        "two MAPs share a (processor, position), or a MAP sits outside "
+        "its processor's order; the machine refuses the plan",
+        "merge MAPs that share a position into one, and place every MAP "
+        "before a task of its processor's order",
     ),
     # -- SA3xx: protocol (Definition 4 / Theorem 1) -------------------
     Rule(

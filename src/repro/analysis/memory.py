@@ -26,12 +26,14 @@ anchor each finding at the first real access that misses its object.
     Informational: the capacity fits the data but leaves no headroom
     for the distributed dependence structures the paper's conclusion
     measures (18-50% of total memory).
-``SA201``-``SA206``
+``SA201``-``SA207``
     ``SA201`` use-after-free, ``SA202`` double-free / free of a
     never-allocated object, ``SA203`` leaked volatile (dead but
     surviving a later MAP), ``SA204`` dead allocation (never accessed on
     the processor), ``SA205`` use without allocation, ``SA206`` double
-    allocation.  ``SA203``/``SA204`` come in first-allocation order.
+    allocation, ``SA207`` a misplaced MAP, one both engines refuse
+    (:func:`repro.core.maps.misplaced_maps`).  ``SA203``/``SA204`` come
+    in first-allocation order.
 
 Plans from :func:`repro.core.maps.plan_maps` are within budget and
 clean by construction (the property tests assert it); the plan rules
@@ -42,6 +44,7 @@ dynamic ``input-residency`` / ``landing-space`` invariants.
 from __future__ import annotations
 
 from ..core.depmem import distributed_dependence_memory
+from ..core.maps import misplaced_maps
 from .diagnostics import Diagnostic
 
 __all__ = ["memory_pass"]
@@ -66,6 +69,9 @@ def memory_pass(ctx) -> list[Diagnostic]:
 
     chains: list[Diagnostic] = []
     if ctx.plan is not None:
+        for mp, why in misplaced_maps(ctx.plan):
+            diags.append(Diagnostic.of(
+                "SA207", why, proc=mp.proc, position=mp.position))
         for p in range(len(ctx.schedule.orders)):
             over, chain, covered = _replay(ctx, p, walk=False)
             diags.extend(over)

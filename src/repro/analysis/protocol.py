@@ -5,9 +5,11 @@ and runs Tarjan's SCC (the :func:`repro.core.dcg.tarjan_scc` machinery
 the DCG slicer uses) to find deadlock cycles:
 
 1. **Order cycles** (``SA304``): the per-processor orders conflict with
-   the dependence DAG — the combined graph (dependence plus sequence
-   edges, exactly :func:`repro.core.schedule.gantt`'s graph) is cyclic,
-   so some task can never become ready.
+   the dependence DAG — the combined graph of Definition 1 (dependence
+   plus sequence edges) is cyclic, so some task can never become ready.
+   The stuck tasks are the ones :func:`repro.core.schedule.combined_walk`
+   (the walk :func:`~repro.core.schedule.gantt` times) never reaches,
+   and the cycle shown is :func:`repro.core.dcg.find_cycle`'s.
 2. **Missing notifications** (``SA303``): an allocated volatile object
    whose owner is never sent the address.  The owner's RMA put suspends
    forever (it waits on the destination), and the destination's
@@ -24,17 +26,18 @@ the DCG slicer uses) to find deadlock cycles:
 
 Every hazard contributes directed edges to the wait-for graph; a
 strongly connected component of two or more processors is reported as
-``SA301`` with a witness in the exact shape of
-:func:`repro.conformance.invariants.deadlock_witness` (``wait-for:``
-lines plus a ``cycle: P0 -> P1 -> P0`` line), so static and dynamic
-reports can be compared textually.
+``SA301`` with a witness whose ``wait-for:`` lines and
+``cycle: P0 -> P1 -> P0`` line are written by
+:func:`repro.core.dcg.wait_for_lines`, the helper
+:func:`repro.conformance.invariants.deadlock_witness` writes them with,
+so static and dynamic reports can be compared textually.
 """
 
 from __future__ import annotations
 
-from ..core.dcg import tarjan_scc
+from ..core.dcg import find_cycle, tarjan_scc, wait_for_lines
 from ..core.index import graph_index
-from ..errors import SchedulingError
+from ..core.schedule import combined_walk
 from .diagnostics import Diagnostic
 
 __all__ = ["protocol_pass"]
@@ -81,52 +84,28 @@ def _order_cycles(ctx, diags, wait) -> None:
 
 
 def _order_cycle_finding(schedule):
-    """Kahn over dependence + sequence edges, on the graph's shared
-    :class:`~repro.core.index.GraphIndex` ids as
-    :func:`repro.core.schedule.gantt` does; stuck tasks form cycles.
+    """``None`` for an acyclic combined graph, else the SA304 diagnostic
+    and its wait-for edges as ``(waiter, holder, why)``.
 
-    Returns ``None`` for an acyclic combined graph, else the SA304
-    diagnostic and its wait-for edges as ``(waiter, holder, why)``.  A
-    sequence edge that duplicates a dependence edge is counted and
-    released twice, which leaves the set of stuck tasks unchanged."""
-    g = schedule.graph
-    asg = schedule.assignment
-    gi = graph_index(g)
-    names, tid, succ = gi.names, gi.tid, gi.succ
-    n = len(names)
-    indeg = list(gi.in_degree)
-    next_on_proc = [-1] * n
-    for order in schedule.orders:
-        prev = -1
-        for t in order:
-            i = tid.get(t)
-            if i is None:
-                raise SchedulingError(f"schedule orders unknown task {t!r}")
-            if prev >= 0:
-                next_on_proc[prev] = i
-                indeg[i] += 1
-            prev = i
-
-    ready = [i for i in range(n) if indeg[i] == 0]
-    done = 0
-    while ready:
-        u = ready.pop()
-        done += 1
-        for v, _ in succ[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-        v = next_on_proc[u]
-        if v >= 0:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-    if done == n:
+    The stuck tasks are the ones :func:`~repro.core.schedule.combined_walk`
+    never reaches (the same set for any walk order).  The cycle shown is
+    the first :func:`~repro.core.dcg.find_cycle` finds among them: roots
+    in name order, each task's dependence successors in graph order,
+    then its sequence successor."""
+    _, unreached, seq = combined_walk(schedule)
+    if not unreached:
         return None
-
-    stuck = sorted(names[i] for i in range(n) if indeg[i] > 0)
-    nxt = {names[u]: names[v] for u, v in enumerate(next_on_proc) if v >= 0}
-    cycle = _task_cycle(g, set(stuck), nxt)
+    asg = schedule.assignment
+    gi = graph_index(schedule.graph)
+    names, succ = gi.names, gi.succ
+    inside = set(unreached)
+    stuck_succ = {
+        u: [v for v, _ in succ[u] if v in inside]
+        + ([seq[u]] if seq[u] in inside else [])
+        for u in sorted(unreached, key=names.__getitem__)
+    }
+    cycle = [names[i] for i in find_cycle(stuck_succ) or ()]
+    stuck = sorted(names[i] for i in unreached)
     shown = " -> ".join(cycle) if cycle else ", ".join(stuck[:5])
     diag = Diagnostic.of(
         "SA304",
@@ -140,44 +119,6 @@ def _order_cycle_finding(schedule):
         for a, b in zip(cycle, cycle[1:])
     )
     return diag, waits
-
-
-def _task_cycle(g, stuck: set, next_on_proc) -> list:
-    """A cycle inside the stuck subgraph of the combined graph, as
-    ``[t0, t1, ..., t0]``; DFS, mirrors ``find_cycle``."""
-
-    def succs(u):
-        out = [v for v in g.successors(u) if v in stuck]
-        nxt = next_on_proc.get(u)
-        if nxt is not None and nxt in stuck and nxt not in out:
-            out.append(nxt)
-        return out
-
-    grey: set = set()
-    black: set = set()
-    stack: list = []
-
-    def dfs(u) -> list:
-        grey.add(u)
-        stack.append(u)
-        for v in succs(u):
-            if v in grey:
-                return stack[stack.index(v):] + [v]
-            if v not in black:
-                found = dfs(v)
-                if found:
-                    return found
-        stack.pop()
-        grey.discard(u)
-        black.add(u)
-        return []
-
-    for t in sorted(stuck):
-        if t not in black:
-            found = dfs(t)
-            if found:
-                return found
-    return []
 
 
 # ---------------------------------------------------------------------
@@ -316,16 +257,10 @@ def _witness(edges, group: list[int], cycle: list[int]) -> str:
         "STATIC DEADLOCK: wait-for cycle over "
         + ", ".join(f"P{q}" for q in group)
     ]
+    waits: dict[int, list[int]] = {}
     for (a, b), reasons in sorted(edges.items()):
         if a in inside and b in inside:
             for why in reasons:
                 lines.append(f"  P{a}: waits for P{b} ({why})")
-    waits: dict[int, set[int]] = {}
-    for (a, b) in edges:
-        if a in inside and b in inside:
-            waits.setdefault(a, set()).add(b)
-    for q in sorted(waits):
-        deps = ", ".join(f"P{d}" for d in sorted(waits[q]))
-        lines.append(f"  wait-for: P{q} -> {{{deps}}}")
-    lines.append("  cycle: " + " -> ".join(f"P{q}" for q in cycle))
-    return "\n".join(lines)
+            waits.setdefault(a, []).append(b)
+    return "\n".join(lines + wait_for_lines(waits, cycle))

@@ -43,6 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
+from ..core import dcg
 from ..errors import DeadlockError, InvariantViolationError
 from ..obs.chrome_trace import (
     CONFORMANCE_TRACE_SCHEMA,
@@ -384,33 +385,9 @@ def write_violation_trace(
 
 def find_cycle(wait_for: Mapping[int, Iterable[int]]) -> Optional[list[int]]:
     """A cycle in the wait-for graph, as ``[p0, p1, ..., p0]``;
-    ``None`` when the graph is acyclic."""
-    graph = {p: sorted(set(deps)) for p, deps in wait_for.items()}
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[int, int] = dict.fromkeys(graph, WHITE)
-    stack: list[int] = []
-
-    def dfs(u: int) -> Optional[list[int]]:
-        color[u] = GREY
-        stack.append(u)
-        for v in graph.get(u, ()):
-            if color.get(v, WHITE) == GREY:
-                i = stack.index(v)
-                return stack[i:] + [v]
-            if color.get(v, WHITE) == WHITE and v in graph:
-                found = dfs(v)
-                if found:
-                    return found
-        stack.pop()
-        color[u] = BLACK
-        return None
-
-    for p in graph:
-        if color[p] == WHITE:
-            found = dfs(p)
-            if found:
-                return found
-    return None
+    ``None`` when the graph is acyclic.  Processors are searched in
+    the mapping's order, each one's waits in ascending order."""
+    return dcg.find_cycle({p: sorted(set(deps)) for p, deps in wait_for.items()})
 
 
 def deadlock_witness(err: DeadlockError) -> str:
@@ -427,15 +404,9 @@ def deadlock_witness(err: DeadlockError) -> str:
         lines.append(f"  P{q}: {details[q]}")
     wait_for = getattr(err, "wait_for", None)
     if wait_for:
-        for q in sorted(wait_for):
-            deps = ", ".join(f"P{d}" for d in sorted(set(wait_for[q])))
-            lines.append(f"  wait-for: P{q} -> {{{deps or '-'}}}")
         cycle = find_cycle(wait_for)
-        if cycle:
-            lines.append(
-                "  cycle: " + " -> ".join(f"P{p}" for p in cycle)
-            )
-        else:
+        lines += dcg.wait_for_lines(wait_for, cycle)
+        if not cycle:
             lines.append(
                 "  no wait-for cycle: progress is blocked by lost or "
                 "never-produced events (e.g. an overwritten address slot)"

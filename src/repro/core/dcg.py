@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Mapping, TypeVar
+from typing import Iterable, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -315,6 +315,53 @@ def tarjan_scc(succ: Mapping[T, Iterable[T]]) -> dict[T, int]:
                             break
                     ncomp += 1
     return comp
+
+
+def find_cycle(succ: Mapping[T, Iterable[T]]) -> Optional[list[T]]:
+    """The first cycle a depth-first search finds, as ``[n0, ..., n0]``;
+    ``None`` when the graph is acyclic.
+
+    Roots are tried in ``succ``'s key order and each node's successors
+    in the order given; a successor that is not a key is ignored.  The
+    static order-cycle finding (``SA304``) and the dynamic deadlock
+    witness (:func:`repro.conformance.find_cycle`) both name their cycle
+    with it."""
+    state: dict[T, bool] = {}  # True while on the path, False when done
+    for root in succ:
+        if root in state:
+            continue
+        state[root] = True
+        path = [root]
+        work = [iter(succ[root])]
+        while work:
+            for v in work[-1]:
+                on_path = state.get(v)
+                if on_path:
+                    return path[path.index(v):] + [v]
+                if on_path is None and v in succ:
+                    state[v] = True
+                    path.append(v)
+                    work.append(iter(succ[v]))
+                    break
+            else:
+                work.pop()
+                state[path.pop()] = False
+    return None
+
+
+def wait_for_lines(
+    wait_for: Mapping[int, Iterable[int]], cycle: Optional[Sequence[int]]
+) -> list[str]:
+    """The ``wait-for:`` lines of a processor wait-for graph, then the
+    ``cycle:`` line when there is a cycle: the one rendering the static
+    ``SA301`` witness and the dynamic deadlock witness share."""
+    lines = []
+    for q in sorted(wait_for):
+        deps = ", ".join(f"P{d}" for d in sorted(set(wait_for[q])))
+        lines.append(f"  wait-for: P{q} -> {{{deps or '-'}}}")
+    if cycle:
+        lines.append("  cycle: " + " -> ".join(f"P{q}" for q in cycle))
+    return lines
 
 
 # ----------------------------------------------------------------------

@@ -255,31 +255,46 @@ def unconstrained_plan(schedule: Schedule, profile: Optional[MemoryProfile] = No
     return plan_maps(schedule, capacity=max(profile.tot, 1), profile=profile)
 
 
+def misplaced_maps(plan: MapPlan) -> list[tuple[MapPoint, str]]:
+    """The MAPs of ``plan`` that break the simulator's one MAP-placement
+    rule, each with its reason, in plan order.
+
+    The rule: at most one MAP per (processor, position), each before a
+    task of the processor's order in ``plan.schedule``.  A second MAP at
+    a taken position is the misplaced one; a MAP outside the order is
+    misplaced wherever it sits.
+    """
+    orders = plan.schedule.orders
+    taken: set[tuple[int, int]] = set()
+    bad: list[tuple[MapPoint, str]] = []
+    for pts in plan.points:
+        for mp in pts:
+            q, pos = mp.proc, mp.position
+            if not 0 <= pos < len(orders[q]):
+                bad.append((mp, f"P{q} has a MAP at position {pos}, outside "
+                                f"its order of {len(orders[q])} tasks"))
+            elif (q, pos) in taken:
+                bad.append((mp, f"P{q} has two MAPs at position {pos}"))
+            taken.add((q, pos))
+    return bad
+
+
 def maps_by_position(
     plan: Optional[MapPlan], num_procs: int
 ) -> list[dict[int, MapPoint]]:
     """Per-processor ``position -> MapPoint`` tables both engines run.
 
-    The one MAP-placement rule of the simulator: at most one MAP per
-    (processor, position), each before a task of the processor's order
-    in ``plan.schedule``.  A plan that breaks it raises
-    :class:`~repro.errors.SimulationError` naming the processor and the
-    position.  ``plan=None`` (baseline mode) yields no MAPs.
+    A plan that breaks the MAP-placement rule (:func:`misplaced_maps`)
+    raises :class:`~repro.errors.SimulationError` naming the processor
+    and the position of its first misplaced MAP.  ``plan=None``
+    (baseline mode) yields no MAPs.
     """
     map_at: list[dict[int, MapPoint]] = [{} for _ in range(num_procs)]
     if plan is not None:
-        orders = plan.schedule.orders
+        bad = misplaced_maps(plan)
+        if bad:
+            raise SimulationError(bad[0][1])
         for pts in plan.points:
             for mp in pts:
-                q, pos = mp.proc, mp.position
-                if not 0 <= pos < len(orders[q]):
-                    raise SimulationError(
-                        f"P{q} has a MAP at position {pos}, outside its "
-                        f"order of {len(orders[q])} tasks"
-                    )
-                if pos in map_at[q]:
-                    raise SimulationError(
-                        f"P{q} has two MAPs at position {pos}"
-                    )
-                map_at[q][pos] = mp
+                map_at[mp.proc][mp.position] = mp
     return map_at

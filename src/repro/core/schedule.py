@@ -8,16 +8,19 @@ input data has arrived; messages travel asynchronously and cost
 ``latency + size * byte_time`` (one unit in the worked examples); the
 sending processor is not blocked.
 
-The Gantt computation treats the schedule as a DAG: dependence edges of
-the task graph plus the implicit sequence edges along each processor's
-order.  A schedule is *valid* exactly when that combined graph is
-acyclic; :func:`gantt` detects invalid interleavings.
+Definition 1's *combined graph* is the task DAG plus the implicit
+sequence edges along each processor's order.  A schedule is *valid*
+exactly when it is acyclic, and then any linearization of it computes
+the same values (section 3.4).  :func:`combined_walk` is the one walk
+of that graph: :func:`gantt` times tasks in its order,
+:func:`repro.rapid.executor.global_order` returns the order, and the
+static analyzer's order-cycle finding (``SA304``) reads the tasks it
+never reaches.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -201,50 +204,86 @@ class GanttChart:
         return "\n".join(rows)
 
 
+def combined_walk(schedule: Schedule) -> tuple[list[int], list[int], list[int]]:
+    """Kahn walk of the combined graph of Definition 1.
+
+    The graph is the dependence DAG plus one sequence edge per
+    consecutive pair of an order, over the task ids of the graph's
+    shared :class:`~repro.core.index.GraphIndex`.  A sequence edge that
+    duplicates a dependence edge is skipped: the dependence edge
+    already orders the pair.  The walk is FIFO: free tasks start in id
+    order, and each walked task frees its dependence successors (graph
+    order), then its sequence successor.
+
+    Returns ``(walk, unreached, seq)``: the walked ids in walk order;
+    the ids never reached, in id order (empty exactly when the combined
+    graph is acyclic, and the same for any walk order); and ``seq[i]``,
+    the kept sequence successor of ``i`` or ``-1``.  Raises
+    :class:`~repro.errors.SchedulingError` when an order names a task
+    the graph does not have.
+    """
+    graph = schedule.graph
+    gi = graph_index(graph)
+    tid, succ = gi.tid, gi.succ
+    smap = graph.successor_map()
+    n = len(gi.names)
+    indeg = list(gi.in_degree)
+    seq = [-1] * n
+    for order in schedule.orders:
+        prev = None
+        for t in order:
+            i = tid.get(t)
+            if i is None:
+                raise SchedulingError(f"schedule orders unknown task {t!r}")
+            if prev is not None and t not in smap[prev]:
+                seq[tid[prev]] = i
+                indeg[i] += 1
+            prev = t
+    walk = [i for i in range(n) if not indeg[i]]
+    for u in walk:  # FIFO: tasks freed on the way join the end
+        for v, _ in succ[u]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                walk.append(v)
+        v = seq[u]
+        if v >= 0:
+            indeg[v] -= 1
+            if not indeg[v]:
+                walk.append(v)
+    return walk, [i for i in range(n) if indeg[i]], seq
+
+
 def gantt(schedule: Schedule, comm: CommModel = UNIT_COMM) -> GanttChart:
     """Compute predicted start/finish times under the macro-dataflow
     model.
 
-    A Kahn walk of the combined graph on the graph's shared
-    :class:`~repro.core.index.GraphIndex`: dependence edges plus one
-    sequence edge per consecutive pair of an order.  A sequence edge
-    that duplicates a dependence edge is counted and released twice,
-    which readies its task at the same point; times depend only on the
-    finished predecessors, never on the walk order.  Raises
+    Times the tasks in :func:`combined_walk` order: a task starts once
+    its sequence predecessor has finished and its inputs have arrived.
+    Times depend only on the finished predecessors, so any walk order
+    gives the same chart; a skipped duplicate sequence edge changes
+    nothing either, because a dependence arrival is never before its
+    producer's finish (costs are non-negative).  Raises
     :class:`~repro.errors.SchedulingError` when the per-processor
     orders are inconsistent with the dependence DAG (the combined graph
     has a cycle).
     """
     gi = graph_index(schedule.graph)
-    tid, names, succ, pred, weight = gi.tid, gi.names, gi.succ, gi.pred, gi.weight
+    names, pred, weight = gi.names, gi.pred, gi.weight
     lat, bt = comm.latency, comm.byte_time
-    n = len(names)
-    indeg = list(gi.in_degree)
-    prev_on_proc = [-1] * n
-    next_on_proc = [-1] * n
-    for order in schedule.orders:
-        prev = -1
-        for t in order:
-            i = tid.get(t)
-            if i is None:
-                raise SchedulingError(f"schedule orders unknown task {t!r}")
-            if prev >= 0:
-                prev_on_proc[i] = prev
-                next_on_proc[prev] = i
-                indeg[i] += 1
-            prev = i
-
+    walk, unreached, seq = combined_walk(schedule)
     assignment = schedule.assignment
     proc = [assignment[t] for t in names]
-    start = [0.0] * n
+    if unreached:
+        stuck = [names[i] for i in unreached[:5]]
+        raise SchedulingError(
+            f"schedule order conflicts with dependencies; stuck tasks: {stuck}"
+        )
+    n = len(names)
+    start = [0.0] * n  # the sequence predecessor's finish until timed
     fin = [0.0] * n
-    timed = 0
-    ready: deque[int] = deque(i for i in range(n) if indeg[i] == 0)
-    while ready:
-        u = ready.popleft()
+    for u in walk:
         pu = proc[u]
-        prev = prev_on_proc[u]
-        s = fin[prev] if prev >= 0 else 0.0
+        s = start[u]
         for j, nb in pred[u]:
             arr = fin[j]
             if proc[j] != pu:
@@ -252,22 +291,10 @@ def gantt(schedule: Schedule, comm: CommModel = UNIT_COMM) -> GanttChart:
             if arr > s:
                 s = arr
         start[u] = s
-        fin[u] = s + weight[u]
-        timed += 1
-        for v, _ in succ[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-        nxt = next_on_proc[u]
-        if nxt >= 0:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    if timed != n:
-        stuck = [t for t, d in zip(names, indeg) if d]
-        raise SchedulingError(
-            f"schedule order conflicts with dependencies; stuck tasks: {stuck[:5]}"
-        )
+        fin[u] = f = s + weight[u]
+        v = seq[u]
+        if v >= 0:
+            start[v] = f
     return GanttChart(schedule, dict(zip(names, start)), dict(zip(names, fin)))
 
 

@@ -5,19 +5,20 @@ Two layers of execution exist in the reproduction:
 * the **timed** executor is :class:`repro.machine.simulator.Simulator`
   (distributed memory, RMA, active memory management);
 * the **numeric** executor here runs the tasks' Python kernels against a
-  shared object store, in an order consistent with a given schedule —
-  used to verify that every schedule the library produces preserves the
-  program semantics (the dependence-completeness guarantee of
-  section 3.4: any dependence-respecting interleaving computes the same
-  values).
+  shared object store, in an order consistent with a given schedule
+  (the walk order of :func:`repro.core.schedule.combined_walk`, one
+  linearization of Definition 1's combined graph) — used to verify
+  that every schedule the library produces preserves the program
+  semantics (the dependence-completeness guarantee of section 3.4:
+  any dependence-respecting interleaving computes the same values).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Sequence
 
-from ..core.schedule import Schedule
+from ..core.index import graph_index
+from ..core.schedule import Schedule, combined_walk
 from ..errors import SchedulingError
 from ..graph.taskgraph import TaskGraph
 
@@ -43,42 +44,15 @@ def execute_serial(
 
 
 def global_order(schedule: Schedule) -> list[str]:
-    """A single global linearization consistent with a schedule.
-
-    Merges the per-processor orders with the dependence edges (Kahn on
-    the combined graph, FIFO among simultaneously-free tasks).  Raises
-    when the schedule conflicts with the dependences.
+    """A single global linearization consistent with a schedule: the
+    task names in :func:`~repro.core.schedule.combined_walk` order.
+    Raises when the schedule conflicts with the dependences.
     """
-    g = schedule.graph
-    indeg: dict[str, int] = {}
-    prev: dict[str, str] = {}
-    for order in schedule.orders:
-        for i, t in enumerate(order):
-            if i > 0:
-                prev[t] = order[i - 1]
-    for t in g.task_names:
-        d = g.in_degree(t)
-        p = prev.get(t)
-        if p is not None and not g.has_edge(p, t):
-            d += 1
-        indeg[t] = d
-    nxt: dict[str, str] = {v: k for k, v in prev.items()}
-    ready = deque(t for t in g.task_names if indeg[t] == 0)
-    out: list[str] = []
-    while ready:
-        u = ready.popleft()
-        out.append(u)
-        succs = list(g.successors(u))
-        n = nxt.get(u)
-        if n is not None and not g.has_edge(u, n):
-            succs.append(n)
-        for v in succs:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-    if len(out) != g.num_tasks:
+    walk, unreached, _ = combined_walk(schedule)
+    if unreached:
         raise SchedulingError("schedule orders conflict with dependences")
-    return out
+    names = graph_index(schedule.graph).names
+    return [names[i] for i in walk]
 
 
 def execute_schedule(schedule: Schedule, store: dict) -> dict:

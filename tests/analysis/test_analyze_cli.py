@@ -44,7 +44,7 @@ def test_analyze_sarif_out(tmp_path, capsys):
     doc = json.loads(sarif.read_text())
     assert doc["version"] == "2.1.0"
     [run] = doc["runs"]
-    assert len(run["tool"]["driver"]["rules"]) == 21
+    assert len(run["tool"]["driver"]["rules"]) == 22
     flagged = {r["ruleId"] for r in run["results"]}
     assert {"SA301", "SA302"} <= flagged
 

@@ -16,7 +16,10 @@ from repro.core.liveness import analyze_memory
 from repro.core.maps import MapPlan, MapPoint, plan_maps
 from repro.core.placement import Placement
 from repro.core.schedule import Schedule
+from repro.errors import SimulationError
 from repro.graph.builder import GraphBuilder
+from repro.machine.simulator import Simulator
+from repro.machine.spec import UNIT_MACHINE
 
 
 def crafted_schedule() -> Schedule:
@@ -189,6 +192,29 @@ def test_sa206_double_alloc(sched):
     assert report.errors[0].obj == "d2"
 
 
+def assert_sa207(sched, positions, message):
+    # Placements the machine refuses: it keeps one MAP per position and
+    # runs none past the order, while the replay runs them all.
+    plan = hand_plan(sched, 5, [
+        MapPoint(proc=0, position=pos, allocs=[o], notifications={1: [o]})
+        for pos, o in zip(positions, ("d1", "d2"))
+    ])
+    [d] = [d for d in analyze_plan(plan).errors if d.rule == "SA207"]
+    assert (d.message, d.proc, d.position) == (message, 0, positions[1])
+    with pytest.raises(SimulationError) as err:
+        Simulator(sched, spec=UNIT_MACHINE, capacity=5, plan=plan).run()
+    assert str(err.value) == message
+
+
+def test_sa207_two_maps_at_one_position(sched):
+    assert_sa207(sched, (0, 0), "P0 has two MAPs at position 0")
+
+
+def test_sa207_map_outside_the_order(sched):
+    assert_sa207(sched, (0, 2),
+                 "P0 has a MAP at position 2, outside its order of 2 tasks")
+
+
 # -- SA3xx: protocol ---------------------------------------------------
 
 
@@ -245,7 +271,7 @@ def test_sa304_order_cycle():
 def test_every_rule_has_a_test_or_catalogue_entry():
     assert set(RULES) == {
         "SA101", "SA102", "SA103",
-        "SA201", "SA202", "SA203", "SA204", "SA205", "SA206",
+        "SA201", "SA202", "SA203", "SA204", "SA205", "SA206", "SA207",
         "SA301", "SA302", "SA303", "SA304",
         "SA401", "SA402", "SA403",
         "SA501", "SA502", "SA503", "SA504", "SA505",

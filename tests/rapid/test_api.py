@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.core import Placement
+from repro.core import Placement, gantt
 from repro.errors import NonExecutableScheduleError, SchedulingError
 from repro.machine.spec import UNIT_MACHINE
 from repro.rapid import Rapid, parallelize
-from repro.rapid.executor import execute_serial, global_order
+from repro.rapid.executor import execute_schedule, execute_serial, global_order
 from repro.rapid.inspector import HEURISTICS
 from repro.graph.generators import random_trace
 
@@ -131,6 +131,16 @@ class TestExecutor:
         for proc_order in s.orders:
             idxs = [pos[t] for t in proc_order]
             assert idxs == sorted(idxs)
+
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_unknown_task_in_an_order(self, at):
+        s = parallelize(random_trace(10, 4, seed=0), 2)
+        s.orders[0].insert(len(s.orders[0]) if at < 0 else at, "zz")
+        for run in (gantt, global_order,
+                    lambda s: execute_schedule(s, {})):
+            with pytest.raises(SchedulingError,
+                               match="schedule orders unknown task 'zz'"):
+                run(s)
 
     def test_execute_serial_wrong_order_length(self):
         g = random_trace(10, 4, seed=0)
