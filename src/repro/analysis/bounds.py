@@ -49,8 +49,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from ..core import rcp
-from ..core.index import GraphIndex, MappingIndex, graph_index
-from ..core.listsched import check_assignment
+from ..core.index import GraphIndex, MappingIndex, check_assignment, graph_index
 from ..core.placement import Placement
 from ..core.schedule import CommModel, Schedule, UNIT_COMM, gantt
 from ..errors import SchedulingError
@@ -202,9 +201,8 @@ def time_bounds(
     :func:`~repro.core.rcp.rcp_priorities`; :func:`certified_bounds`
     shares the mapping's memoised table instead.
     """
-    check_assignment(graph, Placement(num_procs), assignment)
     gi = graph_index(graph)
-    proc = [assignment[t] for t in gi.names]
+    proc = check_assignment(gi.names, num_procs, assignment)
     bl = _ids(gi, rcp.rcp_priorities(graph, assignment, comm))
     return _time_candidates(gi, proc, bl, num_procs, comm)
 
@@ -349,7 +347,6 @@ def memory_bounds(
     refinement only walks successor chains for objects that actually
     have two same-processor accessors.
     """
-    check_assignment(graph, placement, assignment)
     gi = graph_index(graph)
     return _memory_candidates(gi, gi.mapping(placement, assignment))
 
@@ -377,7 +374,6 @@ def certified_bounds(
     processor in ``[0, P)`` and :class:`~repro.errors.PlacementError`
     for an accessed object without an owner.
     """
-    check_assignment(graph, placement, assignment)
     gi = graph_index(graph)
     mi = gi.mapping(placement, assignment)
     return mi.memo(("bounds", comm),

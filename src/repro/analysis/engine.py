@@ -18,7 +18,7 @@ from typing import Optional
 from ..core.liveness import MemoryProfile, analyze_memory
 from ..core.maps import MapPlan, plan_maps
 from ..core.schedule import CommModel, Schedule
-from ..errors import NonExecutableScheduleError
+from ..errors import NonExecutableScheduleError, SchedulingError
 from .bounds import bounds_pass
 from .diagnostics import Diagnostic, Severity
 from .memory import memory_pass
@@ -134,7 +134,8 @@ def analyze_schedule(
     MIN_MEM and TOT, else TOT.  When no ``plan`` is supplied one is
     computed with :func:`repro.core.maps.plan_maps`; a non-executable
     schedule yields no plan and is reported via ``SA101`` instead of
-    raising.
+    raising.  A given profile (or plan's) must be this schedule's, else
+    :class:`~repro.errors.SchedulingError`.
 
     ``bounds=True`` additionally runs the certified-bound pass
     (``SA401``-``SA403``, see :mod:`repro.analysis.bounds`) under
@@ -143,6 +144,8 @@ def analyze_schedule(
     """
     if profile is None:
         profile = plan.profile if plan is not None else analyze_memory(schedule)
+    if profile.schedule is not schedule:
+        raise SchedulingError("profile does not match the schedule")
     if capacity is None:
         capacity = (plan.capacity if plan is not None
                     else pick_capacity(profile, fraction))

@@ -69,12 +69,8 @@ def _order_cycles(ctx, diags, wait) -> None:
     The finding depends only on the schedule, not on the capacity, so
     it is computed once per schedule and memoised on the schedule's
     memory profile, which every cell of one schedule shares."""
-    if ctx.profile.schedule is ctx.schedule:
-        found = ctx.profile.memo(
-            "order-cycles", lambda: _order_cycle_finding(ctx.schedule)
-        )
-    else:
-        found = _order_cycle_finding(ctx.schedule)
+    found = ctx.profile.memo(
+        "order-cycles", lambda: _order_cycle_finding(ctx.profile))
     if found is None:
         return
     diag, waits = found
@@ -83,20 +79,21 @@ def _order_cycles(ctx, diags, wait) -> None:
         wait(a, b, why)
 
 
-def _order_cycle_finding(schedule):
-    """``None`` for an acyclic combined graph, else the SA304 diagnostic
-    and its wait-for edges as ``(waiter, holder, why)``.
+def _order_cycle_finding(profile):
+    """``None`` for an acyclic combined graph of ``profile``'s schedule,
+    else the SA304 diagnostic and its wait-for edges as
+    ``(waiter, holder, why)``.
 
     The stuck tasks are the ones :func:`~repro.core.schedule.combined_walk`
     never reaches (the same set for any walk order).  The cycle shown is
     the first :func:`~repro.core.dcg.find_cycle` finds among them: roots
     in name order, each task's dependence successors in graph order,
     then its sequence successor."""
-    _, unreached, seq = combined_walk(schedule)
+    gi = graph_index(profile.schedule.graph)
+    _, unreached, seq = combined_walk(gi, profile.tid_at, profile.proc_start)
     if not unreached:
         return None
-    asg = schedule.assignment
-    gi = graph_index(schedule.graph)
+    asg = profile.schedule.assignment
     names, succ = gi.names, gi.succ
     inside = set(unreached)
     stuck_succ = {

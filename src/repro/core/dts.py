@@ -29,7 +29,7 @@ from ..errors import SchedulingError
 from ..graph.taskgraph import TaskGraph
 from .dcg import DCG, mapping_slice_space, shared_dcg
 from .index import mapping_index
-from .listsched import BoundPolicy, check_assignment, run_list_scheduler
+from .listsched import BoundPolicy, run_list_scheduler
 from .placement import Placement
 from .rcp import mapping_b_levels
 from .schedule import CommModel, Schedule, UNIT_COMM
@@ -101,7 +101,6 @@ def dts_order(
         dcg = shared_dcg(graph)
     if dcg.graph is not graph:
         raise SchedulingError("DCG was built from a different graph")
-    check_assignment(graph, placement, assignment)
     mi = mapping_index(graph, placement, assignment)
     slice_of = dcg.slice_of()
     h_values = mapping_slice_space(dcg, mi)

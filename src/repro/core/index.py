@@ -25,6 +25,9 @@ mapping but not on the order, so it is computed once here and shared:
   which RCP, MPO, DTS, the exact solver and the certified bounds all
   read; the simulator's message tables).
 
+Building a mapping's key runs :func:`check_assignment`, the one check
+that every task has a processor in ``[0, P)``.
+
 Graph indexes live in a weak-keyed cache: an index dies with its graph,
 and nothing in an index holds the graph strongly.  Each graph index
 keeps the last :data:`MAX_MAPPINGS` mapping indexes, and
@@ -45,11 +48,11 @@ from __future__ import annotations
 import weakref
 from collections import OrderedDict
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Callable, Mapping, TypeVar
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from ..errors import PlacementError
+from ..errors import PlacementError, SchedulingError
 from ..graph.taskgraph import TaskGraph
 
 if TYPE_CHECKING:  # the placement and schedule layers import this module
@@ -59,6 +62,7 @@ __all__ = [
     "GraphIndex",
     "MAX_MAPPINGS",
     "MappingIndex",
+    "check_assignment",
     "graph_index",
     "mapping_index",
 ]
@@ -147,7 +151,8 @@ class GraphIndex:
 
     def _mapping_key(self, placement: Placement, assignment: Mapping[str, int]) -> tuple:
         """Value key of a mapping: the processor count, the processor of
-        every task and the owner of every object (``-1`` if unowned).
+        every task (:func:`check_assignment`) and the owner of every
+        object (``-1`` if unowned).
 
         The key of the last lookup is kept with snapshots of its
         assignment and owner map; an equal mapping — the same objects
@@ -160,7 +165,7 @@ class GraphIndex:
             return key
         key = (
             placement.num_procs,
-            tuple([assignment[t] for t in self.names]),
+            tuple(check_assignment(self.names, placement.num_procs, assignment)),
             tuple([owner.get(o, -1) for o in self.object_names]),
         )
         self._last_key = (placement.num_procs, dict(assignment), dict(owner), key)
@@ -184,6 +189,24 @@ class GraphIndex:
         no caller will ask for it again.  A later :meth:`mapping` call
         rebuilds it; graph-level memos are kept."""
         self._mappings.pop(self._mapping_key(placement, assignment), None)
+
+
+def check_assignment(
+    names: Sequence[str], num_procs: int, assignment: Mapping[str, int]
+) -> list[int]:
+    """The processor of every task in ``names``, in that order.  Raises
+    :class:`~repro.errors.SchedulingError` for the first task without a
+    processor in ``[0, num_procs)``."""
+    proc = [assignment.get(t) for t in names]
+    for t, q in zip(names, proc):
+        if q is None:
+            raise SchedulingError(f"task {t!r} has no processor assignment")
+        if not 0 <= q < num_procs:
+            raise SchedulingError(
+                f"task {t!r} is assigned to processor {q}, outside "
+                f"[0, {num_procs})"
+            )
+    return proc
 
 
 def _edge_table(graph: TaskGraph, names, tid, oid, oid_size):
@@ -380,5 +403,5 @@ def mapping_index(
     graph: TaskGraph, placement: Placement, assignment: Mapping[str, int]
 ) -> MappingIndex:
     """The shared :class:`MappingIndex` of ``graph`` under ``placement``
-    and ``assignment`` (every task must be assigned)."""
+    and ``assignment`` (checked by :func:`check_assignment`)."""
     return graph_index(graph).mapping(placement, assignment)

@@ -135,29 +135,12 @@ def _bind_names(policy: PriorityPolicy, gi: "GraphIndex") -> tuple[KeyFn, Schedu
     return key, scheduled
 
 
-def check_assignment(
-    graph: TaskGraph, placement: Placement, assignment: Mapping[str, int]
-) -> None:
-    """Raise :class:`~repro.errors.SchedulingError` unless every task is
-    assigned a processor in ``[0, P)``."""
-    nprocs = placement.num_procs
-    for t in graph.task_names:
-        if t not in assignment:
-            raise SchedulingError(f"task {t!r} has no processor assignment")
-        q = assignment[t]
-        if not 0 <= q < nprocs:
-            raise SchedulingError(
-                f"task {t!r} is assigned to processor {q}, outside "
-                f"[0, {nprocs})"
-            )
-
-
 class BoundPolicy(NamedTuple):
     """A policy already bound to the task ids of one mapping: what RCP,
     MPO and DTS hand :func:`run_list_scheduler` after looking up the
-    mapping's :class:`~repro.core.index.MappingIndex` ``mi`` (and
-    checking the assignment) themselves, so each ordering call does
-    both once.  ``mi`` must be the index of the call's graph, placement
+    mapping's :class:`~repro.core.index.MappingIndex` ``mi`` (which
+    checks the assignment) themselves, so each ordering call does it
+    once.  ``mi`` must be the index of the call's graph, placement
     and assignment."""
 
     mi: "MappingIndex"
@@ -189,7 +172,6 @@ def run_list_scheduler(
     if isinstance(policy, BoundPolicy):
         mi, key, scheduled = policy
     else:
-        check_assignment(graph, placement, assignment)
         mi = gi.mapping(placement, assignment)
         bind = getattr(policy, "bind", None)
         key, scheduled = bind(gi) if bind is not None else _bind_names(policy, gi)

@@ -29,7 +29,7 @@ from typing import Callable, Optional, TypeVar
 
 from ..errors import NonExecutableScheduleError, SchedulingError
 from .index import graph_index
-from .schedule import Schedule
+from .schedule import Schedule, number_schedule
 
 T = TypeVar("T")
 
@@ -89,6 +89,9 @@ class MemoryProfile:
 
     schedule: Schedule
     procs: list[ProcessorMemoryProfile]
+    #: the schedule's orders numbered (:func:`~repro.core.schedule.number_orders`)
+    tid_at: list[int]
+    proc_start: list[int]
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -170,32 +173,22 @@ def analyze_memory(schedule: Schedule) -> MemoryProfile:
     the mapping's shared :class:`~repro.core.index.MappingIndex`.
     MEM_REQ is the prefix sum of a difference array: an object's size
     enters at its first position and leaves after its last.  Raises
-    :class:`~repro.errors.SchedulingError` for an order that names an
-    unknown task.
+    :class:`~repro.errors.SchedulingError` for a malformed schedule
+    (:func:`~repro.core.schedule.number_schedule`); the profile keeps
+    the numbering.
     """
-    gi = graph_index(schedule.graph)
-    mi = gi.mapping(schedule.placement, schedule.assignment)
-    tid, onames, oid_size = gi.tid, gi.object_names, gi.oid_size
-    rows, proc = mi.vola_oids, mi.proc
+    gi, mi, tid_at, proc_start = number_schedule(schedule)
+    onames, oid_size, rows = gi.object_names, gi.oid_size, mi.vola_oids
     procs: list[ProcessorMemoryProfile] = []
-    for p, order in enumerate(schedule.orders):
+    for p, (lo, hi) in enumerate(zip(proc_start, proc_start[1:])):
         first: dict[int, int] = {}  # in first-use order
         last: dict[int, int] = {}
-        for pos, t in enumerate(order):
-            i = tid.get(t)
-            if i is None:
-                raise SchedulingError(f"schedule orders unknown task {t!r}")
-            row = rows[i]
-            if proc[i] != p:
-                # Order disagrees with the assignment (an invalid
-                # schedule): filter against this processor's set.
-                vola, oid = mi.vola[p], gi.oid
-                row = [oid[o] for o in gi.accesses[i] if o in vola]
-            for o in row:
+        for pos, i in enumerate(tid_at[lo:hi]):
+            for o in rows[i]:
                 if o not in first:
                     first[o] = pos
                 last[o] = pos
-        diff = [0] * (len(order) + 1)
+        diff = [0] * (hi - lo + 1)
         diff[0] = mi.perm_bytes[p]
         for o, f in first.items():
             size = oid_size[o]
@@ -212,7 +205,7 @@ def analyze_memory(schedule: Schedule) -> MemoryProfile:
                 vola_bytes=mi.vola_bytes[p],
             )
         )
-    return MemoryProfile(schedule, procs)
+    return MemoryProfile(schedule, procs, tid_at, proc_start)
 
 
 def min_mem(schedule: Schedule) -> int:
@@ -221,7 +214,10 @@ def min_mem(schedule: Schedule) -> int:
 
 
 def mem_req_of_task(profile: MemoryProfile, task: str) -> int:
-    """``MEM_REQ(T, P)`` for a single task (Definition 5)."""
+    """``MEM_REQ(T, P)`` for a single task (Definition 5); an unknown
+    task raises :class:`~repro.errors.SchedulingError`."""
+    i = graph_index(profile.schedule.graph).tid.get(task)
+    if i is None:
+        raise SchedulingError(f"schedule has no task {task!r}")
     p = profile.schedule.assignment[task]
-    i = profile.schedule.orders[p].index(task)
-    return profile.procs[p].mem_req[i]
+    return profile.procs[p].mem_req[profile.tid_at.index(i) - profile.proc_start[p]]

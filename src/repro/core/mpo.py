@@ -32,9 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from ..graph.taskgraph import TaskGraph
 from .index import graph_index
-from .listsched import (
-    BoundPolicy, KeyFn, ScheduledFn, check_assignment, run_list_scheduler,
-)
+from .listsched import BoundPolicy, KeyFn, ScheduledFn, run_list_scheduler
 from .placement import Placement
 from .rcp import mapping_b_levels
 from .schedule import CommModel, Schedule, UNIT_COMM
@@ -138,7 +136,6 @@ def mpo_order(
     meta: Optional[dict] = None,
 ) -> Schedule:
     """Order tasks on each processor with the MPO heuristic (Figure 4)."""
-    check_assignment(graph, placement, assignment)
     gi = graph_index(graph)
     mi = gi.mapping(placement, assignment)
     cp = mapping_b_levels(graph, assignment, mi, comm)

@@ -18,7 +18,7 @@ from typing import Mapping, Optional
 
 from ..graph.taskgraph import TaskGraph
 from .index import MappingIndex, graph_index, mapping_index
-from .listsched import BoundPolicy, check_assignment, run_list_scheduler
+from .listsched import BoundPolicy, run_list_scheduler
 from .placement import Placement
 from .schedule import CommModel, Schedule, UNIT_COMM
 
@@ -89,7 +89,6 @@ def rcp_order(
     meta: Optional[dict] = None,
 ) -> Schedule:
     """Order tasks on each processor by ready-critical-path priority."""
-    check_assignment(graph, placement, assignment)
     mi = mapping_index(graph, placement, assignment)
     prio = mapping_b_levels(graph, assignment, mi, comm)
     keys = [(-prio[t],) for t in mi.names]

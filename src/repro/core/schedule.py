@@ -16,6 +16,9 @@ of that graph: :func:`gantt` times tasks in its order,
 :func:`repro.rapid.executor.global_order` returns the order, and the
 static analyzer's order-cycle finding (``SA304``) reads the tasks it
 never reaches.
+
+:func:`number_schedule` is the one structural check, and every consumer
+reads its numbering: a malformed schedule raises one error everywhere.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .index import graph_index
 from .placement import Placement
 
 if TYPE_CHECKING:
-    from .index import GraphIndex
+    from .index import GraphIndex, MappingIndex
 
 
 @dataclass(frozen=True)
@@ -109,12 +112,20 @@ class Schedule:
         return pos
 
     def validate(self) -> None:
-        """Structural validation: orders partition the task set and agree
-        with the assignment.  (Precedence validity is checked by
-        :func:`gantt`.)"""
-        gi = graph_index(self.graph)
-        get = self.assignment.get
-        number_orders(gi, [get(t) for t in gi.names], self.orders)
+        """Structural validation (:func:`number_schedule`).  (Precedence
+        validity is checked by :func:`gantt`.)"""
+        number_schedule(self)
+
+
+def number_schedule(
+    schedule: Schedule,
+) -> tuple["GraphIndex", "MappingIndex", list[int], list[int]]:
+    """``(gi, mi, tid_at, proc_start)``: the graph's and mapping's
+    indexes (the latter checks the assignment) and
+    :func:`number_orders` of the orders, which checks them."""
+    gi = graph_index(schedule.graph)
+    mi = gi.mapping(schedule.placement, schedule.assignment)
+    return (gi, mi, *number_orders(gi, mi.proc, schedule.orders))
 
 
 def number_orders(
@@ -204,41 +215,35 @@ class GanttChart:
         return "\n".join(rows)
 
 
-def combined_walk(schedule: Schedule) -> tuple[list[int], list[int], list[int]]:
+def combined_walk(
+    gi: "GraphIndex", tid_at: Sequence[int], proc_start: Sequence[int]
+) -> tuple[list[int], list[int], list[int]]:
     """Kahn walk of the combined graph of Definition 1.
 
-    The graph is the dependence DAG plus one sequence edge per
-    consecutive pair of an order, over the task ids of the graph's
-    shared :class:`~repro.core.index.GraphIndex`.  A sequence edge that
-    duplicates a dependence edge is skipped: the dependence edge
-    already orders the pair.  The walk is FIFO: free tasks start in id
+    The graph is the dependence DAG of ``gi`` plus one sequence edge per
+    consecutive pair of the orders as :func:`number_orders` numbers
+    them.  A sequence edge that duplicates a dependence edge is
+    skipped: the dependence edge already orders the pair.  The walk is FIFO: free tasks start in id
     order, and each walked task frees its dependence successors (graph
     order), then its sequence successor.
 
     Returns ``(walk, unreached, seq)``: the walked ids in walk order;
     the ids never reached, in id order (empty exactly when the combined
     graph is acyclic, and the same for any walk order); and ``seq[i]``,
-    the kept sequence successor of ``i`` or ``-1``.  Raises
-    :class:`~repro.errors.SchedulingError` when an order names a task
-    the graph does not have.
+    the kept sequence successor of ``i`` or ``-1``.
     """
-    graph = schedule.graph
-    gi = graph_index(graph)
-    tid, succ = gi.tid, gi.succ
-    smap = graph.successor_map()
+    succ = gi.succ
     n = len(gi.names)
     indeg = list(gi.in_degree)
     seq = [-1] * n
-    for order in schedule.orders:
-        prev = None
-        for t in order:
-            i = tid.get(t)
-            if i is None:
-                raise SchedulingError(f"schedule orders unknown task {t!r}")
-            if prev is not None and t not in smap[prev]:
-                seq[tid[prev]] = i
-                indeg[i] += 1
-            prev = t
+    for lo, hi in zip(proc_start, proc_start[1:]):
+        for u, v in zip(tid_at[lo:hi], tid_at[lo + 1:hi]):
+            for w, _ in succ[u]:  # each task heads one pair: O(edges)
+                if w == v:
+                    break
+            else:
+                seq[u] = v
+                indeg[v] += 1
     walk = [i for i in range(n) if not indeg[i]]
     for u in walk:  # FIFO: tasks freed on the way join the end
         for v, _ in succ[u]:
@@ -263,16 +268,15 @@ def gantt(schedule: Schedule, comm: CommModel = UNIT_COMM) -> GanttChart:
     gives the same chart; a skipped duplicate sequence edge changes
     nothing either, because a dependence arrival is never before its
     producer's finish (costs are non-negative).  Raises
-    :class:`~repro.errors.SchedulingError` when the per-processor
-    orders are inconsistent with the dependence DAG (the combined graph
-    has a cycle).
+    :class:`~repro.errors.SchedulingError` for a malformed schedule
+    (:func:`number_schedule`) and when the per-processor orders are
+    inconsistent with the dependence DAG (the combined graph has a
+    cycle).
     """
-    gi = graph_index(schedule.graph)
-    names, pred, weight = gi.names, gi.pred, gi.weight
+    gi, mi, tid_at, proc_start = number_schedule(schedule)
+    names, pred, weight, proc = gi.names, gi.pred, gi.weight, mi.proc
     lat, bt = comm.latency, comm.byte_time
-    walk, unreached, seq = combined_walk(schedule)
-    assignment = schedule.assignment
-    proc = [assignment[t] for t in names]
+    walk, unreached, seq = combined_walk(gi, tid_at, proc_start)
     if unreached:
         stuck = [names[i] for i in unreached[:5]]
         raise SchedulingError(

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..graph.taskgraph import TaskGraph
-from .listsched import check_assignment
+from .index import check_assignment
 from .placement import Placement
 from .schedule import CommModel, Schedule, UNIT_COMM
 
@@ -43,7 +43,7 @@ def tree_order(
     :class:`~repro.errors.SchedulingError` when a task has no processor
     in ``[0, P)``.
     """
-    check_assignment(graph, placement, assignment)
+    check_assignment(graph.task_names, placement.num_procs, assignment)
     orders: list[list[str]] = [[] for _ in range(placement.num_procs)]
     for t in graph.topological_order():
         orders[assignment[t]].append(t)

@@ -496,7 +496,7 @@ def lower_schedule(cs) -> LoweredSchedule:
 
     lo = LoweredSchedule()
     lo.mapping = ml
-    tid_at, proc_start = cs.tid_at, cs.proc_start
+    tid_at, proc_start = cs.profile.tid_at, cs.profile.proc_start
     n = len(tid_at)
     lo.num_tasks = n
     lo.proc_start, lo.tid_at = proc_start, tid_at

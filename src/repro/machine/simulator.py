@@ -125,7 +125,7 @@ from ..core.index import graph_index
 from ..core.liveness import MemoryProfile, analyze_memory
 from ..core.maps import MapPlan, plan_maps
 from ..core.placement import validate_owner_compute
-from ..core.schedule import Schedule, number_orders
+from ..core.schedule import Schedule
 from ..errors import SimulationError
 from ..obs.instrument import Instrument, MultiInstrument
 from ..obs.instruments import MetricsSuite
@@ -272,11 +272,12 @@ class CompiledSchedule:
     """Capacity-independent static tables for simulating one schedule.
 
     Compiling is the expensive part of constructing a
-    :class:`Simulator`: schedule validation (one pass that also numbers
-    the orders: ``tid_at``/``proc_start``), the liveness analysis and
-    the engine tables.  None of it depends on the memory capacity or
-    execution mode, so one compiled schedule serves every run of that
-    schedule — pass it via ``Simulator(compiled=...)``.
+    :class:`Simulator`: the liveness analysis (which validates the
+    schedule; a given ``profile`` must be this schedule's, else
+    :class:`~repro.errors.SimulationError`) and the engine tables.
+    None of it depends on the memory capacity or execution mode, so
+    one compiled schedule serves every run of that schedule — pass it
+    via ``Simulator(compiled=...)``.
 
     MAP plans *do* depend on the capacity; :meth:`plan_for` memoises
     them per capacity so a sweep re-running one schedule under a
@@ -312,19 +313,18 @@ class CompiledSchedule:
         self.graph = schedule.graph
         self.num_procs = schedule.num_procs
         gi = graph_index(self.graph)
-        # The mapping's index, looked up once for validation, lowering
-        # and the name tables (``check_fresh`` guards mutation).
+        if profile is None:
+            profile = analyze_memory(schedule)
+        elif profile.schedule is not schedule:
+            raise SimulationError("profile does not match the schedule")
+        self.profile = profile
+        # The mapping's index, looked up once for lowering and the name
+        # tables (``check_fresh`` guards mutation).
         mi = self._mi = gi.mapping(schedule.placement, schedule.assignment)
-        # Schedule.validate's structural check, numbering the flattened
-        # orders on the way: ``tid_at[pos]`` is the GraphIndex id of the
-        # task at position ``pos``, ``proc_start[q]`` the first position
-        # of processor ``q`` (one sentinel at the end).
-        self.tid_at, self.proc_start = number_orders(gi, mi.proc, schedule.orders)
         # Order-independent, so checked once per mapping (a failed check
         # raises and is not memoised).
         mi.memo("owner-compute", lambda: validate_owner_compute(
             self.graph, schedule.placement, schedule.assignment))
-        self.profile = profile if profile is not None else analyze_memory(schedule)
         self._plans: dict[int, MapPlan] = {}
         #: compiled-engine execution plans, keyed
         #: ``(capacity, spec, memory_managed)`` — see
@@ -433,10 +433,10 @@ class Simulator:
         Toggle the active memory management protocol (see module doc).
     plan / profile:
         Optional precomputed MAP plan and memory profile (re-used by the
-        experiment sweeps).  The plan must be one made for this very
-        schedule (``plan.schedule is compiled.schedule``), else
-        :class:`~repro.errors.SimulationError`; a plan of the same
-        schedule under another capacity is accepted.
+        experiment sweeps).  Both must be made for this very schedule
+        (``plan.schedule is compiled.schedule``, and the same for the
+        profile), else :class:`~repro.errors.SimulationError`; a plan of
+        the same schedule under another capacity is accepted.
     compiled:
         Optional :class:`CompiledSchedule`; skips validation, liveness
         analysis and static preprocessing entirely.  One compiled

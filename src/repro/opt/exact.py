@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from ..core.dts import dts_order
+from ..core.index import mapping_index
 from ..core.liveness import analyze_memory
 from ..core.mpo import mpo_order
 from ..core.placement import Placement, perm_vola_sets
@@ -138,7 +139,6 @@ class _Search:
         index = {t: i for i, t in enumerate(names)}
         self.graph = graph
         self.placement = placement
-        self.assignment = assignment
         self.names = names
         self.n = n
         self.nprocs = placement.num_procs
@@ -146,7 +146,7 @@ class _Search:
         self.capacity = capacity
         self.track_mem = capacity is not None or objective == "memory"
 
-        self.proc = [assignment[t] for t in names]
+        self.proc = mapping_index(graph, placement, assignment).proc
         self.w = [graph.task(t).weight for t in names]
         self.preds: list[list[tuple[int, float]]] = []
         for t in names:

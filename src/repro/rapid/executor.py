@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..core.index import graph_index
-from ..core.schedule import Schedule, combined_walk
+from ..core.schedule import Schedule, combined_walk, number_schedule
 from ..errors import SchedulingError
 from ..graph.taskgraph import TaskGraph
 
@@ -46,13 +45,15 @@ def execute_serial(
 def global_order(schedule: Schedule) -> list[str]:
     """A single global linearization consistent with a schedule: the
     task names in :func:`~repro.core.schedule.combined_walk` order.
-    Raises when the schedule conflicts with the dependences.
+    Raises :class:`~repro.errors.SchedulingError` for a malformed
+    schedule (:func:`~repro.core.schedule.number_schedule`) and when the
+    schedule conflicts with the dependences.
     """
-    walk, unreached, _ = combined_walk(schedule)
+    gi, _, tid_at, proc_start = number_schedule(schedule)
+    walk, unreached, _ = combined_walk(gi, tid_at, proc_start)
     if unreached:
         raise SchedulingError("schedule orders conflict with dependences")
-    names = graph_index(schedule.graph).names
-    return [names[i] for i in walk]
+    return [gi.names[i] for i in walk]
 
 
 def execute_schedule(schedule: Schedule, store: dict) -> dict:

@@ -22,7 +22,7 @@ import inspect
 import random
 from contextlib import ExitStack, suppress
 from dataclasses import replace
-from itertools import groupby
+from itertools import groupby, product
 from unittest import mock
 
 import pytest
@@ -130,6 +130,32 @@ def context_of(analyze, *args, **kwargs):
     return seen[0]
 
 
+#: the class of ``pytest.param`` cases
+ParameterSet = type(pytest.param(None))
+
+
+def cases(fn, sched):
+    """The keyword arguments of every case of the ``test_rules`` test
+    ``fn``: one per combination of its ``pytest.mark.parametrize``
+    cases, with the module's ``sched`` fixture where the signature
+    names it."""
+    fixed = {"sched": sched} if "sched" in inspect.signature(fn).parameters else {}
+    axes = []
+    for mark in getattr(fn, "pytestmark", ()):
+        if mark.name != "parametrize":
+            continue
+        names, values = mark.args[:2]
+        if isinstance(names, str):
+            names = [n.strip() for n in names.split(",")]
+        axes.append([
+            dict(zip(names, v.values if isinstance(v, ParameterSet)
+                     else v if len(names) > 1 else (v,)))
+            for v in values
+        ])
+    return [dict(fixed, **{k: v for case in combo for k, v in case.items()})
+            for combo in product(*axes)]
+
+
 @pytest.fixture(scope="module")
 def hand_contexts():
     """Every analysis call of :mod:`test_rules`, recorded while its
@@ -150,11 +176,11 @@ def hand_contexts():
         sched = test_rules.crafted_schedule()
         for name, fn in vars(test_rules).items():
             if name.startswith("test_") and callable(fn):
-                params = inspect.signature(fn).parameters
-                # Only the calls are wanted here; test_rules judges its
-                # own assertions.
-                with suppress(AssertionError):
-                    fn(*([sched] if params else []))
+                for kwargs in cases(fn, sched):
+                    # Only the calls are wanted here; test_rules judges
+                    # its own assertions.
+                    with suppress(AssertionError):
+                        fn(**kwargs)
     return [context_of(fn, *args, **kwargs) for fn, args, kwargs in calls]
 
 

@@ -192,7 +192,11 @@ def test_sa206_double_alloc(sched):
     assert report.errors[0].obj == "d2"
 
 
-def assert_sa207(sched, positions, message):
+@pytest.mark.parametrize("positions, message", [
+    ((0, 0), "P0 has two MAPs at position 0"),
+    ((0, 2), "P0 has a MAP at position 2, outside its order of 2 tasks"),
+], ids=["two_maps_at_one_position", "map_outside_the_order"])
+def test_sa207_misplaced_map(sched, positions, message):
     # Placements the machine refuses: it keeps one MAP per position and
     # runs none past the order, while the replay runs them all.
     plan = hand_plan(sched, 5, [
@@ -204,15 +208,6 @@ def assert_sa207(sched, positions, message):
     with pytest.raises(SimulationError) as err:
         Simulator(sched, spec=UNIT_MACHINE, capacity=5, plan=plan).run()
     assert str(err.value) == message
-
-
-def test_sa207_two_maps_at_one_position(sched):
-    assert_sa207(sched, (0, 0), "P0 has two MAPs at position 0")
-
-
-def test_sa207_map_outside_the_order(sched):
-    assert_sa207(sched, (0, 2),
-                 "P0 has a MAP at position 2, outside its order of 2 tasks")
 
 
 # -- SA3xx: protocol ---------------------------------------------------

@@ -86,6 +86,8 @@ class TestLiveness:
         prof = analyze_memory(s)
         assert mem_req_of_task(prof, "rc") == 3 + 4
         assert mem_req_of_task(prof, "wa") == 2 + 3 + 4  # P0 perm only
+        with pytest.raises(SchedulingError, match="schedule has no task 'zz'"):
+            mem_req_of_task(prof, "zz")
 
     def test_min_mem_helper(self):
         g, pl, asg = volatile_graph()

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.analysis import analyze_schedule
 from repro.core import (
     CommModel,
     Schedule,
+    analyze_memory,
     cyclic_placement,
     gantt,
     owner_compute_assignment,
@@ -13,7 +15,9 @@ from repro.core import (
 from repro.core.placement import placement_from_dict
 from repro.errors import SchedulingError
 from repro.graph.generators import chain, fork_join
-from repro.machine.simulator import CompiledSchedule
+from repro.machine.simulator import CompiledSchedule, Simulator
+from repro.rapid.executor import execute_schedule, global_order
+from repro.rapid.inspector import HEURISTICS, order_with
 
 
 def two_proc_chain():
@@ -72,22 +76,55 @@ class TestScheduleValidation:
         with pytest.raises(SchedulingError):
             Schedule(g, pl, asg, [["T0", "T2", "T1"]])
 
-    @pytest.mark.parametrize("orders, message", [
-        ([["T0", "T2", "X"], ["T1"]], "order of P0 contains unknown task 'X'"),
-        ([["T0", "T2"], ["T1", "T2"]], "task 'T2' appears on two processors"),
-        ([["T0", "T1", "T2"], []], "task 'T1' ordered on P0 but assigned to P1"),
-        ([["T0"], ["T1"]], "schedule misses tasks: ['T2']..."),
-    ], ids=["unknown", "duplicate", "wrong-processor", "missing"])
-    def test_validate_and_compile_raise_the_same_error(self, orders, message):
-        """``Schedule.validate`` and ``CompiledSchedule`` share one
-        structural check, so they reject a bad order the same way."""
+    @pytest.mark.parametrize("orders, changed, message", [
+        ([["T0", "T2", "X"], ["T1"]], {},
+         "order of P0 contains unknown task 'X'"),
+        ([["X", "T0", "T2"], ["T1"]], {},
+         "order of P0 contains unknown task 'X'"),
+        ([["T0", "T2"], ["T1", "T2"]], {},
+         "task 'T2' appears on two processors"),
+        ([["T0", "T1", "T2"], []], {},
+         "task 'T1' ordered on P0 but assigned to P1"),
+        ([["T0"], ["T1"]], {}, "schedule misses tasks: ['T2']..."),
+        # Assignment defects, with orders that are otherwise valid.
+        ([["T0", "T2"], ["T1"]], {"T2": None},
+         "task 'T2' has no processor assignment"),
+        ([["T0", "T2"], ["T1"]], {"T2": 2},
+         "task 'T2' is assigned to processor 2, outside [0, 2)"),
+    ], ids=["unknown", "unknown-first", "duplicate", "wrong-processor",
+            "missing", "unassigned", "out-of-range"])
+    def test_validate_and_compile_raise_the_same_error(self, orders, changed,
+                                                       message):
+        """Every consumer of a schedule goes through the same two
+        structural checks (the mapping index's assignment check, then
+        ``number_orders``), so each rejects a malformed schedule with
+        the same error: no ``KeyError``, ``IndexError`` or silent
+        result.  An assignment defect is also the ordering heuristics'
+        error."""
         g, pl, asg = two_proc_chain()
+        asg = {t: q for t, q in {**asg, **changed}.items() if q is not None}
         s = Schedule(g, pl, asg, orders)
-        with pytest.raises(SchedulingError) as validated:
-            s.validate()
-        with pytest.raises(SchedulingError) as compiled:
-            CompiledSchedule(s)
-        assert str(validated.value) == str(compiled.value) == message
+        consumers = {
+            "validate": Schedule.validate,
+            "compile": CompiledSchedule,
+            "simulate": lambda s: Simulator(s).run(),
+            "analyze_memory": analyze_memory,
+            "gantt": gantt,
+            "global_order": global_order,
+            "execute_schedule": lambda s: execute_schedule(s, {}),
+            "analyze_schedule": analyze_schedule,
+        }
+        if changed:
+            # ETF derives its own assignment (it reads only P).
+            consumers.update({
+                h: lambda s, h=h: order_with(h, g, pl, s.assignment,
+                                             capacity=100)
+                for h in HEURISTICS if h != "etf"
+            })
+        for name, consume in consumers.items():
+            with pytest.raises(SchedulingError) as err:
+                consume(s)
+            assert str(err.value) == message, name
 
     def test_position(self):
         g, pl, asg = two_proc_chain()

@@ -16,11 +16,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.analysis import analyze_schedule
 from repro.core import (
     analyze_memory, cyclic_placement, mpo_order, owner_compute_assignment, rcp_order,
 )
 from repro.core.maps import plan_maps
-from repro.errors import ReproError, SimulationError
+from repro.errors import ReproError, SchedulingError, SimulationError
 from repro.graph.generators import random_trace
 from repro.graph.paper_example import paper_example_graph, schedule_c
 from repro.machine import CompiledSchedule, ProcessorStats, SimResult, Simulator
@@ -68,6 +69,19 @@ class TestPlanReuse:
                         plan=plan_maps(cs.schedule, cap), engine=engine).run()
         assert res.parallel_time == Simulator(
             compiled=cs, spec=UNIT_MACHINE, capacity=cap).run().parallel_time
+
+    def test_profile_of_another_schedule_is_rejected(self):
+        """A profile carries its schedule's numbering of the orders, which
+        the compiled tables and the SA304 check read: a profile made for
+        another schedule must not stand in for it."""
+        g = random_trace(60, 10, seed=11)
+        pl = cyclic_placement(g, 3)
+        asg = owner_compute_assignment(g, pl)
+        sched, other = rcp_order(g, pl, asg), analyze_memory(mpo_order(g, pl, asg))
+        with pytest.raises(SimulationError, match="profile does not match"):
+            CompiledSchedule(sched, profile=other)
+        with pytest.raises(SchedulingError, match="profile does not match"):
+            analyze_schedule(sched, profile=other)
 
     def test_failure_is_repeatable(self):
         """A failing configuration fails the same way every run — no

@@ -139,7 +139,7 @@ class TestExecutor:
         for run in (gantt, global_order,
                     lambda s: execute_schedule(s, {})):
             with pytest.raises(SchedulingError,
-                               match="schedule orders unknown task 'zz'"):
+                               match="order of P0 contains unknown task 'zz'"):
                 run(s)
 
     def test_execute_serial_wrong_order_length(self):
