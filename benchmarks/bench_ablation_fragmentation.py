@@ -39,7 +39,7 @@ def test_fragmentation_headroom(benchmark, ctx, record):
     sched = ctx.schedule(key, p, "rcp")
     prof = ctx.profile(key, p, "rcp")
     capacity = int(prof.tot * 0.6)
-    plan = plan_maps(sched, capacity, prof)
+    plan = plan_maps(prof, capacity)
 
     def measure():
         rows = []

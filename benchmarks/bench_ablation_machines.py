@@ -15,19 +15,15 @@ from repro.machine.spec import CRAY_T3D, MEIKO_CS2
 
 def test_cross_machine(benchmark, ctx, record):
     key, p, frac = "chol15", 16, 0.75
-    sched = ctx.schedule(key, p, "rcp")
-    prof = ctx.profile(key, p, "rcp")
+    cs = ctx.compiled(key, p, "rcp")
+    prof = cs.profile
     capacity = int(prof.tot * frac)
 
     def sweep():
         rows = []
         for name, spec in (("Cray-T3D", CRAY_T3D), ("Meiko CS-2", MEIKO_CS2)):
-            base = Simulator(
-                sched, spec=spec, memory_managed=False, profile=prof
-            ).run()
-            managed = Simulator(
-                sched, spec=spec, capacity=capacity, profile=prof
-            ).run()
+            base = Simulator(spec=spec, memory_managed=False, compiled=cs).run()
+            managed = Simulator(spec=spec, capacity=capacity, compiled=cs).run()
             inc = (managed.parallel_time - base.parallel_time) / base.parallel_time
             rows.append((name, base.parallel_time, managed.parallel_time, inc))
         return rows

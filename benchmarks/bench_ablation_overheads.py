@@ -14,9 +14,8 @@ from repro.machine.simulator import Simulator
 
 def test_overhead_sensitivity(benchmark, ctx, record):
     key, p, frac = "chol15", 16, 0.75
-    sched = ctx.schedule(key, p, "rcp")
-    prof = ctx.profile(key, p, "rcp")
-    tot = prof.tot
+    cs = ctx.compiled(key, p, "rcp")
+    tot = cs.profile.tot
     capacity = int(tot * frac)
     base_pt = ctx.baseline_pt(key, p)
 
@@ -24,7 +23,7 @@ def test_overhead_sensitivity(benchmark, ctx, record):
         rows = []
         for factor in (0.0, 0.5, 1.0, 2.0, 4.0):
             spec = ctx.spec.scaled_overheads(factor)
-            res = Simulator(sched, spec=spec, capacity=capacity, profile=prof).run()
+            res = Simulator(spec=spec, capacity=capacity, compiled=cs).run()
             rows.append((factor, (res.parallel_time - base_pt) / base_pt))
         return rows
 

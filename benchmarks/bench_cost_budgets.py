@@ -107,7 +107,7 @@ def test_compiled_engine_speedup():
 
 @pytest.fixture(scope="module")
 def observer_times():
-    from repro.analysis import analyze_schedule
+    from repro.analysis import analyze_plan
     from repro.conformance import FaultSpec, InvariantChecker
     from repro.obs import NULL_INSTRUMENT
 
@@ -125,8 +125,7 @@ def observer_times():
         "null_faults": sim(faults=FaultSpec()).run,
         "metrics": sim(metrics=True).run,
         "checked": lambda: sim(instrument=InvariantChecker(cs)).run(),
-        "analyze": lambda: analyze_schedule(
-            cs.schedule, capacity=capacity, profile=cs.profile, plan=plan),
+        "analyze": lambda: analyze_plan(plan),
     })
 
 

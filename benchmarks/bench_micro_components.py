@@ -18,7 +18,7 @@ from repro.core import (
     rcp_order,
 )
 from repro.graph.generators import layered_random
-from repro.machine import UNIT_MACHINE, Simulator
+from repro.machine import UNIT_MACHINE, CompiledSchedule, Simulator
 from repro.sparse.matrices import perturbed_grid_spd
 from repro.sparse.symbolic import symbolic_cholesky
 
@@ -49,7 +49,7 @@ def test_map_planning_throughput(benchmark, workload):
     g, pl, asg = workload
     sched = mpo_order(g, pl, asg)
     prof = analyze_memory(sched)
-    plan = benchmark(lambda: plan_maps(sched, prof.min_mem, prof))
+    plan = benchmark(lambda: plan_maps(prof, prof.min_mem))
     assert plan.avg_maps >= 1.0
 
 
@@ -60,7 +60,8 @@ def test_simulator_throughput(benchmark, workload):
 
     def run():
         return Simulator(
-            sched, spec=UNIT_MACHINE, capacity=prof.min_mem, profile=prof
+            spec=UNIT_MACHINE, capacity=prof.min_mem,
+            compiled=CompiledSchedule(sched, profile=prof),
         ).run()
 
     res = benchmark(run)

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.apps import BratuProblem, newton_solve
 from repro.core import analyze_memory, mpo_order
-from repro.machine.simulator import Simulator
+from repro.machine.simulator import CompiledSchedule, Simulator
 from repro.machine.spec import CRAY_T3D
 
 P = 8
@@ -44,8 +44,9 @@ def main() -> None:
         print(f"  step {i}: |F(u)| = {r:.3e}")
 
     # simulated cost of one step's factorization phase, amortized
-    sim = Simulator(schedule, spec=CRAY_T3D, capacity=prof.min_mem,
-                    profile=prof, preknown_addresses=True).run()
+    sim = Simulator(spec=CRAY_T3D, capacity=prof.min_mem,
+                    compiled=CompiledSchedule(schedule, profile=prof),
+                    preknown_addresses=True).run()
     total = res.iterations * sim.parallel_time
     print(f"\nsimulated steady-state factorization: "
           f"{sim.parallel_time*1e3:.3f} ms/step -> "

@@ -42,7 +42,7 @@ def main() -> None:
 
     # Figure 3(a): MAPs when running (c) with 8 units per processor.
     sc = schedule_c(g)
-    plan = plan_maps(sc, 8)
+    plan = plan_maps(analyze_memory(sc), 8)
     print("\nFigure 3(a) — MAP plan of (c) under capacity 8:")
     for q, points in enumerate(plan.points):
         for mp in points:

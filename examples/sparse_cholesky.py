@@ -16,7 +16,7 @@ Run:  python examples/sparse_cholesky.py
 import numpy as np
 
 from repro.core import analyze_memory, dts_order, mpo_order, rcp_order
-from repro.machine.simulator import Simulator
+from repro.machine.simulator import CompiledSchedule, Simulator
 from repro.machine.spec import CRAY_T3D
 from repro.rapid.executor import execute_schedule
 from repro.sparse.cholesky import build_cholesky
@@ -41,7 +41,7 @@ def main() -> None:
     for name, fn in ORDERINGS.items():
         sched = fn(g, placement, assignment)
         prof = analyze_memory(sched)
-        schedules[name] = (sched, prof)
+        schedules[name] = (CompiledSchedule(sched, profile=prof), prof)
 
         # numeric verification: the schedule's interleaving must compute
         # the exact Cholesky factor
@@ -53,22 +53,22 @@ def main() -> None:
               f"numeric |LL^T - A| = {err:.1e}")
 
     # baseline: RCP, all memory, no memory management
-    rcp_sched, rcp_prof = schedules["RCP"]
-    base = Simulator(rcp_sched, spec=CRAY_T3D, memory_managed=False,
-                     profile=rcp_prof).run()
+    rcp_compiled, rcp_prof = schedules["RCP"]
+    base = Simulator(spec=CRAY_T3D, memory_managed=False,
+                     compiled=rcp_compiled).run()
     print(f"\nbaseline (RCP, no memory management): PT = {base.parallel_time*1e3:.2f} ms")
 
     print(f"\n{'heuristic':>9} | {'memory':>7} | {'PT (ms)':>8} | "
           f"{'PT incr':>8} | {'#MAPs':>6}")
-    for name, (sched, prof) in schedules.items():
+    for name, (compiled, prof) in schedules.items():
         for frac in (1.0, 0.75, 0.5, 0.4):
             cap = int(rcp_prof.tot * frac)
             if prof.min_mem > cap:
                 print(f"{name:>9} | {int(frac*100):>6}% | {'inf':>8} | "
                       f"{'inf':>8} | {'inf':>6}")
                 continue
-            res = Simulator(sched, spec=CRAY_T3D, capacity=cap,
-                            profile=prof).run()
+            res = Simulator(spec=CRAY_T3D, capacity=cap,
+                            compiled=compiled).run()
             inc = (res.parallel_time - base.parallel_time) / base.parallel_time
             print(f"{name:>9} | {int(frac*100):>6}% | "
                   f"{res.parallel_time*1e3:>8.2f} | {100*inc:>7.1f}% | "

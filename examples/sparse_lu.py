@@ -15,7 +15,7 @@ Run:  python examples/sparse_lu.py
 """
 
 from repro.core import analyze_memory, mpo_order
-from repro.machine.simulator import Simulator
+from repro.machine.simulator import CompiledSchedule, Simulator
 from repro.machine.spec import CRAY_T3D
 from repro.rapid.executor import execute_schedule
 from repro.sparse.lu import build_lu
@@ -70,7 +70,8 @@ def main() -> None:
 
     if solvable_new:
         prob, sched, prof = stats[solvable_new]
-        res = Simulator(sched, spec=CRAY_T3D, capacity=capacity, profile=prof).run()
+        res = Simulator(spec=CRAY_T3D, capacity=capacity,
+                        compiled=CompiledSchedule(sched, profile=prof)).run()
         flops = prob.graph.total_work() * CRAY_T3D.flop_rate
         print(f"\nlargest instance on P={P}: PT = {res.parallel_time*1e3:.2f} ms, "
               f"{res.avg_maps:.2f} MAPs/proc, "

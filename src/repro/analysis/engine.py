@@ -1,8 +1,9 @@
 """The pass pipeline: one static analysis of a schedule + MAP plan.
 
-:func:`analyze_schedule` resolves capacity and plan (mirroring the
-conformance harness so static and dynamic verdicts are about the *same*
-configuration), runs the two passes in order — memory and MAP-chain
+:func:`analyze_schedule` resolves the capacity and plans for it
+(mirroring the conformance harness so static and dynamic verdicts are
+about the *same* configuration), :func:`analyze_plan` takes both from an
+existing plan; either runs the two passes in order — memory and MAP-chain
 liveness (Defs 3-6), protocol (Def 4 / Theorem 1) — and returns an
 :class:`AnalysisReport`.  Cost is O(plan): no simulator, no
 event loop; ``benchmarks/bench_cost_budgets.py`` holds it at least 5x
@@ -16,9 +17,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..core.liveness import MemoryProfile, analyze_memory
-from ..core.maps import MapPlan, plan_maps
+from ..core.maps import MapPlan, check_capacity, plan_maps
 from ..core.schedule import CommModel, Schedule
-from ..errors import NonExecutableScheduleError, SchedulingError
+from ..errors import CapacityError, SchedulingError
 from .bounds import bounds_pass
 from .diagnostics import Diagnostic, Severity
 from .memory import memory_pass
@@ -38,10 +39,14 @@ def pick_capacity(profile: MemoryProfile, fraction: Optional[float]) -> int:
 
     The canonical knob shared by ``repro check`` and ``repro analyze``
     (the conformance harness delegates here), so both layers judge the
-    same capacity for a given fraction.
+    same capacity for a given fraction.  A finite fraction outside
+    ``[0, 1]`` is clamped; a NaN one raises
+    :class:`~repro.errors.CapacityError`.
     """
     if fraction is None:
         return max(profile.tot, 1)
+    if math.isnan(fraction):
+        raise CapacityError("fraction", fraction, "a number")
     fraction = min(max(fraction, 0.0), 1.0)
     cap = profile.min_mem + fraction * (profile.tot - profile.min_mem)
     return max(int(math.floor(cap)), profile.min_mem, 1)
@@ -51,7 +56,6 @@ def pick_capacity(profile: MemoryProfile, fraction: Optional[float]) -> int:
 class AnalysisContext:
     """Shared state handed to every pass."""
 
-    schedule: Schedule
     capacity: int
     profile: MemoryProfile
     #: ``None`` when the schedule is non-executable under the capacity.
@@ -59,6 +63,10 @@ class AnalysisContext:
     #: Communication model of the SA4xx bound comparisons; ``None``
     #: falls back to the unit-cost model of the worked examples.
     comm: Optional[CommModel] = None
+
+    @property
+    def schedule(self) -> Schedule:
+        return self.profile.schedule
 
 
 @dataclass
@@ -122,7 +130,6 @@ def analyze_schedule(
     capacity: Optional[int] = None,
     fraction: Optional[float] = None,
     profile: Optional[MemoryProfile] = None,
-    plan: Optional[MapPlan] = None,
     label: str = "",
     bounds: bool = False,
     comm: Optional[CommModel] = None,
@@ -130,12 +137,14 @@ def analyze_schedule(
     """Statically analyze ``schedule`` under a capacity.
 
     Capacity resolution mirrors :func:`repro.conformance.check.run_check`:
-    explicit ``capacity`` wins, else ``fraction`` interpolates between
-    MIN_MEM and TOT, else TOT.  When no ``plan`` is supplied one is
+    explicit ``capacity`` wins (one that is not a finite integer >= 0
+    raises :class:`~repro.errors.CapacityError`), else ``fraction``
+    interpolates between MIN_MEM and TOT, else TOT.  The plan is
     computed with :func:`repro.core.maps.plan_maps`; a non-executable
     schedule yields no plan and is reported via ``SA101`` instead of
-    raising.  A given profile (or plan's) must be this schedule's, else
-    :class:`~repro.errors.SchedulingError`.
+    raising.  A given profile must be this schedule's, else
+    :class:`~repro.errors.SchedulingError`.  An existing plan is
+    analyzed by :func:`analyze_plan`.
 
     ``bounds=True`` additionally runs the certified-bound pass
     (``SA401``-``SA403``, see :mod:`repro.analysis.bounds`) under
@@ -143,24 +152,30 @@ def analyze_schedule(
     the O(plan) core pipeline.
     """
     if profile is None:
-        profile = plan.profile if plan is not None else analyze_memory(schedule)
-    if profile.schedule is not schedule:
+        profile = analyze_memory(schedule)
+    elif profile.schedule is not schedule:
         raise SchedulingError("profile does not match the schedule")
-    if capacity is None:
-        capacity = (plan.capacity if plan is not None
-                    else pick_capacity(profile, fraction))
-    if plan is None and profile.executable_under(capacity):
-        try:
-            plan = plan_maps(schedule, capacity, profile)
-        except NonExecutableScheduleError:  # defensive; SA101 covers it
-            plan = None
-    ctx = AnalysisContext(
-        schedule=schedule, capacity=capacity, profile=profile, plan=plan,
-        comm=comm,
-    )
+    capacity = (pick_capacity(profile, fraction) if capacity is None
+                else check_capacity(capacity))
+    plan = (plan_maps(profile, capacity)
+            if profile.executable_under(capacity) else None)
+    return _run_passes(AnalysisContext(capacity, profile, plan, comm),
+                       label, bounds)
+
+
+def analyze_plan(plan: MapPlan, label: str = "") -> AnalysisReport:
+    """Analyze an existing plan under the profile and the capacity it
+    was made from."""
+    return _run_passes(AnalysisContext(plan.capacity, plan.profile, plan),
+                       label, bounds=False)
+
+
+def _run_passes(ctx: AnalysisContext, label: str,
+                bounds: bool) -> AnalysisReport:
+    schedule = ctx.schedule
     report = AnalysisReport(
         label=label or schedule.meta.get("heuristic", "schedule"),
-        capacity=capacity,
+        capacity=ctx.capacity,
         num_procs=schedule.num_procs,
     )
     for p in _PASSES:
@@ -168,14 +183,3 @@ def analyze_schedule(
     if bounds:
         report.diagnostics.extend(bounds_pass(ctx))
     return report
-
-
-def analyze_plan(plan: MapPlan, label: str = "") -> AnalysisReport:
-    """Analyze an existing plan (its own schedule and capacity)."""
-    return analyze_schedule(
-        plan.schedule,
-        capacity=plan.capacity,
-        profile=plan.profile,
-        plan=plan,
-        label=label,
-    )

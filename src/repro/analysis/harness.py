@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .engine import AnalysisReport, analyze_schedule
+from .engine import AnalysisReport, analyze_plan, analyze_schedule
 
 __all__ = ["analyze_batch", "analyze_overwrite_demo"]
 
@@ -78,7 +78,4 @@ def analyze_overwrite_demo() -> AnalysisReport:
     ``P0 -> P1 -> P0`` cycle the dynamic witness shows."""
     from ..conformance.check import overwrite_scenario
 
-    sched, plan, capacity = overwrite_scenario()
-    return analyze_schedule(
-        sched, capacity=capacity, plan=plan, label="overwrite-demo"
-    )
+    return analyze_plan(overwrite_scenario(), label="overwrite-demo")

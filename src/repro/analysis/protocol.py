@@ -166,8 +166,7 @@ def _package_hazards(ctx, diags, wait) -> None:
             pkgs = by_dest[dest]
             for (mp_a, objs_a), (mp_b, _objs_b) in zip(pkgs, pkgs[1:]):
                 throttled = any(
-                    pp.first_use(o) is not None
-                    and pp.first_use(o) < mp_b.position
+                    o in pp.span and pp.span[o][0] < mp_b.position
                     for o in objs_a
                 )
                 if throttled:

@@ -107,7 +107,7 @@ def _run_example(args) -> int:
     print(f"MIN_MEM Fig2(c) = {mem['fig2c_mpo']} (paper: 8)")
     print(f"MIN_MEM DTS     = {mem['fig5_dts']} (paper: 7)")
     print("DCG slices: " + " -> ".join(o[0] for o in build_dcg(g).comp_objects))
-    plan = plan_maps(scheds["fig2c_mpo"], 8)
+    plan = plan_maps(analyze_memory(scheds["fig2c_mpo"]), 8)
     print(f"MAPs under capacity 8: {plan.maps_per_proc} per processor")
     return 0
 
@@ -352,7 +352,7 @@ def _resolve_analyze(args) -> None:
 
 def _resolve_workload(args):
     """Resolve ``--workload/--procs/--heuristic/--fraction`` into
-    ``(spec, compiled, capacity, profile)``: the one place ``trace`` and
+    ``(spec, compiled, capacity)``: the one place ``trace`` and
     ``analyze`` turn workload flags into a compiled schedule."""
     import math
 
@@ -363,12 +363,10 @@ def _resolve_workload(args):
         from .machine.spec import UNIT_MACHINE
 
         compiled = CompiledSchedule(schedule_c())
-        return UNIT_MACHINE, compiled, 8, compiled.profile
+        return UNIT_MACHINE, compiled, 8
     ctx = ExperimentContext()
-    prof = ctx.profile(args.workload, args.procs, args.heuristic)
-    capacity = int(math.floor(prof.tot * args.fraction))
     compiled = ctx.compiled(args.workload, args.procs, args.heuristic)
-    return ctx.spec, compiled, capacity, prof
+    return ctx.spec, compiled, int(math.floor(compiled.profile.tot * args.fraction))
 
 
 def _run_trace(args) -> int:
@@ -376,7 +374,8 @@ def _run_trace(args) -> int:
     from .machine.simulator import Simulator
     from .obs import html_report, to_json, write_chrome_trace
 
-    spec, compiled, capacity, prof = _resolve_workload(args)
+    spec, compiled, capacity = _resolve_workload(args)
+    prof = compiled.profile
     if prof.min_mem > capacity:
         print(
             f"not executable: MIN_MEM {prof.min_mem} > capacity {capacity} "
@@ -467,11 +466,11 @@ def _run_analyze(args) -> int:
     from .conformance import fault_preset
 
     if args.workload != "paper":
-        spec, compiled, capacity, prof = _resolve_workload(args)
+        spec, compiled, capacity = _resolve_workload(args)
         reports = [analyze_schedule(
             compiled.schedule,
             capacity=max(capacity, 1),
-            profile=prof,
+            profile=compiled.profile,
             label=f"{args.workload}/{args.heuristic}",
             bounds=args.bounds,
             comm=spec.comm_model() if args.bounds else None,
@@ -491,7 +490,7 @@ def _run_analyze(args) -> int:
             reports.append(analyze_overwrite_demo())
         if args.verify_ir:
             # Verify the worked example's lowering alongside the batch.
-            spec, compiled, capacity, _prof = _resolve_workload(args)
+            spec, compiled, capacity = _resolve_workload(args)
             reports.append(verify_report(compiled, capacity=capacity,
                                          spec=spec, label="paper/irverify"))
 

@@ -18,7 +18,7 @@ from ..core.liveness import analyze_memory
 from ..core.maps import MapPlan, MapPoint
 from ..errors import DeadlockError, ReproError
 from ..graph import generators
-from ..machine.simulator import CompiledSchedule, Simulator
+from ..machine.simulator import CompiledSchedule, Simulator, resolve_compiled
 from ..machine.spec import UNIT_MACHINE, MachineSpec
 from .faults import FaultSpec
 from .invariants import InvariantChecker, Violation, deadlock_witness
@@ -77,7 +77,7 @@ class CheckReport:
 
 
 def run_check(
-    schedule,
+    schedule=None,
     *,
     spec: MachineSpec = UNIT_MACHINE,
     capacity: Optional[int] = None,
@@ -90,13 +90,15 @@ def run_check(
 ) -> CheckReport:
     """One checked execution of ``schedule``.
 
+    The run, its label and the oracle take the schedule from one
+    compiled schedule (:func:`~repro.machine.simulator.resolve_compiled`).
+
     Capacity resolution order: explicit ``capacity``; the fault's
     ``capacity_fraction`` (the *tighten* knob); ``fraction``; else the
     schedule's TOT.  A deadlock is captured as a witness report rather
     than propagating; other simulator errors are captured as ``error``.
     """
-    if compiled is None:
-        compiled = CompiledSchedule(schedule)
+    compiled = resolve_compiled(schedule, compiled, plan)
     if capacity is None:
         # Lazy: conformance must stay importable before the analysis
         # package, whose pick_capacity the static analyzer shares.
@@ -130,14 +132,14 @@ def run_check(
     report.violations = list(checker.violations)
     if oracle and report.deadlock is None and report.error is None:
         report.oracle = differential_check(
-            schedule, spec=spec, capacity=capacity, compiled=compiled
+            spec=spec, capacity=capacity, compiled=compiled
         )
     return report
 
 
 def overwrite_scenario():
-    """A (schedule, plan, capacity) triple that loses an address package
-    under the ``overwrite`` fault.
+    """A hand-built MAP plan (with its schedule and capacity) that loses
+    an address package under the ``overwrite`` fault.
 
     The planner of :mod:`repro.core.maps` is self-throttling: a second
     package to one destination is only assembled after the tasks covered
@@ -175,10 +177,8 @@ def overwrite_scenario():
         meta={"heuristic": "overwrite-demo"},
     )
     sched.validate()
-    capacity = 5  # a + d1 + d2
-    plan = MapPlan(
-        schedule=sched,
-        capacity=capacity,
+    return MapPlan(
+        capacity=5,  # a + d1 + d2
         points=[
             [
                 MapPoint(proc=0, position=0, allocs=["d1"],
@@ -190,17 +190,15 @@ def overwrite_scenario():
         ],
         profile=analyze_memory(sched),
     )
-    return sched, plan, capacity
 
 
 def overwrite_demo(seed: int = 0) -> CheckReport:
     """Checked run of :func:`overwrite_scenario` under the overwrite
     fault: expects a ``slot-overwrite`` violation plus a deadlock whose
     witness shows the ``P0 -> P1 -> P0`` cycle."""
-    sched, plan, capacity = overwrite_scenario()
+    plan = overwrite_scenario()
     return run_check(
-        sched,
-        capacity=capacity,
+        capacity=plan.capacity,
         plan=plan,
         faults=FaultSpec(seed=seed, overwrite_slots=True),
         oracle=False,

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..machine.simulator import CompiledSchedule, Simulator
+from ..machine.simulator import CompiledSchedule, Simulator, resolve_compiled
 from ..machine.spec import UNIT_MACHINE, MachineSpec
 from ..obs.instrument import Instrument
 from ..rapid.executor import execute_serial, global_order
@@ -101,7 +101,7 @@ def _values_equal(a, b, rtol: float, atol: float) -> bool:
 
 
 def differential_check(
-    schedule,
+    schedule=None,
     *,
     spec: MachineSpec = UNIT_MACHINE,
     capacity: Optional[int] = None,
@@ -116,15 +116,15 @@ def differential_check(
     execution (required for value comparison when the graph has
     kernels; each layer must start from identical state).  ``capacity``
     defaults to the schedule's ``TOT`` so the timed run is always
-    executable.
+    executable.  The schedule is ``compiled.schedule`` when given
+    (:func:`~repro.machine.simulator.resolve_compiled`).
     """
-    if compiled is None:
-        compiled = CompiledSchedule(schedule)
+    compiled = resolve_compiled(schedule, compiled)
     g = compiled.graph
     mismatches: list[str] = []
 
     serial_order = g.topological_order()
-    sched_order = global_order(schedule)
+    sched_order = global_order(compiled.schedule)
     expect = replay_versions(g, serial_order)
     got_sched = replay_versions(g, sched_order)
     if capacity is None:

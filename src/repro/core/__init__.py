@@ -7,7 +7,7 @@ Typical flow::
     assignment = owner_compute_assignment(graph, placement)
     schedule   = mpo_order(graph, placement, assignment)
     profile    = analyze_memory(schedule)
-    plan       = plan_maps(schedule, capacity)
+    plan       = plan_maps(profile, capacity)
 """
 
 from .placement import (

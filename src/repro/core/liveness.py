@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Optional, TypeVar
+from typing import Callable, TypeVar
 
 from ..errors import NonExecutableScheduleError, SchedulingError
 from .index import graph_index
@@ -69,18 +69,6 @@ class ProcessorMemoryProfile:
     def tot(self) -> int:
         """Space with no recycling: permanent + all volatile objects."""
         return self.perm_bytes + self.vola_bytes
-
-    def first_use(self, obj: str) -> Optional[int]:
-        """Position of the first access to a volatile object on this
-        processor, or ``None`` when it is never accessed here."""
-        s = self.span.get(obj)
-        return s[0] if s is not None else None
-
-    def last_use(self, obj: str) -> Optional[int]:
-        """Position of the last access to a volatile object on this
-        processor, or ``None`` when it is never accessed here."""
-        s = self.span.get(obj)
-        return s[1] if s is not None else None
 
 
 @dataclass

@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
-from ..errors import NonExecutableScheduleError, SimulationError
+from ..errors import CapacityError, NonExecutableScheduleError, SimulationError
 from .index import graph_index
-from .liveness import MemoryProfile, analyze_memory
+from .liveness import MemoryProfile
 from .schedule import Schedule
 
 
@@ -63,13 +63,18 @@ class MapPoint:
 
 @dataclass
 class MapPlan:
-    """MAP positions and actions for a whole schedule under a capacity."""
+    """MAP positions and actions for a whole schedule under a capacity.
 
-    schedule: Schedule
+    It keeps the profile it was made from, and that profile's schedule."""
+
     capacity: int
     #: per-processor list of MAPs in execution order
     points: list[list[MapPoint]]
     profile: MemoryProfile
+
+    @property
+    def schedule(self) -> Schedule:
+        return self.profile.schedule
 
     @property
     def maps_per_proc(self) -> list[int]:
@@ -175,7 +180,8 @@ def _proc_tables(pp, size: dict[str, int], owner) -> _ProcTables:
     )
 
 
-def _plan_tables(schedule: Schedule, profile: MemoryProfile) -> list[_ProcTables]:
+def _plan_tables(profile: MemoryProfile) -> list[_ProcTables]:
+    schedule = profile.schedule
     size = graph_index(schedule.graph).obj_size
     # Volatile objects have owners by definition (the liveness analysis
     # already resolved them), so the owner map is read directly.
@@ -183,17 +189,30 @@ def _plan_tables(schedule: Schedule, profile: MemoryProfile) -> list[_ProcTables
     return [_proc_tables(pp, size, owner) for pp in profile.procs]
 
 
-def plan_maps(
-    schedule: Schedule,
-    capacity: int,
-    profile: Optional[MemoryProfile] = None,
-) -> MapPlan:
-    """Compute the MAP plan of ``schedule`` under ``capacity`` memory per
-    processor.
+def is_capacity(value) -> bool:
+    """A finite integer >= 0 (an integral float such as ``8.0`` too)."""
+    try:
+        return value >= 0 and value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
 
-    Raises :class:`~repro.errors.NonExecutableScheduleError` when the
-    schedule needs more than ``capacity`` on some processor (Definition
-    6; the ``inf`` entries of the paper's tables).
+
+def check_capacity(value) -> int:
+    """``value`` as an ``int``, else :class:`~repro.errors.CapacityError`."""
+    if not is_capacity(value):
+        raise CapacityError("capacity", value)
+    return int(value)
+
+
+def plan_maps(profile: MemoryProfile, capacity: int) -> MapPlan:
+    """Compute the MAP plan of ``profile.schedule`` under ``capacity``
+    memory per processor.
+
+    Raises :class:`~repro.errors.CapacityError` for a capacity that is
+    not a finite integer >= 0 (:func:`check_capacity`) and
+    :class:`~repro.errors.NonExecutableScheduleError` when the schedule
+    needs more than it on some processor (Definition 6; the ``inf``
+    entries of the paper's tables).
 
     Only the walk below depends on the capacity.  The per-processor
     first-use / last-use tables it reads are memoised on ``profile``, so
@@ -203,14 +222,12 @@ def plan_maps(
     task's first-use objects fit: every object is first used at exactly
     one position, so that is one bisection on a prefix sum of sizes.
     """
-    if profile is None:
-        profile = analyze_memory(schedule)
-    tables = profile.memo("map-tables", lambda: _plan_tables(schedule, profile))
+    capacity = check_capacity(capacity)
+    profile.require_executable(capacity)
+    tables = profile.memo("map-tables", lambda: _plan_tables(profile))
     points: list[list[MapPoint]] = []
-    for p, order in enumerate(schedule.orders):
+    for p, order in enumerate(profile.schedule.orders):
         pp = profile.procs[p]
-        if pp.min_mem > capacity:
-            raise NonExecutableScheduleError(p, pp.min_mem, capacity)
         budget = capacity - pp.perm_bytes  # space available for volatiles
         proc_points: list[MapPoint] = []
         points.append(proc_points)
@@ -244,15 +261,13 @@ def plan_maps(
                 notifications=notifications, covers_through=j - 1,
             ))
             prev, i = i, j
-    return MapPlan(schedule=schedule, capacity=capacity, points=points, profile=profile)
+    return MapPlan(capacity=capacity, points=points, profile=profile)
 
 
-def unconstrained_plan(schedule: Schedule, profile: Optional[MemoryProfile] = None) -> MapPlan:
+def unconstrained_plan(profile: MemoryProfile) -> MapPlan:
     """The original-RAPID plan: one MAP per processor allocating all
     volatile space up-front (section 3.1)."""
-    if profile is None:
-        profile = analyze_memory(schedule)
-    return plan_maps(schedule, capacity=max(profile.tot, 1), profile=profile)
+    return plan_maps(profile, max(profile.tot, 1))
 
 
 def misplaced_maps(plan: MapPlan) -> list[tuple[MapPoint, str]]:

@@ -88,6 +88,18 @@ class FaultSpecError(ReproError, ValueError):
         super().__init__(message)
 
 
+class CapacityError(ReproError, ValueError):
+    """A memory capacity that is not a finite integer >= 0, or a NaN
+    capacity fraction, named with its value (see
+    :func:`repro.core.maps.check_capacity`); also a :class:`ValueError`.
+    """
+
+    def __init__(self, field: str, value, want: str = "a finite integer >= 0"):
+        self.field = field
+        self.value = value
+        super().__init__(f"{field} = {value!r}: must be {want}")
+
+
 class SchedulingError(ReproError):
     """A scheduling algorithm was invoked with inconsistent inputs."""
 

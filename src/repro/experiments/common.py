@@ -15,10 +15,11 @@ Conventions (section 5.1 of the paper):
 * Non-executable configurations (``MIN_MEM`` above the capacity) are
   reported as ``inf``, printed ``inf`` like the paper's tables.
 
-The :class:`ExperimentContext` caches schedules, profiles and simulation
-results per (workload, processors) group so a sweep over memory
-fractions re-uses its scheduling work, and frees a group's tables when
-the sweep is done with it.
+The :class:`ExperimentContext` caches liveness profiles (each holding
+its schedule), compiled schedules and simulation results per
+(workload, processors) group so a sweep over memory fractions re-uses
+its scheduling work, and frees a group's tables when the sweep is done
+with it.
 """
 
 from __future__ import annotations
@@ -226,8 +227,8 @@ class _Group:
 
     mapping: Optional[tuple[Placement, dict[str, int]]] = None
     baseline_pt: Optional[float] = None
-    #: ``(heuristic, capacity)`` -> schedule / profile / compiled form
-    schedules: dict[tuple, Schedule] = field(default_factory=dict)
+    #: ``(heuristic, capacity)`` -> the schedule's profile (which holds
+    #: the schedule) / compiled form (which holds that profile)
     profiles: dict[tuple, MemoryProfile] = field(default_factory=dict)
     compiled: dict[tuple, CompiledSchedule] = field(default_factory=dict)
     #: ``(heuristic, cap_arg, capacity, observed families, engine)`` ->
@@ -382,25 +383,23 @@ class ExperimentContext:
         return group.mapping
 
     def schedule(self, key: str, p: int, heuristic: str, capacity: Optional[int] = None) -> Schedule:
-        cache = self._group(key, p).schedules
+        return self.profile(key, p, heuristic, capacity).schedule
+
+    def profile(self, key: str, p: int, heuristic: str, capacity: Optional[int] = None) -> MemoryProfile:
+        """Liveness profile of the ``heuristic`` schedule, which it
+        holds; built once per (heuristic, capacity)."""
+        cache = self._group(key, p).profiles
         ck = (heuristic, capacity)
         if ck not in cache:
             placement, assignment = self.mapping(key, p)
-            cache[ck] = order_with(
+            cache[ck] = analyze_memory(order_with(
                 heuristic,
                 self.problem(key).graph,
                 placement,
                 assignment,
                 comm=self.spec.comm_model(),
                 capacity=capacity,
-            )
-        return cache[ck]
-
-    def profile(self, key: str, p: int, heuristic: str, capacity: Optional[int] = None) -> MemoryProfile:
-        cache = self._group(key, p).profiles
-        ck = (heuristic, capacity)
-        if ck not in cache:
-            cache[ck] = analyze_memory(self.schedule(key, p, heuristic, capacity))
+            ))
         return cache[ck]
 
     def compiled(self, key: str, p: int, heuristic: str, capacity: Optional[int] = None) -> CompiledSchedule:
@@ -412,10 +411,8 @@ class ExperimentContext:
         cache = self._group(key, p).compiled
         ck = (heuristic, capacity)
         if ck not in cache:
-            cache[ck] = CompiledSchedule(
-                self.schedule(key, p, heuristic, capacity),
-                profile=self.profile(key, p, heuristic, capacity),
-            )
+            prof = self.profile(key, p, heuristic, capacity)
+            cache[ck] = CompiledSchedule(prof.schedule, profile=prof)
         return cache[ck]
 
     def reference_tot(self, key: str, p: int) -> int:
@@ -451,22 +448,18 @@ class ExperimentContext:
         cache = self._group(key, p).analysis
         ak = (heuristic, cap_arg, capacity)
         if ak not in cache:
-            from ..analysis import analyze_schedule
+            from ..analysis import analyze_plan, analyze_schedule
 
             prof = self.profile(key, p, heuristic, cap_arg)
-            # Share the compiled schedule's memoised plan (what the
-            # simulator executes); non-executable cells have no plan
-            # and are reported via SA101.
-            plan = (
-                self.compiled(key, p, heuristic, cap_arg).plan_for(capacity)
-                if prof.executable_under(capacity) else None
-            )
-            report = analyze_schedule(
-                self.schedule(key, p, heuristic, cap_arg),
-                capacity=capacity,
-                profile=prof,
-                plan=plan,
-            )
+            # An executable cell shares the compiled schedule's memoised
+            # plan (what the simulator executes); a non-executable one
+            # has no plan and is reported via SA101.
+            if prof.executable_under(capacity):
+                report = analyze_plan(
+                    self.compiled(key, p, heuristic, cap_arg).plan_for(capacity))
+            else:
+                report = analyze_schedule(
+                    prof.schedule, capacity=capacity, profile=prof)
             cache[ak] = float(len(report.errors))
         return cache[ak]
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.liveness import analyze_memory
-from ..machine.simulator import Simulator
+from ..machine.simulator import CompiledSchedule, Simulator
 from ..machine.spec import CRAY_T3D, MachineSpec
 from ..rapid.inspector import order_with
 from ..sparse.lu import build_lu
@@ -125,7 +125,8 @@ def table8(
         if prof.min_mem > capacity:
             rows.append(Table8Row(p, float("inf"), float("inf"), 0.0))
             continue
-        res = Simulator(sched, spec=spec, capacity=capacity, profile=prof).run()
+        res = Simulator(spec=spec, capacity=capacity,
+                        compiled=CompiledSchedule(sched, profile=prof)).run()
         rows.append(
             Table8Row(
                 procs=p,

@@ -47,7 +47,7 @@ def _paper_example_claims() -> list[Claim]:
     dts = analyze_memory(dts_order(g, pl, asg))
     dcg = build_dcg(g)
     slices = tuple(o[0] for o in dcg.comp_objects)
-    plan = plan_maps(schedule_c(g), 8)
+    plan = plan_maps(pc, 8)
     extra = plan.points[1][-1]
     claims = [
         Claim("MIN_MEM of Fig 2(b) schedule = 9", "sec. 3.2",

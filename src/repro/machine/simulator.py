@@ -42,16 +42,13 @@ Two execution modes:
 Performance architecture
 ------------------------
 
-The static preprocessing (validation, liveness and the compiled
-engine's tables) depends only on the schedule, not on the memory
-capacity, so it lives in :class:`CompiledSchedule` and is computed once
-per schedule.  The experiment sweeps run one schedule under many
-capacities; compiling once and passing ``compiled=`` skips the repeated
-work.  A ``CompiledSchedule`` also memoises MAP plans per capacity.
-Tables that do not depend on the processor orders either are shared by
-every schedule of one mapping (RCP, MPO and DTS at one P), memoised on
-the mapping's :class:`~repro.core.index.MappingIndex`.  The name-keyed
-tables of the interpreted engine are the reference's own
+The static preprocessing depends only on the schedule, not on the
+memory capacity: it lives in :class:`CompiledSchedule`, built once per
+schedule (the sweeps pass it as ``compiled=``).  Tables that do not
+depend on the processor orders either are shared by every schedule of
+one mapping (RCP, MPO and DTS at one P), memoised on its
+:class:`~repro.core.index.MappingIndex`; the interpreted engine's
+name-keyed tables are the reference's own
 (:func:`repro.machine.reference.name_tables`).
 
 Readiness of a task is tracked with countdown counters: every task
@@ -123,7 +120,7 @@ from typing import Optional
 
 from ..core.index import graph_index
 from ..core.liveness import MemoryProfile, analyze_memory
-from ..core.maps import MapPlan, plan_maps
+from ..core.maps import MapPlan, check_capacity, plan_maps
 from ..core.placement import validate_owner_compute
 from ..core.schedule import Schedule
 from ..errors import SimulationError
@@ -277,31 +274,20 @@ class CompiledSchedule:
     :class:`~repro.errors.SimulationError`) and the engine tables.
     None of it depends on the memory capacity or execution mode, so
     one compiled schedule serves every run of that schedule — pass it
-    via ``Simulator(compiled=...)``.
+    via ``Simulator(compiled=...)``.  It is the one source of a run's
+    schedule and profile: a MAP plan runs on it only if it was made
+    from its profile.
 
-    MAP plans *do* depend on the capacity; :meth:`plan_for` memoises
-    them per capacity so a sweep re-running one schedule under a
-    capacity it has already planned pays nothing.
-
-    Cache-staleness guard
-    ---------------------
-    Both memoised caches are guarded against silent staleness:
-
-    * the MAP-plan cache (:meth:`plan_for`) is keyed by capacity only,
-      which is sound *because* everything else a plan depends on — the
-      schedule orders, the graph shape and the processor count — is
-      frozen into this object when it is built.  A structural
-      fingerprint is captured then, and :meth:`check_fresh` (called on
-      every ``plan_for`` / compiled-engine lookup) raises
-      :class:`~repro.errors.SimulationError` if the underlying
-      ``Schedule``/graph was mutated afterwards, instead of serving a
-      plan for a schedule that no longer exists.
-    * compiled-engine execution plans additionally depend on the
-      :class:`~repro.machine.spec.MachineSpec` (cost parameters) and the
-      execution mode, so they are cached under the full key
-      ``(capacity, spec, memory_managed)`` — ``MachineSpec``
-      is a frozen dataclass and hashes by value, so two sweeps over
-      different machines never share an execution plan.
+    Both memoised caches are guarded against silent staleness.
+    :meth:`plan_for` memoises MAP plans by capacity alone, which is
+    sound because the orders, the graph shape and the processor count
+    are frozen at compile time: a structural fingerprint taken then is
+    re-checked by :meth:`check_fresh` on every plan or compiled-engine
+    lookup, which raises :class:`~repro.errors.SimulationError` if the
+    schedule or graph was mutated since.  Compiled-engine execution
+    plans also depend on the (frozen, value-hashed)
+    :class:`~repro.machine.spec.MachineSpec` and the execution mode,
+    so they are keyed ``(capacity, spec, memory_managed)``.
     """
 
     def __init__(
@@ -405,12 +391,34 @@ class CompiledSchedule:
         if plan is None:
             self.counters["plan_misses"] += 1
             t0 = perf_counter()
-            plan = plan_maps(self.schedule, capacity, self.profile)
+            plan = plan_maps(self.profile, capacity)
             self.counters["plan_s"] += perf_counter() - t0
             self._plans[capacity] = plan
         else:
             self.counters["plan_hits"] += 1
         return plan
+
+
+def resolve_compiled(
+    schedule: Optional[Schedule] = None,
+    compiled: Optional[CompiledSchedule] = None,
+    plan: Optional[MapPlan] = None,
+) -> CompiledSchedule:
+    """The compiled schedule a run takes everything from: ``compiled``,
+    else ``plan``'s schedule and profile, else ``schedule``.  A
+    ``schedule`` or ``plan`` not of it raises :class:`SimulationError`."""
+    if compiled is None:
+        if plan is not None:
+            compiled = CompiledSchedule(plan.schedule, profile=plan.profile)
+        elif schedule is None:
+            raise SimulationError("Simulator needs a schedule or a compiled schedule")
+        else:
+            compiled = CompiledSchedule(schedule)
+    if schedule is not None and schedule is not compiled.schedule:
+        raise SimulationError("schedule does not match compiled.schedule")
+    if plan is not None and plan.profile is not compiled.profile:
+        raise SimulationError("plan does not match compiled.profile")
+    return compiled
 
 
 class Simulator:
@@ -424,23 +432,24 @@ class Simulator:
     spec:
         Machine cost parameters (default: :data:`~repro.machine.spec.CRAY_T3D`).
     capacity:
-        Per-processor memory in bytes/units; defaults to
+        Per-processor memory in bytes/units, a finite integer >= 0
+        (else :class:`~repro.errors.CapacityError`); defaults to
         ``spec.memory_capacity``.  With ``memory_managed=True`` a
         :class:`~repro.errors.NonExecutableScheduleError` propagates from
         the MAP planner when the capacity is below ``MIN_MEM``; the
         baseline mode requires ``capacity >= TOT``.
     memory_managed:
         Toggle the active memory management protocol (see module doc).
-    plan / profile:
-        Optional precomputed MAP plan and memory profile (re-used by the
-        experiment sweeps).  Both must be made for this very schedule
-        (``plan.schedule is compiled.schedule``, and the same for the
-        profile), else :class:`~repro.errors.SimulationError`; a plan of
-        the same schedule under another capacity is accepted.
+    plan:
+        Optional precomputed MAP plan, made from the run's own profile
+        (``plan.profile is compiled.profile``) under any capacity, else
+        :class:`~repro.errors.SimulationError`.
     compiled:
-        Optional :class:`CompiledSchedule`; skips validation, liveness
-        analysis and static preprocessing entirely.  One compiled
-        schedule can back any number of simulators.
+        Optional :class:`CompiledSchedule`, the one source of the run's
+        schedule and profile (see :func:`resolve_compiled`); skips
+        validation, liveness analysis and static preprocessing
+        entirely.  One compiled schedule can back any number of
+        simulators.
 
     :meth:`run` keeps all mutable execution state local to the call, so
     a simulator can be run repeatedly (and concurrently) and an aborted
@@ -454,7 +463,6 @@ class Simulator:
         capacity: Optional[int] = None,
         memory_managed: bool = True,
         plan: Optional[MapPlan] = None,
-        profile: Optional[MemoryProfile] = None,
         preknown_addresses: bool = False,
         trace: bool = False,
         compiled: Optional[CompiledSchedule] = None,
@@ -484,30 +492,17 @@ class Simulator:
         ``is None`` test per injection site; ``slow_procs`` outside
         ``[0, p)`` raise :class:`~repro.errors.SimulationError`.
 
-        ``engine`` selects the execution engine: ``"compiled"`` (the
-        array-compiled engine of :mod:`repro.machine.compiled`, default)
-        or ``"interpreted"`` (the reference oracle of
-        :mod:`repro.machine.reference`).  The two agree exactly, faulted
-        runs included, and observed runs (``metrics``, ``trace``, an
-        enabled ``instrument``) see the same hook calls, with the same
-        arguments, in the same order on both.  A caller-supplied
-        ``plan`` runs compiled through an uncached exec plan.
-        ``SimResult.engine`` records which engine ran."""
+        ``engine`` selects the execution engine, ``"compiled"`` (default)
+        or ``"interpreted"``; see "Engine selection" in the module
+        docstring.  A caller-supplied ``plan`` runs compiled through an
+        uncached exec plan."""
         if engine not in ENGINES:
             raise SimulationError(
                 f"unknown engine {engine!r}; expected 'interpreted' or "
                 "'compiled'"
             )
         self.engine = engine
-        if compiled is None:
-            if schedule is None:
-                raise SimulationError("Simulator needs a schedule or a compiled schedule")
-            compiled = CompiledSchedule(schedule, profile=profile)
-        elif schedule is not None and schedule is not compiled.schedule:
-            raise SimulationError("schedule does not match compiled.schedule")
-        if plan is not None and plan.schedule is not compiled.schedule:
-            raise SimulationError("plan does not match compiled.schedule")
-        self.compiled = compiled
+        self.compiled = compiled = resolve_compiled(schedule, compiled, plan)
         self.schedule = compiled.schedule
         self.spec = spec
         self.g = compiled.graph
@@ -533,7 +528,7 @@ class Simulator:
             capacity = (
                 spec.memory_capacity if memory_managed else max(self.profile.tot, 1)
             )
-        self.capacity = int(capacity)
+        self.capacity = check_capacity(capacity)
         if memory_managed:
             self.plan = plan if plan is not None else compiled.plan_for(self.capacity)
         else:
@@ -603,14 +598,6 @@ class Simulator:
         return result
 
 
-def simulate(
-    schedule: Schedule,
-    spec: MachineSpec = CRAY_T3D,
-    capacity: Optional[int] = None,
-    memory_managed: bool = True,
-    **kw,
-) -> SimResult:
+def simulate(schedule: Schedule, **kw) -> SimResult:
     """Convenience wrapper: build a :class:`Simulator` and run it."""
-    return Simulator(
-        schedule, spec=spec, capacity=capacity, memory_managed=memory_managed, **kw
-    ).run()
+    return Simulator(schedule, **kw).run()

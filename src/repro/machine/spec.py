@@ -12,7 +12,8 @@ All times are seconds; sizes are bytes.  The worked examples instead use
 :data:`UNIT_MACHINE` (unit task weights, unit message cost, zero
 overheads) to match the paper's Figure 2 accounting.  Every cost must be
 finite and non-negative, ``flop_rate`` finite and positive and
-``memory_capacity`` non-negative; a spec violating that raises
+``memory_capacity`` a finite integer >= 0
+(:func:`~repro.core.maps.is_capacity`); a spec violating that raises
 :class:`~repro.errors.MachineSpecError` when it is built.
 """
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from ..core.maps import check_capacity, is_capacity
 from ..core.schedule import CommModel
 from ..errors import MachineSpecError
 
@@ -76,10 +78,9 @@ class MachineSpec:
             raise MachineSpecError(
                 "flop_rate", self.flop_rate, "finite and > 0"
             )
-        if self.memory_capacity < 0:
-            raise MachineSpecError(
-                "memory_capacity", self.memory_capacity, ">= 0"
-            )
+        if not is_capacity(self.memory_capacity):
+            raise MachineSpecError("memory_capacity", self.memory_capacity,
+                                   "a finite integer >= 0")
 
     def comm_model(self) -> CommModel:
         """The linear message-cost model used for schedule prediction."""
@@ -94,8 +95,9 @@ class MachineSpec:
         return max(flops / self.flop_rate, floor)
 
     def with_capacity(self, capacity: int) -> "MachineSpec":
-        """Copy of the spec with a different per-processor capacity."""
-        return replace(self, memory_capacity=int(capacity))
+        """Copy of the spec with a different per-processor capacity
+        (checked by :func:`~repro.core.maps.check_capacity`)."""
+        return replace(self, memory_capacity=check_capacity(capacity))
 
     def scaled_overheads(self, factor: float) -> "MachineSpec":
         """Copy with all memory-management overheads scaled by

@@ -32,7 +32,7 @@ from ..core.schedule import Schedule, gantt
 from ..graph.builder import GraphBuilder
 from ..graph.tasks import Kernel
 from ..graph.taskgraph import TaskGraph
-from ..machine.simulator import SimResult, Simulator
+from ..machine.simulator import CompiledSchedule, SimResult, Simulator
 from ..machine.spec import CRAY_T3D, MachineSpec
 from .executor import execute_schedule
 from .inspector import parallelize
@@ -67,7 +67,11 @@ class ParallelProgram:
 
     def plan(self, capacity: int) -> MapPlan:
         """Static MAP plan under a capacity (section 3.3)."""
-        return plan_maps(self.schedule, capacity, self.profile)
+        return plan_maps(self.profile, capacity)
+
+    def compiled(self) -> CompiledSchedule:
+        """This program's schedule compiled with its profile."""
+        return CompiledSchedule(self.schedule, profile=self.profile)
 
     # -- execution -------------------------------------------------------
 
@@ -79,11 +83,10 @@ class ParallelProgram:
     ) -> SimResult:
         """Execute on the simulated machine (active memory management)."""
         return Simulator(
-            self.schedule,
             spec=spec or self.spec,
             capacity=capacity,
             memory_managed=memory_managed,
-            profile=self.profile,
+            compiled=self.compiled(),
         ).run()
 
     def run_numeric(self, store: dict) -> dict:
@@ -126,15 +129,14 @@ class ParallelProgram:
             raise ValueError("iterations must be >= 1")
         mspec = spec or self.spec
         first = Simulator(
-            self.schedule, spec=mspec, capacity=capacity, profile=self.profile
+            spec=mspec, capacity=capacity, compiled=self.compiled()
         ).run()
         if iterations == 1:
             return IterativeResult(iterations, first, first, first.parallel_time)
         steady = Simulator(
-            self.schedule,
             spec=mspec,
             capacity=capacity,
-            profile=self.profile,
+            compiled=self.compiled(),
             preknown_addresses=True,
         ).run()
         total = first.parallel_time + (iterations - 1) * steady.parallel_time

@@ -110,8 +110,8 @@ def expected(ctx):
 
 
 def replace_points(plan, points):
-    return MapPlan(schedule=plan.schedule, capacity=plan.capacity,
-                   points=points, profile=plan.profile)
+    return MapPlan(capacity=plan.capacity, points=points,
+                   profile=plan.profile)
 
 
 def assert_same(ctx):
@@ -236,7 +236,7 @@ def base_plans(seed):
             for cap in (profile.min_mem,
                         (profile.min_mem + profile.tot) // 2,
                         max(profile.tot, 1)):
-                yield plan_maps(sched, cap, profile)
+                yield plan_maps(profile, cap)
 
 
 def mutants(plan, rng):
@@ -261,8 +261,8 @@ def mutated_contexts():
         for plan in base_plans(seed):
             for mutant in mutants(plan, rng):
                 yield engine.AnalysisContext(
-                    schedule=mutant.schedule, capacity=mutant.capacity,
-                    profile=mutant.profile, plan=mutant)
+                    capacity=mutant.capacity, profile=mutant.profile,
+                    plan=mutant)
 
 
 def test_mutated_plans_match_the_reference():
@@ -325,7 +325,7 @@ def dead_allocation_plan(p0_allocs):
         orders=[["r"], ["w"]],
     )
     return MapPlan(
-        schedule=sched, capacity=10,
+        capacity=10,
         points=[[MapPoint(proc=0, position=0, allocs=p0_allocs,
                           notifications={1: ["v"]})],
                 [MapPoint(proc=1, position=0)]],

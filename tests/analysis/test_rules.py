@@ -47,7 +47,6 @@ def crafted_schedule() -> Schedule:
 
 def hand_plan(sched: Schedule, capacity: int, p0_points, p1_points=None) -> MapPlan:
     return MapPlan(
-        schedule=sched,
         capacity=capacity,
         points=[p0_points, p1_points or [MapPoint(proc=1, position=0)]],
         profile=analyze_memory(sched),
@@ -67,7 +66,7 @@ def error_codes(report):
 
 
 def test_planner_output_is_clean(sched):
-    report = analyze_plan(plan_maps(sched, 5), label="clean")
+    report = analyze_plan(plan_maps(analyze_memory(sched), 5), label="clean")
     assert report.ok
     assert report.diagnostics == []
     assert "OK" in report.summary()
@@ -99,7 +98,7 @@ def test_sa102_plan_over_capacity(sched):
 def test_sa103_zero_headroom_advisory(sched):
     profile = analyze_memory(sched)
     assert profile.tot > profile.min_mem  # headroom was available
-    report = analyze_plan(plan_maps(sched, profile.min_mem))
+    report = analyze_plan(plan_maps(profile, profile.min_mem))
     assert report.ok  # informational only
     assert [d.rule for d in report.diagnostics] == ["SA103"]
     assert report.diagnostics[0].severity == Severity.INFO

@@ -13,7 +13,7 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis import INVARIANT_RULES, analyze_schedule
+from repro.analysis import INVARIANT_RULES, analyze_plan, analyze_schedule
 from repro.analysis.harness import analyze_batch, analyze_overwrite_demo
 from repro.conformance import fault_preset
 from repro.conformance.check import check_batch, overwrite_demo
@@ -63,8 +63,7 @@ def test_cost_budget_cells_are_clean():
         assert analyze_schedule(sched, fraction=1.0).ok
     cs = ctx.compiled("lu-goodwin", 32, "rcp")
     cap = cs.profile.tot // 2
-    report = analyze_schedule(cs.schedule, capacity=cap, profile=cs.profile,
-                              plan=cs.plan_for(cap))
+    report = analyze_plan(cs.plan_for(cap))
     checker = InvariantChecker(cs)
     Simulator(spec=ctx.spec, capacity=cap, compiled=cs,
               instrument=checker).run()

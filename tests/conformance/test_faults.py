@@ -124,8 +124,8 @@ class TestFaultedRuns:
 
 class TestOverwriteDetection:
     def test_scenario_is_clean_without_the_fault(self):
-        sched, plan, cap = overwrite_scenario()
-        res = Simulator(sched, capacity=cap, plan=plan).run()
+        plan = overwrite_scenario()
+        res = Simulator(capacity=plan.capacity, plan=plan).run()
         assert res.parallel_time > 0
 
     def test_overwrite_detected_with_cycle_witness(self):

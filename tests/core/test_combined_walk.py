@@ -43,8 +43,8 @@ def times(fn, sched):
 
 def protocol_rows(sched):
     # A fresh profile per call: the SA304 finding is memoised on it.
-    ctx = AnalysisContext(schedule=sched, capacity=0,
-                          profile=analyze_memory(sched), plan=None)
+    ctx = AnalysisContext(capacity=0, profile=analyze_memory(sched),
+                          plan=None)
     return [(d.rule, d.message, d.task, d.proc, d.cycle, d.witness)
             for d in protocol.protocol_pass(ctx)]
 

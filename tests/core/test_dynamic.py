@@ -37,7 +37,7 @@ class TestETF:
         g = random_trace(50, 9, seed=4)
         s = etf_schedule(g, 3)
         prof = analyze_memory(s)
-        res = simulate(s, spec=UNIT_MACHINE, capacity=prof.min_mem, profile=prof)
+        res = simulate(s, spec=UNIT_MACHINE, capacity=prof.min_mem)
         assert res.peak_memory <= prof.min_mem
 
     def test_memory_oblivious_on_average(self):

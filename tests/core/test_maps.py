@@ -19,20 +19,20 @@ from repro.graph.paper_example import paper_example_graph, schedule_b, schedule_
 class TestPlanner:
     def test_first_map_at_beginning(self):
         g = paper_example_graph()
-        plan = plan_maps(schedule_c(g), 8)
+        plan = plan_maps(analyze_memory(schedule_c(g)), 8)
         for pts, order in zip(plan.points, plan.schedule.orders):
             if order:
                 assert pts[0].position == 0
 
     def test_single_map_when_memory_ample(self):
         g = paper_example_graph()
-        plan = plan_maps(schedule_c(g), 100)
+        plan = plan_maps(analyze_memory(schedule_c(g)), 100)
         assert plan.maps_per_proc == [1, 1]
         assert plan.avg_maps == 1.0
 
     def test_unconstrained_plan(self):
         g = paper_example_graph()
-        plan = unconstrained_plan(schedule_c(g))
+        plan = unconstrained_plan(analyze_memory(schedule_c(g)))
         assert plan.avg_maps == 1.0
 
     def test_maps_increase_as_memory_shrinks(self):
@@ -40,7 +40,7 @@ class TestPlanner:
         sc = schedule_c(g)
         prof = analyze_memory(sc)
         counts = [
-            plan_maps(sc, cap, prof).avg_maps
+            plan_maps(prof, cap).avg_maps
             for cap in range(prof.min_mem, prof.tot + 1)
         ]
         assert counts == sorted(counts, reverse=True)
@@ -50,21 +50,21 @@ class TestPlanner:
         sc = schedule_c(g)
         prof = analyze_memory(sc)
         with pytest.raises(NonExecutableScheduleError):
-            plan_maps(sc, prof.min_mem - 1, prof)
+            plan_maps(prof, prof.min_mem - 1)
 
     def test_executable_at_exactly_min_mem(self):
         """The planner and Definition 6 agree at the boundary."""
         g = paper_example_graph()
         sc = schedule_c(g)
         prof = analyze_memory(sc)
-        plan = plan_maps(sc, prof.min_mem, prof)
+        plan = plan_maps(prof, prof.min_mem)
         assert plan.avg_maps >= 1.0
 
     def test_allocs_cover_all_volatiles_once(self):
         g = paper_example_graph()
         sc = schedule_c(g)
         prof = analyze_memory(sc)
-        plan = plan_maps(sc, prof.min_mem, prof)
+        plan = plan_maps(prof, prof.min_mem)
         for q, pts in enumerate(plan.points):
             allocs = [m for mp in pts for m in mp.allocs]
             assert sorted(allocs) == sorted(prof.procs[q].span)
@@ -74,7 +74,7 @@ class TestPlanner:
         g = paper_example_graph()
         sc = schedule_b(g)
         prof = analyze_memory(sc)
-        plan = plan_maps(sc, prof.min_mem, prof)
+        plan = plan_maps(prof, prof.min_mem)
         for pts in plan.points:
             allocated = set()
             for mp in pts:
@@ -86,7 +86,7 @@ class TestPlanner:
     def test_notifications_target_owners(self):
         g = paper_example_graph()
         sc = schedule_c(g)
-        plan = plan_maps(sc, 8)
+        plan = plan_maps(analyze_memory(sc), 8)
         for pts in plan.points:
             for mp in pts:
                 for owner, objs in mp.notifications.items():
@@ -103,7 +103,7 @@ class TestPlanner:
             s = mpo_order(g, pl, asg)
             prof = analyze_memory(s)
             cap = prof.min_mem
-            plan = plan_maps(s, cap, prof)
+            plan = plan_maps(prof, cap)
             for q, pts in enumerate(plan.points):
                 used = prof.procs[q].perm_bytes
                 sizes = {m: g.object(m).size for m in prof.procs[q].span}
@@ -114,7 +114,7 @@ class TestPlanner:
 
     def test_stats(self):
         g = paper_example_graph()
-        plan = plan_maps(schedule_c(g), 8)
+        plan = plan_maps(analyze_memory(schedule_c(g)), 8)
         assert plan.total_allocations == 5  # 4 volatiles on P1 + 1 on P0
         assert plan.total_frees >= 2
         assert plan.total_packages >= 2
@@ -131,7 +131,7 @@ class TestAgreementWithDefinition6:
         asg = owner_compute_assignment(g, pl)
         s = rcp_order(g, pl, asg)
         prof = analyze_memory(s)
-        plan_maps(s, prof.min_mem, prof)  # must not raise
+        plan_maps(prof, prof.min_mem)  # must not raise
         if prof.min_mem > prof.procs[0].perm_bytes:
             with pytest.raises(NonExecutableScheduleError):
-                plan_maps(s, prof.min_mem - 1, prof)
+                plan_maps(prof, prof.min_mem - 1)

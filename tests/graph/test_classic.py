@@ -70,7 +70,7 @@ class TestFFT:
         g = fft_graph(3)
         s = parallelize(g, 2, clustering="dsc")
         prof = analyze_memory(s)
-        res = simulate(s, spec=UNIT_MACHINE, capacity=prof.min_mem, profile=prof)
+        res = simulate(s, spec=UNIT_MACHINE, capacity=prof.min_mem)
         assert res.parallel_time > 0
 
 
@@ -98,5 +98,5 @@ class TestStencil:
         for h in ("rcp", "mpo", "dts"):
             s = parallelize(g, 3, heuristic=h)
             prof = analyze_memory(s)
-            res = simulate(s, spec=UNIT_MACHINE, capacity=prof.min_mem, profile=prof)
+            res = simulate(s, spec=UNIT_MACHINE, capacity=prof.min_mem)
             assert res.peak_memory <= prof.min_mem

@@ -77,7 +77,7 @@ class TestRepeatSchedule:
     def test_simulatable_at_min_mem(self):
         s3 = repeat_schedule(self.s1, 2)
         prof = analyze_memory(s3)
-        res = simulate(s3, spec=UNIT_MACHINE, capacity=prof.min_mem, profile=prof)
+        res = simulate(s3, spec=UNIT_MACHINE, capacity=prof.min_mem)
         assert res.peak_memory <= prof.min_mem
 
     def test_memory_does_not_grow_with_iterations(self):

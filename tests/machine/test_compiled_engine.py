@@ -243,7 +243,7 @@ class TestErrorParity:
         from repro.core.maps import MapPoint, plan_maps
 
         cs = CompiledSchedule(schedule_c(paper_example_graph()))
-        plan = plan_maps(cs.schedule, 9, cs.profile)
+        plan = plan_maps(cs.profile, 9)
         pos = plan.points[1][-1].position
         plan.points[1].append(MapPoint(proc=1, position=pos))
         self._refused(cs, plan, f"^P1 has two MAPs at position {pos}$")
@@ -254,7 +254,7 @@ class TestErrorParity:
         from repro.core.maps import MapPoint, plan_maps
 
         cs = CompiledSchedule(schedule_c(paper_example_graph()))
-        plan = plan_maps(cs.schedule, 9, cs.profile)
+        plan = plan_maps(cs.profile, 9)
         n = len(cs.schedule.orders[0])
         plan.points[0].append(MapPoint(proc=0, position=n))
         self._refused(cs, plan, f"^P0 has a MAP at position {n}, outside "
@@ -358,7 +358,7 @@ class TestFallbacks:
 
         # A tighter plan than the capacity needs: more MAPs than the
         # memoised plan the cache would serve for capacity 9.
-        plan = plan_maps(cs.schedule, cs.profile.min_mem, cs.profile)
+        plan = plan_maps(cs.profile, cs.profile.min_mem)
         res = assert_exact_match(
             lambda e: Simulator(
                 spec=UNIT_MACHINE, capacity=9, compiled=cs,

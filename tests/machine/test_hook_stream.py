@@ -328,8 +328,9 @@ def test_overwrite_demo_deadlock(seed):
     after the same hook prefix."""
     from repro.conformance import FaultSpec
 
-    sched, plan, cap = overwrite_scenario()
-    cs = CompiledSchedule(sched)
+    plan = overwrite_scenario()
+    cs = CompiledSchedule(plan.schedule, profile=plan.profile)
+    cap = plan.capacity
     outcome, calls = assert_same_stream(
         lambda e, r: Simulator(
             spec=UNIT_MACHINE, compiled=cs, capacity=cap, plan=plan,

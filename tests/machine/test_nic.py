@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import analyze_memory, cyclic_placement, owner_compute_assignment, rcp_order
 from repro.graph.generators import fork_join, random_trace
-from repro.machine import MachineSpec, Simulator
+from repro.machine import CompiledSchedule, MachineSpec, Simulator
 
 
 def spec(nic: bool) -> MachineSpec:
@@ -29,10 +29,9 @@ class TestNicSerialization:
         g = random_trace(50, 10, seed=seed)
         pl = cyclic_placement(g, 3)
         asg = owner_compute_assignment(g, pl)
-        s = rcp_order(g, pl, asg)
-        prof = analyze_memory(s)
-        free = Simulator(s, spec=spec(False), profile=prof).run().parallel_time
-        ser = Simulator(s, spec=spec(True), profile=prof).run().parallel_time
+        cs = CompiledSchedule(rcp_order(g, pl, asg))
+        free = Simulator(spec=spec(False), compiled=cs).run().parallel_time
+        ser = Simulator(spec=spec(True), compiled=cs).run().parallel_time
         assert ser >= free - 1e-9
 
     def test_fanout_contends(self):
@@ -42,10 +41,9 @@ class TestNicSerialization:
         g = fork_join(1, 8, weight=1.0, size=4)
         pl = cyclic_placement(g, 4)
         asg = owner_compute_assignment(g, pl)
-        s = rcp_order(g, pl, asg)
-        prof = analyze_memory(s)
-        free = Simulator(s, spec=spec(False), profile=prof).run().parallel_time
-        ser = Simulator(s, spec=spec(True), profile=prof).run().parallel_time
+        cs = CompiledSchedule(rcp_order(g, pl, asg))
+        free = Simulator(spec=spec(False), compiled=cs).run().parallel_time
+        ser = Simulator(spec=spec(True), compiled=cs).run().parallel_time
         assert ser > free
 
     def test_completes_under_memory_pressure(self):
@@ -55,6 +53,6 @@ class TestNicSerialization:
         s = rcp_order(g, pl, asg)
         prof = analyze_memory(s)
         res = Simulator(
-            s, spec=spec(True), capacity=prof.min_mem, profile=prof
+            s, spec=spec(True), capacity=prof.min_mem
         ).run()
         assert res.peak_memory <= prof.min_mem

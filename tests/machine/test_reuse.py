@@ -20,6 +20,7 @@ from repro.analysis import analyze_schedule
 from repro.core import (
     analyze_memory, cyclic_placement, mpo_order, owner_compute_assignment, rcp_order,
 )
+from repro.conformance import differential_check, run_check
 from repro.core.maps import plan_maps
 from repro.errors import ReproError, SchedulingError, SimulationError
 from repro.graph.generators import random_trace
@@ -38,7 +39,7 @@ class TestPlanReuse:
         """A plan made for capacity 8, replayed under capacity 7, fails
         mid-run — and must still execute correctly afterwards."""
         sc = paper_setup()
-        plan = plan_maps(sc, 8)
+        plan = plan_maps(analyze_memory(sc), 8)
         with pytest.raises(ReproError):
             Simulator(sc, spec=UNIT_MACHINE, capacity=7, plan=plan).run()
         # The same plan object, at the capacity it was made for.
@@ -59,14 +60,14 @@ class TestPlanReuse:
         other = mpo_order(g, pl, asg)
         cs = CompiledSchedule(rcp_order(g, pl, asg))
         for cap in (analyze_memory(other).min_mem, analyze_memory(other).tot):
-            plan = plan_maps(other, cap)
+            plan = plan_maps(analyze_memory(other), cap)
             with pytest.raises(SimulationError, match="plan does not match"):
                 Simulator(compiled=cs, spec=UNIT_MACHINE, capacity=cap,
                           plan=plan, engine=engine)
         # A plan of the compiled schedule itself runs, on either engine.
         cap = cs.profile.tot
         res = Simulator(compiled=cs, spec=UNIT_MACHINE, capacity=cap,
-                        plan=plan_maps(cs.schedule, cap), engine=engine).run()
+                        plan=plan_maps(cs.profile, cap), engine=engine).run()
         assert res.parallel_time == Simulator(
             compiled=cs, spec=UNIT_MACHINE, capacity=cap).run().parallel_time
 
@@ -83,11 +84,55 @@ class TestPlanReuse:
         with pytest.raises(SchedulingError, match="profile does not match"):
             analyze_schedule(sched, profile=other)
 
+    def test_plan_of_another_profile_is_rejected(self):
+        """A run takes its profile from its compiled schedule: a plan made
+        from another profile, even one of the same schedule, is refused."""
+        cs = CompiledSchedule(paper_setup())
+        plan = plan_maps(analyze_memory(cs.schedule), 8)
+        with pytest.raises(SimulationError, match="plan does not match"):
+            Simulator(compiled=cs, spec=UNIT_MACHINE, capacity=8, plan=plan)
+        # Without ``compiled`` the run compiles the plan's own profile.
+        sim = Simulator(cs.schedule, spec=UNIT_MACHINE, capacity=8, plan=plan)
+        assert sim.compiled.profile is plan.profile
+
+    def test_mismatched_inputs_can_no_longer_be_written(self):
+        """The planner, the simulator and the analyzer take no loose
+        profile or plan beside the schedule that made it."""
+        g = random_trace(60, 10, seed=11)
+        pl = cyclic_placement(g, 3)
+        asg = owner_compute_assignment(g, pl)
+        rcp, mpo = rcp_order(g, pl, asg), mpo_order(g, pl, asg)
+        rcp_prof, mpo_prof = analyze_memory(rcp), analyze_memory(mpo)
+        with pytest.raises(TypeError):
+            plan_maps(rcp, rcp_prof.tot, mpo_prof)
+        with pytest.raises(TypeError):
+            Simulator(compiled=CompiledSchedule(rcp), profile=mpo_prof)
+        with pytest.raises(TypeError):
+            analyze_schedule(rcp, capacity=rcp_prof.tot,
+                             plan=plan_maps(rcp_prof, rcp_prof.tot))
+
+    def test_checked_run_takes_the_schedule_from_compiled(self):
+        """``run_check`` and its oracle judge one schedule: the compiled
+        one.  Another schedule beside it is refused, not silently
+        compared against the compiled run."""
+        g = random_trace(60, 10, seed=11)
+        pl = cyclic_placement(g, 3)
+        asg = owner_compute_assignment(g, pl)
+        rcp, mpo = rcp_order(g, pl, asg), mpo_order(g, pl, asg)
+        cs = CompiledSchedule(mpo)
+        for check in (run_check, differential_check):
+            with pytest.raises(SimulationError,
+                               match="schedule does not match compiled.schedule"):
+                check(rcp, compiled=cs)
+        report = run_check(compiled=cs)
+        assert report.ok and report.label == mpo.meta["heuristic"]
+        assert differential_check(compiled=cs).ok
+
     def test_failure_is_repeatable(self):
         """A failing configuration fails the same way every run — no
         state carries over between attempts."""
         sc = paper_setup()
-        plan = plan_maps(sc, 8)
+        plan = plan_maps(analyze_memory(sc), 8)
         sim = Simulator(sc, spec=UNIT_MACHINE, capacity=7, plan=plan)
         for _ in range(3):
             with pytest.raises(ReproError):
@@ -95,7 +140,7 @@ class TestPlanReuse:
 
     def test_two_simulators_share_one_plan(self):
         sc = paper_setup()
-        plan = plan_maps(sc, 8)
+        plan = plan_maps(analyze_memory(sc), 8)
         r1 = Simulator(sc, spec=UNIT_MACHINE, capacity=8, plan=plan).run()
         r2 = Simulator(sc, spec=UNIT_MACHINE, capacity=8, plan=plan).run()
         assert r1.parallel_time == r2.parallel_time
@@ -108,7 +153,7 @@ class TestPlanReuse:
         pl = cyclic_placement(g, 3)
         s = mpo_order(g, pl, owner_compute_assignment(g, pl))
         prof = analyze_memory(s)
-        sim = Simulator(s, spec=UNIT_MACHINE, capacity=prof.min_mem, profile=prof)
+        sim = Simulator(s, spec=UNIT_MACHINE, capacity=prof.min_mem)
         results = [sim.run() for _ in range(3)]
         assert len({r.parallel_time for r in results}) == 1
         assert len({r.avg_maps for r in results}) == 1
@@ -120,7 +165,7 @@ class TestPlanReuse:
         pl = cyclic_placement(g, 4)
         s = mpo_order(g, pl, owner_compute_assignment(g, pl))
         prof = analyze_memory(s)
-        sim = Simulator(s, spec=UNIT_MACHINE, capacity=prof.min_mem, profile=prof)
+        sim = Simulator(s, spec=UNIT_MACHINE, capacity=prof.min_mem)
         reference = sim.run()
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(pool.map(lambda _i: sim.run(), range(8)))

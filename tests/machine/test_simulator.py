@@ -56,7 +56,8 @@ class TestSpec:
           for v in (-0.5, float("nan"), float("inf"))),
         ("flop_rate", 0.0), ("flop_rate", -1.0),
         ("flop_rate", float("nan")), ("flop_rate", float("inf")),
-        ("memory_capacity", -1),
+        ("memory_capacity", -1), ("memory_capacity", float("nan")),
+        ("memory_capacity", float("inf")), ("memory_capacity", 2.5),
     ])
     def test_bad_parameter_rejected_at_construction(self, field, value):
         with pytest.raises(MachineSpecError, match=f"MachineSpec.{field}"):
@@ -137,14 +138,14 @@ class TestMemoryManagement:
         prof = analyze_memory(s)
         pts = []
         for cap in (prof.tot, (prof.tot + prof.min_mem) // 2, prof.min_mem):
-            pts.append(simulate(s, spec=UNIT_MACHINE, capacity=cap, profile=prof).parallel_time)
+            pts.append(simulate(s, spec=UNIT_MACHINE, capacity=cap).parallel_time)
         assert pts[0] <= pts[-1]
 
     def test_suspended_sends_happen_under_pressure(self):
         g = random_trace(100, 15, seed=3)
         s = setup(g, 4)
         prof = analyze_memory(s)
-        res = simulate(s, spec=UNIT_MACHINE, capacity=prof.min_mem, profile=prof)
+        res = simulate(s, spec=UNIT_MACHINE, capacity=prof.min_mem)
         assert sum(st.suspended_sends for st in res.stats) > 0
 
     def test_all_heuristics_run_managed(self):
@@ -154,7 +155,7 @@ class TestMemoryManagement:
         for fn in (rcp_order, mpo_order, dts_order):
             s = fn(g, pl, asg)
             prof = analyze_memory(s)
-            res = simulate(s, spec=UNIT_MACHINE, capacity=prof.min_mem, profile=prof)
+            res = simulate(s, spec=UNIT_MACHINE, capacity=prof.min_mem)
             assert res.peak_memory <= prof.min_mem
 
 
@@ -175,8 +176,8 @@ class TestOverheadAccounting:
             package_overhead=0.5, address_cost=0.05, ra_cost=0.1,
         )
         prof = analyze_memory(s)
-        t_fast = simulate(s, spec=fast, capacity=prof.min_mem, profile=prof).parallel_time
-        t_slow = simulate(s, spec=slow, capacity=prof.min_mem, profile=prof).parallel_time
+        t_fast = simulate(s, spec=fast, capacity=prof.min_mem).parallel_time
+        t_slow = simulate(s, spec=slow, capacity=prof.min_mem).parallel_time
         assert t_slow > t_fast
 
     def test_message_counters(self):

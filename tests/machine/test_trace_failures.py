@@ -91,7 +91,7 @@ class TestFailureInjection:
         g = paper_example_graph()
         sc = schedule_c(g)
         prof = analyze_memory(sc)
-        plan = plan_maps(sc, 9, prof)
+        plan = plan_maps(prof, 9)
         # strip every allocation of P1's first MAP
         stolen = list(plan.points[1][0].allocs)
         assert stolen
@@ -99,7 +99,7 @@ class TestFailureInjection:
         for objs in plan.points[1][0].notifications.values():
             objs.clear()
         with pytest.raises((SimulationError, DeadlockError)):
-            Simulator(sc, spec=UNIT_MACHINE, capacity=9, plan=plan, profile=prof).run()
+            Simulator(sc, spec=UNIT_MACHINE, capacity=9, plan=plan).run()
 
     def test_corrupted_plan_double_alloc(self):
         from repro.errors import MemoryError_
@@ -107,11 +107,11 @@ class TestFailureInjection:
         g = paper_example_graph()
         sc = schedule_c(g)
         prof = analyze_memory(sc)
-        plan = plan_maps(sc, 9, prof)
+        plan = plan_maps(prof, 9)
         mp = plan.points[1][0]
         mp.allocs.append(mp.allocs[0])  # duplicate allocation
         with pytest.raises(MemoryError_):
-            Simulator(sc, spec=UNIT_MACHINE, capacity=9, plan=plan, profile=prof).run()
+            Simulator(sc, spec=UNIT_MACHINE, capacity=9, plan=plan).run()
 
     def test_missing_producer_rejected(self):
         """A volatile read with no producer anywhere is caught at build
@@ -132,14 +132,14 @@ class TestFailureInjection:
         g = paper_example_graph()
         sc = schedule_c(g)
         prof = analyze_memory(sc)
-        plan = plan_maps(sc, 9, prof)
+        plan = plan_maps(prof, 9)
         # Drop only the notifications: space exists but the owner never
         # learns the addresses -> data never flows -> REC deadlock.
         for pts in plan.points:
             for mp in pts:
                 mp.notifications.clear()
         with pytest.raises(DeadlockError) as ei:
-            Simulator(sc, spec=UNIT_MACHINE, capacity=9, plan=plan, profile=prof).run()
+            Simulator(sc, spec=UNIT_MACHINE, capacity=9, plan=plan).run()
         assert ei.value.details  # per-processor diagnosis attached
 
     def test_invalid_order_rejected(self):

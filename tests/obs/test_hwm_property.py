@@ -39,9 +39,9 @@ def make(ps):
     return g, pl, owner_compute_assignment(g, pl)
 
 
-def check_hwm(s, capacity, profile=None):
+def check_hwm(s, capacity):
     res = simulate(
-        s, spec=UNIT_MACHINE, capacity=capacity, profile=profile, metrics=True
+        s, spec=UNIT_MACHINE, capacity=capacity, metrics=True
     )
     predicted = res.plan.predicted_peaks()
     observed = res.telemetry.memory.high_waters()
@@ -55,7 +55,7 @@ def check_hwm(s, capacity, profile=None):
 def test_paper_example_hwm_at_min_mem():
     for s in (schedule_b(), schedule_c()):
         prof = analyze_memory(s)
-        res = check_hwm(s, prof.min_mem, profile=prof)
+        res = check_hwm(s, prof.min_mem)
         # the binding processor hits the liveness bound exactly
         assert max(res.telemetry.memory.high_waters()) == prof.min_mem
 
@@ -64,7 +64,7 @@ def test_paper_example_hwm_above_min_mem():
     s = schedule_c()
     prof = analyze_memory(s)
     for cap in range(prof.min_mem, prof.tot + 1):
-        check_hwm(s, cap, profile=prof)
+        check_hwm(s, cap)
 
 
 @settings(max_examples=30, deadline=None)
@@ -74,7 +74,7 @@ def test_hwm_matches_static_prediction(ps, order_fn, frac):
     s = order_fn(g, pl, asg)
     prof = analyze_memory(s)
     cap = int(prof.min_mem + frac * (prof.tot - prof.min_mem))
-    check_hwm(s, cap, profile=prof)
+    check_hwm(s, cap)
 
 
 @settings(max_examples=20, deadline=None)
@@ -85,5 +85,5 @@ def test_hwm_is_min_mem_at_the_min_mem_capacity(ps, order_fn):
     g, pl, asg = make(ps)
     s = order_fn(g, pl, asg)
     prof = analyze_memory(s)
-    res = check_hwm(s, prof.min_mem, profile=prof)
+    res = check_hwm(s, prof.min_mem)
     assert max(res.telemetry.memory.high_waters()) == prof.min_mem

@@ -35,7 +35,7 @@ def run_random(seed, spec=CRAY_T3D, frac=0.5):
     s = mpo_order(g, pl, owner_compute_assignment(g, pl))
     prof = analyze_memory(s)
     cap = int(prof.min_mem + frac * (prof.tot - prof.min_mem))
-    return simulate(s, spec=spec, capacity=cap, profile=prof, metrics=True)
+    return simulate(s, spec=spec, capacity=cap, metrics=True)
 
 
 # -- residency ----------------------------------------------------------

@@ -81,4 +81,4 @@ def reference_plan_maps(
             proc_points.append(mp)
             i = j
         points.append(proc_points)
-    return MapPlan(schedule=schedule, capacity=capacity, points=points, profile=profile)
+    return MapPlan(capacity=capacity, points=points, profile=profile)

@@ -44,9 +44,9 @@ def build(family, seed, procs, order_fn):
     return order_fn(g, pl, owner_compute_assignment(g, pl))
 
 
-def outcome(planner, sched, cap, prof):
+def outcome(planner, *args):
     try:
-        return planner(sched, cap, prof)
+        return planner(*args)
     except NonExecutableScheduleError as err:
         return ("inf", err.processor, err.required, err.capacity)
 
@@ -59,7 +59,7 @@ def test_plan_maps_equals_frozen_reference(case, fractions):
     caps |= {int(prof.tot * f) for f in fractions}
     # One profile for every capacity: the memoised tables are reused.
     for cap in sorted(caps, reverse=True):
-        got = outcome(plan_maps, sched, cap, prof)
+        got = outcome(plan_maps, prof, cap)
         want = outcome(reference_plan_maps, sched, cap, prof)
         assert got == want, cap
 
@@ -74,6 +74,6 @@ def test_shipped_workloads_equal_frozen_reference():
             prof = ctx.profile(key, p, h)
             for f in (1.0, 0.75, 0.5, 0.4, 0.25):
                 cap = int(prof.tot * f)
-                assert outcome(plan_maps, sched, cap, prof) == outcome(
+                assert outcome(plan_maps, prof, cap) == outcome(
                     reference_plan_maps, sched, cap, prof
                 ), (key, p, h, f)

@@ -75,11 +75,11 @@ def test_map_planner_matches_definition6(ps):
     g, pl, asg = make(ps)
     s = mpo_order(g, pl, asg)
     prof = analyze_memory(s)
-    plan = plan_maps(s, prof.min_mem, prof)
+    plan = plan_maps(prof, prof.min_mem)
     assert plan.avg_maps >= 1.0
     if prof.min_mem > max(pp.perm_bytes for pp in prof.procs):
         try:
-            plan_maps(s, prof.min_mem - 1, prof)
+            plan_maps(prof, prof.min_mem - 1)
             assert False, "expected NonExecutableScheduleError"
         except NonExecutableScheduleError:
             pass
@@ -94,7 +94,7 @@ def test_map_plan_respects_capacity_everywhere(ps, frac):
     s = rcp_order(g, pl, asg)
     prof = analyze_memory(s)
     cap = int(prof.min_mem + frac * (prof.tot - prof.min_mem))
-    plan = plan_maps(s, cap, prof)
+    plan = plan_maps(prof, cap)
     for q, pts in enumerate(plan.points):
         used = prof.procs[q].perm_bytes
         allocated = set()
@@ -120,5 +120,5 @@ def test_maps_monotone_in_capacity(ps):
     s = rcp_order(g, pl, asg)
     prof = analyze_memory(s)
     caps = sorted({prof.min_mem, (prof.min_mem + prof.tot) // 2, prof.tot})
-    counts = [plan_maps(s, c, prof).avg_maps for c in caps]
+    counts = [plan_maps(prof, c).avg_maps for c in caps]
     assert counts == sorted(counts, reverse=True)

@@ -55,7 +55,7 @@ def test_theorem1_no_deadlock_at_any_feasible_capacity(ps, order_fn, frac):
     s = order_fn(g, pl, asg)
     prof = analyze_memory(s)
     cap = int(prof.min_mem + frac * (prof.tot - prof.min_mem))
-    res = simulate(s, spec=UNIT_MACHINE, capacity=cap, profile=prof)
+    res = simulate(s, spec=UNIT_MACHINE, capacity=cap)
     assert res.peak_memory <= cap
     assert res.parallel_time > 0
 
@@ -77,8 +77,8 @@ def test_memory_management_never_faster_than_baseline(ps):
     g, pl, asg = make(ps)
     s = mpo_order(g, pl, asg)
     prof = analyze_memory(s)
-    base = simulate(s, spec=UNIT_MACHINE, memory_managed=False, profile=prof)
-    tight = simulate(s, spec=UNIT_MACHINE, capacity=prof.min_mem, profile=prof)
+    base = simulate(s, spec=UNIT_MACHINE, memory_managed=False)
+    tight = simulate(s, spec=UNIT_MACHINE, capacity=prof.min_mem)
     assert tight.parallel_time >= base.parallel_time - 1e-9
 
 
@@ -97,10 +97,10 @@ def test_overheads_scale_boundedly(ps, factor):
         map_overhead=0.1, alloc_cost=0.01, free_cost=0.01,
         package_overhead=0.05, address_cost=0.01, ra_cost=0.02,
     )
-    r1 = simulate(s, spec=base_spec, capacity=prof.min_mem, profile=prof)
+    r1 = simulate(s, spec=base_spec, capacity=prof.min_mem)
     r2 = simulate(
         s, spec=base_spec.scaled_overheads(1.0 + factor),
-        capacity=prof.min_mem, profile=prof,
+        capacity=prof.min_mem,
     )
     oh1 = sum(st.overhead_time for st in r1.stats)
     oh2 = sum(st.overhead_time for st in r2.stats)
@@ -120,7 +120,7 @@ def test_commuting_reduction_consistent(leaves, seed, p):
     for fn in ORDERINGS:
         s = fn(g, pl, asg)
         prof = analyze_memory(s)
-        res = simulate(s, spec=UNIT_MACHINE, capacity=prof.min_mem, profile=prof)
+        res = simulate(s, spec=UNIT_MACHINE, capacity=prof.min_mem)
         assert res.parallel_time > 0
 
 

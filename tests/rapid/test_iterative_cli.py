@@ -48,10 +48,9 @@ class TestIterative:
     def test_steady_state_sends_no_packages(self):
         prog = pipeline_session().parallelize(2)
         res = Simulator(
-            prog.schedule,
             spec=CRAY_T3D,
             capacity=prog.min_mem,
-            profile=prog.profile,
+            compiled=prog.compiled(),
             preknown_addresses=True,
         ).run()
         assert sum(s.packages_sent for s in res.stats) == 0

@@ -101,7 +101,7 @@ class TestCholeskyGraph:
         asg = chol.assignment(pl)
         s = mpo_order(chol.graph, pl, asg)
         prof = analyze_memory(s)
-        res = simulate(s, spec=UNIT_MACHINE, capacity=prof.min_mem, profile=prof)
+        res = simulate(s, spec=UNIT_MACHINE, capacity=prof.min_mem)
         assert res.peak_memory <= prof.min_mem
 
 

@@ -85,7 +85,7 @@ class TestTrisolveGraphs:
         asg = tp.assignment(pl)
         s = mpo_order(tp.graph, pl, asg)
         prof = analyze_memory(s)
-        res = simulate(s, spec=UNIT_MACHINE, capacity=prof.min_mem, profile=prof)
+        res = simulate(s, spec=UNIT_MACHINE, capacity=prof.min_mem)
         assert res.peak_memory <= prof.min_mem
 
     def test_segments_owned_with_diagonal(self, chol):

@@ -84,7 +84,7 @@ class TestExecution:
         pl = prob.placement(4)
         s = mpo_order(prob.graph, pl, prob.assignment(pl))
         pr = analyze_memory(s)
-        res = simulate(s, spec=UNIT_MACHINE, capacity=pr.min_mem, profile=pr)
+        res = simulate(s, spec=UNIT_MACHINE, capacity=pr.min_mem)
         assert res.peak_memory <= pr.min_mem
 
     def test_unrolled_iterations_pipeline(self, prob):
@@ -92,7 +92,7 @@ class TestExecution:
         s1 = mpo_order(prob.graph, pl, prob.assignment(pl))
         s3 = repeat_schedule(s1, 3)
         pr = analyze_memory(s3)
-        res = simulate(s3, spec=UNIT_MACHINE, capacity=pr.min_mem, profile=pr)
+        res = simulate(s3, spec=UNIT_MACHINE, capacity=pr.min_mem)
         assert res.parallel_time > 0
         # memory does not grow with unrolling (recycled volatiles)
         assert pr.min_mem == analyze_memory(repeat_schedule(s1, 2)).min_mem

@@ -85,7 +85,7 @@ class TestExecution:
         asg = prob.assignment(pl)
         s = order_fn(prob.graph, pl, asg)
         pr = analyze_memory(s)
-        res = simulate(s, spec=UNIT_MACHINE, capacity=pr.min_mem, profile=pr)
+        res = simulate(s, spec=UNIT_MACHINE, capacity=pr.min_mem)
         assert res.peak_memory <= pr.min_mem
 
     def test_volatile_neighbours_exist(self, prob):
@@ -105,7 +105,7 @@ class TestExecution:
         asg = prob.assignment(pl)
         s = rcp_order(prob.graph, pl, asg)
         pr = analyze_memory(s)
-        res = simulate(s, spec=UNIT_MACHINE, capacity=pr.min_mem, profile=pr)
+        res = simulate(s, spec=UNIT_MACHINE, capacity=pr.min_mem)
         # more data messages than volatile objects => versioned re-sends
         n_vola = sum(len(p.span) for p in pr.procs)
         assert res.total_data_msgs > n_vola

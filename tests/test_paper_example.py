@@ -109,7 +109,7 @@ class TestFigure3Maps:
         right after T[5,10] on P1 that frees d3/d5 and allocates d7."""
         g, _, _ = example
         sc = schedule_c(g)
-        plan = plan_maps(sc, 8)
+        plan = plan_maps(analyze_memory(sc), 8)
         p1_maps = plan.points[1]
         assert len(p1_maps) == 2  # the initial MAP plus one more
         pos = {t: i for i, t in enumerate(sc.orders[1])}
@@ -123,12 +123,12 @@ class TestFigure3Maps:
     def test_b_not_executable_under_8(self, example):
         g, _, _ = example
         with pytest.raises(NonExecutableScheduleError):
-            plan_maps(schedule_b(g), 8)
+            plan_maps(analyze_memory(schedule_b(g)), 8)
 
     def test_c_not_executable_under_7(self, example):
         g, _, _ = example
         with pytest.raises(NonExecutableScheduleError):
-            plan_maps(schedule_c(g), 7)
+            plan_maps(analyze_memory(schedule_c(g)), 7)
 
 
 class TestFigure5DTS:

@@ -33,8 +33,8 @@ class TestScale:
         for fn in (rcp_order, mpo_order, dts_order):
             s = fn(g, pl, asg)
             prof = analyze_memory(s)
-            plan_maps(s, prof.min_mem, prof)
-            res = simulate(s, spec=UNIT_MACHINE, capacity=prof.min_mem, profile=prof)
+            plan_maps(prof, prof.min_mem)
+            res = simulate(s, spec=UNIT_MACHINE, capacity=prof.min_mem)
             assert res.peak_memory <= prof.min_mem
         assert time.time() - t0 < 120
 
@@ -53,7 +53,7 @@ class TestScale:
             g, pl, asg
         )
         res = simulate(
-            s, spec=UNIT_MACHINE, capacity=prof.min_mem, profile=prof
+            s, spec=UNIT_MACHINE, capacity=prof.min_mem
         )
         assert res.peak_memory <= prof.min_mem
         assert time.time() - t0 < 180
