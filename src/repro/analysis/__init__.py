@@ -21,7 +21,7 @@ Two further static layers close the loop around the compiled engine:
 :mod:`repro.analysis.bounds` certifies PT/MIN_MEM *lower bounds* from
 the graph + placement alone (``SA4xx``, opt-in via
 ``analyze_schedule(bounds=True)``), and :mod:`repro.analysis.irverify`
-verifies the lowered ``LoweredSchedule``/``ExecPlan`` IR the way
+verifies the lowered ``LoweredSchedule`` IR and the MAP tables the way
 ``llvm::verifyModule`` verifies a module (``SA5xx``, automatic behind
 ``REPRO_VERIFY_IR`` or on demand via ``repro analyze --verify-ir``).
 """

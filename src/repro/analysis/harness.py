@@ -8,9 +8,12 @@ label — the differential suite zips them.
 
 The contract between the verdicts:
 
-* ``SA1xx``/``SA2xx`` errors predict an *unconditional* dynamic
-  failure: a non-executable plan raises, a bad free/alloc chain aborts
-  the allocator or trips ``input-residency``/``landing-space``.
+* ``SA1xx``/``SA2xx`` errors predict a refusal on entry: both engines
+  refuse such a plan when the simulator is built
+  (:meth:`~repro.core.maps.MapPlan.check`, the same replay), with one
+  ``SimulationError`` carrying the first error's message, which
+  ``run_check`` reports as its ``error``; with no plan at all
+  (``SA101``) the planner raises ``NonExecutableScheduleError``.
 * ``SA3xx`` hazards predict failure under the *adversarial* regime
   (the ``overwrite`` fault, which makes the one-slot channel lossy as
   Definition 4 warns).  Without the fault the simulator's blocking

@@ -6,8 +6,8 @@ three levels (see :mod:`repro.machine.compiled`): a
 address keys and their CSR rows, shared by every schedule of one
 mapping), a :class:`~repro.machine.compiled.LoweredSchedule` (the
 position space of one schedule: permutation, weights, silent-run ends,
-version flags) and per cell an :class:`~repro.machine.compiled.ExecPlan`
-(the MAP tables).  The differential oracle exercises them only
+version flags) and per capacity the MAP plan's
+:class:`~repro.core.maps.MapTables`.  The differential oracle exercises them only
 dynamically; a malformed lowering that happens to simulate correctly on
 current workloads would be invisible.  This module checks the IR
 *structurally*, the way ``llvm::verifyModule`` checks a module:
@@ -18,7 +18,9 @@ current workloads would be invisible.  This module checks the IR
 ``SA502`` **id-space-bijective**
     positions/tids/oids/mks/sks/groups invert exactly to the schedule's
     tasks, the graph's objects and the interpreted engine's message keys
-    (the tasks through ``tid_at``, the table the run walks).
+    (the tasks through ``tid_at``, the table the run walks), and
+    ``grp_at``/``od_grp`` name each message's ``(dest, object)`` group
+    and ``grp_src`` its sender.
 ``SA503`` **version-table-consistent**
     the static dispatch-version flags (``od_ok0``/``od_ow``), stale
     counters (``mk_need0``), pending counts, waiter lists and outgoing
@@ -30,7 +32,7 @@ current workloads would be invisible.  This module checks the IR
     each processor's MAP positions increase strictly inside its order,
     end in its sentinel and index the plan's MAP tables in range.
 ``SA505`` **cost-table-sane**
-    weights, sizes and precomputed message/MAP costs are finite,
+    weights, sizes and precomputed message costs are finite,
     non-negative and reproduce the cost expressions of the spec the
     caller names.
 
@@ -145,8 +147,8 @@ def _csr_pass(lo) -> list[Diagnostic]:
     _check_csr(diags, "proc_start", lo.proc_start, [0] * nt,
                nprocs, nt + 1, "position-range")
     _check_csr(diags, "od_ptr/od_mk", ml.od_ptr, ml.od_mk, nt, nm, "mk-space")
-    _check_csr(diags, "od_ptr/od_ak", ml.od_ptr, ml.od_ak, nt, ml.num_ak,
-               "ak-space")
+    _check_csr(diags, "od_ptr/od_grp", ml.od_ptr, ml.od_grp, nt, ml.num_grp,
+               "group-space")
     _check_csr(diags, "od_ptr/od_dest", ml.od_ptr, ml.od_dest, nt,
                nprocs, "proc-space")
     _check_csr(diags, "od_ptr/od_oid", ml.od_ptr, ml.od_oid, nt,
@@ -261,6 +263,15 @@ def _bijection_pass(cs, lo) -> list[Diagnostic]:
     if bad:
         add(f"groups do not partition the mk space (mks {bad[:5]} appear "
             "!= once)")
+    # grp_at and od_grp name each message's (dest, object) group, one
+    # group per pair, and grp_src its sender.
+    at = [-1] * (ml.num_procs * ml.num_objects)
+    for d, o, g in zip(ml.mk_dest, ml.mk_oid, ml.grp_of):
+        at[d * ml.num_objects + o] = g
+    if (at != ml.grp_at or len(at) - at.count(-1) != ml.num_grp
+            or [ml.grp_of[mk] for mk in ml.od_mk] != ml.od_grp
+            or [ml.grp_src[g] for g in ml.grp_of] != ml.mk_src):
+        add("grp_at, od_grp or grp_src does not name each message's group")
     return diags[:MAX_FINDINGS]
 
 
@@ -374,7 +385,7 @@ def _version_pass(cs, lo) -> list[Diagnostic]:
 
 
 # ----------------------------------------------------------------------
-# SA504: opcode-stream validity (ExecPlan)
+# SA504: opcode-stream validity (the run's MapTables)
 # ----------------------------------------------------------------------
 
 
@@ -422,37 +433,34 @@ def _opcode_pass(lo, ep) -> list[Diagnostic]:
 
     # MAP positions: strictly increasing inside the order, then the
     # processor's end-of-order sentinel.
-    nmaps = len(ep.map_pos)
-    for name, ptr, table in (("mf_ptr", ep.mf_ptr, ep.mf_oid),
-                             ("ma_ptr", ep.ma_ptr, ep.ma_oid),
-                             ("mp_ptr", ep.mp_ptr, ep.pkg_dst)):
-        if (len(ptr) != nmaps + 1 or ptr[0] != 0 or ptr[-1] != len(table)
-                or any(ptr[k] > ptr[k + 1] for k in range(nmaps))):
+    nmaps, npkgs = len(ep.map_pos), len(ep.pkg_dst)
+    for name, ptr, table, rows in (
+            ("mf_ptr", ep.mf_ptr, ep.mf_oid, nmaps),
+            ("ma_ptr", ep.ma_ptr, ep.ma_oid, nmaps),
+            ("mp_ptr", ep.mp_ptr, ep.pkg_dst, nmaps),
+            ("pkg_ptr", ep.pkg_ptr, ep.pkg_oid, npkgs)):
+        if (len(ptr) != rows + 1 or ptr[0] != 0 or ptr[-1] != len(table)
+                or any(ptr[k] > ptr[k + 1] for k in range(rows))):
             if add(f"MAP ranges {name} do not index their table"):
                 return diags
-    if len(ep.map_first) != nprocs or len(ep.map_cost) != nmaps:
-        add(f"{len(ep.map_first)} MAP lists for {nprocs} processors")
+    first = ep.map_first
+    if (len(first) != nprocs + 1 or first[0] != 0 or first[-1] != nmaps
+            or len(ep.pkg_src) != npkgs):
+        add(f"{len(first) - 1} MAP lists for {nprocs} processors")
         return diags
     for q in range(nprocs):
         start, end = lo.proc_start[q], lo.proc_start[q + 1]
-        k = ep.map_first[q]
-        prev = start - 1
-        while k < nmaps and ep.map_pos[k] < end:
-            if not prev < ep.map_pos[k]:
-                if add(f"MAP {k} at position {ep.map_pos[k]} does not "
-                       f"follow the previous MAP of P{q} (at {prev}) "
-                       f"inside [{start}, {end})", proc=q):
-                    return diags
-            prev = ep.map_pos[k]
-            k += 1
-        if k >= nmaps or ep.map_pos[k] != end:
+        pos = [start - 1] + ep.map_pos[first[q]:first[q + 1]]
+        bad = [j for j in range(1, len(pos) - 1)
+               if not pos[j - 1] < pos[j] < end]
+        if bad:
+            k = first[q] + bad[0] - 1
+            if add(f"MAP {k} at position {ep.map_pos[k]} does not follow "
+                   f"the previous MAP of P{q} inside [{start}, {end})", proc=q):
+                return diags
+        if len(pos) < 2 or pos[-1] != end:
             if add(f"P{q}'s MAP list does not end in its sentinel at {end}",
                    proc=q):
-                return diags
-        nxt = ep.map_first[q + 1] if q + 1 < nprocs else nmaps
-        if nxt != k + 1:
-            if add(f"P{q}'s MAP list ends at {k} but the next processor's "
-                   f"starts at {nxt}", proc=q):
                 return diags
     return diags[:MAX_FINDINGS]
 
@@ -469,7 +477,7 @@ def _finite_nonneg(x) -> bool:
 @_guard("SA505")
 def _cost_pass(lo, ep, spec) -> list[Diagnostic]:
     """``ep`` and ``spec`` (both or neither): also check the mapping's
-    message costs under ``spec`` and the exec plan's MAP costs."""
+    message costs under ``spec``."""
     diags: list[Diagnostic] = []
     ml = lo.mapping
     gi = ml.gi
@@ -508,21 +516,6 @@ def _cost_pass(lo, ep, spec) -> list[Diagnostic]:
                 if add(f"od_nic[{od}] = {od_nic[od]!r} does not "
                        "reproduce spec.byte_time"):
                     return diags
-        # The entry before each processor's first MAP (and the last one)
-        # is an end-of-order sentinel, which never runs.
-        sentinels = {k - 1 for k in ep.map_first[1:]} | {len(ep.map_pos) - 1}
-        for k, cost in enumerate(ep.map_cost):
-            nf = ep.mf_ptr[k + 1] - ep.mf_ptr[k]
-            na = ep.ma_ptr[k + 1] - ep.ma_ptr[k]
-            want = (spec.map_overhead + nf * spec.free_cost
-                    + na * spec.alloc_cost)
-            if k in sentinels:
-                want = 0.0
-            if not _finite_nonneg(cost) or cost != want:
-                if add(f"MAP {k} cost {cost!r} is not finite non-negative "
-                       f"map_overhead + {nf} * free_cost + {na} * "
-                       "alloc_cost"):
-                    return diags
     return diags[:MAX_FINDINGS]
 
 
@@ -556,9 +549,10 @@ def verify_exec_plan(
     spec,
     memory_managed: bool = True,
 ) -> list[Diagnostic]:
-    """Verify the lowering *and* the MAP tables of one exec plan.
+    """Verify the lowering *and* the MAP tables a run at ``capacity``
+    reads (:func:`~repro.machine.compiled.get_exec_plan`).
 
-    A capacity below MIN_MEM admits no exec plan at all; the verifier
+    A capacity below MIN_MEM admits no MAP plan at all; the verifier
     then degrades to the lowering-level passes — the non-executability
     verdict itself belongs to the analyzer's ``SA101``, not to SA5xx.
     """

@@ -675,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("--strict", action="store_true", help="exit 1 on advisory "
         "(warning/info) findings too, not only on errors")
     add("--verify-ir", action="store_true", help="verify the compiled "
-        "engine's lowering and exec plan (SA5xx)")
+        "engine's lowering and MAP tables (SA5xx)")
     add("--bounds", action="store_true", default=None,
         help="run a workload's certified-bound pass (SA401-SA403)")
 

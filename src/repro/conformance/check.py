@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from ..core import cyclic_placement, owner_compute_assignment
 from ..core.liveness import analyze_memory
-from ..core.maps import MapPlan, MapPoint
+from ..core.maps import MapPlan, MapPoint, check_capacity
 from ..errors import DeadlockError, ReproError
 from ..graph import generators
 from ..machine.simulator import CompiledSchedule, Simulator, resolve_compiled
@@ -93,13 +93,19 @@ def run_check(
     The run, its label and the oracle take the schedule from one
     compiled schedule (:func:`~repro.machine.simulator.resolve_compiled`).
 
-    Capacity resolution order: explicit ``capacity``; the fault's
-    ``capacity_fraction`` (the *tighten* knob); ``fraction``; else the
-    schedule's TOT.  A deadlock is captured as a witness report rather
-    than propagating; other simulator errors are captured as ``error``.
+    Capacity resolution order: explicit ``capacity``; ``plan``'s; the
+    fault's ``capacity_fraction`` (the *tighten* knob); ``fraction``;
+    else the schedule's TOT.  A deadlock is captured as a witness report
+    rather than propagating; other simulator errors (a refused plan
+    too) are captured as ``error``.
     """
     compiled = resolve_compiled(schedule, compiled, plan)
-    if capacity is None:
+    if capacity is not None:
+        # A bad capacity raises here; only the run's refusals are caught.
+        capacity = check_capacity(capacity)
+    elif plan is not None:
+        capacity = plan.capacity
+    else:
         # Lazy: conformance must stay importable before the analysis
         # package, whose pick_capacity the static analyzer shares.
         from ..analysis.engine import pick_capacity
@@ -114,16 +120,15 @@ def run_check(
         capacity=capacity,
         checker=checker,
     )
-    sim = Simulator(
-        spec=spec,
-        capacity=capacity,
-        compiled=compiled,
-        instrument=checker,
-        faults=faults,
-        plan=plan,
-    )
     try:
-        res = sim.run()
+        res = Simulator(
+            spec=spec,
+            capacity=capacity,
+            compiled=compiled,
+            instrument=checker,
+            faults=faults,
+            plan=plan,
+        ).run()
         report.parallel_time = res.parallel_time
     except DeadlockError as err:
         report.deadlock = deadlock_witness(err)

@@ -251,7 +251,7 @@ class ExperimentContext:
 
     Problems are built once and kept for the context's lifetime.  A
     group's tables — its mapping, schedules, liveness profiles, compiled
-    schedules (with their MAP plans, lowering and exec plans), RCP
+    schedules (with their MAP plans and lowering), RCP
     baseline, simulation results, analyzer counts and bounds — are
     kept until :meth:`release` drops them.
     :func:`~repro.experiments.sweep.full_sweep` releases each group as
@@ -588,7 +588,7 @@ class ExperimentContext:
         schedule this context built, including those of groups already
         dropped by :meth:`release` (see
         :data:`~repro.machine.simulator.ENGINE_COUNTER_KEYS`): MAP-plan /
-        lowering / ExecPlan cache hits and misses, phase timers and run
+        lowering cache hits and misses, MAP-table lookups, timers and run
         counts per engine."""
         totals = dict(self._released_counters)
         for group in self._groups.values():

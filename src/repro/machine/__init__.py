@@ -10,7 +10,7 @@ of schedules under the active memory management protocol of section 3.
 
 from .spec import CRAY_T3D, MEIKO_CS2, UNIT_MACHINE, MachineSpec
 from .memory import FreeListAllocator, ObjectAllocator
-from .compiled import ExecPlan, LoweredSchedule, get_exec_plan, lower_schedule
+from .compiled import LoweredSchedule, get_exec_plan, lower_schedule
 from .simulator import (
     CompiledSchedule,
     ProcState,
@@ -24,7 +24,6 @@ from .simulator import (
 __all__ = [
     "CRAY_T3D",
     "CompiledSchedule",
-    "ExecPlan",
     "FreeListAllocator",
     "LoweredSchedule",
     "MEIKO_CS2",

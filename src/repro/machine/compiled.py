@@ -36,11 +36,14 @@ a plain list.
     (``mk_need0``), its sender ``mk_src`` and a group id ``grp_of``
     linking the versions of one ``(dest, object)`` pair for the
     consistency checks.
+``grp``
+    a ``(dest, object)`` pair, id ``grp_at[dest * num_objects + oid]``
+    (``-1``: no data), sent by the object's owner ``grp_src``: the
+    *address-knowledge key*, a flat byte vector the sender consults
+    through ``od_grp``, set only when ``grp_src`` reads the object in
+    a package from ``dest``.
 ``sk``
     a *sync key* ``(task, dest)`` with its own waiter CSR.
-``ak``
-    an *address-knowledge key* ``(owner, object, dest)``; the sender
-    side consults a flat byte vector instead of per-processor sets.
 ``od`` / ``os`` / ``cons``
     outgoing data / outgoing sync / consumed message keys, CSR rows per
     tid (``od_ptr`` etc.).  A unit's data messages sit in the row of
@@ -64,18 +67,14 @@ and a diagnostic that needs the task at a position reads
 The MAP planner's capacity-independent tables are memoised per
 schedule as well, on the :class:`~repro.core.liveness.MemoryProfile`.
 
-**Per cell** (:class:`ExecPlan`, the last :data:`MAX_EXEC_PLANS`
-memoised per ``(capacity, spec, memory_managed)``): only the
-MAPs.  The run's other inputs — capacity, memory mode, the spec's costs
-and the mapping's per-spec message costs — are read from the
-simulator, the spec and :meth:`MappingLowering.costs`.  ``map_pos``
-lists each processor's MAP positions followed by a sentinel at the end
-of its order (``map_first[q]`` is its first entry); per MAP
-``map_cost`` and CSR ranges into its frees (``mf_oid``/``mf_grp``),
-allocations (``ma_oid``) and address packages (``pkg_*``).  An exec
-plan's size scales with the MAPs, not the tasks.  The run loop walks
-positions and cuts a silent run at ``min(run_end[pos], next MAP
-position)``.
+**Per capacity**: the MAP plan itself, whose
+:class:`~repro.core.maps.MapTables` (positions, oids) the run reads as
+they are; their size scales with the MAPs, not the tasks.  A MAP's cost
+comes from its CSR counts, and a freed or notified object's group from
+``grp_at``.  Capacity, memory mode, the spec's costs and the per-spec
+message costs come from the simulator, the spec and
+:meth:`MappingLowering.costs`.  The run loop walks positions and cuts a
+silent run at ``min(run_end[pos], next MAP position)``.
 
 Events are 3-tuples ``(time, seq, code)`` where ``code`` packs
 ``kind << 44 | arg``.  The run is one flat event loop.  An event wakes
@@ -143,14 +142,15 @@ the noisy-task path — each task needs its ``on_exe`` and ``SND`` mark —
 so the ``*_hot`` kernels stay hook-free, and a processor left in REC is
 woken on every arrival, as in the oracle, for its ``REC`` mark.  The
 hook arguments come from per-mapping tables (``mk_src``: the sender of
-each data message) and the run's :class:`~repro.core.maps.MapPlan`.
+each data message) and the plan's tables, named through the index
+(``on_map``'s free and allocation lists, in table order).
 
 Engine selection
 ----------------
 
 ``Simulator.run`` runs this engine unless ``engine="interpreted"``
 asks for the oracle; observed, fault-injected and caller-``plan`` runs
-included (the last through an uncached exec plan).  An active
+included (a caller's plan was checked when the simulator was built).  An active
 :class:`~repro.conformance.faults.FaultSpec` perturbs the oracle's four
 sites behind one run-local ``fi`` hoisted like ``observing``: put delay
 (arrival), consume delay (slot free in RA), slot overwrite (package
@@ -178,17 +178,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ..core.index import graph_index
-from ..core.maps import maps_by_position
+from ..core.maps import MapTables
 from ..errors import (
     DataConsistencyError,
     DeadlockError,
-    MemoryError_,
     SimulationError,
 )
 from .spec import MachineSpec
 
 __all__ = [
-    "ExecPlan",
     "LoweredSchedule",
     "MappingLowering",
     "get_exec_plan",
@@ -213,10 +211,6 @@ _BOOT_BASE = 5 << _SHIFT  # arg = processor (P: the bootstrap is over)
 _INF = float("inf")
 _NO_OVERWRITE = 1 << 60  # od_ow sentinel: no later local overwrite
 
-#: Exec plans kept per schedule (least recently used evicted).  A sweep
-#: runs each capacity of a schedule once, so keeping every plan would
-#: only hold a second copy of each cell's MAPs next to its ``MapPlan``.
-MAX_EXEC_PLANS = 2
 
 class _GraphIds(NamedTuple):
     """Graph-only id tables (memoised on the :class:`GraphIndex`).  The
@@ -255,17 +249,15 @@ class MappingLowering:
 
     __slots__ = (
         "num_procs", "num_tasks", "num_objects", "num_mk", "num_sk",
-        "num_ak", "num_grp",
+        "num_grp",
         "pending0", "noisy",
-        "od_ptr", "od_mk", "od_ak", "od_dest", "od_oid", "od_nbytes",
+        "od_ptr", "od_mk", "od_grp", "od_dest", "od_oid", "od_nbytes",
         "od_unit", "od_uname",
         "os_ptr", "os_sk", "cons_ptr", "cons_mk",
         "mk_dest", "mk_oid", "mk_need0", "mk_uname", "mk_src",
-        "wait_ptr", "wait_tid", "grp_of", "grp_ptr", "grp_mk",
+        "wait_ptr", "wait_tid", "grp_of", "grp_ptr", "grp_mk", "grp_at",
+        "grp_src",
         "sk_src", "sk_dest", "swait_ptr", "swait_tid",
-        # int-keyed: (owner * num_objects + oid) * num_procs + dest, and
-        # dest * num_objects + oid
-        "ak_index", "grp_index",
         # the GraphIndex the ids number (task and object names, sizes)
         "gi", "ids", "_costs",
     )
@@ -314,7 +306,7 @@ def _lower_mapping(g, gi, mi) -> MappingLowering:
     n = len(gi.names)
     nobj = len(gi.object_names)
     # Packed int64 keys: (dest * nobj + oid) * n + unit, and below
-    # (owner * nobj + oid) * nprocs + dest and mk * n + reader.
+    # mk * n + reader.
     if nprocs * nobj * max(n, nprocs) >= 2 ** 63:
         raise SimulationError("graph too large for int64 message keys")
     proc = np.array(mi.proc, dtype=np.int64)
@@ -406,19 +398,19 @@ def _lower_mapping(g, gi, mi) -> MappingLowering:
     ml.num_grp, ml.grp_of = len(gfirst), plain(grp_of)
     ptr, grp_mk = _rows(grp_of, len(gfirst))
     ml.grp_ptr, ml.grp_mk = plain(ptr), plain(grp_mk)
-    ml.grp_index = dict(zip(grp_key[gfirst].tolist(), pool.tolist()))
+    grp_at = np.full(nprocs * nobj, -1, dtype=np.int64)
+    grp_at[grp_key[gfirst]] = np.arange(len(gfirst))
+    ml.grp_at = grp_at.tolist()
+    ml.grp_src = plain(proc[mk_unit[gfirst]])
     # Outgoing data: one od slot per mk, in the row of its unit.
     od_ptr, od_mk = _rows(mk_unit, n)
     ml.od_ptr, ml.od_mk = plain(od_ptr), plain(od_mk)
+    ml.od_grp = plain(grp_of[od_mk])
     od_dest, od_oid, od_unit = mk_dest[od_mk], mk_oid[od_mk], mk_unit[od_mk]
     ml.od_dest, ml.od_oid, ml.od_unit = plain(od_dest), plain(od_oid), plain(od_unit)
     ml.od_uname = [unit_name[u] for u in ml.od_unit]
     osz = gi.oid_size
     ml.od_nbytes = [osz[o] for o in ml.od_oid]
-    ak_key = (proc[od_unit] * nobj + od_oid) * nprocs + od_dest
-    od_ak, afirst = _first_seen(ak_key)
-    ml.num_ak, ml.od_ak = len(afirst), plain(od_ak)
-    ml.ak_index = dict(zip(ak_key[afirst].tolist(), pool.tolist()))
     ml.noisy = ((pending0 > 0) | (np.diff(od_ptr) > 0) | (np.diff(os_ptr) > 0)
                 | (np.diff(cons_ptr) > 0)).tolist()
     ml._costs = {}
@@ -450,28 +442,6 @@ class LoweredSchedule:
             if oid in writes[tid]:
                 last = ids.unit_name[ids.unit_of[tid]]
         return last
-
-
-class ExecPlan:
-    """MAP tables of one (capacity, spec, mode) tuple.
-
-    Holds each processor's MAP positions (as positions of the
-    :class:`LoweredSchedule`, plus one end-of-order sentinel each) and
-    the lowered MAP actions with their costs (the interpreted engine's
-    exact float expressions; a package's cost is computed when it is
-    sent, like there), nothing else.  Its size scales with the MAPs,
-    not the tasks.  The last
-    :data:`MAX_EXEC_PLANS` are cached on the owning ``CompiledSchedule``
-    under ``(capacity, spec, memory_managed)``; a caller-supplied MAP
-    plan gets an uncached one.
-    """
-
-    __slots__ = (
-        "map_first", "map_pos", "map_cost",
-        "mf_ptr", "mf_oid", "mf_grp", "ma_ptr", "ma_oid", "mp_ptr",
-        "pkg_src", "pkg_dst", "pkg_objs",
-        "pkg_ak_ptr", "pkg_ak",
-    )
 
 
 def lower_schedule(cs) -> LoweredSchedule:
@@ -585,120 +555,24 @@ def lower_schedule(cs) -> LoweredSchedule:
     return lo
 
 
-def _build_exec_plan(lo, plan, spec) -> ExecPlan:
-    ml = lo.mapping
-    ep = ExecPlan()
-    map_first: list[int] = []
-    map_pos: list[int] = []
-    map_cost: list[float] = []
-    mf_ptr = [0]
-    mf_oid: list[int] = []
-    mf_grp: list[int] = []
-    ma_ptr = [0]
-    ma_oid: list[int] = []
-    mp_ptr = [0]
-    pkg_src: list[int] = []
-    pkg_dst: list[int] = []
-    pkg_objs: list[list[str]] = []
-    pkg_ak_ptr = [0]
-    pkg_ak: list[int] = []
-    oid_of = ml.gi.oid
-    grp_index, ak_index = ml.grp_index, ml.ak_index
-    map_overhead, free_cost = spec.map_overhead, spec.free_cost
-    alloc_cost = spec.alloc_cost
-    proc_start = lo.proc_start
-    nprocs, nobj = ml.num_procs, ml.num_objects
-    map_at = maps_by_position(plan, nprocs)
-    for q in range(nprocs):
-        start, end = proc_start[q], proc_start[q + 1]
-        map_first.append(len(map_pos))
-        for position in sorted(map_at[q]):
-            mp = map_at[q][position]
-            map_pos.append(start + position)
-            map_cost.append(
-                map_overhead
-                + len(mp.frees) * free_cost
-                + len(mp.allocs) * alloc_cost
-            )
-            for m in mp.frees:
-                oid = oid_of[m]
-                mf_oid.append(oid)
-                mf_grp.append(grp_index.get(q * nobj + oid, -1))
-            mf_ptr.append(len(mf_oid))
-            ma_oid += [oid_of[m] for m in mp.allocs]
-            ma_ptr.append(len(ma_oid))
-            for dst, objs in sorted(mp.notifications.items()):
-                pkg_src.append(q)
-                pkg_dst.append(dst)
-                pkg_objs.append(objs)
-                for m in objs:
-                    ak = ak_index.get((dst * nobj + oid_of[m]) * nprocs + q)
-                    if ak is not None:
-                        pkg_ak.append(ak)
-                pkg_ak_ptr.append(len(pkg_ak))
-            mp_ptr.append(len(pkg_dst))
-        # End-of-order sentinel: its position is never reached by a task.
-        map_pos.append(end)
-        map_cost.append(0.0)
-        mf_ptr.append(len(mf_oid))
-        ma_ptr.append(len(ma_oid))
-        mp_ptr.append(len(pkg_dst))
-    ep.map_first, ep.map_pos, ep.map_cost = map_first, map_pos, map_cost
-    ep.mf_ptr, ep.mf_oid, ep.mf_grp = mf_ptr, mf_oid, mf_grp
-    ep.ma_ptr, ep.ma_oid, ep.mp_ptr = ma_ptr, ma_oid, mp_ptr
-    ep.pkg_src, ep.pkg_dst = pkg_src, pkg_dst
-    ep.pkg_objs = pkg_objs
-    ep.pkg_ak_ptr, ep.pkg_ak = pkg_ak_ptr, pkg_ak
-    return ep
-
-
 def get_exec_plan(
     cs,
     capacity: int,
     spec: MachineSpec,
     memory_managed: bool,
     plan=None,
-) -> ExecPlan:
-    """Execution plan for one (capacity, spec, mode); the last
-    :data:`MAX_EXEC_PLANS` are memoised on ``cs``.
-
-    The key includes the full :class:`MachineSpec` (hash-by-value
-    frozen dataclass) so sweeps over different machines or scaled
-    overheads never share cost tables; :meth:`CompiledSchedule
-    .check_fresh` guards against schedule mutation behind the cache.
-
-    ``plan`` is a caller-supplied :class:`~repro.core.maps.MapPlan`
-    (managed mode only); unless it is the memoised ``cs.plan_for``
-    plan, the exec plan is built from it and not cached (still counted
-    as a miss).
-    """
-    cs.check_fresh()
-    # ``preknown_addresses`` only changes what the run does at a MAP,
-    # not the MAP tables, so it is no part of the key.
-    key = (capacity, spec, memory_managed)
-    caller = (
-        memory_managed and plan is not None
-        and plan is not cs._plans.get(capacity)
-    )
-    if not caller:
-        ep = cs._exec_plans.pop(key, None)
-        if ep is not None:
-            cs._exec_plans[key] = ep  # most recently used last
-            cs.counters["exec_plan_hits"] += 1
-            return ep
+) -> MapTables:
+    """The MAP tables a run of ``cs`` reads: ``plan``'s (else the
+    memoised ``cs.plan_for(capacity)``'s), or in baseline mode only the
+    end-of-order sentinels.  Each call counts an ``exec_plan_misses``
+    (``exec_plan_hits`` stays 0); ``spec`` only feeds the debug
+    verifier (``REPRO_VERIFY_IR``)."""
     cs.counters["exec_plan_misses"] += 1
     _t0_plan = perf_counter()
     lo = lower_schedule(cs)
-    if not memory_managed:
-        plan = None
-    elif not caller:
-        plan = cs.plan_for(capacity)
-    ep = _build_exec_plan(lo, plan, spec)
+    ep = ((plan or cs.plan_for(capacity)).tables if memory_managed
+          else MapTables.of([()] * cs.num_procs, lo.proc_start))
     cs.counters["exec_plan_s"] += perf_counter() - _t0_plan
-    if not caller:
-        cs._exec_plans[key] = ep
-        if len(cs._exec_plans) > MAX_EXEC_PLANS:
-            del cs._exec_plans[next(iter(cs._exec_plans))]
     if os.environ.get("REPRO_VERIFY_IR"):
         # Debug path: check the MAP tables before anything runs them.
         from ..analysis.irverify import debug_verify
@@ -774,21 +648,20 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
     weight, run_end = lo.weight, lo.run_end
     od_row, od_ok0, od_ow = lo.od_row, lo.od_ok0, lo.od_ow
     od_ptr, os_ptr, cons_ptr = ml.od_ptr, ml.os_ptr, ml.cons_ptr
-    od_mk, od_ak = ml.od_mk, ml.od_ak
+    od_mk, od_grp = ml.od_mk, ml.od_grp
     os_sk, cons_mk = ml.os_sk, ml.cons_mk
     mk_dest, mk_oid, mk_uname = ml.mk_dest, ml.mk_oid, ml.mk_uname
     mk_src = ml.mk_src
     wait_ptr, wait_tid = ml.wait_ptr, ml.wait_tid
     grp_of, grp_ptr, grp_mk = ml.grp_of, ml.grp_ptr, ml.grp_mk
+    grp_at, grp_src = ml.grp_at, ml.grp_src
     sk_src, sk_dest = ml.sk_src, ml.sk_dest
     swait_ptr, swait_tid = ml.swait_ptr, ml.swait_tid
-    map_pos, map_cost = ep.map_pos, ep.map_cost
-    mf_ptr, mf_oid, mf_grp = ep.mf_ptr, ep.mf_oid, ep.mf_grp
-    ma_ptr, ma_oid, mp_ptr = ep.ma_ptr, ep.ma_oid, ep.mp_ptr
-    pkg_src, pkg_dst = ep.pkg_src, ep.pkg_dst
-    pkg_objs = ep.pkg_objs
+    (_, map_pos, mf_ptr, mf_oid, ma_ptr, ma_oid, mp_ptr, pkg_src, pkg_dst,
+     pkg_ptr, pkg_oid) = ep
+    map_oh, free_cost, alloc_cost = (spec.map_overhead, spec.free_cost,
+                                     spec.alloc_cost)
     pkg_oh, addr_cost = spec.package_overhead, spec.address_cost
-    pkg_ak_ptr, pkg_ak = ep.pkg_ak_ptr, ep.pkg_ak
     od_net, od_nic = ml.costs(spec)
     osz = gi.oid_size
     obj_name = gi.object_names
@@ -802,15 +675,12 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
     if fi is not None:  # the oracle's ``w * fi.exe_factor(q)`` per task
         weight = [weight[k] * fi.exe_factor(q) for q in range(nprocs)
                   for k in range(proc_start[q], proc_start[q + 1])]
-    if observing:
-        # on_map reports the plan's MapPoint (its frees/allocs lists).
-        maps_at = maps_by_position(sim.plan, nprocs)
 
     # --- mutable run-local state --------------------------------------
     state = [_REC] * nprocs
     cur = list(proc_start[:nprocs])  # next position per processor
     pend = proc_start[1:]
-    mcur = list(ep.map_first)  # next MAP per processor
+    mcur = ep.map_first[:nprocs]  # next MAP per processor
     avail = [0.0] * nprocs
     busy = [0.0] * nprocs
     over = [0.0] * nprocs
@@ -829,9 +699,9 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
     need = ml.mk_need0.copy()
     arrived = bytearray(ml.num_mk)
     sync_arr = bytearray(ml.num_sk)
-    known = (
-        bytearray(ml.num_ak) if managed_check
-        else bytearray(b"\x01" * ml.num_ak)
+    known = (  # per (dest, object) pair: its owner knows the address
+        bytearray(ml.num_grp) if managed_check
+        else bytearray(b"\x01" * ml.num_grp)
     )
     allocated = bytearray(nprocs * nobjects)
     used = [0] * nprocs
@@ -845,16 +715,12 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
     finished = 0
 
     # Pre-allocation: permanent footprint, then (baseline) the full
-    # volatile span — same order and same error messages as the
-    # interpreted engine's ObjectAllocator.
+    # volatile span, in the interpreted engine's order.  No allocation
+    # fails: the capacity is at least MIN_MEM (TOT in baseline mode),
+    # and a caller's plan passed MapPlan.check (chains and capacity).
     for q in range(nprocs):
         pb = lo.perm_bytes[q]
         if pb:
-            if pb > capacity:
-                raise MemoryError_(
-                    f"allocating '<permanent>' ({pb} B) exceeds capacity "
-                    f"({used[q]}/{capacity} B used)"
-                )
             used[q] = pb
             apk[q] = pb
             if observing:
@@ -865,16 +731,7 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             u = used[q]
             base = q * nobjects
             for oid in [oid_of[m] for m in cs.profile.procs[q].span]:
-                if allocated[base + oid]:
-                    raise MemoryError_(
-                        f"object {obj_name[oid]!r} is already allocated"
-                    )
                 sz = osz[oid]
-                if u + sz > capacity:
-                    raise MemoryError_(
-                        f"allocating {obj_name[oid]!r} ({sz} B) exceeds "
-                        f"capacity ({u}/{capacity} B used)"
-                    )
                 allocated[base + oid] = 1
                 u += sz
                 if observing:
@@ -935,17 +792,20 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                 if k < 0:
                     continue
                 row[src] = -1
-                i = pkg_ak_ptr[k]
-                hi = pkg_ak_ptr[k + 1]
+                base = src * nobjects
+                i = pkg_ptr[k]
+                hi = pkg_ptr[k + 1]
                 while i < hi:
-                    known[pkg_ak[i]] = 1
+                    gid = grp_at[base + pkg_oid[i]]
+                    if gid >= 0 and grp_src[gid] == q:
+                        known[gid] = 1
                     i += 1
                 pread[q] += 1
                 charge(q, t, ra_cost, "ra")
                 a = avail[q]
                 start = a if a >= t else t
                 if observing:
-                    obs.on_package_read(start, q, src, len(pkg_objs[k]))
+                    obs.on_package_read(start, q, src, hi - pkg_ptr[k])
                 free_at = start + put_lat
                 if fi is not None:
                     free_at += fi.consume_delay(q, src, put_lat)
@@ -957,7 +817,7 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             still = []
             ready = []
             for od in suspended[q]:
-                if known[od_ak[od]]:
+                if known[od_grp[od]]:
                     ready.append(od)
                 else:
                     still.append(od)
@@ -974,19 +834,18 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
         still = []
         for k in pending_pkgs[q]:
             dst = pkg_dst[k]
+            naddr = pkg_ptr[k + 1] - pkg_ptr[k]
             if slot[q * nprocs + dst] and not overwrite:
                 still.append(k)
                 if observing:
                     a = avail[q]
-                    obs.on_package_block(a if a >= t else t, q, dst,
-                                         len(pkg_objs[k]))
+                    obs.on_package_block(a if a >= t else t, q, dst, naddr)
                 continue
             slot[q * nprocs + dst] = 1
-            t2 = charge(q, t, pkg_oh + len(pkg_objs[k]) * addr_cost,
-                        "package")
+            t2 = charge(q, t, pkg_oh + naddr * addr_cost, "package")
             psent[q] += 1
             if observing:
-                obs.on_package_send(t2, q, dst, len(pkg_objs[k]))
+                obs.on_package_send(t2, q, dst, naddr)
             assert t2 + put_lat >= now, _past(t2 + put_lat, now)
             heappush(events, (t2 + put_lat, next_seq(), _ADDR_BASE | k))
         pending_pkgs[q] = still
@@ -994,40 +853,29 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
 
     def exec_map(q: int, k: int, t: float) -> None:
         nmaps[q] += 1
+        f0, f1, a0, a1 = mf_ptr[k], mf_ptr[k + 1], ma_ptr[k], ma_ptr[k + 1]
         if observing:
-            mp = maps_at[q][map_pos[k] - proc_start[q]]
             a = avail[q]
-            obs.on_map(a if a >= t else t, q, mp.position, mp.frees,
-                       mp.allocs)
-        charge(q, t, map_cost[k], "map")
+            obs.on_map(a if a >= t else t, q, map_pos[k] - proc_start[q],
+                       [obj_name[o] for o in mf_oid[f0:f1]],
+                       [obj_name[o] for o in ma_oid[a0:a1]])
+        charge(q, t, map_oh + (f1 - f0) * free_cost + (a1 - a0) * alloc_cost,
+               "map")
         t_map = avail[q]  # memory ops take effect at MAP completion
         u = used[q]
         base = q * nobjects
-        for i in range(mf_ptr[k], mf_ptr[k + 1]):
+        for i in range(f0, f1):
             oid = mf_oid[i]
-            if not allocated[base + oid]:
-                raise MemoryError_(
-                    f"freeing unallocated object {obj_name[oid]!r}"
-                )
             allocated[base + oid] = 0
             u -= osz[oid]
             if observing:
                 obs.on_free(t_map, q, obj_name[oid], osz[oid], u)
-            gid = mf_grp[i]
+            gid = grp_at[base + oid]
             if gid >= 0:
                 for j in range(grp_ptr[gid], grp_ptr[gid + 1]):
                     arrived[grp_mk[j]] = 0
-        for oid in ma_oid[ma_ptr[k]:ma_ptr[k + 1]]:
-            if allocated[base + oid]:
-                raise MemoryError_(
-                    f"object {obj_name[oid]!r} is already allocated"
-                )
+        for oid in ma_oid[a0:a1]:
             sz = osz[oid]
-            if u + sz > capacity:
-                raise MemoryError_(
-                    f"allocating {obj_name[oid]!r} ({sz} B) exceeds "
-                    f"capacity ({u}/{capacity} B used)"
-                )
             allocated[base + oid] = 1
             u += sz
             if observing:
@@ -1080,7 +928,7 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
                 i = od_ptr[r]
                 hi = od_ptr[r + 1]
                 while i < hi:
-                    if known[od_ak[i]]:
+                    if known[od_grp[i]]:
                         dispatch(q, i, t)
                     else:
                         suspended[q].append(i)
@@ -1367,7 +1215,8 @@ def _raise_deadlock(
                 for od in suspended[q]
             ]
             pkgs = [
-                (ep.pkg_dst[k], list(ep.pkg_objs[k]))
+                (ep.pkg_dst[k], [obj_name[o] for o in
+                                 ep.pkg_oid[ep.pkg_ptr[k]:ep.pkg_ptr[k + 1]]])
                 for k in pending_pkgs[q]
             ]
             details[q] = f"END suspended={susp} pending_pkgs={pkgs}"
@@ -1375,7 +1224,7 @@ def _raise_deadlock(
             if slot[q * nprocs + ep.pkg_dst[k]]:
                 waits.add(ep.pkg_dst[k])
         for od in suspended[q]:
-            if not known[ml.od_ak[od]]:
+            if not known[ml.od_grp[od]]:
                 waits.add(ml.od_dest[od])
         waits.discard(q)
     err.details = details

@@ -18,7 +18,7 @@ import heapq
 from typing import NamedTuple, Optional
 
 from ..core.index import MappingIndex, graph_index
-from ..core.maps import MapPoint, maps_by_position
+from ..core.maps import MapPoint
 from ..errors import DataConsistencyError, DeadlockError, SimulationError
 from .memory import ObjectAllocator
 from .simulator import CompiledSchedule, ProcessorStats, ProcState, SimResult
@@ -238,7 +238,8 @@ def run_interpreted(sim) -> SimResult:
     #: every injection site at a single local-is-None test.
     fi = sim.faults.injector() if sim.faults and sim.faults.active else None
 
-    maps_at = maps_by_position(sim.plan, nprocs)
+    maps_at = [{mp.position: mp for mp in pts}  # per processor, by position
+               for pts in (sim.plan.points if sim.plan else [()] * nprocs)]
     state = [REC] * nprocs
     idx = [0] * nprocs
     avail = [0.0] * nprocs  # earliest time of the next local action
@@ -377,7 +378,8 @@ def run_interpreted(sim) -> SimResult:
     def do_map(q: int, mp: MapPoint, t: float) -> None:
         stats[q].num_maps += 1
         if observing:
-            obs.on_map(max(avail[q], t), q, mp.position, mp.frees, mp.allocs)
+            obs.on_map(max(avail[q], t), q, mp.position, list(mp.frees),
+                       list(mp.allocs))
         cost = (
             spec.map_overhead
             + len(mp.frees) * spec.free_cost

@@ -157,9 +157,9 @@ ENGINES = ("interpreted", "compiled")
 
 #: The keys of :attr:`CompiledSchedule.counters`.  ``*_s`` keys
 #: are :func:`time.perf_counter` phase timers in seconds; the
-#: ``exec_plan_s`` miss timer *includes* any first-call lowering /
+#: ``exec_plan_s`` timer *includes* any first-call lowering /
 #: MAP-planning it triggers (subtract ``lower_s`` / ``plan_s`` for the
-#: exclusive cost).
+#: exclusive cost); ``exec_plan_hits`` stays 0 (nothing is cached).
 ENGINE_COUNTER_KEYS = (
     "plan_hits", "plan_misses", "plan_s",
     "lower_hits", "lower_misses", "lower_s",
@@ -284,10 +284,8 @@ class CompiledSchedule:
     are frozen at compile time: a structural fingerprint taken then is
     re-checked by :meth:`check_fresh` on every plan or compiled-engine
     lookup, which raises :class:`~repro.errors.SimulationError` if the
-    schedule or graph was mutated since.  Compiled-engine execution
-    plans also depend on the (frozen, value-hashed)
-    :class:`~repro.machine.spec.MachineSpec` and the execution mode,
-    so they are keyed ``(capacity, spec, memory_managed)``.
+    schedule or graph was mutated since.  The compiled engine runs a
+    plan's own id tables, so nothing else is cached per capacity.
     """
 
     def __init__(
@@ -312,17 +310,13 @@ class CompiledSchedule:
         mi.memo("owner-compute", lambda: validate_owner_compute(
             self.graph, schedule.placement, schedule.assignment))
         self._plans: dict[int, MapPlan] = {}
-        #: compiled-engine execution plans, keyed
-        #: ``(capacity, spec, memory_managed)`` — see
-        #: :func:`repro.machine.compiled.get_exec_plan`.
-        self._exec_plans: dict[tuple, object] = {}
-        #: lowered list-table IR (shared by every execution plan).
+        #: lowered list-table IR (shared by every run of the schedule).
         self._lowered: Optional[object] = None
         #: memo of :func:`repro.machine.reference.name_tables`.
         self._name_tables: Optional[object] = None
         #: engine introspection counters: cache hits/misses and phase
-        #: timers for the MAP-plan / lowering / ExecPlan caches and run
-        #: counts per engine.  Updated
+        #: timers for the MAP-plan / lowering caches, MAP-table lookups
+        #: and run counts per engine.  Updated
         #: only at cache-lookup boundaries and run entry — never inside
         #: the execution hot loops.
         self.counters: dict = {k: 0.0 if k.endswith("_s") else 0
@@ -434,6 +428,7 @@ class Simulator:
     capacity:
         Per-processor memory in bytes/units, a finite integer >= 0
         (else :class:`~repro.errors.CapacityError`); defaults to
+        ``plan.capacity`` when a plan is given, else to
         ``spec.memory_capacity``.  With ``memory_managed=True`` a
         :class:`~repro.errors.NonExecutableScheduleError` propagates from
         the MAP planner when the capacity is below ``MIN_MEM``; the
@@ -442,8 +437,11 @@ class Simulator:
         Toggle the active memory management protocol (see module doc).
     plan:
         Optional precomputed MAP plan, made from the run's own profile
-        (``plan.profile is compiled.profile``) under any capacity, else
-        :class:`~repro.errors.SimulationError`.
+        (``plan.profile is compiled.profile``), which sets the run's
+        capacity; another ``capacity`` or ``memory_managed=False``
+        raises :class:`~repro.errors.SimulationError`, and so does a
+        plan with a memory-pass error (:meth:`MapPlan.check
+        <repro.core.maps.MapPlan.check>`), on both engines.
     compiled:
         Optional :class:`CompiledSchedule`, the one source of the run's
         schedule and profile (see :func:`resolve_compiled`); skips
@@ -494,8 +492,7 @@ class Simulator:
 
         ``engine`` selects the execution engine, ``"compiled"`` (default)
         or ``"interpreted"``; see "Engine selection" in the module
-        docstring.  A caller-supplied ``plan`` runs compiled through an
-        uncached exec plan."""
+        docstring."""
         if engine not in ENGINES:
             raise SimulationError(
                 f"unknown engine {engine!r}; expected 'interpreted' or "
@@ -524,7 +521,16 @@ class Simulator:
             f":p{self.p}:{self.g.num_tasks}t"
         )
         self.profile = compiled.profile
-        if capacity is None:
+        if plan is not None:
+            if not memory_managed:
+                raise SimulationError("a MAP plan needs memory_managed=True")
+            if capacity is not None and check_capacity(capacity) != plan.capacity:
+                raise SimulationError(
+                    f"capacity {capacity} does not match plan.capacity "
+                    f"{plan.capacity}")
+            plan.check()
+            capacity = plan.capacity
+        elif capacity is None:
             capacity = (
                 spec.memory_capacity if memory_managed else max(self.profile.tot, 1)
             )

@@ -2,14 +2,16 @@
 reference (:mod:`reference_passes`).
 
 The live :func:`repro.analysis.memory.memory_pass` emits ``SA1xx`` and
-``SA2xx`` from one per-processor replay; the reference ran the memory
+``SA2xx`` from one per-processor replay (:func:`repro.core.maps
+.plan_findings`, which the machine runs on every plan it did not make:
+:func:`test_sa207_iff_the_machine_refuses` pins that the engines refuse
+exactly the mutants with a memory-pass error); the reference ran the memory
 pass and the two-tier liveness sanitizer separately.  Their full
 diagnostic lists must be equal on every hand plan of
 :mod:`test_rules` and on seeded mutations of planner output, apart from
 ``SA207`` (a misplaced MAP, which the reference did not report; dropped
-here and pinned by :func:`test_sa207_iff_the_machine_refuses`) and the
-two intended differences, which are normalised here and pinned by the
-last two tests:
+here) and the two intended differences, which are normalised here and
+pinned by the last two tests:
 
 * ``SA203``/``SA204`` come in first-allocation order on every
   processor (the reference's walking tier sorted them by name);
@@ -17,7 +19,6 @@ last two tests:
   ``SA102`` too (the reference's memory pass walked the list).
 """
 
-import copy
 import inspect
 import random
 from contextlib import ExitStack, suppress
@@ -29,16 +30,19 @@ import pytest
 
 import reference_passes as ref
 import test_rules
-from repro.analysis import analyze_plan, engine
+from repro.analysis import Severity, analyze_plan, engine
+from repro.analysis.diagnostics import RULES
 from repro.analysis.memory import memory_pass
 from repro.core import cyclic_placement, owner_compute_assignment
 from repro.core.liveness import analyze_memory
-from repro.core.maps import MapPlan, MapPoint, maps_by_position, plan_maps
+from repro.core.maps import REFUSED_RULES, MapPlan, MapPoint, plan_maps
 from repro.core.placement import Placement
 from repro.core.schedule import Schedule
-from repro.errors import SimulationError
+from repro.errors import DeadlockError, SimulationError
 from repro.graph import generators
 from repro.graph.builder import GraphBuilder
+from repro.machine.simulator import ENGINES, CompiledSchedule, Simulator
+from repro.machine.spec import UNIT_MACHINE
 from repro.rapid.inspector import order_with
 
 # -- the reference, normalised ----------------------------------------
@@ -46,7 +50,7 @@ from repro.rapid.inspector import order_with
 
 def rows(diags):
     """The comparable rows; ``SA207`` (misplaced MAP) is new since the
-    reference and pinned by :func:`test_sa207_iff_the_machine_refuses`."""
+    reference."""
     return [(d.rule, d.message, d.proc, d.position, d.task, d.obj)
             for d in diags if d.rule != "SA207"]
 
@@ -194,32 +198,41 @@ def test_hand_plans_match_the_reference(hand_contexts):
 
 
 # -- input 2: seeded mutations of planner output ----------------------
+#
+# Each mutation replaces MAPs of one processor's list (``MapPoint`` is
+# frozen), drawing from ``rng`` exactly as an in-place edit of the same
+# MAPs would.
 
 
 def drop_free(pts, rng):
-    mp = rng.choice([m for m in pts if m.frees])
-    mp.frees.pop(rng.randrange(len(mp.frees)))
+    k = rng.choice([k for k, m in enumerate(pts) if m.frees])
+    i = rng.randrange(len(pts[k].frees))
+    pts[k] = replace(pts[k], frees=pts[k].frees[:i] + pts[k].frees[i + 1:])
 
 
 def drop_alloc(pts, rng):
-    mp = rng.choice([m for m in pts if m.allocs])
-    mp.allocs.pop(rng.randrange(len(mp.allocs)))
+    k = rng.choice([k for k, m in enumerate(pts) if m.allocs])
+    i = rng.randrange(len(pts[k].allocs))
+    pts[k] = replace(pts[k], allocs=pts[k].allocs[:i] + pts[k].allocs[i + 1:])
 
 
 def repeat_alloc(pts, rng):
     k = rng.choice([k for k, m in enumerate(pts) if m.allocs])
     o = rng.choice(pts[k].allocs)
-    pts[rng.randrange(k, len(pts))].allocs.append(o)
+    j = rng.randrange(k, len(pts))
+    pts[j] = replace(pts[j], allocs=pts[j].allocs + (o,))
 
 
 def move_map(pts, rng):
-    mp = rng.choice(pts)
-    mp.position = max(0, mp.position + rng.choice((-2, -1, 1, 2)))
+    k = rng.choice(range(len(pts)))
+    pts[k] = replace(pts[k], position=max(
+        0, pts[k].position + rng.choice((-2, -1, 1, 2))))
 
 
 def swap_frees(pts, rng):
-    a, b = rng.sample(pts, 2)
-    a.frees, b.frees = b.frees, a.frees
+    a, b = rng.sample(range(len(pts)), 2)
+    pts[a], pts[b] = (replace(pts[a], frees=pts[b].frees),
+                      replace(pts[b], frees=pts[a].frees))
 
 
 MUTATIONS = (drop_free, drop_alloc, repeat_alloc, move_map, swap_frees)
@@ -243,7 +256,7 @@ def mutants(plan, rng):
     """One copy of ``plan`` per mutation kind, each with the mutation
     applied to one processor that admits it."""
     for mutate in MUTATIONS:
-        points = copy.deepcopy(plan.points)
+        points = [list(pts) for pts in plan.points]
         procs = list(range(len(points)))
         rng.shuffle(procs)
         for p in procs:
@@ -273,21 +286,51 @@ def test_mutated_plans_match_the_reference():
     assert checked >= 2000
 
 
+def outcome(make_sim):
+    """``("refused", message)`` when building the simulator raises,
+    else the run's result or its error."""
+    try:
+        sim = make_sim()
+    except SimulationError as err:
+        return ("refused", str(err))
+    try:
+        return ("ran", replace(sim.run(), engine=""))
+    except (SimulationError, DeadlockError) as err:
+        return (type(err).__name__, str(err))
+
+
+def test_refused_rules_are_the_memory_pass_errors():
+    memory_rules = {c for c in RULES if c[:3] in ("SA1", "SA2")}
+    assert REFUSED_RULES == {c for c in memory_rules
+                             if RULES[c].severity == Severity.ERROR}
+
+
 def test_sa207_iff_the_machine_refuses():
-    """``SA207`` fires on a mutant exactly when the engines' MAP table
-    (:func:`maps_by_position`) refuses it, with the message it raises
-    first."""
-    refused = 0
+    """A mutant with any memory-pass error (``SA207`` and every other
+    ``SA1xx``/``SA2xx`` error) is refused when either engine's
+    simulator is built, with the first error's message.  Every other
+    mutant runs, and both engines return equal results."""
+    compiled = {}
+    refused = ran = 0
     for ctx in mutated_contexts():
-        misplaced = [d.message for d in memory_pass(ctx) if d.rule == "SA207"]
-        try:
-            maps_by_position(ctx.plan, len(ctx.schedule.orders))
-        except SimulationError as err:
-            assert misplaced[:1] == [str(err)]
+        errors = [d.message for d in memory_pass(ctx)
+                  if d.severity == Severity.ERROR]
+        plan = ctx.plan
+        if id(plan.profile) not in compiled:
+            compiled[id(plan.profile)] = (plan.profile, CompiledSchedule(
+                plan.schedule, profile=plan.profile))
+        cs = compiled[id(plan.profile)][1]
+        got = {e: outcome(lambda e=e: Simulator(
+                   compiled=cs, spec=UNIT_MACHINE, plan=plan, engine=e))
+               for e in ENGINES}
+        if errors:
+            assert got == {e: ("refused", errors[0]) for e in ENGINES}
             refused += 1
         else:
-            assert misplaced == []
-    assert refused > 0
+            assert got["compiled"][0] == "ran"
+            assert got["compiled"] == got["interpreted"]
+            ran += 1
+    assert refused > 0 and ran > 0
 
 
 # -- the two intended differences -------------------------------------
@@ -307,7 +350,10 @@ def test_sa102_follows_map_positions():
     [d] = [d for d in analyze_plan(plan).diagnostics if d.rule == "SA102"]
     assert (d.position, d.obj) == (1, "d2")
     assert d.message.startswith("MAP 0 brings usage to 5 ")
-    assert maps_by_position(plan, 2)[0][d.position].allocs == ["d2"]
+    # The overflowing MAP, at position 1, is the second MAP the machine
+    # would run; the machine refuses the plan with this message.
+    with pytest.raises(SimulationError, match="^MAP 0 brings usage to 5 "):
+        plan.check()
 
 
 def dead_allocation_plan(p0_allocs):

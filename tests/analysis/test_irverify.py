@@ -3,7 +3,7 @@
 Clean verdicts on every shipped lowering, and one surgical mutation per
 rule family: each corrupt IR is rejected with its specific SA5xx
 diagnostic — never a crash, never a silent pass.  Every test builds its
-own `CompiledSchedule` so mutating the memoised lowering/exec plan
+own `CompiledSchedule` so mutating the memoised lowering or MAP plan
 cannot leak into shared caches.
 """
 
@@ -74,7 +74,7 @@ def compiled_pt(cs):
 #: Every (pointer, index) table pair the SA501 pass checks, by the name
 #: its findings use.
 CSR_PAIRS = [
-    "proc_start", "od_ptr/od_mk", "od_ptr/od_ak", "od_ptr/od_dest",
+    "proc_start", "od_ptr/od_mk", "od_ptr/od_grp", "od_ptr/od_dest",
     "od_ptr/od_oid", "os_ptr/os_sk", "cons_ptr/cons_mk",
     "wait_ptr/wait_tid", "swait_ptr/swait_tid", "grp_ptr/grp_mk",
 ]
@@ -102,7 +102,7 @@ class TestCleanVerdicts:
         assert "OK" in report.summary()
 
     def test_non_executable_capacity_degrades_not_crashes(self):
-        # Capacity below MIN_MEM admits no exec plan; the verifier
+        # Capacity below MIN_MEM admits no MAP plan; the verifier
         # falls back to the lowering passes (SA101 is the analyzer's).
         cs = fresh_paper()
         report = verify_report(cs, capacity=1, spec=UNIT_MACHINE)
@@ -216,7 +216,7 @@ class TestVerifiedTablesRun:
 
     def test_flagged_weight_changes_the_cached_plan_run(self):
         # The run loop indexes ``lo.weight``: a weight corrupted after
-        # the exec plan is built and cached is the weight that runs.
+        # the lowering is built and cached is the weight that runs.
         cs = CompiledSchedule(data_and_sync_schedule())
         sim = Simulator(compiled=cs, spec=UNIT_MACHINE, engine="compiled")
         clean = sim.run().parallel_time  # builds and caches the plan
@@ -230,7 +230,9 @@ class TestVerifiedTablesRun:
             pt = sim.run().parallel_time
         except (AssertionError, IndexError, ReproError):
             pt = None
-        assert cs.counters["exec_plan_misses"] == 1  # ran the cached plan
+        # ran the cached lowering and MAP plan
+        assert cs.counters["lower_misses"] == 1
+        assert cs.counters["plan_misses"] == 1
         assert pt != clean
 
 

@@ -94,6 +94,24 @@ class TestPlanner:
                         assert sc.placement[m] == owner
                         assert owner != mp.proc
 
+    def test_points_are_read_only(self):
+        """The name view cannot drift from the tables the compiled
+        engine runs: a MAP, its lists and its notifications refuse
+        edits, and a pickled MAP comes back equal."""
+        import dataclasses
+        import pickle
+
+        g = paper_example_graph()
+        plan = plan_maps(analyze_memory(schedule_c(g)), 8)
+        mp = next(mp for pts in plan.points for mp in pts if mp.notifications)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mp.notifications = {}
+        with pytest.raises(TypeError):
+            mp.notifications[mp.proc] = ()
+        with pytest.raises(AttributeError):
+            mp.allocs.append("x")
+        assert pickle.loads(pickle.dumps(mp)) == mp
+
     def test_budget_respected_between_maps(self):
         """Walking the plan never exceeds capacity (frees only at MAPs)."""
         for seed in range(6):

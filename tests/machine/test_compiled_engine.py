@@ -25,6 +25,7 @@ import math
 import pytest
 
 from repro.core import dts_order, mpo_order, rcp_order
+from repro.core.maps import MapPlan
 from repro.errors import (
     DeadlockError,
     NonExecutableScheduleError,
@@ -185,19 +186,20 @@ class TestErrorParity:
         DeadlockError (type, message, diagnosis) from both engines."""
         g = paper_example_graph()
         cs = CompiledSchedule(schedule_c(g))
-        # Strip the notifications from the memoised plan: space exists
-        # but owners never learn addresses, so data never flows.  The
-        # plan stays the memoised one, so the compiled engine stays
-        # eligible and must diagnose the identical deadlock.
-        plan = cs.plan_for(9)
-        for pts in plan.points:
-            for mp in pts:
-                mp.notifications.clear()
+        # A copy of the capacity-9 plan without notifications: space
+        # exists but owners never learn addresses, so data never flows.
+        # No memory-pass rule reads notifications, so both engines
+        # accept the plan and must diagnose the identical deadlock.
+        planned = cs.plan_for(9)
+        plan = MapPlan(capacity=9, profile=cs.profile, points=[
+            [dataclasses.replace(mp, notifications={}) for mp in pts]
+            for pts in planned.points])
         errs = {}
         for engine in ("interpreted", "compiled"):
             with pytest.raises(DeadlockError) as ei:
                 Simulator(
-                    spec=UNIT_MACHINE, capacity=9, compiled=cs, engine=engine
+                    spec=UNIT_MACHINE, capacity=9, compiled=cs, plan=plan,
+                    engine=engine,
                 ).run()
             errs[engine] = ei.value
         a, b = errs["interpreted"], errs["compiled"]
@@ -206,57 +208,107 @@ class TestErrorParity:
         assert a.completed == b.completed
         assert a.details == b.details
 
-    def test_corrupted_plan_error_identical(self):
-        """A double allocation smuggled into the memoised plan trips
-        the same allocator error, with the same message, from both
-        engines (the compiled engine replicates the allocator's check
-        order exactly)."""
-        from repro.errors import MemoryError_
+    def test_notification_to_a_non_owner(self):
+        """A package sent to a processor that does not own its objects
+        teaches no owner their addresses (SA303).  No memory-pass rule
+        reads notifications, so both engines run the plan, and the
+        owner's sends stay suspended in both: one deadlock."""
+        from repro.core import cyclic_placement, owner_compute_assignment
+        from repro.graph import generators as gen
 
+        g = gen.layered_random(5, 6, seed=1)
+        pl = cyclic_placement(g, 3)
+        cs = CompiledSchedule(rcp_order(g, pl, owner_compute_assignment(g, pl)))
+        cap = cs.profile.tot
+        points = [list(pts) for pts in cs.plan_for(cap).points]
+        p, i, owner = next((p, i, d) for p, pts in enumerate(points)
+                           for i, mp in enumerate(pts)
+                           for d in mp.notifications)
+        other = ({0, 1, 2} - {p, owner}).pop()
+        notes = dict(points[p][i].notifications)
+        notes[other] = notes.get(other, ()) + notes.pop(owner)
+        points[p][i] = dataclasses.replace(points[p][i], notifications=notes)
+        plan = MapPlan(capacity=cap, points=points, profile=cs.profile)
+        for engine in ENGINES:
+            with pytest.raises(DeadlockError):
+                Simulator(spec=UNIT_MACHINE, compiled=cs, plan=plan,
+                          engine=engine).run()
+        assert_exact_match(lambda e: Simulator(
+            spec=UNIT_MACHINE, compiled=cs, plan=plan, engine=e))
+
+    def test_corrupted_plan_error_identical(self):
+        """A double allocation in a copy of the planner's plan is
+        refused by both engines when the simulator is built, with the
+        analyzer's SA206 message."""
         g = paper_example_graph()
         cs = CompiledSchedule(schedule_c(g))
-        plan = cs.plan_for(9)
-        mp = plan.points[1][0]
+        points = [list(pts) for pts in cs.plan_for(9).points]
+        mp = points[1][0]
         assert mp.allocs
-        mp.allocs.append(mp.allocs[0])  # duplicate allocation
+        points[1][0] = dataclasses.replace(
+            mp, allocs=mp.allocs + mp.allocs[:1])  # duplicate allocation
+        plan = MapPlan(capacity=9, points=points, profile=cs.profile)
         msgs = {}
         for engine in ("interpreted", "compiled"):
-            with pytest.raises(MemoryError_) as ei:
-                Simulator(
-                    spec=UNIT_MACHINE, capacity=9, compiled=cs, engine=engine
-                ).run()
+            with pytest.raises(SimulationError) as ei:
+                Simulator(spec=UNIT_MACHINE, capacity=9, compiled=cs,
+                          plan=plan, engine=engine)
             msgs[engine] = str(ei.value)
-        assert msgs["interpreted"] == msgs["compiled"]
+        assert msgs["interpreted"] == msgs["compiled"] == (
+            f"MAP allocates {mp.allocs[0]!r} which is already allocated")
 
 
     @staticmethod
     def _refused(cs, plan, match):
-        """Both engines refuse ``plan`` before running, naming the
-        processor and the position."""
+        """Both engines refuse ``plan`` when the simulator is built,
+        naming the processor and the position."""
         for engine in ENGINES:
             with pytest.raises(SimulationError, match=match):
                 Simulator(spec=UNIT_MACHINE, capacity=9, compiled=cs,
-                          plan=plan, engine=engine).run()
+                          plan=plan, engine=engine)
+
+    @staticmethod
+    def _with_map(cs, mp):
+        """The capacity-9 plan of ``cs`` with ``mp`` appended to its
+        processor's MAPs."""
+        points = [list(pts) for pts in cs.plan_for(9).points]
+        points[mp.proc].append(mp)
+        return MapPlan(capacity=9, points=points, profile=cs.profile)
 
     def test_two_maps_at_one_position(self):
         """A second MAP at a position is refused, not dropped."""
-        from repro.core.maps import MapPoint, plan_maps
+        from repro.core.maps import MapPoint
 
         cs = CompiledSchedule(schedule_c(paper_example_graph()))
-        plan = plan_maps(cs.profile, 9)
-        pos = plan.points[1][-1].position
-        plan.points[1].append(MapPoint(proc=1, position=pos))
+        pos = cs.plan_for(9).points[1][-1].position
+        plan = self._with_map(cs, MapPoint(proc=1, position=pos))
         self._refused(cs, plan, f"^P1 has two MAPs at position {pos}$")
+
+    def test_map_listed_under_another_processor(self):
+        """A MAP in another processor's list is refused, not moved."""
+        from repro.core.maps import MapPoint
+
+        cs = CompiledSchedule(schedule_c(paper_example_graph()))
+        points = [list(pts) for pts in cs.plan_for(9).points]
+        points[0].append(MapPoint(proc=1, position=1))
+        plan = MapPlan(capacity=9, points=points, profile=cs.profile)
+        self._refused(cs, plan, "^P0's MAP list holds a MAP of P1$")
+
+    def test_plan_for_another_processor_count(self):
+        """A plan without a MAP list for every processor is refused."""
+        cs = CompiledSchedule(schedule_c(paper_example_graph()))
+        plan = MapPlan(capacity=9, points=cs.plan_for(9).points[:1],
+                       profile=cs.profile)
+        self._refused(cs, plan, "^the plan has 1 MAP lists for 2 processors$")
 
     def test_map_past_the_order(self):
         """A MAP at or past the end of its order is refused, not
         skipped."""
-        from repro.core.maps import MapPoint, plan_maps
+        from repro.core.maps import MapPoint
 
         cs = CompiledSchedule(schedule_c(paper_example_graph()))
-        plan = plan_maps(cs.profile, 9)
         n = len(cs.schedule.orders[0])
-        plan.points[0].append(MapPoint(proc=0, position=n))
+        plan = self._with_map(cs, MapPoint(proc=0, position=n))
         self._refused(cs, plan, f"^P0 has a MAP at position {n}, outside "
                                 f"its order of {n} tasks$")
 
@@ -355,20 +407,24 @@ class TestFallbacks:
 
     def test_caller_plan_runs_compiled_exactly(self, cs):
         from repro.core.maps import plan_maps
+        from repro.machine.compiled import get_exec_plan
 
-        # A tighter plan than the capacity needs: more MAPs than the
-        # memoised plan the cache would serve for capacity 9.
+        # A tighter plan than capacity 9 needs: more MAPs than the
+        # memoised plan the compiled schedule would serve for 9.  It
+        # runs at its own capacity.
         plan = plan_maps(cs.profile, cs.profile.min_mem)
         res = assert_exact_match(
             lambda e: Simulator(
-                spec=UNIT_MACHINE, capacity=9, compiled=cs,
-                plan=plan, engine=e,
+                spec=UNIT_MACHINE, compiled=cs, plan=plan, engine=e,
             )
         )
         assert res is not None and res.plan is plan
-        # Built from the caller's plan, never cached under the key.
-        assert cs._exec_plans == {}
-        assert cs.counters["exec_plan_misses"] == 1
+        assert res.capacity == plan.capacity == cs.profile.min_mem
+        # The run read the caller's own tables: nothing was planned or
+        # memoised on the compiled schedule for it.
+        assert cs.counters["plan_misses"] == 0 and cs._plans == {}
+        assert get_exec_plan(cs, plan.capacity, UNIT_MACHINE, True,
+                             plan=plan) is plan.tables
         assert plan.points != cs.plan_for(9).points
 
     def test_unknown_engine_rejected(self, cs):
@@ -406,8 +462,8 @@ class TestCacheStaleness:
     def test_exec_plans_keyed_by_spec(self, seeded_case):
         """Scaling the overhead costs between runs of the *same*
         compiled schedule must produce the scaled-spec result, not a
-        stale cost table (regression: the execution-plan cache key
-        includes the MachineSpec)."""
+        stale cost table (the MAP tables hold no costs: a run prices
+        its MAPs from its own spec)."""
         case = seeded_case(seed=0, procs=3)
         s = rcp_order(case.graph, case.placement, case.assignment)
         cs = CompiledSchedule(s)

@@ -2,11 +2,12 @@
 
 * The default sweep CSV equals the interpreted oracle's byte for byte,
   with the IR verifier (``REPRO_VERIFY_IR=1``) checking every lowering
-  and exec plan the default path builds.
+  and the MAP tables of every run on the default path.
 * RCP, MPO and DTS at one P share one mapping-level lowering.
-* An exec plan holds only its MAP tables: its size follows the MAPs of
-  the plan, not the tasks of the schedule, and runs that differ only in
-  ``preknown_addresses`` share it.
+* A run reads its MAP plan's own id tables: their size follows the MAPs
+  of the plan, not the tasks of the schedule, they agree with the
+  plan's name view, and runs that differ only in
+  ``preknown_addresses`` share one plan.
 """
 
 import pytest
@@ -14,7 +15,8 @@ import pytest
 from repro.experiments import ExperimentContext
 from repro.experiments.sweep import full_sweep, to_csv
 from repro.machine import compiled as compiled_mod
-from repro.machine.compiled import ExecPlan, get_exec_plan, lower_schedule
+from repro.core.maps import MapTables
+from repro.machine.compiled import get_exec_plan, lower_schedule
 from repro.machine.simulator import Simulator
 
 GRID = dict(
@@ -71,26 +73,26 @@ def test_exec_plan_size_follows_the_maps(fraction):
     cap = int(cs.profile.tot * fraction)
     plan = cs.plan_for(cap)
     ep = get_exec_plan(cs, cap, ctx.spec, True)
+    assert ep is plan.tables  # the run reads the plan's own tables
     nprocs = cs.num_procs
-    maps = sum(len(pts) for pts in plan.points)
-    pkgs = plan.total_packages
-    notified = sum(len(objs) for pts in plan.points for mp in pts
-                   for objs in mp.notifications.values())
-    owned = {f: len(getattr(ep, f)) for f in ExecPlan.__slots__}
+    # Counted on the plan's name view.
+    pts = [mp for proc_pts in plan.points for mp in proc_pts]
+    maps = len(pts)
+    pkgs = sum(len(mp.notifications) for mp in pts)
+    owned = {f: len(getattr(ep, f)) for f in MapTables._fields}
     want = {
-        "map_first": nprocs,
-        "map_pos": maps + nprocs, "map_cost": maps + nprocs,
+        "map_first": nprocs + 1, "map_pos": maps + nprocs,
         "mf_ptr": maps + nprocs + 1, "ma_ptr": maps + nprocs + 1,
         "mp_ptr": maps + nprocs + 1,
-        "mf_oid": plan.total_frees, "mf_grp": plan.total_frees,
-        "ma_oid": plan.total_allocations,
-        "pkg_src": pkgs, "pkg_dst": pkgs, "pkg_objs": pkgs,
-        "pkg_ak_ptr": pkgs + 1,
+        "mf_oid": sum(len(mp.frees) for mp in pts),
+        "ma_oid": sum(len(mp.allocs) for mp in pts),
+        "pkg_src": pkgs, "pkg_dst": pkgs, "pkg_ptr": pkgs + 1,
+        "pkg_oid": sum(len(objs) for mp in pts
+                       for objs in mp.notifications.values()),
     }
-    # Every slot is a MAP table: the run reads its other inputs from
+    # Every field is a MAP table: the run reads its other inputs from
     # the simulator, the spec and the mapping's per-spec costs.
-    assert {f: n for f, n in owned.items() if f != "pkg_ak"} == want
-    assert owned["pkg_ak"] <= notified
+    assert owned == want
     # None of it grows with the tasks: far fewer entries than tasks.
     assert sum(owned.values()) < cs.graph.num_tasks
     res = Simulator(compiled=cs, spec=ctx.spec, capacity=cap).run()
@@ -107,8 +109,11 @@ def test_preknown_addresses_share_the_exec_plan():
                             preknown_addresses=preknown).run()
         for preknown in (False, True)
     }
-    assert cs.counters["exec_plan_misses"] == 1
-    assert cs.counters["exec_plan_hits"] == 1
+    # One plan, planned once, whose tables both runs read.
+    assert cs.counters["plan_misses"] == 1
+    assert cs.counters["plan_hits"] == 1
+    assert get_exec_plan(cs, cap, ctx.spec, True) is cs.plan_for(cap).tables
+    assert cs.counters["exec_plan_hits"] == 0
     # The shared plan runs the oracle's preknown-address protocol.
     oracle = Simulator(compiled=cs, spec=ctx.spec, capacity=cap,
                        preknown_addresses=True, engine="interpreted").run()

@@ -62,12 +62,17 @@ class TestEngineSelectionCounters:
         assert cs.counters["compiled_runs"] == 1
         assert cs.counters["interpreted_runs"] == 0
         assert cs.counters["lower_misses"] == 1
+        assert cs.counters["plan_misses"] == 1
         assert cs.counters["exec_plan_misses"] == 1
-        # Same configuration again: both caches hit.
+        # Same configuration again: the lowering and the MAP plan are
+        # reused; every run counts one MAP-table lookup, never a hit.
         sim(cs, engine="compiled").run()
         assert cs.counters["compiled_runs"] == 2
         assert cs.counters["lower_misses"] == 1
-        assert cs.counters["exec_plan_hits"] >= 1
+        assert cs.counters["plan_misses"] == 1
+        assert cs.counters["plan_hits"] >= 1
+        assert cs.counters["exec_plan_misses"] == 2
+        assert cs.counters["exec_plan_hits"] == 0
         assert cs.counters["exec_s"] > 0.0
 
     def test_interpreted_run_counts(self):

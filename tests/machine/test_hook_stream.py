@@ -30,6 +30,7 @@ from hypothesis import given, strategies as st
 from repro.conformance import FAULT_KINDS, fault_preset
 from repro.conformance.check import overwrite_scenario
 from repro.core import cyclic_placement, owner_compute_assignment
+from repro.core.maps import MapPlan
 from repro.errors import ReproError, SchedulingError
 from repro.graph import generators as gen
 from repro.graph.paper_example import paper_example_graph, schedule_b, schedule_c
@@ -96,6 +97,13 @@ def assert_same_stream(make_sim):
         for f in STAT_FIELDS:
             assert getattr(sa, f) == getattr(sb, f), f
     return rb, cb
+
+
+def edited(plan, edit):
+    """A new plan of ``plan``'s capacity and profile, each MAP replaced
+    by ``edit(mp)``."""
+    return MapPlan(capacity=plan.capacity, profile=plan.profile,
+                   points=[[edit(mp) for mp in pts] for pts in plan.points])
 
 
 def modes(prof):
@@ -192,45 +200,46 @@ class TestErrorPrefix:
     same hook-stream prefix."""
 
     def test_deadlock(self):
+        """A plan without notifications passes the entry check and
+        deadlocks mid-run."""
         cs = CompiledSchedule(schedule_c(paper_example_graph()))
-        plan = cs.plan_for(9)
-        for pts in plan.points:
-            for mp in pts:
-                mp.notifications.clear()
+        plan = edited(cs.plan_for(9),
+                      lambda mp: dataclasses.replace(mp, notifications={}))
         outcome, calls = assert_same_stream(
-            lambda e, r: Simulator(spec=UNIT_MACHINE, capacity=9,
-                                   compiled=cs, engine=e, instrument=r))
+            lambda e, r: Simulator(spec=UNIT_MACHINE, compiled=cs,
+                                   plan=plan, engine=e, instrument=r))
         assert outcome[0] == "DeadlockError"
         assert calls and calls[-1][0] != "on_run_end"
 
     def test_double_allocation(self):
+        """Refused by both engines before any hook runs (SA206)."""
         cs = CompiledSchedule(schedule_c(paper_example_graph()))
-        mp = cs.plan_for(9).points[1][0]
-        mp.allocs.append(mp.allocs[0])
+        first = cs.plan_for(9).points[1][0]
+        plan = edited(cs.plan_for(9), lambda mp: dataclasses.replace(
+            mp, allocs=mp.allocs + mp.allocs[:1]) if mp is first else mp)
         outcome, calls = assert_same_stream(
-            lambda e, r: Simulator(spec=UNIT_MACHINE, capacity=9,
-                                   compiled=cs, engine=e, instrument=r))
-        assert outcome[0] == "MemoryError_"
-        assert calls[-1][0] == "on_alloc"
+            lambda e, r: Simulator(spec=UNIT_MACHINE, compiled=cs,
+                                   plan=plan, engine=e, instrument=r))
+        assert outcome == (
+            "SimulationError",
+            f"MAP allocates {first.allocs[0]!r} which is already allocated")
+        assert calls == []
 
     def test_landing_space_violation(self):
-        """Data arriving before its space is allocated (a MAP plan with
-        the receiver's allocations moved away) is a protocol error."""
+        """A MAP plan with the receiver's allocations moved away would
+        take data with no space to land in; both engines refuse it
+        before any hook runs (SA205)."""
         cs = CompiledSchedule(schedule_b(paper_example_graph()))
-        plan = cs.plan_for(cs.profile.tot)
-        moved = False
-        for pts in plan.points:
-            for mp in pts:
-                if mp.allocs and not moved:
-                    mp.allocs.clear()
-                    moved = True
-        assert moved
+        planned = cs.plan_for(cs.profile.tot)
+        first = next(mp for pts in planned.points for mp in pts if mp.allocs)
+        plan = edited(planned, lambda mp: dataclasses.replace(
+            mp, allocs=()) if mp is first else mp)
         outcome, calls = assert_same_stream(
-            lambda e, r: Simulator(spec=UNIT_MACHINE, capacity=cs.profile.tot,
-                                   compiled=cs, engine=e, instrument=r))
+            lambda e, r: Simulator(spec=UNIT_MACHINE, compiled=cs,
+                                   plan=plan, engine=e, instrument=r))
         assert outcome[0] == "SimulationError"
-        assert "no allocated space" in outcome[1]
-        assert calls and calls[-1][0] != "on_run_end"
+        assert "but no MAP allocated it" in outcome[1]
+        assert calls == []
 
 
 class TestObservedCells:

@@ -13,6 +13,7 @@ Regression suite for two state-leakage bugs and for the
 """
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -21,8 +22,8 @@ from repro.core import (
     analyze_memory, cyclic_placement, mpo_order, owner_compute_assignment, rcp_order,
 )
 from repro.conformance import differential_check, run_check
-from repro.core.maps import plan_maps
-from repro.errors import ReproError, SchedulingError, SimulationError
+from repro.core.maps import MapPlan, plan_maps
+from repro.errors import DeadlockError, SchedulingError, SimulationError
 from repro.graph.generators import random_trace
 from repro.graph.paper_example import paper_example_graph, schedule_c
 from repro.machine import CompiledSchedule, ProcessorStats, SimResult, Simulator
@@ -34,16 +35,26 @@ def paper_setup():
     return schedule_c(g)
 
 
+def silenced_p1(plan):
+    """``plan`` with P1's notifications dropped: P1 waits for data its
+    owner P0 never learns where to put, so a run deadlocks mid-run.
+    P0's MAPs are ``plan``'s own objects."""
+    return MapPlan(capacity=plan.capacity, profile=plan.profile, points=[
+        plan.points[0],
+        [replace(mp, notifications={}) for mp in plan.points[1]],
+    ])
+
+
 class TestPlanReuse:
     def test_plan_survives_failed_run(self):
-        """A plan made for capacity 8, replayed under capacity 7, fails
-        mid-run — and must still execute correctly afterwards."""
+        """A plan sharing MAPs with one that deadlocks mid-run must
+        still execute correctly afterwards."""
         sc = paper_setup()
         plan = plan_maps(analyze_memory(sc), 8)
-        with pytest.raises(ReproError):
-            Simulator(sc, spec=UNIT_MACHINE, capacity=7, plan=plan).run()
-        # The same plan object, at the capacity it was made for.
-        reused = Simulator(sc, spec=UNIT_MACHINE, capacity=8, plan=plan).run()
+        with pytest.raises(DeadlockError):
+            Simulator(sc, spec=UNIT_MACHINE, plan=silenced_p1(plan)).run()
+        # The plan whose P0 MAPs the failed run executed.
+        reused = Simulator(sc, spec=UNIT_MACHINE, plan=plan).run()
         fresh = Simulator(sc, spec=UNIT_MACHINE, capacity=8).run()
         assert reused.parallel_time == fresh.parallel_time
         assert [s.num_maps for s in reused.stats] == [
@@ -132,11 +143,33 @@ class TestPlanReuse:
         """A failing configuration fails the same way every run — no
         state carries over between attempts."""
         sc = paper_setup()
-        plan = plan_maps(analyze_memory(sc), 8)
-        sim = Simulator(sc, spec=UNIT_MACHINE, capacity=7, plan=plan)
+        plan = silenced_p1(plan_maps(analyze_memory(sc), 8))
+        sim = Simulator(sc, spec=UNIT_MACHINE, plan=plan)
+        errors = []
         for _ in range(3):
-            with pytest.raises(ReproError):
+            with pytest.raises(DeadlockError) as ei:
                 sim.run()
+            errors.append((str(ei.value), ei.value.details))
+        assert errors[0] == errors[1] == errors[2]
+
+    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
+    def test_plan_sets_the_capacity(self, engine):
+        """A run with a plan runs at the plan's capacity; another
+        capacity, or the baseline mode, is refused."""
+        sc = paper_setup()
+        plan = plan_maps(analyze_memory(sc), 8)
+        for kw in (dict(capacity=12), dict(capacity=7),
+                   dict(memory_managed=False)):
+            with pytest.raises(SimulationError):
+                Simulator(sc, spec=UNIT_MACHINE, plan=plan, engine=engine,
+                          **kw)
+        for kw in ({}, dict(capacity=8)):
+            res = Simulator(sc, spec=UNIT_MACHINE, plan=plan, engine=engine,
+                            **kw).run()
+            assert res.capacity == 8 and res.plan is plan
+            assert res.parallel_time == Simulator(
+                sc, spec=UNIT_MACHINE, capacity=8,
+                engine=engine).run().parallel_time
 
     def test_two_simulators_share_one_plan(self):
         sc = paper_setup()

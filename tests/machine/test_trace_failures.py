@@ -6,10 +6,12 @@ tests corrupt inputs deliberately and assert the right error surfaces —
 the "failure injection" axis of the suite.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import analyze_memory, mpo_order, rcp_order
-from repro.core.maps import plan_maps
+from repro.core.maps import MapPlan, plan_maps
 from repro.core.schedule import Schedule
 from repro.errors import (
     DeadlockError,
@@ -85,33 +87,44 @@ class TestFailureInjection:
         with pytest.raises(PlacementError):
             Simulator(bad, spec=UNIT_MACHINE)
 
+    @staticmethod
+    def _first_map_of_p1(plan, edit):
+        """A copy of ``plan`` whose P1 starts with ``edit`` of its first
+        MAP."""
+        points = [list(pts) for pts in plan.points]
+        points[1][0] = edit(points[1][0])
+        return MapPlan(capacity=plan.capacity, points=points,
+                       profile=plan.profile)
+
     def test_corrupted_plan_missing_alloc(self):
-        """Removing an allocation from the plan trips the allocator or
-        the protocol check — never silent corruption."""
+        """Removing an allocation from the plan is refused by both
+        engines when the simulator is built (SA205) — never silent
+        corruption."""
         g = paper_example_graph()
         sc = schedule_c(g)
         prof = analyze_memory(sc)
-        plan = plan_maps(prof, 9)
+        planned = plan_maps(prof, 9)
         # strip every allocation of P1's first MAP
-        stolen = list(plan.points[1][0].allocs)
-        assert stolen
-        plan.points[1][0].allocs.clear()
-        for objs in plan.points[1][0].notifications.values():
-            objs.clear()
-        with pytest.raises((SimulationError, DeadlockError)):
-            Simulator(sc, spec=UNIT_MACHINE, capacity=9, plan=plan).run()
+        assert planned.points[1][0].allocs
+        plan = self._first_map_of_p1(planned, lambda mp: replace(
+            mp, allocs=(), notifications={}))
+        for engine in ("compiled", "interpreted"):
+            with pytest.raises(SimulationError,
+                               match="but no MAP allocated it$"):
+                Simulator(sc, spec=UNIT_MACHINE, capacity=9, plan=plan,
+                          engine=engine)
 
     def test_corrupted_plan_double_alloc(self):
-        from repro.errors import MemoryError_
-
         g = paper_example_graph()
         sc = schedule_c(g)
         prof = analyze_memory(sc)
-        plan = plan_maps(prof, 9)
-        mp = plan.points[1][0]
-        mp.allocs.append(mp.allocs[0])  # duplicate allocation
-        with pytest.raises(MemoryError_):
-            Simulator(sc, spec=UNIT_MACHINE, capacity=9, plan=plan).run()
+        plan = self._first_map_of_p1(plan_maps(prof, 9), lambda mp: replace(
+            mp, allocs=mp.allocs + mp.allocs[:1]))  # duplicate allocation
+        for engine in ("compiled", "interpreted"):
+            with pytest.raises(SimulationError,
+                               match="which is already allocated$"):
+                Simulator(sc, spec=UNIT_MACHINE, capacity=9, plan=plan,
+                          engine=engine)
 
     def test_missing_producer_rejected(self):
         """A volatile read with no producer anywhere is caught at build
@@ -132,12 +145,12 @@ class TestFailureInjection:
         g = paper_example_graph()
         sc = schedule_c(g)
         prof = analyze_memory(sc)
-        plan = plan_maps(prof, 9)
+        planned = plan_maps(prof, 9)
         # Drop only the notifications: space exists but the owner never
         # learns the addresses -> data never flows -> REC deadlock.
-        for pts in plan.points:
-            for mp in pts:
-                mp.notifications.clear()
+        plan = MapPlan(capacity=9, profile=prof, points=[
+            [replace(mp, notifications={}) for mp in pts]
+            for pts in planned.points])
         with pytest.raises(DeadlockError) as ei:
             Simulator(sc, spec=UNIT_MACHINE, capacity=9, plan=plan).run()
         assert ei.value.details  # per-processor diagnosis attached

@@ -4,17 +4,22 @@ pass over every cross-processor edge, numbering each key by first
 appearance in dicts — with the edge lists the graph-id tables then
 carried (``_edge_lists``).
 
-Kept verbatim (apart from this docstring, the edge-list prelude and the
-per-spec cost memo it no longer seeds) so the property suite can pin
-every table field of the array lowering's :class:`MappingLowering` to
-it.  Do not "fix" or speed this copy up: it is the
-oracle.
+Kept verbatim (apart from this docstring, the edge-list prelude, the
+per-spec cost memo it no longer seeds, and the plain namespace it fills:
+it keeps the address-knowledge keys ``(owner, object, dest)`` —
+``od_ak``, ``ak_index`` — and ``grp_index``, which the array lowering
+replaced by ``od_grp``, ``grp_at`` and ``grp_src``) so the property
+suite can pin every table field of the array lowering's
+:class:`MappingLowering` to it.  Do not "fix" or speed this copy up: it
+is the oracle.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from repro.errors import SimulationError
-from repro.machine.compiled import MappingLowering, _graph_ids
+from repro.machine.compiled import _graph_ids
 
 
 def _edge_lists(g, gi):
@@ -53,7 +58,7 @@ def _csr(rows: dict[int, list[int]], n: int) -> tuple[list[int], list[int]]:
     return ptr, idx
 
 
-def reference_lower_mapping(g, gi, mi) -> MappingLowering:
+def reference_lower_mapping(g, gi, mi) -> SimpleNamespace:
     ids = gi.memo("compiled-ids", lambda: _graph_ids(g, gi))
     edge_u, edge_v, edge_objs = _edge_lists(g, gi)
     unit_of, unit_name, groups = ids.unit_of, ids.unit_name, ids.groups
@@ -143,7 +148,7 @@ def reference_lower_mapping(g, gi, mi) -> MappingLowering:
             "cross-processor edges"
         )
 
-    ml = MappingLowering()
+    ml = SimpleNamespace()
     ml.gi, ml.ids = gi, ids
     ml.num_procs = nprocs
     ml.num_tasks = n

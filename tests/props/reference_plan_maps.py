@@ -1,9 +1,10 @@
 """Frozen reference MAP planner: the name-keyed ``plan_maps`` as it
 stood before planning moved onto memoised first-use / last-use tables.
 
-Kept verbatim (apart from this docstring) so the property suite can pin
-``repro.core.maps.plan_maps`` to it with ``MapPlan`` equality.  Do not
-"fix" or speed this copy up: it is the oracle.
+Kept verbatim (apart from this docstring, and from building each MAP's
+lists before it constructs the now frozen ``MapPoint``) so the property
+suite can pin ``repro.core.maps.plan_maps`` to it, through the plan's
+name view.  Do not "fix" or speed this copy up: it is the oracle.
 """
 
 from __future__ import annotations
@@ -47,13 +48,15 @@ def reference_plan_maps(
         i = 0
         n = len(order)
         while i < n:
-            mp = MapPoint(proc=p, position=i)
+            frees: list[str] = []
+            allocs: list[str] = []
+            notifications: dict[int, list[str]] = {}
             # 1) free volatiles dead before position i.
             for o in sorted(allocated):
                 if last[o] < i:
                     allocated.discard(o)
                     used -= size[o]
-                    mp.frees.append(o)
+                    frees.append(o)
             # 2) allocate forward along the chain until the next task no
             #    longer fits.
             j = i
@@ -69,16 +72,18 @@ def reference_plan_maps(
                 for o in need:
                     allocated.add(o)
                     used += size[o]
-                    mp.allocs.append(o)
+                    allocs.append(o)
                     owner = placement[o]
-                    mp.notifications.setdefault(owner, []).append(o)
+                    notifications.setdefault(owner, []).append(o)
                 j += 1
             if j == i:
                 # Even the next task does not fit — contradicts the
                 # MIN_MEM check above; defensive.
                 raise NonExecutableScheduleError(p, pp.mem_req[i], capacity)
-            mp.covers_through = j - 1
-            proc_points.append(mp)
+            proc_points.append(MapPoint(
+                proc=p, position=i, frees=frees, allocs=allocs,
+                notifications=notifications, covers_through=j - 1,
+            ))
             i = j
         points.append(proc_points)
     return MapPlan(capacity=capacity, points=points, profile=profile)

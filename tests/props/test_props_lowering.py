@@ -34,8 +34,12 @@ from repro.graph.builder import GraphBuilder
 from repro.machine.compiled import MappingLowering, lower_schedule
 from repro.machine.simulator import CompiledSchedule
 
-#: every table of a lowering (not its index reference or cost memo)
-TABLES = [f for f in MappingLowering.__slots__ if f not in ("gi", "ids", "_costs")]
+#: every table of a lowering (not its index reference or cost memo) the
+#: reference builds too; the group tables that replaced its
+#: address-knowledge keys are pinned to those keys instead
+GROUP_TABLES = ("od_grp", "grp_at", "grp_src")
+TABLES = [f for f in MappingLowering.__slots__
+          if f not in ("gi", "ids", "_costs", *GROUP_TABLES)]
 
 
 def commuting_trace(num_tasks, num_objects, seed):
@@ -99,8 +103,24 @@ def test_lowering_equals_frozen_reference(case):
         for field in TABLES:
             assert getattr(got, field) == getattr(want, field), field
         for field in ("pending0", "noisy", "od_ptr", "od_mk", "wait_tid",
-                      "cons_mk", "grp_of", "od_ak", "mk_need0"):
+                      "cons_mk", "grp_of", *GROUP_TABLES, "mk_need0"):
             assert plain(getattr(got, field)), field
+        # A message's (dest, object) group is its address-knowledge key
+        # (owner, object, dest) because its sender is the object's owner.
+        oids = gi.object_names
+        assert [pl.owner[oids[o]] for o in got.od_oid] == \
+            [got.mk_src[mk] for mk in got.od_mk]
+        assert len(set(zip(want.od_ak, got.od_grp))) == want.num_ak \
+            == got.num_grp
+        nobj = len(oids)
+        assert got.grp_at == [want.grp_index.get(k, -1)
+                              for k in range(procs * nobj)]
+        # A package from dest naming an object teaches its reader the
+        # address only when the reader is the key's owner.
+        for akey in want.ak_index:
+            owner_obj, dest = divmod(akey, procs)
+            owner, o = divmod(owner_obj, nobj)
+            assert got.grp_src[got.grp_at[dest * nobj + o]] == owner
         assert verify_lowering(cs) == []
 
 

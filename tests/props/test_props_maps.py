@@ -3,7 +3,8 @@
 ``plan_maps`` walks memoised per-processor first-use / last-use tables
 (prefix sums and last-use buckets); ``reference_plan_maps`` is the
 name-keyed planner it replaced, kept verbatim under ``tests/``.  Every
-``MapPlan`` — positions, frees (in order), allocations (in order),
+``MapPlan`` — its capacity and, through the name view of the planner's
+id tables, positions, frees (in order), allocations (in order),
 notifications and ``covers_through`` — must be equal at every capacity,
 including the non-executable verdicts below ``MIN_MEM``.
 """
@@ -46,7 +47,8 @@ def build(family, seed, procs, order_fn):
 
 def outcome(planner, *args):
     try:
-        return planner(*args)
+        plan = planner(*args)
+        return ("plan", plan.capacity, plan.points)
     except NonExecutableScheduleError as err:
         return ("inf", err.processor, err.required, err.capacity)
 

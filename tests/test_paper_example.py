@@ -118,7 +118,7 @@ class TestFigure3Maps:
         assert set(extra.frees) >= {"d3", "d5"}
         assert "d7" in extra.allocs
         # The fresh d7 address goes to its owner P0.
-        assert extra.notifications == {0: ["d7"]}
+        assert extra.notifications == {0: ("d7",)}
 
     def test_b_not_executable_under_8(self, example):
         g, _, _ = example
