@@ -181,11 +181,6 @@ def _time_candidates(
     return out
 
 
-def _ids(gi: GraphIndex, by_name: Mapping[str, float]) -> list[float]:
-    """A per-task table keyed by name, as a list by task id."""
-    return list(map(by_name.__getitem__, gi.names))
-
-
 def time_bounds(
     graph: TaskGraph,
     assignment: Mapping[str, int],
@@ -203,7 +198,7 @@ def time_bounds(
     """
     gi = graph_index(graph)
     proc = check_assignment(gi.names, num_procs, assignment)
-    bl = _ids(gi, rcp.rcp_priorities(graph, assignment, comm))
+    bl = rcp.rcp_priorities(graph, proc, comm)
     return _time_candidates(gi, proc, bl, num_procs, comm)
 
 
@@ -377,21 +372,16 @@ def certified_bounds(
     gi = graph_index(graph)
     mi = gi.mapping(placement, assignment)
     return mi.memo(("bounds", comm),
-                   lambda: _bound_set(graph, placement, assignment, comm, gi, mi))
+                   lambda: _bound_set(graph, comm, gi, mi))
 
 
 def _bound_set(
-    graph: TaskGraph,
-    placement: Placement,
-    assignment: Mapping[str, int],
-    comm: CommModel,
-    gi: GraphIndex,
-    mi: MappingIndex,
+    graph: TaskGraph, comm: CommModel, gi: GraphIndex, mi: MappingIndex,
 ) -> BoundSet:
     """:func:`certified_bounds`, computed (not memoised) on the graph's
     index ``gi`` and the mapping's index ``mi``."""
-    bl = _ids(gi, rcp.mapping_b_levels(graph, assignment, mi, comm))
-    t_cands = _time_candidates(gi, mi.proc, bl, placement.num_procs, comm)
+    bl = rcp.mapping_b_levels(graph, mi, comm)
+    t_cands = _time_candidates(gi, mi.proc, bl, mi.num_procs, comm)
     m_cands = _memory_candidates(gi, mi)
     pt = t_cands[0]
     for b in t_cands:

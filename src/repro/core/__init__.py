@@ -29,7 +29,7 @@ from .liveness import (
     min_mem,
 )
 from .index import GraphIndex, MappingIndex, graph_index, mapping_index
-from .rcp import mapped_priorities, rcp_order, rcp_priorities
+from .rcp import rcp_order, rcp_priorities
 from .mpo import MemoryPriorityPolicy, mpo_order
 from .dcg import DCG, build_dcg, shared_dcg, slice_volatile_space, task_association
 from .dts import dts_order, dts_space_bound, merge_slices
@@ -42,11 +42,12 @@ from .depmem import (
     replicated_dependence_memory,
 )
 from .dynamic import etf_schedule
-from .listsched import StaticPolicy, run_list_scheduler
+from .listsched import BoundPolicy, run_list_scheduler
 from .treesched import tree_order
 from .viz import gantt_svg, memory_svg
 
 __all__ = [
+    "BoundPolicy",
     "CommModel",
     "DCG",
     "GanttChart",
@@ -63,7 +64,6 @@ __all__ = [
     "distributed_dependence_memory",
     "replicated_dependence_memory",
     "Schedule",
-    "StaticPolicy",
     "UNIT_COMM",
     "analyze_memory",
     "block_placement",
@@ -80,7 +80,6 @@ __all__ = [
     "gantt_svg",
     "graph_index",
     "lpt_map_clusters",
-    "mapped_priorities",
     "mapping_index",
     "memory_svg",
     "mem_req_of_task",

@@ -27,7 +27,7 @@ from typing import Mapping, Optional
 
 from ..errors import SchedulingError
 from ..graph.taskgraph import TaskGraph
-from .dcg import DCG, mapping_slice_space, shared_dcg
+from .dcg import mapping_slice_space, shared_dcg
 from .index import mapping_index
 from .listsched import BoundPolicy, run_list_scheduler
 from .placement import Placement
@@ -82,10 +82,9 @@ def dts_order(
     assignment: Mapping[str, int],
     comm: CommModel = UNIT_COMM,
     avail_mem: Optional[int] = None,
-    meta: Optional[dict] = None,
-    dcg: Optional[DCG] = None,
 ) -> Schedule:
-    """Order tasks slice-by-slice (DTS).
+    """Order tasks slice-by-slice (DTS) on the graph's shared DCG
+    (:func:`~repro.core.dcg.shared_dcg`).
 
     Parameters
     ----------
@@ -93,14 +92,8 @@ def dts_order(
         Per-processor memory capacity.  When given, consecutive slices
         are merged while they jointly fit (Figure 6) — pass ``None`` for
         plain DTS.
-    dcg:
-        Optionally reuse a precomputed DCG (default: the graph's shared
-        one, see :func:`~repro.core.dcg.shared_dcg`).
     """
-    if dcg is None:
-        dcg = shared_dcg(graph)
-    if dcg.graph is not graph:
-        raise SchedulingError("DCG was built from a different graph")
+    dcg = shared_dcg(graph)
     mi = mapping_index(graph, placement, assignment)
     slice_of = dcg.slice_of()
     h_values = mapping_slice_space(dcg, mi)
@@ -122,15 +115,13 @@ def dts_order(
             slice_of = {t: new_index[s] for t, s in slice_of.items()}
             merged = True
 
-    cp = mapping_b_levels(graph, assignment, mi, comm)
-    keys = [(-cp[t],) for t in mi.names]
+    keys = [-b for b in mapping_b_levels(graph, mi, comm)]
     info = {
         "heuristic": "DTS+merge" if merged else "DTS",
         "num_slices": len(set(slice_of.values())) if slice_of else 0,
         "dts_h": h,
         "dcg_acyclic": dcg.is_acyclic(),
     }
-    info.update(meta or {})
     return run_list_scheduler(
         graph, placement, assignment, BoundPolicy(mi, keys.__getitem__),
         comm=comm, levels=slice_of, meta=info,
@@ -141,7 +132,6 @@ def dts_space_bound(
     graph: TaskGraph,
     placement: Placement,
     assignment: Mapping[str, int],
-    dcg: Optional[DCG] = None,
 ) -> int:
     """Theorem 2's per-processor space bound for a DTS schedule:
     ``max_P perm_bytes(P) + max_i H(R, L_i)``.
@@ -150,8 +140,7 @@ def dts_space_bound(
     assignment distributes permanent space evenly; this function uses the
     actual permanent footprint, which is the tight form.)
     """
-    if dcg is None:
-        dcg = shared_dcg(graph)
+    dcg = shared_dcg(graph)
     mi = mapping_index(graph, placement, assignment)
     h = max(mapping_slice_space(dcg, mi), default=0)
     return max(mi.perm_bytes, default=0) + h

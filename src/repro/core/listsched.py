@@ -10,41 +10,27 @@ DTS all instantiate the same scheduling cycle (Figure 4):
 2. on that processor, schedule the ready task with the highest priority;
 3. update priorities and ready sets.
 
-The engine is parameterised by a :class:`PriorityPolicy`:
-
-* ``priority(task)`` returns a sortable tuple (larger = scheduled
-  first);
-* ``on_scheduled(task, proc)`` lets the policy update internal state and
-  return the set of tasks whose priority changed (their heap entries are
-  refreshed lazily);
-* optional per-task *levels* implement DTS's slice gate: a ready task
-  whose level is higher than its processor's minimum incomplete level is
-  parked until every lower-level task of that processor is scheduled.
-
-The loop itself runs in the dense task ids of the graph's shared
-:class:`~repro.core.index.GraphIndex` and turns ids back into names
-only for :attr:`Schedule.orders`.  A policy reaches it through a
-*binding* — ``(key, scheduled)`` with ``key(id)`` the negated sort key
-and ``scheduled(id, proc)`` the ids whose key changed (``None``: never).
-:class:`StaticPolicy` binds to keys computed once and
-:class:`~repro.core.mpo.MemoryPriorityPolicy` to its id-array counters
-(each through a ``bind(gi)`` method); any other, name-keyed policy runs
-through a small adapter that translates at the boundary.  The
-heuristics pass a :class:`BoundPolicy` built on the mapping index they
-already looked up.
+The heuristics differ only in the priority, which they hand the engine
+as a :class:`BoundPolicy` in the dense task ids of the graph's shared
+:class:`~repro.core.index.GraphIndex`: the mapping's
+:class:`~repro.core.index.MappingIndex` (which they already looked
+up), ``key(id)`` the task's negated sort key (smaller is scheduled
+first) and ``scheduled(id, proc)`` the ids whose key changed once the
+task is placed (``None``: never).  Optional per-task *levels*
+implement DTS's slice gate: a ready task whose level is higher than
+its processor's minimum incomplete level is parked until every
+lower-level task of that processor is scheduled.  The loop turns ids
+back into names only for :attr:`Schedule.orders`.
 
 The ready heaps hold one of two entry shapes:
 
-* a *static* binding (``scheduled is None``: RCP, DTS,
-  :class:`StaticPolicy`) pushes each task exactly once, so its entries
-  never go stale: ``(key, counter, id)``, with the key's one component
-  in place of the key when every key has one (keys of mixed lengths
-  stay nested, since flattening them would change the tuple order);
-* a *dynamic* binding (MPO, the name adapter) re-pushes a task whose
-  key changed, so its entries are versioned and flat,
-  ``key + (counter, id, version)``, and a popped head whose version is
-  old is dropped.  Every key of a dynamic binding must have the same
-  length (the adapter wraps each name key in a 1-tuple).
+* a *static* policy (``scheduled is None``: RCP and DTS, whose key is
+  the negated b-level, one float) pushes each task exactly once, so
+  its entries never go stale: ``(key, counter, id)``;
+* a *dynamic* policy (MPO) re-pushes a task whose key changed, so its
+  keys are tuples of one length and its entries are versioned and
+  flat, ``key + (counter, id, version)``; a popped head whose version
+  is old is dropped.
 
 ``counter`` counts pushes: equal keys leave the earlier push first.
 
@@ -60,10 +46,8 @@ exceeds its start.
 from __future__ import annotations
 
 import heapq
-import operator
 from typing import (
     TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, NoReturn, Optional,
-    Protocol,
 )
 
 from ..errors import SchedulingError
@@ -73,79 +57,25 @@ from .placement import Placement
 from .schedule import CommModel, Schedule, UNIT_COMM
 
 if TYPE_CHECKING:
-    from .index import GraphIndex, MappingIndex
+    from .index import MappingIndex
 
-#: Negated sort key of a task id (smaller is scheduled first).
-KeyFn = Callable[[int], tuple]
+#: Negated sort key of a task id (smaller is scheduled first): a float
+#: for a static policy, a tuple for a dynamic one.
+KeyFn = Callable[[int], "float | tuple"]
 #: ``scheduled(id, proc)``: ids whose key changed once ``id`` is placed.
 ScheduledFn = Callable[[int, int], Iterable[int]]
 
 
-class PriorityPolicy(Protocol):
-    """Strategy object consumed by :func:`run_list_scheduler`."""
-
-    def priority(self, task: str) -> tuple:
-        """Sort key of a ready task; larger tuples are scheduled first."""
-        ...
-
-    def on_scheduled(self, task: str, proc: int) -> Iterable[str]:
-        """Notify that ``task`` was placed; return tasks whose priority
-        changed (only ready tasks need to be reported)."""
-        ...
-
-
-class StaticPolicy:
-    """Priorities fixed up-front (RCP, DTS-within-slice)."""
-
-    def __init__(self, priorities: Mapping[str, tuple | float]):
-        self._p = {
-            t: (v if isinstance(v, tuple) else (v,)) for t, v in priorities.items()
-        }
-
-    def priority(self, task: str) -> tuple:
-        try:
-            return self._p[task]
-        except KeyError:
-            raise SchedulingError(
-                f"priority policy has no priority for task {task!r}"
-            ) from None
-
-    def on_scheduled(self, task: str, proc: int) -> Iterable[str]:
-        return ()
-
-    def bind(self, gi: "GraphIndex") -> tuple[KeyFn, None]:
-        """Negated keys of every task id, computed once."""
-        keys = [_neg(self.priority(t)) for t in gi.names]
-        return keys.__getitem__, None
-
-
-def _bind_names(policy: PriorityPolicy, gi: "GraphIndex") -> tuple[KeyFn, ScheduledFn]:
-    """Adapter binding of a name-keyed policy: ids become names on the
-    way in and names (unknown ones dropped) become ids on the way out."""
-    names, tid = gi.names, gi.tid
-    priority, on_scheduled = policy.priority, policy.on_scheduled
-
-    def key(i: int) -> tuple:
-        # Wrapped: the name keys may differ in length.
-        return (_neg(priority(names[i])),)
-
-    def scheduled(i: int, p: int) -> list[int]:
-        return [k for k in map(tid.get, on_scheduled(names[i], p)) if k is not None]
-
-    return key, scheduled
-
-
 class BoundPolicy(NamedTuple):
-    """A policy already bound to the task ids of one mapping: what RCP,
-    MPO and DTS hand :func:`run_list_scheduler` after looking up the
+    """A priority bound to the task ids of one mapping: what RCP, MPO
+    and DTS hand :func:`run_list_scheduler` after looking up the
     mapping's :class:`~repro.core.index.MappingIndex` ``mi`` (which
     checks the assignment) themselves, so each ordering call does it
     once.  ``mi`` must be the index of the call's graph, placement
     and assignment."""
 
     mi: "MappingIndex"
-    #: negated sort key of a task id; with ``scheduled``, every key has
-    #: one length (see the module docstring)
+    #: negated sort key of a task id (see the module docstring)
     key: KeyFn
     scheduled: Optional[ScheduledFn] = None
 
@@ -154,7 +84,7 @@ def run_list_scheduler(
     graph: TaskGraph,
     placement: Placement,
     assignment: Mapping[str, int],
-    policy: PriorityPolicy | BoundPolicy,
+    policy: BoundPolicy,
     comm: CommModel = UNIT_COMM,
     levels: Optional[Mapping[str, int]] = None,
     meta: Optional[dict] = None,
@@ -162,19 +92,13 @@ def run_list_scheduler(
     """Order the tasks of every processor with the given policy.
 
     Runs in the dense id space of the graph's shared
-    :class:`~repro.core.index.GraphIndex`; a policy without a
-    ``bind(gi)`` method sees task names through an adapter.  Returns a
+    :class:`~repro.core.index.GraphIndex`.  Returns a
     :class:`~repro.core.schedule.Schedule` that is structurally valid by
     construction.  Raises :class:`~repro.errors.SchedulingError` when a
-    task has no processor in ``[0, P)``, no static priority or no level.
+    task has no level.
     """
     gi = graph_index(graph)
-    if isinstance(policy, BoundPolicy):
-        mi, key, scheduled = policy
-    else:
-        mi = gi.mapping(placement, assignment)
-        bind = getattr(policy, "bind", None)
-        key, scheduled = bind(gi) if bind is not None else _bind_names(policy, gi)
+    mi, key, scheduled = policy
     nprocs = placement.num_procs
     names, succ, weight = gi.names, gi.succ, gi.weight
     proc = mi.proc
@@ -183,15 +107,12 @@ def run_list_scheduler(
     heappush, heappop, heappushpop = heapq.heappush, heapq.heappop, heapq.heappushpop
     static = scheduled is None
     if static:
-        # Each task is pushed once: its entry heads with its key, or
-        # with the key's one component when every key has one.
+        # Each task is pushed once, its entry headed by its key.
         keys = list(map(key, range(n)))
-        if set(map(len, keys)) == {1}:
-            keys = [k for (k,) in keys]
     else:
         # The entries of a task's stale pushes carry an old version.
         version = [0] * n
-    # Unscheduled predecessors of each task (dynamic bindings: -1 once
+    # Unscheduled predecessors of each task (dynamic policies: -1 once
     # it is scheduled).
     remaining = list(gi.in_degree)
     # Latest data arrival of each task, pushed by its predecessors.
@@ -369,7 +290,3 @@ def _stalled(left: int) -> NoReturn:
         "(inconsistent levels or assignment)"
     )
 
-
-def _neg(t: tuple) -> tuple:
-    """Negated priority tuple (the heaps are min-heaps)."""
-    return tuple(map(operator.neg, t))

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from operator import neg, sub
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping
 
 from ..graph.taskgraph import TaskGraph
 from .index import graph_index
-from .listsched import BoundPolicy, KeyFn, ScheduledFn, run_list_scheduler
+from .listsched import BoundPolicy, run_list_scheduler
 from .placement import Placement
 from .rcp import mapping_b_levels
 from .schedule import CommModel, Schedule, UNIT_COMM
@@ -46,35 +46,14 @@ class MemoryPriorityPolicy:
 
     The counters live in task-id arrays: ``need[i]`` (the task's object
     count), ``have[i]`` (objects whose space is available) and the
-    watchers of each (processor, volatile object id) pair.  The name
-    methods are thin wrappers; the list scheduler runs the id methods
-    through :meth:`bind`.
+    watchers of each (processor, volatile object id) pair.  The list
+    scheduler runs it as the :class:`~repro.core.listsched.BoundPolicy`
+    that :meth:`of_mapping` builds.
     """
 
-    def __init__(
-        self,
-        graph: TaskGraph,
-        placement: Placement,
-        assignment: Mapping[str, int],
-        cp: Mapping[str, float],
-    ):
-        gi = graph_index(graph)
-        self._setup(gi, gi.mapping(placement, assignment), cp)
-
-    @classmethod
-    def of_mapping(
-        cls, gi: "GraphIndex", mi: "MappingIndex", cp: Mapping[str, float]
-    ) -> "MemoryPriorityPolicy":
-        """The policy of an already looked-up mapping index ``mi``."""
-        self = cls.__new__(cls)
-        self._setup(gi, mi, cp)
-        return self
-
-    def _setup(self, gi: "GraphIndex", mi: "MappingIndex", cp: Mapping[str, float]) -> None:
-        self._names, self._tid = gi.names, gi.tid
-        self._cp = cp
+    def __init__(self, gi: "GraphIndex", mi: "MappingIndex", bl: list[float]):
         # Negated critical path, the second component of the heap key.
-        self._ncp = list(map(neg, map(cp.__getitem__, gi.names)))
+        self._ncp = list(map(neg, bl))
         # The volatile (non-owned) object ids of each task; permanent
         # objects count as always available.
         rows = self._rows = mi.vola_oids
@@ -91,18 +70,20 @@ class MemoryPriorityPolicy:
                 watchers[base + o].append(i)
         self._watchers = watchers
 
-    def priority(self, task: str) -> tuple:
-        i = self._tid[task]
-        return (self._have[i] / self._need[i], self._cp[task])
+    @classmethod
+    def of_mapping(
+        cls, gi: "GraphIndex", mi: "MappingIndex", bl: list[float]
+    ) -> BoundPolicy:
+        """The list scheduler's policy under mapping index ``mi`` with
+        the mapped b-levels ``bl`` (by task id): ``key(i)`` is the
+        negated (memory ratio, b-level) of task ``i``."""
+        pol = cls(gi, mi, bl)
+        have, need, ncp = pol._have, pol._need, pol._ncp
 
-    def memory_priority(self, task: str) -> float:
-        """The paper's memory-priority ratio for one task."""
-        i = self._tid[task]
-        return self._have[i] / self._need[i]
+        def key(i: int) -> tuple:
+            return (-(have[i] / need[i]), ncp[i])
 
-    def on_scheduled(self, task: str, proc: int) -> Iterable[str]:
-        names = self._names
-        return [names[u] for u in self._scheduled(self._tid[task], proc)]
+        return BoundPolicy(mi, key, pol._scheduled)
 
     def _scheduled(self, i: int, proc: int) -> list[int]:
         """Allocate task ``i``'s volatile objects on ``proc``; the ids
@@ -118,31 +99,17 @@ class MemoryPriorityPolicy:
                     changed.append(u)
         return changed
 
-    def bind(self, gi: "GraphIndex") -> tuple[KeyFn, ScheduledFn]:
-        """The list scheduler's id binding: ``(key, scheduled)``."""
-        have, need, ncp = self._have, self._need, self._ncp
-
-        def key(i: int) -> tuple:
-            return (-(have[i] / need[i]), ncp[i])
-
-        return key, self._scheduled
-
 
 def mpo_order(
     graph: TaskGraph,
     placement: Placement,
     assignment: Mapping[str, int],
     comm: CommModel = UNIT_COMM,
-    meta: Optional[dict] = None,
 ) -> Schedule:
     """Order tasks on each processor with the MPO heuristic (Figure 4)."""
     gi = graph_index(graph)
     mi = gi.mapping(placement, assignment)
-    cp = mapping_b_levels(graph, assignment, mi, comm)
-    key, scheduled = MemoryPriorityPolicy.of_mapping(gi, mi, cp).bind(gi)
-    info = {"heuristic": "MPO"}
-    info.update(meta or {})
+    policy = MemoryPriorityPolicy.of_mapping(gi, mi, mapping_b_levels(graph, mi, comm))
     return run_list_scheduler(
-        graph, placement, assignment, BoundPolicy(mi, key, scheduled),
-        comm=comm, meta=info,
+        graph, placement, assignment, policy, comm=comm, meta={"heuristic": "MPO"},
     )

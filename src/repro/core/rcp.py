@@ -14,7 +14,7 @@ interleaves work on many volatile objects, stretching their lifetimes.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping, Sequence
 
 from ..graph.taskgraph import TaskGraph
 from .index import MappingIndex, graph_index, mapping_index
@@ -25,21 +25,22 @@ from .schedule import CommModel, Schedule, UNIT_COMM
 
 def rcp_priorities(
     graph: TaskGraph,
-    assignment: Mapping[str, int],
+    proc: Sequence[int],
     comm: CommModel = UNIT_COMM,
-) -> dict[str, float]:
-    """Mapping-aware critical-path (bottom-level) priority of each task.
+) -> list[float]:
+    """Mapping-aware critical-path (bottom-level) priority of every task
+    id, with ``proc[i]`` the processor of task id ``i`` (a
+    :class:`~repro.core.index.MappingIndex`'s ``proc``, or
+    :func:`~repro.core.index.check_assignment`'s result).
 
-    Equal to :func:`repro.graph.analysis.b_levels` under
+    Equal, by task id, to :func:`repro.graph.analysis.b_levels` under
     ``mapped_edge_cost(assignment, size_edge_cost(...))``, computed on
     the graph's shared :class:`~repro.core.index.GraphIndex`.
     """
     gi = graph_index(graph)
-    names, succ, weight = gi.names, gi.succ, gi.weight
-    proc = [assignment[t] for t in names]
+    succ, weight = gi.succ, gi.weight
     lat, bt = comm.latency, comm.byte_time
-    bl = [0.0] * len(names)
-    out: dict[str, float] = {}
+    bl = [0.0] * len(weight)
     for i in reversed(gi.topo):
         # w(t) + max over successors s of (c + bl(s)), c charged only on
         # cross-processor data edges.
@@ -52,33 +53,18 @@ def rcp_priorities(
                 cand = (lat + bt * nb) + bl[j]
             if cand > best:
                 best = cand
-        out[names[i]] = bl[i] = weight[i] + best
-    return out
-
-
-def mapped_priorities(
-    graph: TaskGraph,
-    placement: Placement,
-    assignment: Mapping[str, int],
-    comm: CommModel = UNIT_COMM,
-) -> dict[str, float]:
-    """:func:`rcp_priorities` memoised on the mapping's
-    :class:`~repro.core.index.MappingIndex`, so RCP, MPO, DTS, the exact
-    solver and the certified bounds under one mapping compute the
-    b-levels once.  Read-only: shared."""
-    return mapping_b_levels(
-        graph, assignment, mapping_index(graph, placement, assignment), comm)
+        bl[i] = weight[i] + best
+    return bl
 
 
 def mapping_b_levels(
-    graph: TaskGraph,
-    assignment: Mapping[str, int],
-    mi: MappingIndex,
-    comm: CommModel,
-) -> dict[str, float]:
-    """:func:`mapped_priorities` on an already looked-up mapping index
-    ``mi`` of (``graph``, ``assignment``)."""
-    return mi.memo(("b-levels", comm), lambda: rcp_priorities(graph, assignment, comm))
+    graph: TaskGraph, mi: MappingIndex, comm: CommModel
+) -> list[float]:
+    """:func:`rcp_priorities` of mapping index ``mi`` (of ``graph``),
+    memoised on it per communication model, so RCP, MPO, DTS, the exact
+    solver and the certified bounds under one mapping compute the
+    b-levels once.  Read-only: shared."""
+    return mi.memo(("b-levels", comm), lambda: rcp_priorities(graph, mi.proc, comm))
 
 
 def rcp_order(
@@ -86,15 +72,11 @@ def rcp_order(
     placement: Placement,
     assignment: Mapping[str, int],
     comm: CommModel = UNIT_COMM,
-    meta: Optional[dict] = None,
 ) -> Schedule:
     """Order tasks on each processor by ready-critical-path priority."""
     mi = mapping_index(graph, placement, assignment)
-    prio = mapping_b_levels(graph, assignment, mi, comm)
-    keys = [(-prio[t],) for t in mi.names]
-    info = {"heuristic": "RCP"}
-    info.update(meta or {})
+    keys = [-b for b in mapping_b_levels(graph, mi, comm)]
     return run_list_scheduler(
         graph, placement, assignment, BoundPolicy(mi, keys.__getitem__),
-        comm=comm, meta=info,
+        comm=comm, meta={"heuristic": "RCP"},
     )

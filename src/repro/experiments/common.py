@@ -66,6 +66,18 @@ def require_known(kind: str, values, choices, error=ValueError) -> None:
         raise error(f"unknown {kind}(s) {bad}; choose from {list(choices)}")
 
 
+def require_reference(reference: str, heuristics) -> None:
+    """Raise ``ValueError`` for a TOT base not in :data:`REFERENCES`,
+    and for ``"self"`` with ``dts-merge``: that heuristic orders under
+    the cell's capacity, so it has no capacity-free schedule of its own
+    to take the TOT from."""
+    require_known("reference", (reference,), REFERENCES)
+    if reference == "self" and "dts-merge" in heuristics:
+        raise ValueError(
+            "dts-merge needs reference='rcp': its schedule depends on the "
+            "capacity, so it has no TOT of its own")
+
+
 def require_grid(procs, fractions) -> None:
     """Raise ``ValueError`` naming every processor count that is not an
     integer >= 1 and every memory fraction that is not finite and >= 0
@@ -495,7 +507,6 @@ class ExperimentContext:
         heuristic: str,
         fraction: float,
         reference: str = "self",
-        merge_capacity: bool = False,
         engine: str = "compiled",
         columns=(),
     ) -> SweepRecord:
@@ -504,8 +515,9 @@ class ExperimentContext:
         ``reference`` selects the TOT base for the capacity: ``"self"``
         (the schedule's own TOT, Tables 2/3) or ``"rcp"`` (the RCP
         schedule's TOT, Tables 4-7); anything else raises
-        ``ValueError``.  With ``merge_capacity=True`` the heuristic
-        receives the capacity (DTS slice merging).
+        ``ValueError``.  ``dts-merge`` orders under the cell's capacity
+        (DTS slice merging), so it needs ``"rcp"``; every other
+        heuristic orders without one.
 
         ``columns`` names the :data:`OPTIONAL_COLUMNS` families to fill
         (an unknown one raises ``ValueError``); the others stay
@@ -524,7 +536,7 @@ class ExperimentContext:
         oracle; both give identical records, observed cells included,
         with identical hook calls.
         """
-        require_known("reference", (reference,), REFERENCES)
+        require_reference(reference, (heuristic,))
         require_known("column family", columns, OPTIONAL_COLUMNS)
         tot = (
             self.reference_tot(key, p)
@@ -532,7 +544,7 @@ class ExperimentContext:
             else self.profile(key, p, heuristic).tot
         )
         capacity = int(math.floor(tot * fraction))
-        cap_arg = capacity if merge_capacity else None
+        cap_arg = capacity if heuristic == "dts-merge" else None
         prof = self.profile(key, p, heuristic, cap_arg)
         base = self.baseline_pt(key, p, engine)
         cell = _Cell(self, key, p, heuristic, cap_arg, capacity, prof)

@@ -43,11 +43,11 @@ from typing import Iterable, Optional, Sequence, get_args, get_type_hints
 from ..fileio import atomic_write_text
 from .common import (
     OPTIONAL_COLUMNS,
-    REFERENCES,
     ExperimentContext,
     SweepRecord,
     require_grid,
     require_known,
+    require_reference,
 )
 
 FIELDS = (
@@ -178,8 +178,10 @@ def full_sweep(
 
     The grid is validated before any work starts: an unknown workload
     raises ``KeyError``; an unknown heuristic, ``reference``,
-    ``engine`` or column flag, a processor count below 1 or a negative
-    or non-finite fraction raises ``ValueError``.
+    ``engine`` or column flag, ``reference="self"`` with ``dts-merge``
+    (see :func:`~repro.experiments.common.require_reference`), a
+    processor count below 1 or a negative or non-finite fraction raises
+    ``ValueError``.
 
     ``jobs`` selects the number of worker processes (``None``/``0`` =
     one per CPU).  Parallel runs return exactly the records of the
@@ -233,7 +235,7 @@ def full_sweep(
 
     require_known("workload", workloads, ctx.known_workloads(), KeyError)
     require_known("heuristic", heuristics, HEURISTICS)
-    require_known("reference", (reference,), REFERENCES)
+    require_reference(reference, heuristics)
     require_known("engine", (engine,), ENGINES)
     require_known("column family", columns, OPTIONAL_COLUMNS)
     require_grid(procs, fractions)

@@ -162,13 +162,12 @@ def _comparison(
     title: str,
     procs,
     fractions,
-    merge_b: bool = False,
 ) -> ComparisonTable:
     entries: dict[tuple[int, float], float | str] = {}
     for p in procs:
         for f in fractions:
             a = ctx.run_cell(key, p, heur_a, f, reference="rcp")
-            b = ctx.run_cell(key, p, heur_b, f, reference="rcp", merge_capacity=merge_b)
+            b = ctx.run_cell(key, p, heur_b, f, reference="rcp")
             entries[(p, f)] = compare_pt(a, b)
     return ComparisonTable(
         title=title, procs=tuple(procs), fractions=tuple(fractions), entries=entries
@@ -207,7 +206,7 @@ def table7(
     return _comparison(
         ctx, key, "rcp", "dts-merge",
         f"Table 7 ({app}): RCP vs DTS+merge (PT_DTSm/PT_RCP - 1)",
-        procs, fractions, merge_b=True,
+        procs, fractions,
     )
 
 

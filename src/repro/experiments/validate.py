@@ -127,8 +127,7 @@ def _trend_claims(ctx: ExperimentContext) -> list[Claim]:
               f"+{compare_pt(mpo, dts):.1%}" if dts.executable and mpo.executable else ""))
 
     # Table 7: DTS with slice merging close to RCP.
-    dtsm = ctx.run_cell("chol15", 8, "dts-merge", 0.75, reference="rcp",
-                        merge_capacity=True)
+    dtsm = ctx.run_cell("chol15", 8, "dts-merge", 0.75, reference="rcp")
     claims.append(
         Claim("Table 7: DTS+merge within ±20% of RCP", "Table 7",
               dtsm.executable

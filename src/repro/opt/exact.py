@@ -52,11 +52,11 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from ..core.dts import dts_order
-from ..core.index import mapping_index
+from ..core.index import graph_index
 from ..core.liveness import analyze_memory
 from ..core.mpo import mpo_order
-from ..core.placement import Placement, perm_vola_sets
-from ..core.rcp import mapped_priorities, rcp_order
+from ..core.placement import Placement
+from ..core.rcp import mapping_b_levels, rcp_order
 from ..core.schedule import CommModel, Schedule, UNIT_COMM, gantt
 from ..core.treesched import tree_order
 from ..errors import SchedulingError
@@ -134,11 +134,10 @@ class _Search:
         objective: str,
         capacity: Optional[int],
     ):
-        names = graph.task_names
+        gi = graph_index(graph)
+        mi = gi.mapping(placement, assignment)
+        names = gi.names
         n = len(names)
-        index = {t: i for i, t in enumerate(names)}
-        self.graph = graph
-        self.placement = placement
         self.names = names
         self.n = n
         self.nprocs = placement.num_procs
@@ -146,19 +145,16 @@ class _Search:
         self.capacity = capacity
         self.track_mem = capacity is not None or objective == "memory"
 
-        self.proc = mapping_index(graph, placement, assignment).proc
-        self.w = [graph.task(t).weight for t in names]
-        self.preds: list[list[tuple[int, float]]] = []
-        for t in names:
-            row = []
-            for u in graph.predecessors(t):
-                c = 0.0
-                if assignment[u] != assignment[t]:
-                    objs = graph.edge_objects(u, t)
-                    nbytes = sum(graph.object(o).size for o in objs)
-                    c = comm.cost(nbytes) if objs else comm.latency
-                row.append((index[u], c))
-            self.preds.append(row)
+        proc = self.proc = mi.proc
+        self.w = gi.weight
+        # Predecessor ids with the cost of the edge's data (``-1``
+        # bytes: a synchronisation edge), charged across processors.
+        self.preds: list[list[tuple[int, float]]] = [
+            [(u, 0.0 if proc[u] == proc[i]
+              else comm.cost(nb) if nb >= 0 else comm.latency)
+             for u, nb in row]
+            for i, row in enumerate(gi.pred)
+        ]
         # The canonical-interleaving filter is sound iff start times
         # strictly increase along every cross-processor edge (same-proc
         # ties are resolved by per-processor append order): it needs
@@ -167,30 +163,25 @@ class _Search:
             self.w[u] + c > 0
             for i in range(n)
             for (u, c) in self.preds[i]
-            if self.proc[u] != self.proc[i]
+            if proc[u] != proc[i]
         )
-        self.succs = [
-            [index[s] for s in graph.successors(t)] for t in names
-        ]
-        bl = mapped_priorities(graph, placement, assignment, comm)
-        self.blevel = [bl[t] for t in names]
+        self.succs = [[s for s, _nb in row] for row in gi.succ]
+        self.blevel = mapping_b_levels(graph, mi, comm)
 
-        perm_sets, _vola = perm_vola_sets(graph, placement, assignment)
-        self.perm = [
-            sum(graph.object(o).size for o in s) for s in perm_sets
-        ]
-        self.vol: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-        self.remcnt: list[dict[str, int]] = [dict() for _ in range(self.nprocs)]
-        for i, t in enumerate(names):
-            p = self.proc[i]
-            for o in graph.task(t).accesses:
-                if placement[o] != p:
-                    self.vol[i].append((o, graph.object(o).size))
-                    self.remcnt[p][o] = self.remcnt[p].get(o, 0) + 1
+        self.perm = mi.perm_bytes
+        size = gi.oid_size
+        # Each task's volatile (object id, size) pairs.
+        self.vol: list[list[tuple[int, int]]] = [
+            [(o, size[o]) for o in row] for row in mi.vola_oids]
+        self.remcnt: list[dict[int, int]] = [dict() for _ in range(self.nprocs)]
+        for p, row in zip(proc, mi.vola_oids):
+            cnt = self.remcnt[p]
+            for o in row:
+                cnt[o] = cnt.get(o, 0) + 1
         #: Def 5 floor per task: its own volatile objects are alive
         #: while it runs, whatever the ordering.
         self.hold = [
-            self.perm[self.proc[i]] + sum(sz for _o, sz in self.vol[i])
+            self.perm[proc[i]] + sum(sz for _o, sz in self.vol[i])
             for i in range(n)
         ]
 
@@ -203,7 +194,7 @@ class _Search:
         self.remwork = [0.0] * self.nprocs
         for i in range(n):
             self.remwork[self.proc[i]] += self.w[i]
-        self.alive: list[set[str]] = [set() for _ in range(self.nprocs)]
+        self.alive: list[set[int]] = [set() for _ in range(self.nprocs)]
         self.live = [0] * self.nprocs
         self.base_peak = max(self.perm) if self.perm else 0
         self.cur_peak = self.base_peak
@@ -572,7 +563,6 @@ def exact_order(
     capacity: Optional[int] = None,
     objective: str = "time",
     node_budget: int = DEFAULT_ORDER_BUDGET,
-    meta: Optional[dict] = None,
 ) -> Schedule:
     """The exact solver as a first-class ordering heuristic.
 
@@ -597,17 +587,14 @@ def exact_order(
             else "no schedule found within the node budget"
         )
         raise SchedulingError(f"exact: {detail} under capacity {capacity}")
-    m = dict(meta or {})
-    m.update(
-        {
-            "heuristic": "EXACT",
-            "exact_objective": res.objective,
-            "exact_status": res.status,
-            "exact_nodes": res.nodes,
-            "exact_lower_bound": res.lower_bound,
-            "exact_source": res.incumbent_source,
-        }
-    )
+    m = {
+        "heuristic": "EXACT",
+        "exact_objective": res.objective,
+        "exact_status": res.status,
+        "exact_nodes": res.nodes,
+        "exact_lower_bound": res.lower_bound,
+        "exact_source": res.incumbent_source,
+    }
     sched = Schedule(
         graph=graph,
         placement=placement,

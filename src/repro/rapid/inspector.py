@@ -23,7 +23,7 @@ from ..errors import SchedulingError
 from ..graph.taskgraph import TaskGraph
 from ..opt.exact import exact_order
 
-#: Names accepted by :func:`parallelize`.
+#: Names accepted by :func:`order_with` and :func:`parallelize`.
 HEURISTICS = ("rcp", "mpo", "dts", "dts-merge", "etf", "tree", "exact")
 
 
@@ -35,25 +35,26 @@ def order_with(
     comm: CommModel = UNIT_COMM,
     capacity: Optional[int] = None,
 ) -> Schedule:
-    """Dispatch to the named ordering heuristic."""
-    h = heuristic.lower()
-    if h == "rcp":
+    """Dispatch to the named ordering heuristic, one of
+    :data:`HEURISTICS`; any other name raises
+    :class:`~repro.errors.SchedulingError`."""
+    if heuristic == "rcp":
         return rcp_order(graph, placement, assignment, comm)
-    if h == "mpo":
+    if heuristic == "mpo":
         return mpo_order(graph, placement, assignment, comm)
-    if h == "dts":
+    if heuristic == "dts":
         return dts_order(graph, placement, assignment, comm)
-    if h in ("dts-merge", "dts_merge"):
+    if heuristic == "dts-merge":
         if capacity is None:
             raise SchedulingError("dts-merge needs the available memory capacity")
         return dts_order(graph, placement, assignment, comm, avail_mem=capacity)
-    if h == "etf":
+    if heuristic == "etf":
         # Dynamic baseline: derives its own placement/assignment (the
         # given ones only fix the processor count).
         return etf_schedule(graph, placement.num_procs, comm)
-    if h == "tree":
+    if heuristic == "tree":
         return tree_order(graph, placement, assignment, comm)
-    if h == "exact":
+    if heuristic == "exact":
         return exact_order(graph, placement, assignment, comm, capacity=capacity)
     raise SchedulingError(f"unknown heuristic {heuristic!r}; use one of {HEURISTICS}")
 

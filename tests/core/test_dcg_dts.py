@@ -175,7 +175,7 @@ class TestDTS:
         asg = paper_assignment(g, pl)
         dcg = build_dcg(g)
         slice_of = dcg.slice_of()
-        s = dts_order(g, pl, asg, dcg=dcg)
+        s = dts_order(g, pl, asg)
         for order in s.orders:
             indices = [slice_of[t] for t in order]
             assert indices == sorted(indices)

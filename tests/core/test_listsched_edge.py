@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import cyclic_placement, gantt, owner_compute_assignment
-from repro.core.listsched import StaticPolicy, run_list_scheduler
+from repro.core.index import mapping_index
+from repro.core.listsched import BoundPolicy, run_list_scheduler
 from repro.core.schedule import CommModel
 from repro.errors import SchedulingError
 from repro.graph import GraphBuilder
@@ -22,25 +23,32 @@ def build_graph(tasks):
     return b.build()
 
 
+def static(g, pl, asg, prio):
+    """The static policy of ``prio`` (task -> priority, larger first)."""
+    mi = mapping_index(g, pl, asg)
+    keys = [-prio[t] for t in mi.names]
+    return BoundPolicy(mi, keys.__getitem__)
+
+
 class TestEngineEdges:
     def test_zero_weight_tasks(self):
         g = build_graph([("a", (), ("x",), 0.0), ("b", ("x",), ("y",), 0.0)])
         pl = cyclic_placement(g, 2)
         asg = owner_compute_assignment(g, pl)
-        s = run_list_scheduler(g, pl, asg, StaticPolicy({"a": 1.0, "b": 1.0}))
+        s = run_list_scheduler(g, pl, asg, static(g, pl, asg, {"a": 1.0, "b": 1.0}))
         assert gantt(s).makespan >= 0
 
     def test_single_task(self):
         g = build_graph([("only", (), ("x",), 2.0)])
         pl = cyclic_placement(g, 3)
         asg = owner_compute_assignment(g, pl)
-        s = run_list_scheduler(g, pl, asg, StaticPolicy({"only": 1.0}))
+        s = run_list_scheduler(g, pl, asg, static(g, pl, asg, {"only": 1.0}))
         assert s.orders[asg["only"]] == ["only"]
 
     def test_empty_graph(self):
         g = GraphBuilder(materialize_inputs=False).build()
         pl = cyclic_placement(g, 2)
-        s = run_list_scheduler(g, pl, {}, StaticPolicy({}))
+        s = run_list_scheduler(g, pl, {}, static(g, pl, {}, {}))
         assert s.orders == [[], []]
 
     def test_levels_gate_strictness(self):
@@ -52,7 +60,8 @@ class TestEngineEdges:
         # put mid tasks in levels 0, 1, 2 artificially
         levels = {"fork0": 0, "mid0_0": 2, "mid0_1": 1, "mid0_2": 0, "join0": 3}
         s = run_list_scheduler(
-            g, pl, asg, StaticPolicy({t: 1.0 for t in g.task_names}), levels=levels
+            g, pl, asg, static(g, pl, asg, dict.fromkeys(g.task_names, 1.0)),
+            levels=levels,
         )
         order = s.orders[0]
         assert order.index("mid0_2") < order.index("mid0_1") < order.index("mid0_0")
@@ -66,7 +75,7 @@ class TestEngineEdges:
         levels = {"T0": 1, "T1": 0}  # T1 gated before T0, but T1 needs T0
         with pytest.raises(SchedulingError):
             run_list_scheduler(
-                g, pl, asg, StaticPolicy({"T0": 1.0, "T1": 1.0}), levels=levels
+                g, pl, asg, static(g, pl, asg, {"T0": 1.0, "T1": 1.0}), levels=levels
             )
 
     @pytest.mark.parametrize("heuristic", ["rcp", "mpo", "dts", "tree"])
@@ -80,41 +89,19 @@ class TestEngineEdges:
         with pytest.raises(SchedulingError, match=rf"'T1'.*processor {bad}"):
             order_with(heuristic, g, pl, asg)
 
-    def test_static_policy_missing_task(self):
-        g = chain(2)
-        pl = cyclic_placement(g, 1)
-        asg = {t: 0 for t in g.task_names}
-        with pytest.raises(SchedulingError, match="'T1'"):
-            run_list_scheduler(g, pl, asg, StaticPolicy({"T0": 1.0}))
-
     def test_levels_missing_task(self):
         g = chain(2)
         pl = cyclic_placement(g, 1)
         asg = {t: 0 for t in g.task_names}
         with pytest.raises(SchedulingError, match="'T1'"):
             run_list_scheduler(
-                g, pl, asg, StaticPolicy({"T0": 1.0, "T1": 1.0}),
+                g, pl, asg, static(g, pl, asg, {"T0": 1.0, "T1": 1.0}),
                 levels={"T0": 0},
             )
 
     def test_dynamic_priority_refresh(self):
         """A policy that boosts one task after another is scheduled sees
         the boost honoured (lazy heap invalidation)."""
-
-        class Boost:
-            def __init__(self):
-                self.boosted = False
-
-            def priority(self, task):
-                if task == "late" and self.boosted:
-                    return (100.0,)
-                return {"first": (10.0,), "late": (0.0,), "mid": (5.0,)}[task]
-
-            def on_scheduled(self, task, proc):
-                if task == "first":
-                    self.boosted = True
-                    return ["late"]
-                return []
 
         g = build_graph(
             [
@@ -125,7 +112,18 @@ class TestEngineEdges:
         )
         pl = cyclic_placement(g, 1, order=["x", "y", "z"])
         asg = {t: 0 for t in g.task_names}
-        s = run_list_scheduler(g, pl, asg, Boost())
+        mi = mapping_index(g, pl, asg)
+        first, mid, late = map(mi.names.index, ("first", "mid", "late"))
+        keys = {first: (-10.0,), late: (0.0,), mid: (-5.0,)}
+
+        def scheduled(i, proc):
+            if i == first:
+                keys[late] = (-100.0,)
+                return [late]
+            return []
+
+        s = run_list_scheduler(
+            g, pl, asg, BoundPolicy(mi, keys.__getitem__, scheduled))
         order = s.orders[0]
         assert order == ["first", "late", "mid"]
 
@@ -134,10 +132,10 @@ class TestEngineEdges:
         pl = cyclic_placement(g, 2, order=["d0", "d1"])
         asg = owner_compute_assignment(g, pl)
         cheap = run_list_scheduler(
-            g, pl, asg, StaticPolicy({"T0": 1.0, "T1": 1.0}), comm=CommModel(0.1)
+            g, pl, asg, static(g, pl, asg, {"T0": 1.0, "T1": 1.0}), comm=CommModel(0.1)
         )
         costly = run_list_scheduler(
-            g, pl, asg, StaticPolicy({"T0": 1.0, "T1": 1.0}), comm=CommModel(10.0)
+            g, pl, asg, static(g, pl, asg, {"T0": 1.0, "T1": 1.0}), comm=CommModel(10.0)
         )
         assert gantt(costly, CommModel(10.0)).makespan > gantt(
             cheap, CommModel(0.1)

@@ -13,8 +13,12 @@ from repro.core import (
     rcp_order,
     rcp_priorities,
 )
-from repro.core.listsched import StaticPolicy, run_list_scheduler
+from repro.analysis.bounds import certified_bounds, time_bounds
+from repro.core.dts import dts_order
+from repro.core.index import graph_index, mapping_index
+from repro.core.listsched import BoundPolicy, run_list_scheduler
 from repro.core.mpo import MemoryPriorityPolicy
+from repro.opt.exact import solve
 from repro.errors import SchedulingError
 from repro.graph.generators import chain, fork_join, layered_random, random_trace
 from repro.graph.paper_example import (
@@ -48,10 +52,16 @@ class TestEngine:
             assert gantt(fn(g, pl, asg)).makespan > 0
 
     def test_missing_assignment(self):
+        """Every reader of the mapped b-levels refuses a task without a
+        processor with the assignment check's error."""
         g = chain(3)
         pl = cyclic_placement(g, 2)
-        with pytest.raises(SchedulingError):
-            run_list_scheduler(g, pl, {"T0": 0}, StaticPolicy({"T0": 1.0}))
+        asg = {"T0": 0, "T2": 1}
+        for read in (rcp_order, mpo_order, dts_order, solve, certified_bounds,
+                     lambda g, pl, asg: time_bounds(g, asg, pl.num_procs)):
+            with pytest.raises(SchedulingError,
+                               match="task 'T1' has no processor assignment"):
+                read(g, pl, asg)
 
     def test_static_policy_priority_order(self):
         """Higher priority runs first among simultaneously ready tasks."""
@@ -59,7 +69,9 @@ class TestEngine:
         pl = cyclic_placement(g, 1, order=sorted(o.name for o in g.objects()))
         asg = {t: 0 for t in g.task_names}
         prio = {"fork0": 10.0, "mid0_0": 1.0, "mid0_1": 3.0, "mid0_2": 2.0, "join0": 5.0}
-        s = run_list_scheduler(g, pl, asg, StaticPolicy(prio))
+        mi = mapping_index(g, pl, asg)
+        keys = [-prio[t] for t in mi.names]
+        s = run_list_scheduler(g, pl, asg, BoundPolicy(mi, keys.__getitem__))
         order = s.orders[0]
         assert order.index("mid0_1") < order.index("mid0_2") < order.index("mid0_0")
 
@@ -76,9 +88,10 @@ class TestRCP:
         g = paper_example_graph()
         pl = paper_placement()
         asg = paper_assignment(g, pl)
-        prio = rcp_priorities(g, asg, CommModel(latency=1.0))
+        mi = mapping_index(g, pl, asg)
+        prio = rcp_priorities(g, mi.proc, CommModel(latency=1.0))
         # T[7,8] -> T[8] (same proc) -> T[8,9] (cross): 1+1+1+1 = 4.
-        assert prio["T[7,8]"] == 4.0
+        assert prio[mi.names.index("T[7,8]")] == 4.0
 
     def test_chain_is_sequential(self):
         g = chain(5)
@@ -109,26 +122,29 @@ class TestMPO:
         m_mpo = analyze_memory(mpo_order(g, pl, asg)).min_mem
         assert m_mpo <= m_rcp
 
-    def test_policy_ratio(self):
+    @staticmethod
+    def paper_policy():
+        """MPO's bound policy on the worked example, and its task ids."""
         g = paper_example_graph()
         pl = paper_placement()
-        asg = paper_assignment(g, pl)
-        cp = rcp_priorities(g, asg)
-        pol = MemoryPriorityPolicy(g, pl, asg, cp)
+        gi = graph_index(g)
+        mi = mapping_index(g, pl, paper_assignment(g, pl))
+        return MemoryPriorityPolicy.of_mapping(gi, mi, rcp_priorities(g, mi.proc)), gi.tid
+
+    def test_policy_ratio(self):
+        pol, tid = self.paper_policy()
+        # The key's first component is the negated memory priority.
         # T[7,8] on P1: d8 permanent (have), d7 volatile unallocated.
-        assert pol.memory_priority("T[7,8]") == pytest.approx(0.5)
+        assert -pol.key(tid["T[7,8]"])[0] == pytest.approx(0.5)
         # T[8] on P1 writes only permanent d8.
-        assert pol.memory_priority("T[8]") == pytest.approx(1.0)
+        assert -pol.key(tid["T[8]"])[0] == pytest.approx(1.0)
 
     def test_policy_updates_on_allocation(self):
-        g = paper_example_graph()
-        pl = paper_placement()
-        asg = paper_assignment(g, pl)
-        pol = MemoryPriorityPolicy(g, pl, asg, rcp_priorities(g, asg))
+        pol, tid = self.paper_policy()
         # Scheduling T[7,10] on P1 allocates volatile d7.
-        changed = pol.on_scheduled("T[7,10]", 1)
-        assert "T[7,8]" in changed
-        assert pol.memory_priority("T[7,8]") == pytest.approx(1.0)
+        changed = pol.scheduled(tid["T[7,10]"], 1)
+        assert tid["T[7,8]"] in changed
+        assert -pol.key(tid["T[7,8]"])[0] == pytest.approx(1.0)
 
     def test_mean_memory_reduction_on_random_graphs(self):
         """Across seeds, MPO's MIN_MEM is on average <= RCP's (the

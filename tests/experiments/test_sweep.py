@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.experiments import ExperimentContext
+from repro.experiments.common import compare_pt
 from repro.experiments.sweep import (
     FAILURE_FIELDS,
     FIELDS,
@@ -313,6 +314,8 @@ class TestGridValidation:
             ({"bogus": True}, ValueError,
              r"column family.*\['bogus'\].*'metrics', 'check', 'analyze', "
              r"'bounds'"),
+            ({"reference": "self", "heuristics": ("rcp", "dts-merge")},
+             ValueError, "dts-merge needs reference='rcp'"),
         ],
     )
     def test_bad_grid_fails_fast(self, path, bad, error, match):
@@ -337,6 +340,33 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="reference"):
             ExperimentContext().run_cell("lu-goodwin", 4, "rcp", 1.0,
                                          reference="RCP")
+
+    def test_run_cell_rejects_dts_merge_on_its_own_tot(self):
+        ctx = ExperimentContext()
+        with pytest.raises(ValueError, match="dts-merge needs reference='rcp'"):
+            ctx.run_cell("lu-goodwin", 4, "dts-merge", 1.0, reference="self")
+        assert not ctx._groups
+
+
+class TestDtsMergeSweep:
+    def test_rows_are_the_table7_cells(self):
+        """A ``dts-merge`` sweep orders each cell under its capacity:
+        its rows are ``run_cell``'s cells, which ``table7`` compares."""
+        from repro.experiments.tables import table7
+
+        fractions = (0.75, 0.5)
+        rows = full_sweep(ExperimentContext(), workloads=("chol15",), procs=(2,),
+                          heuristics=("rcp", "dts-merge"), fractions=fractions)
+        ctx = ExperimentContext()
+        assert rows == [ctx.run_cell("chol15", 2, h, f, reference="rcp")
+                        for h in ("rcp", "dts-merge") for f in fractions]
+        cell = {(r.heuristic, r.fraction): r for r in rows}
+        assert table7(ctx, procs=(2,), fractions=fractions).entries == {
+            (2, f): compare_pt(cell["rcp", f], cell["dts-merge", f])
+            for f in fractions}
+        assert "DTS+merge" in {
+            ctx.schedule("chol15", 2, "dts-merge", r.capacity).meta["heuristic"]
+            for r in rows if r.heuristic == "dts-merge"}
 
 
 class TestOneParallelExecutor:

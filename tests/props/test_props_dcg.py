@@ -69,7 +69,7 @@ def test_h_bounds_actual_dts_volatile_peak(ps, p):
     asg = owner_compute_assignment(g, pl)
     dcg = build_dcg(g)
     h = max(slice_volatile_space(dcg, pl, asg), default=0)
-    sched = dts_order(g, pl, asg, dcg=dcg)
+    sched = dts_order(g, pl, asg)
     prof = analyze_memory(sched)
     for pp in prof.procs:
         vola_peak = max(

@@ -4,9 +4,9 @@ The list scheduler, the mapped b-levels, the liveness analysis, the
 Gantt evaluation and ``CompiledSchedule``'s message tables all run on
 :mod:`repro.core.index`.  Each is checked here, with exact equality,
 against a direct name-keyed implementation of the same definition (the
-pre-index code), on random DAGs and placements.  The list scheduler's
-name adapter (a policy without ``bind``) is checked the same way, and
-the ``tree`` ordering against its definition, the per-processor
+pre-index code), on random DAGs and placements; the reference list
+scheduler reads each bound policy through a name view.  The ``tree``
+ordering is checked against its definition, the per-processor
 projection of program order.
 """
 
@@ -17,8 +17,9 @@ from hypothesis import given, strategies as st
 from repro.core import cyclic_placement, owner_compute_assignment
 from repro.core.dts import dts_order
 from repro.core.liveness import analyze_memory
-from repro.core.listsched import StaticPolicy, run_list_scheduler
-from repro.core.mpo import mpo_order
+from repro.core.index import graph_index, mapping_index
+from repro.core.listsched import BoundPolicy, run_list_scheduler
+from repro.core.mpo import MemoryPriorityPolicy, mpo_order
 from repro.core.placement import Placement, perm_vola_sets
 from repro.core.rcp import rcp_order, rcp_priorities
 from repro.core.schedule import CommModel, gantt
@@ -184,19 +185,44 @@ def ref_gantt(sched, comm):
     return finish
 
 
-class NamesOnly:
-    """A name-keyed view of a policy (no ``bind``), so the list
-    scheduler runs it through its name adapter; ``on_scheduled`` also
-    reports a task the graph does not have, which the adapter drops."""
+class NameView:
+    """Name-keyed view of a :class:`BoundPolicy` for the reference
+    scheduler: ``priority(t)`` is the task's key negated back (larger
+    first) and ``on_scheduled`` names the ids ``scheduled`` reports."""
 
-    def __init__(self, inner):
-        self.inner = inner
+    def __init__(self, g, policy):
+        gi = graph_index(g)
+        self.names, self.tid = gi.names, gi.tid
+        self.key, self.scheduled = policy.key, policy.scheduled
 
     def priority(self, task):
-        return self.inner.priority(task)
+        k = self.key(self.tid[task])
+        return tuple(-x for x in k) if isinstance(k, tuple) else (-k,)
 
     def on_scheduled(self, task, proc):
-        return list(self.inner.on_scheduled(task, proc)) + ["no-such-task"]
+        if self.scheduled is None:
+            return ()
+        return [self.names[i] for i in self.scheduled(self.tid[task], proc)]
+
+
+def static(g, pl, asg, prio):
+    """The static policy of ``prio`` (task -> priority, larger first)."""
+    mi = mapping_index(g, pl, asg)
+    keys = [-prio[t] for t in mi.names]
+    return BoundPolicy(mi, keys.__getitem__)
+
+
+def mpo_policy(g, pl, asg, comm):
+    """A fresh MPO policy (its counters change as tasks are placed)."""
+    mi = mapping_index(g, pl, asg)
+    return MemoryPriorityPolicy.of_mapping(
+        graph_index(g), mi, rcp_priorities(g, mi.proc, comm))
+
+
+def b_level_names(g, pl, asg, comm):
+    """:func:`rcp_priorities` keyed by task name."""
+    return dict(zip(g.task_names,
+                    rcp_priorities(g, mapping_index(g, pl, asg).proc, comm)))
 
 
 def ref_needs(sched):
@@ -228,68 +254,56 @@ def many_slices(g):
 @given(cases)
 def test_mapped_b_levels_equal_generic_b_levels(case):
     family, seed, procs, comm = case
-    g, _pl, asg = build(family, seed, procs)
+    g, pl, asg = build(family, seed, procs)
     base = size_edge_cost(g, comm.latency, comm.byte_time)
-    assert rcp_priorities(g, asg, comm) == b_levels(g, mapped_edge_cost(asg, base))
+    assert b_level_names(g, pl, asg, comm) == b_levels(g, mapped_edge_cost(asg, base))
 
 
 @given(cases)
 def test_list_scheduler_matches_reference(case):
     family, seed, procs, comm = case
     g, pl, asg = build(family, seed, procs)
-    prio = rcp_priorities(g, asg, comm)
-    names = g.task_names
+    prio = b_level_names(g, pl, asg, comm)
     levels: dict[str, int] = {}  # non-decreasing along every edge
     for i, t in enumerate(g.topological_order()):
         levels[t] = max([i % 3] + [levels[u] for u in g.predecessors(t)])
     shapes = (
         prio,
-        # Mixed key lengths stay nested: a 1-tuple sorts before the
-        # 2-tuples sharing its component.
-        {t: (1.0,) if i % 3 == 0 else (1.0, float(i % 4)) for i, t in enumerate(names)},
-        {t: (round(prio[t]), float(i % 5)) for i, t in enumerate(names)},
-        # Uniform priorities leave every choice to the push-order tie-break.
-        dict.fromkeys(names, 1.0),
+        # Rounded and uniform priorities leave some or every choice to
+        # the push-order tie-break.
+        {t: float(round(b)) for t, b in prio.items()},
+        dict.fromkeys(g.task_names, 1.0),
     )
     for pr in shapes:
+        policy = static(g, pl, asg, pr)
         for lv in (None, levels, many_slices(g)):
-            got = run_list_scheduler(g, pl, asg, StaticPolicy(pr), comm=comm, levels=lv)
+            got = run_list_scheduler(g, pl, asg, policy, comm=comm, levels=lv)
             assert got.orders == ref_list_scheduler(
-                g, pl, asg, StaticPolicy(pr), comm, levels=lv)
+                g, pl, asg, NameView(g, policy), comm, levels=lv)
 
 
 @given(cases)
 def test_mpo_matches_reference_scheduler(case):
-    from repro.core.mpo import MemoryPriorityPolicy
-
     family, seed, procs, comm = case
     g, pl, asg = build(family, seed, procs)
-    cp = rcp_priorities(g, asg, comm)
     want = ref_list_scheduler(
-        g, pl, asg, MemoryPriorityPolicy(g, pl, asg, cp), comm)
+        g, pl, asg, NameView(g, mpo_policy(g, pl, asg, comm)), comm)
     assert mpo_order(g, pl, asg, comm).orders == want
 
 
 @given(cases)
-def test_name_keyed_policy_through_the_adapter_matches_reference(case):
-    from repro.core.mpo import MemoryPriorityPolicy
-
+def test_mpo_policy_under_levels_matches_reference(case):
     family, seed, procs, comm = case
     g, pl, asg = build(family, seed, procs)
-    cp = rcp_priorities(g, asg, comm)
     levels: dict[str, int] = {}  # non-decreasing along every edge
     for i, t in enumerate(g.topological_order()):
         levels[t] = max([i % 2] + [levels[u] for u in g.predecessors(t)])
     for lv in (None, levels, many_slices(g)):
         want = ref_list_scheduler(
-            g, pl, asg, MemoryPriorityPolicy(g, pl, asg, cp), comm, levels=lv)
-        for policy in (NamesOnly(MemoryPriorityPolicy(g, pl, asg, cp)),
-                       MemoryPriorityPolicy(g, pl, asg, cp)):
-            got = run_list_scheduler(g, pl, asg, policy, comm=comm, levels=lv)
-            assert got.orders == want
-    # The id binding and the adapter drive the same MPO run.
-    assert mpo_order(g, pl, asg, comm).orders == run_list_scheduler(
-        g, pl, asg, NamesOnly(MemoryPriorityPolicy(g, pl, asg, cp)), comm=comm).orders
+            g, pl, asg, NameView(g, mpo_policy(g, pl, asg, comm)), comm, levels=lv)
+        got = run_list_scheduler(
+            g, pl, asg, mpo_policy(g, pl, asg, comm), comm=comm, levels=lv)
+        assert got.orders == want
 
 
 @given(cases)
@@ -303,22 +317,19 @@ def test_tree_order_is_the_projection_of_program_order(case):
 def test_many_slices_park_tasks_and_refresh_parked_ones():
     """Pinned cases that reach the slice gate's parked paths — tasks
     park, and MPO refreshes the priority of a parked task — match the
-    reference under the id binding and the name adapter."""
-    from repro.core.mpo import MemoryPriorityPolicy
-
+    reference."""
     comm = CommModel(1.0, 0.0)
     stats: dict = {}
     for seed in range(20):
         for family in ("trace", "layered"):
             g, pl, asg = build(family, seed, 2)
-            cp = rcp_priorities(g, asg, comm)
             levels = many_slices(g)
-            want = ref_list_scheduler(g, pl, asg, MemoryPriorityPolicy(g, pl, asg, cp),
-                                      comm, levels=levels, stats=stats)
-            for policy in (MemoryPriorityPolicy(g, pl, asg, cp),
-                           NamesOnly(MemoryPriorityPolicy(g, pl, asg, cp))):
-                got = run_list_scheduler(g, pl, asg, policy, comm=comm, levels=levels)
-                assert got.orders == want
+            want = ref_list_scheduler(
+                g, pl, asg, NameView(g, mpo_policy(g, pl, asg, comm)),
+                comm, levels=levels, stats=stats)
+            got = run_list_scheduler(
+                g, pl, asg, mpo_policy(g, pl, asg, comm), comm=comm, levels=levels)
+            assert got.orders == want
     assert stats["parked"] > 0 and stats["refresh_parked"] > 0, stats
 
 
@@ -350,6 +361,6 @@ def test_value_equal_mappings_give_equal_results(case):
     moved = dict(asg)
     t = g.task_names[-1]
     moved[t] = (asg[t] + 1) % procs
-    prio = rcp_priorities(g, moved, comm)
-    got = run_list_scheduler(g, pl, moved, StaticPolicy(prio), comm=comm)
-    assert got.orders == ref_list_scheduler(g, pl, moved, StaticPolicy(prio), comm)
+    policy = static(g, pl, moved, b_level_names(g, pl, moved, comm))
+    got = run_list_scheduler(g, pl, moved, policy, comm=comm)
+    assert got.orders == ref_list_scheduler(g, pl, moved, NameView(g, policy), comm)

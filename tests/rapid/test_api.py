@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core import Placement, gantt
+from repro.core import Placement, cyclic_placement, gantt, owner_compute_assignment
 from repro.errors import NonExecutableScheduleError, SchedulingError
 from repro.machine.spec import UNIT_MACHINE
 from repro.rapid import Rapid, parallelize
 from repro.rapid.executor import execute_schedule, execute_serial, global_order
-from repro.rapid.inspector import HEURISTICS
+from repro.rapid.inspector import HEURISTICS, order_with
 from repro.graph.generators import random_trace
 
 
@@ -96,6 +96,13 @@ class TestInspector:
         g = random_trace(10, 4, seed=0)
         with pytest.raises(SchedulingError):
             parallelize(g, 2, heuristic="banana")
+
+    @pytest.mark.parametrize("name", ["RCP", "dts_merge", " rcp"])
+    def test_order_with_takes_only_the_listed_names(self, name):
+        g = random_trace(10, 4, seed=0)
+        pl = cyclic_placement(g, 2)
+        with pytest.raises(SchedulingError, match="unknown heuristic"):
+            order_with(name, g, pl, owner_compute_assignment(g, pl), capacity=10**9)
 
     def test_dts_merge_needs_capacity(self):
         g = random_trace(10, 4, seed=0)
