@@ -123,7 +123,7 @@ def dts_order(
         "dcg_acyclic": dcg.is_acyclic(),
     }
     return run_list_scheduler(
-        graph, placement, assignment, BoundPolicy(mi, keys.__getitem__),
+        graph, placement, assignment, BoundPolicy(keys.__getitem__),
         comm=comm, levels=slice_of, meta=info,
     )
 

@@ -85,7 +85,8 @@ Row = tuple[tuple[int, int], ...]
 class GraphIndex:
     """Mapping-independent shape of one task graph in dense id space.
 
-    Task ids follow program order (``graph.task_names`` once frozen).
+    Task ids follow program order (``graph.task_names``); object ids
+    follow the sorted object names (``object_names``).
 
     The edge table holds every edge ``edge_u[e] -> edge_v[e]`` in
     ``successor_map`` order (by source id, then insertion order) as
@@ -110,8 +111,7 @@ class GraphIndex:
         tid = {name: i for i, name in enumerate(names)}
         osize = {o.name: o.size for o in graph.objects()}
         object_names = sorted(osize)
-        oid = (graph.object_index if graph.frozen
-               else {o: i for i, o in enumerate(object_names)})
+        oid = {o: i for i, o in enumerate(object_names)}
         oid_size = [osize[o] for o in object_names]
 
         edge_u, edge_v, edge_ptr, edge_oid, edge_nbytes = _edge_table(

@@ -12,11 +12,12 @@ DTS all instantiate the same scheduling cycle (Figure 4):
 
 The heuristics differ only in the priority, which they hand the engine
 as a :class:`BoundPolicy` in the dense task ids of the graph's shared
-:class:`~repro.core.index.GraphIndex`: the mapping's
-:class:`~repro.core.index.MappingIndex` (which they already looked
-up), ``key(id)`` the task's negated sort key (smaller is scheduled
-first) and ``scheduled(id, proc)`` the ids whose key changed once the
-task is placed (``None``: never).  Optional per-task *levels*
+:class:`~repro.core.index.GraphIndex`: ``key(id)`` the task's negated
+sort key (smaller is scheduled first) and ``scheduled(id, proc)`` the
+ids whose key changed once the task is placed (``None``: never).  The
+engine takes each task's processor from the mapping's
+:class:`~repro.core.index.MappingIndex` of the graph, placement and
+assignment it is given.  Optional per-task *levels*
 implement DTS's slice gate: a ready task whose level is higher than
 its processor's minimum incomplete level is parked until every
 lower-level task of that processor is scheduled.  The loop turns ids
@@ -46,18 +47,13 @@ exceeds its start.
 from __future__ import annotations
 
 import heapq
-from typing import (
-    TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, NoReturn, Optional,
-)
+from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Optional
 
 from ..errors import SchedulingError
 from ..graph.taskgraph import TaskGraph
 from .index import graph_index
 from .placement import Placement
 from .schedule import CommModel, Schedule, UNIT_COMM
-
-if TYPE_CHECKING:
-    from .index import MappingIndex
 
 #: Negated sort key of a task id (smaller is scheduled first): a float
 #: for a static policy, a tuple for a dynamic one.
@@ -67,14 +63,9 @@ ScheduledFn = Callable[[int, int], Iterable[int]]
 
 
 class BoundPolicy(NamedTuple):
-    """A priority bound to the task ids of one mapping: what RCP, MPO
-    and DTS hand :func:`run_list_scheduler` after looking up the
-    mapping's :class:`~repro.core.index.MappingIndex` ``mi`` (which
-    checks the assignment) themselves, so each ordering call does it
-    once.  ``mi`` must be the index of the call's graph, placement
-    and assignment."""
+    """A priority on task ids: what RCP, MPO and DTS hand
+    :func:`run_list_scheduler`."""
 
-    mi: "MappingIndex"
     #: negated sort key of a task id (see the module docstring)
     key: KeyFn
     scheduled: Optional[ScheduledFn] = None
@@ -94,14 +85,18 @@ def run_list_scheduler(
     Runs in the dense id space of the graph's shared
     :class:`~repro.core.index.GraphIndex`.  Returns a
     :class:`~repro.core.schedule.Schedule` that is structurally valid by
-    construction.  Raises :class:`~repro.errors.SchedulingError` when a
-    task has no level.
+    construction.  Raises :class:`~repro.errors.SchedulingError` for a
+    task without a processor in ``[0, P)``
+    (:func:`~repro.core.index.check_assignment`) and for a task with no
+    level.
     """
     gi = graph_index(graph)
-    mi, key, scheduled = policy
+    key, scheduled = policy
     nprocs = placement.num_procs
     names, succ, weight = gi.names, gi.succ, gi.weight
-    proc = mi.proc
+    # The heuristic looked this mapping up (checking the assignment)
+    # already, so this repeat lookup takes the last-key fast path.
+    proc = gi.mapping(placement, assignment).proc
     lat, bt = comm.latency, comm.byte_time
     n = len(names)
     heappush, heappop, heappushpop = heapq.heappush, heapq.heappop, heapq.heappushpop

@@ -502,7 +502,7 @@ def _replay(plan: MapPlan, p: int, walk: bool):
     """
     order = plan.schedule.orders[p]
     g = plan.schedule.graph
-    size = g.object_size
+    size = graph_index(g).obj_size
     span = plan.profile.procs[p].span
     capacity = plan.capacity
     n = len(order)

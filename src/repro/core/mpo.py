@@ -83,7 +83,7 @@ class MemoryPriorityPolicy:
         def key(i: int) -> tuple:
             return (-(have[i] / need[i]), ncp[i])
 
-        return BoundPolicy(mi, key, pol._scheduled)
+        return BoundPolicy(key, pol._scheduled)
 
     def _scheduled(self, i: int, proc: int) -> list[int]:
         """Allocate task ``i``'s volatile objects on ``proc``; the ids

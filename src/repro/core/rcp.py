@@ -77,6 +77,6 @@ def rcp_order(
     mi = mapping_index(graph, placement, assignment)
     keys = [-b for b in mapping_b_levels(graph, mi, comm)]
     return run_list_scheduler(
-        graph, placement, assignment, BoundPolicy(mi, keys.__getitem__),
+        graph, placement, assignment, BoundPolicy(keys.__getitem__),
         comm=comm, meta={"heuristic": "RCP"},
     )

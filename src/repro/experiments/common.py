@@ -15,8 +15,8 @@ Conventions (section 5.1 of the paper):
 * Non-executable configurations (``MIN_MEM`` above the capacity) are
   reported as ``inf``, printed ``inf`` like the paper's tables.
 
-The :class:`ExperimentContext` caches liveness profiles (each holding
-its schedule), compiled schedules and simulation results per
+The :class:`ExperimentContext` caches compiled schedules (each holding
+its liveness profile and schedule) and simulation results per
 (workload, processors) group so a sweep over memory fractions re-uses
 its scheduling work, and frees a group's tables when the sweep is done
 with it.
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from ..core.index import graph_index
-from ..core.liveness import MemoryProfile, analyze_memory
+from ..core.liveness import MemoryProfile
 from ..core.placement import Placement
 from ..core.schedule import Schedule
 from ..machine.simulator import CompiledSchedule, SimResult, Simulator
@@ -136,16 +136,16 @@ class SweepRecord:
 
 
 class _Cell(NamedTuple):
-    """What a family's ``collect`` reads about one cell; ``run`` is
+    """What a family's ``collect`` reads about one cell: its compiled
+    schedule (which holds the schedule and profile) and ``run``,
     ``None`` on a non-executable cell."""
 
     ctx: ExperimentContext
     key: str
     p: int
     heuristic: str
-    cap_arg: Optional[int]
     capacity: int
-    profile: MemoryProfile
+    compiled: CompiledSchedule
     run: Optional[SimResult] = None
 
 
@@ -192,19 +192,29 @@ def _violation_count(cell: _Cell, probes: Optional[tuple]) -> tuple:
 
 
 def _analyzer_errors(cell: _Cell, probes: Optional[tuple]) -> tuple:
-    return (cell.ctx.analysis_errors(
-        cell.key, cell.p, cell.heuristic, cell.capacity, cell.cap_arg),)
+    # O(plan), no simulation: an executable cell analyzes the compiled
+    # schedule's memoised plan (what the simulator executes); a
+    # non-executable one has no plan and is reported via SA101.
+    from ..analysis import analyze_plan, analyze_schedule
+
+    cs = cell.compiled
+    if cs.profile.executable_under(cell.capacity):
+        report = analyze_plan(cs.plan_for(cell.capacity))
+    else:
+        report = analyze_schedule(
+            cs.schedule, capacity=cell.capacity, profile=cs.profile)
+    return (float(len(report.errors)),)
 
 
 def _certified_bounds(cell: _Cell, probes: Optional[tuple]) -> tuple:
     # Static: only the PT gap needs a run.
-    bset = cell.ctx.bounds_for(cell.key, cell.p, cell.heuristic, cell.cap_arg)
+    bset = cell.ctx.bounds_for(cell.key, cell.p, cell.heuristic, cell.capacity)
     pt, mem = bset.pt.value, bset.min_mem.value
     return (
         pt, mem,
         cell.run.parallel_time / pt - 1.0
         if cell.run is not None and pt > 0 else INF,
-        cell.profile.min_mem / mem - 1.0 if mem > 0 else INF,
+        cell.compiled.profile.min_mem / mem - 1.0 if mem > 0 else INF,
     )
 
 
@@ -239,17 +249,14 @@ class _Group:
 
     mapping: Optional[tuple[Placement, dict[str, int]]] = None
     baseline_pt: Optional[float] = None
-    #: ``(heuristic, capacity)`` -> the schedule's profile (which holds
-    #: the schedule) / compiled form (which holds that profile)
-    profiles: dict[tuple, MemoryProfile] = field(default_factory=dict)
+    #: ``(heuristic, ordering capacity)`` -> compiled schedule (which
+    #: holds the schedule and its profile)
     compiled: dict[tuple, CompiledSchedule] = field(default_factory=dict)
-    #: ``(heuristic, cap_arg, capacity, observed families, engine)`` ->
-    #: (run, the observed families' fields)
+    #: heuristic -> certified bounds
+    bounds: dict[str, object] = field(default_factory=dict)
+    #: ``(heuristic, capacity, observed families, engine)`` -> (run, the
+    #: observed families' fields)
     sims: dict[tuple, tuple[SimResult, dict]] = field(default_factory=dict)
-    #: ``(heuristic, cap_arg, capacity)`` -> analyzer error count
-    analysis: dict[tuple, float] = field(default_factory=dict)
-    #: ``(heuristic, capacity)`` -> certified bounds
-    bounds: dict[tuple, object] = field(default_factory=dict)
 
 
 def _add_counters(totals: dict, counters: dict) -> None:
@@ -262,10 +269,10 @@ class ExperimentContext:
     cells share.
 
     Problems are built once and kept for the context's lifetime.  A
-    group's tables — its mapping, schedules, liveness profiles, compiled
-    schedules (with their MAP plans and lowering), RCP
-    baseline, simulation results, analyzer counts and bounds — are
-    kept until :meth:`release` drops them.
+    group's tables — its mapping, compiled schedules (with their
+    schedules, liveness profiles, MAP plans and lowering), RCP
+    baseline, bounds and simulation results — are kept until
+    :meth:`release` drops them.
     :func:`~repro.experiments.sweep.full_sweep` releases each group as
     it finishes, since no group reads another's tables; other callers
     (the table builders, the CLI's ``analyze``) never release and keep
@@ -395,36 +402,34 @@ class ExperimentContext:
         return group.mapping
 
     def schedule(self, key: str, p: int, heuristic: str, capacity: Optional[int] = None) -> Schedule:
-        return self.profile(key, p, heuristic, capacity).schedule
+        return self.compiled(key, p, heuristic, capacity).schedule
 
     def profile(self, key: str, p: int, heuristic: str, capacity: Optional[int] = None) -> MemoryProfile:
-        """Liveness profile of the ``heuristic`` schedule, which it
-        holds; built once per (heuristic, capacity)."""
-        cache = self._group(key, p).profiles
-        ck = (heuristic, capacity)
+        """Liveness profile of the ``heuristic`` schedule (which it
+        holds): the compiled schedule's."""
+        return self.compiled(key, p, heuristic, capacity).profile
+
+    def compiled(self, key: str, p: int, heuristic: str, capacity: Optional[int] = None) -> CompiledSchedule:
+        """Compiled (validated, preprocessed) form of the ``heuristic``
+        schedule for a cell of ``capacity``.
+
+        Only ``dts-merge`` orders under the capacity (DTS slice
+        merging); every other heuristic's one compiled schedule serves
+        every capacity of a sweep, so the ordering / liveness /
+        static-table work is paid once per (workload, procs, heuristic)
+        instead of once per cell."""
+        cache = self._group(key, p).compiled
+        ck = (heuristic, capacity if heuristic == "dts-merge" else None)
         if ck not in cache:
             placement, assignment = self.mapping(key, p)
-            cache[ck] = analyze_memory(order_with(
+            cache[ck] = CompiledSchedule(order_with(
                 heuristic,
                 self.problem(key).graph,
                 placement,
                 assignment,
                 comm=self.spec.comm_model(),
-                capacity=capacity,
+                capacity=ck[1],
             ))
-        return cache[ck]
-
-    def compiled(self, key: str, p: int, heuristic: str, capacity: Optional[int] = None) -> CompiledSchedule:
-        """Compiled (validated, preprocessed) form of a schedule.
-
-        One compiled schedule serves every capacity of a sweep, so the
-        validation / liveness / static-table work is paid once per
-        (workload, procs, heuristic) instead of once per cell."""
-        cache = self._group(key, p).compiled
-        ck = (heuristic, capacity)
-        if ck not in cache:
-            prof = self.profile(key, p, heuristic, capacity)
-            cache[ck] = CompiledSchedule(prof.schedule, profile=prof)
         return cache[ck]
 
     def reference_tot(self, key: str, p: int) -> int:
@@ -451,54 +456,28 @@ class ExperimentContext:
 
     # -- measurements -------------------------------------------------------
 
-    def analysis_errors(
-        self, key: str, p: int, heuristic: str, capacity: int,
-        cap_arg: Optional[int] = None,
-    ) -> float:
-        """Error-severity findings of the static analyzer for one cell
-        (cached; O(plan), no simulation)."""
-        cache = self._group(key, p).analysis
-        ak = (heuristic, cap_arg, capacity)
-        if ak not in cache:
-            from ..analysis import analyze_plan, analyze_schedule
-
-            prof = self.profile(key, p, heuristic, cap_arg)
-            # An executable cell shares the compiled schedule's memoised
-            # plan (what the simulator executes); a non-executable one
-            # has no plan and is reported via SA101.
-            if prof.executable_under(capacity):
-                report = analyze_plan(
-                    self.compiled(key, p, heuristic, cap_arg).plan_for(capacity))
-            else:
-                report = analyze_schedule(
-                    prof.schedule, capacity=capacity, profile=prof)
-            cache[ak] = float(len(report.errors))
-        return cache[ak]
-
     def bounds_for(
         self, key: str, p: int, heuristic: str,
         capacity: Optional[int] = None,
     ):
-        """Certified PT/MIN_MEM lower bounds for one cell's schedule
-        (cached; see :func:`repro.analysis.schedule_bounds`).
+        """Certified PT/MIN_MEM lower bounds for the ``heuristic``
+        schedule of a cell of ``capacity`` (cached; see
+        :func:`repro.analysis.schedule_bounds`).
 
         The bounds depend only on the graph, placement and assignment —
-        not on the per-processor orders — so every heuristic of one
-        (workload, procs) pair shares the same
-        :class:`~repro.analysis.BoundSet`; the cache key keeps the
-        heuristic anyway because a capacity-merged schedule (DTS) can
-        coarsen the graph itself.
+        not on the per-processor orders or the capacity — so the cache
+        is keyed per heuristic: every heuristic but ``etf`` orders on
+        the group's mapping, and ETF derives its own.
         """
         cache = self._group(key, p).bounds
-        bk = (heuristic, capacity)
-        if bk not in cache:
+        if heuristic not in cache:
             from ..analysis import schedule_bounds
 
-            cache[bk] = schedule_bounds(
+            cache[heuristic] = schedule_bounds(
                 self.schedule(key, p, heuristic, capacity),
                 comm=self.spec.comm_model(),
             )
-        return cache[bk]
+        return cache[heuristic]
 
     def run_cell(
         self,
@@ -515,9 +494,8 @@ class ExperimentContext:
         ``reference`` selects the TOT base for the capacity: ``"self"``
         (the schedule's own TOT, Tables 2/3) or ``"rcp"`` (the RCP
         schedule's TOT, Tables 4-7); anything else raises
-        ``ValueError``.  ``dts-merge`` orders under the cell's capacity
-        (DTS slice merging), so it needs ``"rcp"``; every other
-        heuristic orders without one.
+        ``ValueError``, as does ``"self"`` with ``dts-merge``
+        (:func:`require_reference`).
 
         ``columns`` names the :data:`OPTIONAL_COLUMNS` families to fill
         (an unknown one raises ``ValueError``); the others stay
@@ -544,10 +522,10 @@ class ExperimentContext:
             else self.profile(key, p, heuristic).tot
         )
         capacity = int(math.floor(tot * fraction))
-        cap_arg = capacity if heuristic == "dts-merge" else None
-        prof = self.profile(key, p, heuristic, cap_arg)
+        cs = self.compiled(key, p, heuristic, capacity)
+        prof = cs.profile
         base = self.baseline_pt(key, p, engine)
-        cell = _Cell(self, key, p, heuristic, cap_arg, capacity, prof)
+        cell = _Cell(self, key, p, heuristic, capacity, cs)
         families = [name for name in OPTIONAL_COLUMNS if name in columns]
         observed = tuple(
             name for name in families if OPTIONAL_COLUMNS[name].instruments)
@@ -556,7 +534,7 @@ class ExperimentContext:
         executable = prof.min_mem <= capacity
         if executable:
             sims = self._group(key, p).sims
-            sk = (heuristic, cap_arg, capacity, observed, engine)
+            sk = (heuristic, capacity, observed, engine)
             if sk not in sims:
                 sims[sk] = self._observed_run(cell, observed, engine)
             run, observed_values = sims[sk]
@@ -578,7 +556,7 @@ class ExperimentContext:
         """Simulate one cell with the instruments of the ``observed``
         families attached; returns the run (no telemetry) and those
         families' fields."""
-        cs = self.compiled(cell.key, cell.p, cell.heuristic, cell.cap_arg)
+        cs = cell.compiled
         probes = {
             name: OPTIONAL_COLUMNS[name].instruments(cs) for name in observed}
         run = Simulator(

@@ -12,10 +12,10 @@ This is the central data structure of the library.  A
 * the commuting groups (RAPID's commutative-task extension).
 
 The graph is append-only while being built and *frozen* afterwards;
-freezing assigns dense integer ids to tasks and objects and computes
-CSR-like adjacency used by the scheduling algorithms, which would be far
-too slow on dict-of-set adjacency for graphs with tens of thousands of
-tasks.
+freezing checks acyclicity and caches the topological order.  The dense
+task and object ids the scheduling algorithms run on (dict-of-set
+adjacency would be far too slow for graphs with tens of thousands of
+tasks) belong to the graph's :class:`~repro.core.index.GraphIndex`.
 """
 
 from __future__ import annotations
@@ -45,12 +45,6 @@ class TaskGraph:
         self._pred: dict[str, dict[str, set[str]]] = {}
         self._commute_groups: dict[str, list[str]] = {}
         self._frozen = False
-        # Dense-index views, populated by freeze().
-        self.task_names: list[str] = []
-        self.object_names: list[str] = []
-        self.task_index: dict[str, int] = {}
-        self.object_index: dict[str, int] = {}
-        self.object_size: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -110,21 +104,16 @@ class TaskGraph:
             objs.add(obj)
 
     # ------------------------------------------------------------------
-    # freezing and indexed views
+    # freezing and the topological order
     # ------------------------------------------------------------------
 
     def freeze(self) -> "TaskGraph":
-        """Validate acyclicity and build dense-index adjacency.
+        """Validate acyclicity and cache the topological order.
 
         Returns ``self`` for chaining.  Freezing is idempotent.
         """
         if self._frozen:
             return self
-        self.task_names = list(self._task_order)
-        self.object_names = sorted(self._objects)
-        self.task_index = {n: i for i, n in enumerate(self.task_names)}
-        self.object_index = {n: i for i, n in enumerate(self.object_names)}
-        self.object_size = {n: o.size for n, o in self._objects.items()}
         self._topo_cache = self._toposort()  # raises CycleError on cycles
         self._edge_count_cache = sum(len(s) for s in self._succ.values())
         self._frozen = True
@@ -159,6 +148,12 @@ class TaskGraph:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+
+    @property
+    def task_names(self) -> list[str]:
+        """Task names in program (insertion) order.  Treat as
+        read-only."""
+        return self._task_order
 
     @property
     def num_tasks(self) -> int:

@@ -14,10 +14,10 @@ pipeline behind two classes:
 >>> prog = r.parallelize(num_procs=2, heuristic="mpo")
 >>> result = prog.run(capacity=prog.min_mem)
 
-The returned :class:`ParallelProgram` bundles the schedule with its
-memory profile and exposes timed simulation (`run`), numeric execution
-(`run_numeric`) and the static predictions (`predicted_time`,
-`min_mem`, `tot`).
+The returned :class:`ParallelProgram` compiles the schedule once, with
+its memory profile, and exposes timed simulation (`run`), numeric
+execution (`run_numeric`) and the static predictions
+(`predicted_time`, `min_mem`, `tot`).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..core.liveness import MemoryProfile, analyze_memory
-from ..core.maps import MapPlan, plan_maps
+from ..core.liveness import MemoryProfile
+from ..core.maps import MapPlan
 from ..core.placement import Placement
 from ..core.schedule import Schedule, gantt
 from ..graph.builder import GraphBuilder
@@ -40,14 +40,23 @@ from .inspector import parallelize
 
 @dataclass
 class ParallelProgram:
-    """A scheduled program ready for (simulated) execution."""
+    """A scheduled program ready for (simulated) execution.
+
+    The schedule is compiled once, when the program is made; its
+    profile, MAP plans and every run read that one
+    :class:`~repro.machine.simulator.CompiledSchedule`."""
 
     schedule: Schedule
     spec: MachineSpec
-    profile: MemoryProfile = field(init=False)
+    _compiled: CompiledSchedule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.profile = analyze_memory(self.schedule)
+        self._compiled = CompiledSchedule(self.schedule)
+
+    @property
+    def profile(self) -> MemoryProfile:
+        """The schedule's liveness profile."""
+        return self._compiled.profile
 
     # -- static predictions --------------------------------------------
 
@@ -66,12 +75,12 @@ class ParallelProgram:
         return gantt(self.schedule, self.spec.comm_model()).makespan
 
     def plan(self, capacity: int) -> MapPlan:
-        """Static MAP plan under a capacity (section 3.3)."""
-        return plan_maps(self.profile, capacity)
+        """Static MAP plan under a capacity (section 3.3), memoised."""
+        return self._compiled.plan_for(capacity)
 
     def compiled(self) -> CompiledSchedule:
-        """This program's schedule compiled with its profile."""
-        return CompiledSchedule(self.schedule, profile=self.profile)
+        """This program's compiled schedule (one per program)."""
+        return self._compiled
 
     # -- execution -------------------------------------------------------
 
@@ -86,7 +95,7 @@ class ParallelProgram:
             spec=spec or self.spec,
             capacity=capacity,
             memory_managed=memory_managed,
-            compiled=self.compiled(),
+            compiled=self._compiled,
         ).run()
 
     def run_numeric(self, store: dict) -> dict:
@@ -129,14 +138,14 @@ class ParallelProgram:
             raise ValueError("iterations must be >= 1")
         mspec = spec or self.spec
         first = Simulator(
-            spec=mspec, capacity=capacity, compiled=self.compiled()
+            spec=mspec, capacity=capacity, compiled=self._compiled
         ).run()
         if iterations == 1:
             return IterativeResult(iterations, first, first, first.parallel_time)
         steady = Simulator(
             spec=mspec,
             capacity=capacity,
-            compiled=self.compiled(),
+            compiled=self._compiled,
             preknown_addresses=True,
         ).run()
         total = first.parallel_time + (iterations - 1) * steady.parallel_time

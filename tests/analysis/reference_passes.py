@@ -39,7 +39,7 @@ def memory_pass(ctx) -> list[Diagnostic]:
             ))
 
     if ctx.plan is not None:
-        size = g.object_size
+        size = {o.name: o.size for o in g.objects()}
         for p, pts in enumerate(ctx.plan.points):
             pp = profile.procs[p]
             used = pp.perm_bytes

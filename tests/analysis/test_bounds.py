@@ -92,10 +92,43 @@ class TestEtreeOptima:
         bs = certified_bounds(s.graph, s.placement, s.assignment)
         assert bs.min_mem.value == pytest.approx(opt)
 
-    def test_bounds_cached_per_context_cell(self, ctx):
+    def test_bounds_cached_per_context_cell(self, monkeypatch):
+        """One ``schedule_bounds`` call per (group, heuristic), whatever
+        the fractions; ``dts-merge`` cells of two capacities included."""
+        import repro.analysis
+
+        calls = []
+        real = repro.analysis.schedule_bounds
+
+        def counting(schedule, comm=UNIT_COMM):
+            calls.append(schedule.meta["heuristic"])
+            return real(schedule, comm)
+
+        monkeypatch.setattr(repro.analysis, "schedule_bounds", counting)
+        ctx = ExperimentContext()
+        heuristics = ("rcp", "dts-merge", "etf")
+        for h in heuristics:
+            for f in (1.0, 0.75, 0.5):
+                ctx.run_cell("etree15", 2, h, f, reference="rcp",
+                             columns=("bounds",))
+        assert len(calls) == len(heuristics)
         a = ctx.bounds_for("etree15", 2, "rcp")
-        b = ctx.bounds_for("etree15", 2, "rcp")
-        assert a is b
+        assert ctx.bounds_for("etree15", 2, "rcp") is a
+        assert len(calls) == len(heuristics)
+
+    def test_etf_rows_take_the_bounds_of_its_own_mapping(self, ctx):
+        """ETF derives its own mapping, so its bounds differ from every
+        other heuristic's: the reason the context keys bounds per
+        heuristic."""
+        rows = {h: ctx.run_cell("etree15", 2, h, 0.75, reference="rcp",
+                                columns=("bounds",))
+                for h in ("rcp", "mpo", "dts", "dts-merge", "etf", "tree")}
+        etf = rows.pop("etf")
+        assert (etf.pt_bound, etf.mem_bound) == (
+            pytest.approx(4.727e-05, rel=1e-3), 9360)
+        for r in rows.values():
+            assert (r.pt_bound, r.mem_bound) == (
+                pytest.approx(5.060e-04, rel=1e-3), 8224)
 
     def test_bounds_computed_once_per_mapping(self, ctx):
         """The bounds ignore the orders: every heuristic's schedule of

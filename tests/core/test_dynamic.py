@@ -3,11 +3,31 @@
 from repro.core import analyze_memory, gantt, mpo_order, owner_compute_assignment
 from repro.core.dynamic import etf_schedule
 from repro.core.placement import validate_owner_compute
+from repro.graph import TaskGraph
 from repro.graph.generators import chain, fork_join, random_trace
 from repro.machine import UNIT_MACHINE, simulate
 
 
+def unfrozen_copy(g):
+    """``g`` rebuilt task by task and edge by edge, left unfrozen."""
+    u = TaskGraph()
+    for o in g.objects():
+        u.add_object(o)
+    for t in g.tasks():
+        u.add_task(t)
+    for a, b, objs in g.edges():
+        for o in sorted(objs) or [None]:
+            u.add_edge(a, b, o)
+    return u
+
+
 class TestETF:
+    def test_unfrozen_graph_orders_like_frozen(self):
+        g = random_trace(40, 8, seed=1)
+        u = unfrozen_copy(g)
+        assert not u.frozen
+        assert etf_schedule(u, 3).orders == etf_schedule(g, 3).orders
+
     def test_valid_schedule(self):
         g = random_trace(40, 8, seed=1)
         s = etf_schedule(g, 3)

@@ -82,7 +82,7 @@ class TestSharing:
         moved = mapping_index(g, pl, asg)
         assert moved is not first and moved.proc[0] == asg[t]
         owner = dict(pl.owner)
-        o = g.object_names[0]
+        o = graph_index(g).object_names[0]
         pl.owner[o] = (owner[o] + 1) % 3  # a mutated owner map, too
         try:
             rehomed = mapping_index(g, pl, asg)

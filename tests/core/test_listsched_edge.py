@@ -5,10 +5,12 @@ import pytest
 from repro.core import cyclic_placement, gantt, owner_compute_assignment
 from repro.core.index import mapping_index
 from repro.core.listsched import BoundPolicy, run_list_scheduler
+from repro.core.placement import Placement
+from repro.core.rcp import rcp_priorities
 from repro.core.schedule import CommModel
 from repro.errors import SchedulingError
 from repro.graph import GraphBuilder
-from repro.graph.generators import chain, fork_join
+from repro.graph.generators import chain, fork_join, random_trace
 from repro.rapid.inspector import order_with
 
 
@@ -27,7 +29,7 @@ def static(g, pl, asg, prio):
     """The static policy of ``prio`` (task -> priority, larger first)."""
     mi = mapping_index(g, pl, asg)
     keys = [-prio[t] for t in mi.names]
-    return BoundPolicy(mi, keys.__getitem__)
+    return BoundPolicy(keys.__getitem__)
 
 
 class TestEngineEdges:
@@ -123,9 +125,26 @@ class TestEngineEdges:
             return []
 
         s = run_list_scheduler(
-            g, pl, asg, BoundPolicy(mi, keys.__getitem__, scheduled))
+            g, pl, asg, BoundPolicy(keys.__getitem__, scheduled))
         order = s.orders[0]
         assert order == ["first", "late", "mid"]
+
+    def test_orders_follow_the_given_assignment(self):
+        """The scheduler places each task on the processor of the
+        assignment it is given, whatever mapping the priorities came
+        from: keys built from the swapped mapping's b-levels must still
+        give orders that agree with the schedule's own assignment."""
+        g = random_trace(10, 4, seed=0)
+        pl = cyclic_placement(g, 2)
+        asg = owner_compute_assignment(g, pl)
+        swapped_pl = Placement(2, {o: 1 - q for o, q in pl.owner.items()})
+        swapped = {t: 1 - q for t, q in asg.items()}
+        keys = [-b for b in rcp_priorities(
+            g, mapping_index(g, swapped_pl, swapped).proc)]
+        s = run_list_scheduler(g, pl, asg, BoundPolicy(keys.__getitem__))
+        s.validate()
+        assert all(asg[t] == q for q, order in enumerate(s.orders)
+                   for t in order)
 
     def test_comm_model_affects_start_times(self):
         g = chain(2)

@@ -71,7 +71,7 @@ class TestEngine:
         prio = {"fork0": 10.0, "mid0_0": 1.0, "mid0_1": 3.0, "mid0_2": 2.0, "join0": 5.0}
         mi = mapping_index(g, pl, asg)
         keys = [-prio[t] for t in mi.names]
-        s = run_list_scheduler(g, pl, asg, BoundPolicy(mi, keys.__getitem__))
+        s = run_list_scheduler(g, pl, asg, BoundPolicy(keys.__getitem__))
         order = s.orders[0]
         assert order.index("mid0_1") < order.index("mid0_2") < order.index("mid0_0")
 

@@ -42,6 +42,26 @@ class TestCommon:
         s2 = ctx.schedule("chol15", 2, "rcp")
         assert s1 is s2
 
+    def test_profile_is_the_compiled_schedules(self, ctx):
+        for h in ("rcp", "mpo", "dts"):
+            cs = ctx.compiled("chol15", 2, h)
+            assert ctx.profile("chol15", 2, h) is cs.profile
+            assert ctx.schedule("chol15", 2, h) is cs.schedule
+
+    def test_dts_merge_compiles_per_capacity(self):
+        """Only ``dts-merge`` orders under the cell's capacity: its
+        cells at two fractions hold two compiled schedules, every other
+        heuristic's one."""
+        ctx = ExperimentContext()
+        for h in ("rcp", "dts-merge"):
+            for f in (0.75, 0.5):
+                ctx.run_cell("chol15", 2, h, f, reference="rcp")
+        keys = ctx._group("chol15", 2).compiled
+        assert sorted(k for k in keys if k[0] == "dts-merge") == sorted(
+            ("dts-merge", int(ctx.reference_tot("chol15", 2) * f))
+            for f in (0.75, 0.5))
+        assert [k for k in keys if k[0] == "rcp"] == [("rcp", None)]
+
     def test_baseline_pt_positive(self, ctx):
         assert ctx.baseline_pt("chol15", 2) > 0
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.index import graph_index
 from repro.errors import CycleError, GraphError
 from repro.graph import DataObject, Task, TaskGraph
 
@@ -142,9 +143,18 @@ class TestQueries:
         assert len(g) == 4
 
     def test_frozen_index_maps(self):
+        """The dense ids live on the graph index, not on the graph."""
         g = diamond().freeze()
-        assert g.task_index["a"] == 0
-        assert set(g.object_index) == {"w", "x", "y", "z"}
+        gi = graph_index(g)
+        assert gi.tid["a"] == 0
+        assert gi.object_names == ["w", "x", "y", "z"]
+        assert not hasattr(g, "task_index") and not hasattr(g, "object_size")
+
+    def test_task_names_is_program_order_frozen_or_not(self):
+        g = diamond()
+        names = list(g.task_names)
+        assert names == [t.name for t in g.tasks()] and names
+        assert g.freeze().task_names == names
 
 
 class TestCommuteGroups:

@@ -10,7 +10,9 @@ from repro.core import (
     owner_compute_assignment,
     tree_order,
 )
+from repro.errors import SchedulingError
 from repro.experiments import ExperimentContext
+from repro.graph import Task, TaskGraph
 from repro.graph import generators as gen
 from repro.graph.paper_example import (
     paper_assignment,
@@ -42,6 +44,19 @@ class TestTreeOrder:
         s = tree_order(g, pl, paper_assignment(g, pl))
         s.validate()
         assert s.meta["heuristic"] == "TREE"
+
+    def test_unfrozen_graph_checks_the_assignment(self):
+        """A task without a processor is refused with the assignment
+        check's error whether or not the graph is frozen."""
+        g = TaskGraph()
+        g.add_object("x", 1)
+        g.add_task(Task("t1", writes=("x",)))
+        g.add_task(Task("t2", reads=("x",)))
+        g.add_edge("t1", "t2", "x")
+        pl = cyclic_placement(g, 2)
+        with pytest.raises(SchedulingError,
+                           match="task 't2' has no processor assignment"):
+            tree_order(g, pl, {"t1": 0})
 
     @pytest.mark.parametrize("seed", range(5))
     def test_valid_on_general_dags(self, seed):

@@ -209,7 +209,7 @@ def static(g, pl, asg, prio):
     """The static policy of ``prio`` (task -> priority, larger first)."""
     mi = mapping_index(g, pl, asg)
     keys = [-prio[t] for t in mi.names]
-    return BoundPolicy(mi, keys.__getitem__)
+    return BoundPolicy(keys.__getitem__)
 
 
 def mpo_policy(g, pl, asg, comm):

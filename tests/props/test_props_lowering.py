@@ -185,7 +185,7 @@ ptr, oid = gi.edge_ptr.tolist(), gi.edge_oid.tolist()
 for a, b in zip(ptr, ptr[1:]):
     assert oid[a:b] == sorted(oid[a:b]), oid
 for procs in (2, 3):
-    owner = {o: i % procs for i, o in enumerate(g.object_names)}
+    owner = {o: i % procs for i, o in enumerate(gi.object_names)}
     asg = {t: i % procs for i, t in enumerate(g.task_names)}
     mi = gi.mapping(Placement(procs, owner), asg)
     got = _lower_mapping(g, gi, mi)

@@ -40,6 +40,16 @@ class TestIterative:
         it = prog.run_iterative(1, capacity=prog.min_mem)
         assert it.total_time == it.first.parallel_time
 
+    def test_one_compile_per_program(self):
+        """Every run of a program reads its one compiled schedule: the
+        steady-state run reuses the first run's lowering."""
+        prog = pipeline_session().parallelize(2)
+        cs = prog.compiled()
+        prog.run_iterative(3, capacity=prog.min_mem)
+        assert prog.compiled() is cs and prog.profile is cs.profile
+        assert cs.counters["lower_misses"] == 1
+        assert prog.plan(prog.min_mem) is cs.plan_for(prog.min_mem)
+
     def test_bad_iterations(self):
         prog = pipeline_session().parallelize(2)
         with pytest.raises(ValueError):
